@@ -46,12 +46,20 @@ func (e Estimator) String() string {
 
 // Profile is the frequency profile of a sample: d distinct combinations were
 // observed in a sample of n rows drawn from N rows, and Freq[j] combinations
-// occurred exactly j times.
+// occurred exactly j times (Freq is as long as the largest j seen requires).
 type Profile struct {
 	N    int // total rows in the relation
 	n    int // sample size
 	d    int // distinct combinations in the sample
-	Freq map[int]int
+	Freq []int
+}
+
+// f returns Freq[j], 0 beyond the largest multiplicity seen.
+func (p Profile) f(j int) int {
+	if j < len(p.Freq) {
+		return p.Freq[j]
+	}
+	return 0
 }
 
 // Distinct returns the number of distinct combinations in the sample.
@@ -72,13 +80,13 @@ func (p Profile) Estimate(e Estimator) float64 {
 		return float64(p.d)
 	}
 	var est float64
-	f1 := float64(p.Freq[1])
+	f1 := float64(p.f(1))
 	switch e {
 	case GEE:
-		rest := float64(p.d - p.Freq[1])
+		rest := float64(p.d - p.f(1))
 		est = math.Sqrt(float64(p.N)/float64(p.n))*f1 + rest
 	case Chao:
-		f2 := float64(p.Freq[2])
+		f2 := float64(p.f(2))
 		if f2 == 0 {
 			// Standard bias-corrected fallback when no doubletons were seen.
 			est = float64(p.d) + f1*(f1-1)/2
@@ -104,6 +112,9 @@ func (p Profile) shlosser() float64 {
 	q := float64(p.n) / float64(p.N)
 	var num, den float64
 	for i, fi := range p.Freq {
+		if fi == 0 {
+			continue
+		}
 		f := float64(fi)
 		num += math.Pow(1-q, float64(i)) * f
 		den += float64(i) * q * math.Pow(1-q, float64(i-1)) * f
@@ -111,7 +122,7 @@ func (p Profile) shlosser() float64 {
 	if den == 0 {
 		return float64(p.d)
 	}
-	return float64(p.d) + float64(p.Freq[1])*num/den
+	return float64(p.d) + float64(p.f(1))*num/den
 }
 
 func clamp(x, lo, hi float64) float64 {

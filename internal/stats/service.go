@@ -1,7 +1,7 @@
 package stats
 
 import (
-	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"time"
@@ -14,85 +14,143 @@ import (
 // sample per table is drawn once and reused to build statistics on any column
 // set — the amortization the paper notes ("the optimizer can create multiple
 // statistics from one sample").
+//
+// It is held as a sample image: the first profile touching a column gathers
+// that column's sampled codes into a contiguous sample-local array, and every
+// profile counts into one scratch table owned by the sample, so a profile
+// neither allocates nor reads the base table again. The scratch makes
+// ProfileOf a mutation: callers serialize (Service.mu).
 type Sample struct {
 	t    *table.Table
-	rows []int32
+	n    int
+	rows []int32    // sampled ordinals; nil when the sample is the whole table
+	img  [][]uint32 // per column: codes at the sampled rows, nil until touched
+
+	slots []slot            // open addressing, power-of-two size > 2n, linear probing
+	gen   uint32            // current profile's stamp: a slot is occupied iff it carries it
+	freq  []int             // backs Profile.Freq; only the last profile's prefix is dirty
+	dirty int               // length of that prefix
+	hash  [hashBlock]uint64 // running hashes of the block being counted
 }
+
+// slot is one counting-table entry. Stamping it with the profile's generation
+// stands in for clearing the table between profiles.
+type slot struct {
+	key   uint64
+	count int32
+	gen   uint32
+}
+
+// hashBlock is how many sampled rows are hashed column-by-column before they
+// are counted: 8 KB of running hashes, L1-resident.
+const hashBlock = 1024
 
 // NewSample draws a uniform sample of up to size rows, deterministically from
 // seed. If the table has at most size rows the sample is the whole table.
 func NewSample(t *table.Table, size int, seed int64) *Sample {
 	n := t.NumRows()
-	if size >= n {
-		rows := make([]int32, n)
-		for i := range rows {
+	s := &Sample{t: t, n: n, img: make([][]uint32, t.NumCols())}
+	if size < n {
+		// Reservoir sampling keeps the draw uniform without materializing a
+		// full permutation.
+		r := rand.New(rand.NewSource(seed))
+		rows := make([]int32, size)
+		for i := 0; i < size; i++ {
 			rows[i] = int32(i)
 		}
-		return &Sample{t: t, rows: rows}
-	}
-	// Reservoir sampling keeps the draw uniform without materializing a full
-	// permutation.
-	r := rand.New(rand.NewSource(seed))
-	rows := make([]int32, size)
-	for i := 0; i < size; i++ {
-		rows[i] = int32(i)
-	}
-	for i := size; i < n; i++ {
-		if j := r.Intn(i + 1); j < size {
-			rows[j] = int32(i)
+		for i := size; i < n; i++ {
+			if j := r.Intn(i + 1); j < size {
+				rows[j] = int32(i)
+			}
 		}
+		s.rows, s.n = rows, size
 	}
-	return &Sample{t: t, rows: rows}
+	s.slots = make([]slot, 1<<bits.Len(uint(2*s.n))) // more than 2n: load stays below 1/2
+	s.freq = make([]int, s.n+1)
+	return s
 }
 
 // Size returns the number of sampled rows.
-func (s *Sample) Size() int { return len(s.rows) }
+func (s *Sample) Size() int { return s.n }
+
+// column returns column c of the sample image, gathering it on first use. A
+// whole-table sample aliases the column itself.
+func (s *Sample) column(c int) []uint32 {
+	if s.img[c] == nil {
+		codes := s.t.Col(c).Codes()
+		if s.rows != nil {
+			gathered := make([]uint32, len(s.rows))
+			for i, row := range s.rows {
+				gathered[i] = codes[row]
+			}
+			codes = gathered
+		}
+		s.img[c] = codes
+	}
+	return s.img[c]
+}
 
 // ProfileOf counts the frequency profile of column-set combinations within
 // the sample. Combinations are keyed by a 64-bit mix of their codes; for
-// statistics purposes the ~2⁻⁶⁴ per-pair collision probability is
-// negligible against sampling error, and it makes profiling an order of
-// magnitude cheaper than materializing byte keys (profiling cost is exactly
-// the §6.7 statistics-creation overhead).
+// statistics purposes the ~2⁻⁶⁴ per-pair collision probability is negligible
+// against sampling error. Profiling cost is exactly the §6.7
+// statistics-creation overhead, so the kernel is kept flat: a block of rows
+// is hashed one image column at a time, then counted into the stamped scratch
+// table, and the frequencies of frequencies are maintained as counts move.
+// Nothing is allocated once the set's columns are gathered. The returned
+// Profile's Freq aliases scratch and is valid until the next call.
 func (s *Sample) ProfileOf(set colset.Set) Profile {
-	cols := set.Columns()
-	codes := make([][]uint32, len(cols))
-	for i, c := range cols {
-		codes[i] = s.t.Col(c).Codes()
+	if s.gen++; s.gen == 0 { // stamp wrapped: stale slots could look current
+		clear(s.slots)
+		s.gen = 1
 	}
-	counts := make(map[uint64]int32, len(s.rows))
-	for _, row := range s.rows {
-		h := uint64(0x9e3779b97f4a7c15)
-		for _, col := range codes {
-			h ^= uint64(col[row]) + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-			h *= 0xbf58476d1ce4e5b9
-			h ^= h >> 27
+	freq := s.freq
+	clear(freq[:s.dirty])
+	gen, slots, mask := s.gen, s.slots, len(s.slots)-1
+	shift := uint(64 - bits.TrailingZeros(uint(len(slots)))) // index by the top log2(len) bits
+	d, top := 0, int32(min(s.n, 1))                          // top: the largest count any slot reached
+	for lo := 0; lo < s.n; lo += hashBlock {
+		h := s.hash[:min(hashBlock, s.n-lo)]
+		for i := range h {
+			h[i] = 0x9e3779b97f4a7c15
 		}
-		counts[h]++
+		for v := uint64(set); v != 0; v &= v - 1 {
+			col := s.column(bits.TrailingZeros64(v))[lo : lo+len(h)]
+			for i, code := range col {
+				x := h[i]
+				x ^= uint64(code) + 0x9e3779b97f4a7c15 + (x << 6) + (x >> 2)
+				x *= 0xbf58476d1ce4e5b9
+				h[i] = x ^ x>>27
+			}
+		}
+		for _, key := range h {
+			for i := int(key * 0x9e3779b97f4a7c15 >> shift); ; i = (i + 1) & mask {
+				sl := &slots[i]
+				if sl.gen != gen {
+					*sl = slot{key: key, count: 1, gen: gen}
+					d++
+					freq[1]++
+					break
+				}
+				if sl.key == key {
+					freq[sl.count]--
+					sl.count++
+					freq[sl.count]++
+					top = max(top, sl.count)
+					break
+				}
+			}
+		}
 	}
-	freq := make(map[int]int)
-	for _, c := range counts {
-		freq[int(c)]++
-	}
-	return Profile{N: s.t.NumRows(), n: len(s.rows), d: len(counts), Freq: freq}
+	s.dirty = int(top) + 1
+	return Profile{N: s.t.NumRows(), n: s.n, d: d, Freq: freq[:s.dirty]}
 }
 
 // ExactNDV counts the exact number of distinct column-set combinations in the
-// full table. O(rows); used by the Exact estimator, tests, and calibration.
+// full table: the profiling kernel run over the whole-table sample. O(rows);
+// used by the Exact estimator, tests, and calibration.
 func ExactNDV(t *table.Table, set colset.Set) int {
-	cols := set.Columns()
-	seen := make(map[string]struct{}, 1024)
-	var key []byte
-	for row := 0; row < t.NumRows(); row++ {
-		key = key[:0]
-		for _, c := range cols {
-			key = binary.LittleEndian.AppendUint32(key, t.Col(c).Code(row))
-		}
-		if _, ok := seen[string(key)]; !ok {
-			seen[string(key)] = struct{}{}
-		}
-	}
-	return len(seen)
+	return NewSample(t, t.NumRows(), 0).ProfileOf(set).Distinct()
 }
 
 // Accounting records the cost of statistics creation, the quantity §6.7
@@ -237,6 +295,11 @@ func (s *Service) estimate(t *table.Table, set colset.Set, byTable map[colset.Se
 		s.acct.SamplesDrawn++
 	}
 	profile := sample.ProfileOf(set)
+	if profile.SampleSize() >= t.NumRows() {
+		// The sample is the whole table: the observed count is the truth, and
+		// a saturated profile must not be extrapolated past it.
+		return float64(profile.Distinct())
+	}
 
 	lo, hi := 1.0, 1.0
 	set.ForEach(func(c int) {

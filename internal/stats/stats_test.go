@@ -102,7 +102,7 @@ func TestEstimatorsWithinReasonOnUniform(t *testing.T) {
 }
 
 func TestEstimateClamping(t *testing.T) {
-	p := Profile{N: 100, n: 10, d: 10, Freq: map[int]int{1: 10}}
+	p := Profile{N: 100, n: 10, d: 10, Freq: []int{0, 10}}
 	for _, e := range []Estimator{GEE, Shlosser, Chao} {
 		got := p.Estimate(e)
 		if got < 10 || got > 100 {
@@ -112,14 +112,14 @@ func TestEstimateClamping(t *testing.T) {
 }
 
 func TestEstimateEmptyProfile(t *testing.T) {
-	p := Profile{N: 100, n: 0, d: 0, Freq: map[int]int{}}
+	p := Profile{N: 100, n: 0, d: 0, Freq: nil}
 	if got := p.Estimate(GEE); got != 0 {
 		t.Fatalf("empty profile estimate = %v", got)
 	}
 }
 
 func TestChaoFallbackNoDoubletons(t *testing.T) {
-	p := Profile{N: 1000, n: 10, d: 10, Freq: map[int]int{1: 10}}
+	p := Profile{N: 1000, n: 10, d: 10, Freq: []int{0, 10}}
 	got := p.Estimate(Chao)
 	if got <= 10 {
 		t.Fatalf("Chao fallback should extrapolate beyond d: %v", got)
