@@ -16,7 +16,6 @@ import (
 	"gbmqo/internal/cache"
 	"gbmqo/internal/catalog"
 	"gbmqo/internal/colset"
-	"gbmqo/internal/engine"
 	"gbmqo/internal/snapshot"
 	"gbmqo/internal/wal"
 )
@@ -535,13 +534,9 @@ func (db *DB) rewarmCache(rep *RecoveryReport) {
 		// the same standing the pre-crash cache did.
 		c.Seed(key, m.Uses)
 		set := colset.Set(m.Set)
-		_, err := db.eng.Run(engine.Request{
-			Table:      m.Table,
-			Sets:       []colset.Set{set},
-			PerSetAggs: map[colset.Set][]Agg{set: m.Aggs},
-			UseCache:   true,
-		})
-		if err != nil {
+		req := QueryOptions{}.request() // default knobs: through the cache, exactly as a live query
+		req.Table, req.Sets, req.PerSetAggs = m.Table, []colset.Set{set}, map[colset.Set][]Agg{set: m.Aggs}
+		if _, err := db.eng.Run(req); err != nil {
 			rep.RewarmSkipped++
 			continue
 		}

@@ -33,6 +33,7 @@ import (
 	"gbmqo/internal/datagen"
 	"gbmqo/internal/engine"
 	"gbmqo/internal/exec"
+	"gbmqo/internal/fault"
 	"gbmqo/internal/index"
 	"gbmqo/internal/obs"
 	"gbmqo/internal/plan"
@@ -325,7 +326,10 @@ func (db *DB) CreateIndex(ixName, tableName string, cols []string, clustered boo
 // DropIndexes removes every index on a table.
 func (db *DB) DropIndexes(tableName string) { db.eng.Catalog().DropIndexes(tableName) }
 
-// QueryOptions tunes SQL execution.
+// QueryOptions tunes execution. Every entry point — Execute, ExecuteQueries,
+// Optimize, Query/QueryWith (joins included), Submit batches (as
+// BatchOptions.Exec) and SubmitSQL — translates it through the same single
+// mapping, so each field below holds on all of them.
 type QueryOptions struct {
 	// Strategy selects the planner (default GBMQO).
 	Strategy Strategy
@@ -340,7 +344,9 @@ type QueryOptions struct {
 	// StorageBudget bounds intermediate temp-table bytes (§4.4.2); 0 = off.
 	StorageBudget float64
 	// SharedScan executes sibling Group Bys in one pass over their common
-	// parent (the §5.1 shared-scan technique; orthogonal to plan choice).
+	// parent (the §5.1 shared-scan technique; orthogonal to plan choice). It
+	// holds on every entry point, SQL statements and pushed-down joins
+	// included.
 	SharedScan bool
 	// Parallel executes independent sub-plans concurrently (one goroutine per
 	// sub-plan, bounded by GOMAXPROCS).
@@ -373,7 +379,11 @@ type QueryOptions struct {
 	// degradation ladder (sequential, then unshared / no-retain / no-cache)
 	// so the retry avoids whatever machinery the fault hit. 0 or 1 disables
 	// retry. Attempts and per-retry detail land in ExecReport.Attempts and
-	// ExecReport.Retries. Fatal errors and caller cancellations never retry.
+	// ExecReport.Retries. Fatal errors and caller cancellations never retry,
+	// and with breakers enabled (see EnableBreakers) the table's breaker is
+	// asked before every attempt: once it opens the remaining budget is
+	// forfeited and the query fails fast with *BreakerOpenError. The budget
+	// holds on every entry point.
 	MaxAttempts int
 	// RetryBackoff is the base backoff before the first retry, doubled per
 	// attempt with jitter (default 1ms, capped at 100ms).
@@ -387,28 +397,33 @@ type QueryOptions struct {
 	AllowPartial bool
 }
 
-func (db *DB) sqlOptions(o QueryOptions) sql.Options {
-	opts := sql.Options{
-		Strategy:     o.Strategy,
+// request is the one translation of public options into engine knobs: the
+// request template every entry point — Execute, ExecuteQueries, Optimize,
+// QueryWith, Submit batches, SubmitSQL and cache re-warm — starts from, filling
+// in only table, grouping sets and aggregates on its copy.
+func (o QueryOptions) request() engine.Request {
+	req := engine.Request{
+		Strategy: o.Strategy,
+		Core: core.Options{
+			BinaryOnly:         o.BinaryOnly,
+			PruneSubsumption:   !o.DisablePruning,
+			PruneMonotonic:     !o.DisablePruning,
+			ConsiderCubeRollup: o.ConsiderCubeRollup,
+			StorageBudget:      o.StorageBudget,
+		},
+		SharedScan:   o.SharedScan,
+		Parallel:     o.Parallel,
+		Parallelism:  o.Parallelism,
 		Context:      o.Context,
 		MemBudget:    o.MemBudget,
 		UseCache:     !o.NoCache,
-		Retry:        engine.RetryPolicy{MaxAttempts: o.MaxAttempts, BaseBackoff: o.RetryBackoff},
-		Parallel:     o.Parallel,
-		Parallelism:  o.Parallelism,
+		Retry:        fault.Policy{MaxAttempts: o.MaxAttempts, BaseBackoff: o.RetryBackoff},
 		AllowPartial: o.AllowPartial,
 	}
 	if o.UseCardinalityModel {
-		opts.Model = engine.ModelCardinality
+		req.Model = engine.ModelCardinality
 	}
-	opts.Core = core.Options{
-		BinaryOnly:         o.BinaryOnly,
-		PruneSubsumption:   !o.DisablePruning,
-		PruneMonotonic:     !o.DisablePruning,
-		ConsiderCubeRollup: o.ConsiderCubeRollup,
-		StorageBudget:      o.StorageBudget,
-	}
-	return opts
+	return req
 }
 
 // QueryResult is an executed SQL query.
@@ -421,7 +436,8 @@ type QueryResult struct {
 	Search SearchStats
 	// Report accounts the execution (nil for non-grouped statements):
 	// governance counters, degradations, and per-node kernel attribution
-	// (see ExecReport.Kernels).
+	// (see ExecReport.Kernels). For a join whose grouping was pushed below the
+	// join it accounts the left side's multi-Group-By run.
 	Report *ExecReport
 }
 
@@ -436,7 +452,7 @@ func (db *DB) Query(statement string) (*Table, error) {
 
 // QueryWith runs a SQL statement with explicit options.
 func (db *DB) QueryWith(statement string, o QueryOptions) (*QueryResult, error) {
-	res, err := sql.Run(db.eng, statement, db.sqlOptions(o))
+	res, err := sql.Run(db.eng, statement, o.request())
 	if err != nil {
 		return nil, err
 	}
@@ -490,23 +506,9 @@ func (db *DB) ExecuteQueries(tableName string, queries []GroupQuery, o QueryOpti
 			perSet[set] = q.Aggs
 		}
 	}
-	opts := db.sqlOptions(o)
-	run, err := db.eng.Run(engine.Request{
-		Table:        tableName,
-		Sets:         sets,
-		Strategy:     o.Strategy,
-		Model:        opts.Model,
-		Core:         opts.Core,
-		SharedScan:   o.SharedScan,
-		Parallel:     o.Parallel,
-		Parallelism:  o.Parallelism,
-		Context:      o.Context,
-		MemBudget:    o.MemBudget,
-		UseCache:     !o.NoCache,
-		Retry:        opts.Retry,
-		PerSetAggs:   perSet,
-		AllowPartial: o.AllowPartial,
-	})
+	req := o.request()
+	req.Table, req.Sets, req.PerSetAggs = tableName, sets, perSet
+	run, err := db.eng.Run(req)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -541,22 +543,9 @@ func (db *DB) buildRequest(tableName string, queries [][]string, o QueryOptions)
 		}
 		sets = append(sets, colset.Of(ords...))
 	}
-	opts := db.sqlOptions(o)
-	return engine.Request{
-		Table:        tableName,
-		Sets:         sets,
-		Strategy:     o.Strategy,
-		Model:        opts.Model,
-		Core:         opts.Core,
-		SharedScan:   o.SharedScan,
-		Parallel:     o.Parallel,
-		Parallelism:  o.Parallelism,
-		Context:      o.Context,
-		MemBudget:    o.MemBudget,
-		UseCache:     !o.NoCache,
-		Retry:        opts.Retry,
-		AllowPartial: o.AllowPartial,
-	}, nil
+	req := o.request()
+	req.Table, req.Sets = tableName, sets
+	return req, nil
 }
 
 func (db *DB) resolveCols(t *Table, names []string) ([]int, error) {

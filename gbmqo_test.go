@@ -1,8 +1,13 @@
 package gbmqo
 
 import (
+	"context"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"gbmqo/internal/engine"
 )
 
 func openWithLineitem(t *testing.T, rows int) *DB {
@@ -268,4 +273,106 @@ func TestQueryOptionsPlumbed(t *testing.T) {
 	if res.Plan == nil || res.Table.NumRows() == 0 {
 		t.Fatal("combi query produced nothing")
 	}
+}
+
+// TestEntryPointsHonourEveryKnob pins that every entry point starts from the
+// one QueryOptions → request mapping: the same options produce shared scans
+// and morsel-parallel operators whichever door the query came through. Naive,
+// so all four sets are siblings under the base table and one shared scan can
+// hold them all; 40 000 rows, so the scan is above the morsel cutoff.
+func TestEntryPointsHonourEveryKnob(t *testing.T) {
+	db := openWithLineitem(t, 40000)
+	dim := NewTable("modes", []ColumnDef{{Name: "mode", Typ: String}})
+	for _, m := range []string{"AIR", "MAIL", "SHIP", "TRUCK", "RAIL", "FOB", "REG AIR"} {
+		dim.AppendRow(StrVal(m))
+	}
+	db.Register(dim)
+
+	opts := QueryOptions{Strategy: Naive, SharedScan: true, Parallelism: 2, NoCache: true}
+	cols := [][]string{{"l_returnflag"}, {"l_linestatus"}, {"l_shipinstruct"}, {"l_returnflag", "l_linestatus"}}
+	const sets = "GROUPING SETS ((l_returnflag), (l_linestatus), (l_shipinstruct), (l_returnflag, l_linestatus))"
+
+	// The batching doors hand back tables only; the run observer sees the
+	// report of the engine run behind them.
+	var mu sync.Mutex
+	var observed *ExecReport
+	db.eng.SetRunObserver(func(res *engine.RunResult, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err == nil {
+			observed = res.Report
+		}
+	})
+	lastRun := func() *ExecReport {
+		mu.Lock()
+		defer mu.Unlock()
+		return observed
+	}
+	check := func(door string, rep *ExecReport, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", door, err)
+		}
+		if rep == nil {
+			t.Errorf("%s: no execution report", door)
+			return
+		}
+		shared := 0
+		for _, k := range rep.Kernels {
+			if strings.HasPrefix(k.Reason, "shared scan of") {
+				shared++
+			}
+		}
+		if shared != len(cols) || rep.ParallelOps == 0 {
+			t.Errorf("%s: %d of %d nodes ran as a shared scan, ParallelOps=%d; SharedScan and Parallelism were dropped on the way",
+				door, shared, len(cols), rep.ParallelOps)
+		}
+	}
+
+	_, rep, err := db.Execute("lineitem", cols, opts)
+	check("Execute", rep, err)
+
+	queries := make([]GroupQuery, len(cols))
+	for i, c := range cols {
+		queries[i] = GroupQuery{Cols: c}
+	}
+	_, rep, err = db.ExecuteQueries("lineitem", queries, opts)
+	check("ExecuteQueries", rep, err)
+
+	res, err := db.QueryWith("SELECT COUNT(*) FROM lineitem GROUP BY "+sets, opts)
+	if err == nil {
+		rep = res.Report
+	}
+	check("QueryWith grouping sets", rep, err)
+
+	res, err = db.QueryWith("SELECT COUNT(*) FROM lineitem JOIN modes ON l_shipmode = mode GROUP BY "+sets, opts)
+	if err == nil {
+		rep = res.Report
+	}
+	check("QueryWith join push-down", rep, err)
+
+	// One window of four distinct queries becomes one four-set batch.
+	db.StartBatching(BatchOptions{MaxBatch: len(cols), MaxWait: 5 * time.Second, IdleWait: 5 * time.Second, Exec: opts})
+	defer db.StopBatching()
+	var wg sync.WaitGroup
+	errs := make([]error, len(queries))
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q GroupQuery) {
+			defer wg.Done()
+			_, _, errs[i] = db.Submit(context.Background(), "lineitem", q)
+		}(i, q)
+	}
+	wg.Wait()
+	for _, err = range errs {
+		if err != nil {
+			break
+		}
+	}
+	check("Submit", lastRun(), err)
+
+	// A WHERE filter is not batchable: SubmitSQL falls back to a solo run under
+	// the batcher's execution options.
+	_, err = db.SubmitSQL(context.Background(), "SELECT COUNT(*) FROM lineitem WHERE l_quantity >= 0 GROUP BY "+sets)
+	check("SubmitSQL fallback", lastRun(), err)
 }

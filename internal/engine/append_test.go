@@ -52,8 +52,8 @@ func TestAppendRefreshRollsForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Cache.Admissions < len(sets) {
-		t.Fatalf("priming admitted %d entries", warm.Cache.Admissions)
+	if warm.Report.Cache.Admissions < len(sets) {
+		t.Fatalf("priming admitted %d entries", warm.Report.Cache.Admissions)
 	}
 
 	rep, err := e.Append("lineitem", deltaRows(500, 99))
@@ -79,8 +79,8 @@ func TestAppendRefreshRollsForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Cache.Misses != 0 || again.Cache.Hits+again.Cache.AncestorHits != len(sets) {
-		t.Fatalf("post-append run not served from maintained entries: %+v", again.Cache)
+	if again.Report.Cache.Misses != 0 || again.Report.Cache.Hits+again.Report.Cache.AncestorHits != len(sets) {
+		t.Fatalf("post-append run not served from maintained entries: %+v", again.Report.Cache)
 	}
 	coldReq := req
 	coldReq.UseCache = false
@@ -126,8 +126,8 @@ func TestAppendFinestAncestorLazyDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if derived.Cache.AncestorHits != 1 {
-		t.Fatalf("dropped subset not re-derived from refreshed ancestor: %+v", derived.Cache)
+	if derived.Report.Cache.AncestorHits != 1 {
+		t.Fatalf("dropped subset not re-derived from refreshed ancestor: %+v", derived.Report.Cache)
 	}
 	tablesIdentical(t, "lazy re-derivation", derived.Report.Results[sub], cold.Report.Results[sub])
 	if got := e.AppendStats()["lineitem"].PendingLazy; got != 0 {
@@ -163,8 +163,8 @@ func TestAppendAvgInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Cache.Misses != 1 || warm.Cache.Hits != 0 {
-		t.Fatalf("stale AVG entry served after append: %+v", warm.Cache)
+	if warm.Report.Cache.Misses != 1 || warm.Report.Cache.Hits != 0 {
+		t.Fatalf("stale AVG entry served after append: %+v", warm.Report.Cache)
 	}
 	tablesIdentical(t, "avg after append", warm.Report.Results[set], cold.Report.Results[set])
 }
@@ -241,8 +241,8 @@ func TestAppendValidationLeavesStateIntact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Cache.Hits != 1 {
-		t.Fatalf("failed appends disturbed the cache: %+v", again.Cache)
+	if again.Report.Cache.Hits != 1 {
+		t.Fatalf("failed appends disturbed the cache: %+v", again.Report.Cache)
 	}
 }
 

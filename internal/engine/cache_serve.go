@@ -63,13 +63,7 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 		e.cat.Stats().DropStale(req.Table, base)
 	}
 
-	env := cost.NewEnv(base, e.cat.Stats(), e.cat.Indexes(req.Table))
-	var model cost.Model
-	if req.Model == ModelCardinality {
-		model = cost.NewCardinality(env)
-	} else {
-		model = cost.NewOptimizer(env, cost.Coefficients{})
-	}
+	_, model := e.costing(req, base)
 
 	// MemBudget participation: the cache yields memory before operators
 	// degrade. It is shrunk to at most half the budget up front, and whatever
@@ -85,7 +79,7 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 	origins := make(map[colset.Set]SetOrigin, len(req.Sets))
 	var missed []colset.Set
 	for _, s := range req.Sets {
-		aggs := requestAggs(req, s)
+		aggs := req.AggsFor(s)
 		key := cache.KeyOf(req.Table, ep.Version, ep.Delta, s, aggs)
 		if t, ok := e.cache.Get(key); ok {
 			served[s] = t
@@ -150,7 +144,6 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 		out.Search = lead.res.Search
 		out.PlanCostSeq = lead.res.PlanCostSeq
 		out.PlanCostPar = lead.res.PlanCostPar
-		out.Degradations = report.Degradations
 	} else {
 		// Every set was served from the cache: an empty plan rooted at the
 		// base relation, zero cost.
@@ -173,7 +166,6 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 	counters.Bytes = snap.Bytes
 	counters.Entries = snap.Entries
 	report.Cache = counters
-	out.Cache = counters
 	report.Wall = time.Since(start)
 	return out, nil
 }
@@ -214,7 +206,7 @@ func (e *Engine) runResidual(sub Request, ep catalog.Epoch, model cost.Model) (*
 		if t == nil {
 			continue
 		}
-		aggs := requestAggs(sub, s)
+		aggs := sub.AggsFor(s)
 		if e.offer(sub.Table, ep, s, aggs, t, model) {
 			outcome.admissions++
 		}
@@ -292,38 +284,24 @@ func (e *Engine) deriveFromAncestor(req Request, base *table.Table, ep catalog.E
 	return val.(*table.Table), admissions, nil
 }
 
-// reaggregate computes GROUP BY s over a cached ancestor table, resolving the
-// grouping columns by base-column name and rolling the aggregates up through
-// the materialized intermediate (§5.2) — the same mapping the engine applies
-// when computing a child from a temp table, so the output (schema, values,
-// and first-appearance row order) is identical to a cold computation.
+// reaggregate computes GROUP BY s over a cached ancestor table through
+// mapToParent — the same mapping the engine applies when computing a child
+// from a temp table (§5.2), so the output (schema, values, and
+// first-appearance row order) is identical to a cold computation.
 func (e *Engine) reaggregate(base *table.Table, anc *table.Table, s colset.Set, aggs []exec.Agg, req Request) (*table.Table, error) {
-	baseCols := s.Columns()
-	cols := make([]int, len(baseCols))
-	for i, bc := range baseCols {
-		name := base.Col(bc).Name()
-		ord := anc.ColIndex(name)
-		if ord < 0 {
-			return nil, fmt.Errorf("engine: cached ancestor %s lacks column %q", anc.Name(), name)
-		}
-		cols[i] = ord
-	}
-	rolled := make([]exec.Agg, len(aggs))
-	for i, a := range aggs {
-		src := anc.ColIndex(a.Name)
-		if src < 0 {
-			return nil, fmt.Errorf("engine: cached ancestor %s lacks aggregate %q", anc.Name(), a.Name)
-		}
-		rolled[i] = a.Rollup(src)
+	cols, rolled, err := mapToParent(base, anc, s, aggs)
+	if err != nil {
+		return nil, err
 	}
 	gov := exec.NewGov(req.Context, exec.NewMemBudget(0))
 	return exec.GroupByHashGov(gov, anc, cols, rolled, plan.TempName(s))
 }
 
-// requestAggs returns the aggregates a request computes for one grouping set
-// (its per-set override, the shared list, or the COUNT(*) default — mirroring
-// the executor's defaulting so cache keys match what execution produces).
-func requestAggs(req Request, s colset.Set) []exec.Agg {
+// AggsFor returns the aggregates the request computes for one grouping set:
+// its per-set override, the shared list, or the COUNT(*) default — mirroring
+// the executor's defaulting so cache keys and shard merges match what
+// execution produces.
+func (req Request) AggsFor(s colset.Set) []exec.Agg {
 	if a, ok := req.PerSetAggs[s]; ok && len(a) > 0 {
 		return a
 	}
@@ -345,7 +323,7 @@ func residualKey(req Request, ep catalog.Epoch, missed []colset.Set) string {
 		req.Core.BinaryOnly, req.Core.PruneSubsumption, req.Core.PruneMonotonic,
 		req.Core.ConsiderCubeRollup, req.Core.MaxCubeCols, req.Core.StorageBudget)
 	for _, s := range missed {
-		fmt.Fprintf(&b, "|%s:%s", s, cache.AggSignature(requestAggs(req, s)))
+		fmt.Fprintf(&b, "|%s:%s", s, cache.AggSignature(req.AggsFor(s)))
 	}
 	return b.String()
 }

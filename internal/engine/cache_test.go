@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"gbmqo/internal/cache"
+	"gbmqo/internal/catalog"
 	"gbmqo/internal/colset"
+	"gbmqo/internal/core"
 	"gbmqo/internal/datagen"
 	"gbmqo/internal/exec"
 	"gbmqo/internal/stats"
@@ -105,12 +108,12 @@ func TestCacheDifferentialRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d again: %v", trial, err)
 		}
-		cc := warm.Cache
+		cc := warm.Report.Cache
 		if cc.Hits+cc.AncestorHits+cc.Misses != len(sets) {
 			t.Fatalf("trial %d: counters %+v do not cover %d sets", trial, cc, len(sets))
 		}
-		if again.Cache.Hits != len(sets) {
-			t.Fatalf("trial %d: repeat run hit %d of %d sets", trial, again.Cache.Hits, len(sets))
+		if again.Report.Cache.Hits != len(sets) {
+			t.Fatalf("trial %d: repeat run hit %d of %d sets", trial, again.Report.Cache.Hits, len(sets))
 		}
 		for _, s := range sets {
 			tablesIdentical(t, "warm vs cold "+s.String(), warm.Report.Results[s], cold.Report.Results[s])
@@ -137,8 +140,8 @@ func TestCacheAncestorReaggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Cache.Misses != 1 || warm.Cache.Admissions == 0 {
-		t.Fatalf("priming run: %+v", warm.Cache)
+	if warm.Report.Cache.Misses != 1 || warm.Report.Cache.Admissions == 0 {
+		t.Fatalf("priming run: %+v", warm.Report.Cache)
 	}
 
 	cold, err := e.Run(Request{Table: "lineitem", Sets: []colset.Set{sub}, Aggs: aggs, UseCache: false})
@@ -149,8 +152,8 @@ func TestCacheAncestorReaggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if derived.Cache.AncestorHits != 1 || derived.Cache.Hits != 0 {
-		t.Fatalf("derived run: %+v", derived.Cache)
+	if derived.Report.Cache.AncestorHits != 1 || derived.Report.Cache.Hits != 0 {
+		t.Fatalf("derived run: %+v", derived.Report.Cache)
 	}
 	if derived.Report.RowsScanned != 0 {
 		t.Fatalf("ancestor derivation scanned %d base rows", derived.Report.RowsScanned)
@@ -161,8 +164,8 @@ func TestCacheAncestorReaggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Cache.Hits != 1 {
-		t.Fatalf("derived result was not admitted: %+v", exact.Cache)
+	if exact.Report.Cache.Hits != 1 {
+		t.Fatalf("derived result was not admitted: %+v", exact.Report.Cache)
 	}
 	tablesIdentical(t, "exact vs cold", exact.Report.Results[sub], cold.Report.Results[sub])
 }
@@ -186,8 +189,8 @@ func TestCacheAvgNeverDerivedFromAncestor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache.AncestorHits != 0 || res.Cache.Misses != 1 {
-		t.Fatalf("AVG query took the ancestor path: %+v", res.Cache)
+	if res.Report.Cache.AncestorHits != 0 || res.Report.Cache.Misses != 1 {
+		t.Fatalf("AVG query took the ancestor path: %+v", res.Report.Cache)
 	}
 	tablesIdentical(t, "avg", res.Report.Results[sub], cold.Report.Results[sub])
 	_ = li
@@ -238,7 +241,7 @@ func TestCacheStampedeComputesOnce(t *testing.T) {
 			t.Fatalf("run %d: %v", i, errs[i])
 		}
 		total += results[i].Report.RowsScanned
-		if results[i].Cache.FlightShared {
+		if results[i].Report.Cache.FlightShared {
 			shared++
 		}
 		assertResultsMatch(t, li, sets, results[i].Report.Results)
@@ -261,8 +264,8 @@ func TestCacheInvalidationOnReregister(t *testing.T) {
 	if _, err := e.Run(req); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := e.Run(req); err != nil || res.Cache.Hits != len(sets) {
-		t.Fatalf("warm run: err=%v cache=%+v", err, res.Cache)
+	if res, err := e.Run(req); err != nil || res.Report.Cache.Hits != len(sets) {
+		t.Fatalf("warm run: err=%v cache=%+v", err, res.Report.Cache)
 	}
 
 	li2 := datagen.Lineitem(datagen.LineitemOpts{Rows: 2000, Seed: 99})
@@ -272,8 +275,8 @@ func TestCacheInvalidationOnReregister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache.Hits != 0 || res.Cache.AncestorHits != 0 {
-		t.Fatalf("stale entries served after table mutation: %+v", res.Cache)
+	if res.Report.Cache.Hits != 0 || res.Report.Cache.AncestorHits != 0 {
+		t.Fatalf("stale entries served after table mutation: %+v", res.Report.Cache)
 	}
 	assertResultsMatch(t, li2, sets, res.Report.Results)
 	if st := e.ResultCache().Snapshot(); st.Invalidations == 0 {
@@ -315,8 +318,8 @@ func TestCacheCancelNeverAdmitsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache.Admissions == 0 || e.ResultCache().Len() == 0 {
-		t.Fatalf("clean rerun admitted nothing: %+v", res.Cache)
+	if res.Report.Cache.Admissions == 0 || e.ResultCache().Len() == 0 {
+		t.Fatalf("clean rerun admitted nothing: %+v", res.Report.Cache)
 	}
 }
 
@@ -342,8 +345,8 @@ func TestCacheBudgetShrinksBeforeExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Cache.Evictions == 0 {
-		t.Fatalf("no evictions under memory pressure: %+v", res.Cache)
+	if res.Report.Cache.Evictions == 0 {
+		t.Fatalf("no evictions under memory pressure: %+v", res.Report.Cache)
 	}
 	assertResultsMatch(t, li, other, res.Report.Results)
 }
@@ -356,8 +359,8 @@ func TestCacheBypasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (res.Cache != CacheCounters{}) || e.ResultCache().Len() != 0 {
-		t.Fatalf("UseCache=false touched the cache: %+v", res.Cache)
+	if (res.Report.Cache != CacheCounters{}) || e.ResultCache().Len() != 0 {
+		t.Fatalf("UseCache=false touched the cache: %+v", res.Report.Cache)
 	}
 
 	eph := li.Project("__where_0", []int{datagen.LReturnFlag, datagen.LLineStatus})
@@ -366,7 +369,88 @@ func TestCacheBypasses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (res.Cache != CacheCounters{}) || e.ResultCache().Len() != 0 {
-		t.Fatalf("ephemeral table touched the cache: %+v", res.Cache)
+	if (res.Report.Cache != CacheCounters{}) || e.ResultCache().Len() != 0 {
+		t.Fatalf("ephemeral table touched the cache: %+v", res.Report.Cache)
+	}
+}
+
+// residualKey is the one place that still enumerates request fields by hand:
+// it decides which residual runs singleflight may collapse. These two lists
+// account for every field of Request and core.Options (the latter as
+// "Core.<field>"), so a new knob cannot be forgotten silently.
+var (
+	// residualKeyed fields enter the key: two requests differing in one of
+	// them must not share a residual run.
+	residualKeyed = []string{
+		"Table", "Strategy", "Model", "SharedScan", "Parallel", "Parallelism", "MemBudget", "NoRetain",
+		"Core.BinaryOnly", "Core.PruneSubsumption", "Core.PruneMonotonic", "Core.ConsiderCubeRollup",
+		"Core.MaxCubeCols", "Core.StorageBudget",
+		// Keyed through the missed-set list and AggsFor: the residual run covers
+		// only the sets the cache could not serve, each with its own aggregates.
+		"Sets", "Aggs", "PerSetAggs",
+	}
+	// residualExcluded fields are deliberately left out, each for its reason.
+	residualExcluded = map[string]string{
+		"Context":      "the leader's context governs the shared computation; followers only wait",
+		"Retry":        "the attempt loop sits outside the flight and does not change one attempt's output",
+		"UseCache":     "always true where the key is built; the residual sub-request forces it off",
+		"AllowPartial": "read only by the shard router, which is offered the attempt before the cache path; a residual run is local and complete",
+		"Core":         "accounted field by field as Core.<field>",
+		"Core.Model":   "filled in by Plan from Request.Model, which is keyed",
+		"Core.NAggs":   "filled in by Plan from the aggregates, which are keyed",
+		"Core.SizeFn":  "filled in by Plan from statistics",
+	}
+)
+
+// TestResidualKeyCoversEveryRequestField fails when Request or core.Options
+// gains a field that is neither in the key nor excluded with a reason, and
+// checks that every scalar keyed field really moves the key.
+func TestResidualKeyCoversEveryRequestField(t *testing.T) {
+	keyed := map[string]bool{}
+	for _, f := range residualKeyed {
+		keyed[f] = true
+	}
+	missed := []colset.Set{colset.Of(1), colset.Of(1, 2)}
+	base := Request{Table: "t", Sets: missed}
+	baseKey := residualKey(base, catalog.Epoch{}, missed)
+
+	check := func(name string, perturb func(*Request) reflect.Value) {
+		_, excluded := residualExcluded[name]
+		switch {
+		case keyed[name] && excluded:
+			t.Errorf("%s is both keyed and excluded", name)
+		case excluded:
+			return
+		case !keyed[name]:
+			t.Errorf("%s is neither part of residualKey nor excluded with a reason: a request differing only in it would share a residual run", name)
+			return
+		}
+		req := base
+		v := perturb(&req)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Float64:
+			v.SetFloat(v.Float() + 1)
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			return // slices and maps: keyed through the missed list, see above
+		}
+		if residualKey(req, catalog.Epoch{}, missed) == baseKey {
+			t.Errorf("%s is listed as keyed but changing it leaves residualKey unchanged", name)
+		}
+	}
+	rt := reflect.TypeOf(Request{})
+	for i := 0; i < rt.NumField(); i++ {
+		check(rt.Field(i).Name, func(r *Request) reflect.Value { return reflect.ValueOf(r).Elem().Field(i) })
+	}
+	ct := reflect.TypeOf(core.Options{})
+	for i := 0; i < ct.NumField(); i++ {
+		check("Core."+ct.Field(i).Name, func(r *Request) reflect.Value { return reflect.ValueOf(&r.Core).Elem().Field(i) })
 	}
 }

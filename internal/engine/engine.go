@@ -367,7 +367,7 @@ func (ex *Executor) ExecutePlanWith(p *plan.Plan, aggs []exec.Agg, size plan.Siz
 			run.releaseAll()
 			run.finish()
 			report = run.report
-			err = &exec.ExecError{Step: run.curStep, Err: recoveredPanic(pnc)}
+			err = &exec.ExecError{Step: run.curStep, Err: exec.RecoveredPanic(pnc)}
 		}
 	}()
 	if run.par > 1 {
@@ -443,15 +443,6 @@ func runSteps(run *planRun, steps []plan.Step, opts ExecOptions) error {
 		i++
 	}
 	return nil
-}
-
-// recoveredPanic converts a recovered panic value into an error, preserving
-// error panics for errors.Is/As chains.
-func recoveredPanic(p any) error {
-	if e, ok := p.(error); ok {
-		return fmt.Errorf("panic: %w", e)
-	}
-	return fmt.Errorf("panic: %v", p)
 }
 
 // shareableRun returns the maximal prefix of steps that can execute as one
@@ -804,7 +795,7 @@ func (r *planRun) computeShared(nodes []*plan.Node, parent *plan.Node) error {
 		if parent == nil {
 			queries[i] = exec.MultiQuery{GroupCols: n.Set.Columns(), Aggs: r.aggsFor(n), OutName: plan.TempName(n.Set)}
 		} else {
-			cols, rolled, err := r.mapToParent(src, n.Set, r.aggsFor(n))
+			cols, rolled, err := mapToParent(r.base, src, n.Set, r.aggsFor(n))
 			if err != nil {
 				return err
 			}
@@ -926,7 +917,7 @@ func (r *planRun) fromTemp(n *plan.Node, parentSet colset.Set) (*table.Table, er
 
 // groupFromTable evaluates GROUP BY set over a materialized intermediate.
 func (r *planRun) groupFromTable(parent *table.Table, set colset.Set, aggs []exec.Agg) (*table.Table, error) {
-	cols, rolled, err := r.mapToParent(parent, set, aggs)
+	cols, rolled, err := mapToParent(r.base, parent, set, aggs)
 	if err != nil {
 		return nil, err
 	}
@@ -935,14 +926,15 @@ func (r *planRun) groupFromTable(parent *table.Table, set colset.Set, aggs []exe
 	return r.hashGroupBy(parent, cols, rolled, set, plan.TempName(set))
 }
 
-// mapToParent resolves base ordinals and aggregates against an intermediate
-// table's schema (intermediates keep base column names; aggregate columns
-// keep their output names).
-func (r *planRun) mapToParent(parent *table.Table, set colset.Set, aggs []exec.Agg) ([]int, []exec.Agg, error) {
+// mapToParent resolves base ordinals and aggregates against the schema of an
+// intermediate — a temp table or a cached lattice ancestor (both keep base
+// column names; aggregate columns keep their output names) — rolling the
+// aggregates up (COUNT(*) → SUM(cnt) etc., §5.2).
+func mapToParent(base, parent *table.Table, set colset.Set, aggs []exec.Agg) ([]int, []exec.Agg, error) {
 	baseCols := set.Columns()
 	cols := make([]int, len(baseCols))
 	for i, bc := range baseCols {
-		name := r.base.Col(bc).Name()
+		name := base.Col(bc).Name()
 		ord := parent.ColIndex(name)
 		if ord < 0 {
 			return nil, nil, fmt.Errorf("engine: intermediate %s lacks column %q", parent.Name(), name)

@@ -125,17 +125,17 @@ func TestBudgetDegradedPlanIdenticalOutput(t *testing.T) {
 		if tight.Report.SpillFallbacks == 0 {
 			t.Fatalf("shared=%v: no sort fallbacks under a 1-byte budget", shared)
 		}
-		if len(tight.Degradations) == 0 {
+		if len(tight.Report.Degradations) == 0 {
 			t.Fatalf("shared=%v: no degradations recorded", shared)
 		}
 		rederived := false
-		for _, d := range tight.Degradations {
+		for _, d := range tight.Report.Degradations {
 			if d.Kind == DegradeRederive {
 				rederived = true
 			}
 		}
 		if !rederived {
-			t.Fatalf("shared=%v: budget never skipped a temp table: %v", shared, tight.Degradations)
+			t.Fatalf("shared=%v: budget never skipped a temp table: %v", shared, tight.Report.Degradations)
 		}
 		if tight.Report.TempTables != 0 {
 			t.Fatalf("shared=%v: %d temps materialized under a 1-byte budget", shared, tight.Report.TempTables)
@@ -155,8 +155,8 @@ func TestBudgetPeakMemMeasured(t *testing.T) {
 	if run.Report.PeakMem <= 0 {
 		t.Fatalf("PeakMem = %d, want > 0", run.Report.PeakMem)
 	}
-	if len(run.Degradations) != 0 {
-		t.Fatalf("unbounded run degraded: %v", run.Degradations)
+	if len(run.Report.Degradations) != 0 {
+		t.Fatalf("unbounded run degraded: %v", run.Report.Degradations)
 	}
 }
 

@@ -104,7 +104,7 @@ func (e *Engine) appendSafe(name string, rows [][]table.Value) (res *AppendRepor
 	defer func() {
 		if pnc := recover(); pnc != nil {
 			res = nil
-			err = &exec.ExecError{Step: "engine.append", Err: recoveredPanic(pnc)}
+			err = &exec.ExecError{Step: "engine.append", Err: exec.RecoveredPanic(pnc)}
 		}
 	}()
 	return e.append(name, rows)

@@ -68,7 +68,7 @@ func (ex *Executor) executeParallel(template *planRun, p *plan.Plan, steps []pla
 				if pnc := recover(); pnc != nil {
 					run.releaseAll()
 					results[i] = result{report: run.report, err: &exec.ExecError{
-						Step: run.curStep, Err: recoveredPanic(pnc)}}
+						Step: run.curStep, Err: exec.RecoveredPanic(pnc)}}
 				}
 			}()
 			err := runSteps(run, seg, opts)

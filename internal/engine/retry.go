@@ -2,50 +2,12 @@ package engine
 
 import (
 	"context"
-	"math/rand"
-	"sync"
+	"strings"
 	"time"
 
 	"gbmqo/internal/exec"
 	"gbmqo/internal/fault"
 )
-
-// RetryPolicy bounds the engine's retry loop for one request. The zero value
-// disables retries entirely (every existing caller keeps single-attempt
-// semantics); front-ends that want resilience opt in per request.
-type RetryPolicy struct {
-	// MaxAttempts is the total attempt budget including the first try.
-	// Values ≤ 1 disable retries.
-	MaxAttempts int
-	// BaseBackoff is the sleep before the first retry; each further retry
-	// doubles it (plus up to 50% jitter, so synchronized failures do not
-	// retry in lockstep). 0 selects 1ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth. 0 selects 100ms.
-	MaxBackoff time.Duration
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = time.Millisecond
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 100 * time.Millisecond
-	}
-	return p
-}
-
-// backoff computes the jittered sleep after failed attempt n (1-based).
-func (p RetryPolicy) backoff(n int) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < n && d < p.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
 
 // RetryAttempt attributes one failed-and-retried attempt in an ExecReport:
 // which attempt failed, why, how it was classified, how long the loop backed
@@ -65,170 +27,106 @@ type RetryAttempt struct {
 	Degraded []string
 }
 
-// degradeForAttempt descends the degradation ladder for retry attempt n
-// (2-based: the first retry). The first retry drops intra-operator and
-// sub-plan parallelism — a poisoned morsel worker cannot poison a sequential
-// pass; further retries also drop shared scans, temp retention and the cache,
-// reducing the run to the simplest, most isolated form that can still answer.
-func degradeForAttempt(req Request, n int) (Request, []string) {
-	cur := req
+// Degrade descends the degradation ladder for attempt n (1-based, so n ≥ 2
+// is a retry) and returns the request with the ladder's modes applied plus
+// their names. The first retry drops intra-operator and sub-plan parallelism —
+// a poisoned morsel worker cannot poison a sequential pass; further retries
+// also drop shared scans, temp retention and the cache, reducing the run to
+// the simplest, most isolated form that can still answer. Every attempt loop
+// (request scope here, shard scope in internal/shard) descends this ladder.
+func (req Request) Degrade(n int) (Request, []string) {
 	var modes []string
 	if n >= 2 {
-		cur.Parallel = false
-		cur.Parallelism = 0
+		req.Parallel = false
+		req.Parallelism = 0
 		modes = append(modes, "sequential")
 	}
 	if n >= 3 {
-		cur.SharedScan = false
-		cur.NoRetain = true
-		cur.UseCache = false
+		req.SharedScan = false
+		req.NoRetain = true
+		req.UseCache = false
 		modes = append(modes, "unshared", "no-retain", "no-cache")
 	}
-	return cur, modes
+	return req, modes
 }
 
-// DegradeForAttempt exposes the retry degradation ladder to coordinators that
-// own their retry loops (internal/shard): attempt n (1-based, so n ≥ 2 is a
-// retry) returns the request with the ladder's modes applied plus their
-// names, exactly as the engine's own retry loop would run it.
-func DegradeForAttempt(req Request, n int) (Request, []string) {
-	return degradeForAttempt(req, n)
-}
-
-// runSafe is e.run behind a panic barrier. ExecutePlanWith already recovers
-// operator panics, but the surrounding machinery — cache admission, promotion
-// hooks, report assembly — runs outside that boundary; a panic there becomes
-// a typed transient error instead of killing the submitter goroutine.
+// runSafe is one attempt behind a panic barrier. ExecutePlanWith already
+// recovers operator panics, but the surrounding machinery — shard routing,
+// cache admission, promotion hooks, report assembly — runs outside that
+// boundary; a panic there becomes a typed transient error instead of killing
+// the submitter goroutine.
+//
+// A shard router, when installed, is offered the attempt first: it owns
+// scatter-gather resilience inside the attempt (per-shard retries, hedging,
+// partial results), while coordinator-level transient failures still descend
+// the request-scope loop. Returning handled=false (request not shardable)
+// falls through to the local engine: the result cache when the request opts
+// in, the planner otherwise.
 func (e *Engine) runSafe(req Request) (res *RunResult, err error) {
 	defer func() {
 		if pnc := recover(); pnc != nil {
 			res = nil
-			err = &exec.ExecError{Step: "engine.run", Err: recoveredPanic(pnc)}
+			err = &exec.ExecError{Step: "engine.run", Err: exec.RecoveredPanic(pnc)}
 		}
 	}()
-	return e.run(req)
-}
-
-// runWithRetry is the engine-boundary resilience loop: consult the table's
-// circuit breaker, attempt the request, classify failures, and retry
-// transient ones under the request's RetryPolicy — each retry one rung down
-// the degradation ladder. Every attempt's outcome feeds the breaker (caller
-// cancellations excepted: they say nothing about the table's health).
-func (e *Engine) runWithRetry(req Request) (*RunResult, error) {
-	br := e.breakerFor(req.Table)
-	if err := br.Allow(); err != nil {
+	if rp := e.router.Load(); rp != nil {
+		if res, err, handled := (*rp)(req); handled {
+			return res, err
+		}
+	}
+	if e.cache != nil && req.UseCache && !strings.HasPrefix(req.Table, "__") {
+		return e.runCached(req)
+	}
+	res, err = e.runDirect(req, nil)
+	if err != nil {
 		return nil, err
 	}
-	pol := req.Retry.withDefaults()
-	var attempts []RetryAttempt
+	markOrigins(res.Report, req.Sets, OriginComputed)
+	return res, nil
+}
+
+// runWithRetry is the engine-boundary resilience loop: fault.Policy.Do behind
+// the table's circuit breaker, each retry one rung down the degradation
+// ladder and attributed as a RetryAttempt row in the report.
+func (e *Engine) runWithRetry(req Request) (*RunResult, error) {
+	ctx := req.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var res *RunResult
+	var retries []RetryAttempt
 	cur := req
-	for attempt := 1; ; attempt++ {
-		// A shard router, when installed, is offered each attempt first: it
-		// owns scatter-gather resilience inside the attempt (per-shard
-		// retries, hedging, partial results), while coordinator-level
-		// transient failures still descend this request-scope loop. Returning
-		// handled=false (request not shardable) falls through to the local
-		// engine.
-		var res *RunResult
-		var err error
-		handled := false
-		if rp := e.router.Load(); rp != nil {
-			res, err, handled = (*rp)(cur)
-		}
-		if !handled {
-			res, err = e.runSafe(cur)
-		}
-		if err == nil {
-			br.Record(false)
-			res.Report.Attempts = attempt
-			res.Report.Retries = attempts
-			return res, nil
-		}
-		class := exec.Classify(err)
-		if class != exec.ClassCaller {
-			br.RecordErr(err)
-		}
-		if class != exec.ClassTransient || attempt >= req.Retry.MaxAttempts {
-			return nil, err
-		}
-		backoff := pol.backoff(attempt)
+	err := req.Retry.Do(ctx, e.breakers.Load().Get(req.Table), func(int) (err error) {
+		res, err = e.runSafe(cur)
+		return err
+	}, func(n int, err error, backoff time.Duration) {
 		var modes []string
-		cur, modes = degradeForAttempt(req, attempt+1)
-		attempts = append(attempts, RetryAttempt{
-			Attempt:  attempt,
+		cur, modes = req.Degrade(n + 1)
+		retries = append(retries, RetryAttempt{
+			Attempt:  n,
 			Err:      err,
-			Class:    class,
+			Class:    exec.ClassTransient,
 			Backoff:  backoff,
 			Degraded: modes,
 		})
-		ctx := req.Context
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-}
-
-// breakerSet lazily materializes one circuit breaker per base table.
-type breakerSet struct {
-	cfg fault.Config
-	mu  sync.Mutex
-	m   map[string]*fault.Breaker
-}
-
-func (s *breakerSet) get(name string) *fault.Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.m[name]
-	if !ok {
-		b = fault.New(name, s.cfg)
-		s.m[name] = b
-	}
-	return b
-}
-
-func (s *breakerSet) snapshots() []fault.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]fault.Snapshot, 0, len(s.m))
-	for _, b := range s.m {
-		out = append(out, b.Snapshot())
-	}
-	return out
+	res.Report.Attempts = len(retries) + 1
+	res.Report.Retries = retries
+	return res, nil
 }
 
 // EnableBreakers installs per-table circuit breakers with the given config;
-// every subsequent Run consults its table's breaker before executing.
+// every subsequent Run consults its table's breaker before each attempt.
 // Breakers are off by default — existing fault-injection tests and
 // single-shot callers keep fail-every-time semantics.
-func (e *Engine) EnableBreakers(cfg fault.Config) {
-	e.breakers.Store(&breakerSet{cfg: cfg, m: map[string]*fault.Breaker{}})
-}
+func (e *Engine) EnableBreakers(cfg fault.Config) { e.breakers.Store(fault.NewRegistry(cfg)) }
 
 // DisableBreakers removes the breaker layer.
 func (e *Engine) DisableBreakers() { e.breakers.Store(nil) }
 
-// BreakerStates snapshots every materialized breaker, sorted by nothing in
-// particular — callers (e.g. /healthz) index by Name. Nil when breakers are
-// disabled or no table has been touched yet.
-func (e *Engine) BreakerStates() []fault.Snapshot {
-	s := e.breakers.Load()
-	if s == nil {
-		return nil
-	}
-	return s.snapshots()
-}
-
-// breakerFor returns the breaker guarding table name, or nil (no-op) when
-// breakers are disabled.
-func (e *Engine) breakerFor(name string) *fault.Breaker {
-	s := e.breakers.Load()
-	if s == nil {
-		return nil
-	}
-	return s.get(name)
-}
+// BreakerStates snapshots every materialized breaker, sorted by name. Nil
+// when breakers are disabled.
+func (e *Engine) BreakerStates() []fault.Snapshot { return e.breakers.Load().Snapshots() }

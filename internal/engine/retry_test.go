@@ -49,7 +49,7 @@ func TestRetryFaultTransientSucceeds(t *testing.T) {
 		Sets:       sets,
 		SharedScan: true,
 		Parallel:   true,
-		Retry:      RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
+		Retry:      fault.Policy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatalf("Run with one transient fault: %v", err)
@@ -123,7 +123,7 @@ func TestRetryFaultLadderDescends(t *testing.T) {
 		Table:      "lineitem",
 		Sets:       sets,
 		SharedScan: true,
-		Retry:      RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
+		Retry:      fault.Policy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatalf("Run with two transient faults: %v", err)
@@ -160,7 +160,7 @@ func TestRetryFaultExhaustionSurfacesError(t *testing.T) {
 	_, err := e.Run(Request{
 		Table: "lineitem",
 		Sets:  retrySets(),
-		Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
+		Retry: fault.Policy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
 	})
 	var ee *exec.ExecError
 	if !errors.As(err, &ee) {
@@ -186,7 +186,7 @@ func TestRetryFaultCallerCancellationNotRetried(t *testing.T) {
 		Table:   "lineitem",
 		Sets:    retrySets(),
 		Context: ctx,
-		Retry:   RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
+		Retry:   fault.Policy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -203,7 +203,7 @@ func TestRetryFaultFatalNotRetried(t *testing.T) {
 	_, err := e.Run(Request{
 		Table: "no_such_table",
 		Sets:  []colset.Set{colset.Of(0)},
-		Retry: RetryPolicy{MaxAttempts: 5, BaseBackoff: 100 * time.Microsecond},
+		Retry: fault.Policy{MaxAttempts: 5, BaseBackoff: 100 * time.Microsecond},
 	})
 	if err == nil {
 		t.Fatal("Run on unknown table succeeded")
@@ -267,7 +267,7 @@ func TestRetryFaultFlightLeaderPanicRetried(t *testing.T) {
 		Sets:       sets,
 		SharedScan: true,
 		UseCache:   true,
-		Retry:      RetryPolicy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
+		Retry:      fault.Policy{MaxAttempts: 3, BaseBackoff: 100 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatalf("Run with admission faults: %v", err)
@@ -336,5 +336,36 @@ func TestRetryFaultBreakerOpensAndRecovers(t *testing.T) {
 	}
 	if _, err := e.Run(req); err != nil {
 		t.Fatalf("run after breaker closed: %v", err)
+	}
+}
+
+// TestRetryFaultNeverRunsThroughOpenBreaker pins the shared loop's rule that
+// the breaker is asked before every attempt, not once per request: with a
+// breaker that opens after two failures, one Run holding a six-attempt budget
+// executes exactly two attempts and then fails fast.
+func TestRetryFaultNeverRunsThroughOpenBreaker(t *testing.T) {
+	e, _ := newTestEngine(t, 1000)
+	e.EnableBreakers(fault.Config{Window: 4, MinSamples: 2, FailureRate: 0.5, OpenFor: time.Hour})
+
+	var attempts atomic.Int64
+	exec.Testing.SetFailPoint(func(site string) {
+		if site == "engine.step" {
+			attempts.Add(1)
+			panic("table down")
+		}
+	})
+	defer exec.Testing.ClearFailPoint()
+
+	_, err := e.Run(Request{
+		Table: "lineitem",
+		Sets:  retrySets()[:1],
+		Retry: fault.Policy{MaxAttempts: 6, BaseBackoff: 100 * time.Microsecond},
+	})
+	var oe *fault.OpenError
+	if !errors.As(err, &oe) {
+		t.Fatalf("err = %v, want *fault.OpenError once the breaker opened mid-request", err)
+	}
+	if n := attempts.Load(); n != 2 {
+		t.Fatalf("executed %d attempts, want 2 (the breaker opened after the second)", n)
 	}
 }

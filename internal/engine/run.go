@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -14,6 +13,7 @@ import (
 	"gbmqo/internal/core"
 	"gbmqo/internal/cost"
 	"gbmqo/internal/exec"
+	"gbmqo/internal/fault"
 	"gbmqo/internal/plan"
 	"gbmqo/internal/stats"
 	"gbmqo/internal/table"
@@ -108,9 +108,9 @@ type Request struct {
 	// always bypass the cache.
 	UseCache bool
 	// Retry bounds the engine's transient-failure retry loop for this request
-	// (see RetryPolicy). The zero value disables retries: the request gets
+	// (see fault.Policy). The zero value disables retries: the request gets
 	// exactly one attempt, preserving historical semantics.
-	Retry RetryPolicy
+	Retry fault.Policy
 	// NoRetain skips materializing intermediate temp tables; children
 	// re-derive from the base relation via the same machinery the memory
 	// budget uses (byte-identical results, more scan work). The retry
@@ -140,13 +140,6 @@ type RunResult struct {
 	// visible.
 	PlanCostSeq float64
 	PlanCostPar float64
-	// Degradations lists the graceful-degradation decisions execution took
-	// under the request's MemBudget (also available via Report.Degradations;
-	// surfaced here so budget-sensitive callers see them without digging).
-	Degradations []Degradation
-	// Cache describes how the cross-query result cache served this request
-	// (also available via Report.Cache; all zero when caching was off).
-	Cache CacheCounters
 }
 
 // Engine ties the catalog, statistics and executor into the public runtime.
@@ -159,9 +152,9 @@ type Engine struct {
 	runObs atomic.Pointer[func(*RunResult, error)]
 	// breakers, when set, holds the per-table circuit breakers every Run
 	// consults (see EnableBreakers). Atomic for the same reason as runObs.
-	breakers atomic.Pointer[breakerSet]
-	// router, when set, is offered every Run before the local attempt loop
-	// (see SetShardRouter). Atomic for the same reason as runObs.
+	breakers atomic.Pointer[fault.Registry]
+	// router, when set, is offered every attempt before local execution (see
+	// SetShardRouter). Atomic for the same reason as runObs.
 	router atomic.Pointer[ShardRouter]
 
 	// appendMu serializes Append per engine: appends extend shared dictionary
@@ -227,19 +220,23 @@ func (e *Engine) CostEnv(tableName string) (*cost.Env, error) {
 	return cost.NewEnv(t, e.cat.Stats(), e.cat.Indexes(tableName)), nil
 }
 
+// costing builds the costing environment over t (the snapshot of req.Table the
+// caller resolved) and the cost model the request asks for.
+func (e *Engine) costing(req Request, t *table.Table) (*cost.Env, cost.Model) {
+	env := cost.NewEnv(t, e.cat.Stats(), e.cat.Indexes(req.Table))
+	if req.Model == ModelCardinality {
+		return env, cost.NewCardinality(env)
+	}
+	return env, cost.NewOptimizer(env, cost.Coefficients{})
+}
+
 // Plan builds the logical plan for a request without executing it.
 func (e *Engine) Plan(req Request) (*plan.Plan, core.SearchStats, cost.Model, error) {
 	t, ok := e.cat.Table(req.Table)
 	if !ok {
 		return nil, core.SearchStats{}, nil, fmt.Errorf("engine: unknown table %q", req.Table)
 	}
-	env := cost.NewEnv(t, e.cat.Stats(), e.cat.Indexes(req.Table))
-	var model cost.Model
-	if req.Model == ModelCardinality {
-		model = cost.NewCardinality(env)
-	} else {
-		model = cost.NewOptimizer(env, cost.Coefficients{})
-	}
+	env, model := e.costing(req, t)
 	nAggs := len(req.Aggs)
 	if nAggs == 0 {
 		nAggs = 1
@@ -281,28 +278,16 @@ func (e *Engine) SetRunObserver(fn func(*RunResult, error)) {
 }
 
 // Run plans and executes a request, serving it through the result cache when
-// one is installed and the request opts in. When the request carries a
-// RetryPolicy, transient failures are retried with backoff down the
-// degradation ladder; when breakers are enabled, the table's circuit breaker
-// may fail the request fast with a *fault.OpenError.
+// one is installed and the request opts in. When the request carries a retry
+// policy, transient failures are retried with backoff down the degradation
+// ladder; when breakers are enabled, the table's circuit breaker may fail the
+// request — or stop its retries — with a *fault.OpenError.
 func (e *Engine) Run(req Request) (*RunResult, error) {
 	res, err := e.runWithRetry(req)
 	if fn := e.runObs.Load(); fn != nil {
 		(*fn)(res, err)
 	}
 	return res, err
-}
-
-func (e *Engine) run(req Request) (*RunResult, error) {
-	if e.cache != nil && req.UseCache && !strings.HasPrefix(req.Table, "__") {
-		return e.runCached(req)
-	}
-	res, err := e.runDirect(req, nil)
-	if err != nil {
-		return nil, err
-	}
-	markOrigins(res.Report, req.Sets, OriginComputed)
-	return res, nil
 }
 
 // markOrigins attributes sets to origin in the report (lazily allocating the
@@ -355,7 +340,7 @@ func (e *Engine) runDirect(req Request, promote func(colset.Set, []exec.Agg, *ta
 	if err != nil {
 		return nil, err
 	}
-	res := &RunResult{Plan: p, Report: report, Search: st, ModelUsd: model, Degradations: report.Degradations}
+	res := &RunResult{Plan: p, Report: report, Search: st, ModelUsd: model}
 	res.PlanCostSeq = p.Cost(model, nAggs)
 	res.PlanCostPar = res.PlanCostSeq
 	if dop := exec.ResolveWorkers(req.Parallelism); dop > 1 {

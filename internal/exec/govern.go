@@ -45,9 +45,9 @@ func (e *ExecError) Error() string {
 // to context.Canceled).
 func (e *ExecError) Unwrap() error { return e.Err }
 
-// recoveredError converts a recovered panic value into an error, preserving
+// RecoveredPanic converts a recovered panic value into an error, preserving
 // error panics for errors.Is/As chains.
-func recoveredError(p any) error {
+func RecoveredPanic(p any) error {
 	if err, ok := p.(error); ok {
 		return fmt.Errorf("panic: %w", err)
 	}

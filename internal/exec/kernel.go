@@ -258,7 +258,7 @@ func GroupByDenseGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outN
 					failed.Store(true)
 					workerErr.CompareAndSwap(nil, &ExecError{
 						Step: fmt.Sprintf("dense worker %d", wi),
-						Err:  recoveredError(p),
+						Err:  RecoveredPanic(p),
 					})
 				}
 			}()
@@ -487,7 +487,7 @@ func GroupByRadixParallelGov(gov *Gov, t *table.Table, groupCols []int, aggs []A
 						failed.Store(true)
 						workerErr.CompareAndSwap(nil, &ExecError{
 							Step: fmt.Sprintf("%s %d", step, wi),
-							Err:  recoveredError(p),
+							Err:  RecoveredPanic(p),
 						})
 					}
 				}()

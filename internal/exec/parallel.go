@@ -196,7 +196,7 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 					failed.Store(true)
 					workerErr.CompareAndSwap(nil, &ExecError{
 						Step: fmt.Sprintf("morsel worker %d", wi),
-						Err:  recoveredError(p),
+						Err:  RecoveredPanic(p),
 					})
 				}
 			}()

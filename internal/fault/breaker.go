@@ -1,14 +1,18 @@
 // Package fault holds the server-grade fault-containment primitives that sit
 // between the scheduler and the engine: a per-resource circuit breaker with
 // the classic closed → open → half-open state machine over a sliding
-// failure-rate window. The breaker's job is blast-radius control — when a
-// table's executions keep failing, new requests for it fail fast with a
-// typed, Retry-After-carrying error instead of queueing more doomed work
-// behind the fault.
+// failure-rate window, the Registry that hands one out per resource name, and
+// the one bounded-retry attempt loop (Policy.Do) that the engine's
+// request-scope retries and the shard coordinator's per-shard retries both
+// run. The breaker's job is blast-radius control — when a table's executions
+// keep failing, new requests for it fail fast with a typed,
+// Retry-After-carrying error instead of queueing more doomed work behind the
+// fault.
 package fault
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -259,4 +263,48 @@ func (b *Breaker) Snapshot() Snapshot {
 		}
 	}
 	return s
+}
+
+// Registry lazily materializes one breaker per resource name, all sharing one
+// Config. A nil *Registry hands out nil breakers, which admit everything.
+type Registry struct {
+	cfg Config
+	mu  sync.Mutex
+	m   map[string]*Breaker
+}
+
+// NewRegistry creates an empty registry whose breakers use cfg.
+func NewRegistry(cfg Config) *Registry {
+	return &Registry{cfg: cfg, m: map[string]*Breaker{}}
+}
+
+// Get returns the breaker guarding name, creating it closed on first use.
+func (r *Registry) Get(name string) *Breaker {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	b, ok := r.m[name]
+	if !ok {
+		b = New(name, r.cfg)
+		r.m[name] = b
+	}
+	return b
+}
+
+// Snapshots reports every materialized breaker, sorted by name. Nil for a nil
+// registry.
+func (r *Registry) Snapshots() []Snapshot {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Snapshot, 0, len(r.m))
+	for _, b := range r.m {
+		out = append(out, b.Snapshot())
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

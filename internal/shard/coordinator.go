@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -23,14 +22,11 @@ type Options struct {
 	// map are partitioned by row-index hash. Naming an unknown table or
 	// column is an error at New time.
 	Keys map[string]string
-	// MaxAttempts is each shard's attempt budget per gather, including the
-	// first try (default 2). Retries descend the engine's degradation
-	// ladder, exactly like the request-scope retry loop.
-	MaxAttempts int
-	// RetryBackoff is the base sleep before a shard retry, doubling per
-	// attempt with jitter (default 1ms). MaxBackoff caps it (default 100ms).
-	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
+	// Retry is each shard's attempt budget and backoff per gather (default 2
+	// attempts; backoff defaults as in fault.Policy). Retries descend the
+	// engine's degradation ladder through the same fault.Policy.Do loop as
+	// the request-scope retries.
+	Retry fault.Policy
 	// HedgeAfter, when positive, launches a hedged duplicate request against
 	// any shard still running after this long; the first result wins and the
 	// loser is cancelled and discarded. 0 disables hedging.
@@ -48,14 +44,8 @@ func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = 4
 	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 2
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 100 * time.Millisecond
+	if o.Retry.MaxAttempts <= 0 {
+		o.Retry.MaxAttempts = 2
 	}
 	if o.MergeReserve <= 0 {
 		o.MergeReserve = 100 * time.Millisecond
@@ -94,7 +84,7 @@ type Coordinator struct {
 	opts     Options
 	cat      *catalog.Catalog
 	shards   []Shard
-	breakers []*fault.Breaker
+	breakers *fault.Registry // one breaker per shard, named "shard-<i>"
 	met      metrics
 	reg      *obs.Registry // private registry backing met; exposed via Collect
 
@@ -116,10 +106,10 @@ func New(cat *catalog.Catalog, opts Options) (*Coordinator, error) {
 		return nil, err
 	}
 	reg := obs.NewRegistry()
-	c := &Coordinator{opts: opts, cat: cat, shards: shards, info: info, met: newMetrics(reg, opts.Shards), reg: reg}
-	c.breakers = make([]*fault.Breaker, opts.Shards)
-	for i := range c.breakers {
-		c.breakers[i] = fault.New(fmt.Sprintf("shard-%d", i), opts.Breaker)
+	c := &Coordinator{opts: opts, cat: cat, shards: shards, info: info, met: newMetrics(reg, opts.Shards), reg: reg,
+		breakers: fault.NewRegistry(opts.Breaker)}
+	for i := range shards {
+		c.Breaker(i) // materialized up front so BreakerStates lists every shard
 	}
 	return c, nil
 }
@@ -135,18 +125,15 @@ func (c *Coordinator) Name() string { return "shard" }
 // series) to whoever owns the scrape endpoint.
 func (c *Coordinator) Collect(ch chan<- obs.Metric) error { return c.reg.Collect(ch) }
 
-// BreakerStates snapshots every per-shard circuit breaker, in shard order.
-func (c *Coordinator) BreakerStates() []fault.Snapshot {
-	out := make([]fault.Snapshot, len(c.breakers))
-	for i, b := range c.breakers {
-		out[i] = b.Snapshot()
-	}
-	return out
-}
+// BreakerStates snapshots every per-shard circuit breaker (named
+// "shard-<i>"), sorted by name.
+func (c *Coordinator) BreakerStates() []fault.Snapshot { return c.breakers.Snapshots() }
 
 // Breaker exposes shard i's circuit breaker (tests force shards open/closed
 // through it).
-func (c *Coordinator) Breaker(i int) *fault.Breaker { return c.breakers[i] }
+func (c *Coordinator) Breaker(i int) *fault.Breaker {
+	return c.breakers.Get(fmt.Sprintf("shard-%d", i))
+}
 
 // Route is the engine.ShardRouter hook: it accepts requests the sharded path
 // can serve byte-identically and declines everything else (handled=false), so
@@ -243,7 +230,7 @@ func (c *Coordinator) executeLocked(req engine.Request, ti tableInfo) (res *engi
 	}
 	defer func() {
 		if pnc := recover(); pnc != nil {
-			res, err = nil, &exec.ExecError{Step: "shard.gather", Err: fmt.Errorf("panic: %v", pnc)}
+			res, err = nil, &exec.ExecError{Step: "shard.gather", Err: exec.RecoveredPanic(pnc)}
 		}
 	}()
 	exec.Testing.Fire("shard.scatter")
@@ -346,13 +333,12 @@ func (c *Coordinator) executeLocked(req engine.Request, ti tableInfo) (res *engi
 
 	first := outs[okIdx[0]].res
 	return &engine.RunResult{
-		Plan:         first.Plan,
-		Report:       rep,
-		Search:       first.Search,
-		ModelUsd:     first.ModelUsd,
-		PlanCostSeq:  first.PlanCostSeq,
-		PlanCostPar:  first.PlanCostPar,
-		Degradations: rep.Degradations,
+		Plan:        first.Plan,
+		Report:      rep,
+		Search:      first.Search,
+		ModelUsd:    first.ModelUsd,
+		PlanCostSeq: first.PlanCostSeq,
+		PlanCostPar: first.PlanCostPar,
 	}, nil
 }
 
@@ -368,22 +354,19 @@ func pickFailure(failed []engine.ShardFailure) engine.ShardFailure {
 	return failed[0]
 }
 
-// safeRunShard is one shard's bounded retry loop behind its breaker, with a
-// recover barrier so an injected coordinator-side panic (e.g. the shard.hedge
-// failpoint) becomes a typed transient error instead of killing the gather.
+// safeRunShard is one shard's bounded retry loop behind its breaker — the
+// same fault.Policy.Do the engine's request-scope loop runs, here over hedged
+// shard executions — with a recover barrier so an injected coordinator-side
+// panic (e.g. the shard.hedge failpoint) becomes a typed transient error
+// instead of killing the gather.
 func (c *Coordinator) safeRunShard(ctx context.Context, i int, sub engine.Request, inner *sync.WaitGroup) (o outcome) {
 	defer func() {
 		if pnc := recover(); pnc != nil {
-			o.res, o.err = nil, &exec.ExecError{Step: fmt.Sprintf("shard %d gather", i), Err: fmt.Errorf("panic: %v", pnc)}
+			o.res, o.err = nil, &exec.ExecError{Step: fmt.Sprintf("shard %d gather", i), Err: exec.RecoveredPanic(pnc)}
 		}
 	}()
-	br := c.breakers[i]
-	for attempt := 1; ; attempt++ {
-		if err := br.Allow(); err != nil {
-			o.err = err
-			return
-		}
-		cur, _ := engine.DegradeForAttempt(sub, attempt)
+	o.err = c.opts.Retry.Do(ctx, c.Breaker(i), func(attempt int) error {
+		cur, _ := sub.Degrade(attempt)
 		t0 := time.Now()
 		res, hedged, hedgeWon, err := c.execAttempt(ctx, i, cur, inner)
 		c.met.latency.Observe(time.Since(t0).Seconds())
@@ -395,30 +378,18 @@ func (c *Coordinator) safeRunShard(ctx context.Context, i int, sub engine.Reques
 			o.hedgeWon = true
 			c.met.hedgeWins.Inc()
 		}
-		if err == nil {
-			br.Record(false)
-			o.res, o.err = res, nil
-			return
+		if err != nil {
+			c.met.errors[i].Inc()
+			return err
 		}
-		c.met.errors[i].Inc()
-		class := exec.Classify(err)
-		if class != exec.ClassCaller {
-			br.RecordErr(err)
-		}
-		if class != exec.ClassTransient || attempt >= c.opts.MaxAttempts {
-			o.err = err
-			return
-		}
+		o.res = res
+		return nil
+	}, func(int, error, time.Duration) {
 		o.retries++
 		c.met.retries.Inc()
 		c.met.retriesScoped.Inc()
-		select {
-		case <-time.After(c.backoff(attempt)):
-		case <-ctx.Done():
-			o.err = ctx.Err()
-			return
-		}
-	}
+	})
+	return o
 }
 
 // execAttempt runs one attempt against shard i, optionally hedging it with a
@@ -588,18 +559,6 @@ func (c *Coordinator) NoteAppend(name string, newT *table.Table, ep catalog.Epoc
 	ti.delta = ep.Delta
 	c.info[name] = ti
 	c.met.appends.Inc()
-}
-
-// backoff computes the jittered exponential sleep after failed attempt n.
-func (c *Coordinator) backoff(attempt int) time.Duration {
-	d := c.opts.RetryBackoff
-	for i := 1; i < attempt && d < c.opts.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > c.opts.MaxBackoff {
-		d = c.opts.MaxBackoff
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
 // metrics are the coordinator's gbmqo_shard_* series plus its scoped slices

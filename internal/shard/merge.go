@@ -7,6 +7,7 @@ import (
 	"gbmqo/internal/colset"
 	"gbmqo/internal/engine"
 	"gbmqo/internal/exec"
+	"gbmqo/internal/fault"
 	"gbmqo/internal/table"
 )
 
@@ -31,13 +32,7 @@ func (c *Coordinator) shardRequest(req engine.Request, ti tableInfo) (engine.Req
 	per := make(map[colset.Set][]exec.Agg, len(req.Sets))
 	hidden := exec.Agg{Kind: exec.AggMin, Col: ti.rowOrd, Name: FirstAgg}
 	for _, s := range req.Sets {
-		o := req.PerSetAggs[s]
-		if len(o) == 0 {
-			o = req.Aggs
-		}
-		if len(o) == 0 {
-			o = []exec.Agg{exec.CountStar()}
-		}
+		o := req.AggsFor(s)
 		own[s] = o
 		aug := make([]exec.Agg, len(o), len(o)+1)
 		copy(aug, o)
@@ -45,7 +40,7 @@ func (c *Coordinator) shardRequest(req engine.Request, ti tableInfo) (engine.Req
 	}
 	sub := req
 	sub.PerSetAggs = per
-	sub.Retry = engine.RetryPolicy{}
+	sub.Retry = fault.Policy{}
 	sub.UseCache = false
 	sub.AllowPartial = false
 	return sub, own

@@ -438,7 +438,7 @@ func TestShardRetryDegradation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := New(eng.Catalog(), Options{Shards: 4, MaxAttempts: 2, RetryBackoff: 100 * time.Microsecond})
+	co, err := New(eng.Catalog(), Options{Shards: 4, Retry: fault.Policy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestShardRetryDegradation(t *testing.T) {
 	// The same single fault with a one-attempt budget and AllowPartial must
 	// instead produce an attributed partial.
 	exec.Testing.ClearFailPoint()
-	co1, err := New(eng.Catalog(), Options{Shards: 4, MaxAttempts: 1})
+	co1, err := New(eng.Catalog(), Options{Shards: 4, Retry: fault.Policy{MaxAttempts: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,8 +500,8 @@ func TestShardGatherGoroutineHygiene(t *testing.T) {
 	li := datagen.Lineitem(datagen.LineitemOpts{Rows: 2000, Seed: 41})
 	eng := engine.New(nil)
 	eng.Catalog().Register(li)
-	co, err := New(eng.Catalog(), Options{Shards: 4, MaxAttempts: 2,
-		RetryBackoff: 100 * time.Microsecond, HedgeAfter: time.Millisecond})
+	co, err := New(eng.Catalog(), Options{Shards: 4, Retry: fault.Policy{MaxAttempts: 2, BaseBackoff: 100 * time.Microsecond},
+		HedgeAfter: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

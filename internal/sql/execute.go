@@ -1,9 +1,7 @@
 package sql
 
 import (
-	"context"
 	"fmt"
-
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -15,40 +13,6 @@ import (
 	"gbmqo/internal/plan"
 	"gbmqo/internal/table"
 )
-
-// Options configures query execution.
-type Options struct {
-	// Strategy selects the multi-group-by planner (default GB-MQO).
-	Strategy engine.Strategy
-	// Model selects the cost model for optimizing strategies.
-	Model engine.ModelKind
-	// Core forwards search options to the optimizer.
-	Core core.Options
-	// Context cancels or deadlines execution (see engine.ExecOptions.Context).
-	// Nil means context.Background().
-	Context context.Context
-	// Parallel executes independent sub-plans concurrently (see
-	// engine.Request.Parallel).
-	Parallel bool
-	// Parallelism caps morsel workers inside one Group By operator (see
-	// engine.Request.Parallelism; negative = GOMAXPROCS, 0 = sequential).
-	Parallelism int
-	// MemBudget bounds execution working memory in bytes with graceful
-	// degradation (see engine.ExecOptions.MemBudget). 0 means unlimited.
-	MemBudget int64
-	// UseCache serves the grouped part of the query through the engine's
-	// cross-query result cache when one is configured (see
-	// engine.Request.UseCache). WHERE-filtered and join-derived sources are
-	// ephemeral "__"-prefixed tables and always bypass the cache.
-	UseCache bool
-	// Retry retries transient execution failures with backoff and degradation
-	// (see engine.Request.Retry). The zero value disables retry.
-	Retry engine.RetryPolicy
-	// AllowPartial opts into partial results under sharded execution: when a
-	// shard fails terminally the merged survivors are returned with the loss
-	// attributed in the report (see engine.Request.AllowPartial).
-	AllowPartial bool
-}
 
 // Result is the outcome of executing a query.
 type Result struct {
@@ -62,7 +26,8 @@ type Result struct {
 	// Search reports optimizer effort when GB-MQO planned the query.
 	Search core.SearchStats
 	// Report accounts the plan execution (nil for non-grouped queries):
-	// governance counters, degradations, and per-node kernel attribution.
+	// governance counters, degradations, and per-node kernel attribution. For
+	// a pushed-down join it accounts the left side's multi-Group-By run.
 	Report *engine.ExecReport
 }
 
@@ -73,19 +38,25 @@ func nextTempName(prefix string) string {
 	return fmt.Sprintf("__%s_%d", prefix, tempSeq.Add(1))
 }
 
-// Run parses and executes a query against the engine.
-func Run(eng *engine.Engine, query string, opts Options) (*Result, error) {
+// Run parses and executes a query against the engine. tmpl is the request
+// template carrying every execution knob (strategy, cost model, search
+// options, shared scan, parallelism, context, budget, cache, retry, partial
+// results); the grouped part of the query runs as a copy of it with only
+// Table, Sets and Aggs filled in, so no knob can be dropped on the way.
+// WHERE-filtered and join-derived sources are ephemeral "__"-prefixed tables
+// and bypass the cache whatever tmpl.UseCache says.
+func Run(eng *engine.Engine, query string, tmpl engine.Request) (*Result, error) {
 	q, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	return Execute(eng, q, opts)
+	return Execute(eng, q, tmpl)
 }
 
-// Execute runs a parsed query.
-func Execute(eng *engine.Engine, q *Query, opts Options) (*Result, error) {
+// Execute runs a parsed query under the request template (see Run).
+func Execute(eng *engine.Engine, q *Query, tmpl engine.Request) (*Result, error) {
 	if q.From.Join != "" {
-		return executeJoin(eng, q, opts)
+		return executeJoin(eng, q, tmpl)
 	}
 	base, ok := resolveTable(eng, q.From.Table)
 	if !ok {
@@ -96,7 +67,7 @@ func Execute(eng *engine.Engine, q *Query, opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer cleanup()
-	return executeGrouping(eng, src, q, opts)
+	return executeGrouping(eng, src, q, tmpl)
 }
 
 // applyWhere filters the source table, registering the derived table so the
@@ -238,7 +209,7 @@ func Assemble(src *table.Table, spec *BatchSpec, results map[colset.Set]*table.T
 }
 
 // executeGrouping handles single-table queries.
-func executeGrouping(eng *engine.Engine, src *table.Table, q *Query, opts Options) (*Result, error) {
+func executeGrouping(eng *engine.Engine, src *table.Table, q *Query, tmpl engine.Request) (*Result, error) {
 	aggs, err := bindAggregates(src, q.Select)
 	if err != nil {
 		return nil, err
@@ -257,22 +228,8 @@ func executeGrouping(eng *engine.Engine, src *table.Table, q *Query, opts Option
 	if len(aggs) == 0 {
 		aggs = []exec.Agg{exec.CountStar()}
 	}
-	req := engine.Request{
-		Table:     src.Name(),
-		Sets:      sets,
-		Aggs:      aggs,
-		Strategy:  opts.Strategy,
-		Model:     opts.Model,
-		Core:      opts.Core,
-		Context:   opts.Context,
-		MemBudget: opts.MemBudget,
-		UseCache:  opts.UseCache,
-		Retry:     opts.Retry,
-
-		Parallel:     opts.Parallel,
-		Parallelism:  opts.Parallelism,
-		AllowPartial: opts.AllowPartial,
-	}
+	req := tmpl
+	req.Table, req.Sets, req.Aggs = src.Name(), sets, aggs
 	run, err := eng.Run(req)
 	if err != nil {
 		return nil, err

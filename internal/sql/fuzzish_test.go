@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gbmqo/internal/engine"
 )
 
 // TestQuickParserNeverPanics throws arbitrary strings at the parser; it must
@@ -86,7 +88,7 @@ func TestQuickExecutorRejectsGracefully(t *testing.T) {
 					t.Fatalf("panic on %q: %v", q, rec)
 				}
 			}()
-			res, err := Run(eng, q, Options{})
+			res, err := Run(eng, q, engine.Request{})
 			if err == nil && res.Table == nil {
 				t.Fatalf("nil result without error for %q", q)
 			}

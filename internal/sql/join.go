@@ -17,7 +17,7 @@ import (
 // right side pre-aggregates on its join column, and each pushed-down result
 // joins and re-aggregates with its counts multiplied. Anything else falls
 // back to materializing the join and grouping over it.
-func executeJoin(eng *engine.Engine, q *Query, opts Options) (*Result, error) {
+func executeJoin(eng *engine.Engine, q *Query, tmpl engine.Request) (*Result, error) {
 	left, ok := resolveTable(eng, q.From.Table)
 	if !ok {
 		return nil, fmt.Errorf("sql: unknown table %q", q.From.Table)
@@ -59,14 +59,14 @@ func executeJoin(eng *engine.Engine, q *Query, opts Options) (*Result, error) {
 	}
 
 	if pushable(lSrc, q) {
-		return pushdownJoin(eng, q, opts, lSrc, rSrc, lKey, rKey)
+		return pushdownJoin(eng, q, tmpl, lSrc, rSrc, lKey, rKey)
 	}
 
 	// Fallback: materialize the join and group over it.
 	joined := exec.HashJoin(lSrc, rSrc, lKey, rKey, nextTempName("join"))
 	eng.Catalog().Register(joined)
 	defer eng.Catalog().Drop(joined.Name())
-	return executeGrouping(eng, joined, q, opts)
+	return executeGrouping(eng, joined, q, tmpl)
 }
 
 // pushable reports whether the §5.1.1 pushdown applies: grouped query, all
@@ -103,7 +103,7 @@ func pushable(left *table.Table, q *Query) bool {
 // rcntCol is the right side's pre-aggregated count column.
 const rcntCol = "__rcnt"
 
-func pushdownJoin(eng *engine.Engine, q *Query, opts Options, left, right *table.Table, lKey, rKey int) (*Result, error) {
+func pushdownJoin(eng *engine.Engine, q *Query, tmpl engine.Request, left, right *table.Table, lKey, rKey int) (*Result, error) {
 	sets, includeGrand, err := expandGroupSpec(left, q.Group)
 	if err != nil {
 		return nil, err
@@ -136,17 +136,10 @@ func pushdownJoin(eng *engine.Engine, q *Query, opts Options, left, right *table
 		eng.Catalog().Register(left)
 		defer eng.Catalog().Drop(left.Name())
 	}
-	run, err := eng.Run(engine.Request{
-		Table:     registered.Name(),
-		Sets:      augmented,
-		Aggs:      []exec.Agg{{Kind: exec.AggCountStar, Name: cntName}},
-		Strategy:  opts.Strategy,
-		Model:     opts.Model,
-		Core:      opts.Core,
-		Context:   opts.Context,
-		MemBudget: opts.MemBudget,
-		Retry:     opts.Retry,
-	})
+	req := tmpl
+	req.Table, req.Sets = registered.Name(), augmented
+	req.Aggs = []exec.Agg{{Kind: exec.AggCountStar, Name: cntName}}
+	run, err := eng.Run(req)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +172,7 @@ func pushdownJoin(eng *engine.Engine, q *Query, opts Options, left, right *table
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Table: out, Plan: run.Plan, Search: run.Search}, nil
+	return &Result{Table: out, Plan: run.Plan, Search: run.Search, Report: run.Report}, nil
 }
 
 // multiplyCounts builds a table with the grouping columns of s plus a count

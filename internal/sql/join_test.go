@@ -67,7 +67,7 @@ func TestJoinPushdownMatchesFallback(t *testing.T) {
 	eng := newJoinEngine(t)
 	// Pushdown-eligible query (grouping cols and COUNT(*) on the left side).
 	pushQ := "SELECT b, c, COUNT(*) FROM R JOIN S ON a = a2 GROUP BY GROUPING SETS ((b), (c), (b, c))"
-	push, err := Run(eng, pushQ, Options{})
+	push, err := Run(eng, pushQ, engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestJoinPushdownMatchesFallback(t *testing.T) {
 	// COUNT(*): the fallback path always runs when any non-COUNT aggregate
 	// appears.
 	fallbackQ := "SELECT b, c, COUNT(*), SUM(d) AS sd FROM R JOIN S ON a = a2 GROUP BY GROUPING SETS ((b), (c), (b, c))"
-	fb, err := Run(eng, fallbackQ, Options{})
+	fb, err := Run(eng, fallbackQ, engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestJoinPushdownMatchesFallback(t *testing.T) {
 
 func TestJoinCountMatchesManualJoin(t *testing.T) {
 	eng := newJoinEngine(t)
-	res, err := Run(eng, "SELECT b, COUNT(*) FROM R JOIN S ON a = a2 GROUP BY b", Options{})
+	res, err := Run(eng, "SELECT b, COUNT(*) FROM R JOIN S ON a = a2 GROUP BY b", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestJoinCountMatchesManualJoin(t *testing.T) {
 
 func TestJoinWithWhereBothSides(t *testing.T) {
 	eng := newJoinEngine(t)
-	res, err := Run(eng, "SELECT b, COUNT(*) FROM R JOIN S ON a = a2 WHERE c = 'u' AND d >= 2 GROUP BY b", Options{})
+	res, err := Run(eng, "SELECT b, COUNT(*) FROM R JOIN S ON a = a2 WHERE c = 'u' AND d >= 2 GROUP BY b", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestJoinErrors(t *testing.T) {
 		"SELECT COUNT(*) FROM R JOIN S ON a = a2 WHERE zz = 1 GROUP BY b",
 	}
 	for _, q := range bad {
-		if _, err := Run(eng, q, Options{}); err == nil {
+		if _, err := Run(eng, q, engine.Request{}); err == nil {
 			t.Errorf("accepted %q", q)
 		}
 	}
@@ -201,7 +201,7 @@ func TestJoinErrors(t *testing.T) {
 func TestJoinFallbackGroupsRightColumn(t *testing.T) {
 	// Grouping on a right-side column forces the fallback path.
 	eng := newJoinEngine(t)
-	res, err := Run(eng, "SELECT d, COUNT(*) FROM R JOIN S ON a = a2 GROUP BY d", Options{})
+	res, err := Run(eng, "SELECT d, COUNT(*) FROM R JOIN S ON a = a2 GROUP BY d", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}

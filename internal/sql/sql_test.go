@@ -142,7 +142,7 @@ func tagRows(t *testing.T, res *table.Table) map[string]int {
 
 func TestRunGroupingSets(t *testing.T) {
 	eng, tb := newSQLEngine(t)
-	res, err := Run(eng, "SELECT a, b, COUNT(*) FROM t GROUP BY GROUPING SETS ((a), (b), (a, b))", Options{})
+	res, err := Run(eng, "SELECT a, b, COUNT(*) FROM t GROUP BY GROUPING SETS ((a), (b), (a, b))", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestRunGroupingSets(t *testing.T) {
 
 func TestRunCubeIncludesGrandTotal(t *testing.T) {
 	eng, tb := newSQLEngine(t)
-	res, err := Run(eng, "SELECT COUNT(*) FROM t GROUP BY CUBE(a, b)", Options{})
+	res, err := Run(eng, "SELECT COUNT(*) FROM t GROUP BY CUBE(a, b)", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestRunCubeIncludesGrandTotal(t *testing.T) {
 
 func TestRunRollup(t *testing.T) {
 	eng, _ := newSQLEngine(t)
-	res, err := Run(eng, "SELECT COUNT(*) FROM t GROUP BY ROLLUP(a, b)", Options{})
+	res, err := Run(eng, "SELECT COUNT(*) FROM t GROUP BY ROLLUP(a, b)", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRunRollup(t *testing.T) {
 
 func TestRunCombi(t *testing.T) {
 	eng, _ := newSQLEngine(t)
-	res, err := Run(eng, "SELECT COUNT(*) FROM t GROUP BY COMBI(2; a, b, c)", Options{})
+	res, err := Run(eng, "SELECT COUNT(*) FROM t GROUP BY COMBI(2; a, b, c)", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestRunCombi(t *testing.T) {
 
 func TestRunWhere(t *testing.T) {
 	eng, tb := newSQLEngine(t)
-	res, err := Run(eng, "SELECT a, COUNT(*) FROM t WHERE c >= 3 AND b = 'p' GROUP BY a", Options{})
+	res, err := Run(eng, "SELECT a, COUNT(*) FROM t WHERE c >= 3 AND b = 'p' GROUP BY a", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRunWhere(t *testing.T) {
 
 func TestRunAggregates(t *testing.T) {
 	eng, tb := newSQLEngine(t)
-	res, err := Run(eng, "SELECT b, COUNT(*) AS n, SUM(x) AS total, MIN(c) AS lo, MAX(c) AS hi FROM t GROUP BY b", Options{})
+	res, err := Run(eng, "SELECT b, COUNT(*) AS n, SUM(x) AS total, MIN(c) AS lo, MAX(c) AS hi FROM t GROUP BY b", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestRunAggregates(t *testing.T) {
 
 func TestRunGlobalAggregate(t *testing.T) {
 	eng, tb := newSQLEngine(t)
-	res, err := Run(eng, "SELECT COUNT(*) FROM t", Options{})
+	res, err := Run(eng, "SELECT COUNT(*) FROM t", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestRunGlobalAggregate(t *testing.T) {
 
 func TestRunPlainSelect(t *testing.T) {
 	eng, tb := newSQLEngine(t)
-	res, err := Run(eng, "SELECT * FROM t", Options{})
+	res, err := Run(eng, "SELECT * FROM t", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestRunStrategiesAgree(t *testing.T) {
 	eng, _ := newSQLEngine(t)
 	q := "SELECT COUNT(*) FROM t GROUP BY GROUPING SETS ((a), (b), (c), (a, c))"
 	collect := func(strat engine.Strategy) map[string]int64 {
-		res, err := Run(eng, q, Options{Strategy: strat})
+		res, err := Run(eng, q, engine.Request{Strategy: strat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestRunErrors(t *testing.T) {
 		"SELECT COUNT(*) AS n, SUM(x) AS n FROM t GROUP BY a",
 	}
 	for _, q := range bad {
-		if _, err := Run(eng, q, Options{}); err == nil {
+		if _, err := Run(eng, q, engine.Request{}); err == nil {
 			t.Errorf("accepted %q", q)
 		}
 	}
@@ -377,7 +377,7 @@ func TestRunErrors(t *testing.T) {
 
 func TestCaseInsensitiveResolution(t *testing.T) {
 	eng, tb := newSQLEngine(t)
-	res, err := Run(eng, "select A, count(*) from T group by A", Options{})
+	res, err := Run(eng, "select A, count(*) from T group by A", engine.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestDecomposeAssembleMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: assemble: %v", stmt, err)
 		}
-		want, err := Run(eng, stmt, Options{})
+		want, err := Run(eng, stmt, engine.Request{})
 		if err != nil {
 			t.Fatalf("%s: solo run: %v", stmt, err)
 		}

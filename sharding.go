@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"gbmqo/internal/engine"
+	"gbmqo/internal/fault"
 	"gbmqo/internal/shard"
 )
 
@@ -61,12 +62,11 @@ type ShardOptions struct {
 // running queries.
 func (db *DB) EnableSharding(o ShardOptions) error {
 	co, err := shard.New(db.eng.Catalog(), shard.Options{
-		Shards:       o.Shards,
-		Keys:         o.Keys,
-		MaxAttempts:  o.MaxAttempts,
-		RetryBackoff: o.RetryBackoff,
-		HedgeAfter:   o.HedgeAfter,
-		Breaker:      o.Breaker,
+		Shards:     o.Shards,
+		Keys:       o.Keys,
+		Retry:      fault.Policy{MaxAttempts: o.MaxAttempts, BaseBackoff: o.RetryBackoff},
+		HedgeAfter: o.HedgeAfter,
+		Breaker:    o.Breaker,
 	})
 	if err != nil {
 		return err

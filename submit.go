@@ -196,25 +196,10 @@ func (db *DB) getBatcher() *sched.Batcher {
 // cache, governance and parallelism settings.
 func (db *DB) runBatch(ctx context.Context, tableName string, sets []colset.Set, perSet map[colset.Set][]Agg) (*engine.RunResult, error) {
 	db.batchMu.Lock()
-	o := db.batchOpts.Exec
+	req := db.batchOpts.Exec.request()
 	db.batchMu.Unlock()
-	opts := db.sqlOptions(o)
-	return db.eng.Run(engine.Request{
-		Table:        tableName,
-		Sets:         sets,
-		PerSetAggs:   perSet,
-		Strategy:     o.Strategy,
-		Model:        opts.Model,
-		Core:         opts.Core,
-		SharedScan:   o.SharedScan,
-		Parallel:     o.Parallel,
-		Parallelism:  o.Parallelism,
-		Context:      ctx,
-		MemBudget:    o.MemBudget,
-		UseCache:     !o.NoCache,
-		Retry:        opts.Retry,
-		AllowPartial: o.AllowPartial,
-	})
+	req.Table, req.Sets, req.PerSetAggs, req.Context = tableName, sets, perSet, ctx
+	return db.eng.Run(req)
 }
 
 // Drain gracefully shuts down the micro-batching scheduler: new submissions
