@@ -214,6 +214,17 @@ func (c *Cache) MaxBytes() int64 { return c.cfg.MaxBytes }
 // quarantines the key, bumps Stats.Corruptions, and reports a miss — a
 // corrupt result is never returned.
 func (c *Cache) Get(key Key) (*table.Table, bool) {
+	return c.get(key, true)
+}
+
+// Recheck is Get for a key whose miss the caller has already recorded: a
+// resident entry is served exactly as Get serves it, but an absent key records
+// no second unit of demand.
+func (c *Cache) Recheck(key Key) (*table.Table, bool) {
+	return c.get(key, false)
+}
+
+func (c *Cache) get(key Key, noteDemand bool) (*table.Table, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -221,7 +232,9 @@ func (c *Cache) Get(key Key) (*table.Table, bool) {
 	e := c.entries[key]
 	c.mu.RUnlock()
 	if e == nil {
-		c.bumpDemand(key)
+		if noteDemand {
+			c.bumpDemand(key)
+		}
 		return nil, false
 	}
 	if checksumTable(e.tbl) != e.sum {

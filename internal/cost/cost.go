@@ -108,9 +108,9 @@ func (m *Cardinality) EdgeCost(e Edge) float64 {
 	return m.env.NDV(e.Parent)
 }
 
-// Coefficients tunes the Optimizer model. The defaults were calibrated
-// against the execution engine (see TestOptimizerModelTracksEngine) so that
-// estimated costs rank plans the way wall-clock times do.
+// Coefficients tunes the Optimizer model. The defaults were set by hand
+// against the execution engine so that estimated costs rank plans the way
+// wall-clock times do; no test pins that calibration yet.
 type Coefficients struct {
 	// ReadByte is the cost of scanning one byte from a table.
 	ReadByte float64
@@ -130,12 +130,13 @@ type Coefficients struct {
 	AggWidth float64
 }
 
-// DefaultCoefficients returns the calibrated defaults. The ratios were fitted
-// against the execution engine: hashing one row costs ~40 units, emitting one
-// output group (hash-table insert, key-code copy, aggregate-dictionary
-// interning) ~200 units, and materializing adds ~4 units per byte. Getting
-// the per-group terms right is what stops the optimizer from accepting
-// merges whose intermediate is nearly as large as the base table.
+// DefaultCoefficients returns the hand-set defaults. The ratios follow the
+// execution engine: hashing one row costs ~40 units, creating one output
+// group ~200 units (mostly the group table's probe and insert; emission is a
+// few percent of a cold round's CPU profile), and materializing adds ~4
+// units per byte. Getting the per-group terms right is what stops the
+// optimizer from accepting merges whose intermediate is nearly as large as
+// the base table.
 func DefaultCoefficients() Coefficients {
 	return Coefficients{
 		ReadByte:       1,

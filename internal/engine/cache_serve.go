@@ -112,15 +112,30 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 		sub.UseCache = false
 		sub.MemBudget = execBudget
 		val, err, shared := e.cache.Do(rkey, func() (any, error) {
+			if hits := e.recheckResident(sub, ep); hits != nil {
+				return &residualOutcome{resident: hits}, nil
+			}
 			return e.runResidual(sub, ep, model)
 		})
 		if err != nil {
 			return nil, err
 		}
 		lead = val.(*residualOutcome)
-		counters.FlightShared = shared
-		if !shared {
-			counters.Admissions += lead.admissions
+		if lead.resident != nil {
+			// A flight that ended between this request's lookups and its own
+			// flight admitted every missed set: they are cache hits after all.
+			for s, t := range lead.resident {
+				served[s] = t
+				origins[s] = OriginCacheHit
+			}
+			counters.Hits += len(missed)
+			counters.Misses -= len(missed)
+			missed, lead = nil, nil
+		} else {
+			counters.FlightShared = shared
+			if !shared {
+				counters.Admissions += lead.admissions
+			}
 		}
 	}
 
@@ -172,10 +187,29 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 
 // residualOutcome is what one singleflight residual computation produces: the
 // leader's run result (shared read-only with followers) and how many cache
-// admissions it made.
+// admissions it made — or, when every residual set had become resident before
+// the flight started, those cached tables instead of a run.
 type residualOutcome struct {
 	res        *RunResult
 	admissions int
+	resident   map[colset.Set]*table.Table
+}
+
+// recheckResident looks the residual sets up again from inside their flight.
+// A request that missed the cache can reach the flight only after an
+// identical request's flight has ended and admitted its results; without this
+// second look it would compute them again. Returns nil unless every set is
+// resident.
+func (e *Engine) recheckResident(sub Request, ep catalog.Epoch) map[colset.Set]*table.Table {
+	out := make(map[colset.Set]*table.Table, len(sub.Sets))
+	for _, s := range sub.Sets {
+		t, ok := e.cache.Recheck(cache.KeyOf(sub.Table, ep.Version, ep.Delta, s, sub.AggsFor(s)))
+		if !ok {
+			return nil
+		}
+		out[s] = t
+	}
+	return out
 }
 
 // runResidual plans and executes the not-cache-served grouping sets, then —

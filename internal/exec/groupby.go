@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"gbmqo/internal/colset"
@@ -44,13 +46,8 @@ func groupByHashSized(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, out
 		return nil, ks, err
 	}
 	n := t.NumRows()
-	image, stride := t.RowImage()
-	rd := rowReader{image: image, stride: stride, offs: make([]int, len(groupCols)), seed: hashSeed.Load()}
-	for i, c := range groupCols {
-		rd.offs[i] = 4 * c
-	}
 	budget := gov.Budget()
-	ht := newGroupHashSized(rd, budget, sizeHint)
+	ht := newGroupHash(t, groupCols, budget, sizeHint)
 	defer func() { budget.Release(ht.charged) }()
 	accs := make([]accumulator, len(aggs))
 	for i, a := range aggs {
@@ -371,22 +368,32 @@ type rowReader struct {
 
 // code reads key column k of row r.
 func (rd rowReader) code(r int, k int) uint32 {
-	p := r*rd.stride + rd.offs[k]
-	return uint32(rd.image[p]) | uint32(rd.image[p+1])<<8 |
-		uint32(rd.image[p+2])<<16 | uint32(rd.image[p+3])<<24
+	return binary.LittleEndian.Uint32(rd.image[r*rd.stride+rd.offs[k]:])
 }
 
 // groupHash is an open-addressing hash table mapping code tuples to dense
-// group ids. It stores per-slot (hash, groupID, firstRow) and verifies
-// candidate matches against a representative row's codes, so keys are never
-// copied.
+// group ids, handed out in first-appearance order. One array of 16-byte slots
+// serves two key modes:
+//
+//   - packed: each key column gets bits.Len32(DictSize()) bits, and when the
+//     widths sum to at most 64 a row's codes are packed into one uint64 once
+//     per row. The slot comes from one seeded mix of that key and equality is
+//     one integer compare, so the row image is read once per probe.
+//   - wide: otherwise the slot key is the row's seeded hashRow, and a match is
+//     confirmed against the representative row's codes.
+//
+// Packing trusts that every code fits its column's width (code ≤ DictSize).
+// pack checks that per row; a row that breaks it converts the table to wide
+// mode before it is probed, so a bad code degrades speed, never merges two
+// groups.
 type groupHash struct {
-	rd        rowReader
-	mask      uint64
-	slotHash  []uint64
-	slotGroup []int32 // group+1; 0 = empty
-	slotRow   []int32
-	groups    int
+	rd    rowReader
+	packs []packCol // key layout of the packed mode, one entry per key column
+	wide  bool
+	mask  uint64
+	slots []groupSlot
+	// groups is the number of groups handed out so far.
+	groups int
 
 	// budget, when non-nil, is charged for slot memory as the table grows;
 	// charged is the running total the owner releases when the operator
@@ -400,7 +407,23 @@ type groupHash struct {
 	initSize int
 }
 
-// slotBytes is the per-slot memory of a groupHash (hash 8 + group 4 + row 4).
+// groupSlot is one slot of a groupHash: key is the packed code tuple (packed
+// mode) or the row's hashRow (wide mode), group is the group id + 1 (0 =
+// empty), row is the group's representative row.
+type groupSlot struct {
+	key   uint64
+	group int32
+	row   int32
+}
+
+// packCol places one key column in the packed key.
+type packCol struct {
+	off   int  // byte offset of the column's code within a row
+	shift uint // bit position of the code within the packed key
+	width uint // bits.Len32 of the column's dictionary size
+}
+
+// slotBytes is the per-slot memory of a groupHash (key 8 + group 4 + row 4).
 const slotBytes = 16
 
 // groupHashInitSize is the starting slot count of a groupHash. Tables start
@@ -414,17 +437,14 @@ const groupHashInitSize = 1024
 // wildly high estimate must not turn into a giant dead allocation.
 const groupHashMaxPresize = 1 << 22
 
-func newGroupHash(rd rowReader, budget *MemBudget) *groupHash {
-	return newGroupHashSized(rd, budget, 0)
-}
-
-// newGroupHashSized creates a group table presized for sizeHint expected
-// groups (0 means the default groupHashInitSize). The initial slot count is
-// the smallest power of two keeping sizeHint groups under the 3/4 load
-// factor, clamped by groupHashMaxPresize and halved until the budget admits
-// it — a tight budget degrades the presize back toward the default rather
-// than failing admission.
-func newGroupHashSized(rd rowReader, budget *MemBudget, sizeHint int) *groupHash {
+// newGroupHash creates the group table for grouping t by cols, presized for
+// sizeHint expected groups (0 means the default groupHashInitSize). The
+// initial slot count is the smallest power of two keeping sizeHint groups
+// under the 3/4 load factor, clamped by groupHashMaxPresize and halved until
+// the budget admits it — a tight budget degrades the presize back toward the
+// default rather than failing admission. The key mode is fixed here from the
+// columns' dictionary sizes (see groupHash).
+func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int) *groupHash {
 	size := groupHashInitSize
 	if sizeHint > 0 {
 		for size < groupHashMaxPresize && uint64(sizeHint+1)*4 > uint64(size)*3 {
@@ -435,14 +455,20 @@ func newGroupHashSized(rd rowReader, budget *MemBudget, sizeHint int) *groupHash
 		}
 	}
 	h := &groupHash{
-		rd:        rd,
-		mask:      uint64(size - 1),
-		slotHash:  make([]uint64, size),
-		slotGroup: make([]int32, size),
-		slotRow:   make([]int32, size),
-		budget:    budget,
-		initSize:  size,
+		rd:       keyReader(t, cols),
+		packs:    make([]packCol, len(cols)),
+		mask:     uint64(size - 1),
+		slots:    make([]groupSlot, size),
+		budget:   budget,
+		initSize: size,
 	}
+	var shift uint
+	for i, c := range cols {
+		w := uint(bits.Len32(uint32(t.Col(c).DictSize())))
+		h.packs[i] = packCol{off: h.rd.offs[i], shift: shift, width: w}
+		shift += w
+	}
+	h.wide = shift > 64
 	h.charge(int64(size) * slotBytes)
 	return h
 }
@@ -482,46 +508,95 @@ func (h *groupHash) groupOf(row int) (g int, isNew bool) {
 	if uint64(h.groups+1)*4 > (h.mask+1)*3 {
 		h.grow()
 	}
+	if !h.wide {
+		if key, ok := h.pack(row); ok {
+			for slot := mixKey(key, h.rd.seed) & h.mask; ; slot = (slot + 1) & h.mask {
+				s := &h.slots[slot]
+				if s.group == 0 {
+					return h.insert(s, key, row), true
+				}
+				if s.key == key {
+					return int(s.group - 1), false
+				}
+			}
+		}
+		h.widen()
+	}
 	hash := hashRow(h.rd, row)
-	slot := hash & h.mask
-	for {
-		sg := h.slotGroup[slot]
-		if sg == 0 {
-			h.slotHash[slot] = hash
-			h.slotRow[slot] = int32(row)
-			h.groups++
-			h.slotGroup[slot] = int32(h.groups)
-			return h.groups - 1, true
+	for slot := hash & h.mask; ; slot = (slot + 1) & h.mask {
+		s := &h.slots[slot]
+		if s.group == 0 {
+			return h.insert(s, hash, row), true
 		}
-		if h.slotHash[slot] == hash && h.rowsEqual(h.slotRow[slot], int32(row)) {
-			return int(sg - 1), false
+		if s.key == hash && h.rowsEqual(s.row, int32(row)) {
+			return int(s.group - 1), false
 		}
-		slot = (slot + 1) & h.mask
 	}
 }
 
-// grow doubles the slot arrays and redistributes occupied slots using their
-// stored hashes (keys are never re-read from the table).
+// pack folds row's key codes into one uint64. ok is false when a code does
+// not fit its column's width, i.e. exceeds the column's dictionary size.
+func (h *groupHash) pack(row int) (key uint64, ok bool) {
+	img := h.rd.image[row*h.rd.stride:]
+	var over uint32
+	for _, p := range h.packs {
+		c := binary.LittleEndian.Uint32(img[p.off:])
+		over |= c >> p.width
+		key |= uint64(c) << p.shift
+	}
+	return key, over == 0
+}
+
+// insert claims empty slot s for a new group keyed by key at row.
+func (h *groupHash) insert(s *groupSlot, key uint64, row int) int {
+	h.groups++
+	*s = groupSlot{key: key, group: int32(h.groups), row: int32(row)}
+	return h.groups - 1
+}
+
+// slotHash is the hash that placed s: its stored hashRow in wide mode, the
+// mixed packed key otherwise.
+func (h *groupHash) slotHash(s groupSlot) uint64 {
+	if h.wide {
+		return s.key
+	}
+	return mixKey(s.key, h.rd.seed)
+}
+
+// grow doubles the slot array; keys are never re-read from the table.
 func (h *groupHash) grow() {
-	oldHash, oldGroup, oldRow := h.slotHash, h.slotGroup, h.slotRow
-	size := (int(h.mask) + 1) << 1
-	h.charge(int64(size-len(oldGroup)) * slotBytes)
+	size := len(h.slots) << 1
+	h.charge(int64(size-len(h.slots)) * slotBytes)
+	h.rehash(size)
+}
+
+// rehash redistributes the occupied slots over a fresh array of size slots.
+func (h *groupHash) rehash(size int) {
+	old := h.slots
 	h.mask = uint64(size - 1)
-	h.slotHash = make([]uint64, size)
-	h.slotGroup = make([]int32, size)
-	h.slotRow = make([]int32, size)
-	for i, sg := range oldGroup {
-		if sg == 0 {
+	h.slots = make([]groupSlot, size)
+	for _, s := range old {
+		if s.group == 0 {
 			continue
 		}
-		slot := oldHash[i] & h.mask
-		for h.slotGroup[slot] != 0 {
+		slot := h.slotHash(s) & h.mask
+		for h.slots[slot].group != 0 {
 			slot = (slot + 1) & h.mask
 		}
-		h.slotHash[slot] = oldHash[i]
-		h.slotGroup[slot] = sg
-		h.slotRow[slot] = oldRow[i]
+		h.slots[slot] = s
 	}
+}
+
+// widen switches a packed table to wide mode: every occupied slot is re-keyed
+// by its representative row's hashRow. Group ids and their order are kept.
+func (h *groupHash) widen() {
+	h.wide = true
+	for i := range h.slots {
+		if s := &h.slots[i]; s.group != 0 {
+			s.key = hashRow(h.rd, int(s.row))
+		}
+	}
+	h.rehash(len(h.slots))
 }
 
 func (h *groupHash) rowsEqual(a, b int32) bool {
@@ -531,6 +606,18 @@ func (h *groupHash) rowsEqual(a, b int32) bool {
 		}
 	}
 	return true
+}
+
+// mixKey is the packed mode's hash: a splitmix64 finalizer over the packed
+// key xor the seed, so slot layouts differ across processes.
+func mixKey(key, seed uint64) uint64 {
+	h := key ^ seed
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
 }
 
 // hashRow mixes the code tuple of one row with a splitmix-style finalizer,

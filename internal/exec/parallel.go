@@ -160,9 +160,6 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 		return nil, ParStats{}, err
 	}
 	n := t.NumRows()
-	// Force lazily-built shared state (the scan image and the dictionary rank
-	// tables the accumulators read) before fan-out, so workers only read.
-	image, stride := t.RowImage()
 	budget := gov.Budget()
 	finals := make([]*queryState, len(queries))
 	locals := make([][]*queryState, w)
@@ -178,8 +175,11 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 		}
 		budget.Release(freed)
 	}()
+	// Building the final states before fan-out forces lazily-built shared
+	// state (the scan image and the dictionary rank tables the accumulators
+	// read), so workers only read it.
 	for qi, q := range queries {
-		finals[qi] = newQueryState(t, image, stride, q, budget)
+		finals[qi] = newQueryState(t, q, budget)
 	}
 	morsels := (n + morsel - 1) / morsel
 
@@ -210,7 +210,7 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 				if lim := n/w + 1; q.SizeHint > lim {
 					q.SizeHint = lim
 				}
-				states[qi] = newQueryState(t, image, stride, q, budget)
+				states[qi] = newQueryState(t, q, budget)
 			}
 			for {
 				if failed.Load() || gov.Err() != nil {

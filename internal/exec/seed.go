@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// hashSeed is the process-wide group-hash seed, mixed into every hashRow
-// computation. Randomizing it per process means an adversarial or pathological
+// hashSeed is the process-wide group-hash seed, mixed into every group-table
+// hash (hashRow for wide keys, mixKey for packed ones). Randomizing it per process means an adversarial or pathological
 // key set tuned against the hash function cannot reproduce its collisions
 // across runs, so groupHash probing cannot be degraded to O(n) chains by
 // construction. Operators snapshot the seed when they build their rowReader,

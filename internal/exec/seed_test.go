@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"gbmqo/internal/table"
@@ -20,37 +21,75 @@ func TestSetHashSeedRoundTrip(t *testing.T) {
 
 // TestGroupByIdenticalAcrossSeeds: the seed perturbs probe order only —
 // results (values and first-appearance row order) are identical under any
-// seed, which is what makes per-process randomization safe.
+// seed, which is what makes per-process randomization safe. It covers both
+// key modes of the group table and every hash entry point.
 func TestGroupByIdenticalAcrossSeeds(t *testing.T) {
 	orig := HashSeed()
 	defer SetHashSeed(orig)
-	src := mkTable(5000, 3)
 	gov := NewGov(context.Background(), NewMemBudget(0))
-	aggs := []Agg{CountStar(), {Kind: AggSum, Col: 2, Name: "sx"}}
-
-	var ref *table.Table
-	for _, seed := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
-		SetHashSeed(seed)
-		out, err := GroupByHashGov(gov, src, []int{0, 1}, aggs, "g")
-		if err != nil {
-			t.Fatalf("seed %#x: %v", seed, err)
+	for _, tc := range []struct {
+		name string
+		src  *table.Table
+		keys []int
+		aggs []Agg
+	}{
+		{"packed", mkTable(5000, 3), []int{0, 1}, []Agg{CountStar(), {Kind: AggSum, Col: 2, Name: "sx"}}},
+		{"wide", widthTable(3000, 300, repeatSize(5, 1<<13), 3), []int{0, 1, 2, 3, 4}, widthAggs(5)},
+	} {
+		if wide := newGroupHash(tc.src, tc.keys, nil, 0).wide; wide != (tc.name == "wide") {
+			t.Fatalf("%s: group table wide = %v", tc.name, wide)
 		}
-		if ref == nil {
-			ref = out
-			continue
-		}
-		if out.NumRows() != ref.NumRows() || out.NumCols() != ref.NumCols() {
-			t.Fatalf("seed %#x: shape %dx%d, want %dx%d",
-				seed, out.NumRows(), out.NumCols(), ref.NumRows(), ref.NumCols())
-		}
-		for c := 0; c < ref.NumCols(); c++ {
-			for r := 0; r < ref.NumRows(); r++ {
-				g, w := out.Col(c).Value(r), ref.Col(c).Value(r)
-				if g.Null != w.Null || g.String() != w.String() {
-					t.Fatalf("seed %#x: cell (%d,%d) = %v, want %v", seed, r, c, g, w)
+		q := []MultiQuery{{GroupCols: tc.keys, Aggs: tc.aggs, OutName: "g"}}
+		var ref string
+		for _, seed := range []uint64{0, 1, 0xdeadbeef, ^uint64(0)} {
+			SetHashSeed(seed)
+			out, err := GroupByHashGov(gov, tc.src, tc.keys, tc.aggs, "g")
+			if err != nil {
+				t.Fatalf("%s seed %#x: %v", tc.name, seed, err)
+			}
+			shared, err := GroupByHashMultiGov(gov, tc.src, q)
+			if err != nil {
+				t.Fatalf("%s seed %#x: shared scan: %v", tc.name, seed, err)
+			}
+			morsel, _, err := groupByMultiMorsel(gov, tc.src, q, 2, 256)
+			if err != nil {
+				t.Fatalf("%s seed %#x: morsel: %v", tc.name, seed, err)
+			}
+			if ref == "" {
+				ref = dumpTable(out)
+			}
+			for path, got := range map[string]*table.Table{"hash": out, "shared-scan": shared[0], "morsel": morsel[0]} {
+				if d := dumpTable(got); d != ref {
+					t.Fatalf("%s seed %#x: %s output differs from seed 0\nwant:\n%s\ngot:\n%s", tc.name, seed, path, ref, d)
 				}
 			}
 		}
+	}
+}
+
+// TestPackedKeyLayoutFollowsSeed: on the packed path the slot a group lands
+// in depends on the seed, so the per-process seed still defends against hash
+// flooding; a fixed seed (0 included) reproduces the layout exactly.
+func TestPackedKeyLayoutFollowsSeed(t *testing.T) {
+	orig := HashSeed()
+	defer SetHashSeed(orig)
+	src := mkTable(2000, 9)
+	layout := func(seed uint64) []groupSlot {
+		SetHashSeed(seed)
+		h := newGroupHash(src, []int{0, 1}, nil, 0)
+		if h.wide {
+			t.Fatal("mkTable keys should take the packed path")
+		}
+		for r := 0; r < src.NumRows(); r++ {
+			h.groupOf(r)
+		}
+		return h.slots
+	}
+	if slices.Equal(layout(1), layout(2)) {
+		t.Fatal("seeds 1 and 2 give the packed group table the same slot layout")
+	}
+	if !slices.Equal(layout(0), layout(0)) {
+		t.Fatal("seed 0 packed layout is not deterministic")
 	}
 }
 

@@ -11,7 +11,7 @@ type MultiQuery struct {
 	Aggs      []Agg
 	OutName   string
 	// SizeHint, when > 0, presizes this query's group table for that many
-	// expected groups (see newGroupHashSized).
+	// expected groups (see newGroupHash).
 	SizeHint int
 }
 
@@ -27,12 +27,8 @@ type queryState struct {
 // newQueryState builds the aggregation state for one query of a scan over t.
 // budget, when non-nil, is charged for the state's hash-table slots as they
 // grow.
-func newQueryState(t *table.Table, image []byte, stride int, q MultiQuery, budget *MemBudget) *queryState {
-	rd := rowReader{image: image, stride: stride, offs: make([]int, len(q.GroupCols)), seed: hashSeed.Load()}
-	for i, c := range q.GroupCols {
-		rd.offs[i] = 4 * c
-	}
-	st := &queryState{ht: newGroupHashSized(rd, budget, q.SizeHint), accs: make([]accumulator, len(q.Aggs))}
+func newQueryState(t *table.Table, q MultiQuery, budget *MemBudget) *queryState {
+	st := &queryState{ht: newGroupHash(t, q.GroupCols, budget, q.SizeHint), accs: make([]accumulator, len(q.Aggs))}
 	for i, a := range q.Aggs {
 		st.accs[i] = newAccumulator(a, t)
 	}
@@ -87,7 +83,6 @@ func GroupByHashMultiStatsGov(gov *Gov, t *table.Table, queries []MultiQuery) ([
 		return nil, nil, err
 	}
 	n := t.NumRows()
-	image, stride := t.RowImage()
 	budget := gov.Budget()
 
 	states := make([]*queryState, len(queries))
@@ -97,7 +92,7 @@ func GroupByHashMultiStatsGov(gov *Gov, t *table.Table, queries []MultiQuery) ([
 		}
 	}()
 	for qi, q := range queries {
-		states[qi] = newQueryState(t, image, stride, q, budget)
+		states[qi] = newQueryState(t, q, budget)
 	}
 	for row := 0; row < n; row++ {
 		if row&(cancelCheckRows-1) == 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,20 +55,22 @@ func TestTable3Shape(t *testing.T) {
 	if len(res.Rows) != 8 { // 4 datasets × SC/TC
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
+	// GB-MQO must reduce scan work everywhere (paper speedups: 1.9–4.5x).
+	// The deterministic work ratios are pinned to two decimals, so any plan
+	// change shows here; TC ratios are lower because pair NDVs approach the
+	// row count at unit-test scale. The wall speedup is reported, not
+	// asserted: each Group By takes a millisecond or two at this scale, so
+	// its ratio is timing noise.
+	want := map[string]string{
+		"sales/SC": "1.98", "sales/TC": "1.36",
+		"nref/SC": "1.41", "nref/TC": "1.17",
+		"tpch-large/SC": "1.90", "tpch-large/TC": "1.51",
+		"tpch-small/SC": "1.68", "tpch-small/TC": "1.35",
+	}
 	for _, r := range res.Rows {
-		// GB-MQO must reduce scan work everywhere (paper speedups: 1.9–4.5x;
-		// the deterministic work ratio is the unit-test proxy because
-		// micro-scale wall timings jitter). Wall time must at least not
-		// collapse.
-		min := 1.25
-		if r.Workload == "TC" {
-			min = 1.1 // pair NDVs approach the row count at unit-test scale
-		}
-		if r.WorkRatio < min {
-			t.Errorf("%s %s work ratio = %.2f, want > %.2f", r.Dataset, r.Workload, r.WorkRatio, min)
-		}
-		if r.Speedup < 0.75 {
-			t.Errorf("%s %s wall speedup = %.2f, collapsed", r.Dataset, r.Workload, r.Speedup)
+		key := r.Dataset + "/" + r.Workload
+		if got := fmt.Sprintf("%.2f", r.WorkRatio); got != want[key] {
+			t.Errorf("%s work ratio = %s, want %s\n%s", key, got, want[key], res)
 		}
 	}
 }
@@ -170,22 +173,24 @@ func TestFigure12Shape(t *testing.T) {
 	byKey := map[string]Figure12Row{}
 	for _, r := range res.Rows {
 		byKey[r.Dataset+"/"+r.Workload] = r
-		if r.StatsTime <= 0 {
-			t.Errorf("%s %s: no statistics creation recorded", r.Dataset, r.Workload)
+		if r.RowsProfiled <= 0 {
+			t.Errorf("%s %s: no statistics profiled", r.Dataset, r.Workload)
+		}
+		if r.RowsSaved <= 0 {
+			t.Errorf("%s %s: GB-MQO saved no rows over naive\n%s", r.Dataset, r.Workload, res)
 		}
 	}
 	// The paper's claim is relative: "the statistics creation overhead
-	// appears to become smaller as the dataset becomes larger". The SC
-	// workload has robust savings at any scale; the TC rows' savings sit
-	// within timing noise at test scale, so the shrink assertion uses SC.
-	small := byKey["tpch-small/SC"]
-	large := byKey["tpch-large/SC"]
-	if small.Savings <= 0 || large.Savings <= 0 {
-		t.Fatalf("SC savings not positive: small %v, large %v", small.Savings, large.Savings)
-	}
-	if large.OverheadPct >= small.OverheadPct {
-		t.Errorf("SC overhead did not shrink with scale: small %.1f%%, large %.1f%%",
-			small.OverheadPct*100, large.OverheadPct*100)
+	// appears to become smaller as the dataset becomes larger". It is
+	// asserted on deterministic work — sample rows profiled against rows
+	// saved — because at test scale the wall-clock savings sit within timing
+	// noise; the wall columns are reported, not asserted.
+	for _, w := range []string{"SC", "TC"} {
+		small, large := byKey["tpch-small/"+w], byKey["tpch-large/"+w]
+		if large.WorkOverhead >= small.WorkOverhead {
+			t.Errorf("%s work overhead did not shrink with scale: small %.1f%%, large %.1f%%\n%s",
+				w, small.WorkOverhead*100, large.WorkOverhead*100, res)
+		}
 	}
 }
 
@@ -213,9 +218,19 @@ func TestFigure14Shape(t *testing.T) {
 	if len(res.Rows) != 11 { // clustered-only + 10 steps
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	first, last := res.Rows[0].GBMQOTime, res.Rows[len(res.Rows)-1].GBMQOTime
+	// Run time falls as indexes arrive, asserted on the rows each step's plan
+	// reads (index-only paths count index groups, not base rows): no step
+	// reads more than the one before, and the full design reads less than
+	// none.
+	for i := 1; i < len(res.Rows); i++ {
+		if res.Rows[i].RowsScanned > res.Rows[i-1].RowsScanned {
+			t.Errorf("step %s reads %d rows, more than the step before (%d)\n%s",
+				res.Rows[i].Step, res.Rows[i].RowsScanned, res.Rows[i-1].RowsScanned, res)
+		}
+	}
+	first, last := res.Rows[0].RowsScanned, res.Rows[len(res.Rows)-1].RowsScanned
 	if last >= first {
-		t.Errorf("full physical design (%v) not faster than none (%v)\n%s", last, first, res)
+		t.Errorf("full physical design reads %d rows, no fewer than none (%d)\n%s", last, first, res)
 	}
 	// Plan adaptation: once l_receiptdate has its own index (step 1), it
 	// should become (and stay) a singleton.

@@ -333,6 +333,13 @@ type Figure12Row struct {
 	Savings time.Duration
 	// OverheadPct is StatsTime / Savings.
 	OverheadPct float64
+	// RowsProfiled is the number of sample rows the statistics read.
+	RowsProfiled int64
+	// RowsSaved is naive minus GB-MQO rows scanned.
+	RowsSaved int64
+	// WorkOverhead is RowsProfiled / RowsSaved: the overhead in the engine's
+	// deterministic work units rather than wall time.
+	WorkOverhead float64
 }
 
 // Figure12Result reproduces Figure 12.
@@ -369,12 +376,12 @@ func Figure12(s Scale) (*Figure12Result, error) {
 			} else {
 				sets = pairSets(datagen.LineitemSC())
 			}
-			naive, _, err := measureMin(e, engine.Request{Table: t.Name(), Sets: sets, Strategy: engine.StrategyNaive}, 5)
+			naive, nRes, err := measureMin(e, engine.Request{Table: t.Name(), Sets: sets, Strategy: engine.StrategyNaive}, 5)
 			if err != nil {
 				return nil, err
 			}
 			e.Catalog().Stats().ResetAccounting()
-			mqo, _, err := measureMin(e, engine.Request{Table: t.Name(), Sets: sets, Strategy: engine.StrategyGBMQO, Core: prunedGBMQO()}, 5)
+			mqo, mRes, err := measureMin(e, engine.Request{Table: t.Name(), Sets: sets, Strategy: engine.StrategyGBMQO, Core: prunedGBMQO()}, 5)
 			if err != nil {
 				return nil, err
 			}
@@ -384,9 +391,15 @@ func Figure12(s Scale) (*Figure12Result, error) {
 			if savings > 0 {
 				pct = float64(acct.CreateTime) / float64(savings)
 			}
+			rowsSaved := nRes.Report.RowsScanned - mRes.Report.RowsScanned
+			work := 0.0
+			if rowsSaved > 0 {
+				work = float64(acct.RowsProfiled) / float64(rowsSaved)
+			}
 			out.Rows = append(out.Rows, Figure12Row{
 				Dataset: d.name, Workload: w,
 				StatsTime: acct.CreateTime, Savings: savings, OverheadPct: pct,
+				RowsProfiled: acct.RowsProfiled, RowsSaved: rowsSaved, WorkOverhead: work,
 			})
 		}
 	}
@@ -397,11 +410,13 @@ func Figure12(s Scale) (*Figure12Result, error) {
 func (r *Figure12Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 12. Statistics creation time vs running-time savings\n")
-	fmt.Fprintf(&b, "%-12s %-4s %14s %14s %10s\n", "Dataset", "WL", "Stats time", "Savings", "Overhead")
+	fmt.Fprintf(&b, "%-12s %-4s %14s %14s %10s %14s %12s %14s\n",
+		"Dataset", "WL", "Stats time", "Savings", "Overhead", "Rows profiled", "Rows saved", "Work overhead")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-12s %-4s %14s %14s %9.1f%%\n",
+		fmt.Fprintf(&b, "%-12s %-4s %14s %14s %9.1f%% %14d %12d %13.1f%%\n",
 			row.Dataset, row.Workload,
-			row.StatsTime.Round(time.Microsecond), row.Savings.Round(time.Microsecond), row.OverheadPct*100)
+			row.StatsTime.Round(time.Microsecond), row.Savings.Round(time.Microsecond), row.OverheadPct*100,
+			row.RowsProfiled, row.RowsSaved, row.WorkOverhead*100)
 	}
 	return b.String()
 }
@@ -464,6 +479,9 @@ type Figure14Row struct {
 	Step      string
 	Indexes   int
 	GBMQOTime time.Duration
+	// RowsScanned is the deterministic work of the step's plan: base, temp
+	// and index-group rows read.
+	RowsScanned int64
 	// ReceiptDateSingleton reports whether l_receiptdate stayed un-merged in
 	// the plan (the paper observes it becomes a singleton once indexed).
 	ReceiptDateSingleton bool
@@ -510,7 +528,7 @@ func Figure14(s Scale) (*Figure14Result, error) {
 			return err
 		}
 		out.Rows = append(out.Rows, Figure14Row{
-			Step: label, Indexes: n, GBMQOTime: wall,
+			Step: label, Indexes: n, GBMQOTime: wall, RowsScanned: res.Report.RowsScanned,
 			ReceiptDateSingleton: isSingletonRoot(res.Plan, datagen.LReceiptDate),
 		})
 		return nil
@@ -545,10 +563,10 @@ func isSingletonRoot(p *plan.Plan, col int) bool {
 func (r *Figure14Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figure 14. TPC-H variation with physical design (SC workload)\n")
-	fmt.Fprintf(&b, "%-20s %8s %14s %22s\n", "Step", "#NC ixs", "GB-MQO time", "receiptdate singleton")
+	fmt.Fprintf(&b, "%-20s %8s %14s %13s %22s\n", "Step", "#NC ixs", "GB-MQO time", "Rows scanned", "receiptdate singleton")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-20s %8d %14s %22v\n", row.Step, row.Indexes,
-			row.GBMQOTime.Round(time.Microsecond), row.ReceiptDateSingleton)
+		fmt.Fprintf(&b, "%-20s %8d %14s %13d %22v\n", row.Step, row.Indexes,
+			row.GBMQOTime.Round(time.Microsecond), row.RowsScanned, row.ReceiptDateSingleton)
 	}
 	return b.String()
 }

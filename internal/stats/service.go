@@ -160,6 +160,10 @@ type Accounting struct {
 	StatsCreated int
 	// SamplesDrawn is the number of table samples drawn.
 	SamplesDrawn int
+	// RowsProfiled is the number of rows the profiling kernel read: the
+	// sample size per sampled profile, the table size per exact one.
+	// Single-column statistics come off the dictionary and read none.
+	RowsProfiled int64
 	// CreateTime is total wall time spent drawing samples and profiling.
 	CreateTime time.Duration
 }
@@ -282,6 +286,7 @@ func (s *Service) CachedNDV(t *table.Table, set colset.Set) (float64, bool) {
 
 func (s *Service) estimate(t *table.Table, set colset.Set, byTable map[colset.Set]float64) float64 {
 	if s.estimator == Exact {
+		s.acct.RowsProfiled += int64(t.NumRows())
 		return float64(ExactNDV(t, set))
 	}
 	if set.Len() == 1 {
@@ -295,6 +300,7 @@ func (s *Service) estimate(t *table.Table, set colset.Set, byTable map[colset.Se
 		s.acct.SamplesDrawn++
 	}
 	profile := sample.ProfileOf(set)
+	s.acct.RowsProfiled += int64(profile.SampleSize())
 	if profile.SampleSize() >= t.NumRows() {
 		// The sample is the whole table: the observed count is the truth, and
 		// a saturated profile must not be extrapolated past it.

@@ -148,7 +148,7 @@ func TestServiceCachesAndAccounts(t *testing.T) {
 		t.Fatalf("NDV = %v, want 50", a)
 	}
 	acct := svc.Accounting()
-	if acct.StatsCreated != 1 || acct.SamplesDrawn != 0 {
+	if acct.StatsCreated != 1 || acct.SamplesDrawn != 0 || acct.RowsProfiled != 0 {
 		t.Fatalf("accounting after single-column call = %+v", acct)
 	}
 	// Second call on the same set must hit the cache.
@@ -162,7 +162,7 @@ func TestServiceCachesAndAccounts(t *testing.T) {
 	// A multi-column set draws the sample; a further one reuses it.
 	svc.NDV(tb, colset.Of(0, 1))
 	acct = svc.Accounting()
-	if acct.StatsCreated != 2 || acct.SamplesDrawn != 1 {
+	if acct.StatsCreated != 2 || acct.SamplesDrawn != 1 || acct.RowsProfiled != 1000 {
 		t.Fatalf("accounting after pair = %+v", acct)
 	}
 }
