@@ -50,21 +50,42 @@ func TestReportAttributesKernels(t *testing.T) {
 	}
 }
 
-// TestSequentialRunsKeepHashLadder pins the chooser policy at the engine
-// level: without intra-operator parallelism the parallel-regime kernels
-// (dense, radix) must not run, so sequential experiment measurements keep
-// their pre-kernel behaviour.
-func TestSequentialRunsKeepHashLadder(t *testing.T) {
+// TestKernelSequentialLadder pins the chooser policy at the engine level
+// without intra-operator parallelism: sequential nodes may run the dense
+// kernel but never radix, whose only edge is removing a cross-worker merge a
+// sequential run does not have. A budget too small for a node's dense array
+// must record a kernel-fallback degradation and still answer exactly.
+func TestKernelSequentialLadder(t *testing.T) {
 	e, _ := newTestEngine(t, 70000)
-	res, err := e.Run(Request{Table: "lineitem", Sets: govSets(), Strategy: StrategyGBMQO})
+	ref, err := e.Run(Request{Table: "lineitem", Sets: govSets(), Strategy: StrategyGBMQO})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ku := range res.Report.Kernels {
-		if ku.Kernel == "dense" || ku.Kernel == "radix" {
-			t.Errorf("sequential run used parallel-regime kernel: %s", ku)
+	kinds := map[string]int{}
+	for _, ku := range ref.Report.Kernels {
+		kinds[ku.Kernel]++
+		if ku.Kernel == "radix" || ku.Workers != 1 {
+			t.Errorf("sequential run used %s with %d workers: %s", ku.Kernel, ku.Workers, ku)
 		}
 	}
+	if kinds["dense"] == 0 {
+		t.Errorf("no sequential node ran the dense kernel over a low-NDV table: %v", kinds)
+	}
+
+	tight, err := e.Run(Request{Table: "lineitem", Sets: govSets(), Strategy: StrategyGBMQO, MemBudget: 48 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawFallback bool
+	for _, d := range tight.Report.Degradations {
+		if d.Kind == DegradeKernelFallback && strings.Contains(d.Detail, "dense kernel preferred") {
+			sawFallback = true
+		}
+	}
+	if !sawFallback {
+		t.Fatalf("no dense kernel-fallback degradation under a 48KiB budget; got %v", tight.Report.Degradations)
+	}
+	assertSameResults(t, ref.Report.Results, tight.Report.Results)
 }
 
 // TestKernelFallbackDegradation pins the admission ladder: a budget too small

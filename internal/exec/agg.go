@@ -81,8 +81,11 @@ func (a Agg) Rollup(srcOrd int) Agg {
 
 // accumulator maintains per-group aggregate state.
 type accumulator interface {
-	// observe feeds source row `row` into group g, growing state as needed.
-	observe(g int, row int)
+	// observe feeds one block of source rows: rows[i] belongs to group
+	// gids[i], and groups is the number of groups handed out so far (every
+	// gid is below it). State grows once per block to groups entries, so the
+	// per-row loop carries no growth check and no interface call.
+	observe(gids, rows []int32, groups int)
 	// result emits the final value for group g.
 	result(g int) table.Value
 	// outType is the result column type.
@@ -112,13 +115,52 @@ func cloneAccs(accs []accumulator) []accumulator {
 	return out
 }
 
+// newAccs builds one accumulator per agg over the input table.
+func newAccs(aggs []Agg, t *table.Table) []accumulator {
+	accs := make([]accumulator, len(aggs))
+	for i, a := range aggs {
+		accs[i] = newAccumulator(a, t)
+	}
+	return accs
+}
+
+// observeAll feeds one block to every accumulator.
+func observeAll(accs []accumulator, gids, rows []int32, groups int) {
+	for _, acc := range accs {
+		acc.observe(gids, rows, groups)
+	}
+}
+
+// blockLen is the length of a scan's reused block buffers: one
+// cancellation interval, or the whole input when it is smaller.
+func blockLen(rows int) int {
+	return min(rows, cancelCheckRows)
+}
+
+// rowBlock fills buf with the ascending row ids [lo, hi) and returns them.
+func rowBlock(buf []int32, lo, hi int) []int32 {
+	rows := buf[:hi-lo]
+	for i := range rows {
+		rows[i] = int32(lo + i)
+	}
+	return rows
+}
+
+// growTo extends s with zero values to n entries.
+func growTo[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
 // newAccumulator builds the accumulator for one agg over the input table.
 func newAccumulator(a Agg, t *table.Table) accumulator {
 	switch a.Kind {
 	case AggCountStar:
 		return &countStarAcc{}
 	case AggCount:
-		return &countAcc{col: t.Col(a.Col)}
+		return &countAcc{codes: t.Col(a.Col).Codes()}
 	case AggSum:
 		col := t.Col(a.Col)
 		switch col.Type() {
@@ -129,10 +171,9 @@ func newAccumulator(a Agg, t *table.Table) accumulator {
 		default:
 			panic(fmt.Sprintf("exec: SUM over %s column %q", col.Type(), col.Name()))
 		}
-	case AggMin:
-		return &extremeAcc{col: t.Col(a.Col), ranks: t.Col(a.Col).Ranks(), min: true}
-	case AggMax:
-		return &extremeAcc{col: t.Col(a.Col), ranks: t.Col(a.Col).Ranks(), min: false}
+	case AggMin, AggMax:
+		col := t.Col(a.Col)
+		return &extremeAcc{col: col, codes: col.Codes(), ranks: col.Ranks(), min: a.Kind == AggMin}
 	case AggAvg:
 		col := t.Col(a.Col)
 		switch col.Type() {
@@ -155,44 +196,43 @@ func newAccumulator(a Agg, t *table.Table) accumulator {
 
 type countStarAcc struct{ counts []int64 }
 
-func (a *countStarAcc) observe(g, _ int) {
-	for len(a.counts) <= g {
-		a.counts = append(a.counts, 0)
+func (a *countStarAcc) observe(gids, _ []int32, groups int) {
+	a.counts = growTo(a.counts, groups)
+	counts := a.counts
+	for _, g := range gids {
+		counts[g]++
 	}
-	a.counts[g]++
 }
 func (a *countStarAcc) result(g int) table.Value { return table.Int(a.counts[g]) }
 func (a *countStarAcc) outType() table.Type      { return table.TInt64 }
 func (a *countStarAcc) mergePartial(dst int, other accumulator, src int) {
-	for len(a.counts) <= dst {
-		a.counts = append(a.counts, 0)
-	}
+	a.counts = growTo(a.counts, dst+1)
 	a.counts[dst] += other.(*countStarAcc).counts[src]
 }
 func (a *countStarAcc) cloneEmpty() accumulator { return &countStarAcc{} }
 
 type countAcc struct {
-	col    *table.Column
+	codes  []uint32
 	counts []int64
 }
 
-func (a *countAcc) observe(g, row int) {
-	for len(a.counts) <= g {
-		a.counts = append(a.counts, 0)
-	}
-	if !a.col.IsNull(row) {
-		a.counts[g]++
+func (a *countAcc) observe(gids, rows []int32, groups int) {
+	a.counts = growTo(a.counts, groups)
+	counts, codes := a.counts, a.codes
+	rows = rows[:len(gids)]
+	for i, g := range gids {
+		if codes[rows[i]] != 0 {
+			counts[g]++
+		}
 	}
 }
 func (a *countAcc) result(g int) table.Value { return table.Int(a.counts[g]) }
 func (a *countAcc) outType() table.Type      { return table.TInt64 }
 func (a *countAcc) mergePartial(dst int, other accumulator, src int) {
-	for len(a.counts) <= dst {
-		a.counts = append(a.counts, 0)
-	}
+	a.counts = growTo(a.counts, dst+1)
 	a.counts[dst] += other.(*countAcc).counts[src]
 }
-func (a *countAcc) cloneEmpty() accumulator { return &countAcc{col: a.col} }
+func (a *countAcc) cloneEmpty() accumulator { return &countAcc{codes: a.codes} }
 
 type sumIntAcc struct {
 	codes []uint32
@@ -201,14 +241,15 @@ type sumIntAcc struct {
 	seen  []bool
 }
 
-func (a *sumIntAcc) observe(g, row int) {
-	for len(a.sums) <= g {
-		a.sums = append(a.sums, 0)
-		a.seen = append(a.seen, false)
-	}
-	if code := a.codes[row]; code != 0 {
-		a.sums[g] += a.vals[code]
-		a.seen[g] = true
+func (a *sumIntAcc) observe(gids, rows []int32, groups int) {
+	a.sums, a.seen = growTo(a.sums, groups), growTo(a.seen, groups)
+	sums, seen, codes, vals := a.sums, a.seen, a.codes, a.vals
+	rows = rows[:len(gids)]
+	for i, g := range gids {
+		if code := codes[rows[i]]; code != 0 {
+			sums[g] += vals[code]
+			seen[g] = true
+		}
 	}
 }
 func (a *sumIntAcc) result(g int) table.Value {
@@ -219,10 +260,7 @@ func (a *sumIntAcc) result(g int) table.Value {
 }
 func (a *sumIntAcc) outType() table.Type { return table.TInt64 }
 func (a *sumIntAcc) mergePartial(dst int, other accumulator, src int) {
-	for len(a.sums) <= dst {
-		a.sums = append(a.sums, 0)
-		a.seen = append(a.seen, false)
-	}
+	a.sums, a.seen = growTo(a.sums, dst+1), growTo(a.seen, dst+1)
 	o := other.(*sumIntAcc)
 	if o.seen[src] {
 		a.sums[dst] += o.sums[src]
@@ -238,14 +276,15 @@ type sumFloatAcc struct {
 	seen  []bool
 }
 
-func (a *sumFloatAcc) observe(g, row int) {
-	for len(a.sums) <= g {
-		a.sums = append(a.sums, 0)
-		a.seen = append(a.seen, false)
-	}
-	if code := a.codes[row]; code != 0 {
-		a.sums[g] += a.vals[code]
-		a.seen[g] = true
+func (a *sumFloatAcc) observe(gids, rows []int32, groups int) {
+	a.sums, a.seen = growTo(a.sums, groups), growTo(a.seen, groups)
+	sums, seen, codes, vals := a.sums, a.seen, a.codes, a.vals
+	rows = rows[:len(gids)]
+	for i, g := range gids {
+		if code := codes[rows[i]]; code != 0 {
+			sums[g] += vals[code]
+			seen[g] = true
+		}
 	}
 }
 func (a *sumFloatAcc) result(g int) table.Value {
@@ -256,10 +295,7 @@ func (a *sumFloatAcc) result(g int) table.Value {
 }
 func (a *sumFloatAcc) outType() table.Type { return table.TFloat64 }
 func (a *sumFloatAcc) mergePartial(dst int, other accumulator, src int) {
-	for len(a.sums) <= dst {
-		a.sums = append(a.sums, 0)
-		a.seen = append(a.seen, false)
-	}
+	a.sums, a.seen = growTo(a.sums, dst+1), growTo(a.seen, dst+1)
 	o := other.(*sumFloatAcc)
 	if o.seen[src] {
 		a.sums[dst] += o.sums[src]
@@ -273,39 +309,38 @@ func (a *sumFloatAcc) cloneEmpty() accumulator { return &sumFloatAcc{codes: a.co
 // decoding happens on the hot path. NULLs are ignored per SQL.
 type extremeAcc struct {
 	col   *table.Column
+	codes []uint32
 	ranks []uint32
 	min   bool
 	best  []uint32 // code per group; nullCode means "no non-null value yet"
 }
 
-func (a *extremeAcc) observe(g, row int) {
-	a.consider(g, a.col.Code(row))
+func (a *extremeAcc) observe(gids, rows []int32, groups int) {
+	a.best = growTo(a.best, groups)
+	rows = rows[:len(gids)]
+	for i, g := range gids {
+		a.consider(int(g), a.codes[rows[i]])
+	}
 }
 
-// consider folds one candidate code into group g's best.
+// consider folds one candidate code into group g's best; best must already
+// hold group g.
 func (a *extremeAcc) consider(g int, code uint32) {
-	for len(a.best) <= g {
-		a.best = append(a.best, 0)
-	}
 	if code == 0 {
 		return
 	}
-	cur := a.best[g]
-	if cur == 0 {
-		a.best[g] = code
-		return
-	}
-	if a.min == (a.ranks[code] < a.ranks[cur]) && a.ranks[code] != a.ranks[cur] {
+	if cur := a.best[g]; cur == 0 || (a.min && a.ranks[code] < a.ranks[cur]) || (!a.min && a.ranks[code] > a.ranks[cur]) {
 		a.best[g] = code
 	}
 }
 func (a *extremeAcc) result(g int) table.Value { return a.col.Decode(a.best[g]) }
 func (a *extremeAcc) outType() table.Type      { return a.col.Type() }
 func (a *extremeAcc) mergePartial(dst int, other accumulator, src int) {
+	a.best = growTo(a.best, dst+1)
 	a.consider(dst, other.(*extremeAcc).best[src])
 }
 func (a *extremeAcc) cloneEmpty() accumulator {
-	return &extremeAcc{col: a.col, ranks: a.ranks, min: a.min}
+	return &extremeAcc{col: a.col, codes: a.codes, ranks: a.ranks, min: a.min}
 }
 
 // avgAcc computes AVG by carrying a mergeable (sum, count) pair per group.
@@ -318,14 +353,15 @@ type avgAcc struct {
 	counts []int64
 }
 
-func (a *avgAcc) observe(g, row int) {
-	for len(a.sums) <= g {
-		a.sums = append(a.sums, 0)
-		a.counts = append(a.counts, 0)
-	}
-	if code := a.codes[row]; code != 0 {
-		a.sums[g] += a.vals[code]
-		a.counts[g]++
+func (a *avgAcc) observe(gids, rows []int32, groups int) {
+	a.sums, a.counts = growTo(a.sums, groups), growTo(a.counts, groups)
+	sums, counts, codes, vals := a.sums, a.counts, a.codes, a.vals
+	rows = rows[:len(gids)]
+	for i, g := range gids {
+		if code := codes[rows[i]]; code != 0 {
+			sums[g] += vals[code]
+			counts[g]++
+		}
 	}
 }
 func (a *avgAcc) result(g int) table.Value {
@@ -336,10 +372,7 @@ func (a *avgAcc) result(g int) table.Value {
 }
 func (a *avgAcc) outType() table.Type { return table.TFloat64 }
 func (a *avgAcc) mergePartial(dst int, other accumulator, src int) {
-	for len(a.sums) <= dst {
-		a.sums = append(a.sums, 0)
-		a.counts = append(a.counts, 0)
-	}
+	a.sums, a.counts = growTo(a.sums, dst+1), growTo(a.counts, dst+1)
 	o := other.(*avgAcc)
 	a.sums[dst] += o.sums[src]
 	a.counts[dst] += o.counts[src]

@@ -27,12 +27,21 @@ func TestChooseKernelGolden(t *testing.T) {
 		// Trivial inputs.
 		{rows: 0, domain: 0, workers: 4, ndv: 100},
 		{rows: 100000, domain: 0, workers: 4, ndv: 100},
-		// Sequential: dense/radix are parallel-regime rungs, so these stay hash.
+		// Sequential: dense under the same domain gate, never radix.
 		{rows: 100000, domain: 64, workers: 1, ndv: 50},
 		{rows: 1000000, domain: 4096, workers: 1, ndv: 4000},
 		{rows: 100000, domain: 0, workers: 1, ndv: 100000},
-		// Parallel small-domain inputs: dense once rows amortize the arrays.
+		{rows: 200000, domain: 0, workers: 1, ndv: 50000},
+		// The 8×-rows edge: a domain of exactly 8× the rows is dense, one more is hash.
+		{rows: 1000, domain: 8000, workers: 1, ndv: 900},
+		{rows: 1000, domain: 8001, workers: 1, ndv: 900},
+		// A tiny table is dense while the domain is small outright.
+		{rows: 10, domain: 4096, workers: 1, ndv: 10},
+		{rows: 10, domain: 4097, workers: 1, ndv: 10},
+		// A parallel request too small for one morsel per worker runs sequential dense.
 		{rows: 30000, domain: 64, workers: 4, ndv: 50},
+		// Parallel small-domain inputs: dense once rows amortize the arrays.
+		{rows: 40000, domain: 64, workers: 4, ndv: 50},
 		{rows: 100000, domain: 64, workers: 4, ndv: 50},
 		{rows: 100000, domain: 4096, workers: 4, ndv: 4000},
 		{rows: 100000, domain: 500000, workers: 4, ndv: 400000},
@@ -43,6 +52,7 @@ func TestChooseKernelGolden(t *testing.T) {
 		{rows: 200000, domain: 0, workers: 4, ndv: 2000},
 		// Tight budgets walk down the ladder.
 		{rows: 100000, domain: 64, workers: 4, ndv: 50, limit: 1024},
+		{rows: 100000, domain: 4096, workers: 1, ndv: 4000, limit: 1024},
 		{rows: 200000, domain: 0, workers: 4, ndv: 50000, limit: 1024},
 		{rows: 200000, domain: 0, workers: 1, ndv: 50000, hashState: 1 << 20, limit: 1 << 10},
 		{rows: 200000, domain: 0, workers: 1, ndv: 50000, hashState: 1 << 10, limit: 1 << 20},
@@ -89,8 +99,9 @@ func TestChooseKernelGolden(t *testing.T) {
 }
 
 // TestChooseKernelLadderSemantics pins the ladder properties the golden file
-// cannot express: fallbacks carry the rejected rung, sequential runs never
-// pick a parallel kernel, and a zero-worker request is sequential.
+// cannot express: fallbacks carry the rejected rung, a zero-worker request is
+// sequential and takes dense over a small domain but never radix, and the
+// parallel dense rung keeps its row-count gate.
 func TestChooseKernelLadderSemantics(t *testing.T) {
 	base := ChooserInput{Rows: 200000, GroupCols: 2, NDV: 50000, Workers: 4, NAggs: 1}
 
@@ -113,8 +124,17 @@ func TestChooseKernelLadderSemantics(t *testing.T) {
 	seq := base
 	seq.Workers = 0
 	seq.DenseDomain = 64
+	if c := ChooseKernel(seq); c.Kind != KernelDense || c.Workers != 1 {
+		t.Errorf("sequential small-domain request chose %v with %d workers, want sequential dense", c.Kind, c.Workers)
+	}
+	seq.DenseDomain = 0
 	if c := ChooseKernel(seq); c.Kind != KernelHash || c.Workers != 1 {
-		t.Errorf("sequential request chose %v with %d workers", c.Kind, c.Workers)
+		t.Errorf("sequential high-NDV request chose %v with %d workers, want sequential hash", c.Kind, c.Workers)
+	}
+
+	small := ChooserInput{Rows: denseMinRows - 1, GroupCols: 2, NDV: 50, DenseDomain: 64, Workers: 4, NAggs: 1}
+	if c := ChooseKernel(small); c.Kind == KernelDense || c.Workers < 2 {
+		t.Errorf("parallel request below denseMinRows chose %v with %d workers, want parallel hash", c.Kind, c.Workers)
 	}
 
 	spill := ChooserInput{Rows: 200000, GroupCols: 2, NDV: 50000, Workers: 1,

@@ -41,40 +41,11 @@ func GroupByHashGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outNa
 // 1024 buckets when statistics already predict the NDV); the stats record how
 // many rehash doublings the presize avoided.
 func groupByHashSized(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, sizeHint int) (*table.Table, KernelStats, error) {
-	ks := KernelStats{Kind: KernelHash, Workers: 1}
-	if err := validateRequest(t, groupCols, aggs); err != nil {
-		return nil, ks, err
+	outs, stats, err := GroupByHashMultiStatsGov(gov, t, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: outName, SizeHint: sizeHint}})
+	if err != nil {
+		return nil, KernelStats{Kind: KernelHash, Workers: 1}, err
 	}
-	n := t.NumRows()
-	budget := gov.Budget()
-	ht := newGroupHash(t, groupCols, budget, sizeHint)
-	defer func() { budget.Release(ht.charged) }()
-	accs := make([]accumulator, len(aggs))
-	for i, a := range aggs {
-		accs[i] = newAccumulator(a, t)
-	}
-	firstRows := make([]int32, 0, 1024)
-	for row := 0; row < n; row++ {
-		if row&(cancelCheckRows-1) == 0 {
-			Testing.Fire("exec.hash.batch")
-			if err := gov.Err(); err != nil {
-				return nil, ks, err
-			}
-		}
-		g, isNew := ht.groupOf(row)
-		if isNew {
-			firstRows = append(firstRows, int32(row))
-		}
-		for _, acc := range accs {
-			acc.observe(g, row)
-		}
-	}
-	accBytes := accStateBytes(len(firstRows), len(accs))
-	budget.Add(accBytes)
-	defer budget.Release(accBytes)
-	ks.Groups = len(firstRows)
-	ks.RehashesAvoided = ht.rehashesAvoided()
-	return emitGroups(t, groupCols, aggs, accs, firstRows, nil, outName), ks, nil
+	return outs[0], stats[0], nil
 }
 
 // GroupBySort computes the same result by sorting row ids and streaming over
@@ -116,26 +87,26 @@ func GroupBySortGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outNa
 	ix := index.Build(t, "tmp_sort", groupCols, false)
 	perm, bounds := ix.Perm(), ix.Bounds()
 	nGroups := ix.NumGroups()
-	accs := make([]accumulator, len(aggs))
-	for i, a := range aggs {
-		accs[i] = newAccumulator(a, t)
-	}
+	accs := newAccs(aggs, t)
 	firstRows := make([]int32, nGroups)
-	rowsDone := 0
-	for g := 0; g < nGroups; g++ {
+	for g := range firstRows {
 		firstRows[g] = perm[bounds[g]] // stable sort: min row of the group
-		for p := bounds[g]; p < bounds[g+1]; p++ {
-			if rowsDone&(cancelCheckRows-1) == 0 {
-				Testing.Fire("exec.sort.stream")
-				if err := gov.Err(); err != nil {
-					return nil, err
-				}
-			}
-			rowsDone++
-			for _, acc := range accs {
-				acc.observe(g, int(perm[p]))
-			}
+	}
+	gids := make([]int32, blockLen(len(perm)))
+	g := 0
+	for lo := 0; lo < len(perm); lo += cancelCheckRows {
+		Testing.Fire("exec.sort.stream")
+		if err := gov.Err(); err != nil {
+			return nil, err
 		}
+		rows := perm[lo:min(lo+cancelCheckRows, len(perm))]
+		for i := range rows {
+			for int(bounds[g+1]) <= lo+i {
+				g++
+			}
+			gids[i] = int32(g)
+		}
+		observeAll(accs, gids[:len(rows)], rows, g+1)
 	}
 	accBytes := accStateBytes(nGroups, len(accs))
 	budget.Add(accBytes)
@@ -176,37 +147,33 @@ func GroupByIndexStreamGov(gov *Gov, t *table.Table, ix *index.Index, groupCols 
 	for i, c := range groupCols {
 		codes[i] = t.Col(c).Codes()
 	}
-	accs := make([]accumulator, len(aggs))
-	for i, a := range aggs {
-		accs[i] = newAccumulator(a, t)
-	}
+	accs := newAccs(aggs, t)
 	perm := ix.Perm()
 	var firstRows []int32
-	g := -1
-	for pi, row := range perm {
-		if pi&(cancelCheckRows-1) == 0 {
-			Testing.Fire("exec.sort.stream")
-			if err := gov.Err(); err != nil {
-				return nil, err
-			}
+	gids := make([]int32, blockLen(len(perm)))
+	for lo := 0; lo < len(perm); lo += cancelCheckRows {
+		Testing.Fire("exec.sort.stream")
+		if err := gov.Err(); err != nil {
+			return nil, err
 		}
-		newGroup := pi == 0
-		if !newGroup {
-			prev := perm[pi-1]
-			for _, col := range codes {
-				if col[row] != col[prev] {
-					newGroup = true
-					break
+		rows := perm[lo:min(lo+cancelCheckRows, len(perm))]
+		for i, row := range rows {
+			newGroup := lo+i == 0
+			if !newGroup {
+				prev := perm[lo+i-1]
+				for _, col := range codes {
+					if col[row] != col[prev] {
+						newGroup = true
+						break
+					}
 				}
 			}
+			if newGroup {
+				firstRows = append(firstRows, row)
+			}
+			gids[i] = int32(len(firstRows) - 1)
 		}
-		if newGroup {
-			g++
-			firstRows = append(firstRows, row)
-		}
-		for _, acc := range accs {
-			acc.observe(g, int(row))
-		}
+		observeAll(accs, gids[:len(rows)], rows, len(firstRows))
 	}
 	return emitGroups(t, groupCols, aggs, accs, firstRows, nil, outName), nil
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -77,11 +78,17 @@ type KernelStats struct {
 // group-id array costs 4 bytes per domain slot, so 1<<20 bounds it at 4 MiB.
 const denseMaxDomain = 1 << 20
 
-// denseBatch is the number of rows one batched probe pass converts at a time
-// (key codes decoded column-major from the row-store scan image into a dense
-// code vector). It equals cancelCheckRows so the cancellation cadence matches
-// the other kernels.
-const denseBatch = cancelCheckRows
+// denseStateBytes is the dense kernel's working state at w workers: a
+// domain-sized group-id array plus one block's code vector per scan, and in
+// parallel one more array as the merge target. It is both the chooser's
+// admission quantity and the kernel's budget charge.
+func denseStateBytes(domain, w int) int64 {
+	need := int64(domain)*4 + cancelCheckRows*4
+	if w > 1 {
+		need *= int64(w + 1)
+	}
+	return need
+}
 
 // DenseDomain returns the size of the dense group-code domain for grouping t
 // by groupCols — Π(dictSize_k+1), the +1 covering the NULL code — or 0 when
@@ -101,18 +108,30 @@ func DenseDomain(t *table.Table, groupCols []int) int {
 	return domain
 }
 
-// denseMults returns the mixed-radix multipliers mapping a code tuple to its
-// dense group code: dc = Σ codes[k]·mult[k] with mult[k] = Π_{j<k}(dict_j+1).
-// Only valid when DenseDomain returned non-zero.
-func denseMults(t *table.Table, groupCols []int) []int32 {
-	mults := make([]int32, len(groupCols))
+// denseKey is the dense kernel's key layout: the mixed-radix multipliers
+// mapping a code tuple to its dense group code, dc = Σ codes[k]·mults[k] with
+// mults[k] = Π_{j<k}(dict_j+1), and each column's largest valid code (its
+// DictSize). Only valid when DenseDomain returned non-zero.
+type denseKey struct {
+	mults  []int32
+	limits []uint32
+}
+
+func newDenseKey(t *table.Table, groupCols []int) denseKey {
+	key := denseKey{mults: make([]int32, len(groupCols)), limits: make([]uint32, len(groupCols))}
 	m := int32(1)
 	for k, c := range groupCols {
-		mults[k] = m
-		m *= int32(t.Col(c).DictSize() + 1)
+		size := t.Col(c).DictSize()
+		key.mults[k], key.limits[k] = m, uint32(size)
+		m *= int32(size + 1)
 	}
-	return mults
+	return key
 }
+
+// errDenseCode reports a key code above its column's dictionary size. The
+// mixed-radix fold would alias it onto another tuple's dense code (a silent
+// merge) or index past the group-id array, so the node runs on hash instead.
+var errDenseCode = errors.New("exec: key code above its dictionary size; outside the dense domain")
 
 // keyReader builds the row-image reader for a set of key columns. All
 // kernels scan key codes through the table's row-major image, never through
@@ -139,15 +158,18 @@ type denseState struct {
 	dcodes    []int32
 }
 
-// denseScan aggregates rows [lo,hi): each batch decodes the key columns'
-// codes from the row-store scan image into a dense-code vector column-major
-// (the vectorized probe — one tight multiply-add loop per key column), then
-// probes the flat group-id array and feeds the accumulators. stop, when
-// non-nil, aborts at the next batch boundary after a sibling worker failed.
-func denseScan(gov *Gov, st *denseState, rd rowReader, mults []int32, lo, hi int, stop *atomic.Bool) error {
-	dc := make([]int32, denseBatch)
+// denseScan aggregates rows [lo,hi) a block at a time: each block decodes
+// the key columns' codes from the row-store scan image into a dense-code
+// vector column-major (the vectorized probe — one tight multiply-add loop per
+// key column), checks every column's largest code against its dictionary
+// size, probes the flat group-id array (turning the vector into group ids in
+// place) and feeds the block to the accumulators. stop, when non-nil, aborts
+// at the next block boundary after a sibling worker failed.
+func denseScan(gov *Gov, st *denseState, rd rowReader, key denseKey, lo, hi int, stop *atomic.Bool) error {
+	dc := make([]int32, blockLen(hi-lo))
+	rowBuf := make([]int32, len(dc))
 	img, stride := rd.image, rd.stride
-	for base := lo; base < hi; base += denseBatch {
+	for base := lo; base < hi; base += cancelCheckRows {
 		Testing.Fire("exec.dense.batch")
 		if err := gov.Err(); err != nil {
 			return err
@@ -155,25 +177,28 @@ func denseScan(gov *Gov, st *denseState, rd rowReader, mults []int32, lo, hi int
 		if stop != nil && stop.Load() {
 			return nil
 		}
-		end := base + denseBatch
-		if end > hi {
-			end = hi
-		}
+		end := min(base+cancelCheckRows, hi)
 		chunk := dc[:end-base]
-		for k, mk := range mults {
+		for k, mk := range key.mults {
 			p := base*stride + rd.offs[k]
+			var top uint32
 			if k == 0 {
 				for i := range chunk {
 					code := uint32(img[p]) | uint32(img[p+1])<<8 | uint32(img[p+2])<<16 | uint32(img[p+3])<<24
+					top = max(top, code)
 					chunk[i] = int32(code) * mk
 					p += stride
 				}
 			} else {
 				for i := range chunk {
 					code := uint32(img[p]) | uint32(img[p+1])<<8 | uint32(img[p+2])<<16 | uint32(img[p+3])<<24
+					top = max(top, code)
 					chunk[i] += int32(code) * mk
 					p += stride
 				}
+			}
+			if top > key.limits[k] {
+				return errDenseCode
 			}
 		}
 		for i, code := range chunk {
@@ -184,11 +209,9 @@ func denseScan(gov *Gov, st *denseState, rd rowReader, mults []int32, lo, hi int
 				g = int32(len(st.firstRows))
 				st.gid[code] = g
 			}
-			row := base + i
-			for _, acc := range st.accs {
-				acc.observe(int(g-1), row)
-			}
+			chunk[i] = g - 1
 		}
+		observeAll(st.accs, chunk, rowBlock(rowBuf, base, end), len(st.firstRows))
 	}
 	return nil
 }
@@ -203,8 +226,21 @@ func denseScan(gov *Gov, st *denseState, rd rowReader, mults []int32, lo, hi int
 // static per-worker shares merged in worker order, which preserves the global
 // first-appearance output order exactly; like the morsel path, SUM/AVG over
 // TFloat64 may round differently in parallel because partial sums combine in
-// a different order.
+// a different order. A key code above its column's dictionary size cannot be
+// placed in the domain; the node then runs on the hash kernel, whose
+// packed-key guard widens instead of merging groups.
 func GroupByDenseGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, workers int) (*table.Table, KernelStats, error) {
+	out, ks, err := groupByDense(gov, t, groupCols, aggs, outName, workers)
+	if errors.Is(err, errDenseCode) {
+		out, ks, err = hashKernel(gov, t, groupCols, aggs, outName, workers, 0)
+		ks.Reason = "dense guard: a key code exceeds its dictionary size; ran hash"
+	}
+	return out, ks, err
+}
+
+// groupByDense is GroupByDenseGov without the hash fallback: a key code
+// outside the domain returns errDenseCode after releasing every charge.
+func groupByDense(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, workers int) (*table.Table, KernelStats, error) {
 	if err := validateRequest(t, groupCols, aggs); err != nil {
 		return nil, KernelStats{}, err
 	}
@@ -215,17 +251,14 @@ func GroupByDenseGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outN
 	n := t.NumRows()
 	w := effectiveWorkers(n, workers)
 	rd := keyReader(t, groupCols)
-	mults := denseMults(t, groupCols)
+	key := newDenseKey(t, groupCols)
 	budget := gov.Budget()
 	if w <= 1 {
-		stateBytes := int64(domain)*4 + denseBatch*4
+		stateBytes := denseStateBytes(domain, 1)
 		budget.Add(stateBytes)
 		defer budget.Release(stateBytes)
-		st := &denseState{gid: make([]int32, domain), accs: make([]accumulator, len(aggs))}
-		for i, a := range aggs {
-			st.accs[i] = newAccumulator(a, t)
-		}
-		if err := denseScan(gov, st, rd, mults, 0, n, nil); err != nil {
+		st := &denseState{gid: make([]int32, domain), accs: newAccs(aggs, t)}
+		if err := denseScan(gov, st, rd, key, 0, n, nil); err != nil {
 			return nil, KernelStats{}, err
 		}
 		accBytes := accStateBytes(len(st.firstRows), len(st.accs))
@@ -238,15 +271,12 @@ func GroupByDenseGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outN
 	// Parallel: build the final accumulators in this goroutine before fan-out —
 	// their constructors force lazily-built dictionary state (rank tables) that
 	// the worker clones then share read-only.
-	final := &denseState{gid: make([]int32, domain), accs: make([]accumulator, len(aggs))}
-	for i, a := range aggs {
-		final.accs[i] = newAccumulator(a, t)
-	}
-	stateBytes := int64(w+1) * (int64(domain)*4 + denseBatch*4)
+	final := &denseState{gid: make([]int32, domain), accs: newAccs(aggs, t)}
+	stateBytes := denseStateBytes(domain, w)
 	budget.Add(stateBytes)
 	defer budget.Release(stateBytes)
 	states := make([]*denseState, w)
-	var failed atomic.Bool
+	var failed, badCode atomic.Bool
 	var workerErr atomic.Pointer[ExecError]
 	var wg sync.WaitGroup
 	for wi := 0; wi < w; wi++ {
@@ -264,8 +294,11 @@ func GroupByDenseGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outN
 			}()
 			st := &denseState{gid: make([]int32, domain), accs: cloneAccs(final.accs)}
 			states[wi] = st
-			if err := denseScan(gov, st, rd, mults, wi*n/w, (wi+1)*n/w, &failed); err != nil {
-				failed.Store(true) // context error; surfaced below via gov.Err
+			if err := denseScan(gov, st, rd, key, wi*n/w, (wi+1)*n/w, &failed); err != nil {
+				failed.Store(true) // a context error surfaces below via gov.Err
+				if errors.Is(err, errDenseCode) {
+					badCode.Store(true)
+				}
 			}
 		}(wi)
 	}
@@ -275,6 +308,9 @@ func GroupByDenseGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outN
 	}
 	if err := gov.Err(); err != nil {
 		return nil, KernelStats{Kind: KernelDense, Workers: w}, err
+	}
+	if badCode.Load() {
+		return nil, KernelStats{Kind: KernelDense, Workers: w}, errDenseCode
 	}
 
 	// Merge workers in index order: worker row ranges ascend, so taking each
@@ -368,32 +404,25 @@ func (st *radixPart) charge(n int64) {
 	st.charged += n
 }
 
-// observe feeds one row into the partition's group table and accumulators.
-func (st *radixPart) observe(row int) {
+// groupOf returns the partition-local group id of row, allocating a new
+// group on first sight.
+func (st *radixPart) groupOf(row int) int32 {
 	if uint64(len(st.firstRows)+1)*4 > (st.mask+1)*3 {
 		st.grow()
 	}
 	h := st.hashes[row]
-	slot := h & st.mask
-	var g int32
-	for {
+	for slot := h & st.mask; ; slot = (slot + 1) & st.mask {
 		sg := st.slotGroup[slot]
 		if sg == 0 {
 			st.slotHash[slot] = h
 			st.slotRow[slot] = int32(row)
 			st.firstRows = append(st.firstRows, int32(row))
-			g = int32(len(st.firstRows))
-			st.slotGroup[slot] = g
-			break
+			st.slotGroup[slot] = int32(len(st.firstRows))
+			return int32(len(st.firstRows) - 1)
 		}
 		if st.slotHash[slot] == h && st.rowsEqual(int(st.slotRow[slot]), row) {
-			g = sg
-			break
+			return sg - 1
 		}
-		slot = (slot + 1) & st.mask
-	}
-	for _, acc := range st.accs {
-		acc.observe(int(g-1), row)
 	}
 }
 
@@ -453,11 +482,18 @@ func GroupByRadixParallelGov(gov *Gov, t *table.Table, groupCols []int, aggs []A
 	if err := validateRequest(t, groupCols, aggs); err != nil {
 		return nil, KernelStats{}, err
 	}
-	n := t.NumRows()
-	w := effectiveWorkers(n, workers)
+	w := effectiveWorkers(t.NumRows(), workers)
 	if w <= 1 || len(groupCols) == 0 {
 		return groupByHashSized(gov, t, groupCols, aggs, outName, 0)
 	}
+	return groupByRadix(gov, t, groupCols, aggs, outName, w)
+}
+
+// groupByRadix is the radix kernel at exactly w ≥ 2 workers over a validated
+// request with group columns (tests call it directly to run the partitioned
+// build on inputs below the parallel size cutoff).
+func groupByRadix(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, w int) (*table.Table, KernelStats, error) {
+	n := t.NumRows()
 	parts, shift := radixPartitions(w)
 	budget := gov.Budget()
 	scanBytes := int64(n) * 12 // 8B hash + 4B scattered row id per row
@@ -465,10 +501,7 @@ func GroupByRadixParallelGov(gov *Gov, t *table.Table, groupCols []int, aggs []A
 	defer budget.Release(scanBytes)
 	rd := keyReader(t, groupCols)
 	// Force lazily-built dictionary state before fan-out (see dense kernel).
-	protoAccs := make([]accumulator, len(aggs))
-	for i, a := range aggs {
-		protoAccs[i] = newAccumulator(a, t)
-	}
+	protoAccs := newAccs(aggs, t)
 
 	hashes := make([]uint64, n)
 	hist := make([][]int32, w)
@@ -595,6 +628,7 @@ func GroupByRadixParallelGov(gov *Gov, t *table.Table, groupCols []int, aggs []A
 	}()
 	var nextPart atomic.Int64
 	runPhase("radix build worker", func(wi int) error {
+		gids := make([]int32, blockLen(n))
 		for {
 			if failed.Load() {
 				return nil
@@ -613,13 +647,17 @@ func GroupByRadixParallelGov(gov *Gov, t *table.Table, groupCols []int, aggs []A
 			}
 			st := newRadixPart(rd, hashes, len(seg), protoAccs, budget)
 			partStates[p] = st
-			for i, row := range seg {
-				if i&(cancelCheckRows-1) == cancelCheckRows-1 {
+			for lo := 0; lo < len(seg); lo += cancelCheckRows {
+				if lo > 0 {
 					if err := gov.Err(); err != nil {
 						return err
 					}
 				}
-				st.observe(int(row))
+				rows := seg[lo:min(lo+cancelCheckRows, len(seg))]
+				for i, row := range rows {
+					gids[i] = st.groupOf(int(row))
+				}
+				observeAll(st.accs, gids[:len(rows)], rows, len(st.firstRows))
 			}
 		}
 	})

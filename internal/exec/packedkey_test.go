@@ -175,10 +175,12 @@ func TestKernelPackedKeyMatchesWide(t *testing.T) {
 }
 
 // plantedTable builds two key columns with dictionary sizes 3 (packed width 2
-// each) whose rows carry raw codes that break the width invariant: a=4 spills
-// into b's bits, so the rows (a=4, b=0) and (a=0, b=1) pack to the same key.
-// badFirst puts a violating row first, before any group exists.
-func plantedTable(badFirst bool) *table.Table {
+// each, dense domain 4×4) whose rows carry raw codes that break the width
+// invariant: a=4 spills into b's bits, so the rows (a=4, b=0) and (a=0, b=1)
+// pack — and fold densely — to the same key, and (8, 3) folds past the dense
+// domain. badFirst puts a violating row first, before any group exists. The
+// row list repeats reps times.
+func plantedTable(badFirst bool, reps int) *table.Table {
 	rows := [][2]uint32{{0, 1}, {4, 0}, {1, 2}, {0, 1}, {4, 0}, {4, 0}, {8, 3}, {0, 3}, {0, 1}, {2, 2}}
 	if badFirst {
 		rows = append([][2]uint32{{4, 0}}, rows...)
@@ -190,12 +192,37 @@ func plantedTable(badFirst bool) *table.Table {
 		if err != nil {
 			panic(err)
 		}
-		for _, r := range rows {
-			col.AppendCode(r[k])
+		for i := 0; i < reps; i++ {
+			for _, r := range rows {
+				col.AppendCode(r[k])
+			}
 		}
 		cols[k] = col
 	}
 	return table.FromColumns("planted", cols)
+}
+
+// checkKeyCounts asserts out holds one row per distinct raw code tuple of
+// src's first two columns, keyed by its own first two columns, each with its
+// true COUNT(*) in column 2.
+func checkKeyCounts(t *testing.T, path string, src, out *table.Table, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	want := map[[2]uint32]int64{}
+	for r := 0; r < src.NumRows(); r++ {
+		want[[2]uint32{src.Col(0).Code(r), src.Col(1).Code(r)}]++
+	}
+	if out.NumRows() != len(want) {
+		t.Fatalf("%s: %d groups, want %d", path, out.NumRows(), len(want))
+	}
+	for r := 0; r < out.NumRows(); r++ {
+		key := [2]uint32{out.Col(0).Code(r), out.Col(1).Code(r)}
+		if got := out.Col(2).Value(r).I; got != want[key] {
+			t.Errorf("%s: group %v count %d, want %d", path, key, got, want[key])
+		}
+	}
 }
 
 // TestKernelPackedKeyGuardNeverMerges plants codes above their column's
@@ -206,12 +233,8 @@ func plantedTable(badFirst bool) *table.Table {
 func TestKernelPackedKeyGuardNeverMerges(t *testing.T) {
 	for _, badFirst := range []bool{false, true} {
 		t.Run(fmt.Sprintf("badFirst=%v", badFirst), func(t *testing.T) {
-			src := plantedTable(badFirst)
+			src := plantedTable(badFirst, 1)
 			cols := []int{0, 1}
-			want := map[[2]uint32]int64{}
-			for r := 0; r < src.NumRows(); r++ {
-				want[[2]uint32{src.Col(0).Code(r), src.Col(1).Code(r)}]++
-			}
 
 			// The plant is only a test of the guard if packing collides.
 			h := newGroupHash(src, cols, nil, 0)
@@ -229,36 +252,66 @@ func TestKernelPackedKeyGuardNeverMerges(t *testing.T) {
 				t.Error("group table stayed packed over codes wider than their dictionaries")
 			}
 
-			check := func(path string, out *table.Table, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s: %v", path, err)
-				}
-				if out.NumRows() != len(want) {
-					t.Fatalf("%s: %d groups, want %d", path, out.NumRows(), len(want))
-				}
-				for r := 0; r < out.NumRows(); r++ {
-					key := [2]uint32{out.Col(0).Code(r), out.Col(1).Code(r)}
-					if got := out.Col(2).Value(r).I; got != want[key] {
-						t.Errorf("%s: group %v count %d, want %d", path, key, got, want[key])
-					}
-				}
-			}
 			gov := NewGov(context.Background(), NewMemBudget(0))
 			aggs := []Agg{CountStar()}
 			out, err := GroupByHashGov(gov, src, cols, aggs, "g")
-			check("hash", out, err)
+			checkKeyCounts(t, "hash", src, out, err)
 			q := []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "g"}}
 			outs, err := GroupByHashMultiGov(gov, src, q)
 			if err != nil {
 				t.Fatalf("shared scan: %v", err)
 			}
-			check("shared-scan", outs[0], nil)
+			checkKeyCounts(t, "shared-scan", src, outs[0], nil)
 			outs, _, err = groupByMultiMorsel(gov, src, q, 2, 2)
 			if err != nil {
 				t.Fatalf("morsel: %v", err)
 			}
-			check("morsel", outs[0], nil)
+			checkKeyCounts(t, "morsel", src, outs[0], nil)
+		})
+	}
+}
+
+// TestKernelDenseGuardNeverMerges plants the same out-of-dictionary codes
+// under the dense kernel, whose mixed-radix fold would alias (4, 0) onto
+// (0, 1) and index (8, 3) past its group-id array. Sequential dense, parallel
+// dense and the adaptive entry point (which now picks dense at one worker)
+// must each notice, run the node on hash, and return the true groups.
+func TestKernelDenseGuardNeverMerges(t *testing.T) {
+	for _, badFirst := range []bool{false, true} {
+		t.Run(fmt.Sprintf("badFirst=%v", badFirst), func(t *testing.T) {
+			small := plantedTable(badFirst, 1)
+			large := plantedTable(badFirst, 7000) // ≥ denseMinRows: a parallel dense run
+			cols := []int{0, 1}
+			key := newDenseKey(small, cols)
+			if fold := func(a, b int32) int32 { return a*key.mults[0] + b*key.mults[1] }; fold(4, 0) != fold(0, 1) {
+				t.Fatal("planted codes do not alias in the dense fold")
+			}
+			aggs := []Agg{CountStar()}
+			budget := NewMemBudget(0)
+			gov := NewGov(context.Background(), budget)
+			run := func(path string, src *table.Table, fn func() (*table.Table, KernelStats, error)) {
+				t.Helper()
+				out, ks, err := fn()
+				checkKeyCounts(t, path, src, out, err)
+				if ks.Kind != KernelHash {
+					t.Errorf("%s: ran %v after the dense guard tripped, want hash", path, ks.Kind)
+				}
+			}
+			run("dense-seq", small, func() (*table.Table, KernelStats, error) {
+				return GroupByDenseGov(gov, small, cols, aggs, "g", 1)
+			})
+			run("dense-par", large, func() (*table.Table, KernelStats, error) {
+				return GroupByDenseGov(gov, large, cols, aggs, "g", 4)
+			})
+			run("adaptive-seq", small, func() (*table.Table, KernelStats, error) {
+				return GroupByAdaptiveGov(gov, small, cols, aggs, "g", AdaptiveHints{})
+			})
+			run("adaptive-par", large, func() (*table.Table, KernelStats, error) {
+				return GroupByAdaptiveGov(gov, large, cols, aggs, "g", AdaptiveHints{NDV: 16, Workers: 4})
+			})
+			if used := budget.Used(); used != 0 {
+				t.Errorf("budget not drained: %d bytes still charged", used)
+			}
 		})
 	}
 }

@@ -179,9 +179,10 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 	// state (the scan image and the dictionary rank tables the accumulators
 	// read), so workers only read it.
 	for qi, q := range queries {
-		finals[qi] = newQueryState(t, q, budget)
+		finals[qi] = newQueryState(t, q, budget, 0) // fed by the merge, never by blocks
 	}
 	morsels := (n + morsel - 1) / morsel
+	block := min(morsel, cancelCheckRows)
 
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -210,8 +211,9 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 				if lim := n/w + 1; q.SizeHint > lim {
 					q.SizeHint = lim
 				}
-				states[qi] = newQueryState(t, q, budget)
+				states[qi] = newQueryState(t, q, budget, block)
 			}
+			buf := make([]int32, block)
 			for {
 				if failed.Load() || gov.Err() != nil {
 					return
@@ -221,13 +223,11 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 				if m >= morsels {
 					return
 				}
-				hi := (m + 1) * morsel
-				if hi > n {
-					hi = n
-				}
-				for row := m * morsel; row < hi; row++ {
+				hi := min((m+1)*morsel, n)
+				for lo := m * morsel; lo < hi; lo += block {
+					rows := rowBlock(buf, lo, min(lo+block, hi))
 					for _, st := range states {
-						st.observe(row)
+						st.observe(rows)
 					}
 				}
 			}

@@ -16,34 +16,38 @@ type MultiQuery struct {
 }
 
 // queryState is one query's aggregation state during a (shared) scan: its
-// hash table, accumulators, and the first row of each group in the order the
-// scan discovered them.
+// hash table, accumulators, the first row of each group in the order the
+// scan discovered them, and the block's group-id buffer.
 type queryState struct {
 	ht        *groupHash
 	accs      []accumulator
 	firstRows []int32
+	gids      []int32
 }
 
-// newQueryState builds the aggregation state for one query of a scan over t.
-// budget, when non-nil, is charged for the state's hash-table slots as they
-// grow.
-func newQueryState(t *table.Table, q MultiQuery, budget *MemBudget) *queryState {
-	st := &queryState{ht: newGroupHash(t, q.GroupCols, budget, q.SizeHint), accs: make([]accumulator, len(q.Aggs))}
-	for i, a := range q.Aggs {
-		st.accs[i] = newAccumulator(a, t)
+// newQueryState builds the aggregation state for one query of a scan over t,
+// fed blocks of at most block rows. budget, when non-nil, is charged for the
+// state's hash-table slots as they grow.
+func newQueryState(t *table.Table, q MultiQuery, budget *MemBudget, block int) *queryState {
+	return &queryState{
+		ht:   newGroupHash(t, q.GroupCols, budget, q.SizeHint),
+		accs: newAccs(q.Aggs, t),
+		gids: make([]int32, block),
 	}
-	return st
 }
 
-// observe feeds one row into the query's aggregation state.
-func (st *queryState) observe(row int) {
-	g, isNew := st.ht.groupOf(row)
-	if isNew {
-		st.firstRows = append(st.firstRows, int32(row))
+// observe feeds one block of rows into the query's aggregation state: the
+// probe assigns every row its group, then each accumulator takes the block.
+func (st *queryState) observe(rows []int32) {
+	gids := st.gids[:len(rows)]
+	for i, row := range rows {
+		g, isNew := st.ht.groupOf(int(row))
+		if isNew {
+			st.firstRows = append(st.firstRows, row)
+		}
+		gids[i] = int32(g)
 	}
-	for _, acc := range st.accs {
-		acc.observe(g, row)
-	}
+	observeAll(st.accs, gids, rows, len(st.firstRows))
 }
 
 // chargedBytes is the budget charge this state currently holds.
@@ -91,18 +95,18 @@ func GroupByHashMultiStatsGov(gov *Gov, t *table.Table, queries []MultiQuery) ([
 			budget.Release(st.chargedBytes())
 		}
 	}()
+	buf := make([]int32, blockLen(n))
 	for qi, q := range queries {
-		states[qi] = newQueryState(t, q, budget)
+		states[qi] = newQueryState(t, q, budget, len(buf))
 	}
-	for row := 0; row < n; row++ {
-		if row&(cancelCheckRows-1) == 0 {
-			Testing.Fire("exec.hash.batch")
-			if err := gov.Err(); err != nil {
-				return nil, nil, err
-			}
+	for base := 0; base < n; base += cancelCheckRows {
+		Testing.Fire("exec.hash.batch")
+		if err := gov.Err(); err != nil {
+			return nil, nil, err
 		}
+		rows := rowBlock(buf, base, min(base+cancelCheckRows, n))
 		for _, st := range states {
-			st.observe(row)
+			st.observe(rows)
 		}
 	}
 	var accBytes int64

@@ -24,23 +24,16 @@ func TestTable2Shape(t *testing.T) {
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
-	byName := map[string]Table2Row{}
+	// GB-MQO must scan less than the commercial GROUPING SETS emulation on
+	// both inputs (paper speedups: 4.5x SC, 1.03x CONT). The deterministic
+	// work ratios are pinned to two decimals, so any plan change shows here.
+	// The wall speedup is reported, not asserted: at unit-test scale each
+	// plan runs in a few milliseconds, so its ratio is timing noise.
+	want := map[string]string{"SC": "1.82", "CONT": "1.02"}
 	for _, r := range res.Rows {
-		byName[r.Query] = r
-	}
-	// SC: GB-MQO must clearly beat the commercial GROUPING SETS emulation
-	// (paper: 4.5x). The work ratio is deterministic; the wall speedup is
-	// asserted loosely because unit-test timings are micro-scale.
-	if byName["SC"].WorkRatio < 1.3 {
-		t.Errorf("SC work ratio = %.2f, want > 1.3\n%s", byName["SC"].WorkRatio, res)
-	}
-	if byName["SC"].Speedup < 1.0 {
-		t.Errorf("SC speedup = %.2f, want >= 1\n%s", byName["SC"].Speedup, res)
-	}
-	// CONT: both should be comparable (paper: 1.03x); we only require GB-MQO
-	// not to lose badly.
-	if byName["CONT"].Speedup < 0.6 {
-		t.Errorf("CONT speedup = %.2f, want comparable\n%s", byName["CONT"].Speedup, res)
+		if got := fmt.Sprintf("%.2f", r.WorkRatio); got != want[r.Query] {
+			t.Errorf("%s work ratio = %s, want %s\n%s", r.Query, got, want[r.Query], res)
+		}
 	}
 	if !strings.Contains(res.String(), "Table 2") {
 		t.Error("render missing title")
@@ -126,20 +119,23 @@ func TestSection65Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Rows scanned per plan, pinned so any plan change shows here.
+	wantRows := map[string][2]int64{"tpch (sc)": {57168, 57168}, "sales (sc)": {60734, 60702}}
 	for _, r := range res.Rows {
 		// Binary restriction must reduce optimization work (paper: ~30%).
 		if r.CallsBinary >= r.CallsAllTypes {
 			t.Errorf("%s: binary calls %d >= all-types calls %d", r.Dataset, r.CallsBinary, r.CallsAllTypes)
 		}
-		// And execution quality must stay in the same ballpark (paper: <10%;
-		// we allow 2x for timing noise at test scale).
-		if float64(r.TimeBinary) > 2*float64(r.TimeAllTypes)+float64(msOf(2)) {
-			t.Errorf("%s: binary plan much slower: %v vs %v", r.Dataset, r.TimeBinary, r.TimeAllTypes)
+		// And plan quality must stay in the same ballpark (paper: execution
+		// times within 10%), measured as rows scanned rather than wall time.
+		if got := [2]int64{r.RowsAllTypes, r.RowsBinary}; got != wantRows[r.Dataset] {
+			t.Errorf("%s: rows scanned (all, binary) = %v, want %v\n%s", r.Dataset, got, wantRows[r.Dataset], res)
+		}
+		if float64(r.RowsBinary) > 1.1*float64(r.RowsAllTypes) {
+			t.Errorf("%s: binary plan scans %d rows, over 10%% more than the all-types plan's %d", r.Dataset, r.RowsBinary, r.RowsAllTypes)
 		}
 	}
 }
-
-func msOf(n int) int64 { return int64(n) * 1_000_000 }
 
 func TestFigure11Shape(t *testing.T) {
 	res, err := Figure11(testScale())

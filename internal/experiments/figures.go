@@ -162,10 +162,14 @@ func (r *Figure10Result) String() string {
 }
 
 // Section65Row is one dataset of the §6.5 binary-tree restriction study.
+// RowsAllTypes and RowsBinary are the rows each plan scans: the
+// deterministic companion of the two wall times.
 type Section65Row struct {
 	Dataset       string
 	CallsAllTypes int
 	CallsBinary   int
+	RowsAllTypes  int64
+	RowsBinary    int64
 	TimeAllTypes  time.Duration
 	TimeBinary    time.Duration
 }
@@ -200,24 +204,25 @@ func Section65(s Scale) (*Section65Result, error) {
 	} {
 		name, e, ords := d.get()
 		sets := singleSets(ords)
-		run := func(binary bool) (int, time.Duration, error) {
+		run := func(binary bool) (int, int64, time.Duration, error) {
 			opts := prunedGBMQO()
 			opts.BinaryOnly = binary
 			wall, res, err := measure(e, engine.Request{Table: name, Sets: sets, Strategy: engine.StrategyGBMQO, Core: opts})
 			if err != nil {
-				return 0, 0, err
+				return 0, 0, 0, err
 			}
-			return res.Search.OptimizerCalls, wall, nil
+			return res.Search.OptimizerCalls, res.Report.RowsScanned, wall, nil
 		}
-		ca, ta, err := run(false)
+		ca, ra, ta, err := run(false)
 		if err != nil {
 			return nil, err
 		}
-		cb, tb, err := run(true)
+		cb, rb, tb, err := run(true)
 		if err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, Section65Row{Dataset: d.name, CallsAllTypes: ca, CallsBinary: cb, TimeAllTypes: ta, TimeBinary: tb})
+		out.Rows = append(out.Rows, Section65Row{Dataset: d.name, CallsAllTypes: ca, CallsBinary: cb,
+			RowsAllTypes: ra, RowsBinary: rb, TimeAllTypes: ta, TimeBinary: tb})
 	}
 	return out, nil
 }
@@ -226,10 +231,10 @@ func Section65(s Scale) (*Section65Result, error) {
 func (r *Section65Result) String() string {
 	var b strings.Builder
 	b.WriteString("Section 6.5. Binary-tree restriction (type (b) merges only)\n")
-	fmt.Fprintf(&b, "%-12s %12s %12s %12s %12s\n", "Dataset", "calls(all)", "calls(bin)", "time(all)", "time(bin)")
+	fmt.Fprintf(&b, "%-12s %12s %12s %12s %12s %12s %12s\n", "Dataset", "calls(all)", "calls(bin)", "rows(all)", "rows(bin)", "time(all)", "time(bin)")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-12s %12d %12d %12s %12s\n", row.Dataset,
-			row.CallsAllTypes, row.CallsBinary,
+		fmt.Fprintf(&b, "%-12s %12d %12d %12d %12d %12s %12s\n", row.Dataset,
+			row.CallsAllTypes, row.CallsBinary, row.RowsAllTypes, row.RowsBinary,
 			row.TimeAllTypes.Round(time.Microsecond), row.TimeBinary.Round(time.Microsecond))
 	}
 	return b.String()
