@@ -17,20 +17,23 @@ import (
 //
 // It is held as a sample image: the first profile touching a column gathers
 // that column's sampled codes into a contiguous sample-local array, and every
-// profile counts into one scratch table owned by the sample, so a profile
-// neither allocates nor reads the base table again. The scratch makes
-// ProfileOf a mutation: callers serialize (Service.mu).
+// profile counts into scratch owned by the sample, so a profile neither
+// allocates nor reads the base table again. The scratch makes ProfileOf a
+// mutation: callers serialize (Service.mu).
 type Sample struct {
 	t    *table.Table
 	n    int
 	rows []int32    // sampled ordinals; nil when the sample is the whole table
 	img  [][]uint32 // per column: codes at the sampled rows, nil until touched
+	top  []uint32   // per column: the largest code in img[c], set with it
 
-	slots []slot            // open addressing, power-of-two size > 2n, linear probing
-	gen   uint32            // current profile's stamp: a slot is occupied iff it carries it
-	freq  []int             // backs Profile.Freq; only the last profile's prefix is dirty
-	dirty int               // length of that prefix
-	hash  [hashBlock]uint64 // running hashes of the block being counted
+	keys    [keyBlock]uint64 // keys of the block being counted
+	counts  []int32          // dense path: count per key, all zero between profiles
+	touched []uint64         // dense path: the profile's keys in first-touch order
+	slots   []slot           // hashed paths: open addressing, power-of-two size > 2n, linear probing
+	gen     uint32           // current profile's stamp: a slot is occupied iff it carries it
+	freq    []int            // backs Profile.Freq; only the last profile's prefix is dirty
+	dirty   int              // length of that prefix
 }
 
 // slot is one counting-table entry. Stamping it with the profile's generation
@@ -41,15 +44,27 @@ type slot struct {
 	gen   uint32
 }
 
-// hashBlock is how many sampled rows are hashed column-by-column before they
-// are counted: 8 KB of running hashes, L1-resident.
-const hashBlock = 1024
+// keyBlock is how many sampled rows are keyed column-by-column before they
+// are counted: 8 KB of running keys, L1-resident.
+const keyBlock = 1024
+
+// keyPath is how a profile turns a row's codes into the key it counts.
+type keyPath int
+
+const (
+	// dense: the mixed-radix number of the codes indexes a count array.
+	dense keyPath = iota
+	// packed: that number, exact in 64 bits, is the stamped table's key.
+	packed
+	// mixed: a 64-bit mix of the codes is the key (collisions possible).
+	mixed
+)
 
 // NewSample draws a uniform sample of up to size rows, deterministically from
 // seed. If the table has at most size rows the sample is the whole table.
 func NewSample(t *table.Table, size int, seed int64) *Sample {
 	n := t.NumRows()
-	s := &Sample{t: t, n: n, img: make([][]uint32, t.NumCols())}
+	s := &Sample{t: t, n: n, img: make([][]uint32, t.NumCols()), top: make([]uint32, t.NumCols())}
 	if size < n {
 		// Reservoir sampling keeps the draw uniform without materializing a
 		// full permutation.
@@ -65,7 +80,6 @@ func NewSample(t *table.Table, size int, seed int64) *Sample {
 		}
 		s.rows, s.n = rows, size
 	}
-	s.slots = make([]slot, 1<<bits.Len(uint(2*s.n))) // more than 2n: load stays below 1/2
 	s.freq = make([]int, s.n+1)
 	return s
 }
@@ -73,8 +87,9 @@ func NewSample(t *table.Table, size int, seed int64) *Sample {
 // Size returns the number of sampled rows.
 func (s *Sample) Size() int { return s.n }
 
-// column returns column c of the sample image, gathering it on first use. A
-// whole-table sample aliases the column itself.
+// column returns column c of the sample image, gathering it on first use
+// and recording its largest code as the column's radix. A whole-table sample
+// aliases the column itself.
 func (s *Sample) column(c int) []uint32 {
 	if s.img[c] == nil {
 		codes := s.t.Col(c).Codes()
@@ -85,45 +100,166 @@ func (s *Sample) column(c int) []uint32 {
 			}
 			codes = gathered
 		}
-		s.img[c] = codes
+		top := uint32(0)
+		for _, code := range codes {
+			top = max(top, code)
+		}
+		s.img[c], s.top[c] = codes, top
 	}
 	return s.img[c]
 }
 
+// The dense path counts any key space up to denseSmallSpace, and otherwise
+// up to denseRowsFactor× the sampled rows. These are the floor and factor at
+// which exec admits its dense kernel (denseSmallDomain, denseMaxBlowup): an
+// array up to 8× the rows costs less to walk than hashing every row. Exec
+// also caps its domain at 2²⁰ (denseMaxDomain), because it allocates a
+// group-id array per worker against the query's memory budget. Statistics
+// keep one count array per sample, sized to the largest dense key space
+// profiled, so they take no cap: at 8·n entries the array and its
+// first-touch list cost 40 B per sampled row, and the packed path a cap
+// would send the set to allocates a slot table of more than 2n 16-byte
+// slots instead, no smaller.
+const (
+	denseSmallSpace = 4096
+	denseRowsFactor = 8
+)
+
+// denseBound is the largest key space the dense path counts in an array.
+func (s *Sample) denseBound() int { return max(denseSmallSpace, denseRowsFactor*s.n) }
+
+// path picks the set's key path from its key space Π(top[c]+1), the number
+// of mixed-radix keys its sampled tuples can take, and returns that space
+// when it fits in 63 bits. The radices come from the sampled codes
+// themselves, so every key is exact whatever the dictionary says. Every
+// column of the set is gathered, whichever path it picks.
+func (s *Sample) path(set colset.Set) (keyPath, uint64) {
+	space, wide := uint64(1), false
+	for v := uint64(set); v != 0; v &= v - 1 {
+		c := bits.TrailingZeros64(v)
+		s.column(c)
+		hi, lo := bits.Mul64(space, uint64(s.top[c])+1)
+		wide = wide || hi != 0 || lo >= 1<<63
+		space = lo
+	}
+	switch {
+	case wide:
+		return mixed, 0
+	case space <= uint64(s.denseBound()):
+		return dense, space
+	}
+	return packed, space
+}
+
 // ProfileOf counts the frequency profile of column-set combinations within
-// the sample. Combinations are keyed by a 64-bit mix of their codes; for
-// statistics purposes the ~2⁻⁶⁴ per-pair collision probability is negligible
-// against sampling error. Profiling cost is exactly the §6.7
-// statistics-creation overhead, so the kernel is kept flat: a block of rows
-// is hashed one image column at a time, then counted into the stamped scratch
-// table, and the frequencies of frequencies are maintained as counts move.
-// Nothing is allocated once the set's columns are gathered. The returned
-// Profile's Freq aliases scratch and is valid until the next call.
+// the sample. Profiling cost is exactly the §6.7 statistics-creation
+// overhead, so the kernel is kept flat: a block of rows is keyed one image
+// column at a time, then counted. The key is the mixed-radix number of the
+// row's codes: it indexes a count array when the key space is small (dense)
+// and is the stamped table's key otherwise (packed). Only a key space of 2⁶³
+// or more falls back to a 64-bit mix of the codes (mixed), whose ~2⁻⁶⁴
+// per-pair collision probability is negligible against sampling error.
+// Nothing is allocated once the set's columns are gathered and the path's
+// scratch exists. The returned Profile's Freq aliases scratch and is valid
+// until the next call.
 func (s *Sample) ProfileOf(set colset.Set) Profile {
+	clear(s.freq[:s.dirty])
+	var d int
+	top := int32(min(s.n, 1)) // the largest count any key reached
+	if path, space := s.path(set); path == dense {
+		d, top = s.countDense(set, int(space), top)
+	} else {
+		d, top = s.countHashed(set, path == packed, top)
+	}
+	s.dirty = int(top) + 1
+	return Profile{N: s.t.NumRows(), n: s.n, d: d, Freq: s.freq[:s.dirty]}
+}
+
+// keysOf writes into keys the keys of sampled rows [lo, lo+len(keys)): their
+// mixed-radix numbers when exact, else a 64-bit mix of their codes.
+func (s *Sample) keysOf(set colset.Set, lo int, keys []uint64, exact bool) {
+	if !exact {
+		for i := range keys {
+			keys[i] = 0x9e3779b97f4a7c15
+		}
+	} else if set.IsEmpty() {
+		clear(keys) // the empty tuple's key is 0
+	}
+	for v := uint64(set); v != 0; v &= v - 1 {
+		c := bits.TrailingZeros64(v)
+		col := s.img[c][lo : lo+len(keys)]
+		switch radix := uint64(s.top[c]) + 1; {
+		case !exact:
+			for i, code := range col {
+				x := keys[i]
+				x ^= uint64(code) + 0x9e3779b97f4a7c15 + (x << 6) + (x >> 2)
+				x *= 0xbf58476d1ce4e5b9
+				keys[i] = x ^ x>>27
+			}
+		case v == uint64(set): // the leading digit
+			for i, code := range col {
+				keys[i] = uint64(code)
+			}
+		default:
+			for i, code := range col {
+				keys[i] = keys[i]*radix + uint64(code)
+			}
+		}
+	}
+}
+
+// countDense counts keys in the count array, then builds d and the
+// frequencies of frequencies from the keys it touched, zeroing only those.
+// The array grows, at least doubling, to the set's key space, so it follows
+// the key spaces profiled up to the bound; the first-touch list holds the
+// at most min(n, space) distinct keys.
+func (s *Sample) countDense(set colset.Set, space int, top int32) (int, int32) {
+	if len(s.counts) < space {
+		size := min(s.denseBound(), max(space, 2*len(s.counts), denseSmallSpace))
+		s.counts = make([]int32, size)
+		s.touched = make([]uint64, min(s.n, size))
+	}
+	counts, touched, d := s.counts, s.touched, 0
+	for lo := 0; lo < s.n; lo += keyBlock {
+		keys := s.keys[:min(keyBlock, s.n-lo)]
+		s.keysOf(set, lo, keys, true)
+		for _, k := range keys {
+			// Every key is written, and d moves past it only on its first
+			// touch: a conditional move, not a branch to mispredict.
+			c := counts[k]
+			touched[d] = k
+			if c == 0 {
+				d++
+			}
+			counts[k] = c + 1
+		}
+	}
+	for _, k := range touched[:d] {
+		c := counts[k]
+		counts[k] = 0
+		s.freq[c]++
+		top = max(top, c)
+	}
+	return d, top
+}
+
+// countHashed counts keys in the stamped open-addressing table, maintaining
+// the frequencies of frequencies as counts move.
+func (s *Sample) countHashed(set colset.Set, exact bool, top int32) (int, int32) {
+	if s.slots == nil {
+		s.slots = make([]slot, 1<<bits.Len(uint(2*s.n))) // more than 2n: load stays below 1/2
+	}
 	if s.gen++; s.gen == 0 { // stamp wrapped: stale slots could look current
 		clear(s.slots)
 		s.gen = 1
 	}
-	freq := s.freq
-	clear(freq[:s.dirty])
-	gen, slots, mask := s.gen, s.slots, len(s.slots)-1
+	freq, gen, slots, mask := s.freq, s.gen, s.slots, len(s.slots)-1
 	shift := uint(64 - bits.TrailingZeros(uint(len(slots)))) // index by the top log2(len) bits
-	d, top := 0, int32(min(s.n, 1))                          // top: the largest count any slot reached
-	for lo := 0; lo < s.n; lo += hashBlock {
-		h := s.hash[:min(hashBlock, s.n-lo)]
-		for i := range h {
-			h[i] = 0x9e3779b97f4a7c15
-		}
-		for v := uint64(set); v != 0; v &= v - 1 {
-			col := s.column(bits.TrailingZeros64(v))[lo : lo+len(h)]
-			for i, code := range col {
-				x := h[i]
-				x ^= uint64(code) + 0x9e3779b97f4a7c15 + (x << 6) + (x >> 2)
-				x *= 0xbf58476d1ce4e5b9
-				h[i] = x ^ x>>27
-			}
-		}
-		for _, key := range h {
+	d := 0
+	for lo := 0; lo < s.n; lo += keyBlock {
+		keys := s.keys[:min(keyBlock, s.n-lo)]
+		s.keysOf(set, lo, keys, exact)
+		for _, key := range keys {
 			for i := int(key * 0x9e3779b97f4a7c15 >> shift); ; i = (i + 1) & mask {
 				sl := &slots[i]
 				if sl.gen != gen {
@@ -142,8 +278,7 @@ func (s *Sample) ProfileOf(set colset.Set) Profile {
 			}
 		}
 	}
-	s.dirty = int(top) + 1
-	return Profile{N: s.t.NumRows(), n: s.n, d: d, Freq: freq[:s.dirty]}
+	return d, top
 }
 
 // ExactNDV counts the exact number of distinct column-set combinations in the
@@ -231,13 +366,14 @@ func (s *Service) Estimator() Estimator { return s.estimator }
 // set has NDV 1 (the single global group).
 //
 // Single columns are answered exactly from the column dictionary — the
-// full-scan statistics every commercial DBMS maintains per column. Sampled
-// multi-column estimates are clamped to the sandwich every optimizer applies:
-// at least the largest member column's NDV, at most the product of member
-// NDVs (and never above the row count). Without the lower bound, sampling
-// estimators can under-estimate a near-unique combination several-fold and
-// trick the optimizer into materializing an intermediate nearly as large as
-// the base table.
+// full-scan statistics every commercial DBMS maintains per column — with
+// NULL counted as one group. Sampled multi-column estimates are clamped to
+// the sandwich every optimizer applies: at least the largest member column's
+// NDV, at most the product of member NDVs (and never above the row count).
+// Without the lower bound, sampling estimators can under-estimate a
+// near-unique combination several-fold and trick the optimizer into
+// materializing an intermediate nearly as large as the base table. A set
+// whose bounds meet is answered from them without profiling.
 func (s *Service) NDV(t *table.Table, set colset.Set) float64 {
 	if set.IsEmpty() {
 		return 1
@@ -279,9 +415,19 @@ func (s *Service) CachedNDV(t *table.Table, set colset.Set) (float64, bool) {
 		}
 	}
 	if set.Len() == 1 {
-		return float64(t.Col(set.Min()).DictSize()), true
+		return columnNDV(t, set.Min()), true
 	}
 	return 0, false
+}
+
+// columnNDV is column c's exact distinct count off its dictionary, counting
+// NULL as one value when the column holds one, as Group By does.
+func columnNDV(t *table.Table, c int) float64 {
+	col := t.Col(c)
+	if col.HasNull() {
+		return float64(col.DictSize() + 1)
+	}
+	return float64(col.DictSize())
 }
 
 func (s *Service) estimate(t *table.Table, set colset.Set, byTable map[colset.Set]float64) float64 {
@@ -290,8 +436,27 @@ func (s *Service) estimate(t *table.Table, set colset.Set, byTable map[colset.Se
 		return float64(ExactNDV(t, set))
 	}
 	if set.Len() == 1 {
-		// Exact per-column distinct count straight off the dictionary.
-		return float64(t.Col(set.Min()).DictSize())
+		return columnNDV(t, set.Min())
+	}
+	// A sample that is the whole table is a census: the observed count is the
+	// truth, and a saturated profile must not be extrapolated past it.
+	census := s.sampleSize >= t.NumRows()
+	lo, hi := 1.0, 1.0
+	if !census {
+		set.ForEach(func(c int) {
+			single, cached := byTable[colset.Of(c)]
+			if !cached {
+				single = columnNDV(t, c)
+				byTable[colset.Of(c)] = single
+			}
+			lo = max(lo, single)
+			hi *= single
+		})
+		hi = min(hi, float64(t.NumRows()))
+		if lo == hi {
+			// clamp returns lo whatever the profile says: skip drawing it.
+			return lo
+		}
 	}
 	sample, ok := s.samples[t.Name()]
 	if !ok {
@@ -301,26 +466,8 @@ func (s *Service) estimate(t *table.Table, set colset.Set, byTable map[colset.Se
 	}
 	profile := sample.ProfileOf(set)
 	s.acct.RowsProfiled += int64(profile.SampleSize())
-	if profile.SampleSize() >= t.NumRows() {
-		// The sample is the whole table: the observed count is the truth, and
-		// a saturated profile must not be extrapolated past it.
+	if census {
 		return float64(profile.Distinct())
-	}
-
-	lo, hi := 1.0, 1.0
-	set.ForEach(func(c int) {
-		single, cached := byTable[colset.Of(c)]
-		if !cached {
-			single = float64(t.Col(c).DictSize())
-			byTable[colset.Of(c)] = single
-		}
-		if single > lo {
-			lo = single
-		}
-		hi *= single
-	})
-	if n := float64(t.NumRows()); hi > n {
-		hi = n
 	}
 
 	var est float64

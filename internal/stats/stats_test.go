@@ -202,6 +202,39 @@ func TestSaturatedSampleFallsBackToBackoff(t *testing.T) {
 	}
 }
 
+// TestNDVCountsNullGroup: Group By treats NULL as one group, so single-column
+// NDVs and the sandwich bounds count it. Counting dictionary values alone put
+// {1, NULL} at 1, its pair with a 3-valued column at 3, and an all-NULL
+// column at 0 alone and in every set holding it.
+func TestNDVCountsNullGroup(t *testing.T) {
+	tb := table.New("nulls", []table.ColumnDef{
+		{Name: "half", Typ: table.TInt64},
+		{Name: "three", Typ: table.TInt64},
+		{Name: "none", Typ: table.TInt64},
+	})
+	for i := 0; i < 50_000; i++ {
+		half := table.Int(1)
+		if i%2 == 1 {
+			half = table.Null(table.TInt64)
+		}
+		tb.AppendRow(half, table.Int(int64(i%3)), table.Null(table.TInt64))
+	}
+	for _, e := range []Estimator{GEE, Shlosser, Chao, Exact} {
+		svc := NewService(e, 10_000, 1)
+		for _, set := range []colset.Set{colset.Of(0), colset.Of(2), colset.Of(0, 1), colset.Of(0, 2), colset.Of(1, 2), colset.Of(0, 1, 2)} {
+			if got, want := svc.NDV(tb, set), float64(ExactNDV(tb, set)); got != want {
+				t.Errorf("%v %v: NDV = %v, exact = %v", e, set, got, want)
+			}
+		}
+	}
+	svc := NewService(GEE, 10_000, 1)
+	for c, want := range []float64{2, 3, 1} {
+		if got, _ := svc.CachedNDV(tb, colset.Of(c)); got != want {
+			t.Errorf("CachedNDV(column %d) = %v, want %v", c, got, want)
+		}
+	}
+}
+
 func TestServiceEmptySet(t *testing.T) {
 	tb := intTable("t", 1, 2)
 	svc := NewService(GEE, 10, 1)

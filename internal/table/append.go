@@ -34,6 +34,7 @@ func (t *Table) Append(rows [][]Value) *Table {
 	cols := make([]*Column, len(t.cols))
 	for i, c := range t.cols {
 		cols[i] = &Column{def: c.def, codes: c.codes, dict: c.dict.extend()}
+		cols[i].nullScan.Store(c.nullScan.Load()) // the parent's rows are a prefix
 	}
 	for _, row := range rows {
 		for ci, v := range row {

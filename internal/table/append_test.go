@@ -2,6 +2,8 @@ package table
 
 import (
 	"bytes"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -42,6 +44,58 @@ func TestAppendSnapshotIsolation(t *testing.T) {
 	}
 	if !next.Col(3).IsNull(5) {
 		t.Fatal("delta NULL lost")
+	}
+}
+
+// TestHasNullFollowsAppends: the memoised NULL bit is per snapshot. A child
+// that inherits its parent's answer scans only its own rows, and the parent
+// keeps its answer whichever of the two asks first.
+func TestHasNullFollowsAppends(t *testing.T) {
+	hasNull := func(tb *Table) []bool {
+		out := make([]bool, tb.NumCols())
+		for c := range out {
+			out[c] = tb.Col(c).HasNull()
+		}
+		return out
+	}
+	for _, parentFirst := range []bool{true, false} {
+		base := sampleTable(t)
+		if parentFirst {
+			hasNull(base)
+		}
+		next := base.Append(appendRows())
+		for _, check := range []struct {
+			name string
+			tb   *Table
+			want []bool
+		}{
+			{"child", next, []bool{false, true, true, true}},
+			{"parent", base, []bool{false, true, true, false}},
+			{"delta", next.DeltaView(), []bool{false, true, true, true}},
+		} {
+			if got := hasNull(check.tb); !slices.Equal(got, check.want) {
+				t.Fatalf("parent first %v: %s HasNull = %v, want %v", parentFirst, check.name, got, check.want)
+			}
+		}
+	}
+
+	// Readers of a snapshot race to memoise its answer while an append
+	// copies it (run with -race).
+	base := sampleTable(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := hasNull(base); !slices.Equal(got, []bool{false, true, true, false}) {
+				t.Errorf("concurrent parent HasNull = %v", got)
+			}
+		}()
+	}
+	next := base.Append(appendRows())
+	wg.Wait()
+	if got := hasNull(next); !slices.Equal(got, []bool{false, true, true, true}) {
+		t.Fatalf("child of a concurrently read parent: HasNull = %v", got)
 	}
 }
 

@@ -10,7 +10,9 @@ package table
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"gbmqo/internal/colset"
 )
@@ -27,6 +29,9 @@ type Column struct {
 	def   ColumnDef
 	codes []uint32
 	dict  *dict
+
+	// nullScan memoises HasNull as rows scanned << 1 | NULL seen.
+	nullScan atomic.Uint64
 }
 
 // NewColumn creates an empty column.
@@ -87,6 +92,24 @@ func (c *Column) Ranks() []uint32 { return c.dict.ranks() }
 // dictionary. For a base column this equals the column's exact NDV; for a
 // gathered column it is an upper bound.
 func (c *Column) DictSize() int { return c.dict.size() }
+
+// HasNull reports whether any row is NULL. The answer is memoised by the
+// number of rows it covers, and columns only grow, so the scan is paid once
+// per column and then only over rows appended since (an appended snapshot
+// starts from its parent's answer).
+func (c *Column) HasNull() bool {
+	m := c.nullScan.Load()
+	if m&1 == 1 || int(m>>1) == len(c.codes) {
+		return m&1 == 1
+	}
+	found := slices.Contains(c.codes[m>>1:], nullCode)
+	m = uint64(len(c.codes)) << 1
+	if found {
+		m |= 1
+	}
+	c.nullScan.Store(m)
+	return found
+}
 
 // DistinctCount computes the exact number of distinct values present in the
 // column (counting NULL as one value if present). It is O(rows) and intended
