@@ -61,21 +61,6 @@ func main() {
 		dataDir   = flag.String("data-dir", "", "durable data directory (WAL + snapshots): recover on start, log appends, snapshot in the background")
 		fsyncPol  = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always, interval, off")
 		snapEvery = flag.Duration("snapshot-interval", 30*time.Second, "background snapshot period with -data-dir (negative = snapshot only on registration and close)")
-
-		benchServe  = flag.Bool("bench-serve", false, "run the seeded open-loop load harness (steady + bursty levels) against the in-process scheduler, or against -load-url, and write a BENCH_load artifact")
-		loadSweep   = flag.Bool("load-sweep", false, "rate-sweep soak mode: step the offered rate geometrically until the shed knee and record knee rate + origin-mix drift in the artifact")
-		sweepStart  = flag.Float64("sweep-start-rate", 0, "first sweep level's offered rate (0 = -load-rate)")
-		sweepFactor = flag.Float64("sweep-factor", 2, "rate multiplier between sweep levels")
-		sweepLevels = flag.Int("sweep-levels", 6, "maximum sweep levels")
-		sweepKnee   = flag.Float64("sweep-knee-shed", 0.05, "combined shed fraction at which a sweep level counts as past the knee")
-		loadSeed    = flag.Int64("load-seed", 42, "load harness seed: same seed, same offered operation sequence")
-		loadDur     = flag.Duration("load-duration", 5*time.Second, "offered-load window per level")
-		loadRate    = flag.Float64("load-rate", 400, "mean offered rate in operations per second")
-		loadZipf    = flag.Float64("load-zipf-s", 1.0, "Zipf skew of query popularity over the group-by lattice (0 = uniform)")
-		loadAppend  = flag.Float64("load-append-ratio", 0.02, "fraction of operations that are streaming appends")
-		loadURL     = flag.String("load-url", "", "drive a live gbmqo server at this base URL instead of the in-process scheduler")
-		benchOut    = flag.String("bench-out", "BENCH_load.json", "load artifact output path (\"-\" = stdout)")
-		metricsDump = flag.Bool("metrics-dump", false, "after -bench-serve, dump the metrics registry in Prometheus text format to stderr")
 	)
 	flag.Parse()
 	if *repeat < 1 {
@@ -265,56 +250,6 @@ func main() {
 		fmt.Printf("serving %s on %s (POST /query, POST /sql, GET /metrics)\n",
 			strings.Join(db.Tables(), ", "), ln.Addr())
 		fail(runServe(db, ln, sig, *drainFor))
-	}
-	if *benchServe || *loadSweep {
-		ran = true
-		name := *tableN
-		if _, ok := db.Table(name); !ok && len(db.Tables()) == 1 {
-			name = db.Tables()[0]
-		}
-		if *loadURL == "" {
-			if len(db.Tables()) == 0 {
-				fail(fmt.Errorf("-bench-serve needs a table (-gen or -csv) unless -load-url is set"))
-			}
-			sopts := opts
-			sopts.SharedScan = true
-			sopts.Parallel = true
-			sopts.MaxAttempts = 3
-			db.StartBatching(gbmqo.BatchOptions{
-				MaxBatch:          *batchMax,
-				MaxWait:           *batchWait,
-				IdleWait:          *batchIdle,
-				ShedLatencyTarget: *shedAt,
-				Exec:              sopts,
-			})
-		}
-		bopts := benchOpts{
-			Table:       name,
-			Seed:        *loadSeed,
-			Duration:    *loadDur,
-			Rate:        *loadRate,
-			ZipfS:       *loadZipf,
-			AppendRatio: *loadAppend,
-			URL:         *loadURL,
-			Command:     strings.Join(os.Args, " "),
-		}
-		if *loadSweep {
-			bopts.Sweep = &sweepOpts{
-				StartRate:    *sweepStart,
-				Factor:       *sweepFactor,
-				MaxLevels:    *sweepLevels,
-				KneeShedRate: *sweepKnee,
-			}
-		}
-		art, err := runBenchServe(context.Background(), db, bopts)
-		fail(err)
-		fail(writeArtifact(art, *benchOut))
-		if *metricsDump {
-			db.WriteMetrics(os.Stderr)
-		}
-		if *loadURL == "" {
-			db.StopBatching()
-		}
 	}
 	if *metrics {
 		ran = true

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"gbmqo/internal/engine"
@@ -16,11 +17,11 @@ import (
 // cache, appends, breakers, shards) implements obs.Collector and is gathered
 // at scrape time. /metrics and /healthz are assembled from the registered
 // set, each collector carries success+duration self-metrics, and new
-// subsystems (the load harness, future ones) join by implementing one
-// interface — no server changes required.
+// subsystems join by implementing one interface — no server changes
+// required.
 
-// Collector types re-exported from internal/obs so external subsystems (and
-// cmd/gbmqo's load harness) can register their own.
+// Collector types re-exported from internal/obs so external subsystems can
+// register their own.
 type (
 	// Collector is the interface a subsystem implements to surface metrics:
 	// Name() identifies it, Collect(ch) sends every current sample.
@@ -122,7 +123,7 @@ func newEngineCollector(db *DB) *engineCollector {
 	retries := r.Counter(`gbmqo_exec_retries_total{scope="request"}`, retryHelp)
 	peak := r.Gauge("gbmqo_exec_peak_mem_bytes", "high-water mark of governed execution memory over all runs")
 	kernels := map[string]*obs.Counter{}
-	for _, kind := range []string{"hash", "sort", "dense", "radix"} {
+	for _, kind := range []string{"hash", "sort", "dense", "index"} {
 		kernels[kind] = r.Counter(fmt.Sprintf("gbmqo_exec_kernel_total{kind=%q}", kind),
 			"plan nodes executed, by physical aggregation kernel")
 	}
@@ -146,7 +147,8 @@ func newEngineCollector(db *DB) *engineCollector {
 		retries.Add(float64(len(rep.Retries)))
 		peak.SetMax(float64(rep.PeakMem))
 		for _, ku := range rep.Kernels {
-			if c, ok := kernels[ku.Kernel]; ok {
+			kind, _, _ := strings.Cut(ku.Kernel, "-") // index-stream, index-counts -> index
+			if c, ok := kernels[kind]; ok {
 				c.Inc()
 			}
 		}

@@ -169,6 +169,39 @@ func TestCreateIndexAffectsPlans(t *testing.T) {
 	db.DropIndexes("lineitem")
 }
 
+// TestKernelMetricCountsEveryNode pins gbmqo_exec_kernel_total to the
+// report: on a table with a clustered index, nodes served by the index fast
+// paths count as kind "index", so the series sum over kinds equals the
+// number of attributed plan nodes.
+func TestKernelMetricCountsEveryNode(t *testing.T) {
+	db := openWithLineitem(t, 10_000)
+	if err := db.CreateIndex("ix_partkey", "lineitem", []string{"l_partkey"}, true); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := db.Execute("lineitem", [][]string{{"l_partkey"}, {"l_shipmode"}, {"l_returnflag", "l_linestatus"}}, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indexNodes int
+	for _, ku := range rep.Kernels {
+		if strings.HasPrefix(ku.Kernel, "index-") {
+			indexNodes++
+		}
+	}
+	if indexNodes == 0 {
+		t.Fatalf("no node took an index path: %v", rep.Kernels)
+	}
+	var sum float64
+	for name, v := range db.Metrics() {
+		if strings.HasPrefix(name, "gbmqo_exec_kernel_total{") {
+			sum += v
+		}
+	}
+	if int(sum) != len(rep.Kernels) {
+		t.Fatalf("gbmqo_exec_kernel_total sums to %v over kinds, want %d plan nodes (%d on an index path)", sum, len(rep.Kernels), indexNodes)
+	}
+}
+
 func TestRegisterCSVRoundTrip(t *testing.T) {
 	db := Open(nil)
 	csv := "a,b\n1,x\n2,y\n,z\n"

@@ -30,8 +30,6 @@ var Sites = []string{
 	"exec.hash.batch",
 	"exec.sort.stream",
 	"exec.dense.batch",
-	"exec.radix.scatter",
-	"exec.radix.build",
 	"engine.step",
 	"engine.retain",
 	"cache.admit",

@@ -5,8 +5,6 @@
 package cost
 
 import (
-	"fmt"
-
 	"gbmqo/internal/colset"
 	"gbmqo/internal/index"
 	"gbmqo/internal/stats"
@@ -181,18 +179,11 @@ func NewOptimizer(env *Env, coef Coefficients) *Optimizer {
 // Name implements Model.
 func (m *Optimizer) Name() string { return "optimizer" }
 
-// EdgeCost implements Model.
+// EdgeCost implements Model. It prices the edge as the sequential executor
+// runs it: an index path when one matches, else a row-store hash aggregate,
+// plus materialization when the target is kept.
 func (m *Optimizer) EdgeCost(e Edge) float64 {
 	m.bump()
-	return m.edgeCostDOP(e, 1)
-}
-
-// edgeCostDOP prices an edge executed by dop morsel workers. The sequential
-// model is the dop=1 special case. Per-row scan/hash work divides across
-// workers; per-group work (group build, materialization) stays serial, and
-// the merge phase re-touches every output group once per extra worker. Index
-// paths are not parallelized by the executor and are priced serially.
-func (m *Optimizer) edgeCostDOP(e Edge, dop float64) float64 {
 	c := m.coef
 	groupsV := m.env.NDV(e.V)
 	// Result row width: one code per grouping column plus the aggregates.
@@ -216,61 +207,12 @@ func (m *Optimizer) edgeCostDOP(e Edge, dop float64) float64 {
 			rows = m.env.NDV(e.Parent)
 			scanWidth = codeWidth*float64(e.Parent.Len()) + float64(e.NAggs)*c.AggWidth
 		}
-		compute = rows*(scanWidth*c.ReadByte+c.HashRow)/dop + groupsV*c.GroupBuild
-		if dop > 1 {
-			// Merging worker-local tables probes every group once per worker.
-			compute += (dop - 1) * groupsV * c.HashRow
-		}
+		compute = rows*(scanWidth*c.ReadByte+c.HashRow) + groupsV*c.GroupBuild
 	}
 	if e.Materialize {
 		compute += groupsV * widthV * c.WriteByte
 	}
 	return compute
-}
-
-// Parallel wraps a model with the morsel-driven executor's
-// degree-of-parallelism discount: per-row scan/hash work divides across dop
-// workers while per-group work stays serial and merging re-touches every
-// group once per extra worker (see Optimizer.edgeCostDOP). Plan *choice*
-// keeps using the wrapped sequential model — the paper's — so enabling
-// parallel execution never changes plan shape; this wrapper exists to report
-// the expected parallel cost of a chosen plan alongside the sequential
-// estimate. Models without a parallel formulation (e.g. test doubles) pass
-// through undiscounted except Cardinality, whose pure scan cost divides.
-func Parallel(m Model, dop int) Model {
-	if dop < 1 {
-		dop = 1
-	}
-	return &parallelModel{inner: m, dop: float64(dop)}
-}
-
-type parallelModel struct {
-	inner Model
-	dop   float64
-}
-
-// Name implements Model.
-func (p *parallelModel) Name() string {
-	return fmt.Sprintf("%s+dop%d", p.inner.Name(), int(p.dop))
-}
-
-// Calls implements Model, delegating to the wrapped model's counter.
-func (p *parallelModel) Calls() int { return p.inner.Calls() }
-
-// ResetCalls implements Model.
-func (p *parallelModel) ResetCalls() { p.inner.ResetCalls() }
-
-// EdgeCost implements Model.
-func (p *parallelModel) EdgeCost(e Edge) float64 {
-	switch m := p.inner.(type) {
-	case *Optimizer:
-		m.bump()
-		return m.edgeCostDOP(e, p.dop)
-	case *Cardinality:
-		return m.EdgeCost(e) / p.dop
-	default:
-		return p.inner.EdgeCost(e)
-	}
 }
 
 // exactIndex returns an index whose full key is exactly v, if any.

@@ -150,44 +150,3 @@ func TestOptimizerCallsCounted(t *testing.T) {
 		t.Fatalf("calls = %d", m.Calls())
 	}
 }
-
-func TestParallelDiscount(t *testing.T) {
-	env := testEnv(t, 100_000)
-	m := NewOptimizer(env, Coefficients{})
-	edge := Edge{ParentIsBase: true, V: colset.Of(0), NAggs: 1}
-	seq := m.EdgeCost(edge)
-	p4 := Parallel(m, 4)
-	if p4.Name() != "optimizer+dop4" {
-		t.Fatalf("name = %q", p4.Name())
-	}
-	par := p4.EdgeCost(edge)
-	// The scan-dominated edge must be discounted, but never by the full 4×:
-	// per-group work stays serial and the merge term is added.
-	if par >= seq {
-		t.Fatalf("dop=4 edge %v not below sequential %v", par, seq)
-	}
-	if par <= seq/4 {
-		t.Fatalf("dop=4 edge %v below the perfect-scaling floor %v", par, seq/4)
-	}
-	// dop=1 wrapping is a no-op.
-	if got := Parallel(m, 1).EdgeCost(edge); got != seq {
-		t.Fatalf("dop=1 edge %v, want %v", got, seq)
-	}
-	// Calls delegate to the wrapped model.
-	m.ResetCalls()
-	p4.EdgeCost(edge)
-	if p4.Calls() != 1 || m.Calls() != 1 {
-		t.Fatalf("calls not delegated: wrapper %d, inner %d", p4.Calls(), m.Calls())
-	}
-	// Cardinality model: plain division.
-	c := NewCardinality(env)
-	if got, want := Parallel(c, 4).EdgeCost(edge), c.EdgeCost(edge)/4; got != want {
-		t.Fatalf("cardinality dop=4 = %v, want %v", got, want)
-	}
-	// Index paths are priced serially — no discount.
-	ix := index.Build(env.Base(), "ix_a", []int{0}, false)
-	env.SetIndexes([]*index.Index{ix})
-	if got, want := p4.EdgeCost(edge), m.EdgeCost(edge); got != want {
-		t.Fatalf("index path discounted: %v vs %v", got, want)
-	}
-}

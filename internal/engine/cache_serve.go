@@ -158,7 +158,6 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 		out.Plan = lead.res.Plan
 		out.Search = lead.res.Search
 		out.PlanCostSeq = lead.res.PlanCostSeq
-		out.PlanCostPar = lead.res.PlanCostPar
 	} else {
 		// Every set was served from the cache: an empty plan rooted at the
 		// base relation, zero cost.

@@ -49,8 +49,8 @@ const (
 	// children are computed from the base relation instead.
 	DegradeRederive
 	// DegradeKernelFallback recorded the kernel chooser preferring the dense
-	// or radix aggregation kernel but falling down the ladder because the
-	// budget would not admit the kernel's working state.
+	// aggregation kernel but falling down the ladder because the budget would
+	// not admit the kernel's working state.
 	DegradeKernelFallback
 )
 
@@ -91,8 +91,9 @@ func (d Degradation) String() string {
 type KernelUse struct {
 	// Node is the grouping set computed (set notation, matching plan output).
 	Node string
-	// Kernel names the kernel: "hash", "sort", "dense", "radix", or the index
-	// fast-path pseudo-kernels "index-stream" / "index-counts".
+	// Kernel names the kernel: "hash", "sort", "dense", or the index
+	// fast-path pseudo-kernels "index-stream" / "index-counts" (both counted
+	// as kind "index" by gbmqo_exec_kernel_total).
 	Kernel string
 	// Reason is the chooser's explanation for the pick.
 	Reason string
@@ -571,9 +572,9 @@ func (r *planRun) hashEstimate(set colset.Set) int64 {
 // hashGroupBy dispatches one Group By aggregation through the adaptive
 // kernel chooser: per-node statistics (NDV estimate, dictionary-derived dense
 // domain, row count) and the memory budget pick among the dense
-// accumulator-array kernel, the radix-partitioned parallel kernel, sort-based
-// aggregation (the budget rung: O(rows) working state), and the presized
-// hash kernel (morsel-parallel when the worker budget and input size allow).
+// accumulator-array kernel, sort-based aggregation (the budget rung: O(rows)
+// working state), and the presized hash kernel (morsel-parallel when the
+// worker budget and input size allow).
 // The pick, its reason, and any budget-rejected preferences are recorded in
 // the report's kernel attribution and degradation list.
 func (r *planRun) hashGroupBy(src *table.Table, cols []int, aggs []exec.Agg, set colset.Set, name string) (*table.Table, error) {

@@ -52,9 +52,9 @@ func TestReportAttributesKernels(t *testing.T) {
 
 // TestKernelSequentialLadder pins the chooser policy at the engine level
 // without intra-operator parallelism: sequential nodes may run the dense
-// kernel but never radix, whose only edge is removing a cross-worker merge a
-// sequential run does not have. A budget too small for a node's dense array
-// must record a kernel-fallback degradation and still answer exactly.
+// kernel, and every node runs on exactly one worker. A budget too small for a
+// node's dense array must record a kernel-fallback degradation and still
+// answer exactly.
 func TestKernelSequentialLadder(t *testing.T) {
 	e, _ := newTestEngine(t, 70000)
 	ref, err := e.Run(Request{Table: "lineitem", Sets: govSets(), Strategy: StrategyGBMQO})
@@ -64,7 +64,7 @@ func TestKernelSequentialLadder(t *testing.T) {
 	kinds := map[string]int{}
 	for _, ku := range ref.Report.Kernels {
 		kinds[ku.Kernel]++
-		if ku.Kernel == "radix" || ku.Workers != 1 {
+		if ku.Workers != 1 {
 			t.Errorf("sequential run used %s with %d workers: %s", ku.Kernel, ku.Workers, ku)
 		}
 	}

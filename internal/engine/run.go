@@ -132,14 +132,10 @@ type RunResult struct {
 	Report   *ExecReport
 	Search   core.SearchStats
 	ModelUsd cost.Model
-	// PlanCostSeq and PlanCostPar price the chosen plan with the request's
-	// cost model sequentially and at the requested intra-operator degree of
-	// parallelism (equal when Parallelism is off). Plan *choice* always uses
-	// the sequential cost — the paper's model — so turning parallelism on
-	// never changes plan shape; both figures are reported so the discount is
-	// visible.
+	// PlanCostSeq prices the chosen plan with the request's cost model — the
+	// sequential cost the search minimized, whatever the request's
+	// parallelism.
 	PlanCostSeq float64
-	PlanCostPar float64
 }
 
 // Engine ties the catalog, statistics and executor into the public runtime.
@@ -342,10 +338,6 @@ func (e *Engine) runDirect(req Request, promote func(colset.Set, []exec.Agg, *ta
 	}
 	res := &RunResult{Plan: p, Report: report, Search: st, ModelUsd: model}
 	res.PlanCostSeq = p.Cost(model, nAggs)
-	res.PlanCostPar = res.PlanCostSeq
-	if dop := exec.ResolveWorkers(req.Parallelism); dop > 1 {
-		res.PlanCostPar = p.Cost(cost.Parallel(model, dop), nAggs)
-	}
 	return res, nil
 }
 

@@ -6,14 +6,6 @@ import (
 	"gbmqo/internal/table"
 )
 
-// radixMinGroups is the NDV estimate below which the morsel path's
-// worker-local tables + merge stay cheaper than the radix kernel's two extra
-// passes over the input: merging w small tables only touches w·NDV groups,
-// which is noise until the group count rivals the morsel size. The scatter
-// pass writes 12 bytes per input row, so the merge it replaces has to be
-// tens of thousands of groups wide before the trade pays off.
-const radixMinGroups = 32768
-
 // denseMaxBlowup bounds the dense domain relative to the input row count: a
 // group-id array up to 8× the rows still costs less to allocate and walk than
 // hashing every row; beyond that the kernel would mostly touch empty slots.
@@ -38,9 +30,9 @@ type ChooserInput struct {
 	Rows int
 	// GroupCols is the number of grouping columns (0 = single global group).
 	GroupCols int
-	// NDV is the statistics estimate of the number of output groups; 0 means
-	// unknown (no stats threaded), which disables the presize hint and the
-	// radix kernel.
+	// NDV is the statistics estimate of the number of output groups, used
+	// only as the hash kernel's presize hint; 0 means unknown (no stats
+	// threaded), which disables the hint.
 	NDV float64
 	// DenseDomain is Π(dictSize+1) over the group columns (see DenseDomain);
 	// 0 means inapplicable.
@@ -81,13 +73,9 @@ type KernelChoice struct {
 //     rows scanned when sequential nodes moved from hash to dense. A
 //     parallel run also needs rows ≥ denseMinRows to amortize its
 //     per-worker arrays and merge;
-//  2. radix — for parallel high-NDV aggregation (estimated groups ≥
-//     radixMinGroups with ≥ 2 effective workers), when the budget admits the
-//     hash + scatter passes. Its edge is eliminating the cross-worker merge,
-//     which a sequential run does not have;
-//  3. sort — when the budget cannot admit the hash kernel's estimated state
-//     (the existing degradation rung: O(rows) working state);
-//  4. hash — the default, presized from the NDV estimate and morsel-parallel
+//  2. sort — when the budget cannot admit the hash kernel's estimated state
+//     (the degradation rung: O(rows) working state);
+//  3. hash — the default, presized from the NDV estimate and morsel-parallel
 //     when the worker budget and input size allow.
 //
 // A kernel rejected by budget admission is recorded in Fallbacks and the
@@ -110,20 +98,6 @@ func ChooseKernel(in ChooserInput) KernelChoice {
 		c.Fallbacks = append(c.Fallbacks, KernelFallback{
 			Kind:   KernelDense,
 			Detail: fmt.Sprintf("needs %dB of accumulator arrays, over budget", need),
-		})
-	}
-
-	if w >= 2 && in.NDV >= radixMinGroups {
-		need := int64(in.Rows)*12 + in.HashStateBytes
-		if !in.Budget.WouldExceed(need) {
-			c.Kind = KernelRadix
-			c.Workers = w
-			c.Reason = fmt.Sprintf("~%.0f groups ≥ %d: partitioned build avoids the %d-way local-table merge", in.NDV, radixMinGroups, w)
-			return c
-		}
-		c.Fallbacks = append(c.Fallbacks, KernelFallback{
-			Kind:   KernelRadix,
-			Detail: fmt.Sprintf("needs %dB of hash+scatter state, over budget", need),
 		})
 	}
 
@@ -186,8 +160,6 @@ func GroupByAdaptiveGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, o
 	switch choice.Kind {
 	case KernelDense:
 		out, ks, err = GroupByDenseGov(gov, t, groupCols, aggs, outName, choice.Workers)
-	case KernelRadix:
-		out, ks, err = GroupByRadixParallelGov(gov, t, groupCols, aggs, outName, choice.Workers)
 	case KernelSort:
 		out, err = GroupBySortGov(gov, t, groupCols, aggs, outName)
 		ks = KernelStats{Kind: KernelSort, Workers: 1}

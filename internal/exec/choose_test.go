@@ -27,7 +27,7 @@ func TestChooseKernelGolden(t *testing.T) {
 		// Trivial inputs.
 		{rows: 0, domain: 0, workers: 4, ndv: 100},
 		{rows: 100000, domain: 0, workers: 4, ndv: 100},
-		// Sequential: dense under the same domain gate, never radix.
+		// Sequential: dense under the same domain gate.
 		{rows: 100000, domain: 64, workers: 1, ndv: 50},
 		{rows: 1000000, domain: 4096, workers: 1, ndv: 4000},
 		{rows: 100000, domain: 0, workers: 1, ndv: 100000},
@@ -46,7 +46,8 @@ func TestChooseKernelGolden(t *testing.T) {
 		{rows: 100000, domain: 4096, workers: 4, ndv: 4000},
 		{rows: 100000, domain: 500000, workers: 4, ndv: 400000},
 		{rows: 100000, domain: 900000, workers: 4, ndv: 800000},
-		// Parallel high-NDV: radix; without stats (ndv 0) the morsel path.
+		// Parallel high-NDV outside the dense domain: the morsel path, presized
+		// when stats are threaded.
 		{rows: 200000, domain: 0, workers: 4, ndv: 50000},
 		{rows: 200000, domain: 0, workers: 4, ndv: 0},
 		{rows: 200000, domain: 0, workers: 4, ndv: 2000},
@@ -100,25 +101,24 @@ func TestChooseKernelGolden(t *testing.T) {
 
 // TestChooseKernelLadderSemantics pins the ladder properties the golden file
 // cannot express: fallbacks carry the rejected rung, a zero-worker request is
-// sequential and takes dense over a small domain but never radix, and the
-// parallel dense rung keeps its row-count gate.
+// sequential and takes dense over a small domain, and the parallel dense rung
+// keeps its row-count gate.
 func TestChooseKernelLadderSemantics(t *testing.T) {
 	base := ChooserInput{Rows: 200000, GroupCols: 2, NDV: 50000, Workers: 4, NAggs: 1}
 
 	tight := base
+	tight.DenseDomain = 64
 	tight.Budget = NewMemBudget(1024)
 	c := ChooseKernel(tight)
-	if c.Kind == KernelRadix {
-		t.Fatalf("radix admitted under a 1KiB budget")
+	if c.Kind != KernelHash || c.Workers != 4 {
+		t.Fatalf("over-budget dense request chose %v with %d workers, want morsel hash", c.Kind, c.Workers)
 	}
-	var sawRadix bool
-	for _, f := range c.Fallbacks {
-		if f.Kind == KernelRadix {
-			sawRadix = true
-		}
+	if len(c.Fallbacks) != 1 || c.Fallbacks[0].Kind != KernelDense {
+		t.Errorf("budget-rejected dense not recorded in fallbacks: %+v", c.Fallbacks)
 	}
-	if !sawRadix {
-		t.Errorf("budget-rejected radix not recorded in fallbacks: %+v", c.Fallbacks)
+
+	if c := ChooseKernel(base); c.Kind != KernelHash || c.Workers != 4 || c.SizeHint != 50000 {
+		t.Errorf("parallel high-NDV request chose %v with %d workers, hint %d; want morsel hash presized to the NDV", c.Kind, c.Workers, c.SizeHint)
 	}
 
 	seq := base

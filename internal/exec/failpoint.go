@@ -19,8 +19,6 @@ type TestingHooks struct {
 //	exec.hash.batch      — at each sequential-scan cancellation checkpoint
 //	exec.sort.stream     — at each index-stream cancellation checkpoint
 //	exec.dense.batch     — at each dense-kernel batch boundary
-//	exec.radix.scatter   — at each radix hash/scatter checkpoint
-//	exec.radix.build     — before each radix partition build
 //	engine.step          — before each schedule step
 //	engine.retain        — before a temp table is retained
 //	cache.admit          — at the top of every cache admission (Offer)

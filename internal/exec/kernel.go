@@ -3,7 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,18 +11,16 @@ import (
 )
 
 // KernelKind enumerates the physical aggregation kernels the adaptive layer
-// chooses among (see ChooseKernel): the open-addressing hash aggregate, the
-// sort-based low-memory fallback, the dense accumulator-array kernel for
-// small group-code domains, and the radix-partitioned parallel hash kernel
-// for high-NDV parallel aggregation.
+// chooses among (see ChooseKernel): the open-addressing hash aggregate
+// (sequential or morsel-parallel), the sort-based low-memory fallback, and
+// the dense accumulator-array kernel for small group-code domains.
 type KernelKind int
 
-// Kernel kinds, in ladder order (hash is the default and the reference).
+// Kernel kinds (hash is the default and the reference).
 const (
 	KernelHash KernelKind = iota
 	KernelSort
 	KernelDense
-	KernelRadix
 )
 
 // String names the kernel as reported in ExecReport attribution.
@@ -35,8 +32,6 @@ func (k KernelKind) String() string {
 		return "sort"
 	case KernelDense:
 		return "dense"
-	case KernelRadix:
-		return "radix"
 	default:
 		return fmt.Sprintf("KernelKind(%d)", int(k))
 	}
@@ -58,13 +53,11 @@ type KernelStats struct {
 	Workers int
 	// Groups is the number of output groups.
 	Groups int
-	// Partitions is the radix fan-out (0 for non-radix kernels).
-	Partitions int
 	// RehashesAvoided counts hash-table doublings skipped because the group
 	// table was presized from the statistics NDV estimate.
 	RehashesAvoided int
-	// Merge is the wall time spent combining per-worker (or per-partition)
-	// state into the final result.
+	// Merge is the wall time spent combining per-worker state into the final
+	// result.
 	Merge time.Duration
 	// Reason is the chooser's explanation for picking this kernel (empty when
 	// the kernel was invoked directly rather than via GroupByAdaptiveGov).
@@ -337,389 +330,4 @@ func groupByDense(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName
 	defer budget.Release(accBytes)
 	out := emitGroups(t, groupCols, aggs, final.accs, final.firstRows, nil, outName)
 	return out, KernelStats{Kind: KernelDense, Workers: w, Groups: len(final.firstRows), Merge: time.Since(mergeStart)}, nil
-}
-
-// radixMaxPartitions caps the radix fan-out. Four partitions per worker give
-// the partition-pulling phase slack to balance skewed partition sizes.
-const radixMaxPartitions = 256
-
-// radixPartitions picks the partition count (a power of two, ~4 per worker)
-// and the right-shift that maps a 64-bit hash to its partition.
-func radixPartitions(w int) (parts int, shift uint) {
-	parts = 1
-	for parts < 4*w && parts < radixMaxPartitions {
-		parts <<= 1
-	}
-	shift = 64
-	for p := parts; p > 1; p >>= 1 {
-		shift--
-	}
-	return parts, shift
-}
-
-// radixPart is one partition's private aggregation state: an open-addressing
-// group table keyed by the precomputed row hashes, plus cloned accumulators.
-// Rows within a partition arrive in ascending global row order, so group ids
-// fall out in global first-appearance order and firstRows are exact global
-// first rows.
-type radixPart struct {
-	rd        rowReader
-	hashes    []uint64
-	mask      uint64
-	slotHash  []uint64
-	slotGroup []int32 // group+1; 0 = empty
-	slotRow   []int32
-	accs      []accumulator
-	firstRows []int32
-	budget    *MemBudget
-	charged   int64
-}
-
-// newRadixPart sizes the partition table for segLen rows (radix is chosen for
-// high-NDV keys, where most rows open new groups).
-func newRadixPart(rd rowReader, hashes []uint64, segLen int, proto []accumulator, budget *MemBudget) *radixPart {
-	size := 64
-	for uint64(size)*3 < uint64(segLen+1)*4 && size < denseMaxDomain {
-		size <<= 1
-	}
-	st := &radixPart{
-		rd:        rd,
-		hashes:    hashes,
-		mask:      uint64(size - 1),
-		slotHash:  make([]uint64, size),
-		slotGroup: make([]int32, size),
-		slotRow:   make([]int32, size),
-		accs:      cloneAccs(proto),
-		budget:    budget,
-	}
-	st.charge(int64(size) * slotBytes)
-	return st
-}
-
-func (st *radixPart) charge(n int64) {
-	if st.budget == nil {
-		return
-	}
-	st.budget.Add(n)
-	st.charged += n
-}
-
-// groupOf returns the partition-local group id of row, allocating a new
-// group on first sight.
-func (st *radixPart) groupOf(row int) int32 {
-	if uint64(len(st.firstRows)+1)*4 > (st.mask+1)*3 {
-		st.grow()
-	}
-	h := st.hashes[row]
-	for slot := h & st.mask; ; slot = (slot + 1) & st.mask {
-		sg := st.slotGroup[slot]
-		if sg == 0 {
-			st.slotHash[slot] = h
-			st.slotRow[slot] = int32(row)
-			st.firstRows = append(st.firstRows, int32(row))
-			st.slotGroup[slot] = int32(len(st.firstRows))
-			return int32(len(st.firstRows) - 1)
-		}
-		if st.slotHash[slot] == h && st.rowsEqual(int(st.slotRow[slot]), row) {
-			return sg - 1
-		}
-	}
-}
-
-func (st *radixPart) rowsEqual(a, b int) bool {
-	for k := range st.rd.offs {
-		if st.rd.code(a, k) != st.rd.code(b, k) {
-			return false
-		}
-	}
-	return true
-}
-
-func (st *radixPart) grow() {
-	oldHash, oldGroup, oldRow := st.slotHash, st.slotGroup, st.slotRow
-	size := (int(st.mask) + 1) << 1
-	st.charge(int64(size-len(oldGroup)) * slotBytes)
-	st.mask = uint64(size - 1)
-	st.slotHash = make([]uint64, size)
-	st.slotGroup = make([]int32, size)
-	st.slotRow = make([]int32, size)
-	for i, sg := range oldGroup {
-		if sg == 0 {
-			continue
-		}
-		slot := oldHash[i] & st.mask
-		for st.slotGroup[slot] != 0 {
-			slot = (slot + 1) & st.mask
-		}
-		st.slotHash[slot] = oldHash[i]
-		st.slotGroup[slot] = sg
-		st.slotRow[slot] = oldRow[i]
-	}
-}
-
-// groupRef locates one output group of the radix kernel: its global first
-// row (the sort key restoring first-appearance order) and where its state
-// lives (partition, local group id).
-type groupRef struct {
-	row  int32
-	part int32
-	lg   int32
-}
-
-// GroupByRadixParallelGov computes the group-by with the radix-partitioned
-// parallel hash kernel. Phase 1 computes every row's key hash (the same mix
-// as the sequential hash kernel) and histograms the top hash bits per worker;
-// phase 2 scatters row ids into per-partition segments, each globally
-// ascending by row id; phase 3 hands whole partitions to workers, which build
-// one private group table per partition — workers own disjoint group-key
-// partitions, so there is no worker-local-table merge afterwards (contrast
-// groupByMultiMorsel). Because each partition's rows stay in ascending global
-// row order, every group observes its rows in exactly the sequential order:
-// output is byte-identical to GroupByHashGov including float SUM/AVG
-// rounding, and groups are emitted in global first-appearance order. Inputs
-// below the parallel size cutoff run the sequential hash kernel.
-func GroupByRadixParallelGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, workers int) (*table.Table, KernelStats, error) {
-	if err := validateRequest(t, groupCols, aggs); err != nil {
-		return nil, KernelStats{}, err
-	}
-	w := effectiveWorkers(t.NumRows(), workers)
-	if w <= 1 || len(groupCols) == 0 {
-		return groupByHashSized(gov, t, groupCols, aggs, outName, 0)
-	}
-	return groupByRadix(gov, t, groupCols, aggs, outName, w)
-}
-
-// groupByRadix is the radix kernel at exactly w ≥ 2 workers over a validated
-// request with group columns (tests call it directly to run the partitioned
-// build on inputs below the parallel size cutoff).
-func groupByRadix(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, w int) (*table.Table, KernelStats, error) {
-	n := t.NumRows()
-	parts, shift := radixPartitions(w)
-	budget := gov.Budget()
-	scanBytes := int64(n) * 12 // 8B hash + 4B scattered row id per row
-	budget.Add(scanBytes)
-	defer budget.Release(scanBytes)
-	rd := keyReader(t, groupCols)
-	// Force lazily-built dictionary state before fan-out (see dense kernel).
-	protoAccs := newAccs(aggs, t)
-
-	hashes := make([]uint64, n)
-	hist := make([][]int32, w)
-	bound := func(wi int) int { return wi * n / w }
-
-	var failed atomic.Bool
-	var workerErr atomic.Pointer[ExecError]
-	runPhase := func(step string, body func(wi int) error) {
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				defer func() {
-					if p := recover(); p != nil {
-						failed.Store(true)
-						workerErr.CompareAndSwap(nil, &ExecError{
-							Step: fmt.Sprintf("%s %d", step, wi),
-							Err:  RecoveredPanic(p),
-						})
-					}
-				}()
-				if err := body(wi); err != nil {
-					failed.Store(true) // context error; surfaced via gov.Err
-				}
-			}(wi)
-		}
-		wg.Wait()
-	}
-	checkPhase := func() error {
-		if e := workerErr.Load(); e != nil {
-			return e
-		}
-		return gov.Err()
-	}
-
-	// Phase 1: hash every row and histogram partitions per worker.
-	runPhase("radix hash worker", func(wi int) error {
-		counts := make([]int32, parts)
-		hist[wi] = counts
-		lo, hi := bound(wi), bound(wi+1)
-		for base := lo; base < hi; base += cancelCheckRows {
-			Testing.Fire("exec.radix.scatter")
-			if err := gov.Err(); err != nil {
-				return err
-			}
-			if failed.Load() {
-				return nil
-			}
-			end := base + cancelCheckRows
-			if end > hi {
-				end = hi
-			}
-			for row := base; row < end; row++ {
-				h := hashRow(rd, row)
-				hashes[row] = h
-				counts[h>>shift]++
-			}
-		}
-		return nil
-	})
-	if err := checkPhase(); err != nil {
-		return nil, KernelStats{Kind: KernelRadix, Workers: w, Partitions: parts}, err
-	}
-
-	// Partition-major prefix sums: partition p's segment is
-	// rowIds[pstart[p]:pstart[p+1]] with workers' shares in worker order, so
-	// each segment stays ascending by global row id.
-	pstart := make([]int32, parts+1)
-	cursor := make([][]int32, w)
-	for wi := 0; wi < w; wi++ {
-		cursor[wi] = make([]int32, parts)
-	}
-	off := int32(0)
-	for p := 0; p < parts; p++ {
-		pstart[p] = off
-		for wi := 0; wi < w; wi++ {
-			cursor[wi][p] = off
-			off += hist[wi][p]
-		}
-	}
-	pstart[parts] = off
-
-	// Phase 2: scatter row ids into their partition segments.
-	rowIds := make([]int32, n)
-	runPhase("radix scatter worker", func(wi int) error {
-		cur := cursor[wi]
-		lo, hi := bound(wi), bound(wi+1)
-		for base := lo; base < hi; base += cancelCheckRows {
-			Testing.Fire("exec.radix.scatter")
-			if err := gov.Err(); err != nil {
-				return err
-			}
-			if failed.Load() {
-				return nil
-			}
-			end := base + cancelCheckRows
-			if end > hi {
-				end = hi
-			}
-			for row := base; row < end; row++ {
-				p := hashes[row] >> shift
-				rowIds[cur[p]] = int32(row)
-				cur[p]++
-			}
-		}
-		return nil
-	})
-	if err := checkPhase(); err != nil {
-		return nil, KernelStats{Kind: KernelRadix, Workers: w, Partitions: parts}, err
-	}
-
-	// Phase 3: workers pull whole partitions off an atomic counter and build
-	// private group tables — disjoint group ownership, no merge.
-	partStates := make([]*radixPart, parts)
-	defer func() {
-		var freed int64
-		for _, st := range partStates {
-			if st != nil {
-				freed += st.charged
-			}
-		}
-		budget.Release(freed)
-	}()
-	var nextPart atomic.Int64
-	runPhase("radix build worker", func(wi int) error {
-		gids := make([]int32, blockLen(n))
-		for {
-			if failed.Load() {
-				return nil
-			}
-			if err := gov.Err(); err != nil {
-				return err
-			}
-			Testing.Fire("exec.radix.build")
-			p := int(nextPart.Add(1)) - 1
-			if p >= parts {
-				return nil
-			}
-			seg := rowIds[pstart[p]:pstart[p+1]]
-			if len(seg) == 0 {
-				continue
-			}
-			st := newRadixPart(rd, hashes, len(seg), protoAccs, budget)
-			partStates[p] = st
-			for lo := 0; lo < len(seg); lo += cancelCheckRows {
-				if lo > 0 {
-					if err := gov.Err(); err != nil {
-						return err
-					}
-				}
-				rows := seg[lo:min(lo+cancelCheckRows, len(seg))]
-				for i, row := range rows {
-					gids[i] = st.groupOf(int(row))
-				}
-				observeAll(st.accs, gids[:len(rows)], rows, len(st.firstRows))
-			}
-		}
-	})
-	if err := checkPhase(); err != nil {
-		return nil, KernelStats{Kind: KernelRadix, Workers: w, Partitions: parts}, err
-	}
-
-	// Emit groups sorted by global first appearance across partitions.
-	mergeStart := time.Now()
-	total := 0
-	for _, st := range partStates {
-		if st != nil {
-			total += len(st.firstRows)
-		}
-	}
-	refs := make([]groupRef, 0, total)
-	for p, st := range partStates {
-		if st == nil {
-			continue
-		}
-		for lg, row := range st.firstRows {
-			refs = append(refs, groupRef{row: row, part: int32(p), lg: int32(lg)})
-		}
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].row < refs[j].row })
-	accBytes := accStateBytes(total, len(aggs))
-	budget.Add(accBytes)
-	defer budget.Release(accBytes)
-	out := emitGroupRefs(t, groupCols, aggs, partStates, refs, outName)
-	return out, KernelStats{Kind: KernelRadix, Workers: w, Groups: total, Partitions: parts, Merge: time.Since(mergeStart)}, nil
-}
-
-// emitGroupRefs assembles the radix kernel's output: refs are (firstRow,
-// partition, local group) sorted by global first appearance; key columns copy
-// codes from each group's first row, aggregate columns read each partition's
-// accumulators.
-func emitGroupRefs(t *table.Table, groupCols []int, aggs []Agg, parts []*radixPart, refs []groupRef, outName string) *table.Table {
-	cols := make([]*table.Column, 0, len(groupCols)+len(aggs))
-	for _, c := range groupCols {
-		src := t.Col(c)
-		srcCodes := src.Codes()
-		out := src.EmptyLike(src.Name())
-		codes := make([]uint32, len(refs))
-		for i, ref := range refs {
-			codes[i] = srcCodes[ref.row]
-		}
-		out.AppendCodes(codes)
-		cols = append(cols, out)
-	}
-	for ai := range aggs {
-		var typ table.Type
-		if len(refs) > 0 {
-			typ = parts[refs[0].part].accs[ai].outType()
-		} else {
-			// No groups: derive the type from a throwaway accumulator.
-			typ = newAccumulator(aggs[ai], t).outType()
-		}
-		out := table.NewColumn(table.ColumnDef{Name: aggs[ai].Name, Typ: typ})
-		for _, ref := range refs {
-			out.Append(parts[ref.part].accs[ai].result(int(ref.lg)))
-		}
-		cols = append(cols, out)
-	}
-	return table.FromColumns(outName, cols)
 }

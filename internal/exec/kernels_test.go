@@ -92,9 +92,10 @@ func dumpTable(t *table.Table) string {
 }
 
 // TestKernelsByteIdenticalToHash is the randomized differential suite: every
-// kernel × data shapes (low/high NDV, Zipf skew, duplicate-heavy, empty,
-// single-group) must reproduce the reference hash kernel's output exactly —
-// schema, first-appearance row order, and value bits.
+// kernel at one and at four workers × data shapes (low/high NDV, Zipf skew,
+// a key domain too wide for dense, duplicate-heavy, empty, single-group) must
+// reproduce the reference hash kernel's output exactly — schema,
+// first-appearance row order, and value bits.
 func TestKernelsByteIdenticalToHash(t *testing.T) {
 	cases := []struct {
 		name             string
@@ -109,6 +110,10 @@ func TestKernelsByteIdenticalToHash(t *testing.T) {
 		{name: "single-group", rows: 8192, ndvA: 1, ndvB: 1, seed: 5},
 		{name: "empty", rows: 0, ndvA: 1, ndvB: 1, seed: 6},
 		{name: "parallel-scale", rows: 60000, ndvA: 64, ndvB: 32, zipf: 1.3, seed: 7},
+		// Dense cannot apply (domain 2049² > denseMaxDomain), so a parallel
+		// request runs morsel hash over tens of thousands of groups.
+		{name: "wide-uniform", rows: 70000, ndvA: 2048, ndvB: 2048, seed: 8},
+		{name: "wide-skewed", rows: 70000, ndvA: 2048, ndvB: 2048, zipf: 1.5, seed: 9},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,14 +149,14 @@ func TestKernelsByteIdenticalToHash(t *testing.T) {
 				check("dense-par", out, err)
 			}
 
-			out, _, err = GroupByRadixParallelGov(gov, src, groupCols, aggs, "g", 4)
-			check("radix", out, err)
+			out, _, err = GroupByHashParallelGov(gov, src, groupCols, aggs, "g", 4)
+			check("morsel", out, err)
 
 			// The adaptive entry point must agree too, whatever rung it picks.
 			for _, hints := range []AdaptiveHints{
 				{},
 				{NDV: float64(tc.ndvA * tc.ndvB), Workers: 4},
-				{NDV: 100000, Workers: 4}, // inflated estimate steers to radix
+				{NDV: 100000, Workers: 4}, // inflated estimate oversizes the hash table
 			} {
 				out, ks, err := GroupByAdaptiveGov(gov, src, groupCols, aggs, "g", hints)
 				check(fmt.Sprintf("adaptive(%+v→%v)", hints, ks.Kind), out, err)
@@ -193,14 +198,6 @@ func TestKernelFailpointsSurfaceTypedErrors(t *testing.T) {
 			_, _, err := GroupByDenseGov(gov, src, groupCols, aggs, "g", 4)
 			return err
 		}},
-		{"exec.radix.scatter", "radix", func(gov *Gov) error {
-			_, _, err := GroupByRadixParallelGov(gov, src, groupCols, aggs, "g", 4)
-			return err
-		}},
-		{"exec.radix.build", "radix build worker", func(gov *Gov) error {
-			_, _, err := GroupByRadixParallelGov(gov, src, groupCols, aggs, "g", 4)
-			return err
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.site, func(t *testing.T) {
@@ -228,7 +225,7 @@ func TestKernelFailpointsSurfaceTypedErrors(t *testing.T) {
 	}
 }
 
-// TestKernelCancellation pins that both new kernels honor governor
+// TestKernelCancellation pins that the dense kernel honors governor
 // cancellation between batches.
 func TestKernelCancellation(t *testing.T) {
 	src := kernelTable(50000, 300, 200, 0, 12)
@@ -237,9 +234,6 @@ func TestKernelCancellation(t *testing.T) {
 	gov := NewGov(ctx, NewMemBudget(0))
 	if _, _, err := GroupByDenseGov(gov, src, []int{0, 1}, kernelAggs(), "g", 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("dense: err = %v, want context.Canceled", err)
-	}
-	if _, _, err := GroupByRadixParallelGov(gov, src, []int{0, 1}, kernelAggs(), "g", 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("radix: err = %v, want context.Canceled", err)
 	}
 }
 

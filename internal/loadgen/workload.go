@@ -1,3 +1,7 @@
+// Package loadgen builds the query populations and append streams the
+// benchmark offers a DB: the group-by lattice over a table's
+// grouping-friendly columns, coarsest first, and a deterministic rotation of
+// append batches sampled from the table's own rows.
 package loadgen
 
 import (

@@ -20,7 +20,7 @@ import (
 // snapshot. Collectors send these on the channel passed to Collect.
 type Metric struct {
 	// Name is the full series name, labels included:
-	// `gbmqo_loadgen_ops_total{kind="query"}`.
+	// `gbmqo_exec_kernel_total{kind="hash"}`.
 	Name string
 	// Help is the family's # HELP text (first writer wins within a family).
 	Help string

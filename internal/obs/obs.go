@@ -143,7 +143,7 @@ func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q
 
 // NewHistogram builds a standalone histogram (not attached to any registry)
 // with the given ascending upper bounds — for per-run measurement windows
-// like the load harness's per-level latency distribution.
+// that no scrape should see.
 func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds: append([]float64(nil), bounds...),

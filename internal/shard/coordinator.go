@@ -338,7 +338,6 @@ func (c *Coordinator) executeLocked(req engine.Request, ti tableInfo) (res *engi
 		Search:      first.Search,
 		ModelUsd:    first.ModelUsd,
 		PlanCostSeq: first.PlanCostSeq,
-		PlanCostPar: first.PlanCostPar,
 	}, nil
 }
 

@@ -85,15 +85,37 @@ func soloReference(t *testing.T, db *DB, queries []GroupQuery) []*Table {
 }
 
 // TestSubmitDifferentialRandomized: concurrent batched submissions must be
-// cell-for-cell identical to the same queries executed one at a time.
+// cell-for-cell identical to the same queries executed one at a time. The
+// last trial is a 12-query dashboard, wider than one window: its windows
+// must close full, averaging at least four queries per batch.
 func TestSubmitDifferentialRandomized(t *testing.T) {
 	db := openWithLineitem(t, 6000)
 	db.StartBatching(BatchOptions{MaxBatch: 8, MaxWait: 25 * time.Millisecond,
 		Exec: QueryOptions{SharedScan: true, Parallel: true}})
 	defer db.StopBatching()
 	r := rand.New(rand.NewSource(11))
+	var trials [][]GroupQuery
 	for trial := 0; trial < 4; trial++ {
-		queries := randomExactQueries(r, 3+r.Intn(6))
+		trials = append(trials, randomExactQueries(r, 3+r.Intn(6)))
+	}
+	sumQty := Agg{Kind: AggSum, Col: 4, Name: "sum_qty"}
+	minQty := Agg{Kind: AggMin, Col: 4, Name: "min_qty"}
+	trials = append(trials, []GroupQuery{
+		{Cols: []string{"l_returnflag"}},
+		{Cols: []string{"l_linestatus"}},
+		{Cols: []string{"l_shipmode"}},
+		{Cols: []string{"l_shipinstruct"}},
+		{Cols: []string{"l_returnflag", "l_linestatus"}},
+		{Cols: []string{"l_shipmode", "l_returnflag"}},
+		{Cols: []string{"l_shipmode", "l_linestatus"}},
+		{Cols: []string{"l_shipinstruct", "l_returnflag"}},
+		{Cols: []string{"l_returnflag"}, Aggs: []Agg{sumQty}},
+		{Cols: []string{"l_shipmode"}, Aggs: []Agg{sumQty, minQty}},
+		{Cols: []string{"l_linestatus"}, Aggs: []Agg{minQty}},
+		{Cols: []string{"l_shipmode", "l_shipinstruct"}},
+	})
+	for trial, queries := range trials {
+		before, _ := db.BatchStats()
 		want := soloReference(t, db, queries)
 		got := make([]*Table, len(queries))
 		infos := make([]BatchInfo, len(queries))
@@ -119,6 +141,12 @@ func TestSubmitDifferentialRandomized(t *testing.T) {
 		}
 		if len(queries) > 1 && !batched {
 			t.Fatalf("trial %d: %d concurrent submissions never shared a window", trial, len(queries))
+		}
+		if trial == len(trials)-1 {
+			after, _ := db.BatchStats()
+			if mean := float64(after.Submitted-before.Submitted) / float64(after.Batches-before.Batches); mean < 4 {
+				t.Fatalf("dashboard trial averaged %.1f queries per batch, want >= 4", mean)
+			}
 		}
 	}
 }
