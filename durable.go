@@ -84,7 +84,9 @@ type RecoveryReport struct {
 	SkippedRecords  int `json:"skipped_records,omitempty"`
 	// TruncatedTails counts torn/corrupt WAL tails repaired by truncation.
 	TruncatedTails int `json:"truncated_tails,omitempty"`
-	// ManifestDiscarded reports a cache manifest dropped for a failed CRC.
+	// ManifestDiscarded reports a cache manifest dropped whole: unparseable,
+	// failing its CRC, or written in an older checksum format (recovery then
+	// starts with a cold cache).
 	ManifestDiscarded bool `json:"manifest_discarded,omitempty"`
 	// RewarmedEntries counts cache entries recomputed and checksum-verified;
 	// RewarmSkipped those not attempted or not admitted; QuarantinedEntries
@@ -457,11 +459,21 @@ func (db *DB) RecoveryInfo() (RecoveryReport, bool) {
 
 // manifestEnvelope wraps the persisted entries with a CRC32C over their JSON
 // encoding, so a corrupt manifest is detected and discarded as a unit instead
-// of rewarming from garbage.
+// of rewarming from garbage, and with the checksum format the entries' sums
+// were computed in.
 type manifestEnvelope struct {
+	Format  int                   `json:"format"`
 	CRC     string                `json:"crc"`
 	Entries []cache.ManifestEntry `json:"entries"`
 }
+
+// manifestFormat is the checksum format of the manifests this build writes.
+// Format 2 fingerprints hash measure column values (see cache.ChecksumTable);
+// earlier manifests carry no format field and checksums no recomputation can
+// reproduce. Rewarming one would quarantine — permanently bar — every key it
+// names, so a manifest of any other format is discarded whole instead: a cold
+// cache, not a poisoned one.
+const manifestFormat = 2
 
 var manifestCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -473,7 +485,7 @@ func writeManifest(path string, entries []cache.ManifestEntry) error {
 	if err != nil {
 		return err
 	}
-	env := manifestEnvelope{CRC: fmt.Sprintf("%08x", crc32.Checksum(body, manifestCRC)), Entries: entries}
+	env := manifestEnvelope{Format: manifestFormat, CRC: fmt.Sprintf("%08x", crc32.Checksum(body, manifestCRC)), Entries: entries}
 	buf, err := json.MarshalIndent(env, "", "  ")
 	if err != nil {
 		return err
@@ -486,15 +498,16 @@ func writeManifest(path string, entries []cache.ManifestEntry) error {
 }
 
 // readManifest loads the manifest; ok is false (with no error) when the file
-// is absent, unparseable, or fails its CRC — rewarm is skipped, never fed
-// garbage.
-func readManifest(path string) (entries []cache.ManifestEntry, ok, corrupt bool) {
+// is absent, unparseable, of another checksum format, or fails its CRC —
+// rewarm is skipped, never fed garbage. discarded reports a file that exists
+// but was dropped.
+func readManifest(path string) (entries []cache.ManifestEntry, ok, discarded bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, false
 	}
 	var env manifestEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
+	if err := json.Unmarshal(data, &env); err != nil || env.Format != manifestFormat {
 		return nil, false, true
 	}
 	body, err := json.Marshal(env.Entries)
@@ -518,9 +531,9 @@ func (db *DB) rewarmCache(rep *RecoveryReport) {
 	if c == nil {
 		return
 	}
-	entries, ok, corrupt := readManifest(filepath.Join(db.dur.dir, manifestFile))
+	entries, ok, discarded := readManifest(filepath.Join(db.dur.dir, manifestFile))
 	if !ok {
-		rep.ManifestDiscarded = corrupt
+		rep.ManifestDiscarded = discarded
 		return
 	}
 	for _, m := range entries {

@@ -2,14 +2,18 @@ package gbmqo
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
-	"hash/fnv"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
+
+	"gbmqo/internal/cache"
 )
 
 // durableDefs is the schema every durable test table uses: one low-cardinality
@@ -38,18 +42,12 @@ func durableRows(start, n int) [][]Value {
 	return rows
 }
 
-// tableBytes fingerprints a table's full logical content: column names plus
-// the packed row-major code image. Byte-identical recovery means equal hashes.
+// tableBytes fingerprints a table's full logical content: column names, the
+// packed row-major code image and measure values (the cache's checksum).
+// Byte-identical recovery means equal hashes.
 func tableBytes(t *testing.T, tb *Table) uint64 {
 	t.Helper()
-	h := fnv.New64a()
-	for _, name := range tb.ColNames() {
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-	}
-	img, _ := tb.RowImage()
-	h.Write(img)
-	return h.Sum64()
+	return cache.ChecksumTable(tb)
 }
 
 func openDurableEvents(t *testing.T, dir string, dopts *DurabilityOptions) (*DB, *RecoveryReport) {
@@ -92,12 +90,33 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantQuery := tableBytes(t, res)
+	// A registered aggregate result is snapshotted and recovered like any
+	// table (its measure column was re-interned on registration).
+	_, er, err := db.Execute("events", [][]string{{"s"}}, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Register(er.Results[Cols(1)].Rename("scounts"))
+	liveCounts, _ := db.Table("scounts")
+	wantCounts := tableBytes(t, liveCounts)
+	const byCount = `SELECT cnt, COUNT(*) AS freq FROM scounts GROUP BY cnt`
+	freq, err := db.Query(byCount)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFreq := tableBytes(t, freq)
 	mustClose(t, db)
 
 	db2, rep2 := openDurableEvents(t, dir, &DurabilityOptions{SnapshotInterval: -1})
 	defer mustClose(t, db2)
-	if !rep2.SnapshotLoaded || rep2.TablesRestored != 1 {
+	if !rep2.SnapshotLoaded || rep2.TablesRestored != 2 {
 		t.Fatalf("recovery report: %+v", rep2)
+	}
+	if got, ok := db2.Table("scounts"); !ok || tableBytes(t, got) != wantCounts {
+		t.Fatal("registered result not recovered byte-identical")
+	}
+	if freq2, err := db2.Query(byCount); err != nil || tableBytes(t, freq2) != wantFreq {
+		t.Fatalf("GROUP BY cnt over the recovered result differs (err %v)", err)
 	}
 	// Close snapshots synchronously, so the WAL horizon is fully covered.
 	if rep2.ReplayedRecords != 0 {
@@ -423,6 +442,64 @@ func TestDurableManifestFileCorruption(t *testing.T) {
 	// Table recovery is unaffected by a bad manifest.
 	if tb, ok := db.Table("events"); !ok || tb.NumRows() != 1500 {
 		t.Fatalf("table recovery failed alongside manifest discard")
+	}
+}
+
+// TestDurableOldFormatManifestDiscarded opens a data directory whose
+// manifest was written before checksums hashed aggregate values: no format
+// field, and sums no recomputation reproduces. Rewarming it would quarantine
+// every key for good; recovery must instead discard it whole, load the
+// snapshot, and leave every key admissible.
+func TestDurableOldFormatManifestDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	durableCacheSetup(t, dir)
+
+	path := filepath.Join(dir, manifestFile)
+	entries, ok, _ := readManifest(path)
+	if !ok || len(entries) == 0 {
+		t.Fatalf("manifest read: ok=%v entries=%d", ok, len(entries))
+	}
+	for i := range entries {
+		entries[i].Sum = "00000000deadbeef"
+	}
+	body, err := json.Marshal(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(struct {
+		CRC     string                `json:"crc"`
+		Entries []cache.ManifestEntry `json:"entries"`
+	}{fmt.Sprintf("%08x", crc32.Checksum(body, manifestCRC)), entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, rep, err := OpenDurable(dir, &Config{CacheBytes: 32 << 20}, &DurabilityOptions{SnapshotInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, db)
+	if !rep.SnapshotLoaded || rep.QuarantinedEntries != 0 || !rep.ManifestDiscarded || rep.RewarmedEntries != 0 {
+		t.Fatalf("old-format manifest: %+v, want snapshot loaded, manifest discarded, nothing quarantined or rewarmed", rep)
+	}
+	queries := [][]string{{"k"}, {"s"}, {"k", "s"}}
+	for i := 0; i < 2; i++ {
+		if _, _, err := db.Execute("events", queries, QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, warm, err := db.Execute("events", queries, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Cache.Hits != 3 {
+		t.Fatalf("keys of the discarded manifest not re-admitted: %+v", warm.Cache)
+	}
+	if st, _ := db.CacheStats(); st.Corruptions != 0 {
+		t.Fatalf("discarding the manifest counted corruptions: %+v", st)
 	}
 }
 

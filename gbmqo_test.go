@@ -96,6 +96,45 @@ func TestExecuteReturnsPerSetResults(t *testing.T) {
 	}
 }
 
+// TestRegisteredResultGroupsByValue registers a DB.Execute result and groups
+// it by its count column. Aggregate columns are emitted as measure columns,
+// whose equal values do not share a code, so this only works because
+// registration re-interns them: the answer must be one row per distinct
+// count, each with how many keys had that count.
+func TestRegisteredResultGroupsByValue(t *testing.T) {
+	db := Open(nil)
+	tb := NewTable("src", []ColumnDef{{Name: "k", Typ: Int64}})
+	perKey := []int{3, 3, 3, 5, 5, 7, 1, 1, 1, 1}
+	for k, n := range perKey {
+		for i := 0; i < n; i++ {
+			tb.AppendRow(IntVal(int64(k)))
+		}
+	}
+	db.Register(tb)
+	_, rep, err := db.Execute("src", [][]string{{"k"}}, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Register(rep.Results[Cols(0)].Rename("kcounts"))
+	res, err := db.Query(`SELECT cnt, COUNT(*) AS freq FROM kcounts GROUP BY cnt`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]int64{}
+	for _, n := range perKey {
+		want[int64(n)]++
+	}
+	if res.NumRows() != len(want) {
+		t.Fatalf("GROUP BY cnt gave %d rows, want one per distinct count (%d)", res.NumRows(), len(want))
+	}
+	cnt, freq := res.ColByName("cnt"), res.ColByName("freq")
+	for r := 0; r < res.NumRows(); r++ {
+		if c, f := cnt.Value(r).I, freq.Value(r).I; f != want[c] {
+			t.Errorf("count %d appears %d times, want %d", c, f, want[c])
+		}
+	}
+}
+
 func TestProfileDataQuality(t *testing.T) {
 	db := Open(nil)
 	cust, err := GenerateDataset("customer", 20_000, 3, 0)

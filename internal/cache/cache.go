@@ -23,9 +23,11 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,7 +145,7 @@ type entry struct {
 	tbl     *table.Table
 	bytes   int64
 	benefit float64 // estimated plan cost one exact hit saves vs base
-	sum     uint64  // FNV-64a over schema + row image, fixed at admission
+	sum     uint64  // checksumTable(tbl), fixed at admission
 
 	uses     atomic.Int64  // demanded-or-hit count, the W in LRU-W
 	lastUsed atomic.Uint64 // logical clock of the last touch
@@ -262,10 +264,12 @@ func (c *Cache) quarantine(key Key, e *entry) {
 	c.corruptions.Add(1)
 }
 
-// checksumTable fingerprints a cached table: FNV-64a over the column names
-// and the row-major scan image. The image is built lazily and cached by the
-// table, and Offer forces it before admission, so hashing here reads stable
-// bytes.
+// checksumTable fingerprints a cached table: FNV-64a over the column names,
+// the row-major scan image, and each measure column's value slice — a measure
+// column's codes only say which rows are NULL (see table.MeasureColumn), so
+// its values must be hashed for the fingerprint to see an aggregate at all.
+// The image is built lazily and cached by the table, and Offer forces it
+// before admission, so hashing here reads stable bytes.
 func checksumTable(t *table.Table) uint64 {
 	h := fnv.New64a()
 	for i := 0; i < t.NumCols(); i++ {
@@ -274,7 +278,32 @@ func checksumTable(t *table.Table) uint64 {
 	}
 	img, _ := t.RowImage()
 	h.Write(img)
+	for i := 0; i < t.NumCols(); i++ {
+		if c := t.Col(i); c.Measure() {
+			h.Write(binary.LittleEndian.AppendUint64(nil, foldMeasure(c)))
+		}
+	}
 	return h.Sum64()
+}
+
+// foldMeasure hashes a measure column's dictionary values a 64-bit word at a
+// time — an xor-multiply-xorshift step per value, so a hit's verification
+// pays one multiply per aggregate value rather than FNV's eight.
+func foldMeasure(c *table.Column) uint64 {
+	ints, floats := c.NumericDict()
+	h := uint64(len(ints) + len(floats))
+	for _, v := range ints {
+		h = mixWord(h, uint64(v))
+	}
+	for _, v := range floats {
+		h = mixWord(h, math.Float64bits(v))
+	}
+	return h
+}
+
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
 }
 
 // Ancestor is one lattice-lookup candidate: a cached entry whose grouping

@@ -395,6 +395,55 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
+// groupCounts runs the real COUNT(*) kernel over a one-column table holding
+// value k counts[k] times, so the result has one group per entry of counts.
+func groupCounts(counts ...int) *table.Table {
+	tb := table.New("src", []table.ColumnDef{{Name: "k", Typ: table.TInt64}})
+	for k, n := range counts {
+		for i := 0; i < n; i++ {
+			tb.AppendRow(table.Int(int64(k)))
+		}
+	}
+	return exec.GroupByHash(tb, []int{0}, countStar(), "g")
+}
+
+// TestChecksumSeesAggregateValues pins that the fingerprint covers aggregate
+// values, not just their equality pattern: results whose counts differ but
+// repeat alike — (5, 3) vs (6, 3), and all-equal (1, 1) vs (2, 2) — must
+// hash apart, or the bench oracle, verify-on-hit and durable rewarm would
+// all accept a wrong count.
+func TestChecksumSeesAggregateValues(t *testing.T) {
+	for _, tc := range []struct{ a, b []int }{
+		{[]int{5, 3}, []int{6, 3}},
+		{[]int{1, 1}, []int{2, 2}},
+	} {
+		a, b := groupCounts(tc.a...), groupCounts(tc.b...)
+		if ChecksumTable(a) == ChecksumTable(b) {
+			t.Errorf("counts %v and %v have equal checksums", tc.a, tc.b)
+		}
+		if ChecksumTable(a) != ChecksumTable(groupCounts(tc.a...)) {
+			t.Errorf("counts %v: checksum not deterministic", tc.a)
+		}
+	}
+}
+
+// TestChecksumDetectsCorruptedCount is TestChecksumDetectsCorruption for an
+// aggregate value: a count changed in place, codes untouched, is never
+// served.
+func TestChecksumDetectsCorruptedCount(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	key := KeyOf("src", 1, 0, colset.Of(0), countStar())
+	res := groupCounts(5, 3)
+	if !c.Offer(key, countStar(), res, 100) {
+		t.Fatal("offer rejected")
+	}
+	ints, _ := res.Col(1).NumericDict()
+	ints[0]++
+	if _, ok := c.Get(key); ok {
+		t.Fatal("entry with a corrupted count was served")
+	}
+}
+
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
 	if _, ok := c.Get(Key{}); ok {

@@ -17,8 +17,8 @@ import (
 // into the same quarantine the live corruption detector uses.
 
 // ChecksumTable fingerprints a result table exactly as the cache does at
-// admission: FNV-64a over the column names (NUL-separated) and the row-major
-// scan image. Exported so snapshot verification and manifest rewarm compare
+// admission: FNV-64a over the column names (NUL-separated), the row-major
+// scan image and the measure columns' values. Exported so snapshot verification and manifest rewarm compare
 // against the same fingerprint the live cache enforces.
 func ChecksumTable(t *table.Table) uint64 {
 	return checksumTable(t)

@@ -82,7 +82,14 @@ func (c *Catalog) Stats() *stats.Service { return c.stats }
 // Register adds or replaces a table. Replacing drops the old table's indexes
 // and invalidates its statistics. The delta counter resets: a replace starts a
 // fresh Version whose contents have no append lineage.
+//
+// A registered table is grouped, indexed, profiled and snapshotted, all of
+// which rely on equal codes meaning equal values and equal values sharing a
+// code. Measure columns (aggregate results, see table.MeasureColumn) break
+// the second half, so Register stores a copy with them re-interned
+// (table.InternMeasures): a registered result groups by value.
 func (c *Catalog) Register(t *table.Table) {
+	t = t.InternMeasures()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, existed := c.tables[t.Name()]; existed {

@@ -86,10 +86,14 @@ type accumulator interface {
 	// gid is below it). State grows once per block to groups entries, so the
 	// per-row loop carries no growth check and no interface call.
 	observe(gids, rows []int32, groups int)
-	// result emits the final value for group g.
-	result(g int) table.Value
-	// outType is the result column type.
-	outType() table.Type
+	// column builds the result column named name over the first groups
+	// groups: row k holds group k, or group order[k] when order is non-nil.
+	// COUNT, SUM and AVG build measure columns (table.MeasureColumn); MIN and
+	// MAX emit their best codes under the source column's dictionary, so
+	// their codes agree across plans just as key columns' do. With a nil
+	// order the state slices are handed to the column uncopied, so the
+	// accumulator must not be used afterwards.
+	column(name string, groups int, order []int) *table.Column
 	// mergePartial folds group src of a worker-local partial accumulator into
 	// group dst of this one, combining states instead of replaying rows: COUNT
 	// partials add, SUM partials add, MIN/MAX partials compare, AVG merges its
@@ -100,9 +104,9 @@ type accumulator interface {
 	mergePartial(dst int, other accumulator, src int)
 	// cloneEmpty returns a fresh accumulator of the same concrete type over
 	// the same input column, with empty per-group state. Read-only decode
-	// state (code slices, decode tables, rank tables) is shared with the
+	// state (code slices, dictionary values, rank tables) is shared with the
 	// receiver, so the parallel kernels can hand each worker or partition its
-	// own clone without rebuilding decode tables per clone.
+	// own clone without rebuilding it per clone.
 	cloneEmpty() accumulator
 }
 
@@ -154,6 +158,20 @@ func growTo[T any](s []T, n int) []T {
 	return append(s, make([]T, n-len(s))...)
 }
 
+// permute returns the first n entries of a state slice in output order:
+// s[:n] itself when order is nil, else a fresh slice with entry k = s[order[k]].
+func permute[T any](s []T, n int, order []int) []T {
+	s = growTo(s, n)
+	if order == nil {
+		return s[:n]
+	}
+	out := make([]T, n)
+	for k, g := range order {
+		out[k] = s[g]
+	}
+	return out
+}
+
 // newAccumulator builds the accumulator for one agg over the input table.
 func newAccumulator(a Agg, t *table.Table) accumulator {
 	switch a.Kind {
@@ -165,9 +183,11 @@ func newAccumulator(a Agg, t *table.Table) accumulator {
 		col := t.Col(a.Col)
 		switch col.Type() {
 		case table.TFloat64:
-			return &sumFloatAcc{codes: col.Codes(), vals: col.Float64DecodeTable()}
+			_, vals := col.NumericDict()
+			return &sumFloatAcc{codes: col.Codes(), vals: vals}
 		case table.TInt64, table.TDate:
-			return &sumIntAcc{codes: col.Codes(), vals: col.Int64DecodeTable()}
+			vals, _ := col.NumericDict()
+			return &sumIntAcc{codes: col.Codes(), vals: vals}
 		default:
 			panic(fmt.Sprintf("exec: SUM over %s column %q", col.Type(), col.Name()))
 		}
@@ -178,11 +198,12 @@ func newAccumulator(a Agg, t *table.Table) accumulator {
 		col := t.Col(a.Col)
 		switch col.Type() {
 		case table.TFloat64:
-			return &avgAcc{codes: col.Codes(), vals: col.Float64DecodeTable()}
+			_, vals := col.NumericDict()
+			return &avgAcc{codes: col.Codes(), vals: vals}
 		case table.TInt64, table.TDate:
-			vals := col.Int64DecodeTable()
-			fvals := make([]float64, len(vals))
-			for i, v := range vals {
+			ints, _ := col.NumericDict()
+			fvals := make([]float64, len(ints))
+			for i, v := range ints {
 				fvals[i] = float64(v)
 			}
 			return &avgAcc{codes: col.Codes(), vals: fvals}
@@ -203,8 +224,9 @@ func (a *countStarAcc) observe(gids, _ []int32, groups int) {
 		counts[g]++
 	}
 }
-func (a *countStarAcc) result(g int) table.Value { return table.Int(a.counts[g]) }
-func (a *countStarAcc) outType() table.Type      { return table.TInt64 }
+func (a *countStarAcc) column(name string, groups int, order []int) *table.Column {
+	return table.MeasureColumn(name, permute(a.counts, groups, order), nil)
+}
 func (a *countStarAcc) mergePartial(dst int, other accumulator, src int) {
 	a.counts = growTo(a.counts, dst+1)
 	a.counts[dst] += other.(*countStarAcc).counts[src]
@@ -226,8 +248,9 @@ func (a *countAcc) observe(gids, rows []int32, groups int) {
 		}
 	}
 }
-func (a *countAcc) result(g int) table.Value { return table.Int(a.counts[g]) }
-func (a *countAcc) outType() table.Type      { return table.TInt64 }
+func (a *countAcc) column(name string, groups int, order []int) *table.Column {
+	return table.MeasureColumn(name, permute(a.counts, groups, order), nil)
+}
 func (a *countAcc) mergePartial(dst int, other accumulator, src int) {
 	a.counts = growTo(a.counts, dst+1)
 	a.counts[dst] += other.(*countAcc).counts[src]
@@ -236,7 +259,7 @@ func (a *countAcc) cloneEmpty() accumulator { return &countAcc{codes: a.codes} }
 
 type sumIntAcc struct {
 	codes []uint32
-	vals  []int64 // code-indexed decode table
+	vals  []int64 // dictionary values: code k decodes to vals[k-1]
 	sums  []int64
 	seen  []bool
 }
@@ -247,18 +270,14 @@ func (a *sumIntAcc) observe(gids, rows []int32, groups int) {
 	rows = rows[:len(gids)]
 	for i, g := range gids {
 		if code := codes[rows[i]]; code != 0 {
-			sums[g] += vals[code]
+			sums[g] += vals[code-1]
 			seen[g] = true
 		}
 	}
 }
-func (a *sumIntAcc) result(g int) table.Value {
-	if !a.seen[g] {
-		return table.Null(table.TInt64)
-	}
-	return table.Int(a.sums[g])
+func (a *sumIntAcc) column(name string, groups int, order []int) *table.Column {
+	return table.MeasureColumn(name, permute(a.sums, groups, order), permute(a.seen, groups, order))
 }
-func (a *sumIntAcc) outType() table.Type { return table.TInt64 }
 func (a *sumIntAcc) mergePartial(dst int, other accumulator, src int) {
 	a.sums, a.seen = growTo(a.sums, dst+1), growTo(a.seen, dst+1)
 	o := other.(*sumIntAcc)
@@ -271,7 +290,7 @@ func (a *sumIntAcc) cloneEmpty() accumulator { return &sumIntAcc{codes: a.codes,
 
 type sumFloatAcc struct {
 	codes []uint32
-	vals  []float64 // code-indexed decode table
+	vals  []float64 // dictionary values: code k decodes to vals[k-1]
 	sums  []float64
 	seen  []bool
 }
@@ -282,18 +301,14 @@ func (a *sumFloatAcc) observe(gids, rows []int32, groups int) {
 	rows = rows[:len(gids)]
 	for i, g := range gids {
 		if code := codes[rows[i]]; code != 0 {
-			sums[g] += vals[code]
+			sums[g] += vals[code-1]
 			seen[g] = true
 		}
 	}
 }
-func (a *sumFloatAcc) result(g int) table.Value {
-	if !a.seen[g] {
-		return table.Null(table.TFloat64)
-	}
-	return table.Float(a.sums[g])
+func (a *sumFloatAcc) column(name string, groups int, order []int) *table.Column {
+	return table.MeasureColumn(name, permute(a.sums, groups, order), permute(a.seen, groups, order))
 }
-func (a *sumFloatAcc) outType() table.Type { return table.TFloat64 }
 func (a *sumFloatAcc) mergePartial(dst int, other accumulator, src int) {
 	a.sums, a.seen = growTo(a.sums, dst+1), growTo(a.seen, dst+1)
 	o := other.(*sumFloatAcc)
@@ -333,8 +348,11 @@ func (a *extremeAcc) consider(g int, code uint32) {
 		a.best[g] = code
 	}
 }
-func (a *extremeAcc) result(g int) table.Value { return a.col.Decode(a.best[g]) }
-func (a *extremeAcc) outType() table.Type      { return a.col.Type() }
+func (a *extremeAcc) column(name string, groups int, order []int) *table.Column {
+	out := a.col.EmptyLike(name)
+	out.AppendCodes(permute(a.best, groups, order))
+	return out
+}
 func (a *extremeAcc) mergePartial(dst int, other accumulator, src int) {
 	a.best = growTo(a.best, dst+1)
 	a.consider(dst, other.(*extremeAcc).best[src])
@@ -348,7 +366,7 @@ func (a *extremeAcc) cloneEmpty() accumulator {
 // all-NULL group averages to NULL.
 type avgAcc struct {
 	codes  []uint32
-	vals   []float64 // code-indexed decode table
+	vals   []float64 // dictionary values: code k decodes to vals[k-1]
 	sums   []float64
 	counts []int64
 }
@@ -359,18 +377,22 @@ func (a *avgAcc) observe(gids, rows []int32, groups int) {
 	rows = rows[:len(gids)]
 	for i, g := range gids {
 		if code := codes[rows[i]]; code != 0 {
-			sums[g] += vals[code]
+			sums[g] += vals[code-1]
 			counts[g]++
 		}
 	}
 }
-func (a *avgAcc) result(g int) table.Value {
-	if a.counts[g] == 0 {
-		return table.Null(table.TFloat64)
+func (a *avgAcc) column(name string, groups int, order []int) *table.Column {
+	avgs, counts := permute(a.sums, groups, order), permute(a.counts, groups, order)
+	valid := make([]bool, groups)
+	for k, n := range counts {
+		if n != 0 {
+			avgs[k] /= float64(n)
+			valid[k] = true
+		}
 	}
-	return table.Float(a.sums[g] / float64(a.counts[g]))
+	return table.MeasureColumn(name, avgs, valid)
 }
-func (a *avgAcc) outType() table.Type { return table.TFloat64 }
 func (a *avgAcc) mergePartial(dst int, other accumulator, src int) {
 	a.sums, a.counts = growTo(a.sums, dst+1), growTo(a.counts, dst+1)
 	o := other.(*avgAcc)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -445,6 +446,40 @@ func TestSplitTaggedRoundTrip(t *testing.T) {
 	}
 	if py.ColByName("cnt").Value(0).I != 20 {
 		t.Fatal("part (y) aggregate wrong")
+	}
+}
+
+// TestUnionAllTaggedColumnWise unions two kernel results over one table:
+// key columns keep their source dictionary (codes copied, absent = NULL),
+// aggregate columns concatenate into one measure column, MIN codes stay
+// under the source dictionary, and the values read back as the parts held
+// them.
+func TestUnionAllTaggedColumnWise(t *testing.T) {
+	src := table.New("s", []table.ColumnDef{{Name: "x", Typ: table.TInt64}, {Name: "y", Typ: table.TString}})
+	for i := 0; i < 12; i++ {
+		src.AppendRow(table.Int(int64(i%3)), table.Str([]string{"p", "q"}[i%2]))
+	}
+	aggs := []Agg{CountStar(), {Kind: AggMin, Col: 0, Name: "mn"}}
+	px := GroupByHash(src, []int{0}, aggs, "px")
+	py := GroupByHash(src, []int{1}, aggs, "py")
+	out, err := UnionAllTagged("u", []table.ColumnDef{
+		{Name: "x", Typ: table.TInt64},
+		{Name: "y", Typ: table.TString},
+		{Name: "cnt", Typ: table.TInt64},
+		{Name: "mn", Typ: table.TInt64},
+	}, []*table.Table{px, py}, []string{"(x)", "(y)"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, y, cnt, mn := out.ColByName("x"), out.ColByName("y"), out.ColByName("cnt"), out.ColByName("mn")
+	if !x.SharesDict(src.Col(0)) || !y.SharesDict(src.Col(1)) || !mn.SharesDict(src.Col(0)) || !cnt.Measure() {
+		t.Fatal("union re-encoded a column: keys and MIN must keep the source dictionary, COUNT stay a measure")
+	}
+	want := []string{"0||4|0", "1||4|1", "2||4|2", "|p|6|0", "|q|6|0"} // NULL prints empty
+	for r, w := range want {
+		if got := fmt.Sprintf("%v|%v|%v|%v", x.Value(r), y.Value(r), cnt.Value(r), mn.Value(r)); got != w {
+			t.Errorf("row %d = %q, want %q", r, got, w)
+		}
 	}
 }
 

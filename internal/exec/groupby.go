@@ -215,15 +215,15 @@ func GroupByIndexCounts(t *table.Table, ix *index.Index, outName string) *table.
 	for _, c := range groupCols {
 		cols = append(cols, t.Col(c).EmptyLike(t.Col(c).Name()))
 	}
-	cnt := table.NewColumn(table.ColumnDef{Name: "cnt", Typ: table.TInt64})
-	for g := 0; g < nGroups; g++ {
+	cnt := make([]int64, nGroups)
+	for g := range cnt {
 		first := int(perm[bounds[g]])
 		for i, c := range groupCols {
 			cols[i].AppendCode(t.Col(c).Code(first))
 		}
-		cnt.Append(table.Int(int64(bounds[g+1] - bounds[g])))
+		cnt[g] = int64(bounds[g+1] - bounds[g])
 	}
-	cols = append(cols, cnt)
+	cols = append(cols, table.MeasureColumn("cnt", cnt, nil))
 	return table.FromColumns(outName, cols)
 }
 
@@ -248,7 +248,7 @@ func GroupByIndexPrefixCounts(t *table.Table, ix *index.Index, prefixCols []int,
 	for _, c := range prefixCols {
 		cols = append(cols, t.Col(c).EmptyLike(t.Col(c).Name()))
 	}
-	cnt := table.NewColumn(table.ColumnDef{Name: "cnt", Typ: table.TInt64})
+	var cnt []int64
 	run := int64(0)
 	var prevStart int32 = -1
 	flush := func() {
@@ -258,7 +258,7 @@ func GroupByIndexPrefixCounts(t *table.Table, ix *index.Index, prefixCols []int,
 		for i, col := range codes {
 			cols[i].AppendCode(col[prevStart])
 		}
-		cnt.Append(table.Int(run))
+		cnt = append(cnt, run)
 	}
 	for g := 0; g < ix.NumGroups(); g++ {
 		start := perm[bounds[g]]
@@ -279,15 +279,16 @@ func GroupByIndexPrefixCounts(t *table.Table, ix *index.Index, prefixCols []int,
 		run += int64(bounds[g+1] - bounds[g])
 	}
 	flush()
-	cols = append(cols, cnt)
+	cols = append(cols, table.MeasureColumn("cnt", cnt, nil))
 	return table.FromColumns(outName, cols)
 }
 
 // emitGroups assembles the output table: group key columns share the input's
-// dictionaries; aggregate columns are fresh. order, when non-nil, is a
-// permutation of group ids giving the output row order (the parallel merge
-// uses it to restore global first-appearance order); nil emits groups in id
-// order.
+// dictionaries; each accumulator builds its own column (see
+// accumulator.column) and must not be used afterwards. order, when non-nil,
+// is a permutation of group ids giving the output row order (the parallel
+// merge uses it to restore global first-appearance order); nil emits groups
+// in id order.
 func emitGroups(t *table.Table, groupCols []int, aggs []Agg, accs []accumulator, firstRows []int32, order []int, outName string) *table.Table {
 	nGroups := len(firstRows)
 	cols := make([]*table.Column, 0, len(groupCols)+len(aggs))
@@ -309,15 +310,7 @@ func emitGroups(t *table.Table, groupCols []int, aggs []Agg, accs []accumulator,
 		cols = append(cols, out)
 	}
 	for i, a := range aggs {
-		out := table.NewColumn(table.ColumnDef{Name: a.Name, Typ: accs[i].outType()})
-		for k := 0; k < nGroups; k++ {
-			g := k
-			if order != nil {
-				g = order[k]
-			}
-			out.Append(accs[i].result(g))
-		}
-		cols = append(cols, out)
+		cols = append(cols, accs[i].column(a.Name, nGroups, order))
 	}
 	return table.FromColumns(outName, cols)
 }
@@ -343,24 +336,32 @@ func (rd rowReader) code(r int, k int) uint32 {
 // serves two key modes:
 //
 //   - packed: each key column gets bits.Len32(DictSize()) bits, and when the
-//     widths sum to at most 64 a row's codes are packed into one uint64 once
-//     per row. The slot comes from one seeded mix of that key and equality is
-//     one integer compare, so the row image is read once per probe.
+//     widths sum to at most 64 a row's codes fold into one uint64. A block's
+//     keys are decoded column-major by the strided loop the dense kernel uses
+//     (decodeKeys), then probed in one tight loop: one seeded mix per key and
+//     one integer compare per slot visited.
 //   - wide: otherwise the slot key is the row's seeded hashRow, and a match is
 //     confirmed against the representative row's codes.
 //
 // Packing trusts that every code fits its column's width (code ≤ DictSize).
-// pack checks that per row; a row that breaks it converts the table to wide
-// mode before it is probed, so a bad code degrades speed, never merges two
-// groups.
+// The decode checks each column's largest code in a block before any row of
+// the block is probed; a block that breaks it converts the table to wide mode
+// first and is probed wide, so a bad code degrades speed, never merges two
+// groups. Group ids and their first rows do not depend on the mode.
 type groupHash struct {
-	rd    rowReader
-	packs []packCol // key layout of the packed mode, one entry per key column
-	wide  bool
-	mask  uint64
-	slots []groupSlot
-	// groups is the number of groups handed out so far.
-	groups int
+	rd rowReader
+	// mults and limits are the packed key layout, one entry per key column:
+	// the column's code is multiplied by mults (1 << its bit offset) and must
+	// not exceed limits (the largest code its width holds).
+	mults  []uint64
+	limits []uint32
+	keys   []uint64 // the block's decoded packed keys, reused across blocks
+	wide   bool
+	mask   uint64
+	slots  []groupSlot
+	// firstRows is each group's first row, in group-id order; its length is
+	// the number of groups handed out so far.
+	firstRows []int32
 
 	// budget, when non-nil, is charged for slot memory as the table grows;
 	// charged is the running total the owner releases when the operator
@@ -381,13 +382,6 @@ type groupSlot struct {
 	key   uint64
 	group int32
 	row   int32
-}
-
-// packCol places one key column in the packed key.
-type packCol struct {
-	off   int  // byte offset of the column's code within a row
-	shift uint // bit position of the code within the packed key
-	width uint // bits.Len32 of the column's dictionary size
 }
 
 // slotBytes is the per-slot memory of a groupHash (key 8 + group 4 + row 4).
@@ -423,7 +417,8 @@ func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int) *
 	}
 	h := &groupHash{
 		rd:       keyReader(t, cols),
-		packs:    make([]packCol, len(cols)),
+		mults:    make([]uint64, len(cols)),
+		limits:   make([]uint32, len(cols)),
 		mask:     uint64(size - 1),
 		slots:    make([]groupSlot, size),
 		budget:   budget,
@@ -432,7 +427,9 @@ func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int) *
 	var shift uint
 	for i, c := range cols {
 		w := uint(bits.Len32(uint32(t.Col(c).DictSize())))
-		h.packs[i] = packCol{off: h.rd.offs[i], shift: shift, width: w}
+		// A shift of 64 leaves a zero multiplier: only a zero-width column
+		// (all codes NULL) can sit there, and its codes are zero anyway.
+		h.mults[i], h.limits[i] = uint64(1)<<shift, uint32(1<<w-1)
 		shift += w
 	}
 	h.wide = shift > 64
@@ -446,7 +443,7 @@ func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int) *
 // required. A presize larger than the data needed does not inflate the count.
 func (h *groupHash) rehashesAvoided() int {
 	needed := groupHashInitSize
-	for uint64(h.groups+1)*4 > uint64(needed)*3 {
+	for uint64(len(h.firstRows)+1)*4 > uint64(needed)*3 {
 		needed <<= 1
 	}
 	saved := h.initSize
@@ -469,56 +466,99 @@ func (h *groupHash) charge(n int64) {
 	h.charged += n
 }
 
-// groupOf returns the dense group id for the key tuple at row, allocating a
-// new group on first sight.
-func (h *groupHash) groupOf(row int) (g int, isNew bool) {
-	if uint64(h.groups+1)*4 > (h.mask+1)*3 {
-		h.grow()
-	}
+// assign sets gids[i] to the group of row lo+i for the block of rows
+// [lo, lo+len(gids)), handing out new groups in row order. A packed table
+// decodes the whole block first; a block holding a code too wide for its
+// column widens the table before any of its rows is probed.
+func (h *groupHash) assign(lo int, gids []int32) {
 	if !h.wide {
-		if key, ok := h.pack(row); ok {
-			for slot := mixKey(key, h.rd.seed) & h.mask; ; slot = (slot + 1) & h.mask {
-				s := &h.slots[slot]
-				if s.group == 0 {
-					return h.insert(s, key, row), true
-				}
-				if s.key == key {
-					return int(s.group - 1), false
-				}
-			}
+		if cap(h.keys) < len(gids) {
+			h.keys = make([]uint64, len(gids))
+		}
+		keys := h.keys[:len(gids)]
+		if decodeKeys(keys, h.rd, lo, h.mults, h.limits) {
+			h.probePacked(keys, lo, gids)
+			return
 		}
 		h.widen()
 	}
+	for i := range gids {
+		gids[i] = h.probeWide(lo + i)
+	}
+}
+
+// groupOf returns the group of one row, probed as a one-row block, and
+// whether the row opened it. The morsel merge folds worker-local groups into
+// the final table with it.
+func (h *groupHash) groupOf(row int) (g int, isNew bool) {
+	before := len(h.firstRows)
+	var gid [1]int32
+	h.assign(row, gid[:])
+	return int(gid[0]), len(h.firstRows) > before
+}
+
+// probePacked maps the packed keys of rows [lo, lo+len(keys)) to group ids.
+// The table grows only on the insert path, after which the key's probe
+// restarts in the larger table (the key is known to be absent).
+func (h *groupHash) probePacked(keys []uint64, lo int, gids []int32) {
+	seed, slots, mask := h.rd.seed, h.slots, h.mask
+	gids = gids[:len(keys)]
+	for i, key := range keys {
+		slot := mixKey(key, seed) & mask
+		for {
+			s := &slots[slot]
+			if s.group == 0 {
+				if h.full() {
+					h.grow()
+					slots, mask = h.slots, h.mask
+					slot = mixKey(key, seed) & mask
+					continue
+				}
+				gids[i] = h.insert(s, key, lo+i)
+				break
+			}
+			if s.key == key {
+				gids[i] = s.group - 1
+				break
+			}
+			slot = (slot + 1) & mask
+		}
+	}
+}
+
+// probeWide returns the group of row in wide mode.
+func (h *groupHash) probeWide(row int) int32 {
 	hash := hashRow(h.rd, row)
-	for slot := hash & h.mask; ; slot = (slot + 1) & h.mask {
+	slot := hash & h.mask
+	for {
 		s := &h.slots[slot]
-		if s.group == 0 {
-			return h.insert(s, hash, row), true
+		switch {
+		case s.group == 0 && h.full():
+			h.grow()
+			slot = hash & h.mask
+			continue
+		case s.group == 0:
+			return h.insert(s, hash, row)
+		case s.key == hash && h.rowsEqual(s.row, int32(row)):
+			return s.group - 1
 		}
-		if s.key == hash && h.rowsEqual(s.row, int32(row)) {
-			return int(s.group - 1), false
-		}
+		slot = (slot + 1) & h.mask
 	}
 }
 
-// pack folds row's key codes into one uint64. ok is false when a code does
-// not fit its column's width, i.e. exceeds the column's dictionary size.
-func (h *groupHash) pack(row int) (key uint64, ok bool) {
-	img := h.rd.image[row*h.rd.stride:]
-	var over uint32
-	for _, p := range h.packs {
-		c := binary.LittleEndian.Uint32(img[p.off:])
-		over |= c >> p.width
-		key |= uint64(c) << p.shift
-	}
-	return key, over == 0
+// full reports whether one more group would push the table past its 3/4
+// load factor.
+func (h *groupHash) full() bool {
+	return uint64(len(h.firstRows)+1)*4 > (h.mask+1)*3
 }
 
-// insert claims empty slot s for a new group keyed by key at row.
-func (h *groupHash) insert(s *groupSlot, key uint64, row int) int {
-	h.groups++
-	*s = groupSlot{key: key, group: int32(h.groups), row: int32(row)}
-	return h.groups - 1
+// insert claims empty slot s for a new group keyed by key whose first row is
+// row, and returns the group's id.
+func (h *groupHash) insert(s *groupSlot, key uint64, row int) int32 {
+	h.firstRows = append(h.firstRows, int32(row))
+	g := int32(len(h.firstRows))
+	*s = groupSlot{key: key, group: g, row: int32(row)}
+	return g - 1
 }
 
 // slotHash is the hash that placed s: its stored hashRow in wide mode, the

@@ -151,17 +151,51 @@ type denseState struct {
 	dcodes    []int32
 }
 
+// decodeKeys folds the key codes of rows [lo, lo+len(dst)) into dst, dst[i] =
+// Σ_k code_k·mults[k], reading the row-store scan image column-major: one
+// tight strided multiply-add loop per key column (the vectorized decode the
+// dense kernel and the packed hash probe share). It returns false, leaving
+// dst partly folded, as soon as a column's largest code in the block exceeds
+// its limits entry.
+func decodeKeys[K int32 | uint64](dst []K, rd rowReader, lo int, mults []K, limits []uint32) bool {
+	if len(mults) == 0 {
+		clear(dst) // no key columns: every row is the one empty key
+	}
+	img, stride := rd.image, rd.stride
+	for k, mk := range mults {
+		p := lo*stride + rd.offs[k]
+		var top uint32
+		if k == 0 {
+			for i := range dst {
+				code := uint32(img[p]) | uint32(img[p+1])<<8 | uint32(img[p+2])<<16 | uint32(img[p+3])<<24
+				top = max(top, code)
+				dst[i] = K(code) * mk
+				p += stride
+			}
+		} else {
+			for i := range dst {
+				code := uint32(img[p]) | uint32(img[p+1])<<8 | uint32(img[p+2])<<16 | uint32(img[p+3])<<24
+				top = max(top, code)
+				dst[i] += K(code) * mk
+				p += stride
+			}
+		}
+		if top > limits[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // denseScan aggregates rows [lo,hi) a block at a time: each block decodes
-// the key columns' codes from the row-store scan image into a dense-code
-// vector column-major (the vectorized probe — one tight multiply-add loop per
-// key column), checks every column's largest code against its dictionary
-// size, probes the flat group-id array (turning the vector into group ids in
-// place) and feeds the block to the accumulators. stop, when non-nil, aborts
-// at the next block boundary after a sibling worker failed.
+// the key columns' codes into a dense-code vector (decodeKeys, which checks
+// every column's largest code against its dictionary size), probes the flat
+// group-id array (turning the vector into group ids in place) and feeds the
+// block to the accumulators. stop, when non-nil, aborts at the next block
+// boundary after a sibling worker failed.
 func denseScan(gov *Gov, st *denseState, rd rowReader, key denseKey, lo, hi int, stop *atomic.Bool) error {
 	dc := make([]int32, blockLen(hi-lo))
 	rowBuf := make([]int32, len(dc))
-	img, stride := rd.image, rd.stride
 	for base := lo; base < hi; base += cancelCheckRows {
 		Testing.Fire("exec.dense.batch")
 		if err := gov.Err(); err != nil {
@@ -172,27 +206,8 @@ func denseScan(gov *Gov, st *denseState, rd rowReader, key denseKey, lo, hi int,
 		}
 		end := min(base+cancelCheckRows, hi)
 		chunk := dc[:end-base]
-		for k, mk := range key.mults {
-			p := base*stride + rd.offs[k]
-			var top uint32
-			if k == 0 {
-				for i := range chunk {
-					code := uint32(img[p]) | uint32(img[p+1])<<8 | uint32(img[p+2])<<16 | uint32(img[p+3])<<24
-					top = max(top, code)
-					chunk[i] = int32(code) * mk
-					p += stride
-				}
-			} else {
-				for i := range chunk {
-					code := uint32(img[p]) | uint32(img[p+1])<<8 | uint32(img[p+2])<<16 | uint32(img[p+3])<<24
-					top = max(top, code)
-					chunk[i] += int32(code) * mk
-					p += stride
-				}
-			}
-			if top > key.limits[k] {
-				return errDenseCode
-			}
+		if !decodeKeys(chunk, rd, base, key.mults, key.limits) {
+			return errDenseCode
 		}
 		for i, code := range chunk {
 			g := st.gid[code]

@@ -36,8 +36,9 @@ func Mergeable(aggs []Agg) bool {
 // cold over the full appended table (float SUM/AVG aside, where addition
 // order can round differently, same caveat as the parallel merge).
 //
-// Key columns of the output share deltaAgg's dictionaries (the extended ones,
-// which cover both inputs' codes). Aggregate columns are fresh.
+// Key columns and MIN/MAX columns of the output share deltaAgg's dictionaries
+// (the extended ones, which cover both inputs' codes); COUNT and SUM columns
+// are measure columns (see AggMerger).
 func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, outName string) (*table.Table, error) {
 	if !Mergeable(aggs) {
 		return nil, fmt.Errorf("exec: aggregate list is not mergeable")
@@ -63,7 +64,6 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 	}
 
 	cRows := cached.NumRows()
-	outRows := cRows
 	consumed := make([]bool, dRows)
 
 	// Key columns share the delta's (extended) dictionaries.
@@ -74,13 +74,13 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 		out.AppendCodes(cached.Col(k).Codes())
 		cols = append(cols, out)
 	}
-	aggCols := make([]*table.Column, len(aggs))
-	for i := range aggs {
-		def := cached.Col(nKeys + i).Def()
-		if dt := deltaAgg.Col(nKeys + i).Type(); dt != def.Typ {
-			return nil, fmt.Errorf("exec: merge aggregate %q type mismatch: cached %s, delta %s", def.Name, def.Typ, dt)
+	mergers := make([]*AggMerger, len(aggs))
+	for i, a := range aggs {
+		cc, dc := cached.Col(nKeys+i), deltaAgg.Col(nKeys+i)
+		if cc.Type() != dc.Type() {
+			return nil, fmt.Errorf("exec: merge aggregate %q type mismatch: cached %s, delta %s", cc.Name(), cc.Type(), dc.Type())
 		}
-		aggCols[i] = table.NewColumn(def)
+		mergers[i] = NewAggMerger(a.Kind, dc, cRows+dRows)
 	}
 
 	// Pass 1: cached rows in order, merged with their delta counterpart.
@@ -89,13 +89,11 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 		if hit {
 			consumed[dr] = true
 		}
-		for i, a := range aggs {
-			cv := cached.Col(nKeys + i).Value(r)
-			if !hit {
-				aggCols[i].Append(cv)
-				continue
+		for i, m := range mergers {
+			g := m.Add(cached.Col(nKeys+i), r)
+			if hit {
+				m.Merge(g, deltaAgg.Col(nKeys+i), dr)
 			}
-			aggCols[i].Append(mergeAggValue(a.Kind, cv, deltaAgg.Col(nKeys+i).Value(dr)))
 		}
 	}
 	// Pass 2: delta-only groups, in delta order (= first-appearance order).
@@ -106,58 +104,122 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 		for k := 0; k < nKeys; k++ {
 			cols[k].AppendCode(deltaAgg.Col(k).Code(dr))
 		}
-		for i := range aggs {
-			aggCols[i].Append(deltaAgg.Col(nKeys + i).Value(dr))
+		for i, m := range mergers {
+			m.Add(deltaAgg.Col(nKeys+i), dr)
 		}
-		outRows++
 	}
-	cols = append(cols, aggCols...)
+	for i, m := range mergers {
+		cols = append(cols, m.Column(cached.Col(nKeys+i).Name(), nil))
+	}
 	return table.FromColumns(outName, cols), nil
 }
 
-// mergeAggValue combines one group's final aggregate value from the base-side
-// aggregation with the same group's value from the delta-side aggregation.
-func mergeAggValue(kind AggKind, base, delta table.Value) table.Value {
+// AggMerger combines the final values of one aggregate column group-wise
+// across results over disjoint rows — the append roll-forward and the shard
+// gather both fold through it. COUNT and SUM add (a NULL SUM is skipped, so
+// the merge is NULL only when every part was); MIN and MAX keep the better
+// code, compared by value. MIN/MAX codes must belong to the template column's
+// dictionary lineage, and the template's dictionary must cover all of them.
+type AggMerger struct {
+	kind  AggKind
+	proto *table.Column // output type; MIN/MAX codes live in its dictionary
+	float bool          // SUM over floats
+	n     int           // groups so far
+
+	ints   []int64   // COUNT/SUM over integers
+	floats []float64 // SUM over floats
+	valid  []bool    // COUNT/SUM: some part was non-NULL
+	codes  []uint32  // MIN/MAX
+}
+
+// NewAggMerger starts an empty merge of kind's final values; proto is a
+// column of the shape being merged, and groups bounds how many groups it
+// will hold (its state is allocated once at that size). It panics on AVG,
+// whose final value is not mergeable (see Mergeable).
+func NewAggMerger(kind AggKind, proto *table.Column, groups int) *AggMerger {
 	switch kind {
-	case AggCountStar, AggCount:
-		return table.Int(base.I + delta.I)
-	case AggSum:
-		// SQL SUM ignores NULLs and is NULL only when every input was NULL.
-		if base.Null {
-			return delta
-		}
-		if delta.Null {
-			return base
-		}
-		if base.Typ == table.TFloat64 {
-			return table.Float(base.F + delta.F)
-		}
-		v := table.Value{Typ: base.Typ, I: base.I + delta.I}
-		return v
-	case AggMin, AggMax:
-		if base.Null {
-			return delta
-		}
-		if delta.Null {
-			return base
-		}
-		if lessValue(delta, base) == (kind == AggMin) {
-			return delta
-		}
-		return base
+	case AggCountStar, AggCount, AggSum, AggMin, AggMax:
 	default:
-		panic(fmt.Sprintf("exec: mergeAggValue on non-mergeable kind %v", kind))
+		panic(fmt.Sprintf("exec: no group-wise merge for aggregate kind %v", kind))
+	}
+	m := &AggMerger{kind: kind, proto: proto, float: proto.Type() == table.TFloat64}
+	switch {
+	case m.extreme():
+		m.codes = make([]uint32, 0, groups)
+	case m.float:
+		m.floats, m.valid = make([]float64, 0, groups), make([]bool, 0, groups)
+	default:
+		m.ints, m.valid = make([]int64, 0, groups), make([]bool, 0, groups)
+	}
+	return m
+}
+
+func (m *AggMerger) extreme() bool { return m.kind == AggMin || m.kind == AggMax }
+
+// Add opens a new group holding col's value at row and returns its index.
+func (m *AggMerger) Add(col *table.Column, row int) int {
+	g := m.n
+	m.n++
+	switch {
+	case m.extreme():
+		m.codes = append(m.codes, 0)
+	case m.float:
+		m.floats = append(m.floats, 0)
+		m.valid = append(m.valid, false)
+	default:
+		m.ints = append(m.ints, 0)
+		m.valid = append(m.valid, false)
+	}
+	m.Merge(g, col, row)
+	return g
+}
+
+// Merge folds col's value at row into group g.
+func (m *AggMerger) Merge(g int, col *table.Column, row int) {
+	if m.extreme() {
+		code := col.Code(row)
+		if code == 0 {
+			return
+		}
+		if cur := m.codes[g]; cur == 0 || m.better(code, cur) {
+			m.codes[g] = code
+		}
+		return
+	}
+	v := col.Value(row)
+	if v.Null {
+		return
+	}
+	m.valid[g] = true
+	if m.float {
+		m.floats[g] += v.F
+	} else {
+		m.ints[g] += v.I
 	}
 }
 
-// lessValue orders two non-null values of the same type.
-func lessValue(a, b table.Value) bool {
-	switch a.Typ {
-	case table.TFloat64:
-		return a.F < b.F
-	case table.TString:
-		return a.S < b.S
+// better reports whether code's value beats cur's under MIN or MAX.
+func (m *AggMerger) better(code, cur uint32) bool {
+	c := m.proto.Decode(code).Compare(m.proto.Decode(cur))
+	if m.kind == AggMin {
+		return c < 0
+	}
+	return c > 0
+}
+
+// Column builds the merged column named name: row k holds group k, or group
+// order[k] when order is non-nil. COUNT and SUM become measure columns,
+// MIN/MAX codes are emitted under the template's dictionary. The merger must
+// not be used afterwards.
+func (m *AggMerger) Column(name string, order []int) *table.Column {
+	switch {
+	case m.extreme():
+		out := m.proto.EmptyLike(name)
+		out.AppendCodes(permute(m.codes, m.n, order))
+		return out
+	case m.float:
+		return table.MeasureColumn(name, permute(m.floats, m.n, order), permute(m.valid, m.n, order))
 	default:
-		return a.I < b.I
+		return table.MeasureColumn(name, permute(m.ints, m.n, order), permute(m.valid, m.n, order))
 	}
 }

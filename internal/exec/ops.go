@@ -40,36 +40,160 @@ const GrpTagCol = "grp_tag"
 // UnionAllTagged assembles the result set of a GROUPING SETS query: the
 // output schema is outCols (the union of all grouping columns plus aggregate
 // columns); each part contributes its own columns with NULL for grouping
-// columns absent from its set, plus a Grp-Tag naming the part. A parts/tags
-// arity mismatch is a malformed request and returns an error.
+// columns absent from its set, plus a Grp-Tag naming the part. The union is
+// built column by column: a column any part holds as a measure concatenates
+// values into a measure column, any other column concatenates codes under the
+// dictionary its parts share, and the tag column interns one string per part.
+// A parts/tags arity mismatch or a part column of the wrong type is a
+// malformed request and returns an error.
 func UnionAllTagged(outName string, outCols []table.ColumnDef, parts []*table.Table, tags []string) (*table.Table, error) {
 	if len(parts) != len(tags) {
 		return nil, fmt.Errorf("exec: union of %d parts with %d tags", len(parts), len(tags))
 	}
-	defs := append(append([]table.ColumnDef(nil), outCols...), table.ColumnDef{Name: GrpTagCol, Typ: table.TString})
-	out := table.New(outName, defs)
-	row := make([]table.Value, len(defs))
-	for pi, part := range parts {
-		// Map each output column to the part's column of the same name (-1 =
-		// absent, emit NULL).
-		srcOrd := make([]int, len(outCols))
-		for i, def := range outCols {
-			srcOrd[i] = part.ColIndex(def.Name)
-		}
-		tag := table.Str(tags[pi])
-		for r := 0; r < part.NumRows(); r++ {
-			for i, def := range outCols {
-				if srcOrd[i] < 0 {
-					row[i] = table.Null(def.Typ)
-				} else {
-					row[i] = part.Col(srcOrd[i]).Value(r)
-				}
+	cols := make([]*table.Column, 0, len(outCols)+1)
+	for _, def := range outCols {
+		// Each part's column of the same name; nil = absent, emit NULL.
+		srcs := make([]*table.Column, len(parts))
+		measure := false
+		for pi, part := range parts {
+			src := part.ColByName(def.Name)
+			if src == nil {
+				continue
 			}
-			row[len(outCols)] = tag
-			out.AppendRow(row...)
+			if src.Type() != def.Typ {
+				return nil, fmt.Errorf("exec: union column %q is %s in part %q, want %s", def.Name, src.Type(), tags[pi], def.Typ)
+			}
+			srcs[pi] = src
+			measure = measure || src.Measure()
+		}
+		var col *table.Column
+		var err error
+		switch {
+		case measure && def.Typ == table.TFloat64:
+			col = unionMeasure(def.Name, parts, srcs, func(c *table.Column) []float64 { _, f := c.NumericDict(); return f })
+		case measure:
+			col = unionMeasure(def.Name, parts, srcs, func(c *table.Column) []int64 { i, _ := c.NumericDict(); return i })
+		default:
+			col, err = unionCodes(def, parts, srcs)
+		}
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, col)
+	}
+	tag, err := unionTags(parts, tags)
+	if err != nil {
+		return nil, err
+	}
+	return table.FromColumns(outName, append(cols, tag)), nil
+}
+
+// unionMeasure concatenates the parts' values of one aggregate column into a
+// measure column, decoding each part's codes through its dictionary values
+// (so gathered and interned parts work too); an absent column is NULL.
+func unionMeasure[T int64 | float64](name string, parts []*table.Table, srcs []*table.Column, dictOf func(*table.Column) []T) *table.Column {
+	n := 0
+	for _, part := range parts {
+		n += part.NumRows()
+	}
+	vals, valid := make([]T, 0, n), make([]bool, n)
+	for pi, src := range srcs {
+		if src == nil {
+			vals = vals[:len(vals)+parts[pi].NumRows()] // zero, and NULL in valid
+			continue
+		}
+		dict := dictOf(src)
+		for _, code := range src.Codes() {
+			var v T
+			if code != 0 {
+				v, valid[len(vals)] = dict[code-1], true
+			}
+			vals = append(vals, v)
+		}
+	}
+	return table.MeasureColumn(name, vals, valid)
+}
+
+// unionCodes concatenates the parts' codes of one column under the largest
+// of their dictionaries, which decodes every part's codes when all share one
+// lineage (see table.Column.SharesDict); an absent column is NULL. Parts
+// built over unrelated dictionaries are re-interned instead (unionInterned).
+func unionCodes(def table.ColumnDef, parts []*table.Table, srcs []*table.Column) (*table.Column, error) {
+	var tmpl *table.Column
+	for _, src := range srcs {
+		switch {
+		case src == nil:
+		case tmpl == nil:
+			tmpl = src
+		case !src.SharesDict(tmpl):
+			return unionInterned(def, parts, srcs)
+		case src.DictSize() > tmpl.DictSize():
+			tmpl = src
+		}
+	}
+	var out *table.Column
+	if tmpl != nil {
+		out = tmpl.EmptyLike(def.Name)
+	} else {
+		out = table.NewColumn(def)
+	}
+	for pi, src := range srcs {
+		if src == nil {
+			out.AppendCodes(make([]uint32, parts[pi].NumRows()))
+		} else {
+			out.AppendCodes(src.Codes())
 		}
 	}
 	return out, nil
+}
+
+// unionInterned concatenates one column of parts whose dictionaries are
+// unrelated by decoding every row and interning the distinct values in
+// first-appearance order.
+func unionInterned(def table.ColumnDef, parts []*table.Table, srcs []*table.Column) (*table.Column, error) {
+	codeOf := map[table.Value]uint32{}
+	var dictVals []table.Value
+	var codes []uint32
+	for pi, src := range srcs {
+		for r := 0; r < parts[pi].NumRows(); r++ {
+			if src == nil || src.IsNull(r) {
+				codes = append(codes, 0)
+				continue
+			}
+			v := src.Value(r)
+			code, ok := codeOf[v]
+			if !ok {
+				dictVals = append(dictVals, v)
+				code = uint32(len(dictVals))
+				codeOf[v] = code
+			}
+			codes = append(codes, code)
+		}
+	}
+	return table.ColumnFromParts(def, dictVals, codes)
+}
+
+// unionTags builds the grp_tag column: one dictionary entry per distinct tag
+// of a non-empty part, in part order.
+func unionTags(parts []*table.Table, tags []string) (*table.Column, error) {
+	codeOf := map[string]uint32{}
+	var dictVals []table.Value
+	var codes []uint32
+	for pi, part := range parts {
+		if part.NumRows() == 0 {
+			continue
+		}
+		code, ok := codeOf[tags[pi]]
+		if !ok {
+			dictVals = append(dictVals, table.Str(tags[pi]))
+			code = uint32(len(dictVals))
+			codeOf[tags[pi]] = code
+		}
+		for r := 0; r < part.NumRows(); r++ {
+			codes = append(codes, code)
+		}
+	}
+	return table.ColumnFromParts(table.ColumnDef{Name: GrpTagCol, Typ: table.TString}, dictVals, codes)
 }
 
 // SplitTagged is the inverse of UnionAllTagged: it splits a GROUPING

@@ -203,22 +203,30 @@ func plantedTable(badFirst bool, reps int) *table.Table {
 }
 
 // checkKeyCounts asserts out holds one row per distinct raw code tuple of
-// src's first two columns, keyed by its own first two columns, each with its
-// true COUNT(*) in column 2.
+// src's first two columns, keyed by its own first two columns in
+// first-appearance order, each with its true COUNT(*) in column 2.
 func checkKeyCounts(t *testing.T, path string, src, out *table.Table, err error) {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("%s: %v", path, err)
 	}
 	want := map[[2]uint32]int64{}
+	var order [][2]uint32
 	for r := 0; r < src.NumRows(); r++ {
-		want[[2]uint32{src.Col(0).Code(r), src.Col(1).Code(r)}]++
+		key := [2]uint32{src.Col(0).Code(r), src.Col(1).Code(r)}
+		if want[key] == 0 {
+			order = append(order, key)
+		}
+		want[key]++
 	}
 	if out.NumRows() != len(want) {
 		t.Fatalf("%s: %d groups, want %d", path, out.NumRows(), len(want))
 	}
 	for r := 0; r < out.NumRows(); r++ {
 		key := [2]uint32{out.Col(0).Code(r), out.Col(1).Code(r)}
+		if key != order[r] {
+			t.Errorf("%s: group %d is %v, want %v (first-appearance order)", path, r, key, order[r])
+		}
 		if got := out.Col(2).Value(r).I; got != want[key] {
 			t.Errorf("%s: group %v count %d, want %d", path, key, got, want[key])
 		}
@@ -241,7 +249,7 @@ func TestKernelPackedKeyGuardNeverMerges(t *testing.T) {
 			if h.wide {
 				t.Fatal("planted table should start on the packed path")
 			}
-			keyOf := func(a, b uint32) uint64 { return uint64(a) | uint64(b)<<h.packs[1].shift }
+			keyOf := func(a, b uint32) uint64 { return uint64(a)*h.mults[0] + uint64(b)*h.mults[1] }
 			if keyOf(4, 0) != keyOf(0, 1) {
 				t.Fatal("planted codes do not collide when packed")
 			}

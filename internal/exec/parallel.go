@@ -227,7 +227,7 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 				for lo := m * morsel; lo < hi; lo += block {
 					rows := rowBlock(buf, lo, min(lo+block, hi))
 					for _, st := range states {
-						st.observe(rows)
+						st.observe(lo, rows)
 					}
 				}
 			}
@@ -249,12 +249,10 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 		final := finals[qi]
 		for _, states := range locals {
 			st := states[qi]
-			for lg, row := range st.firstRows {
+			for lg, row := range st.ht.firstRows {
 				g, isNew := final.ht.groupOf(int(row))
-				if isNew {
-					final.firstRows = append(final.firstRows, row)
-				} else if row < final.firstRows[g] {
-					final.firstRows[g] = row
+				if first := final.ht.firstRows; !isNew && row < first[g] {
+					first[g] = row
 				}
 				for ai, acc := range final.accs {
 					acc.mergePartial(g, st.accs[ai], lg)
@@ -262,14 +260,15 @@ func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morse
 			}
 		}
 		// Emit in global first-appearance order to match the sequential path.
-		order := make([]int, len(final.firstRows))
+		firstRows := final.ht.firstRows
+		order := make([]int, len(firstRows))
 		for i := range order {
 			order[i] = i
 		}
 		sort.Slice(order, func(a, b int) bool {
-			return final.firstRows[order[a]] < final.firstRows[order[b]]
+			return firstRows[order[a]] < firstRows[order[b]]
 		})
-		out[qi] = emitGroups(t, q.GroupCols, q.Aggs, final.accs, final.firstRows, order, q.OutName)
+		out[qi] = emitGroups(t, q.GroupCols, q.Aggs, final.accs, firstRows, order, q.OutName)
 		rehashes += final.ht.rehashesAvoided()
 	}
 	return out, ParStats{Workers: w, Morsels: morsels, Merge: time.Since(mergeStart), RehashesAvoided: rehashes}, nil

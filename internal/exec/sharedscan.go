@@ -16,13 +16,12 @@ type MultiQuery struct {
 }
 
 // queryState is one query's aggregation state during a (shared) scan: its
-// hash table, accumulators, the first row of each group in the order the
-// scan discovered them, and the block's group-id buffer.
+// hash table (which records each group's first row), accumulators, and the
+// block's group-id buffer.
 type queryState struct {
-	ht        *groupHash
-	accs      []accumulator
-	firstRows []int32
-	gids      []int32
+	ht   *groupHash
+	accs []accumulator
+	gids []int32
 }
 
 // newQueryState builds the aggregation state for one query of a scan over t,
@@ -36,18 +35,13 @@ func newQueryState(t *table.Table, q MultiQuery, budget *MemBudget, block int) *
 	}
 }
 
-// observe feeds one block of rows into the query's aggregation state: the
-// probe assigns every row its group, then each accumulator takes the block.
-func (st *queryState) observe(rows []int32) {
+// observe feeds the contiguous block of rows [lo, lo+len(rows)), whose ids
+// rows holds, into the query's aggregation state: the block probe assigns
+// every row its group, then each accumulator takes the block.
+func (st *queryState) observe(lo int, rows []int32) {
 	gids := st.gids[:len(rows)]
-	for i, row := range rows {
-		g, isNew := st.ht.groupOf(int(row))
-		if isNew {
-			st.firstRows = append(st.firstRows, row)
-		}
-		gids[i] = int32(g)
-	}
-	observeAll(st.accs, gids, rows, len(st.firstRows))
+	st.ht.assign(lo, gids)
+	observeAll(st.accs, gids, rows, len(st.ht.firstRows))
 }
 
 // chargedBytes is the budget charge this state currently holds.
@@ -106,23 +100,23 @@ func GroupByHashMultiStatsGov(gov *Gov, t *table.Table, queries []MultiQuery) ([
 		}
 		rows := rowBlock(buf, base, min(base+cancelCheckRows, n))
 		for _, st := range states {
-			st.observe(rows)
+			st.observe(base, rows)
 		}
 	}
 	var accBytes int64
 	for _, st := range states {
-		accBytes += accStateBytes(len(st.firstRows), len(st.accs))
+		accBytes += accStateBytes(len(st.ht.firstRows), len(st.accs))
 	}
 	budget.Add(accBytes)
 	defer budget.Release(accBytes)
 	out := make([]*table.Table, len(queries))
 	stats := make([]KernelStats, len(queries))
 	for qi, q := range queries {
-		out[qi] = emitGroups(t, q.GroupCols, q.Aggs, states[qi].accs, states[qi].firstRows, nil, q.OutName)
+		out[qi] = emitGroups(t, q.GroupCols, q.Aggs, states[qi].accs, states[qi].ht.firstRows, nil, q.OutName)
 		stats[qi] = KernelStats{
 			Kind:            KernelHash,
 			Workers:         1,
-			Groups:          len(states[qi].firstRows),
+			Groups:          len(states[qi].ht.firstRows),
 			RehashesAvoided: states[qi].ht.rehashesAvoided(),
 		}
 	}

@@ -8,6 +8,12 @@ import (
 
 // --- Quantile estimates pinned on known distributions -----------------------
 
+// testHist is a histogram with the given upper bounds on a registry of its
+// own.
+func testHist(bounds ...float64) *Histogram {
+	return NewRegistry().Histogram("test_seconds", "quantile test histogram", bounds)
+}
+
 // uniformHist observes 1..n once each against bounds at every multiple of
 // step up to n, so the true quantiles land exactly on interpolation points.
 func uniformHist(n int, step float64) *Histogram {
@@ -15,7 +21,7 @@ func uniformHist(n int, step float64) *Histogram {
 	for b := step; b <= float64(n); b += step {
 		bounds = append(bounds, b)
 	}
-	h := NewHistogram(bounds)
+	h := testHist(bounds...)
 	for i := 1; i <= n; i++ {
 		h.Observe(float64(i))
 	}
@@ -41,7 +47,7 @@ func TestQuantileUniform(t *testing.T) {
 
 func TestQuantileSingleBucket(t *testing.T) {
 	// All mass in one bucket interpolates within that bucket's width.
-	h := NewHistogram([]float64{10, 20, 30})
+	h := testHist(10, 20, 30)
 	for i := 0; i < 100; i++ {
 		h.Observe(15) // all land in (10, 20]
 	}
@@ -54,7 +60,7 @@ func TestQuantileSingleBucket(t *testing.T) {
 }
 
 func TestQuantileOverflowClampsToLastBound(t *testing.T) {
-	h := NewHistogram([]float64{1, 2})
+	h := testHist(1, 2)
 	h.Observe(0.5)
 	h.Observe(100) // beyond the last finite bound
 	if got := h.Quantile(0.99); got != 2 {
@@ -63,26 +69,13 @@ func TestQuantileOverflowClampsToLastBound(t *testing.T) {
 }
 
 func TestQuantileEmpty(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 3})
+	h := testHist(1, 2, 3)
 	if got := h.Quantile(0.5); got != 0 {
 		t.Errorf("Quantile on empty histogram = %v, want 0", got)
 	}
 	var s HistSnapshot
 	if got := s.Quantile(0.9); got != 0 {
 		t.Errorf("Quantile on zero snapshot = %v, want 0", got)
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(1, 2, 4)
-	want := []float64{1, 2, 4, 8}
-	if len(got) != len(want) {
-		t.Fatalf("ExpBuckets len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ExpBuckets[%d] = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -141,29 +141,6 @@ func (h *Histogram) Snapshot() *HistSnapshot {
 // The estimate's resolution is the bucket width around the target rank.
 func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
 
-// NewHistogram builds a standalone histogram (not attached to any registry)
-// with the given ascending upper bounds — for per-run measurement windows
-// that no scrape should see.
-func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
-}
-
-// ExpBuckets builds n geometrically spaced upper bounds starting at start
-// with the given growth factor — finer-grained latency buckets than
-// DurationBuckets when quantile estimates matter.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	b := start
-	for i := 0; i < n; i++ {
-		out[i] = b
-		b *= factor
-	}
-	return out
-}
-
 // metric is one registered family member (possibly carrying baked-in labels).
 type metric struct {
 	name    string // full series name, labels included: foo_total{reason="full"}

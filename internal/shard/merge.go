@@ -46,17 +46,20 @@ func (c *Coordinator) shardRequest(req engine.Request, ti tableInfo) (engine.Req
 	return sub, own
 }
 
-// mergeGroup accumulates one group across shard partials.
+// mergeGroup is one group gathered across shard partials: its index in the
+// aggregate mergers, its grouping-key codes (dicts shared with base), and its
+// global first-appearance row (min of shard minima).
 type mergeGroup struct {
-	codes []uint32      // grouping-key dictionary codes (dicts shared with base)
-	vals  []table.Value // visible aggregate values, merged
-	first int64         // global first-appearance row (min of shard minima)
+	id    int
+	codes []uint32
+	first int64
 }
 
 // merge combines the surviving shards' per-set partials into final result
 // tables, byte-identical to unsharded execution: group keys are matched by
 // dictionary code (partitions share the base dictionaries), aggregates merge
-// by kind, and groups are emitted in global first-appearance order.
+// by kind through exec.AggMerger, and groups are emitted in global
+// first-appearance order.
 func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, outs []outcome, okIdx []int) (map[colset.Set]*table.Table, error) {
 	merged := make(map[colset.Set]*table.Table, len(req.Sets))
 	var keyBuf []byte
@@ -70,6 +73,7 @@ func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, o
 		byKey := make(map[string]*mergeGroup)
 		var groups []*mergeGroup
 		var proto *table.Table
+		var mergers []*exec.AggMerger
 		for _, si := range okIdx {
 			rt := outs[si].res.Report.Results[set]
 			if rt == nil {
@@ -80,6 +84,16 @@ func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, o
 			}
 			if proto == nil {
 				proto = rt
+				bound := 0 // every shard's groups distinct
+				for _, sj := range okIdx {
+					if r := outs[sj].res.Report.Results[set]; r != nil {
+						bound += r.NumRows()
+					}
+				}
+				mergers = make([]*exec.AggMerger, na)
+				for j, a := range aggs {
+					mergers[j] = exec.NewAggMerger(a.Kind, rt.Col(nk+j), bound)
+				}
 			}
 			for r := 0; r < rt.NumRows(); r++ {
 				keyBuf = keyBuf[:0]
@@ -90,19 +104,19 @@ func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, o
 				first := rt.Col(nk + na).Value(r).I
 				g, ok := byKey[string(keyBuf)]
 				if !ok {
-					g = &mergeGroup{codes: make([]uint32, nk), vals: make([]table.Value, na), first: first}
+					g = &mergeGroup{id: len(groups), codes: make([]uint32, nk), first: first}
 					for k := 0; k < nk; k++ {
 						g.codes[k] = rt.Col(k).Code(r)
 					}
-					for j := 0; j < na; j++ {
-						g.vals[j] = rt.Col(nk + j).Value(r)
+					for j, m := range mergers {
+						m.Add(rt.Col(nk+j), r)
 					}
 					byKey[string(keyBuf)] = g
 					groups = append(groups, g)
 					continue
 				}
-				for j := 0; j < na; j++ {
-					g.vals[j] = mergeValue(aggs[j].Kind, g.vals[j], rt.Col(nk+j).Value(r))
+				for j, m := range mergers {
+					m.Merge(g.id, rt.Col(nk+j), r)
 				}
 				if first < g.first {
 					g.first = first
@@ -122,62 +136,16 @@ func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, o
 			}
 			outCols = append(outCols, oc)
 		}
-		for j := 0; j < na; j++ {
-			src := proto.Col(nk + j)
-			oc := table.NewColumn(table.ColumnDef{Name: src.Name(), Typ: src.Type()})
-			for _, g := range groups {
-				oc.Append(g.vals[j])
-			}
-			outCols = append(outCols, oc)
+		order := make([]int, len(groups))
+		for i, g := range groups {
+			order[i] = g.id
+		}
+		for j, m := range mergers {
+			outCols = append(outCols, m.Column(proto.Col(nk+j).Name(), order))
 		}
 		merged[set] = table.FromColumns(proto.Name(), outCols)
 	}
 	return merged, nil
-}
-
-// mergeValue combines two shard partials of one aggregate. NULL handling
-// mirrors the accumulators: COUNTs are never NULL, SUM/MIN/MAX skip NULL
-// partials (a partial is NULL only when every contributing value was NULL, so
-// the merged value is NULL only when all shards' were).
-func mergeValue(kind exec.AggKind, a, b table.Value) table.Value {
-	switch kind {
-	case exec.AggCountStar, exec.AggCount:
-		return table.Int(a.I + b.I)
-	case exec.AggSum:
-		if a.Null {
-			return b
-		}
-		if b.Null {
-			return a
-		}
-		if a.Typ == table.TFloat64 {
-			return table.Float(a.F + b.F)
-		}
-		return table.Int(a.I + b.I)
-	case exec.AggMin:
-		if a.Null {
-			return b
-		}
-		if b.Null {
-			return a
-		}
-		if b.Compare(a) < 0 {
-			return b
-		}
-		return a
-	case exec.AggMax:
-		if a.Null {
-			return b
-		}
-		if b.Null {
-			return a
-		}
-		if b.Compare(a) > 0 {
-			return b
-		}
-		return a
-	}
-	panic(fmt.Sprintf("shard: unmergeable aggregate kind %v", kind))
 }
 
 // foldReports sums the surviving shards' execution reports into the gather's:

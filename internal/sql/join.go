@@ -194,11 +194,16 @@ func multiplyCounts(joined *table.Table, cntName, rcntName string, base *table.T
 			return nil, fmt.Errorf("sql: join result lost a grouping column")
 		}
 	}
-	prod := table.NewColumn(table.ColumnDef{Name: cntName, Typ: table.TInt64})
-	for i := 0; i < joined.NumRows(); i++ {
-		prod.Append(table.Int(cnt.Value(i).I * rcnt.Value(i).I))
+	// The join gathered both count columns, so decode their codes through
+	// their dictionaries; counts are never NULL (code 0).
+	cv, _ := cnt.NumericDict()
+	rv, _ := rcnt.NumericDict()
+	cc, rc := cnt.Codes(), rcnt.Codes()
+	prod := make([]int64, joined.NumRows())
+	for i := range prod {
+		prod[i] = cv[cc[i]-1] * rv[rc[i]-1]
 	}
-	return table.FromColumns("scaled", append(cols, prod)), nil
+	return table.FromColumns("scaled", append(cols, table.MeasureColumn(cntName, prod, nil))), nil
 }
 
 // groupOrdinals maps base grouping ordinals to a derived table's ordinals.

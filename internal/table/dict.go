@@ -16,6 +16,15 @@ const nullCode uint32 = 0
 type dict struct {
 	typ Type
 
+	// measure marks an identity dictionary (see MeasureColumn): the value
+	// slice is the column's data in row order, equal values do not share a
+	// code, and there is no lookup map, so nothing may be interned.
+	measure bool
+	// root is the first dictionary of this one's extension lineage (itself
+	// when it was not built by extend): codes mean the same value under every
+	// dictionary sharing a root.
+	root *dict
+
 	ints    []int64   // value per code-1, TInt64/TDate
 	floats  []float64 // TFloat64
 	strs    []string  // TString
@@ -39,6 +48,7 @@ func newDict(t Type) *dict {
 	case TString:
 		d.lookupS = make(map[string]uint32)
 	}
+	d.root = d
 	return d
 }
 
@@ -103,6 +113,8 @@ func (d *dict) code(v Value) uint32 {
 func (d *dict) extend() *dict {
 	return &dict{
 		typ:      d.typ,
+		measure:  d.measure,
+		root:     d.root,
 		ints:     d.ints,
 		floats:   d.floats,
 		strs:     d.strs,

@@ -5,7 +5,8 @@
 // in internal/exec therefore work on uniform code tuples regardless of column
 // types, and derived tables produced by gathering rows share their parents'
 // dictionaries, making materialization of intermediate Group By results cheap
-// — the property the paper's plans depend on.
+// — the property the paper's plans depend on. Aggregate results are the one
+// kind of column whose dictionary is not interned (see MeasureColumn).
 package table
 
 import (
@@ -66,9 +67,12 @@ func (c *Column) Value(i int) Value { return c.dict.value(c.codes[i]) }
 // Decode decodes an arbitrary code from this column's dictionary.
 func (c *Column) Decode(code uint32) Value { return c.dict.value(code) }
 
-// Append interns v and appends it. It panics on a type mismatch, which is
-// always a caller bug.
+// Append interns v and appends it. It panics on a type mismatch or on a
+// measure column (see MeasureColumn), both always caller bugs.
 func (c *Column) Append(v Value) {
+	if c.dict.measure {
+		panic(fmt.Sprintf("table: Append to measure column %q, which is immutable", c.def.Name))
+	}
 	if !v.Null && v.Typ != c.def.Typ {
 		panic(fmt.Sprintf("table: appending %s value to %s column %q", v.Typ, c.def.Typ, c.def.Name))
 	}
@@ -129,27 +133,17 @@ func (c *Column) DistinctCount() int {
 // AvgWidth returns the average width in bytes of one value.
 func (c *Column) AvgWidth() float64 { return c.dict.avgWidth() }
 
-// Int64DecodeTable returns a code-indexed decode table for TInt64/TDate
-// columns: table[code] is the value of that code (index 0, the NULL code, is
-// unused). Aggregation hot loops use it to avoid per-row Value construction.
-// It panics on other column types.
-func (c *Column) Int64DecodeTable() []int64 {
-	if c.def.Typ != TInt64 && c.def.Typ != TDate {
-		panic(fmt.Sprintf("table: Int64DecodeTable on %s column %q", c.def.Typ, c.def.Name))
+// NumericDict returns the dictionary's value slice of a TInt64, TDate or
+// TFloat64 column, uncopied: the value of non-null code k is element k-1 of
+// the slice matching the column type (the other is nil). For a measure column
+// (see MeasureColumn) it is the column's data in row order. Aggregation hot
+// loops decode through it to avoid per-row Value construction; callers must
+// not mutate it. It panics on TString columns.
+func (c *Column) NumericDict() (ints []int64, floats []float64) {
+	if c.def.Typ == TString {
+		panic(fmt.Sprintf("table: NumericDict on %s column %q", c.def.Typ, c.def.Name))
 	}
-	out := make([]int64, len(c.dict.ints)+1)
-	copy(out[1:], c.dict.ints)
-	return out
-}
-
-// Float64DecodeTable is the TFloat64 analogue of Int64DecodeTable.
-func (c *Column) Float64DecodeTable() []float64 {
-	if c.def.Typ != TFloat64 {
-		panic(fmt.Sprintf("table: Float64DecodeTable on %s column %q", c.def.Typ, c.def.Name))
-	}
-	out := make([]float64, len(c.dict.floats)+1)
-	copy(out[1:], c.dict.floats)
-	return out
+	return c.dict.ints, c.dict.floats
 }
 
 // EmptyLike creates an empty column under a new name that shares this
@@ -411,7 +405,9 @@ func (t *Table) SizeBytes() float64 {
 // has been built — the quantity a MemBudget is charged when the engine
 // materializes this table as a temp. Dictionaries are deliberately excluded:
 // gathered and aggregated tables share them with their parent, so
-// materializing an intermediate costs no extra dictionary memory.
+// materializing an intermediate costs no extra dictionary memory. A measure
+// column's dictionary (its value slice, see MeasureColumn) is owned by the
+// table and is likewise not counted.
 func (t *Table) MemSize() int64 {
 	t.img.mu.Lock()
 	imgBytes := len(t.img.data)
