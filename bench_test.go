@@ -220,8 +220,8 @@ func BenchmarkAblationSharedScan(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupByHashParallel measures the morsel-driven parallel hash
-// aggregate (the tentpole of the parallel-execution work) against its
+// BenchmarkGroupByHashParallel measures the parallel hash aggregate (the
+// static-share driver behind every hash and dense Group By) against its
 // sequential baseline: worker counts 1/2/4/GOMAXPROCS crossed with a low-NDV
 // key (l_shipmode, 7 groups — merge cost negligible, scan dominates) and a
 // high-NDV key (l_partkey — large local tables stress the merge phase).
@@ -256,16 +256,19 @@ func BenchmarkGroupByHashParallel(b *testing.B) {
 			ndv := ndv
 			b.Run(fmt.Sprintf("ndv=%s/workers=%d", ndv.name, w), func(b *testing.B) {
 				gcols := []int{cols[ndv.col]}
-				var st exec.ParStats
+				q := []exec.MultiQuery{{GroupCols: gcols, Aggs: aggs, OutName: "g"}}
+				var stats []exec.KernelStats
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					_, st = exec.GroupByHashParallel(li, gcols, aggs, "g", w)
+					if _, stats, err = exec.GroupByHashMultiGov(nil, li, q, w); err != nil {
+						b.Fatal(err)
+					}
 				}
 				b.StopTimer()
 				rowsPerSec := float64(rows) * float64(b.N) / b.Elapsed().Seconds()
 				b.ReportMetric(rowsPerSec, "rows/s")
 				b.Logf(`BENCH {"bench":"GroupByHashParallel","workers":%d,"effective_workers":%d,"ndv":%q,"rows":%d,"ns_per_op":%d,"rows_per_sec":%.0f}`,
-					w, st.Workers, ndv.name, rows, b.Elapsed().Nanoseconds()/int64(b.N), rowsPerSec)
+					w, stats[0].Workers, ndv.name, rows, b.Elapsed().Nanoseconds()/int64(b.N), rowsPerSec)
 			})
 		}
 	}

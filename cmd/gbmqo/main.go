@@ -52,7 +52,7 @@ func main() {
 		shedAt    = flag.Duration("shed-target", 0, "p95 batch latency target for adaptive load shedding (0 = off)")
 		drainFor  = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight work on SIGINT/SIGTERM before -serve exits")
 		metrics   = flag.Bool("metrics", false, "dump the metrics registry in Prometheus text format after running")
-		par       = flag.Int("par", 0, "intra-operator parallelism: morsel workers per large aggregate (-1 = GOMAXPROCS, 0 = off)")
+		par       = flag.Int("par", 0, "intra-operator parallelism: workers per large aggregate (-1 = GOMAXPROCS, 0 = off)")
 		kernels   = flag.Bool("explain-kernels", false, "with -sql: print which physical aggregation kernel ran each plan node and why")
 		shards    = flag.Int("shards", 0, "partition tables into N hash shards and scatter-gather queries across them (0 = unsharded)")
 		partialOK = flag.Bool("allow-partial", false, "with -shards: serve partial results when a shard fails terminally instead of erroring")

@@ -351,16 +351,16 @@ type QueryOptions struct {
 	// Parallel executes independent sub-plans concurrently (one goroutine per
 	// sub-plan, bounded by GOMAXPROCS).
 	Parallel bool
-	// Parallelism caps the morsel workers used *inside* one Group By operator
+	// Parallelism caps the workers used *inside* one Group By operator
 	// (intra-operator parallel hash aggregation; composes with Parallel's
 	// inter-sub-plan concurrency): 0 disables it, negative selects GOMAXPROCS,
 	// positive values are used as-is. Inputs below the engine's size cutoff
 	// stay sequential regardless, so small temp-table re-aggregations never
-	// pay morsel overhead.
+	// pay parallel overhead.
 	Parallelism int
 	// Context cancels or deadlines execution: operator loops poll it at every
-	// morsel and row-batch boundary, so cancellation takes effect within one
-	// morsel's worth of work, drops every temp table, and leaves the catalog
+	// row-block boundary, so cancellation takes effect within one block's
+	// worth of work, drops every temp table, and leaves the catalog
 	// unchanged. Nil means context.Background().
 	Context context.Context
 	// MemBudget bounds, in bytes, the execution working state held at once

@@ -349,9 +349,9 @@ func TestQueryOptionsPlumbed(t *testing.T) {
 
 // TestEntryPointsHonourEveryKnob pins that every entry point starts from the
 // one QueryOptions → request mapping: the same options produce shared scans
-// and morsel-parallel operators whichever door the query came through. Naive,
+// and parallel operators whichever door the query came through. Naive,
 // so all four sets are siblings under the base table and one shared scan can
-// hold them all; 40 000 rows, so the scan is above the morsel cutoff.
+// hold them all; 40 000 rows, so the scan is above the parallel cutoff.
 func TestEntryPointsHonourEveryKnob(t *testing.T) {
 	db := openWithLineitem(t, 40000)
 	dim := NewTable("modes", []ColumnDef{{Name: "mode", Typ: String}})

@@ -7,7 +7,7 @@
 // balanced). See chaos_test.go and DESIGN.md "Failure semantics".
 //
 // Faults are panics, the harshest failure the engine claims to contain:
-// every armed site sits under a recover boundary (morsel workers, engine
+// every armed site sits under a recover boundary (parallel workers, engine
 // runs, singleflight leaders, batch dispatch, HTTP handlers), so a strike
 // exercises containment, classification, retry and fan-out all at once.
 package chaos
@@ -26,10 +26,9 @@ import (
 // cache admission (inside a singleflight leader), scheduler dispatch, and
 // the HTTP handler chain.
 var Sites = []string{
-	"exec.morsel.worker",
+	"exec.share.worker",
 	"exec.hash.batch",
 	"exec.sort.stream",
-	"exec.dense.batch",
 	"engine.step",
 	"engine.retain",
 	"cache.admit",

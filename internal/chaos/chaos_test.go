@@ -59,8 +59,8 @@ func setup(t *testing.T) {
 	t.Helper()
 	setupOnce.Do(func() {
 		var err error
-		// Above two morsels (16384 rows each) so Parallelism actually spawns
-		// workers and the exec.morsel.worker site fires.
+		// Above two shares (16384 rows each) so Parallelism actually spawns
+		// workers and the exec.share.worker site fires.
 		baseTbl, err = gbmqo.GenerateDataset("lineitem", 40_000, 42, 0)
 		if err != nil {
 			panic(err)

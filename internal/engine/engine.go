@@ -8,7 +8,7 @@
 // exhaustive.
 //
 // Execution is resource-governed: a context.Context threaded through
-// ExecOptions cancels running plans at morsel/row-batch boundaries, a
+// ExecOptions cancels running plans at row-block boundaries, a
 // MemBudget bounds the bytes held by hash tables and materialized temps with
 // graceful degradation (hash → sort aggregation; temp retention → re-derive
 // from base) instead of failure, and operator panics are isolated into typed
@@ -168,14 +168,14 @@ type ExecReport struct {
 	TempTables int
 	// PeakTempBytes is the maximum bytes held by live temp tables.
 	PeakTempBytes float64
-	// ParallelOps counts Group By operators that ran on the morsel-parallel
+	// ParallelOps counts Group By operators that ran on the parallel
 	// path (operators under the size cutoff fall back to sequential and are
 	// not counted).
 	ParallelOps int
-	// MaxWorkers is the largest morsel-worker count any operator used.
+	// MaxWorkers is the largest worker count any operator used.
 	MaxWorkers int
 	// MergeTime totals the wall time parallel operators spent merging
-	// worker-local hash tables into final results.
+	// worker-local group tables into final results.
 	MergeTime time.Duration
 	// PeakMem is the high-water mark, in bytes, of governed execution memory:
 	// hash-table slots, accumulator state, sort permutations, and materialized
@@ -278,16 +278,16 @@ type ExecOptions struct {
 	// synchronization is needed beyond merging the reports; PeakTempBytes
 	// becomes the (pessimistic) sum of concurrent per-sub-plan peaks.
 	Parallel bool
-	// Parallelism caps the morsel workers *inside* one Group By operator
+	// Parallelism caps the workers *inside* one Group By operator
 	// (intra-operator parallelism, orthogonal to Parallel's inter-sub-plan
 	// concurrency): 0 disables it, negative selects GOMAXPROCS, positive
 	// values are used as-is. Operators whose input is below the exec size
 	// cutoff stay sequential regardless, so tiny temp-table re-aggregations
-	// never pay morsel overhead. Index fast paths are always sequential.
+	// never pay parallel overhead. Index fast paths are always sequential.
 	Parallelism int
 	// Context cancels or deadlines the execution. Operator loops poll it at
-	// every morsel and row-batch boundary, so cancellation takes effect
-	// within one morsel's worth of work, drops every temp table, and leaves
+	// row-block boundary, so cancellation takes effect within one block's
+	// worth of work, drops every temp table, and leaves
 	// the catalog unchanged. Nil means context.Background().
 	Context context.Context
 	// MemBudget bounds, in bytes, the execution working state held at once:
@@ -331,7 +331,7 @@ func (ex *Executor) ExecutePlan(p *plan.Plan, aggs []exec.Agg, size plan.SizeFn)
 //
 // On failure the partial report is returned alongside the error so callers
 // can observe Cancelled, PeakMem and the degradations taken before the
-// failure. An operator panic — including one inside a morsel worker — is
+// failure. An operator panic — including one inside a parallel worker — is
 // recovered and returned as a typed *exec.ExecError naming the failing step;
 // the process survives and every temp table is released.
 func (ex *Executor) ExecutePlanWith(p *plan.Plan, aggs []exec.Agg, size plan.SizeFn, opts ExecOptions) (report *ExecReport, err error) {
@@ -373,7 +373,7 @@ func (ex *Executor) ExecutePlanWith(p *plan.Plan, aggs []exec.Agg, size plan.Siz
 	}()
 	if run.par > 1 {
 		// The scan image is built lazily and shared by all operators over the
-		// base table; force it before any morsel worker can race on it.
+		// base table; force it before any parallel worker can race on it.
 		base.RowImage()
 	}
 	if len(opts.PerSetAggs) > 0 {
@@ -479,7 +479,7 @@ type planRun struct {
 	ex     *Executor
 	base   *table.Table
 	aggs   []exec.Agg
-	par    int // intra-operator morsel worker budget (≤1 = sequential)
+	par    int // intra-operator worker budget (≤1 = sequential)
 	gov    *exec.Gov
 	budget *exec.MemBudget
 	size   plan.SizeFn
@@ -571,10 +571,10 @@ func (r *planRun) hashEstimate(set colset.Set) int64 {
 
 // hashGroupBy dispatches one Group By aggregation through the adaptive
 // kernel chooser: per-node statistics (NDV estimate, dictionary-derived dense
-// domain, row count) and the memory budget pick among the dense
-// accumulator-array kernel, sort-based aggregation (the budget rung: O(rows)
-// working state), and the presized hash kernel (morsel-parallel when the
-// worker budget and input size allow).
+// domain, row count) and the memory budget pick among the dense key mode,
+// sort-based aggregation (the budget rung: O(rows) working state), and the
+// presized hash key modes (parallel when the worker budget and input size
+// allow).
 // The pick, its reason, and any budget-rejected preferences are recorded in
 // the report's kernel attribution and degradation list.
 func (r *planRun) hashGroupBy(src *table.Table, cols []int, aggs []exec.Agg, set colset.Set, name string) (*table.Table, error) {
@@ -616,44 +616,33 @@ func (r *planRun) noteKernel(set colset.Set, rows int, ks exec.KernelStats) {
 		r.degrade(DegradeKernelFallback, set, fmt.Sprintf(
 			"%s kernel preferred but %s; fell back to %s", fb.Kind, fb.Detail, ks.Kind))
 	}
+	r.noteKernelNamed(set, ks.Kind.String(), ks.Reason, rows, ks)
+	r.notePar(ks.Workers, ks.Merge)
+}
+
+// noteKernelNamed records one attribution row — groups, workers and
+// rehashes avoided from ks — under the given kernel name and reason.
+func (r *planRun) noteKernelNamed(set colset.Set, kernel, reason string, rows int, ks exec.KernelStats) {
 	r.report.Kernels = append(r.report.Kernels, KernelUse{
 		Node:            set.String(),
-		Kernel:          ks.Kind.String(),
-		Reason:          ks.Reason,
+		Kernel:          kernel,
+		Reason:          reason,
 		Rows:            rows,
 		Groups:          ks.Groups,
 		Workers:         ks.Workers,
 		RehashesAvoided: ks.RehashesAvoided,
 	})
 	r.report.RehashesAvoided += ks.RehashesAvoided
-	r.notePar(exec.ParStats{Workers: ks.Workers, Merge: ks.Merge})
 }
 
-// noteKernelNamed records an attribution row for a path outside the adaptive
-// chooser (index fast paths, shared scans).
-func (r *planRun) noteKernelNamed(set colset.Set, kernel, reason string, rows, groups, rehashes int) {
-	r.report.Kernels = append(r.report.Kernels, KernelUse{
-		Node:            set.String(),
-		Kernel:          kernel,
-		Reason:          reason,
-		Rows:            rows,
-		Groups:          groups,
-		Workers:         1,
-		RehashesAvoided: rehashes,
-	})
-	r.report.RehashesAvoided += rehashes
-}
-
-// notePar folds one operator's parallel-execution stats into the report.
-func (r *planRun) notePar(st exec.ParStats) {
-	if st.Workers <= 1 {
+// notePar folds one operator's parallelism into the report.
+func (r *planRun) notePar(workers int, merge time.Duration) {
+	if workers <= 1 {
 		return
 	}
 	r.report.ParallelOps++
-	if st.Workers > r.report.MaxWorkers {
-		r.report.MaxWorkers = st.Workers
-	}
-	r.report.MergeTime += st.Merge
+	r.report.MaxWorkers = max(r.report.MaxWorkers, workers)
+	r.report.MergeTime += merge
 }
 
 // buildAggUnion computes, bottom-up, the union of aggregates each node must
@@ -725,7 +714,7 @@ func (r *planRun) projectResult(n *plan.Node, t *table.Table) *table.Table {
 }
 
 // nodeErr attaches the plan-node context to a typed execution error bubbling
-// out of an operator (e.g. a recovered morsel-worker panic); other errors —
+// out of an operator (e.g. a recovered parallel-worker panic); other errors —
 // including context cancellation — pass through unchanged.
 func nodeErr(n *plan.Node, err error) error {
 	var ee *exec.ExecError
@@ -812,31 +801,17 @@ func (r *planRun) computeShared(nodes []*plan.Node, parent *plan.Node) error {
 	// One scan of the parent feeds every sibling.
 	r.report.RowsScanned += int64(src.NumRows())
 	r.report.QueriesRun += len(nodes)
-	sharedReason := fmt.Sprintf("shared scan of %d sibling queries", len(nodes))
-	var outs []*table.Table
-	var err error
-	if r.par > 1 {
-		var st exec.ParStats
-		outs, st, err = exec.GroupByHashMultiParallelGov(r.gov, src, queries, r.par)
-		if err == nil {
-			r.notePar(st)
-			r.report.RehashesAvoided += st.RehashesAvoided
-			for _, n := range nodes {
-				r.noteKernelNamed(n.Set, "hash", sharedReason, src.NumRows(), 0, 0)
-			}
-		}
-	} else {
-		var stats []exec.KernelStats
-		outs, stats, err = exec.GroupByHashMultiStatsGov(r.gov, src, queries)
-		if err == nil {
-			for i, n := range nodes {
-				r.noteKernelNamed(n.Set, "hash", sharedReason, src.NumRows(), stats[i].Groups, stats[i].RehashesAvoided)
-			}
-		}
-	}
+	outs, stats, err := exec.GroupByHashMultiGov(r.gov, src, queries, r.par)
 	if err != nil {
 		return nodeErr(nodes[0], err)
 	}
+	sharedReason := fmt.Sprintf("shared scan of %d sibling queries", len(nodes))
+	var merge time.Duration
+	for i, n := range nodes {
+		r.noteKernelNamed(n.Set, stats[i].Kind.String(), sharedReason, src.NumRows(), stats[i])
+		merge += stats[i].Merge
+	}
+	r.notePar(stats[0].Workers, merge)
 	for i, n := range nodes {
 		if n.IsIntermediate() {
 			r.retain(n.Set, r.aggsFor(n), outs[i])
@@ -881,14 +856,14 @@ func (r *planRun) fromBase(n *plan.Node) (*table.Table, error) {
 			}
 			r.noteKernelNamed(n.Set, "index-counts",
 				fmt.Sprintf("COUNT(*) off index %s boundaries", ix.Name()),
-				ix.NumGroups(), out.NumRows(), 0)
+				ix.NumGroups(), exec.KernelStats{Workers: 1, Groups: out.NumRows()})
 			return renameAggs(out, aggs), nil
 		}
 		out, err := exec.GroupByIndexStreamGov(r.gov, r.base, ix, cols, aggs, name)
 		if err == nil {
 			r.noteKernelNamed(n.Set, "index-stream",
 				fmt.Sprintf("rows clustered by index %s", ix.Name()),
-				r.base.NumRows(), out.NumRows(), 0)
+				r.base.NumRows(), exec.KernelStats{Workers: 1, Groups: out.NumRows()})
 		}
 		return out, err
 	}

@@ -190,7 +190,7 @@ func TestFaultStepPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestFaultWorkerPanicSurfacesThroughEngine injects a panic into a morsel
+// TestFaultWorkerPanicSurfacesThroughEngine injects a panic into a parallel
 // worker during a parallel plan execution and requires it to surface as a
 // *ExecError carrying both the worker step and the plan node.
 func TestFaultWorkerPanicSurfacesThroughEngine(t *testing.T) {
@@ -201,7 +201,7 @@ func TestFaultWorkerPanicSurfacesThroughEngine(t *testing.T) {
 	}
 	var fired atomic.Int64
 	exec.Testing.SetFailPoint(func(site string) {
-		if site == "exec.morsel.worker" && fired.Add(1) == 2 {
+		if site == "exec.share.worker" && fired.Add(1) == 2 {
 			panic("injected worker bug")
 		}
 	})
@@ -211,8 +211,8 @@ func TestFaultWorkerPanicSurfacesThroughEngine(t *testing.T) {
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *ExecError", err, err)
 	}
-	if !strings.Contains(ee.Step, "morsel worker") {
-		t.Fatalf("ExecError.Step = %q, want a morsel worker", ee.Step)
+	if !strings.Contains(ee.Step, "share worker") {
+		t.Fatalf("ExecError.Step = %q, want a share worker", ee.Step)
 	}
 	if ee.Node == "" {
 		t.Fatalf("ExecError.Node empty, want the failing plan node: %v", ee)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"gbmqo/internal/colset"
@@ -74,12 +75,12 @@ func TestParallelWithCubePlan(t *testing.T) {
 	assertResultsMatch(t, li, sets, res.Report.Results)
 }
 
-// TestIntraOperatorParallelMatchesSequential checks the morsel-parallel
+// TestIntraOperatorParallelMatchesSequential checks the intra-operator parallel
 // aggregation path end to end: same results, same scan/query accounting as
 // the sequential engine, parallel counters populated, and the same plan cost
 // (the sequential estimate governs plan choice at any parallelism).
 func TestIntraOperatorParallelMatchesSequential(t *testing.T) {
-	e, li := newTestEngine(t, 40_000) // > 2 morsels so base scans go parallel
+	e, li := newTestEngine(t, 40_000) // > 2 shares so base scans go parallel
 	sets := scSets()
 	seq, err := e.Run(Request{Table: "lineitem", Sets: sets, Strategy: StrategyGBMQO})
 	if err != nil {
@@ -108,7 +109,7 @@ func TestIntraOperatorParallelMatchesSequential(t *testing.T) {
 }
 
 // TestNestedParallelism exercises inter-sub-plan goroutines and
-// intra-operator morsel workers at the same time (plus shared scans) — the
+// intra-operator parallel workers at the same time (plus shared scans) — the
 // nesting the race detector must bless in CI's `go test -race`.
 func TestNestedParallelism(t *testing.T) {
 	e, li := newTestEngine(t, 40_000)
@@ -137,5 +138,36 @@ func TestParallelRepeatedRunsDeterministicResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertResultsMatch(t, li, sets, res.Report.Results)
+	}
+}
+
+// TestParallelSharedScanAttribution pins a parallel shared scan's per-node
+// attribution: each sibling's kernel row carries its real group count and
+// worker count, as a sequential shared scan's does.
+func TestParallelSharedScanAttribution(t *testing.T) {
+	e, _ := newTestEngine(t, 40_000) // two shares of at least 16 384 rows
+	sets := scSets()[:4]
+	res, err := e.Run(Request{
+		Table: "lineitem", Sets: sets, Strategy: StrategyNaive,
+		SharedScan: true, Parallelism: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := map[string]KernelUse{}
+	for _, k := range res.Report.Kernels {
+		uses[k.Node] = k
+	}
+	for _, s := range sets {
+		k, ok := uses[s.String()]
+		if !ok || !strings.HasPrefix(k.Reason, "shared scan") {
+			t.Fatalf("%v: no shared-scan attribution row in %v", s, res.Report.Kernels)
+		}
+		if want := res.Report.Results[s].NumRows(); k.Groups != want {
+			t.Errorf("%v: attributed %d groups, result has %d", s, k.Groups, want)
+		}
+		if k.Workers != 2 {
+			t.Errorf("%v: attributed %d workers, want 2", s, k.Workers)
+		}
 	}
 }

@@ -30,7 +30,7 @@ type RetryAttempt struct {
 // Degrade descends the degradation ladder for attempt n (1-based, so n ≥ 2
 // is a retry) and returns the request with the ladder's modes applied plus
 // their names. The first retry drops intra-operator and sub-plan parallelism —
-// a poisoned morsel worker cannot poison a sequential pass; further retries
+// a poisoned parallel worker cannot poison a sequential pass; further retries
 // also drop shared scans, temp retention and the cache, reducing the run to
 // the simplest, most isolated form that can still answer. Every attempt loop
 // (request scope here, shard scope in internal/shard) descends this ladder.

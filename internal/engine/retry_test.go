@@ -28,7 +28,7 @@ func retrySets() []colset.Set {
 	}
 }
 
-// TestRetryFaultTransientSucceeds injects one morsel-style panic into the
+// TestRetryFaultTransientSucceeds injects one worker-style panic into the
 // first attempt of an 8-query batch and checks the retry loop answers it:
 // success, byte-correct results, and the failed attempt attributed in the
 // report with its class, backoff and degraded modes.

@@ -89,7 +89,7 @@ type Request struct {
 	SharedScan bool
 	// Parallel executes independent sub-plans concurrently.
 	Parallel bool
-	// Parallelism caps the morsel workers inside one Group By operator
+	// Parallelism caps the workers inside one Group By operator
 	// (0 = off, negative = GOMAXPROCS; see ExecOptions.Parallelism).
 	Parallelism int
 	// Context cancels or deadlines execution (see ExecOptions.Context). Nil

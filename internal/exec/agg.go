@@ -22,7 +22,7 @@ const (
 	AggSum
 	AggMin
 	AggMax
-	// AggAvg carries a mergeable (sum, count) pair so the morsel-parallel
+	// AggAvg carries a mergeable (sum, count) pair so the parallel
 	// path can combine partial states. It cannot roll up through a
 	// materialized intermediate (the average of averages is wrong), so the
 	// planner must compute it directly from its source relation; Rollup
@@ -99,8 +99,8 @@ type accumulator interface {
 	// partials add, SUM partials add, MIN/MAX partials compare, AVG merges its
 	// (sum, count) pair. other must be the same concrete type built over the
 	// same input table; dst grows this accumulator's state as needed. This is
-	// what lets the morsel-driven parallel path merge thread-local hash tables
-	// into the final result.
+	// what lets the parallel driver merge worker-local group tables into the
+	// first worker's.
 	mergePartial(dst int, other accumulator, src int)
 	// cloneEmpty returns a fresh accumulator of the same concrete type over
 	// the same input column, with empty per-group state. Read-only decode

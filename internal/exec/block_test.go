@@ -18,8 +18,8 @@ import (
 // and aggregate inputs carry NULLs, and all six aggregate kinds run. Each
 // path must reproduce GroupBySortGov cell by cell (index-stream emits in key
 // order, so its rows are compared as a set), COUNT(*) must match a map count,
-// the batch failpoints must fire once per block, and a cancel raised at a
-// block boundary must stop the scan there.
+// the block loop's failpoint must fire once per block in both key modes, and
+// a cancel raised at a block boundary must stop the scan there.
 func TestKernelBlockBoundaries(t *testing.T) {
 	groupCols := []int{0, 1}
 	aggs := kernelAggs()
@@ -48,8 +48,8 @@ func TestKernelBlockBoundaries(t *testing.T) {
 				out, err := GroupByHashGov(gov, src, groupCols, aggs, "g")
 				check("hash", out, err)
 			})
-			denseFires := countFires("exec.dense.batch", func() {
-				out, ks, err := GroupByDenseGov(gov, src, groupCols, aggs, "g", 1)
+			denseFires := countFires("exec.hash.batch", func() {
+				out, ks, err := denseGroupBy(gov, src, groupCols, aggs, 1)
 				check("dense", out, err)
 				if ks.Kind != KernelDense {
 					t.Errorf("dense ran %v", ks.Kind)
@@ -57,25 +57,24 @@ func TestKernelBlockBoundaries(t *testing.T) {
 			})
 			blocks := (n + cancelCheckRows - 1) / cancelCheckRows
 			if hashFires != blocks || denseFires != blocks {
-				t.Errorf("batch failpoints fired hash %d, dense %d times over %d rows, want %d each", hashFires, denseFires, n, blocks)
+				t.Errorf("batch failpoint fired hash %d, dense %d times over %d rows, want %d each", hashFires, denseFires, n, blocks)
 			}
 
 			queries := []MultiQuery{
 				{GroupCols: groupCols, Aggs: aggs, OutName: "g"},
 				{GroupCols: groupCols, Aggs: aggs, OutName: "g", SizeHint: 35},
 			}
-			outs, err := GroupByHashMultiGov(gov, src, queries)
+			outs, _, err := GroupByHashMultiGov(gov, src, queries, 1)
 			if err != nil {
 				t.Fatalf("shared scan: %v", err)
 			}
 			for qi := range queries {
 				check(fmt.Sprintf("shared-scan[%d]", qi), outs[qi], nil)
 			}
-			outs, _, err = groupByMultiMorsel(gov, src, queries[:1], 3, 64)
-			if err != nil {
-				t.Fatalf("morsel: %v", err)
+			for _, dense := range []bool{false, true} {
+				outs, _, err = groupBy(gov, src, queries[:1], 3, dense)
+				check(fmt.Sprintf("shares(dense=%v)", dense), outs[0], err)
 			}
-			check("morsel", outs[0], nil)
 
 			ix := index.Build(src, "ix", groupCols, false)
 			stream, err := GroupByIndexStreamGov(gov, src, ix, groupCols, aggs, "g")
@@ -95,28 +94,28 @@ func TestKernelBlockBoundaries(t *testing.T) {
 			// Cancel while the second block's failpoint fires: the scan must
 			// stop at that boundary, never reaching a third block.
 			for _, c := range []struct {
-				site string
+				path string
 				run  func(gov *Gov) error
 			}{
-				{"exec.hash.batch", func(gov *Gov) error { _, err := GroupByHashGov(gov, src, groupCols, aggs, "g"); return err }},
-				{"exec.dense.batch", func(gov *Gov) error {
-					_, _, err := GroupByDenseGov(gov, src, groupCols, aggs, "g", 1)
+				{"hash", func(gov *Gov) error { _, err := GroupByHashGov(gov, src, groupCols, aggs, "g"); return err }},
+				{"dense", func(gov *Gov) error {
+					_, _, err := denseGroupBy(gov, src, groupCols, aggs, 1)
 					return err
 				}},
 			} {
 				ctx, cancel := context.WithCancel(context.Background())
-				fires := countFiresWith(c.site, func(k int) {
+				fires := countFiresWith("exec.hash.batch", func(k int) {
 					if k == 2 {
 						cancel()
 					}
 				}, func() {
 					if err := c.run(NewGov(ctx, nil)); !errors.Is(err, context.Canceled) {
-						t.Errorf("%s: err = %v, want context.Canceled", c.site, err)
+						t.Errorf("%s: err = %v, want context.Canceled", c.path, err)
 					}
 				})
 				cancel()
 				if fires != 2 {
-					t.Errorf("%s: scan ran %d blocks after a cancel in block 2, want it to stop there", c.site, fires)
+					t.Errorf("%s: scan ran %d blocks after a cancel in block 2, want it to stop there", c.path, fires)
 				}
 			}
 		})

@@ -6,19 +6,11 @@ import (
 	"gbmqo/internal/table"
 )
 
-// denseMaxBlowup bounds the dense domain relative to the input row count: a
-// group-id array up to 8× the rows still costs less to allocate and walk than
-// hashing every row; beyond that the kernel would mostly touch empty slots.
-const denseMaxBlowup = 8
-
-// denseSmallDomain is the domain size below which the dense kernel is
-// admitted without consulting the blowup ratio (the array is a few KB).
-const denseSmallDomain = 4096
-
 // denseMinRows is the input size below which a *parallel* dense run is not
-// admitted: its fixed costs — w+1 domain-sized group-id arrays to allocate,
-// zero and merge — are not amortized over a few thousand rows per worker.
-// A sequential run allocates one array and merges nothing, so it is exempt.
+// admitted: its fixed costs — a domain-sized group-id array per share to
+// allocate, zero and merge — are not amortized over a few thousand rows per
+// worker. A sequential run allocates one array and merges nothing, so it is
+// exempt.
 const denseMinRows = 1 << 16
 
 // ChooserInput is what the per-node physical operator chooser knows when it
@@ -64,19 +56,21 @@ type KernelChoice struct {
 // its statistics and the memory budget. The ladder:
 //
 //  1. dense — when the group-code domain is small enough that a flat
-//     group-id array beats hashing (domain ≤ denseMaxDomain and at most
-//     denseMaxBlowup× the row count, or tiny outright) and the budget admits
-//     the array (one per worker, plus the merge target, in parallel). This
-//     holds at any worker count: indexing replaces the hash probe, which is
-//     where a sequential node spends its time — measured, a cold GB-MQO
-//     round's execution time fell by a quarter to two fifths at unchanged
-//     rows scanned when sequential nodes moved from hash to dense. A
-//     parallel run also needs rows ≥ denseMinRows to amortize its
-//     per-worker arrays and merge;
+//     group-id array beats hashing (domain ≤ denseMaxDomain and within
+//     table.DenseBound of the row count) and the budget admits the arrays
+//     (see denseStateBytes). This holds at any worker count: indexing
+//     replaces the hash probe, which is where a sequential node spends its
+//     time — measured, a cold GB-MQO round's execution time fell by a
+//     quarter to two fifths at unchanged rows scanned when sequential nodes
+//     moved from hash to dense. A parallel run also needs rows ≥
+//     denseMinRows to amortize its per-worker arrays and merge;
 //  2. sort — when the budget cannot admit the hash kernel's estimated state
 //     (the degradation rung: O(rows) working state);
-//  3. hash — the default, presized from the NDV estimate and morsel-parallel
-//     when the worker budget and input size allow.
+//  3. hash — the default, presized from the NDV estimate and parallel when
+//     the worker budget and input size allow.
+//
+// Dense and hash are two key modes of one group table; the pick is the
+// table's starting mode.
 //
 // A kernel rejected by budget admission is recorded in Fallbacks and the
 // ladder continues — kernel choice degrades, it never errors.
@@ -87,7 +81,7 @@ func ChooseKernel(in ChooserInput) KernelChoice {
 	var c KernelChoice
 	w := effectiveWorkers(in.Rows, in.Workers)
 
-	if (w == 1 || in.Rows >= denseMinRows) && in.DenseDomain > 0 && (in.DenseDomain <= denseSmallDomain || in.DenseDomain <= denseMaxBlowup*in.Rows) {
+	if (w == 1 || in.Rows >= denseMinRows) && in.DenseDomain > 0 && in.DenseDomain <= table.DenseBound(in.Rows) {
 		need := denseStateBytes(in.DenseDomain, w)
 		if !in.Budget.WouldExceed(need) {
 			c.Kind = KernelDense
@@ -118,7 +112,7 @@ func ChooseKernel(in ChooserInput) KernelChoice {
 	}
 	switch {
 	case w > 1:
-		c.Reason = fmt.Sprintf("morsel-parallel hash, %d workers (est. %.0f groups)", w, in.NDV)
+		c.Reason = fmt.Sprintf("parallel hash, %d workers (est. %.0f groups)", w, in.NDV)
 	case c.SizeHint > 0:
 		c.Reason = fmt.Sprintf("hash, presized for ~%d groups", c.SizeHint)
 	default:
@@ -142,7 +136,8 @@ type AdaptiveHints struct {
 // chosen kernel. It is the single entry point the engine (and the kernel
 // benchmark) uses, so measured adaptive behaviour is engine behaviour. The
 // returned stats name the kernel that actually ran, the chooser's reason, and
-// any budget-rejected fallbacks.
+// any budget-rejected fallbacks. A dense pick whose table met a code outside
+// its column's dictionary widened to a hashed key mode and reports hash.
 func GroupByAdaptiveGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, hints AdaptiveHints) (*table.Table, KernelStats, error) {
 	choice := ChooseKernel(ChooserInput{
 		Rows:           t.NumRows(),
@@ -154,38 +149,23 @@ func GroupByAdaptiveGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, o
 		NAggs:          len(aggs),
 		Budget:         gov.Budget(),
 	})
-	var out *table.Table
-	var ks KernelStats
-	var err error
-	switch choice.Kind {
-	case KernelDense:
-		out, ks, err = GroupByDenseGov(gov, t, groupCols, aggs, outName, choice.Workers)
-	case KernelSort:
-		out, err = GroupBySortGov(gov, t, groupCols, aggs, outName)
-		ks = KernelStats{Kind: KernelSort, Workers: 1}
+	if choice.Kind == KernelSort {
+		out, err := GroupBySortGov(gov, t, groupCols, aggs, outName)
+		ks := KernelStats{Kind: KernelSort, Workers: 1, Reason: choice.Reason, Fallbacks: choice.Fallbacks}
 		if out != nil {
 			ks.Groups = out.NumRows()
 		}
-	default:
-		out, ks, err = hashKernel(gov, t, groupCols, aggs, outName, choice.Workers, choice.SizeHint)
+		return out, ks, err
 	}
-	if ks.Reason == "" {
-		ks.Reason = choice.Reason
+	q := MultiQuery{GroupCols: groupCols, Aggs: aggs, OutName: outName, SizeHint: choice.SizeHint}
+	outs, stats, err := groupBy(gov, t, []MultiQuery{q}, choice.Workers, choice.Kind == KernelDense)
+	if err != nil {
+		return nil, KernelStats{Kind: choice.Kind, Workers: choice.Workers, Fallbacks: choice.Fallbacks}, err
 	}
-	ks.Fallbacks = choice.Fallbacks
-	return out, ks, err
-}
-
-// hashKernel runs the hash rung: the morsel-parallel path at more than one
-// effective worker, the sequential group table otherwise.
-func hashKernel(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, workers, sizeHint int) (*table.Table, KernelStats, error) {
-	if effectiveWorkers(t.NumRows(), workers) <= 1 {
-		return groupByHashSized(gov, t, groupCols, aggs, outName, sizeHint)
+	ks := stats[0]
+	ks.Reason, ks.Fallbacks = choice.Reason, choice.Fallbacks
+	if choice.Kind == KernelDense && ks.Kind != KernelDense {
+		ks.Reason = "dense guard: a key code exceeds its dictionary size; widened to hash"
 	}
-	out, st, err := groupByHashParallelSized(gov, t, groupCols, aggs, outName, workers, sizeHint)
-	ks := KernelStats{Kind: KernelHash, Workers: st.Workers, Merge: st.Merge, RehashesAvoided: st.RehashesAvoided}
-	if out != nil {
-		ks.Groups = out.NumRows()
-	}
-	return out, ks, err
+	return outs[0], ks, nil
 }

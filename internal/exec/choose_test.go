@@ -38,7 +38,7 @@ func TestChooseKernelGolden(t *testing.T) {
 		// A tiny table is dense while the domain is small outright.
 		{rows: 10, domain: 4096, workers: 1, ndv: 10},
 		{rows: 10, domain: 4097, workers: 1, ndv: 10},
-		// A parallel request too small for one morsel per worker runs sequential dense.
+		// A parallel request too small for one share per worker runs sequential dense.
 		{rows: 30000, domain: 64, workers: 4, ndv: 50},
 		// Parallel small-domain inputs: dense once rows amortize the arrays.
 		{rows: 40000, domain: 64, workers: 4, ndv: 50},
@@ -46,7 +46,7 @@ func TestChooseKernelGolden(t *testing.T) {
 		{rows: 100000, domain: 4096, workers: 4, ndv: 4000},
 		{rows: 100000, domain: 500000, workers: 4, ndv: 400000},
 		{rows: 100000, domain: 900000, workers: 4, ndv: 800000},
-		// Parallel high-NDV outside the dense domain: the morsel path, presized
+		// Parallel high-NDV outside the dense domain: parallel hash, presized
 		// when stats are threaded.
 		{rows: 200000, domain: 0, workers: 4, ndv: 50000},
 		{rows: 200000, domain: 0, workers: 4, ndv: 0},
@@ -111,14 +111,14 @@ func TestChooseKernelLadderSemantics(t *testing.T) {
 	tight.Budget = NewMemBudget(1024)
 	c := ChooseKernel(tight)
 	if c.Kind != KernelHash || c.Workers != 4 {
-		t.Fatalf("over-budget dense request chose %v with %d workers, want morsel hash", c.Kind, c.Workers)
+		t.Fatalf("over-budget dense request chose %v with %d workers, want parallel hash", c.Kind, c.Workers)
 	}
 	if len(c.Fallbacks) != 1 || c.Fallbacks[0].Kind != KernelDense {
 		t.Errorf("budget-rejected dense not recorded in fallbacks: %+v", c.Fallbacks)
 	}
 
 	if c := ChooseKernel(base); c.Kind != KernelHash || c.Workers != 4 || c.SizeHint != 50000 {
-		t.Errorf("parallel high-NDV request chose %v with %d workers, hint %d; want morsel hash presized to the NDV", c.Kind, c.Workers, c.SizeHint)
+		t.Errorf("parallel high-NDV request chose %v with %d workers, hint %d; want parallel hash presized to the NDV", c.Kind, c.Workers, c.SizeHint)
 	}
 
 	seq := base

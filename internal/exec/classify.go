@@ -20,7 +20,7 @@ const (
 	// about the table's health.
 	ClassCaller ErrClass = iota
 	// ClassTransient: an isolated operator failure (a recovered panic, a
-	// poisoned morsel worker, a failed in-flight cache computation) that a
+	// poisoned parallel worker, a failed in-flight cache computation) that a
 	// fresh — possibly degraded — attempt may avoid.
 	ClassTransient
 	// ClassFatal: a deterministic failure (unknown table or column, malformed
@@ -43,7 +43,7 @@ func (c ErrClass) String() string {
 }
 
 // Classify assigns an execution error to its class. Context errors anywhere
-// in the chain win (a cancelled morsel loop surfaces as an *ExecError
+// in the chain win (a cancelled parallel scan surfaces as an *ExecError
 // wrapping context.Canceled — that is the caller's doing, not the
 // operator's); remaining typed *ExecError values — recovered panics and
 // isolated operator failures — are transient; everything else is fatal.

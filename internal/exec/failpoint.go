@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // TestingHooks holds fault-injection hooks for deterministic robustness
 // tests. Production code never installs a hook, so the per-site cost is one
-// atomic pointer load on an already-amortized path (once per morsel /
+// atomic pointer load on an already-amortized path (once per worker /
 // cancellation checkpoint / engine step).
 type TestingHooks struct {
 	failPoint atomic.Pointer[func(site string)]
@@ -15,10 +15,9 @@ type TestingHooks struct {
 // execution sites; the hook may panic (simulating an operator bug), cancel a
 // context, or mutate test state. Sites currently fired:
 //
-//	exec.morsel.worker   — before each morsel in a parallel worker
-//	exec.hash.batch      — at each sequential-scan cancellation checkpoint
+//	exec.share.worker    — when a parallel worker starts its share
+//	exec.hash.batch      — at each block of the hash/dense scan loop
 //	exec.sort.stream     — at each index-stream cancellation checkpoint
-//	exec.dense.batch     — at each dense-kernel batch boundary
 //	engine.step          — before each schedule step
 //	engine.retain        — before a temp table is retained
 //	cache.admit          — at the top of every cache admission (Offer)

@@ -6,20 +6,19 @@ import (
 	"sync/atomic"
 )
 
-// cancelCheckRows is the row granularity at which sequential operator loops
-// poll for cancellation. It is smaller than one morsel, so a cancelled
-// context stops both the sequential and the parallel path within one
-// morsel's worth of work.
+// cancelCheckRows is the row granularity at which operator loops poll for
+// cancellation — one block of the scan loop, sequential or in a parallel
+// worker — so a cancelled context stops within one block's worth of work.
 const cancelCheckRows = 4096
 
 // ExecError is a typed execution failure carrying the step and plan-node
 // context in which it occurred. Operator panics recovered by the execution
-// layer (morsel workers, the ExecutePlan boundary) are converted into
+// layer (parallel workers, the ExecutePlan boundary) are converted into
 // *ExecError so one bad plan never crashes the process; genuine invariant
 // violations inside an operator still panic and are caught at the next
 // recovery boundary.
 type ExecError struct {
-	// Step names the execution step that failed, e.g. "morsel worker 3" or
+	// Step names the execution step that failed, e.g. "share worker 3" or
 	// "compute {l_shipmode} from base".
 	Step string
 	// Node describes the plan node being evaluated, when known (the engine
@@ -41,7 +40,7 @@ func (e *ExecError) Error() string {
 	}
 }
 
-// Unwrap exposes the cause to errors.Is/As (a cancelled morsel loop unwraps
+// Unwrap exposes the cause to errors.Is/As (a cancelled scan loop unwraps
 // to context.Canceled).
 func (e *ExecError) Unwrap() error { return e.Err }
 
@@ -57,7 +56,7 @@ func RecoveredPanic(p any) error {
 // MemBudget tracks the bytes held by execution working state — hash-table
 // slots, accumulator arrays, materialized temp tables — against an optional
 // limit. Charges are atomic, so one budget can be shared by concurrent
-// sub-plans and morsel workers.
+// sub-plans and parallel workers.
 //
 // The budget separates *accounting* from *admission*: Add/Release always
 // record usage (an operator that was admitted may still overshoot its

@@ -96,22 +96,22 @@ func TestCancelSortFallbackGroupBy(t *testing.T) {
 }
 
 // TestCancelParallelMorselDeterministic cancels the context from inside the
-// morsel loop via the fault-injection hook, so every worker must observe the
-// cancellation at its next morsel boundary and the operator must return the
+// parallel driver via the fault-injection hook, so every worker must observe
+// the cancellation at its next block boundary and the operator must return the
 // context's error — deterministically, not timing-dependently.
 func TestCancelParallelMorselDeterministic(t *testing.T) {
-	tb := mkParTable(4*morselRows, 1200, 3)
+	tb := mkParTable(4*shareMinRows, 1200, 3)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Int64
 	Testing.SetFailPoint(func(site string) {
-		if site == "exec.morsel.worker" && fired.Add(1) == 3 {
+		if site == "exec.share.worker" && fired.Add(1) == 3 {
 			cancel()
 		}
 	})
 	defer Testing.ClearFailPoint()
 	budget := NewMemBudget(0)
-	_, _, err := GroupByHashParallelGov(NewGov(ctx, budget), tb, []int{2}, allAggKinds(), "g", 4)
+	_, _, err := GroupByHashMultiGov(NewGov(ctx, budget), tb, []MultiQuery{{GroupCols: []int{2}, Aggs: allAggKinds(), OutName: "g"}}, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -126,7 +126,7 @@ func TestCancelParallelMorselDeterministic(t *testing.T) {
 // either complete or fail with context.Canceled, and the shared budget must
 // drain to zero.
 func TestCancelConcurrentRuns(t *testing.T) {
-	tb := mkParTable(3*morselRows, 800, 4)
+	tb := mkParTable(3*shareMinRows, 800, 4)
 	tb.RowImage() // pre-build: lazy construction is not goroutine-safe
 	budget := NewMemBudget(0)
 	const runs = 6
@@ -137,7 +137,7 @@ func TestCancelConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = GroupByHashParallelGov(NewGov(ctx, budget), tb, []int{2}, allAggKinds(), "g", 3)
+			_, _, errs[i] = GroupByHashMultiGov(NewGov(ctx, budget), tb, []MultiQuery{{GroupCols: []int{2}, Aggs: allAggKinds(), OutName: "g"}}, 3)
 		}(i)
 		if i%2 == 0 {
 			cancel() // races against the run: both outcomes are legal
@@ -156,20 +156,20 @@ func TestCancelConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestFaultWorkerPanicYieldsExecError injects a panic into one morsel worker
+// TestFaultWorkerPanicYieldsExecError injects a panic into one parallel worker
 // and requires the operator to survive it, returning a typed *ExecError that
 // names the failing worker, with all budget charges released.
 func TestFaultWorkerPanicYieldsExecError(t *testing.T) {
-	tb := mkParTable(4*morselRows, 600, 5)
+	tb := mkParTable(4*shareMinRows, 600, 5)
 	var fired atomic.Int64
 	Testing.SetFailPoint(func(site string) {
-		if site == "exec.morsel.worker" && fired.Add(1) == 2 {
+		if site == "exec.share.worker" && fired.Add(1) == 2 {
 			panic("injected operator bug")
 		}
 	})
 	defer Testing.ClearFailPoint()
 	budget := NewMemBudget(0)
-	_, _, err := GroupByHashParallelGov(NewGov(context.Background(), budget), tb, []int{0, 1}, allAggKinds(), "g", 4)
+	_, _, err := GroupByHashMultiGov(NewGov(context.Background(), budget), tb, []MultiQuery{{GroupCols: []int{0, 1}, Aggs: allAggKinds(), OutName: "g"}}, 4)
 	var ee *ExecError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *ExecError", err, err)
@@ -226,10 +226,10 @@ func TestBudgetChargesReleasedAfterRuns(t *testing.T) {
 	if budget.Peak() == peak {
 		t.Fatal("sort run charged nothing")
 	}
-	if _, err := GroupByHashMultiGov(gov, tb, []MultiQuery{
+	if _, _, err := GroupByHashMultiGov(gov, tb, []MultiQuery{
 		{GroupCols: []int{0}, Aggs: []Agg{CountStar()}, OutName: "a"},
 		{GroupCols: []int{1, 2}, Aggs: allAggKinds(), OutName: "b"},
-	}); err != nil {
+	}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if budget.Used() != 0 {

@@ -31,21 +31,11 @@ func GroupByHash(t *table.Table, groupCols []int, aggs []Agg, outName string) *t
 // slots plus accumulator state against gov's memory budget for the duration
 // of the operator. A nil gov means ungoverned and adds no overhead.
 func GroupByHashGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string) (*table.Table, error) {
-	out, _, err := groupByHashSized(gov, t, groupCols, aggs, outName, 0)
-	return out, err
-}
-
-// groupByHashSized is the hash-aggregate core behind GroupByHashGov and the
-// adaptive dispatch. sizeHint, when > 0, presizes the group table for that
-// many expected groups (satellite fix: the table no longer always starts at
-// 1024 buckets when statistics already predict the NDV); the stats record how
-// many rehash doublings the presize avoided.
-func groupByHashSized(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, sizeHint int) (*table.Table, KernelStats, error) {
-	outs, stats, err := GroupByHashMultiStatsGov(gov, t, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: outName, SizeHint: sizeHint}})
+	outs, _, err := groupBy(gov, t, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: outName}}, 1, false)
 	if err != nil {
-		return nil, KernelStats{Kind: KernelHash, Workers: 1}, err
+		return nil, err
 	}
-	return outs[0], stats[0], nil
+	return outs[0], nil
 }
 
 // GroupBySort computes the same result by sorting row ids and streaming over
@@ -68,7 +58,7 @@ func GroupBySort(t *table.Table, groupCols []int, aggs []Agg, outName string) *t
 // run's first row is the group's first occurrence — making the output
 // byte-identical to GroupByHashGov for order-insensitive aggregates
 // (SUM/AVG over TFloat64 may round differently because the observation
-// order changes, exactly like the morsel-parallel path).
+// order changes, exactly like the parallel path).
 func GroupBySortGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string) (*table.Table, error) {
 	if err := validateRequest(t, groupCols, aggs); err != nil {
 		return nil, err
@@ -286,9 +276,9 @@ func GroupByIndexPrefixCounts(t *table.Table, ix *index.Index, prefixCols []int,
 // emitGroups assembles the output table: group key columns share the input's
 // dictionaries; each accumulator builds its own column (see
 // accumulator.column) and must not be used afterwards. order, when non-nil,
-// is a permutation of group ids giving the output row order (the parallel
-// merge uses it to restore global first-appearance order); nil emits groups
-// in id order.
+// is a permutation of group ids giving the output row order (the sort kernel
+// uses it to restore global first-appearance order); nil emits groups in id
+// order.
 func emitGroups(t *table.Table, groupCols []int, aggs []Agg, accs []accumulator, firstRows []int32, order []int, outName string) *table.Table {
 	nGroups := len(firstRows)
 	cols := make([]*table.Column, 0, len(groupCols)+len(aggs))
@@ -331,41 +321,56 @@ func (rd rowReader) code(r int, k int) uint32 {
 	return binary.LittleEndian.Uint32(rd.image[r*rd.stride+rd.offs[k]:])
 }
 
-// groupHash is an open-addressing hash table mapping code tuples to dense
-// group ids, handed out in first-appearance order. One array of 16-byte slots
-// serves two key modes:
+// keyMode is how a groupHash reaches a row's group (see groupHash).
+type keyMode uint8
+
+// Key modes.
+const (
+	keyPacked keyMode = iota
+	keyWide
+	keyDense
+)
+
+// groupHash maps code tuples to dense group ids, handed out in
+// first-appearance order. It reaches a group in one of three key modes:
 //
+//   - dense: a row's codes fold mixed-radix (mults[k] = Π_{j<k}(dict_j+1))
+//     into one integer below DenseDomain that indexes a flat group-id array —
+//     one array access per row, no hash and no compare. It is picked by the
+//     caller (ChooseKernel) for small domains.
 //   - packed: each key column gets bits.Len32(DictSize()) bits, and when the
-//     widths sum to at most 64 a row's codes fold into one uint64. A block's
-//     keys are decoded column-major by the strided loop the dense kernel uses
-//     (decodeKeys), then probed in one tight loop: one seeded mix per key and
+//     widths sum to at most 64 a row's codes fold into one uint64, probed in
+//     an open-addressing array of 16-byte slots: one seeded mix per key and
 //     one integer compare per slot visited.
 //   - wide: otherwise the slot key is the row's seeded hashRow, and a match is
 //     confirmed against the representative row's codes.
 //
-// Packing trusts that every code fits its column's width (code ≤ DictSize).
-// The decode checks each column's largest code in a block before any row of
-// the block is probed; a block that breaks it converts the table to wide mode
-// first and is probed wide, so a bad code degrades speed, never merges two
-// groups. Group ids and their first rows do not depend on the mode.
+// Dense and packed decode a block's keys column-major (decodeKeys) and trust
+// that every code fits its column (code ≤ DictSize, or its width). The decode
+// checks each column's largest code in a block before any row of the block
+// is probed; a block that breaks it converts the table to wide mode first
+// (widen), so a bad code degrades speed, never merges two groups. Group ids
+// and their first rows do not depend on the mode.
 type groupHash struct {
-	rd rowReader
-	// mults and limits are the packed key layout, one entry per key column:
-	// the column's code is multiplied by mults (1 << its bit offset) and must
-	// not exceed limits (the largest code its width holds).
+	rd   rowReader
+	mode keyMode
+	// mults and limits are the dense or packed key layout, one entry per key
+	// column: the column's code is multiplied by mults and must not exceed
+	// limits.
 	mults  []uint64
 	limits []uint32
-	keys   []uint64 // the block's decoded packed keys, reused across blocks
-	wide   bool
-	mask   uint64
-	slots  []groupSlot
+	keys   []uint64 // the block's decoded keys, reused across blocks
+	// gid is the dense mode's group-id array: key → group id + 1 (0 = empty).
+	gid   []int32
+	mask  uint64
+	slots []groupSlot
 	// firstRows is each group's first row, in group-id order; its length is
 	// the number of groups handed out so far.
 	firstRows []int32
 
-	// budget, when non-nil, is charged for slot memory as the table grows;
-	// charged is the running total the owner releases when the operator
-	// finishes.
+	// budget, when non-nil, is charged for slot and group-id memory as the
+	// table grows; charged is the running total the owner releases when the
+	// operator finishes.
 	budget  *MemBudget
 	charged int64
 
@@ -398,14 +403,34 @@ const groupHashInitSize = 1024
 // wildly high estimate must not turn into a giant dead allocation.
 const groupHashMaxPresize = 1 << 22
 
-// newGroupHash creates the group table for grouping t by cols, presized for
-// sizeHint expected groups (0 means the default groupHashInitSize). The
-// initial slot count is the smallest power of two keeping sizeHint groups
-// under the 3/4 load factor, clamped by groupHashMaxPresize and halved until
-// the budget admits it — a tight budget degrades the presize back toward the
-// default rather than failing admission. The key mode is fixed here from the
-// columns' dictionary sizes (see groupHash).
-func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int) *groupHash {
+// newGroupHash creates the group table for grouping t by cols. With dense set
+// and a non-empty DenseDomain it starts in dense mode, allocating the
+// domain-sized group-id array. Otherwise the key mode is packed or wide by
+// the columns' dictionary sizes, and the slot array is presized for sizeHint
+// expected groups (0 means the default groupHashInitSize): the smallest power
+// of two keeping sizeHint groups under the 3/4 load factor, clamped by
+// groupHashMaxPresize and halved until the budget admits it — a tight budget
+// degrades the presize back toward the default rather than failing
+// admission.
+func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int, dense bool) *groupHash {
+	h := &groupHash{
+		rd:       keyReader(t, cols),
+		mults:    make([]uint64, len(cols)),
+		limits:   make([]uint32, len(cols)),
+		budget:   budget,
+		initSize: groupHashInitSize,
+	}
+	if domain := DenseDomain(t, cols); dense && domain > 0 {
+		h.mode, h.gid = keyDense, make([]int32, domain)
+		h.charge(int64(domain) * 4)
+		m := uint64(1)
+		for i, c := range cols {
+			size := t.Col(c).DictSize()
+			h.mults[i], h.limits[i] = m, uint32(size)
+			m *= uint64(size + 1)
+		}
+		return h
+	}
 	size := groupHashInitSize
 	if sizeHint > 0 {
 		for size < groupHashMaxPresize && uint64(sizeHint+1)*4 > uint64(size)*3 {
@@ -415,15 +440,8 @@ func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int) *
 			size >>= 1
 		}
 	}
-	h := &groupHash{
-		rd:       keyReader(t, cols),
-		mults:    make([]uint64, len(cols)),
-		limits:   make([]uint32, len(cols)),
-		mask:     uint64(size - 1),
-		slots:    make([]groupSlot, size),
-		budget:   budget,
-		initSize: size,
-	}
+	h.mask, h.slots, h.initSize = uint64(size-1), make([]groupSlot, size), size
+	h.charge(int64(size) * slotBytes)
 	var shift uint
 	for i, c := range cols {
 		w := uint(bits.Len32(uint32(t.Col(c).DictSize())))
@@ -432,9 +450,19 @@ func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int) *
 		h.mults[i], h.limits[i] = uint64(1)<<shift, uint32(1<<w-1)
 		shift += w
 	}
-	h.wide = shift > 64
-	h.charge(int64(size) * slotBytes)
+	if shift > 64 {
+		h.mode = keyWide
+	}
 	return h
+}
+
+// kind is the kernel this table ran as: dense while it stays in dense mode,
+// hash otherwise.
+func (h *groupHash) kind() KernelKind {
+	if h.mode == keyDense {
+		return KernelDense
+	}
+	return KernelHash
 }
 
 // rehashesAvoided reports how many grow() doublings the presize saved: the
@@ -457,7 +485,7 @@ func (h *groupHash) rehashesAvoided() int {
 	return n
 }
 
-// charge accounts n bytes of slot memory against the budget.
+// charge accounts n bytes of table memory against the budget.
 func (h *groupHash) charge(n int64) {
 	if h.budget == nil {
 		return
@@ -467,17 +495,21 @@ func (h *groupHash) charge(n int64) {
 }
 
 // assign sets gids[i] to the group of row lo+i for the block of rows
-// [lo, lo+len(gids)), handing out new groups in row order. A packed table
-// decodes the whole block first; a block holding a code too wide for its
-// column widens the table before any of its rows is probed.
+// [lo, lo+len(gids)), handing out new groups in row order. A dense or packed
+// table decodes the whole block first; a block holding a code too wide for
+// its column widens the table before any of its rows is probed.
 func (h *groupHash) assign(lo int, gids []int32) {
-	if !h.wide {
+	if h.mode != keyWide {
 		if cap(h.keys) < len(gids) {
 			h.keys = make([]uint64, len(gids))
 		}
 		keys := h.keys[:len(gids)]
 		if decodeKeys(keys, h.rd, lo, h.mults, h.limits) {
-			h.probePacked(keys, lo, gids)
+			if h.mode == keyDense {
+				h.probeDense(keys, lo, gids)
+			} else {
+				h.probePacked(keys, lo, gids)
+			}
 			return
 		}
 		h.widen()
@@ -487,14 +519,28 @@ func (h *groupHash) assign(lo int, gids []int32) {
 	}
 }
 
-// groupOf returns the group of one row, probed as a one-row block, and
-// whether the row opened it. The morsel merge folds worker-local groups into
-// the final table with it.
-func (h *groupHash) groupOf(row int) (g int, isNew bool) {
-	before := len(h.firstRows)
+// groupOf returns the group of one row, probed as a one-row block. The merge
+// folds the other shares' groups into the first share's table with it.
+func (h *groupHash) groupOf(row int) int {
 	var gid [1]int32
 	h.assign(row, gid[:])
-	return int(gid[0]), len(h.firstRows) > before
+	return int(gid[0])
+}
+
+// probeDense maps the dense keys of rows [lo, lo+len(keys)) to group ids:
+// one group-id array access per row.
+func (h *groupHash) probeDense(keys []uint64, lo int, gids []int32) {
+	gid := h.gid
+	gids = gids[:len(keys)]
+	for i, key := range keys {
+		g := gid[key]
+		if g == 0 {
+			h.firstRows = append(h.firstRows, int32(lo+i))
+			g = int32(len(h.firstRows))
+			gid[key] = g
+		}
+		gids[i] = g - 1
+	}
 }
 
 // probePacked maps the packed keys of rows [lo, lo+len(keys)) to group ids.
@@ -561,49 +607,47 @@ func (h *groupHash) insert(s *groupSlot, key uint64, row int) int32 {
 	return g - 1
 }
 
-// slotHash is the hash that placed s: its stored hashRow in wide mode, the
-// mixed packed key otherwise.
-func (h *groupHash) slotHash(s groupSlot) uint64 {
-	if h.wide {
-		return s.key
-	}
-	return mixKey(s.key, h.rd.seed)
-}
-
 // grow doubles the slot array; keys are never re-read from the table.
 func (h *groupHash) grow() {
 	size := len(h.slots) << 1
 	h.charge(int64(size-len(h.slots)) * slotBytes)
-	h.rehash(size)
-}
-
-// rehash redistributes the occupied slots over a fresh array of size slots.
-func (h *groupHash) rehash(size int) {
 	old := h.slots
-	h.mask = uint64(size - 1)
-	h.slots = make([]groupSlot, size)
+	h.mask, h.slots = uint64(size-1), make([]groupSlot, size)
 	for _, s := range old {
-		if s.group == 0 {
-			continue
+		if s.group != 0 {
+			h.place(s)
 		}
-		slot := h.slotHash(s) & h.mask
-		for h.slots[slot].group != 0 {
-			slot = (slot + 1) & h.mask
-		}
-		h.slots[slot] = s
 	}
 }
 
-// widen switches a packed table to wide mode: every occupied slot is re-keyed
-// by its representative row's hashRow. Group ids and their order are kept.
-func (h *groupHash) widen() {
-	h.wide = true
-	for i := range h.slots {
-		if s := &h.slots[i]; s.group != 0 {
-			s.key = hashRow(h.rd, int(s.row))
-		}
+// place puts occupied slot s at the first free slot of its probe sequence:
+// its stored hashRow in wide mode, the mixed packed key otherwise.
+func (h *groupHash) place(s groupSlot) {
+	hash := s.key
+	if h.mode == keyPacked {
+		hash = mixKey(s.key, h.rd.seed)
 	}
-	h.rehash(len(h.slots))
+	slot := hash & h.mask
+	for h.slots[slot].group != 0 {
+		slot = (slot + 1) & h.mask
+	}
+	h.slots[slot] = s
+}
+
+// widen switches the table to wide mode, keying every group by its first
+// row's hashRow in a slot array sized for the groups held; group ids and
+// their order are kept. A dense table drops its group-id array here.
+func (h *groupHash) widen() {
+	h.mode, h.gid = keyWide, nil
+	size := max(len(h.slots), groupHashInitSize)
+	for uint64(len(h.firstRows)+1)*4 > uint64(size)*3 {
+		size <<= 1
+	}
+	h.charge(int64(size-len(h.slots)) * slotBytes)
+	h.mask, h.slots = uint64(size-1), make([]groupSlot, size)
+	for g, row := range h.firstRows {
+		h.place(groupSlot{key: hashRow(h.rd, int(row)), group: int32(g + 1), row: row})
+	}
 }
 
 func (h *groupHash) rowsEqual(a, b int32) bool {

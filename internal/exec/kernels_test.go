@@ -111,7 +111,7 @@ func TestKernelsByteIdenticalToHash(t *testing.T) {
 		{name: "empty", rows: 0, ndvA: 1, ndvB: 1, seed: 6},
 		{name: "parallel-scale", rows: 60000, ndvA: 64, ndvB: 32, zipf: 1.3, seed: 7},
 		// Dense cannot apply (domain 2049² > denseMaxDomain), so a parallel
-		// request runs morsel hash over tens of thousands of groups.
+		// request runs parallel hash over tens of thousands of groups.
 		{name: "wide-uniform", rows: 70000, ndvA: 2048, ndvB: 2048, seed: 8},
 		{name: "wide-skewed", rows: 70000, ndvA: 2048, ndvB: 2048, zipf: 1.5, seed: 9},
 	}
@@ -133,24 +133,24 @@ func TestKernelsByteIdenticalToHash(t *testing.T) {
 				}
 			}
 
-			out, _, err := groupByHashSized(gov, src, groupCols, aggs, "g", tc.ndvA*tc.ndvB)
+			out, _, err := runGroupBy(gov, src, groupCols, aggs, 1, tc.ndvA*tc.ndvB, false)
 			check("hash-presized", out, err)
 
 			sorted, err := GroupBySortGov(gov, src, groupCols, aggs, "g")
 			check("sort", sorted, err)
 
 			if DenseDomain(src, groupCols) != 0 {
-				out, ks, err := GroupByDenseGov(gov, src, groupCols, aggs, "g", 1)
+				out, ks, err := denseGroupBy(gov, src, groupCols, aggs, 1)
 				check("dense-seq", out, err)
 				if err == nil && ks.Kind != KernelDense {
 					t.Errorf("dense-seq ran kind %v", ks.Kind)
 				}
-				out, _, err = GroupByDenseGov(gov, src, groupCols, aggs, "g", 4)
+				out, _, err = denseGroupBy(gov, src, groupCols, aggs, 4)
 				check("dense-par", out, err)
 			}
 
-			out, _, err = GroupByHashParallelGov(gov, src, groupCols, aggs, "g", 4)
-			check("morsel", out, err)
+			outs, _, err := GroupByHashMultiGov(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g"}}, 4)
+			check("parallel-hash", outs[0], err)
 
 			// The adaptive entry point must agree too, whatever rung it picks.
 			for _, hints := range []AdaptiveHints{
@@ -169,22 +169,47 @@ func TestKernelsByteIdenticalToHash(t *testing.T) {
 	}
 }
 
+// runGroupBy runs one query through the group-by driver at w workers, with
+// its table presized for sizeHint groups and started in dense mode when
+// dense is set.
+func runGroupBy(gov *Gov, src *table.Table, groupCols []int, aggs []Agg, w, sizeHint int, dense bool) (*table.Table, KernelStats, error) {
+	outs, stats, err := groupBy(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g", SizeHint: sizeHint}}, w, dense)
+	if err != nil {
+		return nil, KernelStats{}, err
+	}
+	return outs[0], stats[0], nil
+}
+
+// denseGroupBy runs one query on the dense key mode at w workers.
+func denseGroupBy(gov *Gov, src *table.Table, groupCols []int, aggs []Agg, w int) (*table.Table, KernelStats, error) {
+	return runGroupBy(gov, src, groupCols, aggs, w, 0, true)
+}
+
 // TestDenseKernelRejectsWideDomains pins the applicability contract: a
-// group-code domain over denseMaxDomain must be reported, not mis-aggregated.
+// group-code domain over denseMaxDomain has no dense mode, so a dense request
+// runs on a hashed key mode, reports hash, and aggregates correctly.
 func TestDenseKernelRejectsWideDomains(t *testing.T) {
 	src := kernelTable(4096, 2000, 2000, 0, 9)
 	if d := DenseDomain(src, []int{0, 1}); d != 0 {
 		t.Fatalf("DenseDomain = %d, want 0 for a %d-value domain", d, 2001*2001)
 	}
 	gov := NewGov(context.Background(), NewMemBudget(0))
-	if _, _, err := GroupByDenseGov(gov, src, []int{0, 1}, kernelAggs(), "g", 1); err == nil {
-		t.Fatal("dense kernel accepted an oversized domain")
+	out, ks, err := denseGroupBy(gov, src, []int{0, 1}, kernelAggs(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks.Kind != KernelHash {
+		t.Errorf("dense request over an oversized domain ran %v, want hash", ks.Kind)
+	}
+	if got, want := dumpTable(out), dumpTable(GroupByHash(src, []int{0, 1}, kernelAggs(), "g")); got != want {
+		t.Errorf("output differs from the hash kernel\nhash:\n%s\ngot:\n%s", want, got)
 	}
 }
 
-// TestKernelFailpointsSurfaceTypedErrors drives the chaos sites added with
-// the kernels: a panic injected at each new site must surface as a typed
-// *ExecError naming the failing worker, with the budget fully released.
+// TestKernelFailpointsSurfaceTypedErrors drives the parallel driver's sites:
+// a panic injected in a worker's block loop (dense mode) or at a worker's
+// start (hash mode) must surface as a typed *ExecError naming the failing
+// worker, with the budget fully released.
 func TestKernelFailpointsSurfaceTypedErrors(t *testing.T) {
 	src := kernelTable(50000, 300, 200, 0, 11)
 	groupCols := []int{0, 1}
@@ -194,8 +219,12 @@ func TestKernelFailpointsSurfaceTypedErrors(t *testing.T) {
 		wantStep string
 		run      func(gov *Gov) error
 	}{
-		{"exec.dense.batch", "dense worker", func(gov *Gov) error {
-			_, _, err := GroupByDenseGov(gov, src, groupCols, aggs, "g", 4)
+		{"exec.hash.batch", "share worker", func(gov *Gov) error {
+			_, _, err := denseGroupBy(gov, src, groupCols, aggs, 4)
+			return err
+		}},
+		{"exec.share.worker", "share worker", func(gov *Gov) error {
+			_, _, err := GroupByHashMultiGov(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g"}}, 4)
 			return err
 		}},
 	}
@@ -225,14 +254,14 @@ func TestKernelFailpointsSurfaceTypedErrors(t *testing.T) {
 	}
 }
 
-// TestKernelCancellation pins that the dense kernel honors governor
-// cancellation between batches.
+// TestKernelCancellation pins that the dense key mode honors governor
+// cancellation between blocks.
 func TestKernelCancellation(t *testing.T) {
 	src := kernelTable(50000, 300, 200, 0, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	gov := NewGov(ctx, NewMemBudget(0))
-	if _, _, err := GroupByDenseGov(gov, src, []int{0, 1}, kernelAggs(), "g", 1); !errors.Is(err, context.Canceled) {
+	if _, _, err := denseGroupBy(gov, src, []int{0, 1}, kernelAggs(), 1); !errors.Is(err, context.Canceled) {
 		t.Errorf("dense: err = %v, want context.Canceled", err)
 	}
 }
@@ -244,11 +273,11 @@ func TestPresizeAvoidsRehashes(t *testing.T) {
 	gov := NewGov(context.Background(), NewMemBudget(0))
 	groupCols := []int{0, 1}
 	aggs := []Agg{CountStar()}
-	_, unsized, err := groupByHashSized(gov, src, groupCols, aggs, "g", 0)
+	_, unsized, err := runGroupBy(gov, src, groupCols, aggs, 1, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sized, err := groupByHashSized(gov, src, groupCols, aggs, "g", unsized.Groups)
+	_, sized, err := runGroupBy(gov, src, groupCols, aggs, 1, unsized.Groups, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gbmqo/internal/table"
@@ -90,7 +91,7 @@ func repeatSize(n, size int) []int {
 // table: key widths straddling 64 bits (dictionaries of 2^k−1 and 2^k values),
 // NULL and all-NULL keys, empty and single-group tables, and enough wide
 // columns to force the wide path. Every hash entry point — sequential,
-// shared scan, morsel workers plus merge — must reproduce the sort kernel,
+// shared scan, parallel shares plus merge — must reproduce the sort kernel,
 // which shares no code with the group table, cell by cell.
 func TestKernelPackedKeyMatchesWide(t *testing.T) {
 	cases := []struct {
@@ -117,8 +118,8 @@ func TestKernelPackedKeyMatchesWide(t *testing.T) {
 			for k := range keys {
 				keys[k] = k
 			}
-			if h := newGroupHash(src, keys, nil, 0); h.wide != tc.wide {
-				t.Fatalf("wide = %v, want %v for dictionary sizes %v", h.wide, tc.wide, tc.dictSizes)
+			if h := newGroupHash(src, keys, nil, 0, false); (h.mode == keyWide) != tc.wide {
+				t.Fatalf("wide = %v, want %v for dictionary sizes %v", h.mode == keyWide, tc.wide, tc.dictSizes)
 			}
 			aggs := widthAggs(len(keys))
 			reversed := make([]int, len(keys))
@@ -153,19 +154,19 @@ func TestKernelPackedKeyMatchesWide(t *testing.T) {
 				out, err := GroupByHashGov(gov, src, q.GroupCols, q.Aggs, "g")
 				check("hash", qi, out, err)
 			}
-			outs, err := GroupByHashMultiGov(gov, src, queries)
+			outs, _, err := GroupByHashMultiGov(gov, src, queries, 1)
 			if err != nil {
 				t.Fatalf("shared scan: %v", err)
 			}
 			for qi := range queries {
 				check("shared-scan", qi, outs[qi], nil)
 			}
-			outs, _, err = groupByMultiMorsel(gov, src, queries, 3, 64)
+			outs, _, err = groupBy(gov, src, queries, 3, false)
 			if err != nil {
-				t.Fatalf("morsel: %v", err)
+				t.Fatalf("shares: %v", err)
 			}
 			for qi := range queries {
-				check("morsel", qi, outs[qi], nil)
+				check("shares", qi, outs[qi], nil)
 			}
 			if used := gov.Budget().Used(); used != 0 {
 				t.Errorf("budget not drained: %d bytes still charged", used)
@@ -181,10 +182,24 @@ func TestKernelPackedKeyMatchesWide(t *testing.T) {
 // domain. badFirst puts a violating row first, before any group exists. The
 // row list repeats reps times.
 func plantedTable(badFirst bool, reps int) *table.Table {
-	rows := [][2]uint32{{0, 1}, {4, 0}, {1, 2}, {0, 1}, {4, 0}, {4, 0}, {8, 3}, {0, 3}, {0, 1}, {2, 2}}
+	rows := plantedRows
 	if badFirst {
 		rows = append([][2]uint32{{4, 0}}, rows...)
 	}
+	var all [][2]uint32
+	for i := 0; i < reps; i++ {
+		all = append(all, rows...)
+	}
+	return codeTable(all)
+}
+
+// plantedRows is plantedTable's row list: valid tuples mixed with the
+// violating (4, 0) and (8, 3).
+var plantedRows = [][2]uint32{{0, 1}, {4, 0}, {1, 2}, {0, 1}, {4, 0}, {4, 0}, {8, 3}, {0, 3}, {0, 1}, {2, 2}}
+
+// codeTable builds plantedTable's two key columns a and b, each over a
+// three-value dictionary, from raw code tuples appended with AppendCode.
+func codeTable(rows [][2]uint32) *table.Table {
 	dictVals := []table.Value{table.Int(10), table.Int(20), table.Int(30)}
 	cols := make([]*table.Column, 2)
 	for k, name := range []string{"a", "b"} {
@@ -192,10 +207,8 @@ func plantedTable(badFirst bool, reps int) *table.Table {
 		if err != nil {
 			panic(err)
 		}
-		for i := 0; i < reps; i++ {
-			for _, r := range rows {
-				col.AppendCode(r[k])
-			}
+		for _, r := range rows {
+			col.AppendCode(r[k])
 		}
 		cols[k] = col
 	}
@@ -245,8 +258,8 @@ func TestKernelPackedKeyGuardNeverMerges(t *testing.T) {
 			cols := []int{0, 1}
 
 			// The plant is only a test of the guard if packing collides.
-			h := newGroupHash(src, cols, nil, 0)
-			if h.wide {
+			h := newGroupHash(src, cols, nil, 0, false)
+			if h.mode != keyPacked {
 				t.Fatal("planted table should start on the packed path")
 			}
 			keyOf := func(a, b uint32) uint64 { return uint64(a)*h.mults[0] + uint64(b)*h.mults[1] }
@@ -256,7 +269,7 @@ func TestKernelPackedKeyGuardNeverMerges(t *testing.T) {
 			for r := 0; r < src.NumRows(); r++ {
 				h.groupOf(r)
 			}
-			if !h.wide {
+			if h.mode != keyWide {
 				t.Error("group table stayed packed over codes wider than their dictionaries")
 			}
 
@@ -265,33 +278,36 @@ func TestKernelPackedKeyGuardNeverMerges(t *testing.T) {
 			out, err := GroupByHashGov(gov, src, cols, aggs, "g")
 			checkKeyCounts(t, "hash", src, out, err)
 			q := []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "g"}}
-			outs, err := GroupByHashMultiGov(gov, src, q)
+			outs, _, err := GroupByHashMultiGov(gov, src, q, 1)
 			if err != nil {
 				t.Fatalf("shared scan: %v", err)
 			}
 			checkKeyCounts(t, "shared-scan", src, outs[0], nil)
-			outs, _, err = groupByMultiMorsel(gov, src, q, 2, 2)
+			outs, _, err = groupBy(gov, src, q, 2, false)
 			if err != nil {
-				t.Fatalf("morsel: %v", err)
+				t.Fatalf("shares: %v", err)
 			}
-			checkKeyCounts(t, "morsel", src, outs[0], nil)
+			checkKeyCounts(t, "shares", src, outs[0], nil)
 		})
 	}
 }
 
 // TestKernelDenseGuardNeverMerges plants the same out-of-dictionary codes
-// under the dense kernel, whose mixed-radix fold would alias (4, 0) onto
+// under the dense key mode, whose mixed-radix fold would alias (4, 0) onto
 // (0, 1) and index (8, 3) past its group-id array. Sequential dense, parallel
-// dense and the adaptive entry point (which now picks dense at one worker)
-// must each notice, run the node on hash, and return the true groups.
+// dense and the adaptive entry point (which picks dense at one worker) must
+// each notice, widen the table, report hash, and return the true groups.
 func TestKernelDenseGuardNeverMerges(t *testing.T) {
 	for _, badFirst := range []bool{false, true} {
 		t.Run(fmt.Sprintf("badFirst=%v", badFirst), func(t *testing.T) {
 			small := plantedTable(badFirst, 1)
 			large := plantedTable(badFirst, 7000) // ≥ denseMinRows: a parallel dense run
 			cols := []int{0, 1}
-			key := newDenseKey(small, cols)
-			if fold := func(a, b int32) int32 { return a*key.mults[0] + b*key.mults[1] }; fold(4, 0) != fold(0, 1) {
+			h := newGroupHash(small, cols, nil, 0, true)
+			if h.mode != keyDense {
+				t.Fatal("planted table should start on the dense path")
+			}
+			if fold := func(a, b uint64) uint64 { return a*h.mults[0] + b*h.mults[1] }; fold(4, 0) != fold(0, 1) {
 				t.Fatal("planted codes do not alias in the dense fold")
 			}
 			aggs := []Agg{CountStar()}
@@ -302,14 +318,14 @@ func TestKernelDenseGuardNeverMerges(t *testing.T) {
 				out, ks, err := fn()
 				checkKeyCounts(t, path, src, out, err)
 				if ks.Kind != KernelHash {
-					t.Errorf("%s: ran %v after the dense guard tripped, want hash", path, ks.Kind)
+					t.Errorf("%s: reported %v after the dense guard tripped, want hash", path, ks.Kind)
 				}
 			}
 			run("dense-seq", small, func() (*table.Table, KernelStats, error) {
-				return GroupByDenseGov(gov, small, cols, aggs, "g", 1)
+				return denseGroupBy(gov, small, cols, aggs, 1)
 			})
 			run("dense-par", large, func() (*table.Table, KernelStats, error) {
-				return GroupByDenseGov(gov, large, cols, aggs, "g", 4)
+				return denseGroupBy(gov, large, cols, aggs, 4)
 			})
 			run("adaptive-seq", small, func() (*table.Table, KernelStats, error) {
 				return GroupByAdaptiveGov(gov, small, cols, aggs, "g", AdaptiveHints{})
@@ -317,6 +333,45 @@ func TestKernelDenseGuardNeverMerges(t *testing.T) {
 			run("adaptive-par", large, func() (*table.Table, KernelStats, error) {
 				return GroupByAdaptiveGov(gov, large, cols, aggs, "g", AdaptiveHints{NDV: 16, Workers: 4})
 			})
+			if used := budget.Used(); used != 0 {
+				t.Errorf("budget not drained: %d bytes still charged", used)
+			}
+		})
+	}
+}
+
+// TestKernelWidensInsideOneShare plants out-of-dictionary codes only at the
+// end of the input, so at w workers only the last share meets them: that
+// share widens its own table, the others stay in their starting key mode, and
+// the merge must widen the first share's table when the planted groups reach
+// it. The adaptive entry point (which starts dense) and the shared scan
+// (which starts packed) must both return the true groups in first-appearance
+// order, report hash, and drain the budget.
+func TestKernelWidensInsideOneShare(t *testing.T) {
+	const n = 4 * shareMinRows // ≥ denseMinRows: a parallel dense pick at w = 2 and 4
+	rows := make([][2]uint32, 0, n)
+	for i := 0; len(rows) < n-len(plantedRows); i++ {
+		rows = append(rows, [2]uint32{uint32(i % 4), uint32(i / 4 % 4)})
+	}
+	src := codeTable(append(rows, plantedRows...))
+	cols, aggs := []int{0, 1}, []Agg{CountStar()}
+	for _, w := range []int{2, 4} {
+		t.Run(fmt.Sprintf("w=%d", w), func(t *testing.T) {
+			budget := NewMemBudget(0)
+			gov := NewGov(context.Background(), budget)
+			out, ks, err := GroupByAdaptiveGov(gov, src, cols, aggs, "g", AdaptiveHints{Workers: w})
+			checkKeyCounts(t, "adaptive", src, out, err)
+			if ks.Kind != KernelHash || ks.Workers != w || !strings.Contains(ks.Reason, "dense guard") {
+				t.Errorf("adaptive: ran %v on %d workers (%s), want a widened dense pick on %d", ks.Kind, ks.Workers, ks.Reason, w)
+			}
+			outs, stats, err := GroupByHashMultiGov(gov, src, []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "g"}}, w)
+			if err != nil {
+				t.Fatalf("shared scan: %v", err)
+			}
+			checkKeyCounts(t, "shared-scan", src, outs[0], nil)
+			if stats[0].Kind != KernelHash || stats[0].Workers != w {
+				t.Errorf("shared scan: ran %v on %d workers, want hash on %d", stats[0].Kind, stats[0].Workers, w)
+			}
 			if used := budget.Used(); used != 0 {
 				t.Errorf("budget not drained: %d bytes still charged", used)
 			}

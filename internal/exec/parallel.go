@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,28 +10,13 @@ import (
 	"gbmqo/internal/table"
 )
 
-// morselRows is the number of rows in one parallel work unit. Morsels are
-// handed to workers through an atomic counter (morsel-driven scheduling), so
-// the unit must be large enough to amortize the counter bump and small enough
-// to load-balance skewed group distributions across workers. It also bounds
-// cancellation latency: workers poll the governing context between morsels,
-// so a cancelled plan stops within one morsel's worth of work per worker.
-const morselRows = 16384
-
-// ParStats reports how one parallel aggregation ran.
-type ParStats struct {
-	// Workers is the number of morsel workers actually used (1 = the operator
-	// fell back to the sequential path).
-	Workers int
-	// Morsels is the number of work units the row range was split into.
-	Morsels int
-	// Merge is the wall time spent merging worker-local hash tables into the
-	// final result.
-	Merge time.Duration
-	// RehashesAvoided counts hash-table grow() doublings skipped because the
-	// group tables were presized from an NDV estimate.
-	RehashesAvoided int
-}
+// shareMinRows is the fewest input rows one parallel worker is given. Going
+// parallel costs one goroutine plus a merge that re-touches every output
+// group once per extra worker, so a worker must aggregate enough rows to
+// amortize it: at the calibrated cost coefficients — ~40 units to hash a row
+// vs ~200 to build a group — 16 384 rows of hashing pay for merging several
+// thousand groups.
+const shareMinRows = 16384
 
 // ResolveWorkers turns a parallelism knob into a concrete worker budget:
 // 0 disables intra-operator parallelism, negative selects GOMAXPROCS, and
@@ -44,232 +28,173 @@ func ResolveWorkers(parallelism int) int {
 	return parallelism
 }
 
-// effectiveWorkers applies the size cutoff to a requested worker count. Going
-// parallel costs one goroutine plus a merge phase that re-touches every
-// output group once per worker, so it only pays when each worker aggregates
-// at least one full morsel of rows (at the calibrated cost coefficients —
-// ~40 units to hash a row vs ~200 to build a group — one morsel of hashing
-// amortizes a merge of several thousand groups). Anything smaller, i.e. the
-// typical temp-table re-aggregation, stays sequential.
+// effectiveWorkers applies the size cutoff to a requested worker count: every
+// worker gets at least shareMinRows rows, so anything smaller — the typical
+// temp-table re-aggregation — stays sequential.
 func effectiveWorkers(rows, requested int) int {
-	if requested < 1 {
-		return 1
-	}
-	if max := rows / morselRows; requested > max {
-		requested = max
-	}
-	if requested < 1 {
-		return 1
-	}
-	return requested
+	return max(1, min(requested, rows/shareMinRows))
 }
 
-// GroupByHashParallel is GroupByHash with morsel-driven parallelism: the row
-// range is split into fixed-size morsels pulled from an atomic counter by
-// `workers` goroutines, each aggregating into a thread-local hash table, and
-// the local tables are merged by combining partial aggregate states (see
-// accumulator.mergePartial). Group order matches the sequential operator
-// exactly (global first-appearance order), so results are byte-identical —
-// up to float summation order for SUM/AVG over TFloat64, where parallel
-// partials may round differently. Inputs below the size cutoff run the
-// sequential operator; the returned ParStats says what happened. It is the
-// ungoverned convenience form of GroupByHashParallelGov; a malformed request
-// panics.
-func GroupByHashParallel(t *table.Table, groupCols []int, aggs []Agg, outName string, workers int) (*table.Table, ParStats) {
-	out, st, err := GroupByHashParallelGov(nil, t, groupCols, aggs, outName, workers)
-	if err != nil {
-		panic(err)
-	}
-	return out, st
-}
-
-// GroupByHashParallelGov is the governed parallel hash aggregate: workers
-// poll gov's context between morsels, charge their thread-local hash state
-// against gov's budget, and recover their own panics — an operator bug in
-// one worker surfaces as a *ExecError from this call instead of crashing
-// the process.
-func GroupByHashParallelGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, workers int) (*table.Table, ParStats, error) {
-	return groupByHashParallelSized(gov, t, groupCols, aggs, outName, workers, 0)
-}
-
-// groupByHashParallelSized is GroupByHashParallelGov with a presize hint for
-// the group tables (0 = default sizing), used by the adaptive dispatch.
-func groupByHashParallelSized(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, workers, sizeHint int) (*table.Table, ParStats, error) {
-	w := effectiveWorkers(t.NumRows(), workers)
-	if w <= 1 {
-		out, ks, err := groupByHashSized(gov, t, groupCols, aggs, outName, sizeHint)
-		return out, ParStats{Workers: 1, RehashesAvoided: ks.RehashesAvoided}, err
-	}
-	queries := []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: outName, SizeHint: sizeHint}}
-	outs, st, err := groupByMultiMorsel(gov, t, queries, w, morselRows)
-	if err != nil {
-		return nil, st, err
-	}
-	return outs[0], st, nil
-}
-
-// GroupByHashMultiParallel is GroupByHashMulti with morsel-driven
-// parallelism: each worker reads a morsel once and feeds every query of the
-// shared scan from that single read, preserving the §5.1 read-once property
-// while splitting the scan across cores. Small inputs fall back to the
-// sequential shared scan. A malformed request returns an error.
-func GroupByHashMultiParallel(t *table.Table, queries []MultiQuery, workers int) ([]*table.Table, ParStats, error) {
-	return GroupByHashMultiParallelGov(nil, t, queries, workers)
-}
-
-// GroupByHashMultiParallelGov is the governed parallel shared scan (see
-// GroupByHashParallelGov for the governance contract).
-func GroupByHashMultiParallelGov(gov *Gov, t *table.Table, queries []MultiQuery, workers int) ([]*table.Table, ParStats, error) {
+// groupBy is the one driver behind every hash and dense Group By — single
+// query or shared scan, at any worker count. Every query's rows come from one
+// read of t. The read is split into w contiguous shares, share i covering
+// rows [i·n/w, (i+1)·n/w); each share feeds its own per-query state through
+// the one block loop (scanShare). w is the effective worker count: entry
+// points pass it through effectiveWorkers or ChooseKernel, and tests pass
+// more to exercise merges on small tables. One share runs in the calling
+// goroutine; more run one goroutine each.
+//
+// The shares are then merged in worker order into share 0's state: each
+// share's groups, taken in its local first-appearance order, are probed into
+// share 0's table by their first row, and partial aggregate states combine
+// via mergePartial (counts add, sums add, extremes compare). Shares ascend,
+// so a group's first sighting is its global first row and the merged group
+// order is the sequential scan's first-appearance order without a sort.
+// SUM/AVG over TFloat64 may round differently from a sequential scan,
+// because partial sums combine in a different order.
+//
+// dense starts every query's table in dense mode (see newGroupHash). A share
+// that meets a code outside its column's dictionary widens its own table; the
+// merge widens share 0's table when it meets that code's group, so the
+// reported Kind is hash whenever any share widened.
+//
+// Failure semantics: a panicking worker is recovered in its own goroutine and
+// reported as a *ExecError naming the worker; the other workers stop at their
+// next block boundary, every budget charge is released, and no partial
+// result escapes. A cancelled context stops every share at its next block
+// boundary and returns the context's error.
+func groupBy(gov *Gov, t *table.Table, queries []MultiQuery, w int, dense bool) ([]*table.Table, []KernelStats, error) {
 	if len(queries) == 0 {
-		return nil, ParStats{Workers: 1}, nil
+		return nil, nil, nil
 	}
-	w := effectiveWorkers(t.NumRows(), workers)
-	if w <= 1 {
-		outs, err := GroupByHashMultiGov(gov, t, queries)
-		return outs, ParStats{Workers: 1}, err
-	}
-	return groupByMultiMorsel(gov, t, queries, w, morselRows)
-}
-
-// groupByMultiMorsel is the two-phase parallel core shared by the single and
-// multi-query entry points. morsel is the work-unit size in rows (always
-// morselRows in production; tests shrink it to exercise multi-worker merges
-// on small tables).
-//
-// Phase 1 (local): w workers pull morsel indices from an atomic counter and
-// aggregate their rows into per-worker, per-query hash tables. Because the
-// counter increases monotonically, each worker processes its morsels in
-// ascending row order, so a worker-local group's firstRow is the minimum row
-// of that group within the worker's share.
-//
-// Phase 2 (merge): for each query, worker-local groups are folded into a
-// final hash table by representative row; aggregate states merge via
-// mergePartial (counts add, sums add, extremes compare) — partial states, not
-// rows. The final group order is the minimum firstRow across workers, which
-// equals the global first-appearance order of the sequential scan, making the
-// output deterministic and identical to GroupByHash/GroupByHashMulti.
-//
-// Failure semantics: a panicking worker is recovered in its own goroutine
-// and reported as a *ExecError naming the worker; the remaining workers
-// drain (they stop at the next morsel boundary via the shared failed flag),
-// all budget charges are released, and no partial result escapes. A
-// cancelled context stops every worker at its next morsel boundary and
-// returns the context's error.
-func groupByMultiMorsel(gov *Gov, t *table.Table, queries []MultiQuery, w, morsel int) ([]*table.Table, ParStats, error) {
 	if err := validateMulti(t, queries); err != nil {
-		return nil, ParStats{}, err
+		return nil, nil, err
 	}
 	n := t.NumRows()
 	budget := gov.Budget()
-	finals := make([]*queryState, len(queries))
-	locals := make([][]*queryState, w)
+	shares := make([][]*queryState, w)
 	defer func() {
 		var freed int64
-		for _, st := range finals {
-			freed += st.chargedBytes()
-		}
-		for _, states := range locals {
+		for _, states := range shares {
 			for _, st := range states {
-				freed += st.chargedBytes()
+				if st != nil { // nil when a constructor panicked
+					freed += st.ht.charged
+				}
 			}
 		}
 		budget.Release(freed)
 	}()
-	// Building the final states before fan-out forces lazily-built shared
-	// state (the scan image and the dictionary rank tables the accumulators
-	// read), so workers only read it.
-	for qi, q := range queries {
-		finals[qi] = newQueryState(t, q, budget, 0) // fed by the merge, never by blocks
+	// All state is built here, before any worker starts: share 0's
+	// constructors force the lazily built state the other shares' clones then
+	// read (the scan image, dictionary rank tables). A share sees ~1/w of the
+	// rows, so its table holds at most that many groups; only share 0, the
+	// merge target, keeps the full presize hint.
+	for wi := range shares {
+		shares[wi] = make([]*queryState, len(queries))
+		block := blockLen((wi+1)*n/w - wi*n/w)
+		for qi, q := range queries {
+			if wi == 0 {
+				shares[0][qi] = newQueryState(t, q, budget, block, dense, newAccs(q.Aggs, t))
+				continue
+			}
+			q.SizeHint = min(q.SizeHint, n/w+1)
+			shares[wi][qi] = newQueryState(t, q, budget, block, dense, cloneAccs(shares[0][qi].accs))
+		}
 	}
-	morsels := (n + morsel - 1) / morsel
-	block := min(morsel, cancelCheckRows)
+	if w == 1 {
+		if err := scanShare(gov, shares[0], 0, n, nil); err != nil {
+			return nil, nil, err
+		}
+	} else if err := scanShares(gov, shares, n); err != nil {
+		return nil, nil, err
+	}
 
-	var next atomic.Int64
-	var failed atomic.Bool
+	stats := make([]KernelStats, len(queries))
+	var accBytes int64
+	for qi := range queries {
+		dst := shares[0][qi]
+		mergeStart := time.Now()
+		for _, states := range shares[1:] {
+			src := states[qi]
+			for lg, row := range src.ht.firstRows {
+				g := dst.ht.groupOf(int(row))
+				for ai, acc := range dst.accs {
+					acc.mergePartial(g, src.accs[ai], lg)
+				}
+			}
+		}
+		stats[qi] = KernelStats{
+			Kind:            dst.ht.kind(),
+			Workers:         w,
+			Groups:          len(dst.ht.firstRows),
+			RehashesAvoided: dst.ht.rehashesAvoided(),
+		}
+		if w > 1 {
+			stats[qi].Merge = time.Since(mergeStart)
+		}
+		accBytes += accStateBytes(len(dst.ht.firstRows), len(dst.accs))
+	}
+	budget.Add(accBytes)
+	defer budget.Release(accBytes)
+	out := make([]*table.Table, len(queries))
+	for qi, q := range queries {
+		st := shares[0][qi]
+		out[qi] = emitGroups(t, q.GroupCols, q.Aggs, st.accs, st.ht.firstRows, nil, q.OutName)
+	}
+	return out, stats, nil
+}
+
+// scanShares runs every share on its own goroutine and waits for all of
+// them. A worker's panic is recovered into the returned *ExecError and stops
+// the others at their next block boundary.
+func scanShares(gov *Gov, shares [][]*queryState, n int) error {
+	w := len(shares)
+	var stop atomic.Bool
 	var workerErr atomic.Pointer[ExecError]
 	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
+	for wi, states := range shares {
 		wg.Add(1)
-		go func(wi int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					failed.Store(true)
+					stop.Store(true)
 					workerErr.CompareAndSwap(nil, &ExecError{
-						Step: fmt.Sprintf("morsel worker %d", wi),
+						Step: fmt.Sprintf("share worker %d", wi),
 						Err:  RecoveredPanic(p),
 					})
 				}
 			}()
-			// Publish the slice before filling it so the release path sees
-			// every charged state even if a constructor panics mid-build.
-			states := make([]*queryState, len(queries))
-			locals[wi] = states
-			for qi, q := range queries {
-				// A worker sees ~1/w of the rows, so its local table holds at
-				// most that many groups — clamp the presize hint accordingly.
-				if lim := n/w + 1; q.SizeHint > lim {
-					q.SizeHint = lim
-				}
-				states[qi] = newQueryState(t, q, budget, block)
+			Testing.Fire("exec.share.worker")
+			if err := scanShare(gov, states, wi*n/w, (wi+1)*n/w, &stop); err != nil {
+				stop.Store(true) // a context error surfaces below via gov.Err
 			}
-			buf := make([]int32, block)
-			for {
-				if failed.Load() || gov.Err() != nil {
-					return
-				}
-				Testing.Fire("exec.morsel.worker")
-				m := int(next.Add(1)) - 1
-				if m >= morsels {
-					return
-				}
-				hi := min((m+1)*morsel, n)
-				for lo := m * morsel; lo < hi; lo += block {
-					rows := rowBlock(buf, lo, min(lo+block, hi))
-					for _, st := range states {
-						st.observe(lo, rows)
-					}
-				}
-			}
-		}(wi)
+		}()
 	}
 	wg.Wait()
-
 	if e := workerErr.Load(); e != nil {
-		return nil, ParStats{Workers: w, Morsels: morsels}, e
+		return e
 	}
-	if err := gov.Err(); err != nil {
-		return nil, ParStats{Workers: w, Morsels: morsels}, err
-	}
+	return gov.Err()
+}
 
-	mergeStart := time.Now()
-	out := make([]*table.Table, len(queries))
-	rehashes := 0
-	for qi, q := range queries {
-		final := finals[qi]
-		for _, states := range locals {
-			st := states[qi]
-			for lg, row := range st.ht.firstRows {
-				g, isNew := final.ht.groupOf(int(row))
-				if first := final.ht.firstRows; !isNew && row < first[g] {
-					first[g] = row
-				}
-				for ai, acc := range final.accs {
-					acc.mergePartial(g, st.accs[ai], lg)
-				}
-			}
+// scanShare is the one block loop: it feeds rows [lo, hi) to every query's
+// state a block at a time, polling gov between blocks. stop, when non-nil,
+// ends the loop at the next block boundary after a sibling share failed.
+func scanShare(gov *Gov, states []*queryState, lo, hi int, stop *atomic.Bool) error {
+	buf := make([]int32, blockLen(hi-lo))
+	for base := lo; base < hi; base += cancelCheckRows {
+		Testing.Fire("exec.hash.batch")
+		if err := gov.Err(); err != nil {
+			return err
 		}
-		// Emit in global first-appearance order to match the sequential path.
-		firstRows := final.ht.firstRows
-		order := make([]int, len(firstRows))
-		for i := range order {
-			order[i] = i
+		if stop != nil && stop.Load() {
+			return nil
 		}
-		sort.Slice(order, func(a, b int) bool {
-			return firstRows[order[a]] < firstRows[order[b]]
-		})
-		out[qi] = emitGroups(t, q.GroupCols, q.Aggs, final.accs, firstRows, order, q.OutName)
-		rehashes += final.ht.rehashesAvoided()
+		rows := rowBlock(buf, base, min(base+cancelCheckRows, hi))
+		for _, st := range states {
+			st.observe(base, rows)
+		}
 	}
-	return out, ParStats{Workers: w, Morsels: morsels, Merge: time.Since(mergeStart), RehashesAvoided: rehashes}, nil
+	return nil
 }

@@ -104,10 +104,10 @@ func canonicalRows(tb *table.Table) []string {
 }
 
 // TestParallelGroupByDifferential is the randomized differential suite: for
-// several seeds, NDV regimes, group-column counts and worker counts, the
-// morsel-parallel operator must produce output byte-identical to sequential
-// GroupByHash (including group order) and canonically equal to GroupBySort,
-// across all aggregate kinds and NULL-heavy data.
+// several seeds, NDV regimes, group-column counts, worker counts and both
+// starting key modes, the parallel driver must produce output byte-identical
+// to sequential GroupByHash (including group order) and canonically equal to
+// GroupBySort, across all aggregate kinds and NULL-heavy data.
 func TestParallelGroupByDifferential(t *testing.T) {
 	groupings := [][]int{nil, {0}, {1}, {2}, {0, 1}, {1, 2}, {0, 1, 2}}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -121,24 +121,25 @@ func TestParallelGroupByDifferential(t *testing.T) {
 					srt = GroupBySort(tb, cols, aggs, "srt")
 				}
 				for _, w := range []int{2, 3, 7} {
-					name := fmt.Sprintf("seed=%d/ndv=%d/cols=%v/w=%d", seed, ndv, cols, w)
-					// Drive the morsel core directly with a small morsel size:
-					// the public entry points would fall back to sequential
-					// below the size cutoff.
-					outs, st, err := groupByMultiMorsel(nil, tb, []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "par"}}, w, 317)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if st.Workers != w {
-						t.Fatalf("%s: ran with %d workers", name, st.Workers)
-					}
-					par := outs[0]
-					assertTablesIdentical(t, par, seq)
-					if srt != nil {
-						g, s := canonicalRows(par), canonicalRows(srt)
-						for i := range s {
-							if g[i] != s[i] {
-								t.Fatalf("%s: canonical row %d: parallel %q, sort %q", name, i, g[i], s[i])
+					for _, dense := range []bool{false, true} {
+						name := fmt.Sprintf("seed=%d/ndv=%d/cols=%v/w=%d/dense=%v", seed, ndv, cols, w, dense)
+						// Drive the driver directly: the public entry points would
+						// fall back to sequential below the per-worker row floor.
+						outs, st, err := groupBy(nil, tb, []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "par"}}, w, dense)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if st[0].Workers != w {
+							t.Fatalf("%s: ran with %d workers", name, st[0].Workers)
+						}
+						par := outs[0]
+						assertTablesIdentical(t, par, seq)
+						if srt != nil {
+							g, s := canonicalRows(par), canonicalRows(srt)
+							for i := range s {
+								if g[i] != s[i] {
+									t.Fatalf("%s: canonical row %d: parallel %q, sort %q", name, i, g[i], s[i])
+								}
 							}
 						}
 					}
@@ -149,7 +150,7 @@ func TestParallelGroupByDifferential(t *testing.T) {
 }
 
 // TestParallelMultiQueryDifferential checks the shared-scan variant: every
-// query of a multi-query morsel scan must match the sequential shared scan
+// query of a multi-query parallel scan must match the sequential shared scan
 // byte-for-byte.
 func TestParallelMultiQueryDifferential(t *testing.T) {
 	for seed := int64(5); seed <= 7; seed++ {
@@ -164,7 +165,7 @@ func TestParallelMultiQueryDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, _, err := groupByMultiMorsel(nil, tb, queries, 4, 233)
+		outs, _, err := groupBy(nil, tb, queries, 4, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,30 +177,35 @@ func TestParallelMultiQueryDifferential(t *testing.T) {
 
 // TestParallelEntryPointsCutoff verifies the public entry points: small
 // inputs take the sequential path (Workers == 1), and the results still
-// match; a large-enough input actually goes parallel.
+// match; a large-enough input actually goes parallel, one worker per
+// shareMinRows rows at most.
 func TestParallelEntryPointsCutoff(t *testing.T) {
 	small := mkParTable(2000, 50, 11)
-	out, st := GroupByHashParallel(small, []int{0, 1}, []Agg{CountStar()}, "g", 8)
-	if st.Workers != 1 {
-		t.Fatalf("small input used %d workers", st.Workers)
-	}
-	assertTablesIdentical(t, out, GroupByHash(small, []int{0, 1}, []Agg{CountStar()}, "g"))
-
-	big := mkParTable(3*morselRows, 40, 12)
-	out, st = GroupByHashParallel(big, []int{0}, []Agg{CountStar(), {Kind: AggAvg, Col: 3, Name: "ax"}}, "g", 8)
-	if st.Workers < 2 {
-		t.Fatalf("large input stayed sequential (workers=%d)", st.Workers)
-	}
-	if st.Morsels != 3 {
-		t.Fatalf("morsels = %d, want 3", st.Morsels)
-	}
-	assertTablesIdentical(t, out, GroupByHash(big, []int{0}, []Agg{CountStar(), {Kind: AggAvg, Col: 3, Name: "ax"}}, "g"))
-
-	outs, st, err := GroupByHashMultiParallel(big, []MultiQuery{{GroupCols: []int{1}, Aggs: []Agg{CountStar()}, OutName: "q"}}, 8)
+	out, ks, err := GroupByAdaptiveGov(nil, small, []int{0, 1}, []Agg{CountStar()}, "g", AdaptiveHints{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Workers < 2 {
+	if ks.Workers != 1 {
+		t.Fatalf("small input used %d workers", ks.Workers)
+	}
+	assertTablesIdentical(t, out, GroupByHash(small, []int{0, 1}, []Agg{CountStar()}, "g"))
+
+	big := mkParTable(3*shareMinRows, 40, 12)
+	aggs := []Agg{CountStar(), {Kind: AggAvg, Col: 3, Name: "ax"}}
+	outs, stats, err := GroupByHashMultiGov(nil, big, []MultiQuery{{GroupCols: []int{0}, Aggs: aggs, OutName: "g"}}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].Workers != 3 {
+		t.Fatalf("workers = %d, want 3 (one per %d rows)", stats[0].Workers, shareMinRows)
+	}
+	assertTablesIdentical(t, outs[0], GroupByHash(big, []int{0}, aggs, "g"))
+
+	outs, stats, err = GroupByHashMultiGov(nil, big, []MultiQuery{{GroupCols: []int{1}, Aggs: []Agg{CountStar()}, OutName: "q"}}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats[0].Workers < 2 {
 		t.Fatalf("multi large input stayed sequential")
 	}
 	assertTablesIdentical(t, outs[0], GroupByHash(big, []int{1}, []Agg{CountStar()}, "q"))
@@ -207,13 +213,13 @@ func TestParallelEntryPointsCutoff(t *testing.T) {
 
 func TestEffectiveWorkers(t *testing.T) {
 	cases := []struct{ rows, req, want int }{
-		{100, 8, 1},                // tiny: sequential
-		{morselRows - 1, 4, 1},     // below one morsel
-		{2 * morselRows, 8, 2},     // two morsels cap two workers
-		{10 * morselRows, 4, 4},    // request below cap
-		{10 * morselRows, 0, 1},    // knob off
-		{10 * morselRows, -5, 1},   // negative resolved by caller, not here
-		{100 * morselRows, 16, 16}, // plenty of rows
+		{100, 8, 1},                  // tiny: sequential
+		{shareMinRows - 1, 4, 1},     // below one share
+		{2 * shareMinRows, 8, 2},     // two shares cap two workers
+		{10 * shareMinRows, 4, 4},    // request below cap
+		{10 * shareMinRows, 0, 1},    // knob off
+		{10 * shareMinRows, -5, 1},   // negative resolved by caller, not here
+		{100 * shareMinRows, 16, 16}, // plenty of rows
 	}
 	for _, c := range cases {
 		if got := effectiveWorkers(c.rows, c.req); got != c.want {

@@ -36,7 +36,7 @@ func TestGroupByIdenticalAcrossSeeds(t *testing.T) {
 		{"packed", mkTable(5000, 3), []int{0, 1}, []Agg{CountStar(), {Kind: AggSum, Col: 2, Name: "sx"}}},
 		{"wide", widthTable(3000, 300, repeatSize(5, 1<<13), 3), []int{0, 1, 2, 3, 4}, widthAggs(5)},
 	} {
-		if wide := newGroupHash(tc.src, tc.keys, nil, 0).wide; wide != (tc.name == "wide") {
+		if wide := newGroupHash(tc.src, tc.keys, nil, 0, false).mode == keyWide; wide != (tc.name == "wide") {
 			t.Fatalf("%s: group table wide = %v", tc.name, wide)
 		}
 		q := []MultiQuery{{GroupCols: tc.keys, Aggs: tc.aggs, OutName: "g"}}
@@ -47,18 +47,18 @@ func TestGroupByIdenticalAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %#x: %v", tc.name, seed, err)
 			}
-			shared, err := GroupByHashMultiGov(gov, tc.src, q)
+			shared, _, err := GroupByHashMultiGov(gov, tc.src, q, 1)
 			if err != nil {
 				t.Fatalf("%s seed %#x: shared scan: %v", tc.name, seed, err)
 			}
-			morsel, _, err := groupByMultiMorsel(gov, tc.src, q, 2, 256)
+			par, _, err := groupBy(gov, tc.src, q, 2, false)
 			if err != nil {
-				t.Fatalf("%s seed %#x: morsel: %v", tc.name, seed, err)
+				t.Fatalf("%s seed %#x: shares: %v", tc.name, seed, err)
 			}
 			if ref == "" {
 				ref = dumpTable(out)
 			}
-			for path, got := range map[string]*table.Table{"hash": out, "shared-scan": shared[0], "morsel": morsel[0]} {
+			for path, got := range map[string]*table.Table{"hash": out, "shared-scan": shared[0], "shares": par[0]} {
 				if d := dumpTable(got); d != ref {
 					t.Fatalf("%s seed %#x: %s output differs from seed 0\nwant:\n%s\ngot:\n%s", tc.name, seed, path, ref, d)
 				}
@@ -76,8 +76,8 @@ func TestPackedKeyLayoutFollowsSeed(t *testing.T) {
 	src := mkTable(2000, 9)
 	layout := func(seed uint64) []groupSlot {
 		SetHashSeed(seed)
-		h := newGroupHash(src, []int{0, 1}, nil, 0)
-		if h.wide {
+		h := newGroupHash(src, []int{0, 1}, nil, 0, false)
+		if h.mode != keyPacked {
 			t.Fatal("mkTable keys should take the packed path")
 		}
 		for r := 0; r < src.NumRows(); r++ {

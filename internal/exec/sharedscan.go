@@ -15,8 +15,8 @@ type MultiQuery struct {
 	SizeHint int
 }
 
-// queryState is one query's aggregation state during a (shared) scan: its
-// hash table (which records each group's first row), accumulators, and the
+// queryState is one query's aggregation state over one share of a scan: its
+// group table (which records each group's first row), accumulators, and the
 // block's group-id buffer.
 type queryState struct {
 	ht   *groupHash
@@ -24,13 +24,14 @@ type queryState struct {
 	gids []int32
 }
 
-// newQueryState builds the aggregation state for one query of a scan over t,
-// fed blocks of at most block rows. budget, when non-nil, is charged for the
-// state's hash-table slots as they grow.
-func newQueryState(t *table.Table, q MultiQuery, budget *MemBudget, block int) *queryState {
+// newQueryState builds the aggregation state for one query of a scan over t
+// with the given accumulators, fed blocks of at most block rows. budget, when
+// non-nil, is charged for the state's group table as it grows; dense starts
+// the table in dense mode (see newGroupHash).
+func newQueryState(t *table.Table, q MultiQuery, budget *MemBudget, block int, dense bool, accs []accumulator) *queryState {
 	return &queryState{
-		ht:   newGroupHash(t, q.GroupCols, budget, q.SizeHint),
-		accs: newAccs(q.Aggs, t),
+		ht:   newGroupHash(t, q.GroupCols, budget, q.SizeHint, dense),
+		accs: accs,
 		gids: make([]int32, block),
 	}
 }
@@ -44,14 +45,6 @@ func (st *queryState) observe(lo int, rows []int32) {
 	observeAll(st.accs, gids, rows, len(st.ht.firstRows))
 }
 
-// chargedBytes is the budget charge this state currently holds.
-func (st *queryState) chargedBytes() int64 {
-	if st == nil {
-		return 0
-	}
-	return st.ht.charged
-}
-
 // GroupByHashMulti computes several Group By queries in ONE pass over t —
 // the shared-scan technique of §5.1 ("the basic ideas is to take advantage
 // of commonality across Group By queries using techniques such as shared
@@ -60,67 +53,18 @@ func (st *queryState) chargedBytes() int64 {
 // query. Results are returned in query order. A malformed request (group or
 // aggregate column out of range) returns an error.
 func GroupByHashMulti(t *table.Table, queries []MultiQuery) ([]*table.Table, error) {
-	return GroupByHashMultiGov(nil, t, queries)
-}
-
-// GroupByHashMultiGov is the governed shared scan: context polled every
-// cancelCheckRows rows, per-query hash state charged against the budget.
-func GroupByHashMultiGov(gov *Gov, t *table.Table, queries []MultiQuery) ([]*table.Table, error) {
-	outs, _, err := GroupByHashMultiStatsGov(gov, t, queries)
+	outs, _, err := GroupByHashMultiGov(nil, t, queries, 1)
 	return outs, err
 }
 
-// GroupByHashMultiStatsGov is GroupByHashMultiGov returning per-query kernel
-// stats (group counts and rehashes avoided by SizeHint presizing), so the
-// engine can attribute shared-scan nodes in its execution report.
-func GroupByHashMultiStatsGov(gov *Gov, t *table.Table, queries []MultiQuery) ([]*table.Table, []KernelStats, error) {
-	if len(queries) == 0 {
-		return nil, nil, nil
-	}
-	if err := validateMulti(t, queries); err != nil {
-		return nil, nil, err
-	}
-	n := t.NumRows()
-	budget := gov.Budget()
-
-	states := make([]*queryState, len(queries))
-	defer func() {
-		for _, st := range states {
-			budget.Release(st.chargedBytes())
-		}
-	}()
-	buf := make([]int32, blockLen(n))
-	for qi, q := range queries {
-		states[qi] = newQueryState(t, q, budget, len(buf))
-	}
-	for base := 0; base < n; base += cancelCheckRows {
-		Testing.Fire("exec.hash.batch")
-		if err := gov.Err(); err != nil {
-			return nil, nil, err
-		}
-		rows := rowBlock(buf, base, min(base+cancelCheckRows, n))
-		for _, st := range states {
-			st.observe(base, rows)
-		}
-	}
-	var accBytes int64
-	for _, st := range states {
-		accBytes += accStateBytes(len(st.ht.firstRows), len(st.accs))
-	}
-	budget.Add(accBytes)
-	defer budget.Release(accBytes)
-	out := make([]*table.Table, len(queries))
-	stats := make([]KernelStats, len(queries))
-	for qi, q := range queries {
-		out[qi] = emitGroups(t, q.GroupCols, q.Aggs, states[qi].accs, states[qi].ht.firstRows, nil, q.OutName)
-		stats[qi] = KernelStats{
-			Kind:            KernelHash,
-			Workers:         1,
-			Groups:          len(states[qi].ht.firstRows),
-			RehashesAvoided: states[qi].ht.rehashesAvoided(),
-		}
-	}
-	return out, stats, nil
+// GroupByHashMultiGov is the governed shared scan: context polled every
+// cancelCheckRows rows, per-query group tables charged against the budget,
+// and the scan split across up to workers contiguous shares (see groupBy;
+// inputs under the per-worker row floor run sequentially). It returns
+// per-query kernel stats — groups, workers, merge time and rehashes avoided
+// by SizeHint presizing — so the engine can attribute shared-scan nodes.
+func GroupByHashMultiGov(gov *Gov, t *table.Table, queries []MultiQuery, workers int) ([]*table.Table, []KernelStats, error) {
+	return groupBy(gov, t, queries, effectiveWorkers(t.NumRows(), workers), false)
 }
 
 // validateMulti rejects malformed shared-scan requests with an error the

@@ -51,7 +51,7 @@ func assertIdentical(t *testing.T, label string, sets []colset.Set, want, got *e
 
 // TestShardDifferentialRandomized is the core acceptance suite: randomized
 // grouping sets, aggregate mixes, per-set aggregates, strategies and exec
-// configurations (sequential hash, morsel-parallel, shared-scan, tight memory
+// configurations (sequential hash, parallel, shared-scan, tight memory
 // budget — steering through the hash/dense/sort kernels), each compared
 // byte-identically against unsharded execution at shard counts 1, 2, 4 and 8.
 func TestShardDifferentialRandomized(t *testing.T) {

@@ -389,7 +389,7 @@ func TestProfileKeyPaths(t *testing.T) {
 	for _, step := range []struct {
 		set  colset.Set
 		size int
-	}{{colset.Of(2), denseSmallSpace}, {colset.Of(0, 2), denseSmallSpace}, {colset.Of(0, 1), 8000}} {
+	}{{colset.Of(2), table.DenseBound(0)}, {colset.Of(0, 2), table.DenseBound(0)}, {colset.Of(0, 1), 8000}} {
 		s.ProfileOf(step.set)
 		if len(s.counts) != step.size {
 			t.Fatalf("after %v: %d counts, want %d", step.set, len(s.counts), step.size)

@@ -109,24 +109,15 @@ func (s *Sample) column(c int) []uint32 {
 	return s.img[c]
 }
 
-// The dense path counts any key space up to denseSmallSpace, and otherwise
-// up to denseRowsFactor× the sampled rows. These are the floor and factor at
-// which exec admits its dense kernel (denseSmallDomain, denseMaxBlowup): an
-// array up to 8× the rows costs less to walk than hashing every row. Exec
-// also caps its domain at 2²⁰ (denseMaxDomain), because it allocates a
-// group-id array per worker against the query's memory budget. Statistics
-// keep one count array per sample, sized to the largest dense key space
-// profiled, so they take no cap: at 8·n entries the array and its
-// first-touch list cost 40 B per sampled row, and the packed path a cap
-// would send the set to allocates a slot table of more than 2n 16-byte
-// slots instead, no smaller.
-const (
-	denseSmallSpace = 4096
-	denseRowsFactor = 8
-)
-
-// denseBound is the largest key space the dense path counts in an array.
-func (s *Sample) denseBound() int { return max(denseSmallSpace, denseRowsFactor*s.n) }
+// The dense path counts any key space up to table.DenseBound of the sampled
+// rows, the bound at which exec admits its dense key mode. Exec also caps its
+// domain at 2²⁰ (denseMaxDomain), because it allocates a group-id array per
+// worker against the query's memory budget. Statistics keep one count array
+// per sample, sized to the largest dense key space profiled, so they take no
+// cap: at 8·n entries the array and its first-touch list cost 40 B per
+// sampled row, and the packed path a cap would send the set to allocates a
+// slot table of more than 2n 16-byte slots instead, no smaller.
+func (s *Sample) denseBound() int { return table.DenseBound(s.n) }
 
 // path picks the set's key path from its key space Π(top[c]+1), the number
 // of mixed-radix keys its sampled tuples can take, and returns that space
@@ -215,7 +206,7 @@ func (s *Sample) keysOf(set colset.Set, lo int, keys []uint64, exact bool) {
 // at most min(n, space) distinct keys.
 func (s *Sample) countDense(set colset.Set, space int, top int32) (int, int32) {
 	if len(s.counts) < space {
-		size := min(s.denseBound(), max(space, 2*len(s.counts), denseSmallSpace))
+		size := min(s.denseBound(), max(space, 2*len(s.counts), table.DenseBound(0)))
 		s.counts = make([]int32, size)
 		s.touched = make([]uint64, min(s.n, size))
 	}

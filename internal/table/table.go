@@ -115,6 +115,14 @@ func (c *Column) HasNull() bool {
 	return found
 }
 
+// DenseBound is the largest key space a group-by over rows input rows counts
+// in a flat array indexed by key rather than a hash table: any space up to
+// 4096 slots (a few KB), else up to 8× the rows — an array that size still
+// costs less to allocate and walk than hashing every row. The exec chooser
+// admits its dense key mode and the statistics sampler its dense count path
+// by this one bound; DenseBound(0) is the floor.
+func DenseBound(rows int) int { return max(4096, 8*rows) }
+
 // DistinctCount computes the exact number of distinct values present in the
 // column (counting NULL as one value if present). It is O(rows) and intended
 // for tests and exact statistics, not the hot path.
