@@ -23,8 +23,9 @@ import (
 
 // Sites are the failpoints a schedule can arm, spanning every layer of the
 // stack: operator internals, the engine step loop, temp-table retention,
-// cache admission (inside a singleflight leader), scheduler dispatch, and
-// the HTTP handler chain.
+// cache admission (inside a singleflight leader), the scheduler's probe and
+// dispatch, and the HTTP handler chain. The HTTP site stays last: trials
+// without a server arm Sites[:len(Sites)-1].
 var Sites = []string{
 	"exec.share.worker",
 	"exec.hash.batch",
@@ -43,6 +44,7 @@ var Sites = []string{
 	"wal.fsync",
 	"snapshot.write",
 	"recover.replay",
+	"sched.probe",
 	"server.handler",
 }
 

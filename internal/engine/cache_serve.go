@@ -11,6 +11,7 @@ import (
 	"gbmqo/internal/colset"
 	"gbmqo/internal/cost"
 	"gbmqo/internal/exec"
+	"gbmqo/internal/fault"
 	"gbmqo/internal/plan"
 	"gbmqo/internal/table"
 )
@@ -41,37 +42,116 @@ type CacheCounters struct {
 	Entries   int
 }
 
-// runCached serves a request through the result cache: every requested
-// grouping set is answered from an exact cached entry when one exists, else
-// re-aggregated from the cheapest cached lattice ancestor (a superset
-// grouping, priced with the request's cost model exactly like the paper
-// prices parent edges — the smallest-parent rule applied to the cache), and
-// only the remaining sets are planned and executed. The residual execution is
-// deduplicated through singleflight so concurrent identical requests compute
-// once, and on success its results and dropped temp tables are offered to the
-// cache. Nothing is admitted on a cancelled or failed run.
-func (e *Engine) runCached(req Request) (*RunResult, error) {
+// cacheView is what one cache-served request reads the cache against: the
+// table's snapshot and epoch, the cost model that prices ancestor
+// re-aggregation, and the working memory execution may still use after the
+// cache's share of MemBudget.
+type cacheView struct {
+	base       *table.Table
+	ep         catalog.Epoch
+	model      cost.Model
+	execBudget int64
+}
+
+// openCache is the prologue every cache-served request pays once: read the
+// table's epoch, sweep entries that died with an older one, build the cost
+// model, and shrink the cache into its share of the request's MemBudget.
+func (e *Engine) openCache(req Request) (cacheView, error) {
 	base, ep, ok := e.cat.TableEpoch(req.Table)
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown table %q", req.Table)
+		return cacheView{}, fmt.Errorf("engine: unknown table %q", req.Table)
 	}
-	start := time.Now()
 	if n := e.cache.InvalidateBelow(req.Table, ep.Version, ep.Delta); n > 0 {
 		// Entries died with their epoch; statistics built over the dead
 		// snapshot are reclaimed in the same breath (they self-heal on lookup
 		// anyway, but sweeping here bounds the leak under version churn).
 		e.cat.Stats().DropStale(req.Table, base)
 	}
-
 	_, model := e.costing(req, base)
 
 	// MemBudget participation: the cache yields memory before operators
 	// degrade. It is shrunk to at most half the budget up front, and whatever
 	// it still holds is subtracted from what execution may use.
-	execBudget := req.MemBudget
+	v := cacheView{base: base, ep: ep, model: model, execBudget: req.MemBudget}
 	if req.MemBudget > 0 {
 		e.cache.ShrinkTo(req.MemBudget / 2)
-		execBudget = req.MemBudget - e.cache.Bytes()
+		v.execBudget = req.MemBudget - e.cache.Bytes()
+	}
+	return v, nil
+}
+
+// serveSet answers one grouping set from the cache: an exact entry when one
+// exists, else a re-aggregation of the cheapest cached lattice ancestor (a
+// superset grouping, priced with the request's cost model exactly like the
+// paper prices parent edges — the smallest-parent rule applied to the
+// cache). It returns a nil table when the cache cannot answer. note records
+// the lookup as demand for the set's key; a probe that leaves its misses to
+// a later run passes false, so each miss is counted once. admissions counts
+// the derived tables this call added to the cache.
+func (e *Engine) serveSet(req Request, v cacheView, s colset.Set, note bool) (t *table.Table, origin SetOrigin, admissions int, err error) {
+	aggs := req.AggsFor(s)
+	key := cache.KeyOf(req.Table, v.ep.Version, v.ep.Delta, s, aggs)
+	get := e.cache.Recheck
+	if note {
+		get = e.cache.Get
+	}
+	if t, ok := get(key); ok {
+		return t, OriginCacheHit, 0, nil
+	}
+	t, admissions, err = e.deriveFromAncestor(req, v.base, v.ep, s, aggs, v.model)
+	if err != nil || t == nil {
+		return nil, OriginComputed, 0, err
+	}
+	e.noteLazyServed(req.Table)
+	return t, OriginCacheAncestor, admissions, nil
+}
+
+// servesFromCache reports whether a request goes through the result cache:
+// one is configured, the request opts in, and the table is not an ephemeral
+// derived one (reserved "__" prefix).
+func (e *Engine) servesFromCache(req Request) bool {
+	return e.cache != nil && req.UseCache && !strings.HasPrefix(req.Table, "__")
+}
+
+// Probe answers grouping set s of req from the result cache alone — an exact
+// hit or an ancestor re-aggregation, through the same step runCached takes
+// for every set — without planning, executing or waiting. It returns a nil
+// table when it cannot answer; a miss records no demand and no miss, because
+// the run that computes the set counts it. Probe declines (nil, no error)
+// whenever a run could answer differently: no cache or a request that
+// bypasses it, an installed shard router, or a table breaker that is not
+// closed (read from its snapshot, so no half-open slot is spent). A probe
+// answer records no breaker outcome. Panics are contained as in runSafe.
+func (e *Engine) Probe(req Request, s colset.Set) (t *table.Table, origin SetOrigin, err error) {
+	if !e.servesFromCache(req) || e.router.Load() != nil ||
+		e.breakers.Load().Get(req.Table).Snapshot().State != fault.StateClosed {
+		return nil, OriginComputed, nil
+	}
+	defer func() {
+		if pnc := recover(); pnc != nil {
+			t = nil
+			err = &exec.ExecError{Step: "engine.probe", Err: exec.RecoveredPanic(pnc)}
+		}
+	}()
+	v, err := e.openCache(req)
+	if err != nil {
+		return nil, OriginComputed, err
+	}
+	t, origin, _, err = e.serveSet(req, v, s, false)
+	return t, origin, err
+}
+
+// runCached serves a request through the result cache: every requested
+// grouping set that serveSet can answer is served from the cache, and only
+// the remaining sets are planned and executed. The residual execution is
+// deduplicated through singleflight so concurrent identical requests compute
+// once, and on success its results and dropped temp tables are offered to the
+// cache. Nothing is admitted on a cancelled or failed run.
+func (e *Engine) runCached(req Request) (*RunResult, error) {
+	start := time.Now()
+	v, err := e.openCache(req)
+	if err != nil {
+		return nil, err
 	}
 
 	var counters CacheCounters
@@ -79,43 +159,38 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 	origins := make(map[colset.Set]SetOrigin, len(req.Sets))
 	var missed []colset.Set
 	for _, s := range req.Sets {
-		aggs := req.AggsFor(s)
-		key := cache.KeyOf(req.Table, ep.Version, ep.Delta, s, aggs)
-		if t, ok := e.cache.Get(key); ok {
-			served[s] = t
-			origins[s] = OriginCacheHit
-			counters.Hits++
-			continue
-		}
-		t, admissions, err := e.deriveFromAncestor(req, base, ep, s, aggs, model)
+		t, origin, admissions, err := e.serveSet(req, v, s, true)
 		if err != nil {
 			return nil, err
 		}
-		if t != nil {
-			served[s] = t
-			origins[s] = OriginCacheAncestor
+		switch {
+		case t == nil:
+			e.cache.NoteMiss()
+			counters.Misses++
+			missed = append(missed, s)
+			continue
+		case origin == OriginCacheHit:
+			counters.Hits++
+		default:
 			counters.AncestorHits++
 			counters.Admissions += admissions
-			e.noteLazyServed(req.Table)
-			continue
 		}
-		e.cache.NoteMiss()
-		counters.Misses++
-		missed = append(missed, s)
+		served[s] = t
+		origins[s] = origin
 	}
 
 	var lead *residualOutcome
 	if len(missed) > 0 {
-		rkey := residualKey(req, ep, missed)
+		rkey := residualKey(req, v.ep, missed)
 		sub := req
 		sub.Sets = missed
 		sub.UseCache = false
-		sub.MemBudget = execBudget
+		sub.MemBudget = v.execBudget
 		val, err, shared := e.cache.Do(rkey, func() (any, error) {
-			if hits := e.recheckResident(sub, ep); hits != nil {
+			if hits := e.recheckResident(sub, v.ep); hits != nil {
 				return &residualOutcome{resident: hits}, nil
 			}
-			return e.runResidual(sub, ep, model)
+			return e.runResidual(sub, v.ep, v.model)
 		})
 		if err != nil {
 			return nil, err
@@ -144,7 +219,7 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 	// follower's report carries only Results (the leader's report owns the
 	// work counters, so totals across a stampede equal one cold run).
 	report := &ExecReport{Results: make(map[colset.Set]*table.Table, len(req.Sets))}
-	out := &RunResult{Report: report, ModelUsd: model}
+	out := &RunResult{Report: report, ModelUsd: v.model}
 	if lead != nil {
 		if !counters.FlightShared {
 			shallow := *lead.res.Report
@@ -161,7 +236,7 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 	} else {
 		// Every set was served from the cache: an empty plan rooted at the
 		// base relation, zero cost.
-		out.Plan = &plan.Plan{BaseName: req.Table, ColNames: base.ColNames()}
+		out.Plan = &plan.Plan{BaseName: req.Table, ColNames: v.base.ColNames()}
 	}
 	for s, t := range served {
 		report.Results[s] = t

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"gbmqo/internal/cache"
 	"gbmqo/internal/catalog"
@@ -15,6 +16,7 @@ import (
 	"gbmqo/internal/core"
 	"gbmqo/internal/datagen"
 	"gbmqo/internal/exec"
+	"gbmqo/internal/fault"
 	"gbmqo/internal/stats"
 	"gbmqo/internal/table"
 )
@@ -452,5 +454,73 @@ func TestResidualKeyCoversEveryRequestField(t *testing.T) {
 	ct := reflect.TypeOf(core.Options{})
 	for i := 0; i < ct.NumField(); i++ {
 		check("Core."+ct.Field(i).Name, func(r *Request) reflect.Value { return reflect.ValueOf(&r.Core).Elem().Field(i) })
+	}
+}
+
+// TestProbeServesThroughTheRunsLookup: Probe answers exact hits and ancestor
+// re-aggregations identically to a run, records a miss nowhere (the run that
+// computes the set counts it once), and declines whenever a run could answer
+// differently.
+func TestProbeServesThroughTheRunsLookup(t *testing.T) {
+	e, li := newCachedEngine(t, 6000, 64<<20)
+	super := colset.Of(datagen.LReturnFlag, datagen.LShipMode)
+	sub := colset.Of(datagen.LShipMode)
+	req := Request{Table: "lineitem", UseCache: true}
+
+	if got, _, err := e.Probe(req, super); got != nil || err != nil {
+		t.Fatalf("cold probe = %v, %v; want no answer", got, err)
+	}
+	warm := req
+	warm.Sets = []colset.Set{super}
+	res, err := e.Run(warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := e.ResultCache().Snapshot(); st.Misses != 1 || res.Report.Cache.Misses != 1 {
+		t.Fatalf("cache %+v, run %+v: want the run's one miss only", st, res.Report.Cache)
+	}
+
+	cold, err := e.Run(Request{Table: "lineitem", Sets: []colset.Set{super, sub}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		set    colset.Set
+		origin SetOrigin
+	}{{super, OriginCacheHit}, {sub, OriginCacheAncestor}, {sub, OriginCacheHit}} {
+		got, origin, err := e.Probe(req, tc.set)
+		if err != nil || origin != tc.origin {
+			t.Fatalf("probe %s = origin %v, %v; want %v", tc.set, origin, err, tc.origin)
+		}
+		tablesIdentical(t, "probe "+tc.set.String(), got, cold.Report.Results[tc.set])
+	}
+
+	// Declines: a request that bypasses the cache, an ephemeral table, an
+	// installed shard router, a breaker that is not closed, no cache at all.
+	noCache := req
+	noCache.UseCache = false
+	eph := li.Project("__probe", []int{datagen.LShipMode})
+	e.Catalog().Register(eph)
+	declined := func(label string, e *Engine, req Request) {
+		t.Helper()
+		if got, _, err := e.Probe(req, sub); got != nil || err != nil {
+			t.Fatalf("%s: probe = %v, %v; want a decline", label, got, err)
+		}
+	}
+	declined("UseCache=false", e, noCache)
+	declined("ephemeral table", e, Request{Table: "__probe", UseCache: true})
+	e.SetShardRouter(func(Request) (*RunResult, error, bool) { return nil, nil, false })
+	declined("shard router", e, req)
+	e.SetShardRouter(nil)
+	e.EnableBreakers(fault.Config{Window: 4, MinSamples: 2, FailureRate: 0.5, OpenFor: time.Hour})
+	br := e.breakers.Load().Get("lineitem")
+	br.Record(true)
+	br.Record(true)
+	declined("open breaker", e, req)
+	e.DisableBreakers()
+	plain, _ := newTestEngine(t, 100)
+	declined("no cache", plain, req)
+	if got, _, _ := e.Probe(req, sub); got == nil {
+		t.Fatal("probe declined once every skip condition was lifted")
 	}
 }

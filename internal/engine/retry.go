@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"strings"
 	"time"
 
 	"gbmqo/internal/exec"
@@ -74,7 +73,7 @@ func (e *Engine) runSafe(req Request) (res *RunResult, err error) {
 			return res, err
 		}
 	}
-	if e.cache != nil && req.UseCache && !strings.HasPrefix(req.Table, "__") {
+	if e.servesFromCache(req) {
 		return e.runCached(req)
 	}
 	res, err = e.runDirect(req, nil)

@@ -32,6 +32,8 @@ func TestSharedScanResultsIdentical(t *testing.T) {
 	}
 }
 
+// TestSharedScanNaiveCollapsesToOneScan: a Naive plan's queries all read the
+// base table, so one shared scan answers them, each on its chosen kernel.
 func TestSharedScanNaiveCollapsesToOneScan(t *testing.T) {
 	e, li := newTestEngine(t, 5000)
 	sets := scSets()
@@ -42,6 +44,15 @@ func TestSharedScanNaiveCollapsesToOneScan(t *testing.T) {
 	// All 12 naive queries share one pass over the base table.
 	if res.Report.RowsScanned != int64(li.NumRows()) {
 		t.Fatalf("rows scanned = %d, want one base scan (%d)", res.Report.RowsScanned, li.NumRows())
+	}
+	// Sharing the scan keeps each query's kernel pick: the low-NDV sets
+	// index a dense array instead of hashing.
+	kinds := map[string]int{}
+	for _, ku := range res.Report.Kernels {
+		kinds[ku.Kernel]++
+	}
+	if kinds["dense"] == 0 {
+		t.Fatalf("no shared-scan query ran dense: %v", kinds)
 	}
 }
 

@@ -72,7 +72,9 @@ func TestKernelBlockBoundaries(t *testing.T) {
 				check(fmt.Sprintf("shared-scan[%d]", qi), outs[qi], nil)
 			}
 			for _, dense := range []bool{false, true} {
-				outs, _, err = groupBy(gov, src, queries[:1], 3, dense)
+				q := queries[0]
+				q.dense = dense
+				outs, _, err = groupBy(gov, src, []MultiQuery{q}, 3)
 				check(fmt.Sprintf("shares(dense=%v)", dense), outs[0], err)
 			}
 

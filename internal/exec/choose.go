@@ -157,8 +157,8 @@ func GroupByAdaptiveGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, o
 		}
 		return out, ks, err
 	}
-	q := MultiQuery{GroupCols: groupCols, Aggs: aggs, OutName: outName, SizeHint: choice.SizeHint}
-	outs, stats, err := groupBy(gov, t, []MultiQuery{q}, choice.Workers, choice.Kind == KernelDense)
+	q := MultiQuery{GroupCols: groupCols, Aggs: aggs, OutName: outName, SizeHint: choice.SizeHint, dense: choice.Kind == KernelDense}
+	outs, stats, err := groupBy(gov, t, []MultiQuery{q}, choice.Workers)
 	if err != nil {
 		return nil, KernelStats{Kind: choice.Kind, Workers: choice.Workers, Fallbacks: choice.Fallbacks}, err
 	}

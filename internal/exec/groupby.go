@@ -31,7 +31,7 @@ func GroupByHash(t *table.Table, groupCols []int, aggs []Agg, outName string) *t
 // slots plus accumulator state against gov's memory budget for the duration
 // of the operator. A nil gov means ungoverned and adds no overhead.
 func GroupByHashGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string) (*table.Table, error) {
-	outs, _, err := groupBy(gov, t, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: outName}}, 1, false)
+	outs, _, err := groupBy(gov, t, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: outName}}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -173,7 +173,7 @@ func TestKernelsByteIdenticalToHash(t *testing.T) {
 // its table presized for sizeHint groups and started in dense mode when
 // dense is set.
 func runGroupBy(gov *Gov, src *table.Table, groupCols []int, aggs []Agg, w, sizeHint int, dense bool) (*table.Table, KernelStats, error) {
-	outs, stats, err := groupBy(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g", SizeHint: sizeHint}}, w, dense)
+	outs, stats, err := groupBy(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g", SizeHint: sizeHint, dense: dense}}, w)
 	if err != nil {
 		return nil, KernelStats{}, err
 	}

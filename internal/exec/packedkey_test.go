@@ -161,7 +161,7 @@ func TestKernelPackedKeyMatchesWide(t *testing.T) {
 			for qi := range queries {
 				check("shared-scan", qi, outs[qi], nil)
 			}
-			outs, _, err = groupBy(gov, src, queries, 3, false)
+			outs, _, err = groupBy(gov, src, queries, 3)
 			if err != nil {
 				t.Fatalf("shares: %v", err)
 			}
@@ -283,7 +283,7 @@ func TestKernelPackedKeyGuardNeverMerges(t *testing.T) {
 				t.Fatalf("shared scan: %v", err)
 			}
 			checkKeyCounts(t, "shared-scan", src, outs[0], nil)
-			outs, _, err = groupBy(gov, src, q, 2, false)
+			outs, _, err = groupBy(gov, src, q, 2)
 			if err != nil {
 				t.Fatalf("shares: %v", err)
 			}

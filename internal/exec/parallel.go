@@ -53,17 +53,17 @@ func effectiveWorkers(rows, requested int) int {
 // SUM/AVG over TFloat64 may round differently from a sequential scan,
 // because partial sums combine in a different order.
 //
-// dense starts every query's table in dense mode (see newGroupHash). A share
-// that meets a code outside its column's dictionary widens its own table; the
-// merge widens share 0's table when it meets that code's group, so the
-// reported Kind is hash whenever any share widened.
+// A query whose dense flag is set starts its tables in dense mode (see
+// newGroupHash). A share that meets a code outside its column's dictionary
+// widens its own table; the merge widens share 0's table when it meets that
+// code's group, so the reported Kind is hash whenever any share widened.
 //
 // Failure semantics: a panicking worker is recovered in its own goroutine and
 // reported as a *ExecError naming the worker; the other workers stop at their
 // next block boundary, every budget charge is released, and no partial
 // result escapes. A cancelled context stops every share at its next block
 // boundary and returns the context's error.
-func groupBy(gov *Gov, t *table.Table, queries []MultiQuery, w int, dense bool) ([]*table.Table, []KernelStats, error) {
+func groupBy(gov *Gov, t *table.Table, queries []MultiQuery, w int) ([]*table.Table, []KernelStats, error) {
 	if len(queries) == 0 {
 		return nil, nil, nil
 	}
@@ -94,11 +94,11 @@ func groupBy(gov *Gov, t *table.Table, queries []MultiQuery, w int, dense bool) 
 		block := blockLen((wi+1)*n/w - wi*n/w)
 		for qi, q := range queries {
 			if wi == 0 {
-				shares[0][qi] = newQueryState(t, q, budget, block, dense, newAccs(q.Aggs, t))
+				shares[0][qi] = newQueryState(t, q, budget, block, newAccs(q.Aggs, t))
 				continue
 			}
 			q.SizeHint = min(q.SizeHint, n/w+1)
-			shares[wi][qi] = newQueryState(t, q, budget, block, dense, cloneAccs(shares[0][qi].accs))
+			shares[wi][qi] = newQueryState(t, q, budget, block, cloneAccs(shares[0][qi].accs))
 		}
 	}
 	if w == 1 {

@@ -125,7 +125,7 @@ func TestParallelGroupByDifferential(t *testing.T) {
 						name := fmt.Sprintf("seed=%d/ndv=%d/cols=%v/w=%d/dense=%v", seed, ndv, cols, w, dense)
 						// Drive the driver directly: the public entry points would
 						// fall back to sequential below the per-worker row floor.
-						outs, st, err := groupBy(nil, tb, []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "par"}}, w, dense)
+						outs, st, err := groupBy(nil, tb, []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "par", dense: dense}}, w)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -165,7 +165,7 @@ func TestParallelMultiQueryDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, _, err := groupBy(nil, tb, queries, 4, false)
+		outs, _, err := groupBy(nil, tb, queries, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func TestGroupByIdenticalAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %#x: shared scan: %v", tc.name, seed, err)
 			}
-			par, _, err := groupBy(gov, tc.src, q, 2, false)
+			par, _, err := groupBy(gov, tc.src, q, 2)
 			if err != nil {
 				t.Fatalf("%s seed %#x: shares: %v", tc.name, seed, err)
 			}

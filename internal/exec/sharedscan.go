@@ -13,6 +13,9 @@ type MultiQuery struct {
 	// SizeHint, when > 0, presizes this query's group table for that many
 	// expected groups (see newGroupHash).
 	SizeHint int
+	// dense starts this query's group table in dense mode: the kernel
+	// chooser's pick, set by the entry points that run it.
+	dense bool
 }
 
 // queryState is one query's aggregation state over one share of a scan: its
@@ -26,11 +29,11 @@ type queryState struct {
 
 // newQueryState builds the aggregation state for one query of a scan over t
 // with the given accumulators, fed blocks of at most block rows. budget, when
-// non-nil, is charged for the state's group table as it grows; dense starts
+// non-nil, is charged for the state's group table as it grows; q.dense starts
 // the table in dense mode (see newGroupHash).
-func newQueryState(t *table.Table, q MultiQuery, budget *MemBudget, block int, dense bool, accs []accumulator) *queryState {
+func newQueryState(t *table.Table, q MultiQuery, budget *MemBudget, block int, accs []accumulator) *queryState {
 	return &queryState{
-		ht:   newGroupHash(t, q.GroupCols, budget, q.SizeHint, dense),
+		ht:   newGroupHash(t, q.GroupCols, budget, q.SizeHint, q.dense),
 		accs: accs,
 		gids: make([]int32, block),
 	}
@@ -60,11 +63,30 @@ func GroupByHashMulti(t *table.Table, queries []MultiQuery) ([]*table.Table, err
 // GroupByHashMultiGov is the governed shared scan: context polled every
 // cancelCheckRows rows, per-query group tables charged against the budget,
 // and the scan split across up to workers contiguous shares (see groupBy;
-// inputs under the per-worker row floor run sequentially). It returns
-// per-query kernel stats — groups, workers, merge time and rehashes avoided
-// by SizeHint presizing — so the engine can attribute shared-scan nodes.
+// inputs under the per-worker row floor run sequentially). Each query keeps
+// its own kernel pick: ChooseKernel decides its starting key mode (dense or
+// hashed) from the inputs GroupByAdaptiveGov gives it, with SizeHint as the
+// NDV estimate. It returns per-query kernel stats — kind, groups, workers,
+// merge time and rehashes avoided by SizeHint presizing — so the engine can
+// attribute shared-scan nodes.
 func GroupByHashMultiGov(gov *Gov, t *table.Table, queries []MultiQuery, workers int) ([]*table.Table, []KernelStats, error) {
-	return groupBy(gov, t, queries, effectiveWorkers(t.NumRows(), workers), false)
+	if err := validateMulti(t, queries); err != nil {
+		return nil, nil, err
+	}
+	picked := make([]MultiQuery, len(queries))
+	for i, q := range queries {
+		q.dense = ChooseKernel(ChooserInput{
+			Rows:        t.NumRows(),
+			GroupCols:   len(q.GroupCols),
+			NDV:         float64(q.SizeHint),
+			DenseDomain: DenseDomain(t, q.GroupCols),
+			Workers:     workers,
+			NAggs:       len(q.Aggs),
+			Budget:      gov.Budget(),
+		}).Kind == KernelDense
+		picked[i] = q
+	}
+	return groupBy(gov, t, picked, effectiveWorkers(t.NumRows(), workers))
 }
 
 // validateMulti rejects malformed shared-scan requests with an error the

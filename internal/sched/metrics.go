@@ -7,6 +7,7 @@ import "gbmqo/internal/obs"
 // see the same series.
 type metrics struct {
 	submissions   *obs.Counter
+	probeAnswers  *obs.Counter
 	dedup         *obs.Counter
 	rejected      *obs.Counter
 	conflicts     *obs.Counter
@@ -36,6 +37,8 @@ func newMetrics(r *obs.Registry) *metrics {
 	m := &metrics{
 		submissions: r.Counter("gbmqo_sched_submissions_total",
 			"Group By requests submitted to the micro-batching scheduler"),
+		probeAnswers: r.Counter("gbmqo_sched_probe_answers_total",
+			"submissions the probe answered before they entered a window"),
 		dedup: r.Counter("gbmqo_sched_dedup_total",
 			"submissions answered by an identical query already in the window"),
 		rejected: r.Counter("gbmqo_sched_rejected_total",

@@ -4,7 +4,9 @@
 // deduplicated by (grouping set, aggregate signature), and executed as ONE
 // multi-query plan through the engine — inheriting its shared scans, result
 // cache, governance and parallelism — before each caller's slice of the batch
-// is scattered back to it.
+// is scattered back to it. A request the batcher's probe can answer (the root
+// package probes the result cache) returns before any window: a cached
+// result leaves nothing to share.
 //
 // Window policy: a window opens on the first arrival for a table and closes
 // on whichever comes first — it reaches Config.MaxBatch distinct queries
@@ -51,6 +53,12 @@ import (
 // engine.Run with the DB's execution options.
 type RunFunc func(ctx context.Context, tableName string, sets []colset.Set, perSet map[colset.Set][]exec.Agg) (*engine.RunResult, error)
 
+// ProbeFunc answers one request without a window when it can — in the root
+// package, from the result cache (see engine.Engine.Probe). A nil table means
+// it cannot, and the request enters a window. Its Origin attributes the
+// answer.
+type ProbeFunc func(ctx context.Context, q Query) (*table.Table, engine.SetOrigin, error)
+
 // Query is one resolved Group By request: grouping ordinals on the base
 // table plus its own aggregate list (never empty; COUNT(*) is explicit).
 type Query struct {
@@ -59,21 +67,26 @@ type Query struct {
 	Aggs  []exec.Agg
 }
 
-// BatchInfo tells a caller how its request was served.
+// BatchInfo tells a caller how its request was served. A request the probe
+// answered at Submit rode no window: it reports BatchQueries and
+// BatchRequests 1, QueueWait 0, no plan costs, and Origin OriginCacheHit or
+// OriginCacheAncestor.
 type BatchInfo struct {
 	// BatchQueries is the number of distinct queries in the window the
-	// request rode (1 = effectively solo).
+	// request rode (1 = effectively solo, or answered by the probe).
 	BatchQueries int
 	// BatchRequests is the total number of submissions in the window,
-	// duplicates included.
+	// duplicates included (1 for a probe answer).
 	BatchRequests int
 	// Deduped reports that an identical (set, aggregates) request was already
 	// in the window; this request shared its computation.
 	Deduped bool
-	// QueueWait is the time from submission to batch dispatch.
+	// QueueWait is the time from submission to batch dispatch (0 for a probe
+	// answer).
 	QueueWait time.Duration
 	// Origin attributes the result (computed, cache hit, cache ancestor,
-	// shared flight) — engine.ExecReport.Origins surfaced per request.
+	// shared flight) — engine.ExecReport.Origins surfaced per request, or the
+	// probe's origin for a probe answer.
 	Origin engine.SetOrigin
 	// PlanCostShared is the model cost of the batch plan that served this
 	// request; PlanCostSolo is the model cost of answering every query in the
@@ -173,10 +186,11 @@ func (e *OverloadError) Is(target error) bool { return target == ErrQueueFull }
 
 // Batcher implements the micro-batching scheduler.
 type Batcher struct {
-	cfg Config
-	run RunFunc
-	met *metrics
-	reg *obs.Registry // private registry backing met; exposed via Collect
+	cfg   Config
+	run   RunFunc
+	probe ProbeFunc
+	met   *metrics
+	reg   *obs.Registry // private registry backing met; exposed via Collect
 
 	mu       sync.Mutex
 	closed   bool
@@ -195,17 +209,23 @@ type Batcher struct {
 	p95ns  atomic.Int64
 }
 
-// New creates a Batcher executing batches through run.
-func New(run RunFunc, cfg Config) *Batcher {
+// New creates a Batcher executing batches through run. probe, when given (at
+// most one), is offered every submission before it may enter a window (see
+// Submit); without it every submission waits for a window.
+func New(run RunFunc, cfg Config, probe ...ProbeFunc) *Batcher {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
-	return &Batcher{
+	b := &Batcher{
 		cfg:     cfg,
 		run:     run,
 		met:     newMetrics(reg),
 		reg:     reg,
 		windows: map[string]*window{},
 	}
+	if len(probe) > 0 {
+		b.probe = probe[0]
+	}
+	return b
 }
 
 // Name implements obs.Collector.
@@ -287,9 +307,16 @@ func (p *pending) maybeDrop() {
 	}
 }
 
-// Submit enqueues one request and blocks until its batch delivers or ctx
-// expires. The returned table is cell-for-cell identical to a solo run of
-// the same query. A nil ctx means context.Background().
+// Submit answers one request through the probe when it can, and otherwise
+// enqueues it and blocks until its batch delivers or ctx expires. The
+// returned table is cell-for-cell identical to a solo run of the same query.
+// A nil ctx means context.Background().
+//
+// The probe runs on the submitter's goroutine, after validation and the
+// shutdown check and before the window: an answer returns at once, counts as
+// a submission and never against MaxQueue. A probe that panics or fails with
+// anything but the caller's own context error costs latency, not the answer:
+// the request enters a window as if there were no probe.
 func (b *Batcher) Submit(ctx context.Context, q Query) (*table.Table, BatchInfo, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -299,6 +326,11 @@ func (b *Batcher) Submit(ctx context.Context, q Query) (*table.Table, BatchInfo,
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, BatchInfo{}, err
+	}
+	if b.probe != nil {
+		if t, info, err := b.probeFirst(ctx, q); t != nil || err != nil {
+			return t, info, err
+		}
 	}
 	p, err := b.enqueue(q)
 	if err != nil {
@@ -319,6 +351,46 @@ func (b *Batcher) Submit(ctx context.Context, q Query) (*table.Table, BatchInfo,
 			return nil, BatchInfo{}, ctx.Err()
 		}
 	}
+}
+
+// probeFirst offers q to the probe before it may enter a window. It returns
+// the probe's answer; or the error Submit returns without a window, the
+// batcher's shutdown error or the caller's own context error; or neither,
+// and q enters a window, when the probe declined, failed or panicked. It
+// runs on the submitter's goroutine, outside dispatch's recover, so it
+// contains its own panics.
+func (b *Batcher) probeFirst(ctx context.Context, q Query) (t *table.Table, info BatchInfo, err error) {
+	b.mu.Lock()
+	err = b.shutLocked()
+	b.mu.Unlock()
+	if err != nil {
+		return nil, BatchInfo{}, err
+	}
+	defer func() {
+		if recover() != nil {
+			t, info, err = nil, BatchInfo{}, nil
+		}
+	}()
+	exec.Testing.Fire("sched.probe")
+	t, origin, perr := b.probe(ctx, q)
+	if perr != nil || t == nil {
+		return nil, BatchInfo{}, ctx.Err()
+	}
+	b.met.submissions.Inc()
+	b.met.probeAnswers.Inc()
+	return t, BatchInfo{BatchQueries: 1, BatchRequests: 1, Origin: origin}, nil
+}
+
+// shutLocked reports why the batcher admits no submission (ErrClosed,
+// ErrDraining), or nil. Callers hold b.mu.
+func (b *Batcher) shutLocked() error {
+	if b.closed {
+		return ErrClosed
+	}
+	if b.draining {
+		return ErrDraining
+	}
+	return nil
 }
 
 func validate(q Query) error {
@@ -350,11 +422,8 @@ func validate(q Query) error {
 func (b *Batcher) enqueue(q Query) (*pending, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		return nil, ErrClosed
-	}
-	if b.draining {
-		return nil, ErrDraining
+	if err := b.shutLocked(); err != nil {
+		return nil, err
 	}
 	limit, p95 := b.admitLimit()
 	if b.queued >= limit {
@@ -566,19 +635,22 @@ func (b *Batcher) Draining() bool {
 }
 
 // Stats is a point-in-time snapshot of scheduler activity (tests and the
-// CLI; the full series live in the obs registry).
+// CLI; the full series live in the obs registry). Submitted counts every
+// admitted submission, ProbeAnswers the ones the probe answered without a
+// window.
 type Stats struct {
-	Submitted   int64
-	Deduped     int64
-	Batches     int64
-	Rejected    int64
-	Shed        int64
-	Panics      int64
-	Conflicts   int64
-	Abandoned   int64
-	QueueLen    int
-	OpenWindows int
-	Draining    bool
+	Submitted    int64
+	ProbeAnswers int64
+	Deduped      int64
+	Batches      int64
+	Rejected     int64
+	Shed         int64
+	Panics       int64
+	Conflicts    int64
+	Abandoned    int64
+	QueueLen     int
+	OpenWindows  int
+	Draining     bool
 }
 
 // Stats snapshots the scheduler counters.
@@ -587,17 +659,18 @@ func (b *Batcher) Stats() Stats {
 	queued, open, draining := b.queued, len(b.windows), b.draining
 	b.mu.Unlock()
 	return Stats{
-		Submitted:   int64(b.met.submissions.Value()),
-		Deduped:     int64(b.met.dedup.Value()),
-		Batches:     int64(b.met.batches.Value()),
-		Rejected:    int64(b.met.rejected.Value()),
-		Shed:        int64(b.met.shed.Value()),
-		Panics:      int64(b.met.panics.Value()),
-		Conflicts:   int64(b.met.conflicts.Value()),
-		Abandoned:   int64(b.met.abandoned.Value()),
-		QueueLen:    queued,
-		OpenWindows: open,
-		Draining:    draining,
+		Submitted:    int64(b.met.submissions.Value()),
+		ProbeAnswers: int64(b.met.probeAnswers.Value()),
+		Deduped:      int64(b.met.dedup.Value()),
+		Batches:      int64(b.met.batches.Value()),
+		Rejected:     int64(b.met.rejected.Value()),
+		Shed:         int64(b.met.shed.Value()),
+		Panics:       int64(b.met.panics.Value()),
+		Conflicts:    int64(b.met.conflicts.Value()),
+		Abandoned:    int64(b.met.abandoned.Value()),
+		QueueLen:     queued,
+		OpenWindows:  open,
+		Draining:     draining,
 	}
 }
 

@@ -583,7 +583,124 @@ func TestSchedLatencyFeedsShedding(t *testing.T) {
 	if _, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(1), Aggs: cnt()}); err != nil {
 		t.Fatal(err)
 	}
+	// Dispatch publishes the latency after delivering, so the submitter can
+	// return first: wait for the publication, not for a clock.
+	for i := 0; b.p95ns.Load() == 0 && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+	}
 	if p95 := time.Duration(b.p95ns.Load()); p95 < 20*time.Millisecond {
 		t.Fatalf("published p95 = %v after a ~30ms batch", p95)
+	}
+}
+
+// TestProbeAnswersBeforeTheWindow: a probe answer returns at once with the
+// probe's origin, counts as a submission, and never occupies the queue — a
+// full queue does not refuse it.
+func TestProbeAnswersBeforeTheWindow(t *testing.T) {
+	r := &countingRunner{}
+	hit := fakeResult([]colset.Set{colset.Of(0)}, map[colset.Set][]exec.Agg{colset.Of(0): cnt()}).Report.Results[colset.Of(0)]
+	probe := func(_ context.Context, q Query) (*table.Table, engine.SetOrigin, error) {
+		if q.Set == colset.Of(0) {
+			return hit, engine.OriginCacheHit, nil
+		}
+		return nil, engine.OriginComputed, nil
+	}
+	b := New(r.run, Config{MaxBatch: 64, MaxWait: time.Hour, IdleWait: time.Hour, MaxQueue: 1}, probe)
+	defer b.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.Submit(nil, Query{Table: "t", Set: colset.Of(1), Aggs: cnt()})
+	}()
+	for i := 0; b.Stats().QueueLen != 1; i++ {
+		if i > 1000 {
+			t.Fatal("miss never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got, info, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()})
+	if err != nil || got != hit {
+		t.Fatalf("probe answer = %v, %v; want the probe's table", got, err)
+	}
+	want := BatchInfo{BatchQueries: 1, BatchRequests: 1, Origin: engine.OriginCacheHit}
+	if info != want {
+		t.Fatalf("info = %+v, want %+v", info, want)
+	}
+	b.Flush()
+	<-done
+	st := b.Stats()
+	if st.Submitted != 2 || st.ProbeAnswers != 1 || st.Batches != 1 || r.calls.Load() != 1 {
+		t.Fatalf("stats = %+v, runs %d; want 2 submitted, 1 probe answer, 1 batch", st, r.calls.Load())
+	}
+}
+
+// TestProbeFaultEntersTheWindow: a probe that panics, fails, or hits a
+// failpoint costs the request its shortcut, never its answer.
+func TestProbeFaultEntersTheWindow(t *testing.T) {
+	for name, probe := range map[string]ProbeFunc{
+		"panic": func(context.Context, Query) (*table.Table, engine.SetOrigin, error) { panic("probe bug") },
+		"error": func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
+			return nil, engine.OriginComputed, errors.New("probe failed")
+		},
+		"failpoint": func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
+			t.Error("probe ran through an armed failpoint")
+			return nil, engine.OriginComputed, nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if name == "failpoint" {
+				exec.Testing.SetFailPoint(func(site string) {
+					if site == "sched.probe" {
+						panic("injected")
+					}
+				})
+				defer exec.Testing.ClearFailPoint()
+			}
+			r := &countingRunner{}
+			b := New(r.run, Config{MaxWait: time.Millisecond}, probe)
+			defer b.Close()
+			res, info, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(2), Aggs: cnt()})
+			if err != nil || res == nil {
+				t.Fatalf("submit after a probe fault = %v, %v", res, err)
+			}
+			if info.Origin != engine.OriginComputed || r.calls.Load() != 1 {
+				t.Fatalf("info %+v after %d runs; want the window's answer", info, r.calls.Load())
+			}
+			if st := b.Stats(); st.Submitted != 1 || st.ProbeAnswers != 0 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
+	}
+}
+
+// TestProbeContextErrorReturns: when the caller's own context ends during
+// the probe, Submit returns that error rather than queueing dead work.
+func TestProbeContextErrorReturns(t *testing.T) {
+	r := &countingRunner{}
+	ctx, cancel := context.WithCancel(context.Background())
+	probe := func(ctx context.Context, _ Query) (*table.Table, engine.SetOrigin, error) {
+		cancel()
+		return nil, engine.OriginComputed, ctx.Err()
+	}
+	b := New(r.run, Config{MaxWait: time.Millisecond}, probe)
+	defer b.Close()
+	if _, _, err := b.Submit(ctx, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := b.Stats(); st.Submitted != 0 || r.calls.Load() != 0 {
+		t.Fatalf("stats = %+v after %d runs; want nothing admitted", st, r.calls.Load())
+	}
+}
+
+// TestProbeSkippedAfterClose: a closed batcher refuses before probing.
+func TestProbeSkippedAfterClose(t *testing.T) {
+	probe := func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
+		t.Error("probe ran on a closed batcher")
+		return nil, engine.OriginComputed, nil
+	}
+	b := New((&countingRunner{}).run, Config{}, probe)
+	b.Close()
+	if _, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("got %v, want ErrClosed", err)
 	}
 }

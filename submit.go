@@ -132,7 +132,7 @@ func (db *DB) StartBatching(o BatchOptions) {
 		IdleWait:          o.IdleWait,
 		MaxQueue:          o.MaxQueue,
 		ShedLatencyTarget: o.ShedLatencyTarget,
-	})
+	}, db.probeBatch)
 }
 
 // StopBatching flushes open windows, waits for in-flight batches, and stops
@@ -186,20 +186,34 @@ func (db *DB) getBatcher() *sched.Batcher {
 	defer db.batchMu.Unlock()
 	if db.batcher == nil {
 		db.batchOpts = batcherDefaults()
-		db.batcher = sched.New(db.runBatch, sched.Config{})
+		db.batcher = sched.New(db.runBatch, sched.Config{}, db.probeBatch)
 	}
 	return db.batcher
+}
+
+// batchRequest is the engine request a window runs — and the probe looks
+// up — under the batcher's execution options.
+func (db *DB) batchRequest(ctx context.Context, tableName string, sets []colset.Set, perSet map[colset.Set][]Agg) engine.Request {
+	db.batchMu.Lock()
+	req := db.batchOpts.Exec.request()
+	db.batchMu.Unlock()
+	req.Table, req.Sets, req.PerSetAggs, req.Context = tableName, sets, perSet, ctx
+	return req
 }
 
 // runBatch executes one dispatched window through the engine: one GB-MQO
 // plan over the union of the window's grouping sets, inheriting the DB's
 // cache, governance and parallelism settings.
 func (db *DB) runBatch(ctx context.Context, tableName string, sets []colset.Set, perSet map[colset.Set][]Agg) (*engine.RunResult, error) {
-	db.batchMu.Lock()
-	req := db.batchOpts.Exec.request()
-	db.batchMu.Unlock()
-	req.Table, req.Sets, req.PerSetAggs, req.Context = tableName, sets, perSet, ctx
-	return db.eng.Run(req)
+	return db.eng.Run(db.batchRequest(ctx, tableName, sets, perSet))
+}
+
+// probeBatch answers one submission from the result cache before it may
+// enter a window: an exact hit or an ancestor re-aggregation, under the same
+// request a window would run (see engine.Engine.Probe).
+func (db *DB) probeBatch(ctx context.Context, q sched.Query) (*table.Table, SetOrigin, error) {
+	sets := []colset.Set{q.Set}
+	return db.eng.Probe(db.batchRequest(ctx, q.Table, sets, map[colset.Set][]Agg{q.Set: q.Aggs}), q.Set)
 }
 
 // Drain gracefully shuts down the micro-batching scheduler: new submissions
@@ -279,7 +293,10 @@ func (db *DB) BreakerStates() []BreakerSnapshot {
 // it. Requests arriving close together on the same table share one GB-MQO
 // plan; identical requests (same grouping columns and aggregates) inside a
 // window share one computation. The result table is byte-identical to what
-// ExecuteQueries would return for the same single query.
+// ExecuteQueries would return for the same single query. A request the
+// result cache can answer (an exact hit or a cached-ancestor roll-up) is
+// answered before any window, with BatchInfo.QueueWait 0; see
+// engine.Engine.Probe for when that probe steps aside.
 //
 // ctx bounds only this caller's wait: when it expires the call returns
 // ctx.Err() but the batch keeps running for its other subscribers (and is
