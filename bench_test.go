@@ -256,11 +256,10 @@ func BenchmarkGroupByHashParallel(b *testing.B) {
 			ndv := ndv
 			b.Run(fmt.Sprintf("ndv=%s/workers=%d", ndv.name, w), func(b *testing.B) {
 				gcols := []int{cols[ndv.col]}
-				q := []exec.MultiQuery{{GroupCols: gcols, Aggs: aggs, OutName: "g"}}
-				var stats []exec.KernelStats
+				var ks exec.KernelStats
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, stats, err = exec.GroupByHashMultiGov(nil, li, q, w); err != nil {
+					if _, ks, err = exec.GroupByAdaptiveGov(nil, li, gcols, aggs, "g", exec.AdaptiveHints{Workers: w}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -268,7 +267,7 @@ func BenchmarkGroupByHashParallel(b *testing.B) {
 				rowsPerSec := float64(rows) * float64(b.N) / b.Elapsed().Seconds()
 				b.ReportMetric(rowsPerSec, "rows/s")
 				b.Logf(`BENCH {"bench":"GroupByHashParallel","workers":%d,"effective_workers":%d,"ndv":%q,"rows":%d,"ns_per_op":%d,"rows_per_sec":%.0f}`,
-					w, stats[0].Workers, ndv.name, rows, b.Elapsed().Nanoseconds()/int64(b.N), rowsPerSec)
+					w, ks.Workers, ndv.name, rows, b.Elapsed().Nanoseconds()/int64(b.N), rowsPerSec)
 			})
 		}
 	}

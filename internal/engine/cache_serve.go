@@ -394,15 +394,17 @@ func (e *Engine) deriveFromAncestor(req Request, base *table.Table, ep catalog.E
 
 // reaggregate computes GROUP BY s over a cached ancestor table through
 // mapToParent — the same mapping the engine applies when computing a child
-// from a temp table (§5.2), so the output (schema, values, and
-// first-appearance row order) is identical to a cold computation.
+// from a temp table (§5.2) — on the kernel the chooser picks, as for a plan
+// node, so the output (schema, values, and first-appearance row order) is
+// identical to a cold computation.
 func (e *Engine) reaggregate(base *table.Table, anc *table.Table, s colset.Set, aggs []exec.Agg, req Request) (*table.Table, error) {
 	cols, rolled, err := mapToParent(base, anc, s, aggs)
 	if err != nil {
 		return nil, err
 	}
 	gov := exec.NewGov(req.Context, exec.NewMemBudget(0))
-	return exec.GroupByHashGov(gov, anc, cols, rolled, plan.TempName(s))
+	out, _, err := exec.GroupByAdaptiveGov(gov, anc, cols, rolled, plan.TempName(s), exec.AdaptiveHints{})
+	return out, err
 }
 
 // AggsFor returns the aggregates the request computes for one grouping set:

@@ -8,11 +8,11 @@
 // exhaustive.
 //
 // Execution is resource-governed: a context.Context threaded through
-// ExecOptions cancels running plans at row-block boundaries, a
+// Request cancels running plans at row-block boundaries, a
 // MemBudget bounds the bytes held by hash tables and materialized temps with
 // graceful degradation (hash → sort aggregation; temp retention → re-derive
 // from base) instead of failure, and operator panics are isolated into typed
-// *exec.ExecError values at the ExecutePlan boundary so a bad plan never
+// *exec.ExecError values at the ExecutePlanWith boundary so a bad plan never
 // crashes the process.
 package engine
 
@@ -148,12 +148,12 @@ func (o SetOrigin) String() string {
 
 // ExecReport describes one plan execution.
 //
-// Concurrency: a report belongs to the Run/ExecutePlan call that produced it
-// and is written only until that call returns; afterwards every field is safe
-// to read from any goroutine without synchronization. Concurrent submitters
-// each receive their own report — the only sharing is the result *tables*
-// reachable from Results on the cached path (singleflight followers see the
-// leader's tables), and tables are immutable once built. Cross-request
+// Concurrency: a report belongs to the Run/ExecutePlanWith call that produced
+// it and is written only until that call returns; afterwards every field is
+// safe to read from any goroutine without synchronization. Concurrent
+// submitters each receive their own report — the only sharing is the result
+// *tables* reachable from Results on the cached path (singleflight followers
+// see the leader's tables), and tables are immutable once built. Cross-request
 // cumulative counters live in cache.Stats (atomics, see DB.CacheStats) and
 // the obs registry, never in an ExecReport.
 type ExecReport struct {
@@ -260,109 +260,38 @@ type Executor struct {
 // NewExecutor builds an executor over the catalog.
 func NewExecutor(cat *catalog.Catalog) *Executor { return &Executor{cat: cat} }
 
-// ExecOptions tunes plan execution.
-type ExecOptions struct {
-	// SharedScan computes sibling Group Bys (consecutive schedule steps with
-	// the same parent) in one pass over the parent — the §5.1 shared-scan
-	// technique. Index fast paths and CUBE/ROLLUP nodes are executed
-	// individually regardless.
-	SharedScan bool
-	// PerSetAggs assigns different aggregates per required grouping set
-	// (§7.2). Intermediate nodes carry the union of their required
-	// descendants' aggregates; each required set's result is projected back
-	// to its own.
-	PerSetAggs map[colset.Set][]exec.Agg
-	// Parallel executes independent sub-plans (trees hanging directly off the
-	// base relation) concurrently, one goroutine per sub-plan bounded by
-	// GOMAXPROCS. Temp tables are private to their sub-plan, so no
-	// synchronization is needed beyond merging the reports; PeakTempBytes
-	// becomes the (pessimistic) sum of concurrent per-sub-plan peaks.
-	Parallel bool
-	// Parallelism caps the workers *inside* one Group By operator
-	// (intra-operator parallelism, orthogonal to Parallel's inter-sub-plan
-	// concurrency): 0 disables it, negative selects GOMAXPROCS, positive
-	// values are used as-is. Operators whose input is below the exec size
-	// cutoff stay sequential regardless, so tiny temp-table re-aggregations
-	// never pay parallel overhead. Index fast paths are always sequential.
-	Parallelism int
-	// Context cancels or deadlines the execution. Operator loops poll it at
-	// row-block boundary, so cancellation takes effect within one block's
-	// worth of work, drops every temp table, and leaves
-	// the catalog unchanged. Nil means context.Background().
-	Context context.Context
-	// MemBudget bounds, in bytes, the execution working state held at once:
-	// hash-table slots, accumulator arrays, sort permutations, and
-	// materialized temp tables. Exceeding the budget triggers graceful
-	// degradation (sort-based aggregation, un-shared scans, re-deriving
-	// subtrees from the base relation) rather than failure; the decisions
-	// taken are recorded in ExecReport.Degradations. 0 means unlimited —
-	// PeakMem is still measured.
-	MemBudget int64
+// Hooks are the executor's callbacks that are not request knobs.
+type Hooks struct {
 	// NDVFn, when non-nil, answers NDV estimates for grouping sets from
-	// *already-built* statistics (0 = unknown) — the stats feed of the
-	// adaptive kernel chooser. It must never build a statistic: kernel choice
-	// happens mid-execution, where profiling would cost more than it saves.
+	// *already-built* statistics (0 = unknown) for the kernel chooser. It must
+	// never build a statistic: profiling mid-execution costs more than it
+	// saves.
 	NDVFn func(colset.Set) float64
-	// NoRetain skips materializing intermediate temp tables regardless of
-	// budget headroom; children re-derive from the base relation through the
-	// same skipped-intermediate machinery the memory budget uses. Results are
-	// byte-identical; the run trades extra scans for holding no shared state.
-	NoRetain bool
-	// PromoteTemp, when non-nil, observes every materialized intermediate at
-	// the moment it would be dropped, along with the aggregates it carries —
-	// the hook the result cache uses to collect promotion candidates instead
-	// of letting temps die with the run. The hook only records candidates; it
-	// must not admit anything until the run has succeeded, so a cancelled or
-	// failed execution can never leave a partially admitted entry. It may be
-	// called from concurrent sub-plan goroutines under ExecOptions.Parallel.
+	// PromoteTemp, when non-nil, observes every materialized intermediate,
+	// with the aggregates it carries, as it is dropped: the result cache's
+	// promotion candidates. It must admit nothing until the run has
+	// succeeded, and may be called from concurrent sub-plans under Parallel.
 	PromoteTemp func(set colset.Set, aggs []exec.Agg, t *table.Table)
 }
 
-// ExecutePlan runs the plan against its base table. aggs are the aggregate
-// specifications with source ordinals on the base table; nil selects
-// COUNT(*). size estimates node result sizes for the §4.4 scheduler (nil
-// falls back to a flat estimate, preserving plan order but not storage
-// optimality).
-func (ex *Executor) ExecutePlan(p *plan.Plan, aggs []exec.Agg, size plan.SizeFn) (*ExecReport, error) {
-	return ex.ExecutePlanWith(p, aggs, size, ExecOptions{})
-}
-
-// ExecutePlanWith is ExecutePlan with execution options.
+// ExecutePlanWith runs the plan against its base table under the request's
+// execution knobs — Aggs (nil selects COUNT(*)) with source ordinals on the
+// base table, PerSetAggs, SharedScan, Parallel, Parallelism, Context,
+// MemBudget and NoRetain. size estimates node result sizes for the §4.4
+// scheduler (nil falls back to a flat estimate, preserving plan order but not
+// storage optimality).
 //
 // On failure the partial report is returned alongside the error so callers
 // can observe Cancelled, PeakMem and the degradations taken before the
 // failure. An operator panic — including one inside a parallel worker — is
 // recovered and returned as a typed *exec.ExecError naming the failing step;
 // the process survives and every temp table is released.
-func (ex *Executor) ExecutePlanWith(p *plan.Plan, aggs []exec.Agg, size plan.SizeFn, opts ExecOptions) (report *ExecReport, err error) {
+func (ex *Executor) ExecutePlanWith(p *plan.Plan, req Request, size plan.SizeFn, hooks Hooks) (report *ExecReport, err error) {
 	base, ok := ex.cat.Table(p.BaseName)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown base table %q", p.BaseName)
 	}
-	if len(aggs) == 0 {
-		aggs = []exec.Agg{exec.CountStar()}
-	}
-	if size == nil {
-		size = func(colset.Set) float64 { return 1 }
-	}
-	budget := exec.NewMemBudget(opts.MemBudget)
-	run := &planRun{
-		ex:        ex,
-		base:      base,
-		aggs:      aggs,
-		par:       exec.ResolveWorkers(opts.Parallelism),
-		gov:       exec.NewGov(opts.Context, budget),
-		budget:    budget,
-		size:      size,
-		ndv:       opts.NDVFn,
-		noRetain:  opts.NoRetain,
-		promote:   opts.PromoteTemp,
-		temps:     map[colset.Set]*table.Table{},
-		tempBytes: map[colset.Set]int64{},
-		tempAggs:  map[colset.Set][]exec.Agg{},
-		skipped:   map[colset.Set]bool{},
-		report:    &ExecReport{Results: map[colset.Set]*table.Table{}},
-	}
+	run := newPlanRun(ex, base, req, size, hooks)
 	defer func() {
 		if pnc := recover(); pnc != nil {
 			run.releaseAll()
@@ -371,30 +300,24 @@ func (ex *Executor) ExecutePlanWith(p *plan.Plan, aggs []exec.Agg, size plan.Siz
 			err = &exec.ExecError{Step: run.curStep, Err: exec.RecoveredPanic(pnc)}
 		}
 	}()
-	if run.par > 1 {
+	if run.par > 1 || req.Parallel {
 		// The scan image is built lazily and shared by all operators over the
-		// base table; force it before any parallel worker can race on it.
+		// base table; force it before any concurrent reader can race on it.
 		base.RowImage()
 	}
-	if len(opts.PerSetAggs) > 0 {
-		run.perSet = opts.PerSetAggs
+	if len(req.PerSetAggs) > 0 {
 		run.nodeAggs = map[*plan.Node][]exec.Agg{}
 		for _, r := range p.Roots {
 			run.buildAggUnion(r)
 		}
 	}
-	steps := plan.Schedule(p, size)
-	if opts.Parallel {
-		return ex.executeParallel(run, p, steps, opts)
+	segments := [][]plan.Step{plan.Schedule(p, run.size)}
+	if req.Parallel {
+		if segments, err = splitByRoot(segments[0]); err != nil {
+			return run.fail(err)
+		}
 	}
-	start := time.Now()
-	if err := runSteps(run, steps, opts); err != nil {
-		return run.fail(err)
-	}
-	run.report.Wall = time.Since(start)
-	run.finish()
-	annotateKernels(p, run.report)
-	return run.report, nil
+	return run.runSegments(p, segments)
 }
 
 // annotateKernels attaches the report's per-node kernel attribution to the
@@ -418,7 +341,7 @@ func annotateKernels(p *plan.Plan, rep *ExecReport) {
 // runSteps walks one contiguous schedule (the whole plan sequentially, or
 // one sub-plan segment under Parallel), polling the governing context and
 // firing the engine.step fault-injection site before every step.
-func runSteps(run *planRun, steps []plan.Step, opts ExecOptions) error {
+func runSteps(run *planRun, steps []plan.Step) error {
 	for i := 0; i < len(steps); {
 		step := steps[i]
 		if err := run.checkStep(step); err != nil {
@@ -429,83 +352,97 @@ func runSteps(run *planRun, steps []plan.Step, opts ExecOptions) error {
 			i++
 			continue
 		}
-		if opts.SharedScan {
-			if batch := shareableRun(steps[i:], run); len(batch) > 1 {
-				if err := run.computeShared(batch, step.Parent); err != nil {
-					return err
-				}
-				i += len(batch)
-				continue
-			}
-		}
-		if err := run.compute(step.Node, step.Parent); err != nil {
+		batch := run.siblings(steps[i:])
+		if err := run.compute(batch, step.Parent); err != nil {
 			return err
 		}
-		i++
+		i += len(batch)
 	}
 	return nil
 }
 
-// shareableRun returns the maximal prefix of steps that can execute as one
-// shared scan: consecutive plain Group By computations from the same parent,
-// none of which has an index fast path.
-func shareableRun(steps []plan.Step, run *planRun) []*plan.Node {
-	var batch []*plan.Node
-	parent := steps[0].Parent
-	for _, s := range steps {
-		if s.Kind != plan.StepCompute || !sameParent(s.Parent, parent) || s.Node.Op != plan.OpGroupBy {
+// siblings returns the batch the compute step at the head of steps starts:
+// under SharedScan, the maximal run of consecutive plain Group By steps from
+// the same parent that a scan of that parent serves (see detour); otherwise,
+// and for a head the scan does not serve, the head alone.
+func (r *planRun) siblings(steps []plan.Step) []*plan.Node {
+	head := steps[0]
+	batch := []*plan.Node{head.Node}
+	if !r.req.SharedScan {
+		return batch
+	}
+	for i, s := range steps {
+		if s.Kind != plan.StepCompute || s.Parent != head.Parent ||
+			s.Node.Op != plan.OpGroupBy || r.detour(s.Node, s.Parent) {
 			break
 		}
-		if parent == nil && index.BestFor(run.ex.cat.Indexes(run.base.Name()), s.Node.Set) != nil {
-			break // let the index path handle it individually
+		if i > 0 {
+			batch = append(batch, s.Node)
 		}
-		if parent != nil && !cache.Rollupable(run.aggsFor(s.Node)) {
-			break // AVG node: must re-derive from base, not the shared temp
-		}
-		batch = append(batch, s.Node)
 	}
 	return batch
 }
 
-func sameParent(a, b *plan.Node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return a.Set == b.Set
-}
-
 // planRun is the state of one plan execution.
 type planRun struct {
-	ex     *Executor
-	base   *table.Table
-	aggs   []exec.Agg
+	ex   *Executor
+	base *table.Table
+	// req carries the execution knobs (see ExecutePlanWith), its Aggs
+	// defaulted to COUNT(*); hooks the callbacks.
+	req    Request
+	hooks  Hooks
 	par    int // intra-operator worker budget (≤1 = sequential)
 	gov    *exec.Gov
 	budget *exec.MemBudget
 	size   plan.SizeFn
-	// ndv answers NDV estimates from already-built statistics for the kernel
-	// chooser (nil or a 0 answer = unknown; see ExecOptions.NDVFn).
-	ndv func(colset.Set) float64
-	// noRetain skips every temp-table materialization (ExecOptions.NoRetain);
-	// children re-derive from base via the skipped map.
-	noRetain bool
-	// promote, when non-nil, observes each temp as it is dropped (see
-	// ExecOptions.PromoteTemp); tempAggs remembers the aggregates each live
-	// temp carries so the observation is self-describing.
-	promote   func(colset.Set, []exec.Agg, *table.Table)
+	// tempAggs remembers the aggregates each live temp carries so the
+	// promotion hook's observation is self-describing.
 	temps     map[colset.Set]*table.Table
 	tempBytes map[colset.Set]int64
 	tempAggs  map[colset.Set][]exec.Agg
-	// skipped marks intermediates whose materialization was skipped under the
-	// memory budget; children re-derive from the base relation instead.
+	// skipped marks intermediates whose materialization was skipped (under
+	// the memory budget or req.NoRetain); children re-derive from the base
+	// relation instead.
 	skipped   map[colset.Set]bool
 	liveBytes float64
 	curStep   string // description of the step in flight, for panic context
 	report    *ExecReport
 
-	// §7.2 state: per-required-set aggregates and the per-node unions.
-	perSet   map[colset.Set][]exec.Agg
+	// §7.2 state: the per-node aggregate unions of req.PerSetAggs.
 	nodeAggs map[*plan.Node][]exec.Agg
+}
+
+// newPlanRun builds the state of one plan execution over base: the request's
+// knobs resolved into a worker budget, a governor and its memory budget.
+func newPlanRun(ex *Executor, base *table.Table, req Request, size plan.SizeFn, hooks Hooks) *planRun {
+	if len(req.Aggs) == 0 {
+		req.Aggs = []exec.Agg{exec.CountStar()}
+	}
+	if size == nil {
+		size = func(colset.Set) float64 { return 1 }
+	}
+	budget := exec.NewMemBudget(req.MemBudget)
+	return (&planRun{
+		ex:     ex,
+		base:   base,
+		req:    req,
+		hooks:  hooks,
+		par:    exec.ResolveWorkers(req.Parallelism),
+		gov:    exec.NewGov(req.Context, budget),
+		budget: budget,
+		size:   size,
+	}).segment()
+}
+
+// segment returns a planRun that shares everything of r — request, hooks,
+// governor, budget, per-node aggregates — but holds no temp tables and an
+// empty report: the state of one schedule segment (see runSegments).
+func (r *planRun) segment() *planRun {
+	s := *r
+	s.temps, s.tempBytes = map[colset.Set]*table.Table{}, map[colset.Set]int64{}
+	s.tempAggs, s.skipped = map[colset.Set][]exec.Agg{}, map[colset.Set]bool{}
+	s.report = &ExecReport{Results: map[colset.Set]*table.Table{}}
+	return &s
 }
 
 // checkStep records the step about to run (panic context), fires the
@@ -569,80 +506,69 @@ func (r *planRun) hashEstimate(set colset.Set) int64 {
 	return 2 * int64(r.size(set))
 }
 
-// hashGroupBy dispatches one Group By aggregation through the adaptive
-// kernel chooser: per-node statistics (NDV estimate, dictionary-derived dense
-// domain, row count) and the memory budget pick among the dense key mode,
-// sort-based aggregation (the budget rung: O(rows) working state), and the
-// presized hash key modes (parallel when the worker budget and input size
-// allow).
-// The pick, its reason, and any budget-rejected preferences are recorded in
-// the report's kernel attribution and degradation list.
-func (r *planRun) hashGroupBy(src *table.Table, cols []int, aggs []exec.Agg, set colset.Set, name string) (*table.Table, error) {
-	hints := exec.AdaptiveHints{Workers: r.par}
-	if len(cols) > 0 {
-		hints.NDV = r.ndvEstimate(set)
+// groupBy runs one read of src computing queries[i] for sets[i], each on the
+// kernel the adaptive chooser picks from per-node statistics (NDV estimate,
+// dictionary-derived dense domain, row count), the worker budget and the
+// memory budget: the dense key mode, the presized hash key modes, or
+// sort-based aggregation (the budget rung: O(rows) working state). It folds
+// the operators into the report: one read of rows scanned, one query and one
+// attribution row per set, and any budget-forced rung as a degradation.
+func (r *planRun) groupBy(src *table.Table, sets []colset.Set, queries []exec.MultiQuery) ([]*table.Table, error) {
+	hints := make([]exec.AdaptiveHints, len(queries))
+	for i := range queries {
+		hints[i] = exec.AdaptiveHints{Workers: r.par}
+		if r.hooks.NDVFn != nil {
+			hints[i].NDV = r.hooks.NDVFn(sets[i])
+		}
 		if r.budget.Limit() > 0 {
-			hints.HashStateBytes = r.hashEstimate(set)
+			hints[i].HashStateBytes = r.hashEstimate(sets[i])
 		}
 	}
-	out, ks, err := exec.GroupByAdaptiveGov(r.gov, src, cols, aggs, name, hints)
+	r.report.RowsScanned += int64(src.NumRows())
+	r.report.QueriesRun += len(queries)
+	outs, stats, err := exec.GroupByAdaptiveMultiGov(r.gov, src, queries, hints)
 	if err != nil {
 		return nil, err
 	}
-	if ks.Kind == exec.KernelSort && hints.HashStateBytes > 0 {
-		r.degrade(DegradeSortAgg, set, fmt.Sprintf(
-			"estimated hash state %dB over budget (used %d of %dB); sort-based aggregation",
-			hints.HashStateBytes, r.budget.Used(), r.budget.Limit()))
-		r.report.SpillFallbacks++
+	for i, set := range sets {
+		ks := stats[i]
+		if ks.Kind == exec.KernelSort && hints[i].HashStateBytes > 0 {
+			r.degrade(DegradeSortAgg, set, fmt.Sprintf(
+				"estimated hash state %dB over budget (used %d of %dB); sort-based aggregation",
+				hints[i].HashStateBytes, r.budget.Used(), r.budget.Limit()))
+			r.report.SpillFallbacks++
+		}
+		if len(sets) > 1 {
+			ks.Reason = fmt.Sprintf("shared scan of %d sibling queries; %s", len(sets), ks.Reason)
+		}
+		r.noteKernel(set, ks.Kind.String(), src.NumRows(), ks)
 	}
-	r.noteKernel(set, src.NumRows(), ks)
-	return out, nil
+	return outs, nil
 }
 
-// ndvEstimate answers the chooser's NDV question from already-built
-// statistics (0 = unknown).
-func (r *planRun) ndvEstimate(set colset.Set) float64 {
-	if r.ndv == nil {
-		return 0
-	}
-	return r.ndv(set)
-}
-
-// noteKernel folds one operator's kernel stats into the report: the per-node
-// attribution row, budget-rejected preferences as kernel-fallback
+// noteKernel folds one operator into the report: its attribution row under
+// the kernel name, budget-rejected preferences as kernel-fallback
 // degradations, presize savings, and the parallelism counters.
-func (r *planRun) noteKernel(set colset.Set, rows int, ks exec.KernelStats) {
+func (r *planRun) noteKernel(set colset.Set, kernel string, rows int, ks exec.KernelStats) {
 	for _, fb := range ks.Fallbacks {
 		r.degrade(DegradeKernelFallback, set, fmt.Sprintf(
-			"%s kernel preferred but %s; fell back to %s", fb.Kind, fb.Detail, ks.Kind))
+			"%s kernel preferred but %s; fell back to %s", fb.Kind, fb.Detail, kernel))
 	}
-	r.noteKernelNamed(set, ks.Kind.String(), ks.Reason, rows, ks)
-	r.notePar(ks.Workers, ks.Merge)
-}
-
-// noteKernelNamed records one attribution row — groups, workers and
-// rehashes avoided from ks — under the given kernel name and reason.
-func (r *planRun) noteKernelNamed(set colset.Set, kernel, reason string, rows int, ks exec.KernelStats) {
 	r.report.Kernels = append(r.report.Kernels, KernelUse{
 		Node:            set.String(),
 		Kernel:          kernel,
-		Reason:          reason,
+		Reason:          ks.Reason,
 		Rows:            rows,
 		Groups:          ks.Groups,
 		Workers:         ks.Workers,
 		RehashesAvoided: ks.RehashesAvoided,
 	})
 	r.report.RehashesAvoided += ks.RehashesAvoided
-}
-
-// notePar folds one operator's parallelism into the report.
-func (r *planRun) notePar(workers int, merge time.Duration) {
-	if workers <= 1 {
-		return
+	if ks.Workers > 1 {
+		r.report.ParallelOps++
+		r.report.MaxWorkers = max(r.report.MaxWorkers, ks.Workers)
+		r.report.MergeTime += ks.Merge
 	}
-	r.report.ParallelOps++
-	r.report.MaxWorkers = max(r.report.MaxWorkers, workers)
-	r.report.MergeTime += merge
 }
 
 // buildAggUnion computes, bottom-up, the union of aggregates each node must
@@ -666,7 +592,7 @@ func (r *planRun) buildAggUnion(n *plan.Node) []exec.Agg {
 		add(r.buildAggUnion(c))
 	}
 	if len(union) == 0 {
-		add(r.aggs)
+		add(r.req.Aggs)
 	}
 	r.nodeAggs[n] = union
 	return union
@@ -674,16 +600,16 @@ func (r *planRun) buildAggUnion(n *plan.Node) []exec.Agg {
 
 // setAggs returns a required set's own aggregates.
 func (r *planRun) setAggs(set colset.Set) []exec.Agg {
-	if a, ok := r.perSet[set]; ok && len(a) > 0 {
+	if a, ok := r.req.PerSetAggs[set]; ok && len(a) > 0 {
 		return a
 	}
-	return r.aggs
+	return r.req.Aggs
 }
 
 // aggsFor returns the aggregates node n's computation must produce.
 func (r *planRun) aggsFor(n *plan.Node) []exec.Agg {
 	if r.nodeAggs == nil {
-		return r.aggs
+		return r.req.Aggs
 	}
 	return r.nodeAggs[n]
 }
@@ -691,7 +617,7 @@ func (r *planRun) aggsFor(n *plan.Node) []exec.Agg {
 // projectResult narrows a required node's result to its own grouping columns
 // and aggregates (intermediates keep the union for their children).
 func (r *planRun) projectResult(n *plan.Node, t *table.Table) *table.Table {
-	if r.perSet == nil {
+	if r.nodeAggs == nil {
 		return t
 	}
 	own := r.setAggs(n.Set)
@@ -724,22 +650,143 @@ func nodeErr(n *plan.Node, err error) error {
 	return err
 }
 
-// compute evaluates one node from its parent (nil parent = base relation).
-func (r *planRun) compute(n *plan.Node, parent *plan.Node) error {
-	var out *table.Table
-	var err error
-	if parent == nil {
-		out, err = r.fromBase(n)
-	} else {
-		out, err = r.fromTemp(n, parent.Set)
+// compute evaluates sibling nodes — consecutive schedule steps from one
+// parent (nil = the base relation) — in one scan of that parent: the §5.1
+// shared scan, of which a single step is the batch of one. A node the scan
+// does not serve leaves it before it runs (see detour). Under a constrained
+// budget, a batch whose combined hash state would not fit splits into
+// batches of one, each with its own admission (hash, sort, or re-derive).
+func (r *planRun) compute(nodes []*plan.Node, parent *plan.Node) error {
+	var scan []*plan.Node
+	for _, n := range nodes {
+		switch {
+		case !r.detour(n, parent):
+			scan = append(scan, n)
+		case parent != nil:
+			if err := r.compute([]*plan.Node{n}, nil); err != nil {
+				return err
+			}
+		default:
+			if err := r.indexed(n); err != nil {
+				return nodeErr(n, err)
+			}
+		}
 	}
+	if len(scan) == 0 {
+		return nil
+	}
+	src := r.base
+	if parent != nil {
+		if src = r.temps[parent.Set]; src == nil {
+			return fmt.Errorf("engine: intermediate %s not materialized", parent.Set)
+		}
+	}
+	if len(scan) > 1 && r.budget.Limit() > 0 {
+		var est int64
+		for _, n := range scan {
+			est += r.hashEstimate(n.Set)
+		}
+		if r.budget.WouldExceed(est) {
+			r.degrade(DegradeUnshare, scan[0].Set, fmt.Sprintf(
+				"%d-query shared scan needs ~%dB of concurrent hash state (used %d of %dB); splitting into individual passes",
+				len(scan), est, r.budget.Used(), r.budget.Limit()))
+			for _, n := range scan {
+				if err := r.compute([]*plan.Node{n}, parent); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	sets := make([]colset.Set, len(scan))
+	queries := make([]exec.MultiQuery, len(scan))
+	for i, n := range scan {
+		q, err := r.query(src, n.Set, r.aggsFor(n))
+		if err != nil {
+			return err
+		}
+		sets[i], queries[i] = n.Set, q
+	}
+	outs, err := r.groupBy(src, sets, queries)
 	if err != nil {
-		return nodeErr(n, err)
+		return nodeErr(scan[0], err)
 	}
-	switch n.Op {
-	case plan.OpCube, plan.OpRollup:
-		if err := r.expandCovered(n, out); err != nil {
+	for i, n := range scan {
+		if err := r.deliver(n, outs[i]); err != nil {
 			return nodeErr(n, err)
+		}
+	}
+	return nil
+}
+
+// detour reports whether node n leaves a scan of parent before it runs. A
+// node whose parent was skipped, or whose aggregates do not roll up through
+// an intermediate (AVG), re-derives from the base relation instead of
+// failing or letting the planner's sharing decision break the aggregate; at
+// the base, a node an index covers takes the index fast path.
+func (r *planRun) detour(n, parent *plan.Node) bool {
+	if parent == nil {
+		return r.indexFor(n) != nil
+	}
+	return r.skipped[parent.Set] || !cache.Rollupable(r.aggsFor(n))
+}
+
+// indexFor returns the base table's best index for n's grouping set (nil when
+// none serves it).
+func (r *planRun) indexFor(n *plan.Node) *index.Index {
+	return index.BestFor(r.ex.cat.Indexes(r.base.Name()), n.Set)
+}
+
+// query builds GROUP BY set over src: base ordinals over the base relation,
+// otherwise mapped onto the intermediate's schema with the aggregates rolled
+// up (§5.2).
+func (r *planRun) query(src *table.Table, set colset.Set, aggs []exec.Agg) (exec.MultiQuery, error) {
+	q := exec.MultiQuery{GroupCols: set.Columns(), Aggs: aggs, OutName: plan.TempName(set)}
+	if src == r.base {
+		return q, nil
+	}
+	var err error
+	q.GroupCols, q.Aggs, err = mapToParent(r.base, src, set, aggs)
+	return q, err
+}
+
+// indexed computes node n over the base relation off the index that covers
+// it (§6.9) and delivers the result: COUNT(*) reads group sizes off the index
+// boundaries, O(#full-key groups) with no base-table scan at all; other
+// aggregates stream the rows the index clusters by group.
+func (r *planRun) indexed(n *plan.Node) error {
+	ix := r.indexFor(n)
+	cols, aggs, name := n.Set.Columns(), r.aggsFor(n), plan.TempName(n.Set)
+	r.report.QueriesRun++
+	if countStarOnly(aggs) {
+		r.report.RowsScanned += int64(ix.NumGroups())
+		var out *table.Table
+		if ix.ExactMatch(n.Set) {
+			out = exec.GroupByIndexCounts(r.base, ix, name)
+		} else {
+			out = exec.GroupByIndexPrefixCounts(r.base, ix, cols, name)
+		}
+		r.noteKernel(n.Set, "index-counts", ix.NumGroups(), exec.KernelStats{Workers: 1, Groups: out.NumRows(),
+			Reason: fmt.Sprintf("COUNT(*) off index %s boundaries", ix.Name())})
+		return r.deliver(n, renameAggs(out, aggs))
+	}
+	r.report.RowsScanned += int64(r.base.NumRows())
+	out, err := exec.GroupByIndexStreamGov(r.gov, r.base, ix, cols, aggs, name)
+	if err != nil {
+		return err
+	}
+	r.noteKernel(n.Set, "index-stream", r.base.NumRows(), exec.KernelStats{Workers: 1, Groups: out.NumRows(),
+		Reason: fmt.Sprintf("rows clustered by index %s", ix.Name())})
+	return r.deliver(n, out)
+}
+
+// deliver hands a computed node's result on: a CUBE/ROLLUP node first
+// expands its covered levels, an intermediate is retained for its children,
+// and a required set's result is projected to its own aggregates.
+func (r *planRun) deliver(n *plan.Node, out *table.Table) error {
+	if n.Op == plan.OpCube || n.Op == plan.OpRollup {
+		if err := r.expandCovered(n, out); err != nil {
+			return err
 		}
 	}
 	if n.IsIntermediate() {
@@ -749,157 +796,6 @@ func (r *planRun) compute(n *plan.Node, parent *plan.Node) error {
 		r.report.Results[n.Set] = r.projectResult(n, out)
 	}
 	return nil
-}
-
-// computeShared evaluates several sibling nodes in one pass over their
-// common parent (nil = base relation). Under a constrained budget, a batch
-// whose combined hash state would not fit — or whose parent was never
-// materialized — falls back to individual computation, where each query gets
-// its own admission decision (hash, sort, or re-derive from base).
-func (r *planRun) computeShared(nodes []*plan.Node, parent *plan.Node) error {
-	src := r.base
-	if parent != nil {
-		var ok bool
-		src, ok = r.temps[parent.Set]
-		if !ok {
-			if r.skipped[parent.Set] {
-				return r.computeIndividually(nodes, parent)
-			}
-			return fmt.Errorf("engine: intermediate %s not materialized", parent.Set)
-		}
-	}
-	if r.budget.Limit() > 0 {
-		var est int64
-		for _, n := range nodes {
-			est += r.hashEstimate(n.Set)
-		}
-		if r.budget.WouldExceed(est) {
-			r.degrade(DegradeUnshare, nodes[0].Set, fmt.Sprintf(
-				"%d-query shared scan needs ~%dB of concurrent hash state (used %d of %dB); splitting into individual passes",
-				len(nodes), est, r.budget.Used(), r.budget.Limit()))
-			return r.computeIndividually(nodes, parent)
-		}
-	}
-	queries := make([]exec.MultiQuery, len(nodes))
-	for i, n := range nodes {
-		if parent == nil {
-			queries[i] = exec.MultiQuery{GroupCols: n.Set.Columns(), Aggs: r.aggsFor(n), OutName: plan.TempName(n.Set)}
-		} else {
-			cols, rolled, err := mapToParent(r.base, src, n.Set, r.aggsFor(n))
-			if err != nil {
-				return err
-			}
-			queries[i] = exec.MultiQuery{GroupCols: cols, Aggs: rolled, OutName: plan.TempName(n.Set)}
-		}
-		if hint := int(r.ndvEstimate(n.Set)); hint > 0 {
-			if hint > src.NumRows() {
-				hint = src.NumRows()
-			}
-			queries[i].SizeHint = hint
-		}
-	}
-	// One scan of the parent feeds every sibling.
-	r.report.RowsScanned += int64(src.NumRows())
-	r.report.QueriesRun += len(nodes)
-	outs, stats, err := exec.GroupByHashMultiGov(r.gov, src, queries, r.par)
-	if err != nil {
-		return nodeErr(nodes[0], err)
-	}
-	sharedReason := fmt.Sprintf("shared scan of %d sibling queries", len(nodes))
-	var merge time.Duration
-	for i, n := range nodes {
-		r.noteKernelNamed(n.Set, stats[i].Kind.String(), sharedReason, src.NumRows(), stats[i])
-		merge += stats[i].Merge
-	}
-	r.notePar(stats[0].Workers, merge)
-	for i, n := range nodes {
-		if n.IsIntermediate() {
-			r.retain(n.Set, r.aggsFor(n), outs[i])
-		}
-		if n.Required {
-			r.report.Results[n.Set] = r.projectResult(n, outs[i])
-		}
-	}
-	return nil
-}
-
-// computeIndividually evaluates shared-scan candidates one at a time — the
-// degraded form of computeShared that holds a single query's state at once.
-func (r *planRun) computeIndividually(nodes []*plan.Node, parent *plan.Node) error {
-	for _, n := range nodes {
-		if err := r.compute(n, parent); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// fromBase computes a Group By over the base relation, exploiting an index
-// when the physical design allows.
-func (r *planRun) fromBase(n *plan.Node) (*table.Table, error) {
-	cols := n.Set.Columns()
-	aggs := r.aggsFor(n)
-	r.report.QueriesRun++
-	r.report.RowsScanned += int64(r.base.NumRows())
-	name := plan.TempName(n.Set)
-	if ix := index.BestFor(r.ex.cat.Indexes(r.base.Name()), n.Set); ix != nil {
-		if countStarOnly(aggs) {
-			// Index-only fast paths: counts off the boundaries, O(#full-key
-			// groups) — no base-table scan at all.
-			r.report.RowsScanned -= int64(r.base.NumRows())
-			r.report.RowsScanned += int64(ix.NumGroups())
-			var out *table.Table
-			if ix.ExactMatch(n.Set) {
-				out = exec.GroupByIndexCounts(r.base, ix, name)
-			} else {
-				out = exec.GroupByIndexPrefixCounts(r.base, ix, cols, name)
-			}
-			r.noteKernelNamed(n.Set, "index-counts",
-				fmt.Sprintf("COUNT(*) off index %s boundaries", ix.Name()),
-				ix.NumGroups(), exec.KernelStats{Workers: 1, Groups: out.NumRows()})
-			return renameAggs(out, aggs), nil
-		}
-		out, err := exec.GroupByIndexStreamGov(r.gov, r.base, ix, cols, aggs, name)
-		if err == nil {
-			r.noteKernelNamed(n.Set, "index-stream",
-				fmt.Sprintf("rows clustered by index %s", ix.Name()),
-				r.base.NumRows(), exec.KernelStats{Workers: 1, Groups: out.NumRows()})
-		}
-		return out, err
-	}
-	return r.hashGroupBy(r.base, cols, aggs, n.Set, name)
-}
-
-// fromTemp computes a Group By over a materialized intermediate, rolling the
-// aggregates up (COUNT(*) → SUM(cnt) etc., §5.2). When the intermediate was
-// skipped under the memory budget, the node re-derives from the base
-// relation with its original (un-rolled) aggregates instead of failing.
-func (r *planRun) fromTemp(n *plan.Node, parentSet colset.Set) (*table.Table, error) {
-	parent, ok := r.temps[parentSet]
-	if !ok {
-		if r.skipped[parentSet] {
-			return r.fromBase(n)
-		}
-		return nil, fmt.Errorf("engine: intermediate %s not materialized", parentSet)
-	}
-	if !cache.Rollupable(r.aggsFor(n)) {
-		// AVG does not roll up through an intermediate: re-derive this node
-		// from the base relation (same fallback as a skipped temp) instead of
-		// letting the planner's sharing decision break the aggregate.
-		return r.fromBase(n)
-	}
-	return r.groupFromTable(parent, n.Set, r.aggsFor(n))
-}
-
-// groupFromTable evaluates GROUP BY set over a materialized intermediate.
-func (r *planRun) groupFromTable(parent *table.Table, set colset.Set, aggs []exec.Agg) (*table.Table, error) {
-	cols, rolled, err := mapToParent(r.base, parent, set, aggs)
-	if err != nil {
-		return nil, err
-	}
-	r.report.QueriesRun++
-	r.report.RowsScanned += int64(parent.NumRows())
-	return r.hashGroupBy(parent, cols, rolled, set, plan.TempName(set))
 }
 
 // mapToParent resolves base ordinals and aggregates against the schema of an
@@ -944,11 +840,15 @@ func (r *planRun) expandCovered(n *plan.Node, own *table.Table) error {
 		if !ok {
 			return fmt.Errorf("engine: covered parent %s of %s not computed", parentSet, s)
 		}
-		out, err := r.groupFromTable(parent, s, r.aggsFor(n))
+		q, err := r.query(parent, s, r.aggsFor(n))
 		if err != nil {
 			return err
 		}
-		results[s] = out
+		outs, err := r.groupBy(parent, []colset.Set{s}, []exec.MultiQuery{q})
+		if err != nil {
+			return err
+		}
+		results[s] = outs[0]
 	}
 	// Hand covered results to required sets and covered children.
 	for _, c := range n.Children {
@@ -968,7 +868,7 @@ func (r *planRun) expandCovered(n *plan.Node, own *table.Table) error {
 	}
 	// Required sets covered by the operator that are not explicit children do
 	// not occur (the planner always makes them children), but requiredness of
-	// the node itself is handled by compute().
+	// the node itself is handled by deliver().
 	return nil
 }
 
@@ -1010,7 +910,7 @@ func (r *planRun) retain(set colset.Set, aggs []exec.Agg, t *table.Table) {
 		return
 	}
 	exec.Testing.Fire("engine.retain")
-	if r.noRetain {
+	if r.req.NoRetain {
 		// Deliberate skip, not a budget degradation: the retry ladder asked
 		// for a retention-free run, so no Degradation is recorded (the
 		// attribution lives in RetryAttempt.Degraded).
@@ -1044,8 +944,8 @@ func (r *planRun) drop(set colset.Set) {
 	if !ok {
 		return
 	}
-	if r.promote != nil {
-		r.promote(set, r.tempAggs[set], t)
+	if r.hooks.PromoteTemp != nil {
+		r.hooks.PromoteTemp(set, r.tempAggs[set], t)
 	}
 	r.liveBytes -= t.SizeBytes()
 	delete(r.temps, set)

@@ -233,7 +233,7 @@ func TestCubePlanExecution(t *testing.T) {
 	b := plan.NewNode(colset.Of(datagen.LLineStatus), true)
 	cub.Children = []*plan.Node{a, b}
 	p := &plan.Plan{BaseName: "lineitem", ColNames: li.ColNames(), Roots: []*plan.Node{cub}}
-	report, err := NewExecutor(e.Catalog()).ExecutePlan(p, nil, nil)
+	report, err := NewExecutor(e.Catalog()).ExecutePlanWith(p, Request{}, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRollupPlanExecution(t *testing.T) {
 	a := plan.NewNode(colset.Of(datagen.LReturnFlag), true)
 	roll.Children = []*plan.Node{a}
 	p := &plan.Plan{BaseName: "lineitem", ColNames: li.ColNames(), Roots: []*plan.Node{roll}}
-	report, err := NewExecutor(e.Catalog()).ExecutePlan(p, nil, nil)
+	report, err := NewExecutor(e.Catalog()).ExecutePlanWith(p, Request{}, nil, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestRunErrors(t *testing.T) {
 	if _, err := e.Run(Request{Table: "lineitem", Sets: scSets()[:1], Strategy: Strategy(99)}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
-	if _, err := e.exec.ExecutePlan(&plan.Plan{BaseName: "nope"}, nil, nil); err == nil {
+	if _, err := e.exec.ExecutePlanWith(&plan.Plan{BaseName: "nope"}, Request{}, nil, Hooks{}); err == nil {
 		t.Error("executor accepted unknown base")
 	}
 }

@@ -80,7 +80,7 @@ func TestCancelMidPlanDropsTempsAndCatalog(t *testing.T) {
 	})
 	defer exec.Testing.ClearFailPoint()
 
-	report, err := e.exec.ExecutePlanWith(p, nil, nil, ExecOptions{Context: ctx})
+	report, err := e.exec.ExecutePlanWith(p, Request{Context: ctx}, nil, Hooks{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -161,7 +161,7 @@ func TestBudgetPeakMemMeasured(t *testing.T) {
 }
 
 // TestFaultStepPanicIsolated injects a panic at a schedule step and requires
-// the ExecutePlan boundary to convert it into a typed *ExecError naming the
+// the ExecutePlanWith boundary to convert it into a typed *ExecError naming the
 // step, with the catalog intact and the process alive.
 func TestFaultStepPanicIsolated(t *testing.T) {
 	e, _ := newTestEngine(t, 3000)
@@ -177,7 +177,7 @@ func TestFaultStepPanicIsolated(t *testing.T) {
 		}
 	})
 	defer exec.Testing.ClearFailPoint()
-	_, err = e.exec.ExecutePlanWith(p, nil, nil, ExecOptions{})
+	_, err = e.exec.ExecutePlanWith(p, Request{}, nil, Hooks{})
 	var ee *exec.ExecError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *ExecError", err, err)
@@ -206,7 +206,7 @@ func TestFaultWorkerPanicSurfacesThroughEngine(t *testing.T) {
 		}
 	})
 	defer exec.Testing.ClearFailPoint()
-	_, err = e.exec.ExecutePlanWith(p, nil, nil, ExecOptions{Parallelism: 4})
+	_, err = e.exec.ExecutePlanWith(p, Request{Parallelism: 4}, nil, Hooks{})
 	var ee *exec.ExecError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *ExecError", err, err)
@@ -235,7 +235,7 @@ func TestFaultPanicInParallelSubplans(t *testing.T) {
 		}
 	})
 	defer exec.Testing.ClearFailPoint()
-	_, err = e.exec.ExecutePlanWith(p, nil, nil, ExecOptions{Parallel: true})
+	_, err = e.exec.ExecutePlanWith(p, Request{Parallel: true}, nil, Hooks{})
 	var ee *exec.ExecError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *ExecError", err, err)

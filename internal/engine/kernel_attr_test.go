@@ -1,8 +1,13 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"gbmqo/internal/colset"
+	"gbmqo/internal/stats"
+	"gbmqo/internal/table"
 )
 
 // TestReportAttributesKernels pins the per-node kernel attribution: a
@@ -122,4 +127,45 @@ func TestKernelFallbackDegradation(t *testing.T) {
 	}
 	_ = li
 	assertSameResults(t, ref.Report.Results, res.Report.Results)
+}
+
+// TestSharedScanRecordsKernelFallbacks: a shared scan reports the kernel
+// chooser's budget-rejected preferences exactly as separate scans do. Three
+// equal 300-value columns make every pair's dense domain (301² slots) too
+// large for the budget but its hash state small, so each node records one
+// dense kernel-fallback and runs hash, shared or not.
+func TestSharedScanRecordsKernelFallbacks(t *testing.T) {
+	tb := table.New("eq", []table.ColumnDef{
+		{Name: "a", Typ: table.TInt64},
+		{Name: "b", Typ: table.TInt64},
+		{Name: "c", Typ: table.TInt64},
+	})
+	for i := 0; i < 20000; i++ {
+		v := table.Int(int64(i % 300))
+		tb.AppendRow(v, v, v)
+	}
+	e := New(stats.NewService(stats.Exact, 0, 1))
+	e.Catalog().Register(tb)
+	sets := []colset.Set{colset.Of(0, 1), colset.Of(0, 2), colset.Of(1, 2)}
+	for _, kib := range []int64{100, 200, 300} {
+		runs := map[bool]*ExecReport{}
+		for _, shared := range []bool{false, true} {
+			res, err := e.Run(Request{Table: "eq", Sets: sets, Strategy: StrategyNaive,
+				SharedScan: shared, MemBudget: kib << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertResultsMatch(t, tb, sets, res.Report.Results)
+			for _, ku := range res.Report.Kernels {
+				if ku.Kernel != "hash" {
+					t.Errorf("%d KiB, shared=%t: %s", kib, shared, ku)
+				}
+			}
+			runs[shared] = res.Report
+		}
+		plain, shared := runs[false].Degradations, runs[true].Degradations
+		if len(plain) != len(sets) || !reflect.DeepEqual(plain, shared) {
+			t.Errorf("%d KiB: degradations differ\nunshared: %v\nshared:   %v", kib, plain, shared)
+		}
+	}
 }

@@ -1,33 +1,23 @@
 package engine
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"gbmqo/internal/colset"
 	"gbmqo/internal/exec"
 	"gbmqo/internal/plan"
-	"gbmqo/internal/table"
 )
 
-// executeParallel runs the schedule's per-sub-plan segments concurrently.
-// Schedule emits each sub-plan's steps contiguously, and sub-plans share no
-// intermediates (grouping sets are unique across the plan), so each segment
-// runs in an isolated planRun — except the governor and memory budget, which
-// are shared so cancellation stops every segment and PeakMem reflects true
-// concurrent usage. The base table's scan image is forced before fan-out
-// because its lazy construction is the only shared mutable state.
-func (ex *Executor) executeParallel(template *planRun, p *plan.Plan, steps []plan.Step, opts ExecOptions) (*ExecReport, error) {
-	template.base.RowImage()
-	segments, err := splitByRoot(steps)
-	if err != nil {
-		return template.fail(err)
-	}
-
+// runSegments runs the schedule's segments — the whole schedule as one, or
+// under Parallel one per sub-plan — each in its own planRun (see segment), at
+// most GOMAXPROCS at once, and merges their reports into r's. Schedule emits
+// each sub-plan's steps contiguously, and sub-plans share no intermediates
+// (grouping sets are unique across the plan), so segments share only the
+// governor and memory budget: cancellation stops every segment and PeakMem
+// reflects true concurrent usage.
+func (r *planRun) runSegments(p *plan.Plan, segments [][]plan.Step) (*ExecReport, error) {
 	type result struct {
 		report *ExecReport
 		err    error
@@ -42,28 +32,11 @@ func (ex *Executor) executeParallel(template *planRun, p *plan.Plan, steps []pla
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			run := &planRun{
-				ex:        ex,
-				base:      template.base,
-				aggs:      template.aggs,
-				par:       template.par,
-				gov:       template.gov,
-				budget:    template.budget,
-				size:      template.size,
-				ndv:       template.ndv,
-				promote:   template.promote,
-				perSet:    template.perSet,
-				nodeAggs:  template.nodeAggs,
-				temps:     map[colset.Set]*table.Table{},
-				tempBytes: map[colset.Set]int64{},
-				tempAggs:  map[colset.Set][]exec.Agg{},
-				skipped:   map[colset.Set]bool{},
-				report:    &ExecReport{Results: map[colset.Set]*table.Table{}},
-			}
+			run := r.segment()
 			// A panic inside this segment must not kill the process: recover
-			// it here (the sequential path's boundary recover lives in
-			// ExecutePlanWith, which this goroutine escapes) and convert it to
-			// the same typed error, releasing the segment's temps either way.
+			// it here (ExecutePlanWith's boundary recover does not reach this
+			// goroutine) and convert it to a typed error, releasing the
+			// segment's temps either way.
 			defer func() {
 				if pnc := recover(); pnc != nil {
 					run.releaseAll()
@@ -71,7 +44,7 @@ func (ex *Executor) executeParallel(template *planRun, p *plan.Plan, steps []pla
 						Step: run.curStep, Err: exec.RecoveredPanic(pnc)}}
 				}
 			}()
-			err := runSteps(run, seg, opts)
+			err := runSteps(run, seg)
 			if err != nil {
 				run.releaseAll()
 			}
@@ -80,7 +53,7 @@ func (ex *Executor) executeParallel(template *planRun, p *plan.Plan, steps []pla
 	}
 	wg.Wait()
 
-	merged := template.report
+	merged := r.report
 	var firstErr error
 	for _, res := range results {
 		if res.err != nil && firstErr == nil {
@@ -107,13 +80,10 @@ func (ex *Executor) executeParallel(template *planRun, p *plan.Plan, steps []pla
 		}
 	}
 	merged.Wall = time.Since(start)
-	template.finish()
 	if firstErr != nil {
-		if errors.Is(firstErr, context.Canceled) || errors.Is(firstErr, context.DeadlineExceeded) {
-			merged.Cancelled = true
-		}
-		return merged, firstErr
+		return r.fail(firstErr)
 	}
+	r.finish()
 	annotateKernels(p, merged)
 	return merged, nil
 }

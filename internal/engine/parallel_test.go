@@ -171,3 +171,26 @@ func TestParallelSharedScanAttribution(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelHonoursNoRetain: concurrent sub-plans run under the request's
+// NoRetain like the sequential schedule does — no temp table is kept, and
+// every child re-derives from the base relation, so both scan the same rows.
+func TestParallelHonoursNoRetain(t *testing.T) {
+	e, li := newTestEngine(t, 20000)
+	sets := govSets()
+	seq, err := e.Run(Request{Table: "lineitem", Sets: sets, NoRetain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := e.Run(Request{Table: "lineitem", Sets: sets, NoRetain: true, Parallel: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsMatch(t, li, sets, par.Report.Results)
+	if seq.Report.TempTables != 0 || par.Report.TempTables != 0 {
+		t.Fatalf("NoRetain kept temps: sequential %d, parallel %d", seq.Report.TempTables, par.Report.TempTables)
+	}
+	if par.Report.RowsScanned != seq.Report.RowsScanned {
+		t.Fatalf("parallel scanned %d rows, sequential %d", par.Report.RowsScanned, seq.Report.RowsScanned)
+	}
+}

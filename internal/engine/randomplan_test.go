@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -69,6 +70,25 @@ func TestQuickRandomPlanShapesExecuteCorrectly(t *testing.T) {
 	}
 	e := New(nil)
 	e.Catalog().Register(tb)
+	env, err := e.CostEnv("chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := e.sizeFn(env, 1)
+
+	// Every plan runs under every combination of the executor's structural
+	// knobs, plus a budget tight enough to degrade, and each run must match
+	// the reference counts. A NoRetain run must keep no temp table.
+	var variants []Request
+	for _, shared := range []bool{false, true} {
+		for _, parallel := range []bool{false, true} {
+			for _, noRetain := range []bool{false, true} {
+				variants = append(variants, Request{SharedScan: shared, Parallel: parallel, NoRetain: noRetain})
+			}
+		}
+	}
+	variants = append(variants, Request{SharedScan: true, MemBudget: 16 << 10})
+	degraded := 0
 
 	for trial := 0; trial < 15; trial++ {
 		// Random required sets.
@@ -97,19 +117,29 @@ func TestQuickRandomPlanShapesExecuteCorrectly(t *testing.T) {
 		if err := p.Validate(sets); err != nil {
 			t.Fatalf("trial %d: invalid plan: %v", trial, err)
 		}
-		report, err := NewExecutor(e.Catalog()).ExecutePlan(p, nil, nil)
-		if err != nil {
-			t.Fatalf("trial %d: execute: %v\n%s", trial, err, p)
+		for _, req := range variants {
+			report, err := NewExecutor(e.Catalog()).ExecutePlanWith(p, req, size, Hooks{})
+			if err != nil {
+				t.Fatalf("trial %d, %s: execute: %v\n%s", trial, knobs(req), err, p)
+			}
+			assertResultsMatch(t, tb, sets, report.Results)
+			if req.NoRetain && report.TempTables != 0 {
+				t.Errorf("trial %d, %s: kept %d temp tables", trial, knobs(req), report.TempTables)
+			}
+			if req.MemBudget > 0 {
+				degraded += len(report.Degradations)
+			}
 		}
-		assertResultsMatch(t, tb, sets, report.Results)
-
-		// The same plan under shared-scan execution must agree too.
-		report2, err := NewExecutor(e.Catalog()).ExecutePlanWith(p, nil, nil, ExecOptions{SharedScan: true})
-		if err != nil {
-			t.Fatalf("trial %d: shared execute: %v", trial, err)
-		}
-		assertResultsMatch(t, tb, sets, report2.Results)
 	}
+	if degraded == 0 {
+		t.Error("the budgeted runs never degraded; the budget exercises nothing")
+	}
+}
+
+// knobs names a differential variant's execution knobs.
+func knobs(req Request) string {
+	return fmt.Sprintf("shared=%t parallel=%t noRetain=%t budget=%d",
+		req.SharedScan, req.Parallel, req.NoRetain, req.MemBudget)
 }
 
 // TestPlanStorageAccounting verifies the executor records a positive peak

@@ -85,22 +85,27 @@ type Request struct {
 	// storage budget). Model/NAggs/SizeFn fields are filled in by Run.
 	Core core.Options
 	// SharedScan enables the §5.1 shared-scan execution technique: sibling
-	// Group Bys run in one pass over their common parent.
+	// Group Bys (consecutive schedule steps from one parent) run in one pass
+	// over their common parent. Index fast paths and CUBE/ROLLUP nodes run
+	// alone regardless.
 	SharedScan bool
-	// Parallel executes independent sub-plans concurrently.
+	// Parallel executes independent sub-plans (trees off the base relation)
+	// concurrently, at most GOMAXPROCS at once, each with private temps.
 	Parallel bool
-	// Parallelism caps the workers inside one Group By operator
-	// (0 = off, negative = GOMAXPROCS; see ExecOptions.Parallelism).
+	// Parallelism caps the workers inside one Group By operator: 0 = off,
+	// negative = GOMAXPROCS. Inputs below the exec size cutoff and index fast
+	// paths stay sequential.
 	Parallelism int
-	// Context cancels or deadlines execution (see ExecOptions.Context). Nil
-	// means context.Background().
+	// Context cancels or deadlines execution within one row block's worth of
+	// work, dropping every temp table. Nil means context.Background().
 	Context context.Context
-	// MemBudget bounds execution working memory in bytes with graceful
-	// degradation (see ExecOptions.MemBudget). 0 means unlimited. When a
-	// result cache is configured it participates in this budget: the cache is
-	// shrunk to at most half the budget up front and its residency is
-	// subtracted from what execution may use, so under pressure cached results
-	// are evicted before operators degrade.
+	// MemBudget bounds the bytes of execution working state held at once
+	// (hash and dense tables, accumulators, sort permutations, temps) with
+	// graceful degradation recorded in ExecReport.Degradations; 0 means
+	// unlimited. When a result cache is configured it participates in this
+	// budget: the cache is shrunk to at most half the budget up front and its
+	// residency is subtracted from what execution may use, so under pressure
+	// cached results are evicted before operators degrade.
 	MemBudget int64
 	// UseCache serves and populates the engine's cross-query result cache for
 	// this request (no-op when no cache is configured via SetCache). Tables
@@ -301,7 +306,7 @@ func markOrigins(rep *ExecReport, sets []colset.Set, origin SetOrigin) {
 
 // runDirect plans and executes a request without consulting the cache.
 // promote, when non-nil, observes materialized temps as they are dropped
-// (see ExecOptions.PromoteTemp); the cached path uses it to collect
+// (see Hooks.PromoteTemp); the cached path uses it to collect
 // promotion candidates.
 func (e *Engine) runDirect(req Request, promote func(colset.Set, []exec.Agg, *table.Table)) (*RunResult, error) {
 	p, st, model, err := e.Plan(req)
@@ -316,14 +321,7 @@ func (e *Engine) runDirect(req Request, promote func(colset.Set, []exec.Agg, *ta
 	if nAggs == 0 {
 		nAggs = 1
 	}
-	report, err := e.exec.ExecutePlanWith(p, req.Aggs, e.sizeFn(env, nAggs), ExecOptions{
-		SharedScan:  req.SharedScan,
-		PerSetAggs:  req.PerSetAggs,
-		Parallel:    req.Parallel,
-		Parallelism: req.Parallelism,
-		Context:     req.Context,
-		MemBudget:   req.MemBudget,
-		NoRetain:    req.NoRetain,
+	report, err := e.exec.ExecutePlanWith(p, req, e.sizeFn(env, nAggs), Hooks{
 		PromoteTemp: promote,
 		NDVFn: func(s colset.Set) float64 {
 			// Cached-only lookup: the planner's sizeFn has already built

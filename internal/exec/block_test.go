@@ -64,7 +64,7 @@ func TestKernelBlockBoundaries(t *testing.T) {
 				{GroupCols: groupCols, Aggs: aggs, OutName: "g"},
 				{GroupCols: groupCols, Aggs: aggs, OutName: "g", SizeHint: 35},
 			}
-			outs, _, err := GroupByHashMultiGov(gov, src, queries, 1)
+			outs, _, err := sharedScan(gov, src, queries, 1)
 			if err != nil {
 				t.Fatalf("shared scan: %v", err)
 			}

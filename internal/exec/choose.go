@@ -132,40 +132,82 @@ type AdaptiveHints struct {
 	Workers int
 }
 
-// GroupByAdaptiveGov runs the per-node kernel chooser and dispatches to the
-// chosen kernel. It is the single entry point the engine (and the kernel
-// benchmark) uses, so measured adaptive behaviour is engine behaviour. The
-// returned stats name the kernel that actually ran, the chooser's reason, and
-// any budget-rejected fallbacks. A dense pick whose table met a code outside
-// its column's dictionary widened to a hashed key mode and reports hash.
-func GroupByAdaptiveGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, hints AdaptiveHints) (*table.Table, KernelStats, error) {
-	choice := ChooseKernel(ChooserInput{
+// pick is the one kernel-pick step behind every adaptive entry point: it
+// builds the chooser's input for query q over t from the caller's hints and
+// the governor's budget, and runs the chooser.
+func pick(gov *Gov, t *table.Table, q MultiQuery, hints AdaptiveHints) KernelChoice {
+	return ChooseKernel(ChooserInput{
 		Rows:           t.NumRows(),
-		GroupCols:      len(groupCols),
+		GroupCols:      len(q.GroupCols),
 		NDV:            hints.NDV,
-		DenseDomain:    DenseDomain(t, groupCols),
+		DenseDomain:    DenseDomain(t, q.GroupCols),
 		Workers:        hints.Workers,
 		HashStateBytes: hints.HashStateBytes,
-		NAggs:          len(aggs),
+		NAggs:          len(q.Aggs),
 		Budget:         gov.Budget(),
 	})
-	if choice.Kind == KernelSort {
-		out, err := GroupBySortGov(gov, t, groupCols, aggs, outName)
-		ks := KernelStats{Kind: KernelSort, Workers: 1, Reason: choice.Reason, Fallbacks: choice.Fallbacks}
-		if out != nil {
-			ks.Groups = out.NumRows()
-		}
-		return out, ks, err
-	}
-	q := MultiQuery{GroupCols: groupCols, Aggs: aggs, OutName: outName, SizeHint: choice.SizeHint, dense: choice.Kind == KernelDense}
-	outs, stats, err := groupBy(gov, t, []MultiQuery{q}, choice.Workers)
+}
+
+// GroupByAdaptiveGov runs the per-node kernel chooser and dispatches to the
+// chosen kernel: the batch of one of GroupByAdaptiveMultiGov. The kernel
+// benchmark calls it, so measured adaptive behaviour is engine behaviour.
+func GroupByAdaptiveGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, outName string, hints AdaptiveHints) (*table.Table, KernelStats, error) {
+	q := MultiQuery{GroupCols: groupCols, Aggs: aggs, OutName: outName}
+	outs, stats, err := GroupByAdaptiveMultiGov(gov, t, []MultiQuery{q}, []AdaptiveHints{hints})
 	if err != nil {
-		return nil, KernelStats{Kind: choice.Kind, Workers: choice.Workers, Fallbacks: choice.Fallbacks}, err
+		return nil, KernelStats{}, err
 	}
-	ks := stats[0]
-	ks.Reason, ks.Fallbacks = choice.Reason, choice.Fallbacks
-	if choice.Kind == KernelDense && ks.Kind != KernelDense {
-		ks.Reason = "dense guard: a key code exceeds its dictionary size; widened to hash"
+	return outs[0], stats[0], nil
+}
+
+// GroupByAdaptiveMultiGov computes every query in one read of t — the §5.1
+// shared scan, of which a single query is the batch of one — each on the
+// kernel the chooser picks for it from hints[i] (see pick). Dense and hashed
+// picks share the scan, which runs at the largest worker count any pick was
+// given; a query the budget sends to sort aggregation leaves the scan and
+// sorts alone. Results and stats are in query order. Each query's stats name
+// the kernel that actually ran, the chooser's reason, and any budget-rejected
+// fallbacks; a dense pick whose table met a code outside its column's
+// dictionary widened to a hashed key mode and reports hash.
+func GroupByAdaptiveMultiGov(gov *Gov, t *table.Table, queries []MultiQuery, hints []AdaptiveHints) ([]*table.Table, []KernelStats, error) {
+	if len(queries) == 0 {
+		return nil, nil, nil
 	}
-	return outs[0], ks, nil
+	if err := validateMulti(t, queries); err != nil {
+		return nil, nil, err
+	}
+	outs := make([]*table.Table, len(queries))
+	stats := make([]KernelStats, len(queries))
+	choices := make([]KernelChoice, len(queries))
+	var scan []MultiQuery
+	var at []int // scan[j] is queries[at[j]]
+	w := 1
+	for i, q := range queries {
+		c := pick(gov, t, q, hints[i])
+		choices[i] = c
+		if c.Kind == KernelSort {
+			out, err := GroupBySortGov(gov, t, q.GroupCols, q.Aggs, q.OutName)
+			if err != nil {
+				return nil, nil, err
+			}
+			outs[i] = out
+			stats[i] = KernelStats{Kind: KernelSort, Workers: 1, Groups: out.NumRows(), Reason: c.Reason, Fallbacks: c.Fallbacks}
+			continue
+		}
+		q.SizeHint, q.dense = c.SizeHint, c.Kind == KernelDense
+		scan, at = append(scan, q), append(at, i)
+		w = max(w, c.Workers)
+	}
+	scanned, scanStats, err := groupBy(gov, t, scan, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, i := range at {
+		outs[i], stats[i] = scanned[j], scanStats[j]
+		stats[i].Reason, stats[i].Fallbacks = choices[i].Reason, choices[i].Fallbacks
+		if choices[i].Kind == KernelDense && stats[i].Kind != KernelDense {
+			stats[i].Reason = "dense guard: a key code exceeds its dictionary size; widened to hash"
+		}
+	}
+	return outs, stats, nil
 }

@@ -111,7 +111,7 @@ func TestCancelParallelMorselDeterministic(t *testing.T) {
 	})
 	defer Testing.ClearFailPoint()
 	budget := NewMemBudget(0)
-	_, _, err := GroupByHashMultiGov(NewGov(ctx, budget), tb, []MultiQuery{{GroupCols: []int{2}, Aggs: allAggKinds(), OutName: "g"}}, 4)
+	_, _, err := sharedScan(NewGov(ctx, budget), tb, []MultiQuery{{GroupCols: []int{2}, Aggs: allAggKinds(), OutName: "g"}}, 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -137,7 +137,7 @@ func TestCancelConcurrentRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, errs[i] = GroupByHashMultiGov(NewGov(ctx, budget), tb, []MultiQuery{{GroupCols: []int{2}, Aggs: allAggKinds(), OutName: "g"}}, 3)
+			_, _, errs[i] = sharedScan(NewGov(ctx, budget), tb, []MultiQuery{{GroupCols: []int{2}, Aggs: allAggKinds(), OutName: "g"}}, 3)
 		}(i)
 		if i%2 == 0 {
 			cancel() // races against the run: both outcomes are legal
@@ -169,7 +169,7 @@ func TestFaultWorkerPanicYieldsExecError(t *testing.T) {
 	})
 	defer Testing.ClearFailPoint()
 	budget := NewMemBudget(0)
-	_, _, err := GroupByHashMultiGov(NewGov(context.Background(), budget), tb, []MultiQuery{{GroupCols: []int{0, 1}, Aggs: allAggKinds(), OutName: "g"}}, 4)
+	_, _, err := sharedScan(NewGov(context.Background(), budget), tb, []MultiQuery{{GroupCols: []int{0, 1}, Aggs: allAggKinds(), OutName: "g"}}, 4)
 	var ee *ExecError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *ExecError", err, err)
@@ -226,7 +226,7 @@ func TestBudgetChargesReleasedAfterRuns(t *testing.T) {
 	if budget.Peak() == peak {
 		t.Fatal("sort run charged nothing")
 	}
-	if _, _, err := GroupByHashMultiGov(gov, tb, []MultiQuery{
+	if _, _, err := sharedScan(gov, tb, []MultiQuery{
 		{GroupCols: []int{0}, Aggs: []Agg{CountStar()}, OutName: "a"},
 		{GroupCols: []int{1, 2}, Aggs: allAggKinds(), OutName: "b"},
 	}, 1); err != nil {

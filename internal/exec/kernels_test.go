@@ -149,7 +149,7 @@ func TestKernelsByteIdenticalToHash(t *testing.T) {
 				check("dense-par", out, err)
 			}
 
-			outs, _, err := GroupByHashMultiGov(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g"}}, 4)
+			outs, _, err := sharedScan(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g"}}, 4)
 			check("parallel-hash", outs[0], err)
 
 			// The adaptive entry point must agree too, whatever rung it picks.
@@ -224,7 +224,7 @@ func TestKernelFailpointsSurfaceTypedErrors(t *testing.T) {
 			return err
 		}},
 		{"exec.share.worker", "share worker", func(gov *Gov) error {
-			_, _, err := GroupByHashMultiGov(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g"}}, 4)
+			_, _, err := sharedScan(gov, src, []MultiQuery{{GroupCols: groupCols, Aggs: aggs, OutName: "g"}}, 4)
 			return err
 		}},
 	}

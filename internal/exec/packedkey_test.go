@@ -154,7 +154,7 @@ func TestKernelPackedKeyMatchesWide(t *testing.T) {
 				out, err := GroupByHashGov(gov, src, q.GroupCols, q.Aggs, "g")
 				check("hash", qi, out, err)
 			}
-			outs, _, err := GroupByHashMultiGov(gov, src, queries, 1)
+			outs, _, err := sharedScan(gov, src, queries, 1)
 			if err != nil {
 				t.Fatalf("shared scan: %v", err)
 			}
@@ -278,7 +278,7 @@ func TestKernelPackedKeyGuardNeverMerges(t *testing.T) {
 			out, err := GroupByHashGov(gov, src, cols, aggs, "g")
 			checkKeyCounts(t, "hash", src, out, err)
 			q := []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "g"}}
-			outs, _, err := GroupByHashMultiGov(gov, src, q, 1)
+			outs, _, err := sharedScan(gov, src, q, 1)
 			if err != nil {
 				t.Fatalf("shared scan: %v", err)
 			}
@@ -364,7 +364,7 @@ func TestKernelWidensInsideOneShare(t *testing.T) {
 			if ks.Kind != KernelHash || ks.Workers != w || !strings.Contains(ks.Reason, "dense guard") {
 				t.Errorf("adaptive: ran %v on %d workers (%s), want a widened dense pick on %d", ks.Kind, ks.Workers, ks.Reason, w)
 			}
-			outs, stats, err := GroupByHashMultiGov(gov, src, []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "g"}}, w)
+			outs, stats, err := sharedScan(gov, src, []MultiQuery{{GroupCols: cols, Aggs: aggs, OutName: "g"}}, w)
 			if err != nil {
 				t.Fatalf("shared scan: %v", err)
 			}

@@ -192,7 +192,7 @@ func TestParallelEntryPointsCutoff(t *testing.T) {
 
 	big := mkParTable(3*shareMinRows, 40, 12)
 	aggs := []Agg{CountStar(), {Kind: AggAvg, Col: 3, Name: "ax"}}
-	outs, stats, err := GroupByHashMultiGov(nil, big, []MultiQuery{{GroupCols: []int{0}, Aggs: aggs, OutName: "g"}}, 8)
+	outs, stats, err := sharedScan(nil, big, []MultiQuery{{GroupCols: []int{0}, Aggs: aggs, OutName: "g"}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestParallelEntryPointsCutoff(t *testing.T) {
 	}
 	assertTablesIdentical(t, outs[0], GroupByHash(big, []int{0}, aggs, "g"))
 
-	outs, stats, err = GroupByHashMultiGov(nil, big, []MultiQuery{{GroupCols: []int{1}, Aggs: []Agg{CountStar()}, OutName: "q"}}, 8)
+	outs, stats, err = sharedScan(nil, big, []MultiQuery{{GroupCols: []int{1}, Aggs: []Agg{CountStar()}, OutName: "q"}}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestGroupByIdenticalAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %#x: %v", tc.name, seed, err)
 			}
-			shared, _, err := GroupByHashMultiGov(gov, tc.src, q, 1)
+			shared, _, err := sharedScan(gov, tc.src, q, 1)
 			if err != nil {
 				t.Fatalf("%s seed %#x: shared scan: %v", tc.name, seed, err)
 			}

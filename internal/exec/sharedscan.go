@@ -11,7 +11,8 @@ type MultiQuery struct {
 	Aggs      []Agg
 	OutName   string
 	// SizeHint, when > 0, presizes this query's group table for that many
-	// expected groups (see newGroupHash).
+	// expected groups (see newGroupHash). The adaptive entry points set it
+	// from the chooser's pick.
 	SizeHint int
 	// dense starts this query's group table in dense mode: the kernel
 	// chooser's pick, set by the entry points that run it.
@@ -52,41 +53,18 @@ func (st *queryState) observe(lo int, rows []int32) {
 // the shared-scan technique of §5.1 ("the basic ideas is to take advantage
 // of commonality across Group By queries using techniques such as shared
 // scans…", PipeHash-style): every row is read once and fed to each query's
-// hash aggregate, so the table's row width is paid once instead of once per
-// query. Results are returned in query order. A malformed request (group or
-// aggregate column out of range) returns an error.
+// aggregate, so the table's row width is paid once instead of once per
+// query. It is the ungoverned, sequential GroupByAdaptiveMultiGov, with each
+// query's SizeHint as its NDV estimate. Results are returned in query order.
+// A malformed request (group or aggregate column out of range) returns an
+// error.
 func GroupByHashMulti(t *table.Table, queries []MultiQuery) ([]*table.Table, error) {
-	outs, _, err := GroupByHashMultiGov(nil, t, queries, 1)
-	return outs, err
-}
-
-// GroupByHashMultiGov is the governed shared scan: context polled every
-// cancelCheckRows rows, per-query group tables charged against the budget,
-// and the scan split across up to workers contiguous shares (see groupBy;
-// inputs under the per-worker row floor run sequentially). Each query keeps
-// its own kernel pick: ChooseKernel decides its starting key mode (dense or
-// hashed) from the inputs GroupByAdaptiveGov gives it, with SizeHint as the
-// NDV estimate. It returns per-query kernel stats — kind, groups, workers,
-// merge time and rehashes avoided by SizeHint presizing — so the engine can
-// attribute shared-scan nodes.
-func GroupByHashMultiGov(gov *Gov, t *table.Table, queries []MultiQuery, workers int) ([]*table.Table, []KernelStats, error) {
-	if err := validateMulti(t, queries); err != nil {
-		return nil, nil, err
-	}
-	picked := make([]MultiQuery, len(queries))
+	hints := make([]AdaptiveHints, len(queries))
 	for i, q := range queries {
-		q.dense = ChooseKernel(ChooserInput{
-			Rows:        t.NumRows(),
-			GroupCols:   len(q.GroupCols),
-			NDV:         float64(q.SizeHint),
-			DenseDomain: DenseDomain(t, q.GroupCols),
-			Workers:     workers,
-			NAggs:       len(q.Aggs),
-			Budget:      gov.Budget(),
-		}).Kind == KernelDense
-		picked[i] = q
+		hints[i].NDV = float64(q.SizeHint)
 	}
-	return groupBy(gov, t, picked, effectiveWorkers(t.NumRows(), workers))
+	outs, _, err := GroupByAdaptiveMultiGov(nil, t, queries, hints)
+	return outs, err
 }
 
 // validateMulti rejects malformed shared-scan requests with an error the

@@ -2,7 +2,20 @@ package exec
 
 import (
 	"testing"
+
+	"gbmqo/internal/table"
 )
+
+// sharedScan runs queries in one governed scan of src through the adaptive
+// batch entry at a worker budget of w, each query's SizeHint as its NDV
+// estimate.
+func sharedScan(gov *Gov, src *table.Table, queries []MultiQuery, w int) ([]*table.Table, []KernelStats, error) {
+	hints := make([]AdaptiveHints, len(queries))
+	for i, q := range queries {
+		hints[i] = AdaptiveHints{NDV: float64(q.SizeHint), Workers: w}
+	}
+	return GroupByAdaptiveMultiGov(gov, src, queries, hints)
+}
 
 func TestGroupByHashMultiMatchesIndividual(t *testing.T) {
 	tb := mkTable(3000, 31)
