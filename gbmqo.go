@@ -348,15 +348,19 @@ type QueryOptions struct {
 	// holds on every entry point, SQL statements and pushed-down joins
 	// included.
 	SharedScan bool
-	// Parallel executes independent sub-plans concurrently (one goroutine per
-	// sub-plan, bounded by GOMAXPROCS).
+	// Parallel executes independent sub-plans concurrently, one goroutine
+	// each, longest first. Sub-plans and Parallelism's share workers draw
+	// from one pool of GOMAXPROCS worker tokens per request, so at most
+	// GOMAXPROCS of them scan at once.
 	Parallel bool
-	// Parallelism caps the workers used *inside* one Group By operator
-	// (intra-operator parallel hash aggregation; composes with Parallel's
-	// inter-sub-plan concurrency): 0 disables it, negative selects GOMAXPROCS,
-	// positive values are used as-is. Inputs below the engine's size cutoff
-	// stay sequential regardless, so small temp-table re-aggregations never
-	// pay parallel overhead.
+	// Parallelism caps the shares *inside* one Group By operator
+	// (intra-operator parallel aggregation): 0 disables it, negative selects
+	// GOMAXPROCS, positive values cap it. A node splits only as far as each
+	// share reads at least 16 384 rows and enough rows to pay for merging
+	// its estimated groups, so small temp-table re-aggregations and
+	// near-unique keys stay sequential. Shares beyond the first start only
+	// on worker tokens idle at that moment (see Parallel), so a value above
+	// GOMAXPROCS does not oversubscribe the host.
 	Parallelism int
 	// Context cancels or deadlines execution: operator loops poll it at every
 	// row-block boundary, so cancellation takes effect within one block's

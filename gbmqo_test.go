@@ -2,6 +2,7 @@ package gbmqo
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -351,7 +352,9 @@ func TestQueryOptionsPlumbed(t *testing.T) {
 // one QueryOptions → request mapping: the same options produce shared scans
 // and parallel operators whichever door the query came through. Naive,
 // so all four sets are siblings under the base table and one shared scan can
-// hold them all; 40 000 rows, so the scan is above the parallel cutoff.
+// hold them all; 40 000 rows, so the scan is above the parallel cutoff. A
+// share beyond the first needs a spare token of the run's GOMAXPROCS-sized
+// worker pool, so operators run parallel exactly when GOMAXPROCS > 1.
 func TestEntryPointsHonourEveryKnob(t *testing.T) {
 	db := openWithLineitem(t, 40000)
 	dim := NewTable("modes", []ColumnDef{{Name: "mode", Typ: String}})
@@ -395,7 +398,7 @@ func TestEntryPointsHonourEveryKnob(t *testing.T) {
 				shared++
 			}
 		}
-		if shared != len(cols) || rep.ParallelOps == 0 {
+		if shared != len(cols) || (rep.ParallelOps > 0) != (runtime.GOMAXPROCS(0) > 1) {
 			t.Errorf("%s: %d of %d nodes ran as a shared scan, ParallelOps=%d; SharedScan and Parallelism were dropped on the way",
 				door, shared, len(cols), rep.ParallelOps)
 		}

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"gbmqo/internal/cache"
@@ -100,7 +101,8 @@ type KernelUse struct {
 	// Rows is the operator's input row count; Groups its output group count.
 	Rows   int
 	Groups int
-	// Workers is the parallel worker count the kernel used (1 = sequential).
+	// Workers is the number of shares the kernel's scan ran (1 =
+	// sequential); the run's worker pool may hold it below the pick's.
 	Workers int
 	// RehashesAvoided counts grow() doublings the NDV presize skipped.
 	RehashesAvoided int
@@ -168,11 +170,12 @@ type ExecReport struct {
 	TempTables int
 	// PeakTempBytes is the maximum bytes held by live temp tables.
 	PeakTempBytes float64
-	// ParallelOps counts Group By operators that ran on the parallel
-	// path (operators under the size cutoff fall back to sequential and are
-	// not counted).
+	// ParallelOps counts Group By operators whose scan ran on more than one
+	// share. Operators under the split floor, and operators whose extra
+	// shares found no idle worker token, ran sequentially and are not
+	// counted.
 	ParallelOps int
-	// MaxWorkers is the largest worker count any operator used.
+	// MaxWorkers is the largest number of shares any operator ran.
 	MaxWorkers int
 	// MergeTime totals the wall time parallel operators spent merging
 	// worker-local group tables into final results.
@@ -391,7 +394,7 @@ type planRun struct {
 	// defaulted to COUNT(*); hooks the callbacks.
 	req    Request
 	hooks  Hooks
-	par    int // intra-operator worker budget (≤1 = sequential)
+	par    int // most shares one operator may ask for (≤1 = sequential)
 	gov    *exec.Gov
 	budget *exec.MemBudget
 	size   plan.SizeFn
@@ -413,7 +416,8 @@ type planRun struct {
 }
 
 // newPlanRun builds the state of one plan execution over base: the request's
-// knobs resolved into a worker budget, a governor and its memory budget.
+// knobs resolved into a per-operator worker budget, and a governor with its
+// memory budget and the run's pool of GOMAXPROCS worker tokens.
 func newPlanRun(ex *Executor, base *table.Table, req Request, size plan.SizeFn, hooks Hooks) *planRun {
 	if len(req.Aggs) == 0 {
 		req.Aggs = []exec.Agg{exec.CountStar()}
@@ -428,7 +432,7 @@ func newPlanRun(ex *Executor, base *table.Table, req Request, size plan.SizeFn, 
 		req:    req,
 		hooks:  hooks,
 		par:    exec.ResolveWorkers(req.Parallelism),
-		gov:    exec.NewGov(req.Context, budget),
+		gov:    exec.NewRunGov(req.Context, budget, runtime.GOMAXPROCS(0)),
 		budget: budget,
 		size:   size,
 	}).segment()

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -192,7 +193,9 @@ func TestFaultStepPanicIsolated(t *testing.T) {
 
 // TestFaultWorkerPanicSurfacesThroughEngine injects a panic into a parallel
 // worker during a parallel plan execution and requires it to surface as a
-// *ExecError carrying both the worker step and the plan node.
+// *ExecError carrying both the worker step and the plan node. Shares need a
+// spare token of the run's GOMAXPROCS-sized pool: with one token no share
+// starts, the site never fires and the run succeeds.
 func TestFaultWorkerPanicSurfacesThroughEngine(t *testing.T) {
 	e, _ := newTestEngine(t, 40000)
 	p, _, _, err := e.Plan(Request{Table: "lineitem", Sets: govSets()})
@@ -207,6 +210,12 @@ func TestFaultWorkerPanicSurfacesThroughEngine(t *testing.T) {
 	})
 	defer exec.Testing.ClearFailPoint()
 	_, err = e.exec.ExecutePlanWith(p, Request{Parallelism: 4}, nil, Hooks{})
+	if runtime.GOMAXPROCS(0) == 1 {
+		if err != nil || fired.Load() != 0 {
+			t.Fatalf("one-token pool: err = %v after %d share starts, want success and none", err, fired.Load())
+		}
+		return
+	}
 	var ee *exec.ExecError
 	if !errors.As(err, &ee) {
 		t.Fatalf("err = %v (%T), want *ExecError", err, err)

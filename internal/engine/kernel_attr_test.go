@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gbmqo/internal/colset"
+	"gbmqo/internal/datagen"
 	"gbmqo/internal/stats"
 	"gbmqo/internal/table"
 )
@@ -96,11 +97,15 @@ func TestKernelSequentialLadder(t *testing.T) {
 // TestKernelFallbackDegradation pins the admission ladder: a budget too small
 // for the dense kernel's per-worker arrays must record a kernel-fallback
 // degradation and still complete on a lower rung with correct results.
+// {l_shipdate, l_commitdate} is the multi-share dense pick: 840 groups leave
+// 70 000 rows above the split floor at four shares, and its 15 367-slot
+// domain needs five arrays, about 380 KiB.
 func TestKernelFallbackDegradation(t *testing.T) {
 	e, li := newTestEngine(t, 70000)
+	sets := append(govSets(), colset.Of(datagen.LShipDate, datagen.LCommitDate))
 	res, err := e.Run(Request{
 		Table:       "lineitem",
-		Sets:        govSets(),
+		Sets:        sets,
 		Strategy:    StrategyGBMQO,
 		Parallelism: 4,
 		MemBudget:   200 << 10,
@@ -121,7 +126,7 @@ func TestKernelFallbackDegradation(t *testing.T) {
 		t.Fatalf("no kernel-fallback degradation under a 200KiB budget; got %v", res.Report.Degradations)
 	}
 	// Results must match an unconstrained sequential run exactly.
-	ref, err := e.Run(Request{Table: "lineitem", Sets: govSets(), Strategy: StrategyGBMQO})
+	ref, err := e.Run(Request{Table: "lineitem", Sets: sets, Strategy: StrategyGBMQO})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -11,27 +11,33 @@ import (
 )
 
 // runSegments runs the schedule's segments — the whole schedule as one, or
-// under Parallel one per sub-plan — each in its own planRun (see segment), at
-// most GOMAXPROCS at once, and merges their reports into r's. Schedule emits
-// each sub-plan's steps contiguously, and sub-plans share no intermediates
-// (grouping sets are unique across the plan), so segments share only the
-// governor and memory budget: cancellation stops every segment and PeakMem
-// reflects true concurrent usage.
+// under Parallel one per sub-plan — each in its own planRun (see segment),
+// and merges their reports into r's in schedule order. Segments and the
+// operators' extra shares draw from one pool of worker tokens (the run's
+// Gov): one dispatch loop waits for a token before each segment starts and
+// hands it to the segment's goroutine, longest segment first (see
+// dispatchOrder), so a long sub-plan does not start last and finish alone.
+// Schedule emits each sub-plan's steps contiguously, and sub-plans share no
+// intermediates (grouping sets are unique across the plan), so segments
+// share only the governor and memory budget: cancellation stops every
+// segment and PeakMem reflects true concurrent usage.
 func (r *planRun) runSegments(p *plan.Plan, segments [][]plan.Step) (*ExecReport, error) {
 	type result struct {
 		report *ExecReport
 		err    error
 	}
 	results := make([]result, len(segments))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i, seg := range segments {
+	for _, i := range r.dispatchOrder(segments) {
+		if err := r.gov.Take(); err != nil {
+			results[i].err = err
+			break
+		}
 		wg.Add(1)
 		go func(i int, seg []plan.Step) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+			defer r.gov.Release(1)
 			run := r.segment()
 			// A panic inside this segment must not kill the process: recover
 			// it here (ExecutePlanWith's boundary recover does not reach this
@@ -49,7 +55,7 @@ func (r *planRun) runSegments(p *plan.Plan, segments [][]plan.Step) (*ExecReport
 				run.releaseAll()
 			}
 			results[i] = result{report: run.report, err: err}
-		}(i, seg)
+		}(i, segments[i])
 	}
 	wg.Wait()
 
@@ -86,6 +92,37 @@ func (r *planRun) runSegments(p *plan.Plan, segments [][]plan.Step) (*ExecReport
 	r.finish()
 	annotateKernels(p, merged)
 	return merged, nil
+}
+
+// dispatchOrder returns the segments' indices longest first (ties in
+// schedule order). A segment's length is the sum, over its compute steps, of
+// the rows the step reads — the base relation's, or its parent's estimated
+// groups — plus the groups it produces. Group counts come from the NDV
+// estimates the planner already built (Hooks.NDVFn), so ordering never
+// profiles; without them the schedule order stands.
+func (r *planRun) dispatchOrder(segments [][]plan.Step) []int {
+	order := make([]int, len(segments))
+	for i := range order {
+		order[i] = i
+	}
+	if len(segments) < 2 || r.hooks.NDVFn == nil {
+		return order
+	}
+	work := make([]float64, len(segments))
+	for i, seg := range segments {
+		for _, s := range seg {
+			if s.Kind != plan.StepCompute {
+				continue
+			}
+			rows := float64(r.base.NumRows())
+			if s.Parent != nil {
+				rows = r.hooks.NDVFn(s.Parent.Set)
+			}
+			work[i] += rows + r.hooks.NDVFn(s.Node.Set)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return work[order[a]] > work[order[b]] })
+	return order
 }
 
 // splitByRoot cuts the schedule at every base-level computation (Parent ==

@@ -90,11 +90,14 @@ type Request struct {
 	// alone regardless.
 	SharedScan bool
 	// Parallel executes independent sub-plans (trees off the base relation)
-	// concurrently, at most GOMAXPROCS at once, each with private temps.
+	// concurrently, each with private temps, longest first. A run's
+	// sub-plans and operator shares draw from one pool of GOMAXPROCS worker
+	// tokens (see exec.NewRunGov), so at most GOMAXPROCS of them run at once.
 	Parallel bool
-	// Parallelism caps the workers inside one Group By operator: 0 = off,
-	// negative = GOMAXPROCS. Inputs below the exec size cutoff and index fast
-	// paths stay sequential.
+	// Parallelism caps the shares inside one Group By operator: 0 = off,
+	// negative = GOMAXPROCS. Inputs below the exec split floor (see
+	// exec.ChooseKernel) and index fast paths stay sequential, and shares
+	// beyond the first start only on idle tokens of the run's pool.
 	Parallelism int
 	// Context cancels or deadlines execution within one row block's worth of
 	// work, dropping every temp table. Nil means context.Background().

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -60,4 +61,47 @@ func BenchmarkHashDateKey(b *testing.B) {
 		GroupByHash(li, cols, aggs, "g")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(li.NumRows()), "ns/row")
+}
+
+// BenchmarkShareSplitSweep times Group Bys over the 100k-row lineitem at one
+// and two shares, on grouping sets whose group counts sweep from a handful to
+// one per row, each in the key mode the sequential chooser picks. It is the
+// measurement behind mergeRowsPerGroup: a second share pays while its scan
+// saving (rows/2 rows of scan) exceeds its merge (c rows of scan per group),
+// so the groups/rows ratio at which w=2 stops beating w=1 gives
+// c = rows / (2·groups). Regenerate with
+//
+//	go test ./internal/exec -run '^$' -bench ShareSplitSweep -benchtime 20x -count 5
+//
+// and record the table in EXPERIMENTS.md. groups is reported beside ns/op.
+func BenchmarkShareSplitSweep(b *testing.B) {
+	li := benchLineitem(b)
+	sets := [][]int{
+		{datagen.LReturnFlag, datagen.LLineStatus},
+		{datagen.LShipMode, datagen.LQuantity},
+		{datagen.LShipDate},
+		{datagen.LLineNumber, datagen.LShipDate},
+		{datagen.LShipInstruct, datagen.LShipMode, datagen.LCommitDate},
+		{datagen.LLineNumber, datagen.LReturnFlag, datagen.LCommitDate, datagen.LReceiptDate},
+		{datagen.LSuppKey, datagen.LLineNumber},
+		{datagen.LPartKey},
+		{datagen.LComment},
+	}
+	aggs := []Agg{CountStar()}
+	for _, cols := range sets {
+		groups := GroupByHash(li, cols, aggs, "g").NumRows()
+		c := ChooseKernel(ChooserInput{Rows: li.NumRows(), GroupCols: len(cols), NDV: float64(groups),
+			DenseDomain: DenseDomain(li, cols), Workers: 1, NAggs: len(aggs)})
+		q := MultiQuery{GroupCols: cols, Aggs: aggs, OutName: "g", SizeHint: c.SizeHint, dense: c.Kind == KernelDense}
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("cols=%v/groups=%d/%v/w=%d", cols, groups, c.Kind, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, _, err := groupBy(nil, li, []MultiQuery{q}, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(groups), "groups")
+			})
+		}
+	}
 }

@@ -22,9 +22,10 @@ type ChooserInput struct {
 	Rows int
 	// GroupCols is the number of grouping columns (0 = single global group).
 	GroupCols int
-	// NDV is the statistics estimate of the number of output groups, used
-	// only as the hash kernel's presize hint; 0 means unknown (no stats
-	// threaded), which disables the hint.
+	// NDV is the statistics estimate of the number of output groups: the
+	// hash kernel's presize hint and the merge term of the split floor (see
+	// effectiveWorkers); 0 means unknown (no stats threaded), which disables
+	// both.
 	NDV float64
 	// DenseDomain is Π(dictSize+1) over the group columns (see DenseDomain);
 	// 0 means inapplicable.
@@ -41,9 +42,11 @@ type ChooserInput struct {
 	Budget *MemBudget
 }
 
-// KernelChoice is the chooser's decision: the kernel to run, its worker
-// count, the hash presize hint, a human-readable reason, and any preferred
-// kernels the budget rejected on the way down the ladder.
+// KernelChoice is the chooser's decision: the kernel to run, the most shares
+// its scan may split into, the hash presize hint, a human-readable reason,
+// and any preferred kernels the budget rejected on the way down the ladder.
+// The shares that actually run depend on the worker pool at scan time (see
+// groupBy), so Reason names no worker count.
 type KernelChoice struct {
 	Kind      KernelKind
 	Workers   int
@@ -66,8 +69,11 @@ type KernelChoice struct {
 //     denseMinRows to amortize its per-worker arrays and merge;
 //  2. sort — when the budget cannot admit the hash kernel's estimated state
 //     (the degradation rung: O(rows) working state);
-//  3. hash — the default, presized from the NDV estimate and parallel when
-//     the worker budget and input size allow.
+//  3. hash — the default, presized from the NDV estimate.
+//
+// Every kernel but sort may split its scan into shares, as many as the
+// worker budget and the split floor allow (see effectiveWorkers): each share
+// must read enough rows to pay for merging the groups it may hold.
 //
 // Dense and hash are two key modes of one group table; the pick is the
 // table's starting mode.
@@ -79,7 +85,7 @@ func ChooseKernel(in ChooserInput) KernelChoice {
 		return KernelChoice{Kind: KernelHash, Workers: 1, Reason: "trivial input (no group columns or no rows)"}
 	}
 	var c KernelChoice
-	w := effectiveWorkers(in.Rows, in.Workers)
+	w := effectiveWorkers(in.Rows, in.Workers, in.NDV)
 
 	if (w == 1 || in.Rows >= denseMinRows) && in.DenseDomain > 0 && in.DenseDomain <= table.DenseBound(in.Rows) {
 		need := denseStateBytes(in.DenseDomain, w)
@@ -110,12 +116,9 @@ func ChooseKernel(in ChooserInput) KernelChoice {
 		}
 		c.SizeHint = hint
 	}
-	switch {
-	case w > 1:
-		c.Reason = fmt.Sprintf("parallel hash, %d workers (est. %.0f groups)", w, in.NDV)
-	case c.SizeHint > 0:
+	if c.SizeHint > 0 {
 		c.Reason = fmt.Sprintf("hash, presized for ~%d groups", c.SizeHint)
-	default:
+	} else {
 		c.Reason = "hash (default)"
 	}
 	return c
@@ -163,12 +166,15 @@ func GroupByAdaptiveGov(gov *Gov, t *table.Table, groupCols []int, aggs []Agg, o
 // GroupByAdaptiveMultiGov computes every query in one read of t — the §5.1
 // shared scan, of which a single query is the batch of one — each on the
 // kernel the chooser picks for it from hints[i] (see pick). Dense and hashed
-// picks share the scan, which runs at the largest worker count any pick was
-// given; a query the budget sends to sort aggregation leaves the scan and
-// sorts alone. Results and stats are in query order. Each query's stats name
-// the kernel that actually ran, the chooser's reason, and any budget-rejected
-// fallbacks; a dense pick whose table met a code outside its column's
-// dictionary widened to a hashed key mode and reports hash.
+// picks share the scan; a query the budget sends to sort aggregation leaves
+// the scan and sorts alone. The scan splits into at most the largest share
+// count any pick was given, under the split floor of the batch as a whole:
+// a row of the scan feeds every query and an extra share merges every
+// query's groups, so the floor's group term is the mean NDV of the scan's
+// queries. Results and stats are in query order. Each query's stats name the
+// kernel that actually ran, the shares that ran, the chooser's reason, and
+// any budget-rejected fallbacks; a dense pick whose table met a code outside
+// its column's dictionary widened to a hashed key mode and reports hash.
 func GroupByAdaptiveMultiGov(gov *Gov, t *table.Table, queries []MultiQuery, hints []AdaptiveHints) ([]*table.Table, []KernelStats, error) {
 	if len(queries) == 0 {
 		return nil, nil, nil
@@ -181,7 +187,7 @@ func GroupByAdaptiveMultiGov(gov *Gov, t *table.Table, queries []MultiQuery, hin
 	choices := make([]KernelChoice, len(queries))
 	var scan []MultiQuery
 	var at []int // scan[j] is queries[at[j]]
-	w := 1
+	w, groups := 1, 0.0
 	for i, q := range queries {
 		c := pick(gov, t, q, hints[i])
 		choices[i] = c
@@ -196,7 +202,10 @@ func GroupByAdaptiveMultiGov(gov *Gov, t *table.Table, queries []MultiQuery, hin
 		}
 		q.SizeHint, q.dense = c.SizeHint, c.Kind == KernelDense
 		scan, at = append(scan, q), append(at, i)
-		w = max(w, c.Workers)
+		w, groups = max(w, c.Workers), groups+hints[i].NDV
+	}
+	if len(scan) > 1 {
+		w = effectiveWorkers(t.NumRows(), w, groups/float64(len(scan)))
 	}
 	scanned, scanStats, err := groupBy(gov, t, scan, w)
 	if err != nil {
@@ -207,6 +216,9 @@ func GroupByAdaptiveMultiGov(gov *Gov, t *table.Table, queries []MultiQuery, hin
 		stats[i].Reason, stats[i].Fallbacks = choices[i].Reason, choices[i].Fallbacks
 		if choices[i].Kind == KernelDense && stats[i].Kind != KernelDense {
 			stats[i].Reason = "dense guard: a key code exceeds its dictionary size; widened to hash"
+		}
+		if ws := stats[i].Workers; ws > 1 {
+			stats[i].Reason = fmt.Sprintf("%s; %d parallel shares", stats[i].Reason, ws)
 		}
 	}
 	return outs, stats, nil

@@ -46,8 +46,10 @@ func TestChooseKernelGolden(t *testing.T) {
 		{rows: 100000, domain: 4096, workers: 4, ndv: 4000},
 		{rows: 100000, domain: 500000, workers: 4, ndv: 400000},
 		{rows: 100000, domain: 900000, workers: 4, ndv: 800000},
-		// Parallel high-NDV outside the dense domain: parallel hash, presized
-		// when stats are threaded.
+		// High-NDV outside the dense domain: hash, presized when stats are
+		// threaded, and parallel while the split floor allows (50 000 groups
+		// in 200 000 rows do not pay for a merge; unknown NDV leaves the row
+		// floor alone).
 		{rows: 200000, domain: 0, workers: 4, ndv: 50000},
 		{rows: 200000, domain: 0, workers: 4, ndv: 0},
 		{rows: 200000, domain: 0, workers: 4, ndv: 2000},
@@ -59,6 +61,12 @@ func TestChooseKernelGolden(t *testing.T) {
 		{rows: 200000, domain: 0, workers: 1, ndv: 50000, hashState: 1 << 10, limit: 1 << 20},
 		// Presize hint clamps to the row count.
 		{rows: 1000, domain: 0, workers: 1, ndv: 100000},
+		// The split floor: a share must read c·NDV rows, so NDV = rows never
+		// splits, and NDV ≤ rows/(c·w) keeps all w shares.
+		{rows: 100000, domain: 0, workers: 2, ndv: 100000},
+		{rows: 100000, domain: 0, workers: 2, ndv: 100000 / (mergeRowsPerGroup * 2)},
+		{rows: 100000, domain: 0, workers: 4, ndv: 100000 / (mergeRowsPerGroup * 4)},
+		{rows: 100000, domain: 0, workers: 4, ndv: 100000/(mergeRowsPerGroup*4) + 1},
 	}
 	var b strings.Builder
 	for _, p := range points {
@@ -104,7 +112,7 @@ func TestChooseKernelGolden(t *testing.T) {
 // sequential and takes dense over a small domain, and the parallel dense rung
 // keeps its row-count gate.
 func TestChooseKernelLadderSemantics(t *testing.T) {
-	base := ChooserInput{Rows: 200000, GroupCols: 2, NDV: 50000, Workers: 4, NAggs: 1}
+	base := ChooserInput{Rows: 200000, GroupCols: 2, NDV: 2000, Workers: 4, NAggs: 1}
 
 	tight := base
 	tight.DenseDomain = 64
@@ -117,7 +125,7 @@ func TestChooseKernelLadderSemantics(t *testing.T) {
 		t.Errorf("budget-rejected dense not recorded in fallbacks: %+v", c.Fallbacks)
 	}
 
-	if c := ChooseKernel(base); c.Kind != KernelHash || c.Workers != 4 || c.SizeHint != 50000 {
+	if c := ChooseKernel(base); c.Kind != KernelHash || c.Workers != 4 || c.SizeHint != 2000 {
 		t.Errorf("parallel high-NDV request chose %v with %d workers, hint %d; want parallel hash presized to the NDV", c.Kind, c.Workers, c.SizeHint)
 	}
 

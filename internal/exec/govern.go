@@ -130,22 +130,78 @@ func (b *MemBudget) Peak() int64 {
 }
 
 // Gov bundles the per-execution governance state threaded from the public
-// query surface down to operator loops: the cancellation context and the
-// memory budget. A nil *Gov is valid everywhere and means "ungoverned"
-// (background context, unlimited budget), so operators pay no overhead when
-// governance is off.
+// query surface down to operator loops: the cancellation context, the memory
+// budget and, for a plan run, its worker pool. A nil *Gov is valid everywhere
+// and means "ungoverned" (background context, unlimited budget, no pool), so
+// operators pay no overhead when governance is off.
 type Gov struct {
 	ctx    context.Context
 	budget *MemBudget
+	// workers holds one token per goroutine that may scan at once; nil
+	// means no pool (see NewRunGov).
+	workers chan struct{}
 }
 
-// NewGov builds a governor. ctx may be nil (Background); budget may be nil
+// NewGov builds a governor without a worker pool: every share an operator
+// is given starts. ctx may be nil (Background); budget may be nil
 // (untracked).
 func NewGov(ctx context.Context, budget *MemBudget) *Gov {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	return &Gov{ctx: ctx, budget: budget}
+}
+
+// NewRunGov builds the governor of one plan run: NewGov's plus a pool of n
+// worker tokens that the run's sub-plans and share workers all draw from, so
+// at most n of them scan at once. A sub-plan waits for its token (Take); a
+// share worker starts only on a token free at that moment (TryTake), so no
+// goroutine that holds a token ever waits for another and one token cannot
+// deadlock.
+func NewRunGov(ctx context.Context, budget *MemBudget, n int) *Gov {
+	g := NewGov(ctx, budget)
+	g.workers = make(chan struct{}, n)
+	return g
+}
+
+// Take waits for a worker token and returns nil, or returns the context's
+// error if it ends first. Without a pool it returns nil at once.
+func (g *Gov) Take() error {
+	if g == nil || g.workers == nil {
+		return nil
+	}
+	select {
+	case g.workers <- struct{}{}:
+		return nil
+	case <-g.ctx.Done():
+		return g.ctx.Err()
+	}
+}
+
+// TryTake takes up to n worker tokens without waiting and returns how many
+// it took. Without a pool it returns n.
+func (g *Gov) TryTake(n int) int {
+	if g == nil || g.workers == nil {
+		return n
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case g.workers <- struct{}{}:
+		default:
+			return i
+		}
+	}
+	return n
+}
+
+// Release returns n tokens taken by Take or TryTake. No-op without a pool.
+func (g *Gov) Release(n int) {
+	if g == nil || g.workers == nil {
+		return
+	}
+	for ; n > 0; n-- {
+		<-g.workers
+	}
 }
 
 // Context returns the governing context. Nil-safe.

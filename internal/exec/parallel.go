@@ -10,13 +10,19 @@ import (
 	"gbmqo/internal/table"
 )
 
-// shareMinRows is the fewest input rows one parallel worker is given. Going
-// parallel costs one goroutine plus a merge that re-touches every output
-// group once per extra worker, so a worker must aggregate enough rows to
-// amortize it: at the calibrated cost coefficients — ~40 units to hash a row
-// vs ~200 to build a group — 16 384 rows of hashing pay for merging several
-// thousand groups.
+// shareMinRows is the fewest input rows one parallel worker is given: a
+// share costs one goroutine and its own group table, which a few thousand
+// rows do not amortize.
 const shareMinRows = 16384
+
+// mergeRowsPerGroup is c, the cost of merging one group of an extra share in
+// rows of scan: a share must read at least c rows per group it may hold for
+// its merge to pay. A second share saves rows/2 rows of scan and merges up
+// to groups groups, so it breaks even at rows/2 = c·groups. Measured by
+// BenchmarkShareSplitSweep (EXPERIMENTS.md) on the 100k-row lineitem, w=2
+// beats w=1 at 3 528 and 4 004 groups and loses from 5 001 groups up, which
+// puts c between 10 and 12.5.
+const mergeRowsPerGroup = 12
 
 // ResolveWorkers turns a parallelism knob into a concrete worker budget:
 // 0 disables intra-operator parallelism, negative selects GOMAXPROCS, and
@@ -28,11 +34,15 @@ func ResolveWorkers(parallelism int) int {
 	return parallelism
 }
 
-// effectiveWorkers applies the size cutoff to a requested worker count: every
-// worker gets at least shareMinRows rows, so anything smaller — the typical
-// temp-table re-aggregation — stays sequential.
-func effectiveWorkers(rows, requested int) int {
-	return max(1, min(requested, rows/shareMinRows))
+// effectiveWorkers applies the split floor to a requested worker count:
+// every share reads at least max(shareMinRows, c·groups) rows, where groups
+// is the expected group count (0 = unknown, leaving the row floor alone).
+// The merge re-probes every group of every extra share, so a node whose
+// groups approach its rows — and anything small, the typical temp-table
+// re-aggregation — stays sequential.
+func effectiveWorkers(rows, requested int, groups float64) int {
+	perShare := max(shareMinRows, mergeRowsPerGroup*groups)
+	return max(1, min(requested, int(float64(rows)/perShare)))
 }
 
 // groupBy is the one driver behind every hash and dense Group By — single
@@ -41,8 +51,12 @@ func effectiveWorkers(rows, requested int) int {
 // rows [i·n/w, (i+1)·n/w); each share feeds its own per-query state through
 // the one block loop (scanShare). w is the effective worker count: entry
 // points pass it through effectiveWorkers or ChooseKernel, and tests pass
-// more to exercise merges on small tables. One share runs in the calling
-// goroutine; more run one goroutine each.
+// more to exercise merges on small tables. Share 0 runs in the calling
+// goroutine, on the worker token its caller holds; each further share runs
+// on a goroutine of its own and starts only on a token gov's pool has free
+// now (TryTake), so the scan runs with fewer shares, down to one, when the
+// pool is busy. The tokens go back when the scan ends. A Gov without a pool
+// starts all w shares.
 //
 // The shares are then merged in worker order into share 0's state: each
 // share's groups, taken in its local first-appearance order, are probed into
@@ -58,8 +72,9 @@ func effectiveWorkers(rows, requested int) int {
 // widens its own table; the merge widens share 0's table when it meets that
 // code's group, so the reported Kind is hash whenever any share widened.
 //
-// Failure semantics: a panicking worker is recovered in its own goroutine and
-// reported as a *ExecError naming the worker; the other workers stop at their
+// Failure semantics: in a parallel scan a panicking share is recovered in the
+// goroutine that runs it and reported as a *ExecError naming the worker
+// ("share worker 0" is the caller's); the other workers stop at their
 // next block boundary, every budget charge is released, and no partial
 // result escapes. A cancelled context stops every share at its next block
 // boundary and returns the context's error.
@@ -70,6 +85,9 @@ func groupBy(gov *Gov, t *table.Table, queries []MultiQuery, w int) ([]*table.Ta
 	if err := validateMulti(t, queries); err != nil {
 		return nil, nil, err
 	}
+	extra := gov.TryTake(w - 1)
+	defer func() { gov.Release(extra) }()
+	w = 1 + extra
 	n := t.NumRows()
 	budget := gov.Budget()
 	shares := make([][]*queryState, w)
@@ -101,11 +119,10 @@ func groupBy(gov *Gov, t *table.Table, queries []MultiQuery, w int) ([]*table.Ta
 			shares[wi][qi] = newQueryState(t, q, budget, block, cloneAccs(shares[0][qi].accs))
 		}
 	}
-	if w == 1 {
-		if err := scanShare(gov, shares[0], 0, n, nil); err != nil {
-			return nil, nil, err
-		}
-	} else if err := scanShares(gov, shares, n); err != nil {
+	err := scanShares(gov, shares, n)
+	gov.Release(extra)
+	extra = 0
+	if err != nil {
 		return nil, nil, err
 	}
 
@@ -144,33 +161,41 @@ func groupBy(gov *Gov, t *table.Table, queries []MultiQuery, w int) ([]*table.Ta
 	return out, stats, nil
 }
 
-// scanShares runs every share on its own goroutine and waits for all of
-// them. A worker's panic is recovered into the returned *ExecError and stops
-// the others at their next block boundary.
+// scanShares runs share 0 in the calling goroutine and every other share on
+// its own goroutine, and waits for all of them. A worker's panic is
+// recovered into the returned *ExecError and stops the others at their next
+// block boundary.
 func scanShares(gov *Gov, shares [][]*queryState, n int) error {
 	w := len(shares)
+	if w == 1 {
+		return scanShare(gov, shares[0], 0, n, nil)
+	}
 	var stop atomic.Bool
 	var workerErr atomic.Pointer[ExecError]
+	run := func(wi int) {
+		defer func() {
+			if p := recover(); p != nil {
+				stop.Store(true)
+				workerErr.CompareAndSwap(nil, &ExecError{
+					Step: fmt.Sprintf("share worker %d", wi),
+					Err:  RecoveredPanic(p),
+				})
+			}
+		}()
+		Testing.Fire("exec.share.worker")
+		if err := scanShare(gov, shares[wi], wi*n/w, (wi+1)*n/w, &stop); err != nil {
+			stop.Store(true) // a context error surfaces below via gov.Err
+		}
+	}
 	var wg sync.WaitGroup
-	for wi, states := range shares {
+	for wi := 1; wi < w; wi++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					stop.Store(true)
-					workerErr.CompareAndSwap(nil, &ExecError{
-						Step: fmt.Sprintf("share worker %d", wi),
-						Err:  RecoveredPanic(p),
-					})
-				}
-			}()
-			Testing.Fire("exec.share.worker")
-			if err := scanShare(gov, states, wi*n/w, (wi+1)*n/w, &stop); err != nil {
-				stop.Store(true) // a context error surfaces below via gov.Err
-			}
+			run(wi)
 		}()
 	}
+	run(0)
 	wg.Wait()
 	if e := workerErr.Load(); e != nil {
 		return e

@@ -1,10 +1,15 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gbmqo/internal/table"
 )
@@ -212,18 +217,27 @@ func TestParallelEntryPointsCutoff(t *testing.T) {
 }
 
 func TestEffectiveWorkers(t *testing.T) {
-	cases := []struct{ rows, req, want int }{
-		{100, 8, 1},                  // tiny: sequential
-		{shareMinRows - 1, 4, 1},     // below one share
-		{2 * shareMinRows, 8, 2},     // two shares cap two workers
-		{10 * shareMinRows, 4, 4},    // request below cap
-		{10 * shareMinRows, 0, 1},    // knob off
-		{10 * shareMinRows, -5, 1},   // negative resolved by caller, not here
-		{100 * shareMinRows, 16, 16}, // plenty of rows
+	cases := []struct {
+		rows, req int
+		groups    float64
+		want      int
+	}{
+		{100, 8, 0, 1},                  // tiny: sequential
+		{shareMinRows - 1, 4, 0, 1},     // below one share
+		{2 * shareMinRows, 8, 0, 2},     // two shares cap two workers
+		{10 * shareMinRows, 4, 0, 4},    // request below cap
+		{10 * shareMinRows, 0, 0, 1},    // knob off
+		{10 * shareMinRows, -5, 0, 1},   // negative resolved by caller, not here
+		{100 * shareMinRows, 16, 0, 16}, // plenty of rows
+		// The merge term: each share reads at least c·groups rows.
+		{100000, 2, 100000, 1},                           // groups = rows: the merge never pays
+		{100000, 4, 100000 / (mergeRowsPerGroup * 4), 4}, // groups ≤ rows/(c·w) keeps w
+		{100000, 4, 100000 / (mergeRowsPerGroup * 2), 2},
+		{100000, 4, 1000, 4}, // the row floor dominates a small merge
 	}
 	for _, c := range cases {
-		if got := effectiveWorkers(c.rows, c.req); got != c.want {
-			t.Fatalf("effectiveWorkers(%d, %d) = %d, want %d", c.rows, c.req, got, c.want)
+		if got := effectiveWorkers(c.rows, c.req, c.groups); got != c.want {
+			t.Fatalf("effectiveWorkers(%d, %d, %.0f) = %d, want %d", c.rows, c.req, c.groups, got, c.want)
 		}
 	}
 }
@@ -279,4 +293,89 @@ func TestAvgRollupPanics(t *testing.T) {
 		}
 	}()
 	(Agg{Kind: AggAvg, Col: 1, Name: "av"}).Rollup(0)
+}
+
+// TestDrainedPoolRunsOneShare: a request for two shares on a governor whose
+// pool has no spare token runs one share in the calling goroutine and
+// reports what ran — one worker, and a reason that claims no parallel shares.
+// With the token back, the same request runs and reports two shares.
+func TestDrainedPoolRunsOneShare(t *testing.T) {
+	tb := mkParTable(4*shareMinRows, 40, 22)
+	cols, aggs := []int{0, 1}, allAggKinds()
+	want := GroupByHash(tb, cols, aggs, "g")
+	gov := NewRunGov(context.Background(), nil, 1)
+	if err := gov.Take(); err != nil {
+		t.Fatal(err)
+	}
+	out, ks, err := GroupByAdaptiveGov(gov, tb, cols, aggs, "g", AdaptiveHints{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks.Workers != 1 || strings.Contains(ks.Reason, "shares") {
+		t.Fatalf("drained pool: %d workers, reason %q; want one share and no parallel claim", ks.Workers, ks.Reason)
+	}
+	assertTablesIdentical(t, out, want)
+
+	gov.Release(1)
+	out, ks, err = GroupByAdaptiveGov(gov, tb, cols, aggs, "g", AdaptiveHints{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks.Workers != 2 || !strings.Contains(ks.Reason, "2 parallel shares") {
+		t.Fatalf("free pool: %d workers, reason %q; want two shares reported", ks.Workers, ks.Reason)
+	}
+	assertTablesIdentical(t, out, want)
+}
+
+// TestPoolBoundsConcurrentScans: k callers, each holding one of P tokens,
+// scan at w = 4 at once. Every goroutine inside the block-loop hook is a
+// running scan goroutine, and the hook sleeps so that running scans overlap
+// there; the high-water mark of goroutines inside it must never exceed P,
+// and every output must match the sequential scan.
+func TestPoolBoundsConcurrentScans(t *testing.T) {
+	tb := mkParTable(4*shareMinRows, 40, 21)
+	tb.RowImage() // pre-build: lazy construction is not goroutine-safe
+	q := MultiQuery{GroupCols: []int{0, 1}, Aggs: allAggKinds(), OutName: "g"}
+	want := GroupByHash(tb, q.GroupCols, q.Aggs, "g")
+	const pool, callers = 3, 5
+	gov := NewRunGov(context.Background(), nil, pool)
+	var inHook, high atomic.Int64
+	Testing.SetFailPoint(func(site string) {
+		if site != "exec.hash.batch" {
+			return
+		}
+		n := inHook.Add(1)
+		for h := high.Load(); n > h && !high.CompareAndSwap(h, n); h = high.Load() {
+		}
+		time.Sleep(100 * time.Microsecond)
+		inHook.Add(-1)
+	})
+	defer Testing.ClearFailPoint()
+	outs := make([]*table.Table, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[i] = gov.Take(); errs[i] != nil {
+				return
+			}
+			defer gov.Release(1)
+			var o []*table.Table
+			if o, _, errs[i] = groupBy(gov, tb, []MultiQuery{q}, 4); errs[i] == nil {
+				outs[i] = o[0]
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		assertTablesIdentical(t, outs[i], want)
+	}
+	if h := high.Load(); h > pool {
+		t.Fatalf("%d scan goroutines ran at once on a pool of %d tokens", h, pool)
+	}
 }
