@@ -177,6 +177,12 @@ type Cache struct {
 	entries map[Key]*entry
 	bytes   int64
 
+	// epochs counts the resident entries of each table per (Version, Delta)
+	// epoch, so InvalidateBelow can see under the read lock that a table
+	// holds nothing stale. Every insert into entries counts in (Offer,
+	// Refresh) and every removal counts out (evictLocked). Guarded by mu.
+	epochs map[string]map[epoch]int
+
 	// quarantined marks keys whose entries failed checksum verification;
 	// they are never re-admitted (whatever produced the corruption — a stray
 	// write through a shared slice, a buggy operator — would poison the same
@@ -203,6 +209,7 @@ func New(cfg Config) *Cache {
 	return &Cache{
 		cfg:         cfg,
 		entries:     make(map[Key]*entry),
+		epochs:      make(map[string]map[epoch]int),
 		quarantined: make(map[Key]bool),
 		demand:      make(map[Key]int64),
 	}
@@ -445,8 +452,7 @@ func (c *Cache) Offer(key Key, aggs []exec.Agg, t *table.Table, benefit float64)
 	e := &entry{key: key, aggs: append([]exec.Agg(nil), aggs...), tbl: t, bytes: bytes, benefit: benefit, sum: sum}
 	e.uses.Store(uses)
 	e.lastUsed.Store(c.clock.Add(1))
-	c.entries[key] = e
-	c.bytes += bytes
+	c.insertLocked(e)
 	c.admissions.Add(1)
 	return true
 }
@@ -466,10 +472,33 @@ func (c *Cache) victimLocked() *entry {
 	return victim
 }
 
+// epoch is one (Version, Delta) append epoch of a table.
+type epoch struct{ version, delta uint64 }
+
+// insertLocked makes e resident. Callers hold c.mu and count the admission.
+func (c *Cache) insertLocked(e *entry) {
+	c.entries[e.key] = e
+	c.bytes += e.bytes
+	eps := c.epochs[e.key.Table]
+	if eps == nil {
+		eps = make(map[epoch]int)
+		c.epochs[e.key.Table] = eps
+	}
+	eps[epoch{e.key.Version, e.key.Delta}]++
+}
+
 // evictLocked removes one entry. Callers hold c.mu and count the eviction.
 func (c *Cache) evictLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
+	eps := c.epochs[e.key.Table]
+	ep := epoch{e.key.Version, e.key.Delta}
+	if eps[ep]--; eps[ep] == 0 {
+		delete(eps, ep)
+		if len(eps) == 0 {
+			delete(c.epochs, e.key.Table)
+		}
+	}
 }
 
 // ShrinkTo evicts lowest-scored entries until residency is at most maxBytes,
@@ -501,8 +530,20 @@ func (c *Cache) ShrinkTo(maxBytes int64) int64 {
 // (version, delta) — a mutated base relation invalidates all dependent
 // results, and append maintenance sweeps the old-epoch leftovers it chose not
 // to (or failed to) roll forward. Returns the number of entries removed.
+//
+// Every cache-served request calls it, and almost always nothing is stale:
+// that case reads the epoch counts under the read lock and returns, and only
+// a table holding another epoch's entries pays the write lock and the walk.
 func (c *Cache) InvalidateBelow(tableName string, version, delta uint64) int {
 	if c == nil {
+		return 0
+	}
+	c.mu.RLock()
+	eps := c.epochs[tableName]
+	_, current := eps[epoch{version, delta}]
+	stale := len(eps) > 1 || (len(eps) == 1 && !current)
+	c.mu.RUnlock()
+	if !stale {
 		return 0
 	}
 	c.mu.Lock()
@@ -620,8 +661,7 @@ func (c *Cache) Refresh(oldKey, newKey Key, t *table.Table) bool {
 	e := &entry{key: newKey, aggs: old.aggs, tbl: t, bytes: bytes, benefit: old.benefit, sum: sum}
 	e.uses.Store(old.uses.Load())
 	e.lastUsed.Store(c.clock.Add(1))
-	c.entries[newKey] = e
-	c.bytes += bytes
+	c.insertLocked(e)
 	c.refreshes.Add(1)
 	return true
 }

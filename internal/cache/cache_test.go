@@ -3,6 +3,9 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -214,6 +217,99 @@ func TestInvalidateBelow(t *testing.T) {
 	}
 	if st := c.Snapshot(); st.Invalidations != 2 {
 		t.Fatalf("Invalidations = %d", st.Invalidations)
+	}
+}
+
+// TestInvalidateBelowMatchesAWalk: over a seeded random sequence of Offer,
+// Refresh, Invalidate, ShrinkTo, quarantine and DropTable, the per-epoch
+// counts equal a recount of the resident entries after every step, and
+// InvalidateBelow removes exactly as many entries as a brute-force walk
+// counts stale — including 0 on the read-locked fast path.
+func TestInvalidateBelowMatchesAWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	c := New(Config{MaxBytes: 12 * entrySize(20)})
+	tables := []string{"a", "b"}
+	randKey := func() Key {
+		return KeyOf(tables[rng.Intn(2)], uint64(rng.Intn(3)), uint64(rng.Intn(3)), colset.Of(rng.Intn(4)), countStar())
+	}
+	// pick returns a resident key (in a seeded, map-order-free way) or, when
+	// none is resident or one time in four, a random one.
+	pick := func() Key {
+		c.mu.RLock()
+		keys := make([]Key, 0, len(c.entries))
+		for k := range c.entries {
+			keys = append(keys, k)
+		}
+		c.mu.RUnlock()
+		if len(keys) == 0 || rng.Intn(4) == 0 {
+			return randKey()
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+		return keys[rng.Intn(len(keys))]
+	}
+	stale := func(tableName string, version, delta uint64) int {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+		n := 0
+		for k := range c.entries {
+			if k.Table == tableName && (k.Version != version || k.Delta != delta) {
+				n++
+			}
+		}
+		return n
+	}
+	sweeps := map[bool]int{}
+	for step := 0; step < 4000; step++ {
+		switch rng.Intn(8) {
+		case 0, 1:
+			c.Offer(randKey(), countStar(), testTable("t", 10+rng.Intn(11)), float64(rng.Intn(1000)))
+		case 2:
+			old := pick()
+			next := old
+			next.Version, next.Delta = uint64(rng.Intn(3)), uint64(rng.Intn(3))
+			c.Refresh(old, next, testTable("t", 10+rng.Intn(11)))
+		case 3:
+			c.Invalidate(pick())
+		case 4:
+			c.ShrinkTo(rng.Int63n(c.Bytes() + 1))
+		case 5:
+			k := pick()
+			c.mu.RLock()
+			e := c.entries[k]
+			c.mu.RUnlock()
+			if e != nil && rng.Intn(2) == 0 {
+				c.quarantine(k, e) // a checksum mismatch found by a lookup
+			} else {
+				c.ForceQuarantine(k)
+			}
+		case 6:
+			if rng.Intn(4) == 0 {
+				c.DropTable(tables[rng.Intn(2)])
+			}
+		case 7:
+			k := randKey()
+			want := stale(k.Table, k.Version, k.Delta)
+			if got := c.InvalidateBelow(k.Table, k.Version, k.Delta); got != want {
+				t.Fatalf("step %d: InvalidateBelow(%s, %d, %d) = %d, a walk counts %d stale", step, k.Table, k.Version, k.Delta, got, want)
+			}
+			sweeps[want > 0]++
+		}
+		recount := map[string]map[epoch]int{}
+		c.mu.RLock()
+		for k := range c.entries {
+			if recount[k.Table] == nil {
+				recount[k.Table] = map[epoch]int{}
+			}
+			recount[k.Table][epoch{k.Version, k.Delta}]++
+		}
+		ok := reflect.DeepEqual(recount, c.epochs)
+		c.mu.RUnlock()
+		if !ok {
+			t.Fatalf("step %d: epoch counts %v, a recount gives %v", step, c.epochs, recount)
+		}
+	}
+	if sweeps[false] == 0 || sweeps[true] == 0 {
+		t.Fatalf("sweeps with nothing stale: %d, with stale entries: %d; the sequence must exercise both", sweeps[false], sweeps[true])
 	}
 }
 

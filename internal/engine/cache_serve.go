@@ -44,7 +44,8 @@ type CacheCounters struct {
 
 // cacheView is what one cache-served request reads the cache against: the
 // table's snapshot and epoch, the cost model that prices ancestor
-// re-aggregation, and the working memory execution may still use after the
+// re-aggregation (nil on a probe, which builds one only if an ancestor must
+// be priced), and the working memory execution may still use after the
 // cache's share of MemBudget.
 type cacheView struct {
 	base       *table.Table
@@ -54,8 +55,9 @@ type cacheView struct {
 }
 
 // openCache is the prologue every cache-served request pays once: read the
-// table's epoch, sweep entries that died with an older one, build the cost
-// model, and shrink the cache into its share of the request's MemBudget.
+// table's epoch, sweep entries that died with an older one, and shrink the
+// cache into its share of the request's MemBudget. It builds no cost model:
+// an exact hit prices nothing.
 func (e *Engine) openCache(req Request) (cacheView, error) {
 	base, ep, ok := e.cat.TableEpoch(req.Table)
 	if !ok {
@@ -67,12 +69,11 @@ func (e *Engine) openCache(req Request) (cacheView, error) {
 		// anyway, but sweeping here bounds the leak under version churn).
 		e.cat.Stats().DropStale(req.Table, base)
 	}
-	_, model := e.costing(req, base)
 
 	// MemBudget participation: the cache yields memory before operators
 	// degrade. It is shrunk to at most half the budget up front, and whatever
 	// it still holds is subtracted from what execution may use.
-	v := cacheView{base: base, ep: ep, model: model, execBudget: req.MemBudget}
+	v := cacheView{base: base, ep: ep, execBudget: req.MemBudget}
 	if req.MemBudget > 0 {
 		e.cache.ShrinkTo(req.MemBudget / 2)
 		v.execBudget = req.MemBudget - e.cache.Bytes()
@@ -98,7 +99,7 @@ func (e *Engine) serveSet(req Request, v cacheView, s colset.Set, note bool) (t 
 	if t, ok := get(key); ok {
 		return t, OriginCacheHit, 0, nil
 	}
-	t, admissions, err = e.deriveFromAncestor(req, v.base, v.ep, s, aggs, v.model)
+	t, admissions, err = e.deriveFromAncestor(req, v, s, aggs)
 	if err != nil || t == nil {
 		return nil, OriginComputed, 0, err
 	}
@@ -153,6 +154,7 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	_, v.model = e.costing(req, v.base)
 
 	var counters CacheCounters
 	served := map[colset.Set]*table.Table{}
@@ -347,11 +349,17 @@ func (e *Engine) offer(tbl string, ep catalog.Epoch, s colset.Set, aggs []exec.A
 // The derivation runs under singleflight so a stampede on the same missing
 // set re-aggregates once, and the derived result is itself offered to the
 // cache so the next request is an exact hit. Returns (nil, 0, nil) when no
-// profitable ancestor exists.
-func (e *Engine) deriveFromAncestor(req Request, base *table.Table, ep catalog.Epoch, s colset.Set, aggs []exec.Agg, model cost.Model) (*table.Table, int, error) {
+// profitable ancestor exists. The view's cost model is built here when it
+// has none, so a probe prices only what it re-aggregates.
+func (e *Engine) deriveFromAncestor(req Request, v cacheView, s colset.Set, aggs []exec.Agg) (*table.Table, int, error) {
+	base, ep := v.base, v.ep
 	cands := e.cache.Ancestors(req.Table, ep.Version, ep.Delta, s, aggs)
 	if len(cands) == 0 {
 		return nil, 0, nil
+	}
+	model := v.model
+	if model == nil {
+		_, model = e.costing(req, base)
 	}
 	nAggs := len(aggs)
 	baseCost := model.EdgeCost(cost.Edge{ParentIsBase: true, V: s, NAggs: nAggs})

@@ -63,8 +63,16 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 		dIdx[deltaKey(deltaAgg, r)] = r
 	}
 
+	// match[r] is the delta row holding cached row r's group, or -1.
 	cRows := cached.NumRows()
+	match := make([]int, cRows)
 	consumed := make([]bool, dRows)
+	for r := range match {
+		match[r] = -1
+		if dr, hit := dIdx[deltaKey(cached, r)]; hit {
+			match[r], consumed[dr] = dr, true
+		}
+	}
 
 	// Key columns share the delta's (extended) dictionaries.
 	cols := make([]*table.Column, 0, nKeys+len(aggs))
@@ -83,29 +91,31 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 		mergers[i] = NewAggMerger(a.Kind, dc, cRows+dRows)
 	}
 
-	// Pass 1: cached rows in order, merged with their delta counterpart.
-	for r := 0; r < cRows; r++ {
-		dr, hit := dIdx[deltaKey(cached, r)]
-		if hit {
-			consumed[dr] = true
+	// Aggregates fold a column at a time, so each merger reads one source
+	// column per loop: cached rows in order (group r is cached row r), then
+	// their delta counterparts, then delta-only groups in delta order (=
+	// first-appearance order).
+	for i, m := range mergers {
+		cc, dc := cached.Col(nKeys+i), deltaAgg.Col(nKeys+i)
+		for r := 0; r < cRows; r++ {
+			m.Add(cc, r)
 		}
-		for i, m := range mergers {
-			g := m.Add(cached.Col(nKeys+i), r)
-			if hit {
-				m.Merge(g, deltaAgg.Col(nKeys+i), dr)
+		for r, dr := range match {
+			if dr >= 0 {
+				m.Merge(r, dc, dr)
+			}
+		}
+		for dr := 0; dr < dRows; dr++ {
+			if !consumed[dr] {
+				m.Add(dc, dr)
 			}
 		}
 	}
-	// Pass 2: delta-only groups, in delta order (= first-appearance order).
 	for dr := 0; dr < dRows; dr++ {
-		if consumed[dr] {
-			continue
-		}
-		for k := 0; k < nKeys; k++ {
-			cols[k].AppendCode(deltaAgg.Col(k).Code(dr))
-		}
-		for i, m := range mergers {
-			m.Add(deltaAgg.Col(nKeys+i), dr)
+		if !consumed[dr] {
+			for k := 0; k < nKeys; k++ {
+				cols[k].AppendCode(deltaAgg.Col(k).Code(dr))
+			}
 		}
 	}
 	for i, m := range mergers {
@@ -130,6 +140,12 @@ type AggMerger struct {
 	floats []float64 // SUM over floats
 	valid  []bool    // COUNT/SUM: some part was non-NULL
 	codes  []uint32  // MIN/MAX
+
+	// The numeric values of the last COUNT/SUM source column read, so a run
+	// of rows from one column reads Column.NumericDict once.
+	src       *table.Column
+	srcInts   []int64
+	srcFloats []float64
 }
 
 // NewAggMerger starts an empty merge of kind's final values; proto is a
@@ -174,27 +190,29 @@ func (m *AggMerger) Add(col *table.Column, row int) int {
 	return g
 }
 
-// Merge folds col's value at row into group g.
+// Merge folds col's value at row into group g. COUNT/SUM values are read by
+// code from the column's numeric dictionary (code k is element k-1, NULL is
+// code 0), as emission writes them.
 func (m *AggMerger) Merge(g int, col *table.Column, row int) {
+	code := col.Code(row)
+	if code == 0 {
+		return
+	}
 	if m.extreme() {
-		code := col.Code(row)
-		if code == 0 {
-			return
-		}
 		if cur := m.codes[g]; cur == 0 || m.better(code, cur) {
 			m.codes[g] = code
 		}
 		return
 	}
-	v := col.Value(row)
-	if v.Null {
-		return
+	if col != m.src {
+		m.src = col
+		m.srcInts, m.srcFloats = col.NumericDict()
 	}
 	m.valid[g] = true
 	if m.float {
-		m.floats[g] += v.F
+		m.floats[g] += m.srcFloats[code-1]
 	} else {
-		m.ints[g] += v.I
+		m.ints[g] += m.srcInts[code-1]
 	}
 }
 

@@ -136,31 +136,6 @@ type queryRequest struct {
 	TimeoutMS int         `json:"timeout_ms,omitempty"`
 }
 
-// batchJSON surfaces how the scheduler served one query.
-type batchJSON struct {
-	BatchQueries  int     `json:"batch_queries"`
-	BatchRequests int     `json:"batch_requests"`
-	Deduped       bool    `json:"deduped"`
-	QueueWaitMS   float64 `json:"queue_wait_ms"`
-	Origin        string  `json:"origin"`
-	Partial       bool    `json:"partial,omitempty"`
-	ShardsFailed  int     `json:"shards_failed,omitempty"`
-}
-
-// tableJSON is a result set on the wire.
-type tableJSON struct {
-	Columns []string `json:"columns"`
-	Types   []string `json:"types"`
-	Rows    [][]any  `json:"rows"`
-}
-
-// queryResponse is one query's outcome inside a /query response.
-type queryResponse struct {
-	Result *tableJSON `json:"result,omitempty"`
-	Batch  *batchJSON `json:"batch,omitempty"`
-	Error  string     `json:"error,omitempty"`
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !s.decode(w, r, &req) {
@@ -174,36 +149,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Submit every query concurrently: that is the whole point — queries in
 	// one body (and across bodies) ride the same micro-batch window.
-	out := make([]queryResponse, len(req.Queries))
-	errs := make([]error, len(req.Queries))
+	out := make([]answer, len(req.Queries))
 	var wg sync.WaitGroup
 	for i, q := range req.Queries {
 		gq, err := s.bindQuery(req.Table, q)
 		if err != nil {
-			out[i].Error = err.Error()
-			errs[i] = err
+			out[i].err = err
 			continue
 		}
 		wg.Add(1)
-		go func(i int, gq gbmqo.GroupQuery) {
+		go func(a *answer, gq gbmqo.GroupQuery) {
 			defer wg.Done()
-			res, info, err := s.db.Submit(ctx, req.Table, gq)
-			if err != nil {
-				out[i].Error = err.Error()
-				errs[i] = err
-				return
-			}
-			out[i].Result = encodeTable(res)
-			out[i].Batch = &batchJSON{
-				BatchQueries:  info.BatchQueries,
-				BatchRequests: info.BatchRequests,
-				Deduped:       info.Deduped,
-				QueueWaitMS:   float64(info.QueueWait) / float64(time.Millisecond),
-				Origin:        info.Origin.String(),
-				Partial:       info.Partial,
-				ShardsFailed:  info.ShardsFailed,
-			}
-		}(i, gq)
+			a.res, a.info, a.err = s.db.Submit(ctx, req.Table, gq)
+		}(&out[i], gq)
 	}
 	wg.Wait()
 	// When every query in the body was turned away by backpressure or
@@ -211,27 +169,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// 503) so clients and load balancers can react without parsing bodies.
 	// Mixed outcomes keep the 200-with-inline-errors shape: partial results
 	// are still results.
-	if code, retryAfter, all := uniformReject(errs); all {
+	if code, retryAfter, all := uniformReject(out); all {
 		if retryAfter > 0 {
 			retryAfterHeader(w, retryAfter)
 		}
-		httpError(w, code, out[0].Error)
+		httpError(w, code, out[0].err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{"results": out})
+	enc := getEncoder()
+	defer enc.release()
+	enc.queryPage(out)
+	writeBody(w, http.StatusOK, enc.buf)
 }
 
 // uniformReject reports whether every query failed with a scheduler
 // rejection mapping to the same HTTP status; retryAfter is the largest hint.
-func uniformReject(errs []error) (code int, retryAfter time.Duration, all bool) {
-	if len(errs) == 0 {
+func uniformReject(answers []answer) (code int, retryAfter time.Duration, all bool) {
+	if len(answers) == 0 {
 		return 0, 0, false
 	}
-	for _, err := range errs {
-		if err == nil {
+	for _, a := range answers {
+		if a.err == nil {
 			return 0, 0, false
 		}
-		c, ra, ok := rejectStatus(err)
+		c, ra, ok := rejectStatus(a.err)
 		if !ok || (code != 0 && c != code) {
 			return 0, 0, false
 		}
@@ -275,21 +236,23 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	if !req.Split {
-		writeJSON(w, map[string]any{"result": encodeTable(res)})
-		return
+	enc := getEncoder()
+	defer enc.release()
+	if req.Split {
+		parts, tags, serr := exec.SplitTagged(res)
+		if serr != nil {
+			// No grp_tag column: a plain result splits into itself.
+			parts, tags = []*gbmqo.Table{res}, []string{""}
+		}
+		err = enc.sqlParts(parts, tags)
+	} else {
+		err = enc.sqlResult(res)
 	}
-	parts, tags, err := exec.SplitTagged(res)
 	if err != nil {
-		// No grp_tag column: a plain result splits into itself.
-		writeJSON(w, map[string]any{"parts": []map[string]any{{"tag": "", "result": encodeTable(res)}}})
+		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	enc := make([]map[string]any, len(parts))
-	for i := range parts {
-		enc[i] = map[string]any{"tag": tags[i], "result": encodeTable(parts[i])}
-	}
-	writeJSON(w, map[string]any{"parts": enc})
+	writeBody(w, http.StatusOK, enc.buf)
 }
 
 // appendRequest is the POST /append body: rows of JSON cells in schema
@@ -517,43 +480,6 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// encodeTable renders a result table for JSON: NULL cells become nil, dates
-// their formatted form, numbers stay native.
-func encodeTable(t *gbmqo.Table) *tableJSON {
-	out := &tableJSON{
-		Columns: t.ColNames(),
-		Types:   make([]string, t.NumCols()),
-		Rows:    make([][]any, t.NumRows()),
-	}
-	for c := 0; c < t.NumCols(); c++ {
-		out.Types[c] = t.Col(c).Type().String()
-	}
-	for r := 0; r < t.NumRows(); r++ {
-		row := make([]any, t.NumCols())
-		for c := 0; c < t.NumCols(); c++ {
-			row[c] = encodeValue(t.Col(c).Value(r))
-		}
-		out.Rows[r] = row
-	}
-	return out
-}
-
-func encodeValue(v table.Value) any {
-	if v.Null {
-		return nil
-	}
-	switch v.Typ {
-	case table.TInt64:
-		return v.I
-	case table.TFloat64:
-		return v.F
-	case table.TString:
-		return v.S
-	default: // TDate
-		return v.String()
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
