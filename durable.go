@@ -15,6 +15,7 @@ import (
 
 	"gbmqo/internal/cache"
 	"gbmqo/internal/catalog"
+	"gbmqo/internal/codec"
 	"gbmqo/internal/colset"
 	"gbmqo/internal/snapshot"
 	"gbmqo/internal/wal"
@@ -490,11 +491,7 @@ func writeManifest(path string, entries []cache.ManifestEntry) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return codec.WriteFileAtomic(path, append(buf, '\n'))
 }
 
 // readManifest loads the manifest; ok is false (with no error) when the file

@@ -3,8 +3,8 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
+	"gbmqo/internal/codec"
 	"gbmqo/internal/table"
 )
 
@@ -19,217 +19,79 @@ import (
 //	  per column:
 //	    uvarint len(colName), colName
 //	    1B type
-//	    uvarint ndict, then each dictionary value (type-directed, non-null:
-//	      8B LE for int64/date/float64 bits, uvarint len + bytes for string)
+//	    uvarint ndict, then each dictionary value (codec.Writer.Value: 8B LE
+//	      for int64/date/float64 bits, uvarint len + bytes for string)
 //	    uvarint ncodes, then 4B LE per code
 //	  8B LE fingerprint
 
+// The fewest bytes a table and a column occupy: a table's four uvarints
+// (name length, version, delta, ncols) and its fingerprint; a column's name
+// length, type, ndict and ncodes. Decoding bounds each count by them.
+const (
+	minTableBytes  = 4 + 8
+	minColumnBytes = 4
+)
+
 func encodeBody(s *Snapshot) []byte {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	uv := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:8], v)
-		buf = append(buf, tmp[:8]...)
-	}
-	uv(s.WalSeq)
-	uv(uint64(len(s.Tables)))
+	var w codec.Writer
+	w.Uvarint(s.WalSeq)
+	w.Uvarint(uint64(len(s.Tables)))
 	for ti := range s.Tables {
 		img := &s.Tables[ti]
-		uv(uint64(len(img.Name)))
-		buf = append(buf, img.Name...)
-		uv(img.Version)
-		uv(img.Delta)
-		uv(uint64(len(img.Defs)))
+		w.Str(img.Name)
+		w.Uvarint(img.Version)
+		w.Uvarint(img.Delta)
+		w.Uvarint(uint64(len(img.Defs)))
 		for ci, def := range img.Defs {
-			uv(uint64(len(def.Name)))
-			buf = append(buf, def.Name...)
-			buf = append(buf, byte(def.Typ))
-			uv(uint64(len(img.Dicts[ci])))
+			w.Str(def.Name)
+			w.Byte(byte(def.Typ))
+			w.Uvarint(uint64(len(img.Dicts[ci])))
 			for _, v := range img.Dicts[ci] {
-				switch def.Typ {
-				case table.TInt64, table.TDate:
-					w64(uint64(v.I))
-				case table.TFloat64:
-					w64(math.Float64bits(v.F))
-				case table.TString:
-					uv(uint64(len(v.S)))
-					buf = append(buf, v.S...)
-				}
+				w.Value(v)
 			}
-			uv(uint64(len(img.Codes[ci])))
+			w.Uvarint(uint64(len(img.Codes[ci])))
 			for _, code := range img.Codes[ci] {
-				binary.LittleEndian.PutUint32(tmp[:4], code)
-				buf = append(buf, tmp[:4]...)
+				w.U32(code)
 			}
 		}
-		w64(img.Fingerprint)
+		w.U64(img.Fingerprint)
 	}
-	return buf
+	return w.Bytes()
 }
-
-type bodyReader struct {
-	buf []byte
-	off int
-}
-
-func (r *bodyReader) uv() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("snapshot: truncated uvarint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *bodyReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.buf) {
-		return nil, fmt.Errorf("snapshot: truncated field at offset %d (want %d bytes)", r.off, n)
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b, nil
-}
-
-func (r *bodyReader) u64() (uint64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// maxElems bounds any single decoded count so a corrupt-but-CRC-valid body
-// cannot drive an absurd allocation.
-const maxElems = 1 << 31
 
 func decodeBody(buf []byte) (*Snapshot, error) {
-	r := &bodyReader{buf: buf}
-	s := &Snapshot{}
-	var err error
-	if s.WalSeq, err = r.uv(); err != nil {
-		return nil, err
-	}
-	ntables, err := r.uv()
-	if err != nil {
-		return nil, err
-	}
-	if ntables > maxElems {
-		return nil, fmt.Errorf("snapshot: body claims %d tables", ntables)
-	}
-	s.Tables = make([]TableImage, ntables)
+	r := codec.NewReader(buf)
+	s := &Snapshot{WalSeq: r.Uvarint()}
+	s.Tables = make([]TableImage, r.Count(minTableBytes))
 	for ti := range s.Tables {
 		img := &s.Tables[ti]
-		nameLen, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		name, err := r.bytes(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		img.Name = string(name)
-		if img.Version, err = r.uv(); err != nil {
-			return nil, err
-		}
-		if img.Delta, err = r.uv(); err != nil {
-			return nil, err
-		}
-		ncols, err := r.uv()
-		if err != nil {
-			return nil, err
-		}
-		if ncols > maxElems {
-			return nil, fmt.Errorf("snapshot: table %q claims %d columns", img.Name, ncols)
-		}
+		img.Name = r.Str()
+		img.Version = r.Uvarint()
+		img.Delta = r.Uvarint()
+		ncols := r.Count(minColumnBytes)
 		img.Defs = make([]table.ColumnDef, ncols)
 		img.Dicts = make([][]table.Value, ncols)
 		img.Codes = make([][]uint32, ncols)
 		for ci := range img.Defs {
-			colLen, err := r.uv()
-			if err != nil {
-				return nil, err
-			}
-			colName, err := r.bytes(int(colLen))
-			if err != nil {
-				return nil, err
-			}
-			tb, err := r.bytes(1)
-			if err != nil {
-				return nil, err
-			}
-			typ := table.Type(tb[0])
-			if typ > table.TDate {
-				return nil, fmt.Errorf("snapshot: column %q has unknown type %d", colName, typ)
-			}
-			img.Defs[ci] = table.ColumnDef{Name: string(colName), Typ: typ}
-			ndict, err := r.uv()
-			if err != nil {
-				return nil, err
-			}
-			if ndict > maxElems {
-				return nil, fmt.Errorf("snapshot: column %q claims %d dict values", colName, ndict)
-			}
-			dict := make([]table.Value, ndict)
+			def := &img.Defs[ci]
+			def.Name = r.Str()
+			def.Typ = r.Type(r.Byte())
+			dict := make([]table.Value, r.Count(codec.MinValueBytes(def.Typ)))
 			for di := range dict {
-				switch typ {
-				case table.TInt64:
-					v, err := r.u64()
-					if err != nil {
-						return nil, err
-					}
-					dict[di] = table.Int(int64(v))
-				case table.TDate:
-					v, err := r.u64()
-					if err != nil {
-						return nil, err
-					}
-					dict[di] = table.Date(int64(v))
-				case table.TFloat64:
-					v, err := r.u64()
-					if err != nil {
-						return nil, err
-					}
-					dict[di] = table.Float(math.Float64frombits(v))
-				case table.TString:
-					n, err := r.uv()
-					if err != nil {
-						return nil, err
-					}
-					sb, err := r.bytes(int(n))
-					if err != nil {
-						return nil, err
-					}
-					dict[di] = table.Str(string(sb))
-				}
+				dict[di] = r.Value(def.Typ)
 			}
 			img.Dicts[ci] = dict
-			ncodes, err := r.uv()
-			if err != nil {
-				return nil, err
-			}
-			if ncodes > maxElems {
-				return nil, fmt.Errorf("snapshot: column %q claims %d codes", colName, ncodes)
-			}
-			raw, err := r.bytes(int(ncodes) * 4)
-			if err != nil {
-				return nil, err
-			}
-			codes := make([]uint32, ncodes)
+			raw := r.Bytes(4 * r.Count(4))
+			codes := make([]uint32, len(raw)/4)
 			for i := range codes {
-				codes[i] = binary.LittleEndian.Uint32(raw[i*4:])
+				codes[i] = binary.LittleEndian.Uint32(raw[4*i:])
 			}
 			img.Codes[ci] = codes
 		}
-		if img.Fingerprint, err = r.u64(); err != nil {
-			return nil, err
-		}
+		img.Fingerprint = r.U64()
 	}
-	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("snapshot: %d trailing bytes after body", len(r.buf)-r.off)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("snapshot: body: %w", err)
 	}
 	return s, nil
 }

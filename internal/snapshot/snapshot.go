@@ -12,16 +12,13 @@ package snapshot
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
+	"gbmqo/internal/codec"
 	"gbmqo/internal/exec"
 	"gbmqo/internal/table"
 )
@@ -33,11 +30,7 @@ const (
 	// keep is how many most-recent snapshots survive pruning: the newest plus
 	// one fallback in case the newest is later found torn.
 	keep = 2
-	// maxBody bounds a snapshot body a corrupt length header could claim.
-	maxBody = 1 << 32
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // TableImage is one table's serialized decomposition at a pinned epoch.
 type TableImage struct {
@@ -88,7 +81,15 @@ func ImageOf(t *table.Table, version, delta uint64) TableImage {
 // Restore rebuilds the table from its image and verifies the fingerprint.
 func Restore(img *TableImage) (*table.Table, error) {
 	cols := make([]*table.Column, len(img.Defs))
+	seen := make(map[string]bool, len(img.Defs))
 	for i, def := range img.Defs {
+		// table.FromColumns panics on either fault; a decoded image can hold
+		// both, so they are errors here.
+		if seen[def.Name] || len(img.Codes[i]) != len(img.Codes[0]) {
+			return nil, fmt.Errorf("snapshot: table %q: column %q is duplicate or has %d rows, want %d",
+				img.Name, def.Name, len(img.Codes[i]), len(img.Codes[0]))
+		}
+		seen[def.Name] = true
 		c, err := table.ColumnFromParts(def, img.Dicts[i], img.Codes[i])
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: table %q: %w", img.Name, err)
@@ -108,24 +109,7 @@ func Restore(img *TableImage) (*table.Table, error) {
 // computed from the same decomposition the snapshot stores, so verifying a
 // restore needs no row image materialization.
 func Fingerprint(t *table.Table) uint64 {
-	h := fnv.New64a()
-	var tmp [8]byte
-	w64 := func(v uint64) { binary.LittleEndian.PutUint64(tmp[:], v); h.Write(tmp[:]) }
-	for i := 0; i < t.NumCols(); i++ {
-		c := t.Col(i)
-		io.WriteString(h, c.Name())
-		h.Write([]byte{0, byte(c.Type())})
-		for _, v := range c.DictValues() {
-			hashValue(h, w64, v)
-		}
-		h.Write([]byte{0xff})
-		for _, code := range c.Codes() {
-			binary.LittleEndian.PutUint32(tmp[:4], code)
-			h.Write(tmp[:4])
-		}
-		h.Write([]byte{0xfe})
-	}
-	return h.Sum64()
+	return ImageOf(t, 0, 0).Fingerprint
 }
 
 func fingerprintImage(img *TableImage) uint64 {
@@ -178,39 +162,15 @@ func Write(dir string, s *Snapshot) (string, error) {
 		next = ords[len(ords)-1] + 1
 	}
 	body := encodeBody(s)
-	buf := make([]byte, 0, len(magic)+8+len(body))
-	buf = append(buf, magic...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(body, castagnoli))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body...)
-
-	final := filepath.Join(dir, fileName(next))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	buf := append(make([]byte, 0, len(magic)+codec.FrameHeader+len(body)), magic...)
+	buf, err = codec.AppendFrame(buf, body, math.MaxUint32)
 	if err != nil {
+		return "", fmt.Errorf("snapshot: %w", err)
+	}
+	final := filepath.Join(dir, fileName(next))
+	if err := codec.WriteFileAtomic(final, buf); err != nil {
 		return "", err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return "", err
-	}
-	syncDir(dir)
 	prune(dir)
 	return final, nil
 }
@@ -224,9 +184,6 @@ func Write(dir string, s *Snapshot) (string, error) {
 func Load(dir string) (*Snapshot, string, error) {
 	ords, err := listOrdinals(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, "", nil
-		}
 		return nil, "", err
 	}
 	for i := len(ords) - 1; i >= 0; i-- {
@@ -249,24 +206,22 @@ func loadFile(path string) (*Snapshot, error) {
 	return decodeBody(body)
 }
 
-// readBody reads a snapshot file and returns its body after verifying magic,
-// length, and CRC.
+// readBody reads a snapshot file and returns its body after verifying the
+// magic and that the rest of the file is exactly one intact frame.
 func readBody(path string) ([]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(magic)+8 || string(data[:len(magic)]) != magic {
+	if len(data) < len(magic) || string(data[:len(magic)]) != magic {
 		return nil, fmt.Errorf("snapshot: %s: bad magic", path)
 	}
-	n := binary.LittleEndian.Uint32(data[len(magic) : len(magic)+4])
-	sum := binary.LittleEndian.Uint32(data[len(magic)+4 : len(magic)+8])
-	body := data[len(magic)+8:]
-	if uint64(n) > maxBody || int(n) != len(body) {
-		return nil, fmt.Errorf("snapshot: %s: truncated body (%d of %d bytes)", path, len(body), n)
+	body, n, err := codec.ReadFrame(data[len(magic):], math.MaxUint32)
+	if err == nil && n != len(data)-len(magic) {
+		err = fmt.Errorf("%d bytes after the frame", len(data)-len(magic)-n)
 	}
-	if crc32.Checksum(body, castagnoli) != sum {
-		return nil, fmt.Errorf("snapshot: %s: body CRC mismatch", path)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
 	}
 	return body, nil
 }
@@ -287,38 +242,20 @@ func OldestRetainedWalSeq(dir string) (seq uint64, ok bool) {
 		if err != nil {
 			continue
 		}
-		v, n := binary.Uvarint(body)
-		if n <= 0 {
-			continue
+		r := codec.NewReader(body)
+		if seq := r.Uvarint(); r.Err() == nil {
+			return seq, true
 		}
-		return v, true
 	}
 	return 0, false
 }
 
 func fileName(ord uint64) string {
-	return fmt.Sprintf("%s%020d%s", filePrefix, ord, fileSuffix)
+	return codec.FileName(filePrefix, ord, fileSuffix)
 }
 
 func listOrdinals(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var ords []uint64
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, filePrefix) || !strings.HasSuffix(name, fileSuffix) {
-			continue
-		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, filePrefix), fileSuffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		ords = append(ords, n)
-	}
-	sort.Slice(ords, func(i, j int) bool { return ords[i] < ords[j] })
-	return ords, nil
+	return codec.ListFiles(dir, filePrefix, fileSuffix)
 }
 
 func prune(dir string) {
@@ -328,12 +265,5 @@ func prune(dir string) {
 	}
 	for _, ord := range ords[:len(ords)-keep] {
 		os.Remove(filepath.Join(dir, fileName(ord)))
-	}
-}
-
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 }

@@ -4,43 +4,44 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"gbmqo/internal/engine"
 )
 
-// TestQuickParserNeverPanics throws arbitrary strings at the parser; it must
-// return (possibly an error) without panicking.
-func TestQuickParserNeverPanics(t *testing.T) {
-	f := func(s string) bool {
-		defer func() {
-			if r := recover(); r != nil {
-				t.Fatalf("panic on %q: %v", s, r)
-			}
-		}()
+// soupVocab is the SQL-flavored token set the parser tests build inputs from.
+var soupVocab = []string{
+	"SELECT", "FROM", "WHERE", "GROUP", "BY", "GROUPING", "SETS", "CUBE",
+	"ROLLUP", "COMBI", "JOIN", "ON", "AND", "AS", "COUNT", "SUM", "MIN",
+	"MAX", "(", ")", ",", ";", "*", "=", "<", ">", "<=", ">=", "<>",
+	"a", "b", "t", "42", "3.14", "'x'",
+}
+
+// FuzzParse throws arbitrary strings at the parser; it must return (possibly
+// an error) without panicking. Seeds: each token of soupVocab, the whole
+// vocabulary as one soup, and a query of each grouping form.
+func FuzzParse(f *testing.F) {
+	for _, tok := range soupVocab {
+		f.Add(tok)
+	}
+	f.Add(strings.Join(soupVocab, " "))
+	f.Add("SELECT a, b, COUNT(*) FROM t WHERE a >= 1 GROUP BY GROUPING SETS ((a), (b))")
+	f.Add("SELECT SUM(a) FROM t GROUP BY CUBE(a, b)")
+	f.Add("SELECT MIN(a) FROM t GROUP BY ROLLUP(a, b)")
+	f.Add("SELECT MAX(a) FROM t GROUP BY COMBI(2; a, b)")
+	f.Fuzz(func(t *testing.T, s string) {
 		_, _ = Parse(s)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestQuickTokenSoupNeverPanics builds random-but-SQL-flavored token soups,
 // which reach much deeper into the parser than arbitrary bytes.
 func TestQuickTokenSoupNeverPanics(t *testing.T) {
-	vocab := []string{
-		"SELECT", "FROM", "WHERE", "GROUP", "BY", "GROUPING", "SETS", "CUBE",
-		"ROLLUP", "COMBI", "JOIN", "ON", "AND", "AS", "COUNT", "SUM", "MIN",
-		"MAX", "(", ")", ",", ";", "*", "=", "<", ">", "<=", ">=", "<>",
-		"a", "b", "t", "42", "3.14", "'x'",
-	}
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
 		n := 1 + r.Intn(20)
 		var sb strings.Builder
 		for i := 0; i < n; i++ {
-			sb.WriteString(vocab[r.Intn(len(vocab))])
+			sb.WriteString(soupVocab[r.Intn(len(soupVocab))])
 			sb.WriteByte(' ')
 		}
 		input := sb.String()

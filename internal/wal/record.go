@@ -8,10 +8,9 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
+	"gbmqo/internal/codec"
 	"gbmqo/internal/table"
 )
 
@@ -42,188 +41,75 @@ const (
 	nullBit   = 0x80
 )
 
-// encodePayload renders the record body (everything the frame CRC covers).
+// encodePayload renders the record body (everything the frame CRC covers):
+//
+//	uvarint seq, 1B flags
+//	append records only:
+//	  uvarint len(table), table, uvarint expectRows
+//	  uvarint nrows, uvarint ncols
+//	  per cell: 1B tag (type | nullBit), then the value unless NULL
 func encodePayload(r *Record) []byte {
-	var buf []byte
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		buf = append(buf, tmp[:n]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:8], v)
-		buf = append(buf, tmp[:8]...)
-	}
-	putUvarint(r.Seq)
-	var flags byte
+	var w codec.Writer
+	w.Uvarint(r.Seq)
 	if r.Abort {
-		flags |= flagAbort
+		w.Byte(flagAbort)
+		return w.Bytes()
 	}
-	buf = append(buf, flags)
-	if r.Abort {
-		return buf
-	}
-	putUvarint(uint64(len(r.Table)))
-	buf = append(buf, r.Table...)
-	putUvarint(uint64(r.ExpectRows))
-	putUvarint(uint64(len(r.Rows)))
+	w.Byte(0)
+	w.Str(r.Table)
+	w.Uvarint(uint64(r.ExpectRows))
 	ncols := 0
 	if len(r.Rows) > 0 {
 		ncols = len(r.Rows[0])
 	}
-	putUvarint(uint64(ncols))
+	w.Uvarint(uint64(len(r.Rows)))
+	w.Uvarint(uint64(ncols))
 	for _, row := range r.Rows {
 		for _, v := range row {
-			tag := byte(v.Typ)
 			if v.Null {
-				tag |= nullBit
-			}
-			buf = append(buf, tag)
-			if v.Null {
+				w.Byte(byte(v.Typ) | nullBit)
 				continue
 			}
-			switch v.Typ {
-			case table.TInt64, table.TDate:
-				put64(uint64(v.I))
-			case table.TFloat64:
-				put64(math.Float64bits(v.F))
-			case table.TString:
-				putUvarint(uint64(len(v.S)))
-				buf = append(buf, v.S...)
-			}
+			w.Byte(byte(v.Typ))
+			w.Value(v)
 		}
 	}
-	return buf
+	return w.Bytes()
 }
 
-// payloadReader decodes a record body with bounds checking; any malformed
-// field surfaces as an error rather than a panic, so a corrupt-but-CRC-valid
-// payload (impossible barring a bug, but cheap to defend) cannot crash
-// recovery.
-type payloadReader struct {
-	buf []byte
-	off int
-}
-
-func (p *payloadReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(p.buf[p.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wal: truncated uvarint at offset %d", p.off)
-	}
-	p.off += n
-	return v, nil
-}
-
-func (p *payloadReader) bytes(n int) ([]byte, error) {
-	if n < 0 || p.off+n > len(p.buf) {
-		return nil, fmt.Errorf("wal: truncated field at offset %d (want %d bytes)", p.off, n)
-	}
-	b := p.buf[p.off : p.off+n]
-	p.off += n
-	return b, nil
-}
-
-func (p *payloadReader) u64() (uint64, error) {
-	b, err := p.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-// maxRecordCells bounds a single record's decoded cell count; a payload
-// claiming more is rejected as corrupt instead of allocating unboundedly.
-const maxRecordCells = 1 << 26
-
-// decodePayload parses one record body.
+// decodePayload parses one record body. A malformed body is an error, not a
+// panic: a CRC-valid frame can still hold one, and replay treats it as a tear.
 func decodePayload(buf []byte) (*Record, error) {
-	p := &payloadReader{buf: buf}
-	seq, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	flags, err := p.bytes(1)
-	if err != nil {
-		return nil, err
-	}
-	rec := &Record{Seq: seq}
-	if flags[0]&flagAbort != 0 {
+	r := codec.NewReader(buf)
+	rec := &Record{Seq: r.Uvarint()}
+	if r.Byte()&flagAbort != 0 {
 		rec.Abort = true
-		return rec, nil
-	}
-	nameLen, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	name, err := p.bytes(int(nameLen))
-	if err != nil {
-		return nil, err
-	}
-	rec.Table = string(name)
-	expect, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	rec.ExpectRows = int(expect)
-	nrows, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ncols, err := p.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Bound each factor before multiplying: both ≤ 2^26 keeps the product
-	// ≤ 2^52, so it cannot wrap uint64 and sneak past the cell guard.
-	if nrows > maxRecordCells || ncols > maxRecordCells || nrows*ncols > maxRecordCells {
-		return nil, fmt.Errorf("wal: record claims %d x %d cells", nrows, ncols)
-	}
-	rec.Rows = make([][]table.Value, nrows)
-	for ri := range rec.Rows {
-		row := make([]table.Value, ncols)
-		for ci := range row {
-			tag, err := p.bytes(1)
-			if err != nil {
-				return nil, err
-			}
-			typ := table.Type(tag[0] &^ nullBit)
-			if typ > table.TDate {
-				return nil, fmt.Errorf("wal: row %d col %d has unknown type %d", ri, ci, typ)
-			}
-			if tag[0]&nullBit != 0 {
-				row[ci] = table.Null(typ)
-				continue
-			}
-			switch typ {
-			case table.TInt64, table.TDate:
-				v, err := p.u64()
-				if err != nil {
-					return nil, err
-				}
-				if typ == table.TDate {
-					row[ci] = table.Date(int64(v))
+	} else {
+		rec.Table = r.Str()
+		rec.ExpectRows = int(r.Uvarint())
+		nrows := r.Uvarint()
+		ncols := r.Count(1)
+		// Every cell holds at least its tag byte, so the rows are bounded by
+		// the bytes left; rows of no columns hold none and never fit.
+		n := r.Fit(nrows, ncols)
+		cells := make([]table.Value, n*ncols)
+		rec.Rows = make([][]table.Value, n)
+		for i := range rec.Rows {
+			row := cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
+			for ci := range row {
+				tag := r.Byte()
+				typ := r.Type(tag &^ nullBit)
+				if tag&nullBit != 0 {
+					row[ci] = table.Null(typ)
 				} else {
-					row[ci] = table.Int(int64(v))
+					row[ci] = r.Value(typ)
 				}
-			case table.TFloat64:
-				v, err := p.u64()
-				if err != nil {
-					return nil, err
-				}
-				row[ci] = table.Float(math.Float64frombits(v))
-			case table.TString:
-				n, err := p.uvarint()
-				if err != nil {
-					return nil, err
-				}
-				s, err := p.bytes(int(n))
-				if err != nil {
-					return nil, err
-				}
-				row[ci] = table.Str(string(s))
 			}
+			rec.Rows[i] = row
 		}
-		rec.Rows[ri] = row
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("wal: record: %w", err)
 	}
 	return rec, nil
 }

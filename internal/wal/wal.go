@@ -1,44 +1,37 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
+	"gbmqo/internal/codec"
 	"gbmqo/internal/exec"
 )
 
 // Segment layout:
 //
 //	[8B magic "GBMQWAL1"]
-//	frame*   where frame = [4B payload len LE][4B CRC32C(payload) LE][payload]
+//	frame*   (codec.AppendFrame: [4B payload len LE][4B CRC32C(payload) LE][payload])
 //
 // A segment is named wal-%020d.log where the number is the sequence of its
-// first record; the active segment is the numerically largest. The CRC is
-// Castagnoli, computed over the payload only — a torn write (short frame or
-// garbage tail) fails either the length bound or the CRC, and replay
-// truncates the segment there instead of failing.
+// first record; the active segment is the numerically largest. A torn write
+// (short frame or garbage tail) fails either the length bound or the CRC, and
+// replay truncates the segment there instead of failing.
 
 const (
 	segMagic   = "GBMQWAL1"
 	segPrefix  = "wal-"
 	segSuffix  = ".log"
-	frameHdr   = 8
+	frameHdr   = codec.FrameHeader
 	defaultSeg = 4 << 20
 	// maxFrame bounds a single frame so a corrupt length field cannot drive a
 	// huge allocation during replay.
 	maxFrame = 64 << 20
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Policy selects when the writer fsyncs the active segment.
 type Policy int
@@ -158,7 +151,7 @@ func Open(opts Options) (*Writer, error) {
 	}
 	// A previous process that opened the log but never committed an append can
 	// leave a segment bearing exactly the first sequence the new writer wants.
-	// Reclaim the name only when the segment holds no CRC-valid frame at all
+	// Reclaim the name only when the segment holds no valid record at all
 	// (empty or wholly torn — nothing acknowledged lives in it). It can also
 	// hold valid frames that never advanced the scan: an Append that rotates
 	// mid-call makes a following AppendAbort the first frame of the new
@@ -166,23 +159,25 @@ func Open(opts Options) (*Writer, error) {
 	// destroy the durable abort marker and resurrect a never-acknowledged
 	// append on the next recovery — instead the label itself is burned: any
 	// torn tail is truncated and the writer starts one sequence past the name.
-	if stale := filepath.Join(opts.Dir, segName(next)); fileExists(stale) {
-		valid, tearOff, serr := segmentFrameState(stale)
-		if serr != nil {
-			return nil, serr
+	stale := filepath.Join(opts.Dir, segName(next))
+	valid := 0
+	err = scanSegment(stale, func(*Record) error { valid++; return nil })
+	var tear *tornError
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+	case err != nil && !errors.As(err, &tear):
+		return nil, err
+	case valid == 0:
+		if err := os.Remove(stale); err != nil {
+			return nil, err
 		}
-		if valid == 0 {
-			if err := os.Remove(stale); err != nil {
+	default:
+		if tear != nil {
+			if err := os.Truncate(stale, tear.off); err != nil {
 				return nil, err
 			}
-		} else {
-			if tearOff >= 0 {
-				if err := os.Truncate(stale, tearOff); err != nil {
-					return nil, err
-				}
-			}
-			next++
 		}
+		next++
 	}
 	w := &Writer{opts: opts, nextSeq: next}
 	if err := w.rotateLocked(); err != nil {
@@ -205,15 +200,9 @@ func nextSeqOnDisk(dir string) (uint64, error) {
 		return 1, err
 	}
 	last := segs[len(segs)-1]
-	max := last.firstSeq - 1
-	err = scanSegment(filepath.Join(dir, last.name), func(payload []byte) error {
-		seq, n := binary.Uvarint(payload)
-		if n <= 0 {
-			return fmt.Errorf("wal: segment %s has frame without sequence", last.name)
-		}
-		if seq > max {
-			max = seq
-		}
+	top := last.firstSeq - 1
+	err = scanSegment(filepath.Join(dir, last.name), func(rec *Record) error {
+		top = max(top, rec.Seq)
 		return nil
 	})
 	if err != nil {
@@ -222,22 +211,7 @@ func nextSeqOnDisk(dir string) (uint64, error) {
 			return 0, err
 		}
 	}
-	return max + 1, nil
-}
-
-// segmentFrameState reports how many CRC-valid frames the segment at path
-// holds and, when its tail is torn, the tear's byte offset (-1 for a clean
-// tail). Read errors pass through; tears do not.
-func segmentFrameState(path string) (validFrames int, tearOff int64, err error) {
-	err = scanSegment(path, func([]byte) error { validFrames++; return nil })
-	if err != nil {
-		var te *tornError
-		if errors.As(err, &te) {
-			return validFrames, te.off, nil
-		}
-		return validFrames, -1, err
-	}
-	return validFrames, -1, nil
+	return top + 1, nil
 }
 
 type segInfo struct {
@@ -246,37 +220,16 @@ type segInfo struct {
 }
 
 func listSegments(dir string) ([]segInfo, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
+	seqs, err := codec.ListFiles(dir, segPrefix, segSuffix)
+	segs := make([]segInfo, len(seqs))
+	for i, seq := range seqs {
+		segs[i] = segInfo{name: segName(seq), firstSeq: seq}
 	}
-	var segs []segInfo
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		numStr := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-		n, err := strconv.ParseUint(numStr, 10, 64)
-		if err != nil {
-			continue
-		}
-		segs = append(segs, segInfo{name: name, firstSeq: n})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].firstSeq < segs[j].firstSeq })
-	return segs, nil
+	return segs, err
 }
 
 func segName(firstSeq uint64) string {
-	return fmt.Sprintf("%s%020d%s", segPrefix, firstSeq, segSuffix)
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+	return codec.FileName(segPrefix, firstSeq, segSuffix)
 }
 
 // rotateLocked closes the active segment (if any) and opens a new one whose
@@ -302,6 +255,14 @@ func (w *Writer) rotateLocked() error {
 		f.Close()
 		return err
 	}
+	// The segment's records are synced through f; its directory entry is
+	// durable only once the directory is synced too.
+	if w.opts.Policy != FsyncOff {
+		if err := codec.SyncDir(w.opts.Dir); err != nil {
+			f.Close()
+			return err
+		}
+	}
 	w.f = f
 	w.segStart = w.nextSeq
 	w.segSize = int64(len(segMagic))
@@ -317,6 +278,11 @@ func (w *Writer) Append(rec *Record) (uint64, error) {
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrClosed
+	}
+	if len(rec.Rows) > 0 && len(rec.Rows[0]) == 0 {
+		// decodePayload bounds rows by their cells' bytes; a row of no
+		// columns has none, and replay would read the record as a tear.
+		return 0, errors.New("wal: cannot log rows of no columns")
 	}
 	if err := w.syncFailure(); err != nil {
 		// A background fsync has failed: acknowledged-but-unsynced bytes may
@@ -370,13 +336,10 @@ func (w *Writer) AppendAbort(seq uint64) error {
 
 func (w *Writer) writeLocked(rec *Record) error {
 	payload := encodePayload(rec)
-	if len(payload) > maxFrame {
-		return fmt.Errorf("wal: record of %d bytes exceeds frame limit", len(payload))
+	frame, err := codec.AppendFrame(make([]byte, 0, frameHdr+len(payload)), payload, maxFrame)
+	if err != nil {
+		return fmt.Errorf("wal: record: %w", err)
 	}
-	frame := make([]byte, frameHdr+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHdr:], payload)
 	if _, err := w.f.Write(frame); err != nil {
 		return err
 	}
@@ -526,10 +489,11 @@ func (e *tornError) Error() string {
 	return fmt.Sprintf("wal: torn tail at offset %d: %s", e.off, e.why)
 }
 
-// scanSegment streams each frame payload through fn. A malformed header,
-// oversized length, short payload, or CRC mismatch returns a *tornError
-// carrying the offset of the bad frame; fn errors pass through unchanged.
-func scanSegment(path string, fn func(payload []byte) error) error {
+// scanSegment decodes each record of the segment at path and passes it to fn.
+// A bad magic, a frame codec.ReadFrame rejects or a payload that does not
+// decode returns a *tornError carrying the bad frame's offset; read errors
+// and fn errors pass through unchanged.
+func scanSegment(path string, fn func(*Record) error) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -537,28 +501,19 @@ func scanSegment(path string, fn func(payload []byte) error) error {
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		return &tornError{off: 0, why: "bad segment magic"}
 	}
-	off := int64(len(segMagic))
-	for int(off) < len(data) {
-		rest := data[off:]
-		if len(rest) < frameHdr {
-			return &tornError{off: off, why: "short frame header"}
+	for off := len(segMagic); off < len(data); {
+		payload, n, err := codec.ReadFrame(data[off:], maxFrame)
+		var rec *Record
+		if err == nil {
+			rec, err = decodePayload(payload)
 		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if n > maxFrame {
-			return &tornError{off: off, why: "frame length out of range"}
+		if err != nil {
+			return &tornError{off: int64(off), why: err.Error()}
 		}
-		if len(rest) < frameHdr+int(n) {
-			return &tornError{off: off, why: "short frame payload"}
-		}
-		payload := rest[frameHdr : frameHdr+int(n)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return &tornError{off: off, why: "payload CRC mismatch"}
-		}
-		if err := fn(payload); err != nil {
+		if err := fn(rec); err != nil {
 			return err
 		}
-		off += int64(frameHdr) + int64(n)
+		off += n
 	}
 	return nil
 }
@@ -597,62 +552,42 @@ func Replay(dir string, after uint64, fn func(*Record) error) (ReplayStats, erro
 	tearSeg := -1
 	var tear *tornError
 	for i, s := range segs {
-		err := scanSegment(filepath.Join(dir, s.name), func(payload []byte) error {
-			rec, err := decodePayload(payload)
-			if err != nil {
-				return err
-			}
-			if rec.Seq > st.MaxSeq {
-				st.MaxSeq = rec.Seq
-			}
+		err := scanSegment(filepath.Join(dir, s.name), func(rec *Record) error {
+			st.MaxSeq = max(st.MaxSeq, rec.Seq)
 			if rec.Abort {
 				aborted[rec.Seq] = true
 			}
 			return nil
 		})
-		if err != nil {
-			var te *tornError
-			if errors.As(err, &te) {
-				tearSeg, tear = i, te
-				break
-			}
-			// Undecodable-but-CRC-valid payload: treat as a tear at that
-			// segment too — the data is not trustworthy past this point.
-			tearSeg, tear = i, &tornError{off: 0, why: err.Error()}
+		if errors.As(err, &tear) {
+			tearSeg = i
 			break
+		}
+		if err != nil {
+			return st, err
 		}
 	}
 
 	// Repair: truncate the torn segment at the tear and drop later segments.
 	if tearSeg >= 0 {
 		st.TruncatedTails++
-		path := filepath.Join(dir, segs[tearSeg].name)
+		kept := tearSeg + 1
 		if tear.off <= int64(len(segMagic)) {
-			// Nothing valid in this segment; remove it entirely.
-			if err := os.Remove(path); err != nil {
-				return st, err
-			}
-		} else if err := os.Truncate(path, tear.off); err != nil {
+			kept = tearSeg // nothing valid in the torn segment: remove it too
+		} else if err := os.Truncate(filepath.Join(dir, segs[tearSeg].name), tear.off); err != nil {
 			return st, err
 		}
-		for _, s := range segs[tearSeg+1:] {
+		for _, s := range segs[kept:] {
 			if err := os.Remove(filepath.Join(dir, s.name)); err != nil {
 				return st, err
 			}
 		}
-		segs = segs[:tearSeg+1]
-		if tear.off <= int64(len(segMagic)) {
-			segs = segs[:tearSeg]
-		}
+		segs = segs[:kept]
 	}
 
 	// Pass 2: deliver committed records in order.
 	for _, s := range segs {
-		err := scanSegment(filepath.Join(dir, s.name), func(payload []byte) error {
-			rec, err := decodePayload(payload)
-			if err != nil {
-				return err
-			}
+		err := scanSegment(filepath.Join(dir, s.name), func(rec *Record) error {
 			if rec.Abort || rec.Seq <= after || aborted[rec.Seq] {
 				if !rec.Abort && aborted[rec.Seq] && rec.Seq > after {
 					st.Aborted++
