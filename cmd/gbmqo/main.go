@@ -53,7 +53,7 @@ func main() {
 		drainFor  = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight work on SIGINT/SIGTERM before -serve exits")
 		metrics   = flag.Bool("metrics", false, "dump the metrics registry in Prometheus text format after running")
 		par       = flag.Int("par", 0, "intra-operator parallelism: workers per large aggregate (-1 = GOMAXPROCS, 0 = off)")
-		kernels   = flag.Bool("explain-kernels", false, "with -sql: print which physical aggregation kernel ran each plan node and why")
+		kernels   = flag.Bool("explain-kernels", false, "with -sql: print which physical aggregation kernel ran each plan node, its actual and estimated groups, and why")
 		shards    = flag.Int("shards", 0, "partition tables into N hash shards and scatter-gather queries across them (0 = unsharded)")
 		partialOK = flag.Bool("allow-partial", false, "with -shards: serve partial results when a shard fails terminally instead of erroring")
 		appendCSV = flag.String("append-csv", "", "append rows from a CSV file (matching the target table's schema, header row required) as a streaming delta")

@@ -308,6 +308,11 @@ func (db *DB) durableAppend(name string, rows [][]Value) (rep *AppendReport, err
 		}
 	}()
 	if _, werr := d.w.Append(rec); werr != nil {
+		// A write or sync that failed after the sequence was assigned may
+		// still have reached the log: void it, as the panic path does.
+		if rec.Seq != 0 {
+			d.abortQuiet(rec.Seq)
+		}
 		return nil, werr
 	}
 	rep, err = db.eng.Append(name, rows)
@@ -479,42 +484,54 @@ const manifestFormat = 2
 var manifestCRC = crc32.MakeTable(crc32.Castagnoli)
 
 func writeManifest(path string, entries []cache.ManifestEntry) error {
+	buf, err := encodeManifest(entries)
+	if err != nil {
+		return err
+	}
+	return codec.WriteFileAtomic(path, buf)
+}
+
+// encodeManifest renders entries as a manifest of this build's format.
+func encodeManifest(entries []cache.ManifestEntry) ([]byte, error) {
 	if entries == nil {
 		entries = []cache.ManifestEntry{}
 	}
 	body, err := json.Marshal(entries)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	env := manifestEnvelope{Format: manifestFormat, CRC: fmt.Sprintf("%08x", crc32.Checksum(body, manifestCRC)), Entries: entries}
 	buf, err := json.MarshalIndent(env, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return codec.WriteFileAtomic(path, append(buf, '\n'))
+	return append(buf, '\n'), nil
 }
 
 // readManifest loads the manifest; ok is false (with no error) when the file
-// is absent, unparseable, of another checksum format, or fails its CRC —
-// rewarm is skipped, never fed garbage. discarded reports a file that exists
-// but was dropped.
+// is absent or decodeManifest rejects it — rewarm is skipped, never fed
+// garbage. discarded reports a file that exists but was dropped.
 func readManifest(path string) (entries []cache.ManifestEntry, ok, discarded bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, false
 	}
+	entries, ok = decodeManifest(data)
+	return entries, ok, !ok
+}
+
+// decodeManifest parses a manifest, rejecting one that is unparseable, of
+// another checksum format, or fails its CRC.
+func decodeManifest(data []byte) ([]cache.ManifestEntry, bool) {
 	var env manifestEnvelope
 	if err := json.Unmarshal(data, &env); err != nil || env.Format != manifestFormat {
-		return nil, false, true
+		return nil, false
 	}
 	body, err := json.Marshal(env.Entries)
-	if err != nil {
-		return nil, false, true
+	if err != nil || fmt.Sprintf("%08x", crc32.Checksum(body, manifestCRC)) != env.CRC {
+		return nil, false
 	}
-	if fmt.Sprintf("%08x", crc32.Checksum(body, manifestCRC)) != env.CRC {
-		return nil, false, true
-	}
-	return env.Entries, true, false
+	return env.Entries, true
 }
 
 // rewarmCache recomputes every manifest entry whose epoch matches the

@@ -8,7 +8,9 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -644,5 +646,54 @@ func TestRegisterDurableSurfacesSnapshotFailure(t *testing.T) {
 	}
 	if _, ok := db.Table("events"); !ok {
 		t.Fatal("table missing from in-memory catalog after failed durable registration")
+	}
+}
+
+// FuzzManifest feeds arbitrary bytes to the cache manifest decoder. It must
+// never panic; it may accept only a manifest of this build's format whose
+// CRC matches its entries — an older format or a bad CRC is discarded — and
+// what it accepts must re-encode as writeManifest writes it and decode back
+// equal. Seeds (testdata/fuzz/FuzzManifest): a current manifest, one from
+// before the format field, and one whose CRC does not match.
+func FuzzManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, ok := decodeManifest(data)
+		if !ok {
+			return
+		}
+		var env manifestEnvelope
+		if err := json.Unmarshal(data, &env); err != nil || env.Format != manifestFormat {
+			t.Fatalf("accepted a manifest of format %d (%v)", env.Format, err)
+		}
+		body, err := json.Marshal(env.Entries)
+		if err != nil || fmt.Sprintf("%08x", crc32.Checksum(body, manifestCRC)) != env.CRC {
+			t.Fatalf("accepted a manifest whose CRC %q does not match its entries", env.CRC)
+		}
+		buf, err := encodeManifest(entries)
+		if err != nil {
+			t.Fatalf("accepted entries do not re-encode: %v", err)
+		}
+		again, ok := decodeManifest(buf)
+		if !ok || !(len(again) == 0 && len(entries) == 0 || reflect.DeepEqual(again, entries)) {
+			t.Fatalf("re-encoded manifest reads back %v (ok=%v), want %v", again, ok, entries)
+		}
+	})
+}
+
+// TestManifestSeeds pins the verdict on each checked-in manifest seed.
+func TestManifestSeeds(t *testing.T) {
+	for name, want := range map[string]bool{"format2": true, "format1_no_format_field": false, "crc_mismatch": false} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzManifest", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, body, _ := strings.Cut(string(raw), "[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimSpace(body), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, ok := decodeManifest([]byte(data)); ok != want {
+			t.Errorf("%s: accepted=%v, want %v", name, ok, want)
+		}
 	}
 }

@@ -166,6 +166,7 @@ const (
 	AggSum       = exec.AggSum
 	AggMin       = exec.AggMin
 	AggMax       = exec.AggMax
+	AggAvg       = exec.AggAvg
 )
 
 // CountStar is the COUNT(*) aggregate, the paper's default.

@@ -101,6 +101,9 @@ type KernelUse struct {
 	// Rows is the operator's input row count; Groups its output group count.
 	Rows   int
 	Groups int
+	// EstGroups is the plan's estimate of Groups, the one the kernel was
+	// picked for (0 = no statistic was built for the set).
+	EstGroups float64
 	// Workers is the number of shares the kernel's scan ran (1 =
 	// sequential); the run's worker pool may hold it below the pick's.
 	Workers int
@@ -110,8 +113,8 @@ type KernelUse struct {
 
 // String renders one attribution row.
 func (k KernelUse) String() string {
-	return fmt.Sprintf("%s: %s (%d rows → %d groups, %d workers): %s",
-		k.Node, k.Kernel, k.Rows, k.Groups, k.Workers, k.Reason)
+	return fmt.Sprintf("%s: %s (%d rows → %d groups, est %.0f, %d workers): %s",
+		k.Node, k.Kernel, k.Rows, k.Groups, k.EstGroups, k.Workers, k.Reason)
 }
 
 // SetOrigin attributes one requested grouping set's result to how it was
@@ -265,11 +268,6 @@ func NewExecutor(cat *catalog.Catalog) *Executor { return &Executor{cat: cat} }
 
 // Hooks are the executor's callbacks that are not request knobs.
 type Hooks struct {
-	// NDVFn, when non-nil, answers NDV estimates for grouping sets from
-	// *already-built* statistics (0 = unknown) for the kernel chooser. It must
-	// never build a statistic: profiling mid-execution costs more than it
-	// saves.
-	NDVFn func(colset.Set) float64
 	// PromoteTemp, when non-nil, observes every materialized intermediate,
 	// with the aggregates it carries, as it is dropped: the result cache's
 	// promotion candidates. It must admit nothing until the run has
@@ -277,10 +275,11 @@ type Hooks struct {
 	PromoteTemp func(set colset.Set, aggs []exec.Agg, t *table.Table)
 }
 
-// ExecutePlanWith runs the plan against its base table under the request's
-// execution knobs — Aggs (nil selects COUNT(*)) with source ordinals on the
-// base table, PerSetAggs, SharedScan, Parallel, Parallelism, Context,
-// MemBudget and NoRetain. size estimates node result sizes for the §4.4
+// ExecutePlanWith runs the plan against its base table, each node on the
+// kernel written on it (see Engine.Plan), under the request's execution
+// knobs — Aggs (nil selects COUNT(*)) with source ordinals on the base
+// table, PerSetAggs, SharedScan, Parallel, Parallelism, Context, MemBudget
+// and NoRetain. size estimates node result sizes for the §4.4
 // scheduler (nil falls back to a flat estimate, preserving plan order but not
 // storage optimality).
 //
@@ -320,25 +319,7 @@ func (ex *Executor) ExecutePlanWith(p *plan.Plan, req Request, size plan.SizeFn,
 			return run.fail(err)
 		}
 	}
-	return run.runSegments(p, segments)
-}
-
-// annotateKernels attaches the report's per-node kernel attribution to the
-// plan for display: p.String() then renders each node with the kernel that
-// executed it. The first attribution per node wins (CUBE/ROLLUP covered
-// levels re-aggregate under the same set; the node's own computation comes
-// first).
-func annotateKernels(p *plan.Plan, rep *ExecReport) {
-	if len(rep.Kernels) == 0 {
-		return
-	}
-	notes := make(map[string]string, len(rep.Kernels))
-	for _, k := range rep.Kernels {
-		if _, ok := notes[k.Node]; !ok {
-			notes[k.Node] = k.Kernel
-		}
-	}
-	p.Annotate(notes)
+	return run.runSegments(segments)
 }
 
 // runSteps walks one contiguous schedule (the whole plan sequentially, or
@@ -511,41 +492,37 @@ func (r *planRun) hashEstimate(set colset.Set) int64 {
 }
 
 // groupBy runs one read of src computing queries[i] for sets[i], each on the
-// kernel the adaptive chooser picks from per-node statistics (NDV estimate,
-// dictionary-derived dense domain, row count), the worker budget and the
-// memory budget: the dense key mode, the presized hash key modes, or
-// sort-based aggregation (the budget rung: O(rows) working state). It folds
-// the operators into the report: one read of rows scanned, one query and one
-// attribution row per set, and any budget-forced rung as a degradation.
-func (r *planRun) groupBy(src *table.Table, sets []colset.Set, queries []exec.MultiQuery) ([]*table.Table, error) {
-	hints := make([]exec.AdaptiveHints, len(queries))
-	for i := range queries {
-		hints[i] = exec.AdaptiveHints{Workers: r.par}
-		if r.hooks.NDVFn != nil {
-			hints[i].NDV = r.hooks.NDVFn(sets[i])
-		}
-		if r.budget.Limit() > 0 {
-			hints[i].HashStateBytes = r.hashEstimate(sets[i])
+// kernel choices[i] names. Under a limited budget each choice is first
+// admitted (exec.Admit), the one change the executor makes to a pick: a
+// dense pick may fall back to hash, and a hash pick to sort aggregation (the
+// budget rung: O(rows) working state). It folds the operators into the
+// report: one read of rows scanned, one query and one attribution row per
+// set, and any budget-forced rung as a degradation.
+func (r *planRun) groupBy(src *table.Table, sets []colset.Set, queries []exec.MultiQuery, choices []exec.KernelChoice) ([]*table.Table, error) {
+	limited := r.budget.Limit() > 0
+	if limited {
+		for i, q := range queries {
+			choices[i] = exec.Admit(choices[i], r.budget, src.NumRows(), exec.DenseDomain(src, q.GroupCols), r.hashEstimate(sets[i]))
 		}
 	}
 	r.report.RowsScanned += int64(src.NumRows())
 	r.report.QueriesRun += len(queries)
-	outs, stats, err := exec.GroupByAdaptiveMultiGov(r.gov, src, queries, hints)
+	outs, stats, err := exec.GroupByMultiGov(r.gov, src, queries, choices)
 	if err != nil {
 		return nil, err
 	}
 	for i, set := range sets {
 		ks := stats[i]
-		if ks.Kind == exec.KernelSort && hints[i].HashStateBytes > 0 {
+		if ks.Kind == exec.KernelSort && limited {
 			r.degrade(DegradeSortAgg, set, fmt.Sprintf(
 				"estimated hash state %dB over budget (used %d of %dB); sort-based aggregation",
-				hints[i].HashStateBytes, r.budget.Used(), r.budget.Limit()))
+				r.hashEstimate(set), r.budget.Used(), r.budget.Limit()))
 			r.report.SpillFallbacks++
 		}
 		if len(sets) > 1 {
 			ks.Reason = fmt.Sprintf("shared scan of %d sibling queries; %s", len(sets), ks.Reason)
 		}
-		r.noteKernel(set, ks.Kind.String(), src.NumRows(), ks)
+		r.noteKernel(set, ks.Kind.String(), src.NumRows(), choices[i].Groups, ks)
 	}
 	return outs, nil
 }
@@ -553,7 +530,7 @@ func (r *planRun) groupBy(src *table.Table, sets []colset.Set, queries []exec.Mu
 // noteKernel folds one operator into the report: its attribution row under
 // the kernel name, budget-rejected preferences as kernel-fallback
 // degradations, presize savings, and the parallelism counters.
-func (r *planRun) noteKernel(set colset.Set, kernel string, rows int, ks exec.KernelStats) {
+func (r *planRun) noteKernel(set colset.Set, kernel string, rows int, est float64, ks exec.KernelStats) {
 	for _, fb := range ks.Fallbacks {
 		r.degrade(DegradeKernelFallback, set, fmt.Sprintf(
 			"%s kernel preferred but %s; fell back to %s", fb.Kind, fb.Detail, kernel))
@@ -564,6 +541,7 @@ func (r *planRun) noteKernel(set colset.Set, kernel string, rows int, ks exec.Ke
 		Reason:          ks.Reason,
 		Rows:            rows,
 		Groups:          ks.Groups,
+		EstGroups:       est,
 		Workers:         ks.Workers,
 		RehashesAvoided: ks.RehashesAvoided,
 	})
@@ -663,17 +641,20 @@ func nodeErr(n *plan.Node, err error) error {
 func (r *planRun) compute(nodes []*plan.Node, parent *plan.Node) error {
 	var scan []*plan.Node
 	for _, n := range nodes {
+		var err error
 		switch {
 		case !r.detour(n, parent):
 			scan = append(scan, n)
-		case parent != nil:
-			if err := r.compute([]*plan.Node{n}, nil); err != nil {
-				return err
-			}
+		case parent == nil || r.indexFor(n) != nil:
+			err = r.indexed(n)
 		default:
-			if err := r.indexed(n); err != nil {
-				return nodeErr(n, err)
-			}
+			// Re-derive from the base relation: an input the plan did not
+			// price, so the node's kernel is picked again for it.
+			c := pickKernel(r.base, n.Set, r.base.NumRows(), n.Kernel.Groups, r.par)
+			err = r.scan(r.base, []*plan.Node{n}, []exec.KernelChoice{c})
+		}
+		if err != nil {
+			return nodeErr(n, err)
 		}
 	}
 	if len(scan) == 0 {
@@ -685,6 +666,10 @@ func (r *planRun) compute(nodes []*plan.Node, parent *plan.Node) error {
 			return fmt.Errorf("engine: intermediate %s not materialized", parent.Set)
 		}
 	}
+	choices := make([]exec.KernelChoice, len(scan))
+	for i, n := range scan {
+		choices[i] = n.Kernel
+	}
 	if len(scan) > 1 && r.budget.Limit() > 0 {
 		var est int64
 		for _, n := range scan {
@@ -694,28 +679,34 @@ func (r *planRun) compute(nodes []*plan.Node, parent *plan.Node) error {
 			r.degrade(DegradeUnshare, scan[0].Set, fmt.Sprintf(
 				"%d-query shared scan needs ~%dB of concurrent hash state (used %d of %dB); splitting into individual passes",
 				len(scan), est, r.budget.Used(), r.budget.Limit()))
-			for _, n := range scan {
-				if err := r.compute([]*plan.Node{n}, parent); err != nil {
+			for i := range scan {
+				if err := r.scan(src, scan[i:i+1], choices[i:i+1]); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 	}
-	sets := make([]colset.Set, len(scan))
-	queries := make([]exec.MultiQuery, len(scan))
-	for i, n := range scan {
+	return r.scan(src, scan, choices)
+}
+
+// scan computes nodes in one read of src, each on choices[i], and delivers
+// their results.
+func (r *planRun) scan(src *table.Table, nodes []*plan.Node, choices []exec.KernelChoice) error {
+	sets := make([]colset.Set, len(nodes))
+	queries := make([]exec.MultiQuery, len(nodes))
+	for i, n := range nodes {
 		q, err := r.query(src, n.Set, r.aggsFor(n))
 		if err != nil {
 			return err
 		}
 		sets[i], queries[i] = n.Set, q
 	}
-	outs, err := r.groupBy(src, sets, queries)
+	outs, err := r.groupBy(src, sets, queries, choices)
 	if err != nil {
-		return nodeErr(scan[0], err)
+		return nodeErr(nodes[0], err)
 	}
-	for i, n := range scan {
+	for i, n := range nodes {
 		if err := r.deliver(n, outs[i]); err != nil {
 			return nodeErr(n, err)
 		}
@@ -770,7 +761,7 @@ func (r *planRun) indexed(n *plan.Node) error {
 		} else {
 			out = exec.GroupByIndexPrefixCounts(r.base, ix, cols, name)
 		}
-		r.noteKernel(n.Set, "index-counts", ix.NumGroups(), exec.KernelStats{Workers: 1, Groups: out.NumRows(),
+		r.noteKernel(n.Set, "index-counts", ix.NumGroups(), n.Kernel.Groups, exec.KernelStats{Workers: 1, Groups: out.NumRows(),
 			Reason: fmt.Sprintf("COUNT(*) off index %s boundaries", ix.Name())})
 		return r.deliver(n, renameAggs(out, aggs))
 	}
@@ -779,7 +770,7 @@ func (r *planRun) indexed(n *plan.Node) error {
 	if err != nil {
 		return err
 	}
-	r.noteKernel(n.Set, "index-stream", r.base.NumRows(), exec.KernelStats{Workers: 1, Groups: out.NumRows(),
+	r.noteKernel(n.Set, "index-stream", r.base.NumRows(), n.Kernel.Groups, exec.KernelStats{Workers: 1, Groups: out.NumRows(),
 		Reason: fmt.Sprintf("rows clustered by index %s", ix.Name())})
 	return r.deliver(n, out)
 }
@@ -833,12 +824,10 @@ func mapToParent(base, parent *table.Table, set colset.Set, aggs []exec.Agg) ([]
 // pricing), keeping covered results available for required sets and for
 // children of the plan tree that the operator covers.
 func (r *planRun) expandCovered(n *plan.Node, own *table.Table) error {
-	covered := coveredSets(n)
+	covered := plan.CoveredSets(n)
 	results := map[colset.Set]*table.Table{n.Set: own}
-	for _, s := range covered { // sorted descending by size via coveredSets
-		if s == n.Set {
-			continue
-		}
+	for i := len(covered) - 2; i >= 0; i-- { // largest first; the last is n.Set
+		s := covered[i]
 		parentSet := plan.CoveredParent(n, s)
 		parent, ok := results[parentSet]
 		if !ok {
@@ -848,7 +837,7 @@ func (r *planRun) expandCovered(n *plan.Node, own *table.Table) error {
 		if err != nil {
 			return err
 		}
-		outs, err := r.groupBy(parent, []colset.Set{s}, []exec.MultiQuery{q})
+		outs, err := r.groupBy(parent, []colset.Set{s}, []exec.MultiQuery{q}, []exec.KernelChoice{n.Levels[s]})
 		if err != nil {
 			return err
 		}
@@ -874,33 +863,6 @@ func (r *planRun) expandCovered(n *plan.Node, own *table.Table) error {
 	// not occur (the planner always makes them children), but requiredness of
 	// the node itself is handled by deliver().
 	return nil
-}
-
-// coveredSets lists the operator's covered sets in descending size order so
-// each level's parent is computed before it.
-func coveredSets(n *plan.Node) []colset.Set {
-	var out []colset.Set
-	switch n.Op {
-	case plan.OpCube:
-		n.Set.Subsets(func(s colset.Set) bool {
-			if !s.IsEmpty() {
-				out = append(out, s)
-			}
-			return true
-		})
-	case plan.OpRollup:
-		var prefix colset.Set
-		for _, c := range n.RollupOrder {
-			prefix = prefix.Add(c)
-			out = append(out, prefix)
-		}
-	}
-	colset.SortSets(out)
-	// Descending by size.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
-	}
-	return out
 }
 
 // retain registers a materialized intermediate and updates storage and

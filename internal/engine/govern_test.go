@@ -195,10 +195,13 @@ func TestFaultStepPanicIsolated(t *testing.T) {
 // worker during a parallel plan execution and requires it to surface as a
 // *ExecError carrying both the worker step and the plan node. Shares need a
 // spare token of the run's GOMAXPROCS-sized pool: with one token no share
-// starts, the site never fires and the run succeeds.
+// starts, the site never fires and the run succeeds. The plan is made at the
+// parallelism it runs at, since its nodes' share counts are picked there, and
+// is Naive so that every node reads the 40 000 base rows: the split floor
+// gives a low-NDV node two shares.
 func TestFaultWorkerPanicSurfacesThroughEngine(t *testing.T) {
 	e, _ := newTestEngine(t, 40000)
-	p, _, _, err := e.Plan(Request{Table: "lineitem", Sets: govSets()})
+	p, _, _, err := e.Plan(Request{Table: "lineitem", Sets: govSets(), Strategy: StrategyNaive, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

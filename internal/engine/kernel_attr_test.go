@@ -2,11 +2,13 @@ package engine
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"gbmqo/internal/colset"
 	"gbmqo/internal/datagen"
+	"gbmqo/internal/plan"
 	"gbmqo/internal/stats"
 	"gbmqo/internal/table"
 )
@@ -172,5 +174,127 @@ func TestSharedScanRecordsKernelFallbacks(t *testing.T) {
 		if len(plain) != len(sets) || !reflect.DeepEqual(plain, shared) {
 			t.Errorf("%d KiB: degradations differ\nunshared: %v\nshared:   %v", kib, plain, shared)
 		}
+	}
+}
+
+// TestPlanPicksEveryKernel: when Plan returns, every node of every
+// strategy's plan carries its kernel and, where statistics were built, its
+// estimated groups, and plain EXPLAIN renders the kernel.
+func TestPlanPicksEveryKernel(t *testing.T) {
+	e, _ := newTestEngine(t, 20000)
+	for _, s := range []Strategy{StrategyGBMQO, StrategyNaive, StrategyGroupingSets, StrategyExhaustive} {
+		p, _, _, err := e.Plan(Request{Table: "lineitem", Sets: govSets(), Strategy: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range p.Roots {
+			r.Walk(func(n *plan.Node) {
+				if n.Kernel.Reason == "" {
+					t.Errorf("%v: node %s carries no kernel", s, n.Set)
+				}
+				if s == StrategyGBMQO && n.Kernel.Groups <= 0 {
+					t.Errorf("%v: node %s carries no group estimate, though the search priced it", s, n.Set)
+				}
+			})
+		}
+		if !strings.Contains(p.String(), "<dense>") {
+			t.Errorf("%v: EXPLAIN shows no kernel:\n%s", s, p)
+		}
+	}
+}
+
+// TestNaivePlanBuildsNoStatistic: picking kernels reads only statistics
+// already built, so planning a Naive request profiles nothing, and a Naive
+// run builds exactly the statistics its schedule and plan cost price.
+func TestNaivePlanBuildsNoStatistic(t *testing.T) {
+	sets := []colset.Set{
+		colset.Of(datagen.LShipDate, datagen.LCommitDate),
+		colset.Of(datagen.LReturnFlag, datagen.LShipMode),
+		colset.Of(datagen.LQuantity),
+	}
+	req := Request{Table: "lineitem", Sets: sets, Strategy: StrategyNaive}
+	planned, _ := newTestEngine(t, 20000)
+	p, _, model, err := planned.Plan(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := planned.Catalog().Stats()
+	if acct := svc.Accounting(); acct.StatsCreated != 0 || acct.RowsProfiled != 0 {
+		t.Fatalf("planning a Naive request built statistics: %+v", acct)
+	}
+	env, _ := planned.CostEnv("lineitem")
+	plan.Schedule(p, planned.sizeFn(env, 1))
+	p.Cost(model, 1)
+	want := svc.Accounting()
+
+	ran, _ := newTestEngine(t, 20000)
+	if _, err := ran.Run(req); err != nil {
+		t.Fatal(err)
+	}
+	got := ran.Catalog().Stats().Accounting()
+	if got.StatsCreated != want.StatsCreated || got.SamplesDrawn != want.SamplesDrawn || got.RowsProfiled != want.RowsProfiled {
+		t.Fatalf("a Naive run built %+v, its schedule and plan cost alone %+v", got, want)
+	}
+}
+
+// TestRederivedNodePicksAgain: a node that re-derives from the base
+// relation reads an input the plan did not price, so its kernel is picked
+// again for the base rows; every other node runs the plan's pick.
+func TestRederivedNodePicksAgain(t *testing.T) {
+	e, li := newTestEngine(t, 20000)
+	res, err := e.Run(Request{Table: "lineitem", Sets: govSets(), NoRetain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := map[string]*plan.Node{}
+	for _, r := range res.Plan.Roots {
+		r.Walk(func(n *plan.Node) { nodes[n.Set.String()] = n })
+	}
+	rederived := 0
+	for _, ku := range res.Report.Kernels {
+		n := nodes[ku.Node]
+		want := n.Kernel
+		if ku.Rows == li.NumRows() && !slices.Contains(res.Plan.Roots, n) {
+			want = pickKernel(li, n.Set, li.NumRows(), n.Kernel.Groups, 0)
+			rederived++
+		}
+		if ku.Kernel != want.Kind.String() || ku.Reason != want.Reason {
+			t.Errorf("%s ran %s (%s), want %s (%s)", ku.Node, ku.Kernel, ku.Reason, want.Kind, want.Reason)
+		}
+	}
+	if rederived == 0 {
+		t.Fatalf("no node re-derived from the base under NoRetain:\n%s", res.Plan)
+	}
+}
+
+// TestCoveredLevelsRunPlannedKernels: a CUBE node's covered levels run the
+// kernels the planner wrote in its Levels.
+func TestCoveredLevelsRunPlannedKernels(t *testing.T) {
+	e, li := newTestEngine(t, 20000)
+	cube := plan.NewNode(colset.Of(datagen.LReturnFlag, datagen.LLineStatus, datagen.LShipMode), true)
+	cube.Op = plan.OpCube
+	p := &plan.Plan{BaseName: "lineitem", ColNames: li.ColNames(), Roots: []*plan.Node{cube}}
+	env, _ := e.CostEnv("lineitem")
+	chooseKernels(p, li, env, 0)
+	if len(cube.Levels) != 6 {
+		t.Fatalf("cube over 3 columns has %d planned levels, want 6", len(cube.Levels))
+	}
+	rep, err := e.exec.ExecutePlanWith(p, Request{}, nil, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ku := range rep.Kernels {
+		want := cube.Kernel
+		for s, c := range cube.Levels {
+			if s.String() == ku.Node {
+				want = c
+			}
+		}
+		if ku.Kernel != want.Kind.String() || ku.EstGroups != want.Groups {
+			t.Errorf("%s ran %s est %.0f, planned %s est %.0f", ku.Node, ku.Kernel, ku.EstGroups, want.Kind, want.Groups)
+		}
+	}
+	if len(rep.Kernels) != 7 {
+		t.Fatalf("%d kernel rows, want the node and its 6 levels", len(rep.Kernels))
 	}
 }

@@ -21,7 +21,7 @@ import (
 // intermediates (grouping sets are unique across the plan), so segments
 // share only the governor and memory budget: cancellation stops every
 // segment and PeakMem reflects true concurrent usage.
-func (r *planRun) runSegments(p *plan.Plan, segments [][]plan.Step) (*ExecReport, error) {
+func (r *planRun) runSegments(segments [][]plan.Step) (*ExecReport, error) {
 	type result struct {
 		report *ExecReport
 		err    error
@@ -90,23 +90,19 @@ func (r *planRun) runSegments(p *plan.Plan, segments [][]plan.Step) (*ExecReport
 		return r.fail(firstErr)
 	}
 	r.finish()
-	annotateKernels(p, merged)
 	return merged, nil
 }
 
 // dispatchOrder returns the segments' indices longest first (ties in
 // schedule order). A segment's length is the sum, over its compute steps, of
 // the rows the step reads — the base relation's, or its parent's estimated
-// groups — plus the groups it produces. Group counts come from the NDV
-// estimates the planner already built (Hooks.NDVFn), so ordering never
-// profiles; without them the schedule order stands.
+// groups — plus the groups it produces. Group counts are the estimates on
+// the plan's nodes (see chooseKernels), so ordering never profiles; without
+// them the schedule order stands.
 func (r *planRun) dispatchOrder(segments [][]plan.Step) []int {
 	order := make([]int, len(segments))
 	for i := range order {
 		order[i] = i
-	}
-	if len(segments) < 2 || r.hooks.NDVFn == nil {
-		return order
 	}
 	work := make([]float64, len(segments))
 	for i, seg := range segments {
@@ -116,9 +112,9 @@ func (r *planRun) dispatchOrder(segments [][]plan.Step) []int {
 			}
 			rows := float64(r.base.NumRows())
 			if s.Parent != nil {
-				rows = r.hooks.NDVFn(s.Parent.Set)
+				rows = s.Parent.Kernel.Groups
 			}
-			work[i] += rows + r.hooks.NDVFn(s.Node.Set)
+			work[i] += rows + s.Node.Kernel.Groups
 		}
 	}
 	sort.SliceStable(order, func(a, b int) bool { return work[order[a]] > work[order[b]] })

@@ -234,25 +234,26 @@ func (e *Engine) costing(req Request, t *table.Table) (*cost.Env, cost.Model) {
 	return env, cost.NewOptimizer(env, cost.Coefficients{})
 }
 
-// Plan builds the logical plan for a request without executing it.
+// Plan builds the logical plan for a request without executing it, with the
+// kernel of every node picked (see chooseKernels): a plan says what runs
+// before anything does.
 func (e *Engine) Plan(req Request) (*plan.Plan, core.SearchStats, cost.Model, error) {
 	t, ok := e.cat.Table(req.Table)
 	if !ok {
 		return nil, core.SearchStats{}, nil, fmt.Errorf("engine: unknown table %q", req.Table)
 	}
 	env, model := e.costing(req, t)
-	nAggs := len(req.Aggs)
-	if nAggs == 0 {
-		nAggs = 1
-	}
+	nAggs := max(len(req.Aggs), 1)
+	var p *plan.Plan
+	var st core.SearchStats
+	var err error
 	switch req.Strategy {
 	case StrategyNaive:
-		return baseline.Naive(req.Table, t.ColNames(), req.Sets), core.SearchStats{}, model, nil
+		p = baseline.Naive(req.Table, t.ColNames(), req.Sets)
 	case StrategyGroupingSets:
-		return baseline.GroupingSets(req.Table, t.ColNames(), req.Sets), core.SearchStats{}, model, nil
+		p = baseline.GroupingSets(req.Table, t.ColNames(), req.Sets)
 	case StrategyExhaustive:
-		p, c, err := core.ExhaustiveOptimize(req.Table, t.ColNames(), req.Sets, model, nAggs)
-		return p, core.SearchStats{FinalCost: c}, model, err
+		p, st.FinalCost, err = core.ExhaustiveOptimize(req.Table, t.ColNames(), req.Sets, model, nAggs)
 	case StrategyGBMQO:
 		opts := req.Core
 		opts.Model = model
@@ -260,11 +261,61 @@ func (e *Engine) Plan(req Request) (*plan.Plan, core.SearchStats, cost.Model, er
 		if opts.StorageBudget > 0 && opts.SizeFn == nil {
 			opts.SizeFn = e.sizeFn(env, nAggs)
 		}
-		p, st, err := core.Optimize(req.Table, t.ColNames(), req.Sets, opts)
-		return p, st, model, err
+		p, st, err = core.Optimize(req.Table, t.ColNames(), req.Sets, opts)
 	default:
 		return nil, core.SearchStats{}, nil, fmt.Errorf("engine: unknown strategy %v", req.Strategy)
 	}
+	if err != nil {
+		return p, st, model, err
+	}
+	chooseKernels(p, t, env, exec.ResolveWorkers(req.Parallelism))
+	return p, st, model, nil
+}
+
+// chooseKernels writes on every node of p the kernel its scan runs, picked
+// once by the one rule, exec.ChooseKernel, from the plan's own estimates. A
+// node reads the base relation's rows or its parent's estimated groups; its
+// own estimate comes from statistics already built, so picking never
+// profiles (0 when none is built, and a parent without an estimate passes on
+// its own input rows, the most groups it can produce). No budget applies
+// here: the executor admits each pick when its node runs (exec.Admit).
+func chooseKernels(p *plan.Plan, base *table.Table, env *cost.Env, workers int) {
+	pick := func(set colset.Set, rows float64) (exec.KernelChoice, float64) {
+		groups, _ := env.CachedNDV(set)
+		c := pickKernel(base, set, int(rows), groups, workers)
+		if groups > 0 {
+			rows = groups
+		}
+		return c, rows
+	}
+	var walk func(n *plan.Node, rows float64)
+	walk = func(n *plan.Node, rows float64) {
+		var out float64
+		n.Kernel, out = pick(n.Set, rows)
+		if covered := plan.CoveredSets(n); len(covered) > 0 {
+			n.Levels = make(map[colset.Set]exec.KernelChoice, len(covered))
+			outs := map[colset.Set]float64{n.Set: out}
+			for i := len(covered) - 2; i >= 0; i-- { // largest first; the last is n.Set
+				s := covered[i]
+				n.Levels[s], outs[s] = pick(s, outs[plan.CoveredParent(n, s)])
+			}
+		}
+		for _, c := range n.Children {
+			walk(c, out)
+		}
+	}
+	for _, r := range p.Roots {
+		walk(r, float64(base.NumRows()))
+	}
+}
+
+// pickKernel runs the chooser for grouping base's set from an input of rows
+// rows expected to hold groups groups. The dense domain is taken over the
+// base columns, whose dictionaries a temp's group columns share.
+func pickKernel(base *table.Table, set colset.Set, rows int, groups float64, workers int) exec.KernelChoice {
+	cols := set.Columns()
+	return exec.ChooseKernel(exec.ChooserInput{Rows: rows, GroupCols: len(cols), NDV: groups,
+		DenseDomain: exec.DenseDomain(base, cols), Workers: workers})
 }
 
 // SetRunObserver installs fn to observe every Run outcome — the hook the
@@ -320,20 +371,8 @@ func (e *Engine) runDirect(req Request, promote func(colset.Set, []exec.Agg, *ta
 	if err != nil {
 		return nil, err
 	}
-	nAggs := len(req.Aggs)
-	if nAggs == 0 {
-		nAggs = 1
-	}
-	report, err := e.exec.ExecutePlanWith(p, req, e.sizeFn(env, nAggs), Hooks{
-		PromoteTemp: promote,
-		NDVFn: func(s colset.Set) float64 {
-			// Cached-only lookup: the planner's sizeFn has already built
-			// statistics for every plan node, so this almost always hits; a
-			// miss answers 0 (unknown) rather than profiling mid-execution.
-			v, _ := env.CachedNDV(s)
-			return v
-		},
-	})
+	nAggs := max(len(req.Aggs), 1)
+	report, err := e.exec.ExecutePlanWith(p, req, e.sizeFn(env, nAggs), Hooks{PromoteTemp: promote})
 	if err != nil {
 		return nil, err
 	}

@@ -91,7 +91,7 @@ func BenchmarkShareSplitSweep(b *testing.B) {
 	for _, cols := range sets {
 		groups := GroupByHash(li, cols, aggs, "g").NumRows()
 		c := ChooseKernel(ChooserInput{Rows: li.NumRows(), GroupCols: len(cols), NDV: float64(groups),
-			DenseDomain: DenseDomain(li, cols), Workers: 1, NAggs: len(aggs)})
+			DenseDomain: DenseDomain(li, cols), Workers: 1})
 		q := MultiQuery{GroupCols: cols, Aggs: aggs, OutName: "g", SizeHint: c.SizeHint, dense: c.Kind == KernelDense}
 		for _, w := range []int{1, 2} {
 			b.Run(fmt.Sprintf("cols=%v/groups=%d/%v/w=%d", cols, groups, c.Kind, w), func(b *testing.B) {

@@ -81,7 +81,6 @@ func TestChooseKernelGolden(t *testing.T) {
 			DenseDomain:    p.domain,
 			Workers:        p.workers,
 			HashStateBytes: p.hashState,
-			NAggs:          1,
 			Budget:         budget,
 		})
 		fmt.Fprintf(&b, "rows=%-8d ndv=%-8.0f domain=%-7d workers=%d hashState=%-8d limit=%-8d -> %-5v w=%d sizeHint=%-6d fallbacks=%d\n",
@@ -112,7 +111,7 @@ func TestChooseKernelGolden(t *testing.T) {
 // sequential and takes dense over a small domain, and the parallel dense rung
 // keeps its row-count gate.
 func TestChooseKernelLadderSemantics(t *testing.T) {
-	base := ChooserInput{Rows: 200000, GroupCols: 2, NDV: 2000, Workers: 4, NAggs: 1}
+	base := ChooserInput{Rows: 200000, GroupCols: 2, NDV: 2000, Workers: 4}
 
 	tight := base
 	tight.DenseDomain = 64
@@ -140,13 +139,13 @@ func TestChooseKernelLadderSemantics(t *testing.T) {
 		t.Errorf("sequential high-NDV request chose %v with %d workers, want sequential hash", c.Kind, c.Workers)
 	}
 
-	small := ChooserInput{Rows: denseMinRows - 1, GroupCols: 2, NDV: 50, DenseDomain: 64, Workers: 4, NAggs: 1}
+	small := ChooserInput{Rows: denseMinRows - 1, GroupCols: 2, NDV: 50, DenseDomain: 64, Workers: 4}
 	if c := ChooseKernel(small); c.Kind == KernelDense || c.Workers < 2 {
 		t.Errorf("parallel request below denseMinRows chose %v with %d workers, want parallel hash", c.Kind, c.Workers)
 	}
 
 	spill := ChooserInput{Rows: 200000, GroupCols: 2, NDV: 50000, Workers: 1,
-		HashStateBytes: 1 << 20, Budget: NewMemBudget(1 << 12), NAggs: 1}
+		HashStateBytes: 1 << 20, Budget: NewMemBudget(1 << 12)}
 	if c := ChooseKernel(spill); c.Kind != KernelSort {
 		t.Errorf("over-budget hash state chose %v, want sort", c.Kind)
 	}

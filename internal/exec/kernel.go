@@ -59,7 +59,7 @@ type KernelStats struct {
 	// into the first worker's (zero when sequential).
 	Merge time.Duration
 	// Reason is the chooser's explanation for picking this kernel (empty when
-	// the kernel was invoked directly rather than via GroupByAdaptiveGov).
+	// the kernel was invoked directly rather than via GroupByMultiGov).
 	Reason string
 	// Fallbacks lists preferred kernels rejected by budget admission before
 	// this one ran.

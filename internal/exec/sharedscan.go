@@ -54,16 +54,20 @@ func (st *queryState) observe(lo int, rows []int32) {
 // of commonality across Group By queries using techniques such as shared
 // scans…", PipeHash-style): every row is read once and fed to each query's
 // aggregate, so the table's row width is paid once instead of once per
-// query. It is the ungoverned, sequential GroupByAdaptiveMultiGov, with each
-// query's SizeHint as its NDV estimate. Results are returned in query order.
-// A malformed request (group or aggregate column out of range) returns an
-// error.
+// query. It is the ungoverned, sequential GroupByMultiGov, each query on the
+// kernel ChooseKernel picks with its SizeHint as the NDV estimate. Results
+// are returned in query order. A malformed request (group or aggregate
+// column out of range) returns an error.
 func GroupByHashMulti(t *table.Table, queries []MultiQuery) ([]*table.Table, error) {
-	hints := make([]AdaptiveHints, len(queries))
-	for i, q := range queries {
-		hints[i].NDV = float64(q.SizeHint)
+	if err := validateMulti(t, queries); err != nil {
+		return nil, err
 	}
-	outs, _, err := GroupByAdaptiveMultiGov(nil, t, queries, hints)
+	choices := make([]KernelChoice, len(queries))
+	for i, q := range queries {
+		choices[i] = ChooseKernel(ChooserInput{Rows: t.NumRows(), GroupCols: len(q.GroupCols),
+			NDV: float64(q.SizeHint), DenseDomain: DenseDomain(t, q.GroupCols)})
+	}
+	outs, _, err := GroupByMultiGov(nil, t, queries, choices)
 	return outs, err
 }
 

@@ -6,15 +6,16 @@ import (
 	"gbmqo/internal/table"
 )
 
-// sharedScan runs queries in one governed scan of src through the adaptive
-// batch entry at a worker budget of w, each query's SizeHint as its NDV
-// estimate.
+// sharedScan runs queries in one governed scan of src at a worker budget of
+// w, each on the kernel ChooseKernel picks under gov's budget with the
+// query's SizeHint as its NDV estimate.
 func sharedScan(gov *Gov, src *table.Table, queries []MultiQuery, w int) ([]*table.Table, []KernelStats, error) {
-	hints := make([]AdaptiveHints, len(queries))
+	choices := make([]KernelChoice, len(queries))
 	for i, q := range queries {
-		hints[i] = AdaptiveHints{NDV: float64(q.SizeHint), Workers: w}
+		choices[i] = ChooseKernel(ChooserInput{Rows: src.NumRows(), GroupCols: len(q.GroupCols),
+			NDV: float64(q.SizeHint), DenseDomain: DenseDomain(src, q.GroupCols), Workers: w, Budget: gov.Budget()})
 	}
-	return GroupByAdaptiveMultiGov(gov, src, queries, hints)
+	return GroupByMultiGov(gov, src, queries, choices)
 }
 
 func TestGroupByHashMultiMatchesIndividual(t *testing.T) {

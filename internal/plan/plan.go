@@ -9,11 +9,13 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
 	"gbmqo/internal/colset"
 	"gbmqo/internal/cost"
+	"gbmqo/internal/exec"
 )
 
 // Op is the operator a node executes (§7.1 extends plain Group By nodes with
@@ -55,6 +57,14 @@ type Node struct {
 	RollupOrder []int
 	// Children are computed from this node's materialized result.
 	Children []*Node
+	// Kernel is the aggregation kernel the node's scan runs, with the groups
+	// it is estimated to produce, picked once by the planner (see
+	// engine.Plan). The zero value, on a plan nobody picked for, runs a
+	// sequential hash scan.
+	Kernel exec.KernelChoice
+	// Levels holds, for a CUBE or ROLLUP node, the kernel of each covered
+	// level below Set, keyed by the level's set.
+	Levels map[colset.Set]exec.KernelChoice
 }
 
 // NewNode builds a plain Group By node.
@@ -64,7 +74,7 @@ func NewNode(set colset.Set, required bool) *Node {
 
 // Clone deep-copies the subtree.
 func (n *Node) Clone() *Node {
-	out := &Node{Set: n.Set, Required: n.Required, Op: n.Op}
+	out := &Node{Set: n.Set, Required: n.Required, Op: n.Op, Kernel: n.Kernel, Levels: maps.Clone(n.Levels)}
 	if n.RollupOrder != nil {
 		out.RollupOrder = append([]int(nil), n.RollupOrder...)
 	}
@@ -118,17 +128,7 @@ type Plan struct {
 	ColNames []string
 	// Roots are the sub-plan roots, each computed directly from R.
 	Roots []*Node
-
-	// notes holds per-node display annotations keyed by the node's Set.String()
-	// (see Annotate); String renders them after the node. The executor uses
-	// this to show which physical kernel ran each node.
-	notes map[string]string
 }
-
-// Annotate attaches display annotations to nodes, keyed by Set.String().
-// Subsequent String calls render each matching node with its annotation
-// appended in angle brackets. A nil map clears annotations.
-func (p *Plan) Annotate(notes map[string]string) { p.notes = notes }
 
 // Naive builds the §4.2 starting point: every required set computed directly
 // from R.
@@ -237,15 +237,9 @@ func nodeCost(n *Node, m cost.Model, nAggs int, parentIsBase bool, parent colset
 		NAggs:        nAggs,
 		Materialize:  n.IsIntermediate(),
 	}
-	total := m.EdgeCost(edge)
-	switch n.Op {
-	case OpCube:
-		total += coveredCost(n, m, nAggs, cubeCovered(n.Set))
-	case OpRollup:
-		total += coveredCost(n, m, nAggs, rollupCovered(n.RollupOrder))
-	}
+	total := m.EdgeCost(edge) + coveredCost(n, m, nAggs)
 	for _, c := range n.Children {
-		if n.Op != OpGroupBy && isCovered(n, c.Set) {
+		if n.Op != OpGroupBy && Covered(n, c.Set) {
 			// The operator's own output already contains this child; only its
 			// descendants cost anything (computed from the covered result).
 			for _, gc := range c.Children {
@@ -264,9 +258,9 @@ func nodeCost(n *Node, m cost.Model, nAggs int, parentIsBase bool, parent colset
 // (CubeParent / the rollup chain), not from the full materialized Set. This
 // is what makes the §7.1 alternatives genuinely cheaper when many small
 // subsets are required.
-func coveredCost(n *Node, m cost.Model, nAggs int, covered []colset.Set) float64 {
+func coveredCost(n *Node, m cost.Model, nAggs int) float64 {
 	total := 0.0
-	for _, s := range covered {
+	for _, s := range CoveredSets(n) {
 		if s == n.Set {
 			continue
 		}
@@ -304,32 +298,33 @@ func CoveredParent(n *Node, s colset.Set) colset.Set {
 	return s.Add(missing.Min())
 }
 
-// cubeCovered lists every non-empty subset of set.
-func cubeCovered(set colset.Set) []colset.Set {
+// CoveredSets lists the sets a CUBE or ROLLUP node's operator computes —
+// every non-empty subset of Set, or every prefix of RollupOrder, Set among
+// them — smallest first, so each set's CoveredParent comes after it. A plain
+// Group By covers nothing.
+func CoveredSets(n *Node) []colset.Set {
 	var out []colset.Set
-	set.Subsets(func(s colset.Set) bool {
-		if !s.IsEmpty() {
-			out = append(out, s)
+	switch n.Op {
+	case OpCube:
+		n.Set.Subsets(func(s colset.Set) bool {
+			if !s.IsEmpty() {
+				out = append(out, s)
+			}
+			return true
+		})
+	case OpRollup:
+		var prefix colset.Set
+		for _, c := range n.RollupOrder {
+			prefix = prefix.Add(c)
+			out = append(out, prefix)
 		}
-		return true
-	})
+	}
 	colset.SortSets(out)
 	return out
 }
 
-// rollupCovered lists the non-empty prefixes of the rollup order.
-func rollupCovered(order []int) []colset.Set {
-	var out []colset.Set
-	var prefix colset.Set
-	for _, c := range order {
-		prefix = prefix.Add(c)
-		out = append(out, prefix)
-	}
-	return out
-}
-
-// isCovered reports whether the node's operator output already contains set.
-func isCovered(n *Node, set colset.Set) bool {
+// Covered reports whether the node's operator output already contains set.
+func Covered(n *Node, set colset.Set) bool {
 	switch n.Op {
 	case OpCube:
 		return set.ProperSubsetOf(n.Set)
@@ -346,9 +341,6 @@ func isCovered(n *Node, set colset.Set) bool {
 		return false
 	}
 }
-
-// Covered exposes isCovered for the executor.
-func Covered(n *Node, set colset.Set) bool { return isCovered(n, set) }
 
 // String renders the plan as an indented tree using column names.
 func (p *Plan) String() string {
@@ -372,8 +364,8 @@ func (p *Plan) writeNode(b *strings.Builder, n *Node, depth int) {
 	if n.IsIntermediate() {
 		b.WriteString(" [materialized]")
 	}
-	if note, ok := p.notes[n.Set.String()]; ok {
-		fmt.Fprintf(b, " <%s>", note)
+	if n.Kernel.Reason != "" {
+		fmt.Fprintf(b, " <%s>", n.Kernel.Kind)
 	}
 	b.WriteByte('\n')
 	for _, c := range n.Children {

@@ -288,10 +288,11 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 				{Fn: "count", Col: "qty"}, {Fn: "sum", Col: "qty"}, {Fn: "min", Col: "sale_date"}, {Fn: "max", Col: "product_brand", As: "<max & brand>"},
 			}},
 			{Cols: []string{"channel", "promo_flag"}, Aggs: []aggJSON{{Fn: "min", Col: "qty"}, {Fn: "max", Col: "qty"}}},
+			{Cols: []string{"channel"}, Aggs: []aggJSON{{Fn: "avg", Col: "qty"}, {Fn: "AVG", Col: "sale_date", As: "mean_day"}}},
 			{Cols: []string{"no_such_col"}},
 		}},
 		{Table: "prices", Queries: []queryJSON{
-			{Cols: []string{"band"}, Aggs: []aggJSON{{Fn: "sum", Col: "price"}, {Fn: "min", Col: "price"}, {Fn: "count"}}},
+			{Cols: []string{"band"}, Aggs: []aggJSON{{Fn: "sum", Col: "price"}, {Fn: "min", Col: "price"}, {Fn: "count"}, {Fn: "avg", Col: "price"}}},
 		}},
 	}
 	for _, page := range pages {
@@ -334,6 +335,8 @@ func TestResponsesMatchEncodingJSON(t *testing.T) {
 		"SELECT store_region, sale_date, COUNT(*), SUM(qty), MIN(ship_mode), MAX(sale_date) FROM sales GROUP BY store_region, sale_date",
 		"SELECT band, SUM(price), MAX(price) FROM prices GROUP BY band",
 		"SELECT COUNT(*), SUM(qty) FROM sales GROUP BY GROUPING SETS ((store_state), (channel, promo_flag))",
+		"SELECT AVG(qty), COUNT(*) FROM sales GROUP BY ROLLUP (store_region, channel)",
+		"SELECT band, AVG(price) FROM prices GROUP BY band",
 	} {
 		res, err := db.SubmitSQL(ctx, stmt)
 		if err != nil {

@@ -113,7 +113,8 @@ func rejectStatus(err error) (code int, retryAfter time.Duration, ok bool) {
 
 // aggJSON is one aggregate in a query request.
 type aggJSON struct {
-	// Fn is count, sum, min or max; count with an empty Col is COUNT(*).
+	// Fn is count, sum, avg, min or max; count with an empty Col is
+	// COUNT(*).
 	Fn string `json:"fn"`
 	// Col is the source column name.
 	Col string `json:"col,omitempty"`
@@ -446,12 +447,14 @@ func (s *Server) bindQuery(tableName string, q queryJSON) (gbmqo.GroupQuery, err
 			ag.Kind = gbmqo.AggCount
 		case "sum":
 			ag.Kind = gbmqo.AggSum
+		case "avg":
+			ag.Kind = gbmqo.AggAvg
 		case "min":
 			ag.Kind = gbmqo.AggMin
 		case "max":
 			ag.Kind = gbmqo.AggMax
 		default:
-			return gq, fmt.Errorf("unknown aggregate %q (want count, sum, min, max)", a.Fn)
+			return gq, fmt.Errorf("unknown aggregate %q (want count, sum, avg, min, max)", a.Fn)
 		}
 		if a.As != "" {
 			ag.Name = a.As

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"gbmqo/internal/cache"
 	"gbmqo/internal/colset"
 	"gbmqo/internal/core"
 	"gbmqo/internal/engine"
@@ -266,6 +267,8 @@ func bindAggregates(t *table.Table, items []SelectItem) ([]exec.Agg, error) {
 				a.Kind = exec.AggCount
 			case "SUM":
 				a.Kind = exec.AggSum
+			case "AVG":
+				a.Kind = exec.AggAvg
 			case "MIN":
 				a.Kind = exec.AggMin
 			case "MAX":
@@ -374,7 +377,8 @@ func expandGroupSpec(t *table.Table, g GroupSpec) ([]colset.Set, bool, error) {
 
 // assembleUnion builds the GROUPING SETS result shape: the union of all
 // grouping columns, the aggregates, and a grp_tag. The grand-total row, when
-// requested, is rolled up from the first grouping set's result.
+// requested, is rolled up from the first grouping set's result, or computed
+// from src when an aggregate (AVG) does not roll up.
 func assembleUnion(src *table.Table, sets []colset.Set, aggs []exec.Agg, results map[colset.Set]*table.Table, includeGrand bool) (*table.Table, error) {
 	union := colset.UnionAll(sets)
 	var outCols []table.ColumnDef
@@ -396,7 +400,7 @@ func assembleUnion(src *table.Table, sets []colset.Set, aggs []exec.Agg, results
 		tags = append(tags, s.Format(names))
 	}
 	if includeGrand {
-		if len(sets) == 0 {
+		if len(sets) == 0 || !cache.Rollupable(aggs) {
 			parts = append(parts, exec.GroupByHash(src, nil, aggs, "grand"))
 		} else {
 			first := results[sets[0]]
@@ -420,6 +424,8 @@ func aggOutType(src *table.Table, a exec.Agg) table.Type {
 	switch a.Kind {
 	case exec.AggCountStar, exec.AggCount:
 		return table.TInt64
+	case exec.AggAvg:
+		return table.TFloat64
 	case exec.AggSum:
 		if src.Col(a.Col).Type() == table.TFloat64 {
 			return table.TFloat64

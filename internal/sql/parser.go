@@ -142,7 +142,7 @@ func (p *parser) query() (*Query, error) {
 	return q, nil
 }
 
-var aggNames = map[string]bool{"COUNT": true, "SUM": true, "MIN": true, "MAX": true}
+var aggNames = map[string]bool{"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true}
 
 func (p *parser) selectItem() (SelectItem, error) {
 	if p.acceptSymbol("*") {

@@ -115,6 +115,7 @@ type Writer struct {
 	segStart uint64 // first seq of the active segment
 	segSize  int64
 	nextSeq  uint64
+	segments int // segment files in Dir, counted as they come and go
 	closed   bool
 
 	appends    uint64
@@ -179,7 +180,11 @@ func Open(opts Options) (*Writer, error) {
 		}
 		next++
 	}
-	w := &Writer{opts: opts, nextSeq: next}
+	segs, err := listSegments(opts.Dir)
+	if err != nil {
+		return nil, err
+	}
+	w := &Writer{opts: opts, nextSeq: next, segments: len(segs)}
 	if err := w.rotateLocked(); err != nil {
 		return nil, err
 	}
@@ -233,7 +238,9 @@ func segName(firstSeq uint64) string {
 }
 
 // rotateLocked closes the active segment (if any) and opens a new one whose
-// first sequence is nextSeq. Caller holds mu (or is Open, pre-publication).
+// first sequence is nextSeq. A failed open leaves no active segment and no
+// file behind, so the next Append tries again. Caller holds mu (or is Open,
+// pre-publication).
 func (w *Writer) rotateLocked() error {
 	if w.f != nil {
 		if w.dirty > 0 && w.opts.Policy != FsyncOff {
@@ -251,18 +258,18 @@ func (w *Writer) rotateLocked() error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write([]byte(segMagic)); err != nil {
-		f.Close()
-		return err
-	}
+	_, err = f.Write([]byte(segMagic))
 	// The segment's records are synced through f; its directory entry is
 	// durable only once the directory is synced too.
-	if w.opts.Policy != FsyncOff {
-		if err := codec.SyncDir(w.opts.Dir); err != nil {
-			f.Close()
-			return err
-		}
+	if err == nil && w.opts.Policy != FsyncOff {
+		err = codec.SyncDir(w.opts.Dir)
 	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return err
+	}
+	w.segments++
 	w.f = f
 	w.segStart = w.nextSeq
 	w.segSize = int64(len(segMagic))
@@ -270,9 +277,11 @@ func (w *Writer) rotateLocked() error {
 }
 
 // Append frames, writes, and (per policy) syncs one record, assigning and
-// returning its sequence. Fires the wal.append failpoint before the write and
-// wal.fsync before each sync so the crash harness can kill the process at
-// either boundary.
+// returning its sequence. A full or missing active segment is replaced
+// before the sequence is assigned, so a failed rotation writes nothing and
+// the next Append tries it again. Fires the wal.append failpoint before the
+// write and wal.fsync before each sync so the crash harness can kill the
+// process at either boundary.
 func (w *Writer) Append(rec *Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -290,6 +299,11 @@ func (w *Writer) Append(rec *Record) (uint64, error) {
 		// FsyncInterval to FsyncOff on a sick disk.
 		return 0, fmt.Errorf("wal: background fsync failed, refusing append: %w", err)
 	}
+	if w.f == nil || w.segSize >= w.opts.SegmentBytes {
+		if err := w.rotateLocked(); err != nil {
+			return 0, err
+		}
+	}
 	// The sequence is burned before the failpoint fires: an injected panic or
 	// kill between assignment and write leaves a gap, never a reused sequence
 	// that a later abort marker could void by mistake.
@@ -302,11 +316,6 @@ func (w *Writer) Append(rec *Record) (uint64, error) {
 	w.appends++
 	if w.opts.Policy == FsyncAlways {
 		if err := w.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	if w.segSize >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
 			return 0, err
 		}
 	}
@@ -436,16 +445,15 @@ func (w *Writer) Close() error {
 	return err
 }
 
-// Stats returns a snapshot of writer counters.
+// Stats returns a snapshot of writer counters. It does no I/O.
 func (w *Writer) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	segs, _ := listSegments(w.opts.Dir)
 	return Stats{
 		Appends:    w.appends,
 		Fsyncs:     w.fsyncs,
 		Bytes:      w.bytes,
-		Segments:   len(segs),
+		Segments:   w.segments,
 		NextSeq:    w.nextSeq,
 		LastSync:   w.lastSync,
 		DirtyBytes: w.dirty,
@@ -466,6 +474,11 @@ func (w *Writer) RemoveObsolete(uptoSeq uint64) (int, error) {
 		return 0, err
 	}
 	removed := 0
+	defer func() {
+		w.mu.Lock()
+		w.segments -= removed
+		w.mu.Unlock()
+	}()
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i].firstSeq == active || segs[i+1].firstSeq > uptoSeq+1 {
 			break

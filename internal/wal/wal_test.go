@@ -149,6 +149,105 @@ func TestSegmentRotationAndObsolete(t *testing.T) {
 	}
 }
 
+// TestFailedRotationWritesNothing squats a directory on the next segment's
+// name, so opening that segment fails. The append that needs it must fail
+// before a sequence is assigned — its rows never reach Replay — and once the
+// squatter is gone the next append rotates and succeeds: replay returns
+// exactly the acknowledged records.
+func TestFailedRotationWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Options{Dir: dir, Policy: FsyncAlways, SegmentBytes: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	squat := filepath.Join(dir, segName(2))
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var acked []uint64
+	s1, err := w.Append(&Record{Table: "t", ExpectRows: 1, Rows: testRows(1, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked = append(acked, s1)
+	if _, err := w.Append(&Record{Table: "t", ExpectRows: 2, Rows: testRows(1, 1)}); err == nil {
+		t.Fatal("append into a squatted segment name succeeded")
+	}
+	if err := os.Remove(squat); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := w.Append(&Record{Table: "t", ExpectRows: 2, Rows: testRows(1, 2)})
+	if err != nil {
+		t.Fatalf("append after the squatter left: %v", err)
+	}
+	acked = append(acked, s3)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	var firsts []int64
+	if _, err := Replay(dir, 0, func(r *Record) error {
+		got = append(got, r.Seq)
+		firsts = append(firsts, r.Rows[0][0].I)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, acked) || !reflect.DeepEqual(firsts, []int64{0, 2}) {
+		t.Fatalf("replayed seqs %v rows %v, want the acknowledged %v rows [0 2]", got, firsts, acked)
+	}
+}
+
+// TestStatsCountsSegments checks the writer's own segment count against the
+// directory after Open over existing segments, rotations and RemoveObsolete.
+func TestStatsCountsSegments(t *testing.T) {
+	dir := t.TempDir()
+	listed := func() int {
+		segs, err := listSegments(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(segs)
+	}
+	opts := Options{Dir: dir, Policy: FsyncOff, SegmentBytes: 64}
+	w, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := w.Append(&Record{Table: "t", ExpectRows: i + 1, Rows: testRows(1, i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got, want := w.Stats().Segments, listed(); got != want {
+		t.Fatalf("after reopen Stats().Segments = %d, directory holds %d", got, want)
+	}
+	var last uint64
+	for i := 3; i < 8; i++ {
+		if last, err = w.Append(&Record{Table: "t", ExpectRows: i + 1, Rows: testRows(1, i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := w.Stats().Segments, listed(); got != want || got < 5 {
+		t.Fatalf("after rotations Stats().Segments = %d, directory holds %d (want ≥ 5)", got, want)
+	}
+	removed, err := w.RemoveObsolete(last)
+	if err != nil || removed == 0 {
+		t.Fatalf("RemoveObsolete removed %d: %v", removed, err)
+	}
+	if got, want := w.Stats().Segments, listed(); got != want {
+		t.Fatalf("after RemoveObsolete Stats().Segments = %d, directory holds %d", got, want)
+	}
+}
+
 func TestAbortMarkerSkipsRecord(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir, Policy: FsyncOff})
@@ -177,13 +276,13 @@ func TestAbortMarkerSkipsRecord(t *testing.T) {
 	}
 }
 
-// TestAbortAfterRotationSurvivesReopen covers the case where an Append
-// crosses SegmentBytes and rotates inside the same call, so the following
-// AppendAbort lands as the first frame of a segment named one past the aborted
-// sequence. A reopening writer wants exactly that name; it must burn the label
-// rather than delete the segment — deleting it would destroy the abort marker
-// while the voided append survives in the earlier segment, resurrecting a
-// never-acknowledged append at the next recovery.
+// TestAbortAfterRotationSurvivesReopen covers a log whose AppendAbort landed
+// as the first frame of a segment named one past the aborted sequence — the
+// layout of a writer that rotated at the end of the Append that filled a
+// segment, as earlier builds did. A reopening writer wants exactly that name;
+// it must burn the label rather than delete the segment — deleting it would
+// destroy the abort marker while the voided append survives in the earlier
+// segment, resurrecting a never-acknowledged append at the next recovery.
 func TestAbortAfterRotationSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(Options{Dir: dir, Policy: FsyncAlways, SegmentBytes: 32})
@@ -194,8 +293,13 @@ func TestAbortAfterRotationSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if segs, _ := listSegments(dir); len(segs) != 2 {
-		t.Fatalf("append did not rotate: %d segments", len(segs))
+	// The writer now rotates at the start of the next Append; rotate here to
+	// lay the log out as the earlier builds did.
+	w.mu.Lock()
+	err = w.rotateLocked()
+	w.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
 	// Simulate the apply failing after the log write: the abort marker is the
 	// only frame of the freshly rotated segment, carrying the OLDER sequence.
