@@ -2,6 +2,7 @@ package gbmqo
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"gbmqo/internal/engine"
+	"gbmqo/internal/exec"
 )
 
 func openWithLineitem(t *testing.T, rows int) *DB {
@@ -446,8 +448,61 @@ func TestEntryPointsHonourEveryKnob(t *testing.T) {
 	}
 	check("Submit", lastRun(), err)
 
+	// The page door: the same four queries as one page fill one window.
+	for _, a := range db.SubmitPage(context.Background(), "lineitem", queries) {
+		if err = a.Err; err != nil {
+			break
+		}
+	}
+	check("SubmitPage", lastRun(), err)
+
 	// A WHERE filter is not batchable: SubmitSQL falls back to a solo run under
 	// the batcher's execution options.
 	_, err = db.SubmitSQL(context.Background(), "SELECT COUNT(*) FROM lineitem WHERE l_quantity >= 0 GROUP BY "+sets)
 	check("SubmitSQL fallback", lastRun(), err)
+
+	// The page door's probe steps aside wherever a run could answer
+	// differently — a request that bypasses the cache, an installed shard
+	// router, an open breaker — so a cached set is not served from the cache.
+	cached := openCachedLineitem(t, 4000)
+	hit := []GroupQuery{{Cols: []string{"l_returnflag"}}}
+	warm(t, cached, hit[0].Cols)
+	quick := BatchOptions{MaxWait: time.Millisecond}
+	page := func(door string, o BatchOptions) PageAnswer {
+		t.Helper()
+		cached.StopBatching()
+		cached.StartBatching(o)
+		a := cached.SubmitPage(probeCtx(t), "lineitem", hit)[0]
+		if st, _ := cached.BatchStats(); st.ProbeAnswers != 0 {
+			t.Errorf("%s: the probe answered a page it must leave to a run", door)
+		}
+		return a
+	}
+	defer cached.StopBatching()
+	bypass := quick
+	bypass.Exec.NoCache = true
+	if a := page("cache bypass", bypass); a.Err != nil || a.Info.Origin != OriginComputed {
+		t.Errorf("cache bypass: %+v, %v; want a computed answer", a.Info, a.Err)
+	}
+	if err := cached.EnableSharding(ShardOptions{Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if a := page("shard router", quick); a.Err != nil || a.Info.Origin != OriginComputed {
+		t.Errorf("shard router: %+v, %v; want a computed answer", a.Info, a.Err)
+	}
+	cached.DisableSharding()
+	cached.EnableBreakers(BreakerConfig{Window: 4, MinSamples: 2, FailureRate: 0.5, OpenFor: time.Hour})
+	exec.Testing.SetFailPoint(func(site string) {
+		if site == "engine.step" {
+			panic("table down")
+		}
+	})
+	for i := 0; i < 2; i++ {
+		cached.Execute("lineitem", [][]string{{"l_shipmode"}}, QueryOptions{})
+	}
+	exec.Testing.ClearFailPoint()
+	var oe *BreakerOpenError
+	if a := page("open breaker", quick); !errors.As(a.Err, &oe) {
+		t.Errorf("open breaker: %v, want *BreakerOpenError", a.Err)
+	}
 }

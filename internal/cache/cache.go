@@ -145,7 +145,8 @@ type entry struct {
 	tbl     *table.Table
 	bytes   int64
 	benefit float64 // estimated plan cost one exact hit saves vs base
-	sum     uint64  // checksumTable(tbl), fixed at admission
+	sum     uint64  // checksumTable(tbl), the manifest's checksum, fixed at admission
+	fp      uint64  // fingerprint(tbl), fixed with sum; what every hit verifies
 
 	uses     atomic.Int64  // demanded-or-hit count, the W in LRU-W
 	lastUsed atomic.Uint64 // logical clock of the last touch
@@ -219,8 +220,8 @@ func New(cfg Config) *Cache {
 func (c *Cache) MaxBytes() int64 { return c.cfg.MaxBytes }
 
 // Get returns the cached table for an exact key, recording demand either way.
-// The entry's checksum is verified before it is served: a mismatch evicts and
-// quarantines the key, bumps Stats.Corruptions, and reports a miss — a
+// The entry's fingerprint is verified before it is served: a mismatch evicts
+// and quarantines the key, bumps Stats.Corruptions, and reports a miss — a
 // corrupt result is never returned.
 func (c *Cache) Get(key Key) (*table.Table, bool) {
 	return c.get(key, true)
@@ -246,7 +247,7 @@ func (c *Cache) get(key Key, noteDemand bool) (*table.Table, bool) {
 		}
 		return nil, false
 	}
-	if checksumTable(e.tbl) != e.sum {
+	if fingerprint(e.tbl) != e.fp {
 		c.quarantine(key, e)
 		return nil, false
 	}
@@ -256,7 +257,7 @@ func (c *Cache) get(key Key, noteDemand bool) (*table.Table, bool) {
 	return e.tbl, true
 }
 
-// quarantine handles a checksum mismatch detected on key's entry: evict it,
+// quarantine handles a fingerprint mismatch detected on key's entry: evict it,
 // permanently bar the key from re-admission, and count the corruption. The
 // entry is re-checked under the write lock so two concurrent detections count
 // once.
@@ -293,9 +294,48 @@ func checksumTable(t *table.Table) uint64 {
 	return h.Sum64()
 }
 
+// fingerprint is the word-at-a-time hash a hit is verified against: the
+// column names, the row-major scan image and the measure columns' values, a
+// 64-bit word per mixWord step, so a hit pays about one multiply per eight
+// image bytes where checksumTable's FNV pays eight. Every step is a
+// bijection of the running state for a fixed input word, so changing any one
+// word — a flipped byte, a renamed column, an altered aggregate — always
+// changes the result. Lengths are folded in, so the zero-padded last word of
+// an image (or name) whose length is not a multiple of 8 cannot alias a
+// longer one.
+func fingerprint(t *table.Table) uint64 {
+	h := uint64(t.NumCols())
+	for i := 0; i < t.NumCols(); i++ {
+		h = foldBytes(h, t.Col(i).Name())
+	}
+	img, _ := t.RowImage()
+	h = foldBytes(h, img)
+	for i := 0; i < t.NumCols(); i++ {
+		if c := t.Col(i); c.Measure() {
+			h = mixWord(h, foldMeasure(c))
+		}
+	}
+	return h
+}
+
+// foldBytes mixes b into h eight bytes at a time, then its zero-padded tail
+// and its length.
+func foldBytes[B string | []byte](h uint64, b B) uint64 {
+	n := len(b)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		h = mixWord(h, uint64(b[i])|uint64(b[i+1])<<8|uint64(b[i+2])<<16|uint64(b[i+3])<<24|
+			uint64(b[i+4])<<32|uint64(b[i+5])<<40|uint64(b[i+6])<<48|uint64(b[i+7])<<56)
+	}
+	var tail uint64
+	for j := n - 1; j >= i; j-- {
+		tail = tail<<8 | uint64(b[j])
+	}
+	return mixWord(mixWord(h, tail), uint64(n))
+}
+
 // foldMeasure hashes a measure column's dictionary values a 64-bit word at a
-// time — an xor-multiply-xorshift step per value, so a hit's verification
-// pays one multiply per aggregate value rather than FNV's eight.
+// time — an xor-multiply-xorshift step per value.
 func foldMeasure(c *table.Column) uint64 {
 	ints, floats := c.NumericDict()
 	h := uint64(len(ints) + len(floats))
@@ -412,7 +452,7 @@ func (c *Cache) Offer(key Key, aggs []exec.Agg, t *table.Table, benefit float64)
 	}
 	exec.Testing.Fire("cache.admit")
 	t.RowImage()
-	sum := checksumTable(t)
+	sum, fp := checksumTable(t), fingerprint(t)
 	bytes := t.MemSize()
 	if bytes < 1 {
 		bytes = 1
@@ -449,7 +489,7 @@ func (c *Cache) Offer(key Key, aggs []exec.Agg, t *table.Table, benefit float64)
 		c.evictLocked(victim)
 		c.evictions.Add(1)
 	}
-	e := &entry{key: key, aggs: append([]exec.Agg(nil), aggs...), tbl: t, bytes: bytes, benefit: benefit, sum: sum}
+	e := &entry{key: key, aggs: append([]exec.Agg(nil), aggs...), tbl: t, bytes: bytes, benefit: benefit, sum: sum, fp: fp}
 	e.uses.Store(uses)
 	e.lastUsed.Store(c.clock.Add(1))
 	c.insertLocked(e)
@@ -622,7 +662,7 @@ func (c *Cache) Refresh(oldKey, newKey Key, t *table.Table) bool {
 	}
 	exec.Testing.Fire("cache.refresh")
 	t.RowImage()
-	sum := checksumTable(t)
+	sum, fp := checksumTable(t), fingerprint(t)
 	bytes := t.MemSize()
 	if bytes < 1 {
 		bytes = 1
@@ -658,7 +698,7 @@ func (c *Cache) Refresh(oldKey, newKey Key, t *table.Table) bool {
 		c.evictLocked(victim)
 		c.evictions.Add(1)
 	}
-	e := &entry{key: newKey, aggs: old.aggs, tbl: t, bytes: bytes, benefit: old.benefit, sum: sum}
+	e := &entry{key: newKey, aggs: old.aggs, tbl: t, bytes: bytes, benefit: old.benefit, sum: sum, fp: fp}
 	e.uses.Store(old.uses.Load())
 	e.lastUsed.Store(c.clock.Add(1))
 	c.insertLocked(e)

@@ -540,6 +540,64 @@ func TestChecksumDetectsCorruptedCount(t *testing.T) {
 	}
 }
 
+// TestFingerprintCatchesEveryWord: the word-at-a-time fingerprint a hit is
+// verified against sees a flipped byte anywhere in the row image — first,
+// middle, and last of an image whose length is not a multiple of 8, so the
+// last byte sits in the zero-padded tail word — a renamed column, and a
+// changed aggregate value. Each corrupted entry is refused.
+func TestFingerprintCatchesEveryWord(t *testing.T) {
+	threeCols := func(names ...string) *table.Table {
+		tb := table.New("t_odd", []table.ColumnDef{
+			{Name: names[0], Typ: table.TInt64}, {Name: names[1], Typ: table.TString}, {Name: names[2], Typ: table.TInt64},
+		})
+		for i := 0; i < 5; i++ {
+			tb.AppendRow(table.Int(int64(i)), table.Str(string(rune('p'+i))), table.Int(1))
+		}
+		return tb
+	}
+	flip := func(at func(n int) int) func(*table.Table) *table.Table {
+		return func(tb *table.Table) *table.Table {
+			img, _ := tb.RowImage()
+			img[at(len(img))] ^= 0x01
+			return tb
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		build   func() *table.Table
+		corrupt func(*table.Table) *table.Table
+	}{
+		{"first image byte", func() *table.Table { return threeCols("a", "b", "cnt") }, flip(func(int) int { return 0 })},
+		{"middle image byte", func() *table.Table { return threeCols("a", "b", "cnt") }, flip(func(n int) int { return n / 2 })},
+		{"last image byte", func() *table.Table { return threeCols("a", "b", "cnt") }, flip(func(n int) int { return n - 1 })},
+		{"renamed column", func() *table.Table { return threeCols("a", "b", "cnt") }, func(*table.Table) *table.Table {
+			return threeCols("a", "c", "cnt") // the same image under another name
+		}},
+		{"measure value", func() *table.Table { return groupCounts(5, 3) }, func(tb *table.Table) *table.Table {
+			ints, _ := tb.Col(1).NumericDict()
+			ints[1]++
+			return tb
+		}},
+	} {
+		c := New(Config{MaxBytes: 1 << 20})
+		key := KeyOf("t", 1, 0, colset.Of(0), countStar())
+		tb := tc.build()
+		if !c.Offer(key, countStar(), tb, 100) {
+			t.Fatalf("%s: offer rejected", tc.name)
+		}
+		if img, _ := tb.RowImage(); tc.name != "measure value" && len(img)%8 == 0 {
+			t.Fatalf("%s: image of %d bytes has no partial last word", tc.name, len(img))
+		}
+		c.entries[key].tbl = tc.corrupt(tb)
+		if _, ok := c.Get(key); ok {
+			t.Errorf("%s: corrupted entry was served", tc.name)
+		}
+		if st := c.Snapshot(); st.Corruptions != 1 {
+			t.Errorf("%s: %d corruptions counted, want 1", tc.name, st.Corruptions)
+		}
+	}
+}
+
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
 	if _, ok := c.Get(Key{}); ok {

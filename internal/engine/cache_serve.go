@@ -81,16 +81,15 @@ func (e *Engine) openCache(req Request) (cacheView, error) {
 	return v, nil
 }
 
-// serveSet answers one grouping set from the cache: an exact entry when one
-// exists, else a re-aggregation of the cheapest cached lattice ancestor (a
-// superset grouping, priced with the request's cost model exactly like the
-// paper prices parent edges — the smallest-parent rule applied to the
-// cache). It returns a nil table when the cache cannot answer. note records
-// the lookup as demand for the set's key; a probe that leaves its misses to
-// a later run passes false, so each miss is counted once. admissions counts
-// the derived tables this call added to the cache.
-func (e *Engine) serveSet(req Request, v cacheView, s colset.Set, note bool) (t *table.Table, origin SetOrigin, admissions int, err error) {
-	aggs := req.AggsFor(s)
+// serveSet answers grouping set s with aggregates aggs from the cache: an
+// exact entry when one exists, else a re-aggregation of the cheapest cached
+// lattice ancestor (a superset grouping, priced with the request's cost model
+// exactly like the paper prices parent edges — the smallest-parent rule
+// applied to the cache). It returns a nil table when the cache cannot answer.
+// note records the lookup as demand for the set's key; a probe that leaves
+// its misses to a later run passes false, so each miss is counted once.
+// admissions counts the derived tables this call added to the cache.
+func (e *Engine) serveSet(req Request, v cacheView, s colset.Set, aggs []exec.Agg, note bool) (t *table.Table, origin SetOrigin, admissions int, err error) {
 	key := cache.KeyOf(req.Table, v.ep.Version, v.ep.Delta, s, aggs)
 	get := e.cache.Recheck
 	if note {
@@ -114,32 +113,56 @@ func (e *Engine) servesFromCache(req Request) bool {
 	return e.cache != nil && req.UseCache && !strings.HasPrefix(req.Table, "__")
 }
 
-// Probe answers grouping set s of req from the result cache alone — an exact
-// hit or an ancestor re-aggregation, through the same step runCached takes
-// for every set — without planning, executing or waiting. It returns a nil
-// table when it cannot answer; a miss records no demand and no miss, because
-// the run that computes the set counts it. Probe declines (nil, no error)
-// whenever a run could answer differently: no cache or a request that
-// bypasses it, an installed shard router, or a table breaker that is not
-// closed (read from its snapshot, so no half-open slot is spent). A probe
-// answer records no breaker outcome. Panics are contained as in runSafe.
-func (e *Engine) Probe(req Request, s colset.Set) (t *table.Table, origin SetOrigin, err error) {
+// SetQuery is one grouping set asked with its own aggregate list (never
+// empty), as a page of Probe carries it.
+type SetQuery struct {
+	Set  colset.Set
+	Aggs []exec.Agg
+}
+
+// Probed is Probe's answer to one query: the table and its origin
+// (OriginCacheHit or OriginCacheAncestor), or a nil Table when the cache
+// cannot answer it.
+type Probed struct {
+	Table  *table.Table
+	Origin SetOrigin
+}
+
+// Probe answers a page of queries over req.Table from the result cache alone
+// — exact hits and ancestor re-aggregations, through the same step runCached
+// takes for every set — without planning, executing or waiting. The page
+// pays the cache prologue once (one epoch read, one stale sweep, one shrink)
+// and then looks each query up in order, so a later query can hit what an
+// earlier one derived. A query the cache cannot answer, or whose derivation
+// fails, gets a nil Table; a miss records no demand and no miss, because the
+// run that computes the set counts it. Probe declines the whole page (nil,
+// no error) whenever a run could answer differently: no cache or a request
+// that bypasses it, an installed shard router, or a table breaker that is
+// not closed (read from its snapshot, so no half-open slot is spent). A
+// probe answer records no breaker outcome. Panics are contained as in
+// runSafe.
+func (e *Engine) Probe(req Request, qs []SetQuery) (out []Probed, err error) {
 	if !e.servesFromCache(req) || e.router.Load() != nil ||
 		e.breakers.Load().Get(req.Table).Snapshot().State != fault.StateClosed {
-		return nil, OriginComputed, nil
+		return nil, nil
 	}
 	defer func() {
 		if pnc := recover(); pnc != nil {
-			t = nil
+			out = nil
 			err = &exec.ExecError{Step: "engine.probe", Err: exec.RecoveredPanic(pnc)}
 		}
 	}()
 	v, err := e.openCache(req)
 	if err != nil {
-		return nil, OriginComputed, err
+		return nil, err
 	}
-	t, origin, _, err = e.serveSet(req, v, s, false)
-	return t, origin, err
+	out = make([]Probed, len(qs))
+	for i, q := range qs {
+		if t, origin, _, err := e.serveSet(req, v, q.Set, q.Aggs, false); err == nil && t != nil {
+			out[i] = Probed{Table: t, Origin: origin}
+		}
+	}
+	return out, nil
 }
 
 // runCached serves a request through the result cache: every requested
@@ -161,7 +184,7 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 	origins := make(map[colset.Set]SetOrigin, len(req.Sets))
 	var missed []colset.Set
 	for _, s := range req.Sets {
-		t, origin, admissions, err := e.serveSet(req, v, s, true)
+		t, origin, admissions, err := e.serveSet(req, v, s, req.AggsFor(s), true)
 		if err != nil {
 			return nil, err
 		}

@@ -457,6 +457,15 @@ func TestResidualKeyCoversEveryRequestField(t *testing.T) {
 	}
 }
 
+// probeOne probes a page of one: set s with req's aggregates.
+func probeOne(e *Engine, req Request, s colset.Set) (*table.Table, SetOrigin, error) {
+	out, err := e.Probe(req, []SetQuery{{Set: s, Aggs: req.AggsFor(s)}})
+	if len(out) == 0 {
+		return nil, OriginComputed, err
+	}
+	return out[0].Table, out[0].Origin, err
+}
+
 // TestProbeServesThroughTheRunsLookup: Probe answers exact hits and ancestor
 // re-aggregations identically to a run, records a miss nowhere (the run that
 // computes the set counts it once), and declines whenever a run could answer
@@ -467,7 +476,7 @@ func TestProbeServesThroughTheRunsLookup(t *testing.T) {
 	sub := colset.Of(datagen.LShipMode)
 	req := Request{Table: "lineitem", UseCache: true}
 
-	if got, _, err := e.Probe(req, super); got != nil || err != nil {
+	if got, _, err := probeOne(e, req, super); got != nil || err != nil {
 		t.Fatalf("cold probe = %v, %v; want no answer", got, err)
 	}
 	warm := req
@@ -488,7 +497,7 @@ func TestProbeServesThroughTheRunsLookup(t *testing.T) {
 		set    colset.Set
 		origin SetOrigin
 	}{{super, OriginCacheHit}, {sub, OriginCacheAncestor}, {sub, OriginCacheHit}} {
-		got, origin, err := e.Probe(req, tc.set)
+		got, origin, err := probeOne(e, req, tc.set)
 		if err != nil || origin != tc.origin {
 			t.Fatalf("probe %s = origin %v, %v; want %v", tc.set, origin, err, tc.origin)
 		}
@@ -503,7 +512,7 @@ func TestProbeServesThroughTheRunsLookup(t *testing.T) {
 	e.Catalog().Register(eph)
 	declined := func(label string, e *Engine, req Request) {
 		t.Helper()
-		if got, _, err := e.Probe(req, sub); got != nil || err != nil {
+		if got, _, err := probeOne(e, req, sub); got != nil || err != nil {
 			t.Fatalf("%s: probe = %v, %v; want a decline", label, got, err)
 		}
 	}
@@ -520,7 +529,7 @@ func TestProbeServesThroughTheRunsLookup(t *testing.T) {
 	e.DisableBreakers()
 	plain, _ := newTestEngine(t, 100)
 	declined("no cache", plain, req)
-	if got, _, _ := e.Probe(req, sub); got == nil {
+	if got, _, _ := probeOne(e, req, sub); got == nil {
 		t.Fatal("probe declined once every skip condition was lifted")
 	}
 }

@@ -634,15 +634,18 @@ func nodeErr(n *plan.Node, err error) error {
 
 // compute evaluates sibling nodes — consecutive schedule steps from one
 // parent (nil = the base relation) — in one scan of that parent: the §5.1
-// shared scan, of which a single step is the batch of one. A node the scan
-// does not serve leaves it before it runs (see detour). Under a constrained
-// budget, a batch whose combined hash state would not fit splits into
-// batches of one, each with its own admission (hash, sort, or re-derive).
+// shared scan, of which a single step is the batch of one. A child a
+// CUBE/ROLLUP parent covers is skipped: expandCovered delivered it with the
+// parent. A node the scan does not serve leaves it before it runs (see
+// detour). Under a constrained budget, a batch whose combined hash state
+// would not fit splits into batches of one, each with its own admission
+// (hash, sort, or re-derive).
 func (r *planRun) compute(nodes []*plan.Node, parent *plan.Node) error {
 	var scan []*plan.Node
 	for _, n := range nodes {
 		var err error
 		switch {
+		case parent != nil && plan.Covered(parent, n.Set):
 		case !r.detour(n, parent):
 			scan = append(scan, n)
 		case parent == nil || r.indexFor(n) != nil:

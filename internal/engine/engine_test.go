@@ -241,6 +241,33 @@ func TestCubePlanExecution(t *testing.T) {
 	assertResultsMatch(t, li, sets, report.Results)
 }
 
+// TestCubeComputesCoveredChildOnce: a CUBE node's covered child comes out
+// of the node's level-wise expansion; the schedule's compute step for it
+// must not run it a second time from the node's temp.
+func TestCubeComputesCoveredChildOnce(t *testing.T) {
+	e, li := newTestEngine(t, 5000)
+	cub := plan.NewNode(colset.Of(datagen.LReturnFlag, datagen.LLineStatus, datagen.LShipMode), true)
+	cub.Op = plan.OpCube
+	child := plan.NewNode(colset.Of(datagen.LReturnFlag, datagen.LLineStatus), true)
+	cub.Children = []*plan.Node{child}
+	p := &plan.Plan{BaseName: "lineitem", ColNames: li.ColNames(), Roots: []*plan.Node{cub}}
+	report, err := NewExecutor(e.Catalog()).ExecutePlanWith(p, Request{}, nil, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Kernels) != 7 || report.QueriesRun != 7 {
+		t.Fatalf("%d kernel rows, QueriesRun %d; want 7 and 7 (one per covered set)", len(report.Kernels), report.QueriesRun)
+	}
+	seen := map[string]bool{}
+	for _, k := range report.Kernels {
+		if seen[k.Node] {
+			t.Errorf("set %s computed twice", k.Node)
+		}
+		seen[k.Node] = true
+	}
+	assertResultsMatch(t, li, []colset.Set{cub.Set, child.Set}, report.Results)
+}
+
 func TestRollupPlanExecution(t *testing.T) {
 	e, li := newTestEngine(t, 5000)
 	roll := plan.NewNode(colset.Of(datagen.LReturnFlag, datagen.LLineStatus), true)

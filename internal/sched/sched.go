@@ -53,11 +53,12 @@ import (
 // engine.Run with the DB's execution options.
 type RunFunc func(ctx context.Context, tableName string, sets []colset.Set, perSet map[colset.Set][]exec.Agg) (*engine.RunResult, error)
 
-// ProbeFunc answers one request without a window when it can — in the root
-// package, from the result cache (see engine.Engine.Probe). A nil table means
-// it cannot, and the request enters a window. Its Origin attributes the
-// answer.
-type ProbeFunc func(ctx context.Context, q Query) (*table.Table, engine.SetOrigin, error)
+// ProbeFunc answers a page of requests over one table without a window where
+// it can — in the root package, from the result cache (see
+// engine.Engine.Probe). It returns one engine.Probed per request, or nil
+// when it answers none; a nil Table means it cannot answer that request,
+// which then enters a window. Its Origin attributes the answer.
+type ProbeFunc func(ctx context.Context, qs []Query) ([]engine.Probed, error)
 
 // Query is one resolved Group By request: grouping ordinals on the base
 // table plus its own aggregate list (never empty; COUNT(*) is explicit).
@@ -262,7 +263,7 @@ type pending struct {
 	seq  uint64
 	enq  time.Time
 	dup  bool
-	ch   chan outcome // buffered: scatter never blocks
+	ch   chan Answer // buffered: scatter never blocks
 
 	// abandoned is set when the submitter's context expired; dropped guards
 	// the single live-count decrement against the submitter/dispatcher race.
@@ -271,10 +272,12 @@ type pending struct {
 	disp      atomic.Pointer[dispatch]
 }
 
-type outcome struct {
-	t    *table.Table
-	info BatchInfo
-	err  error
+// Answer is one request's outcome: its result table and how it was served,
+// or the error that refused or failed it.
+type Answer struct {
+	Table *table.Table
+	Info  BatchInfo
+	Err   error
 }
 
 // dispatch is one in-flight batch execution: its cancelable context and the
@@ -307,78 +310,159 @@ func (p *pending) maybeDrop() {
 	}
 }
 
-// Submit answers one request through the probe when it can, and otherwise
-// enqueues it and blocks until its batch delivers or ctx expires. The
-// returned table is cell-for-cell identical to a solo run of the same query.
-// A nil ctx means context.Background().
-//
-// The probe runs on the submitter's goroutine, after validation and the
-// shutdown check and before the window: an answer returns at once, counts as
-// a submission and never against MaxQueue. A probe that panics or fails with
-// anything but the caller's own context error costs latency, not the answer:
-// the request enters a window as if there were no probe.
+// Submit is SubmitPage for a page of one.
 func (b *Batcher) Submit(ctx context.Context, q Query) (*table.Table, BatchInfo, error) {
+	a := b.SubmitPage(ctx, []Query{q})[0]
+	return a.Table, a.Info, a.Err
+}
+
+// SubmitPage answers a page of requests over one table, one Answer per
+// request in page order, and blocks until every one is answered or ctx
+// expires. A request that fails validation, or names another table than the
+// page's first valid request, gets its error and nothing else; the rest of
+// the page is served in one pass on the caller's goroutine:
+//
+//   - one shutdown check;
+//   - one probe call for the whole page, which answers what it can at once:
+//     those answers count as submissions and never against MaxQueue;
+//   - one acquisition of the scheduler lock that enqueues every remaining
+//     request (none, and no lock, when the probe answered them all), so the
+//     page's misses share a window — and one GB-MQO plan — unless the
+//     window fills (MaxBatch) or the queue bound turns some away;
+//   - one wait on the enqueued requests.
+//
+// Each returned table is cell-for-cell identical to a solo run of the same
+// query. A probe that panics or fails with anything but the caller's own
+// context error costs latency, not answers: its requests enter a window as
+// if there were no probe. When ctx expires, every request still waiting
+// abandons its batch and answers ctx's error. A nil ctx means
+// context.Background().
+func (b *Batcher) SubmitPage(ctx context.Context, qs []Query) []Answer {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := validate(q); err != nil {
-		return nil, BatchInfo{}, err
+	out := make([]Answer, len(qs))
+	tbl, live := "", 0
+	for i, q := range qs {
+		err := validate(q)
+		switch {
+		case err != nil:
+		case tbl == "":
+			tbl = q.Table
+		case q.Table != tbl:
+			err = fmt.Errorf("sched: page mixes tables %q and %q", tbl, q.Table)
+		}
+		if out[i].Err = err; err == nil {
+			live++
+		}
+	}
+	if live == 0 {
+		return out
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, BatchInfo{}, err
+		return failLive(out, err)
 	}
-	if b.probe != nil {
-		if t, info, err := b.probeFirst(ctx, q); t != nil || err != nil {
-			return t, info, err
-		}
-	}
-	p, err := b.enqueue(q)
-	if err != nil {
-		return nil, BatchInfo{}, err
-	}
-	select {
-	case out := <-p.ch:
-		return out.t, out.info, out.err
-	case <-ctx.Done():
-		p.abandon()
-		b.met.abandoned.Inc()
-		// The result may have raced in between the two cases; prefer it so a
-		// deadline that fires at delivery time still returns the answer.
-		select {
-		case out := <-p.ch:
-			return out.t, out.info, out.err
-		default:
-			return nil, BatchInfo{}, ctx.Err()
-		}
-	}
-}
-
-// probeFirst offers q to the probe before it may enter a window. It returns
-// the probe's answer; or the error Submit returns without a window, the
-// batcher's shutdown error or the caller's own context error; or neither,
-// and q enters a window, when the probe declined, failed or panicked. It
-// runs on the submitter's goroutine, outside dispatch's recover, so it
-// contains its own panics.
-func (b *Batcher) probeFirst(ctx context.Context, q Query) (t *table.Table, info BatchInfo, err error) {
 	b.mu.Lock()
-	err = b.shutLocked()
+	err := b.shutLocked()
 	b.mu.Unlock()
 	if err != nil {
-		return nil, BatchInfo{}, err
+		return failLive(out, err)
 	}
-	defer func() {
-		if recover() != nil {
-			t, info, err = nil, BatchInfo{}, nil
+	if b.probe != nil {
+		answered, err := b.probePage(ctx, qs, live, out)
+		if err != nil {
+			return failLive(out, err)
 		}
-	}()
-	exec.Testing.Fire("sched.probe")
-	t, origin, perr := b.probe(ctx, q)
-	if perr != nil || t == nil {
-		return nil, BatchInfo{}, ctx.Err()
+		if answered == live {
+			return out
+		}
 	}
-	b.met.submissions.Inc()
-	b.met.probeAnswers.Inc()
-	return t, BatchInfo{BatchQueries: 1, BatchRequests: 1, Origin: origin}, nil
+	pend := b.enqueue(qs, out)
+	b.await(ctx, pend, out)
+	return out
+}
+
+// failLive answers err to every request of the page that has no answer yet.
+func failLive(out []Answer, err error) []Answer {
+	for i := range out {
+		if out[i].Table == nil && out[i].Err == nil {
+			out[i].Err = err
+		}
+	}
+	return out
+}
+
+// probePage offers the page's live requests (those without an answer in
+// out, live of them) to the probe, files its answers into out and returns
+// how many it answered. Its error is the caller's own context error when
+// that ended the probe — the page then returns without a window — and nil
+// otherwise, whether the probe answered, declined, failed or panicked. It
+// runs on the submitter's goroutine, outside dispatch's recover, so it
+// contains its own panics.
+func (b *Batcher) probePage(ctx context.Context, qs []Query, live int, out []Answer) (answered int, err error) {
+	asked, at := qs, []int(nil)
+	if live < len(qs) {
+		asked, at = make([]Query, 0, live), make([]int, 0, live)
+		for i, q := range qs {
+			if out[i].Err == nil {
+				asked, at = append(asked, q), append(at, i)
+			}
+		}
+	}
+	answers := func() (probed []engine.Probed) {
+		defer func() {
+			if recover() != nil {
+				probed = nil
+			}
+		}()
+		exec.Testing.Fire("sched.probe")
+		probed, err := b.probe(ctx, asked)
+		if err != nil || len(probed) != len(asked) {
+			return nil
+		}
+		return probed
+	}()
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	for j, p := range answers {
+		if p.Table == nil {
+			continue
+		}
+		i := j
+		if at != nil {
+			i = at[j]
+		}
+		b.met.submissions.Inc()
+		b.met.probeAnswers.Inc()
+		out[i] = Answer{Table: p.Table, Info: BatchInfo{BatchQueries: 1, BatchRequests: 1, Origin: p.Origin}}
+		answered++
+	}
+	return answered, nil
+}
+
+// await collects the enqueued requests' answers in page order. Once ctx
+// expires, every request still waiting abandons its batch; an answer that
+// raced in before the abandonment is still preferred, so a deadline that
+// fires at delivery time returns the answer.
+func (b *Batcher) await(ctx context.Context, pend []*pending, out []Answer) {
+	for i, p := range pend {
+		if p == nil {
+			continue
+		}
+		select {
+		case out[i] = <-p.ch:
+			continue
+		case <-ctx.Done():
+		}
+		p.abandon()
+		b.met.abandoned.Inc()
+		select {
+		case out[i] = <-p.ch:
+		default:
+			out[i].Err = ctx.Err()
+		}
+	}
 }
 
 // shutLocked reports why the batcher admits no submission (ErrClosed,
@@ -416,34 +500,52 @@ func validate(q Query) error {
 	return nil
 }
 
-// enqueue files the request into its table's open window (opening one if
-// needed), deduplicating identical queries, and closes the window early when
-// it fills.
-func (b *Batcher) enqueue(q Query) (*pending, error) {
+// enqueue files every request of the page that has no answer yet into its
+// table's open window (opening one if needed) under one acquisition of b.mu,
+// deduplicating identical queries, and closes the window early when it
+// fills. It returns the page's pendings by position (nil where out already
+// holds an answer); a request the shutdown check or the admission bound
+// turns away gets its error in out instead.
+func (b *Batcher) enqueue(qs []Query, out []Answer) []*pending {
+	pend := make([]*pending, len(qs))
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err := b.shutLocked(); err != nil {
-		return nil, err
+		failLive(out, err)
+		return pend
 	}
-	limit, p95 := b.admitLimit()
-	if b.queued >= limit {
-		b.met.rejected.Inc()
-		if limit < b.cfg.MaxQueue {
-			b.met.shed.Inc()
+	for i, q := range qs {
+		if out[i].Table != nil || out[i].Err != nil {
+			continue
 		}
-		retry := p95
-		if retry < b.cfg.MaxWait {
-			retry = b.cfg.MaxWait
+		limit, p95 := b.admitLimit()
+		if b.queued >= limit {
+			b.met.rejected.Inc()
+			if limit < b.cfg.MaxQueue {
+				b.met.shed.Inc()
+			}
+			retry := p95
+			if retry < b.cfg.MaxWait {
+				retry = b.cfg.MaxWait
+			}
+			out[i].Err = &OverloadError{QueueLen: b.queued, Limit: limit, P95: p95, RetryAfter: retry}
+			continue
 		}
-		return nil, &OverloadError{QueueLen: b.queued, Limit: limit, P95: p95, RetryAfter: retry}
+		pend[i] = b.enqueueLocked(q)
 	}
+	return pend
+}
+
+// enqueueLocked files one admitted request into its table's open window.
+// Callers hold b.mu.
+func (b *Batcher) enqueueLocked(q Query) *pending {
 	b.seq++
 	p := &pending{
 		set:  q.Set,
 		aggs: q.Aggs,
 		seq:  b.seq,
 		enq:  time.Now(),
-		ch:   make(chan outcome, 1),
+		ch:   make(chan Answer, 1),
 	}
 	w := b.windows[q.Table]
 	if w == nil {
@@ -474,7 +576,7 @@ func (b *Batcher) enqueue(q Query) (*pending, error) {
 	if len(w.groups) >= b.cfg.MaxBatch {
 		b.closeLocked(w, "full")
 	}
-	return p, nil
+	return p
 }
 
 // groupKey is the window-local dedup key: grouping set plus an order-
@@ -717,7 +819,7 @@ func (b *Batcher) dispatch(w *window) {
 				continue
 			}
 			select {
-			case p.ch <- outcome{err: err, info: BatchInfo{BatchQueries: len(w.order), BatchRequests: w.npending}}:
+			case p.ch <- Answer{Err: err, Info: BatchInfo{BatchQueries: len(w.order), BatchRequests: w.npending}}:
 			default:
 			}
 		}
@@ -838,21 +940,21 @@ func (b *Batcher) scatter(w *window, groups []*group, res *engine.RunResult, err
 		pi.Deduped = p.dup
 		pi.QueueWait = time.Since(p.enq)
 		if err != nil {
-			p.ch <- outcome{err: err, info: pi}
+			p.ch <- Answer{Err: err, Info: pi}
 			continue
 		}
 		t := res.Report.Results[p.set]
 		if t == nil {
-			p.ch <- outcome{err: fmt.Errorf("sched: batch produced no result for %s", p.set), info: pi}
+			p.ch <- Answer{Err: fmt.Errorf("sched: batch produced no result for %s", p.set), Info: pi}
 			continue
 		}
 		pi.Origin = res.Report.Origins[p.set]
 		out, perr := projectOwn(t, p.set, p.aggs, perSet[p.set])
 		if perr != nil {
-			p.ch <- outcome{err: perr, info: pi}
+			p.ch <- Answer{Err: perr, Info: pi}
 			continue
 		}
-		p.ch <- outcome{t: out, info: pi}
+		p.ch <- Answer{Table: out, Info: pi}
 	}
 }
 

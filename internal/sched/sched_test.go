@@ -593,18 +593,34 @@ func TestSchedLatencyFeedsShedding(t *testing.T) {
 	}
 }
 
+// perQuery lifts a one-query probe to a page probe: it asks each query in
+// turn and fails the page on the first error.
+func perQuery(f func(context.Context, Query) (*table.Table, engine.SetOrigin, error)) ProbeFunc {
+	return func(ctx context.Context, qs []Query) ([]engine.Probed, error) {
+		out := make([]engine.Probed, len(qs))
+		for i, q := range qs {
+			t, origin, err := f(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = engine.Probed{Table: t, Origin: origin}
+		}
+		return out, nil
+	}
+}
+
 // TestProbeAnswersBeforeTheWindow: a probe answer returns at once with the
 // probe's origin, counts as a submission, and never occupies the queue — a
 // full queue does not refuse it.
 func TestProbeAnswersBeforeTheWindow(t *testing.T) {
 	r := &countingRunner{}
 	hit := fakeResult([]colset.Set{colset.Of(0)}, map[colset.Set][]exec.Agg{colset.Of(0): cnt()}).Report.Results[colset.Of(0)]
-	probe := func(_ context.Context, q Query) (*table.Table, engine.SetOrigin, error) {
+	probe := perQuery(func(_ context.Context, q Query) (*table.Table, engine.SetOrigin, error) {
 		if q.Set == colset.Of(0) {
 			return hit, engine.OriginCacheHit, nil
 		}
 		return nil, engine.OriginComputed, nil
-	}
+	})
 	b := New(r.run, Config{MaxBatch: 64, MaxWait: time.Hour, IdleWait: time.Hour, MaxQueue: 1}, probe)
 	defer b.Close()
 	done := make(chan struct{})
@@ -638,14 +654,14 @@ func TestProbeAnswersBeforeTheWindow(t *testing.T) {
 // failpoint costs the request its shortcut, never its answer.
 func TestProbeFaultEntersTheWindow(t *testing.T) {
 	for name, probe := range map[string]ProbeFunc{
-		"panic": func(context.Context, Query) (*table.Table, engine.SetOrigin, error) { panic("probe bug") },
-		"error": func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
+		"panic": perQuery(func(context.Context, Query) (*table.Table, engine.SetOrigin, error) { panic("probe bug") }),
+		"error": perQuery(func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
 			return nil, engine.OriginComputed, errors.New("probe failed")
-		},
-		"failpoint": func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
+		}),
+		"failpoint": perQuery(func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
 			t.Error("probe ran through an armed failpoint")
 			return nil, engine.OriginComputed, nil
-		},
+		}),
 	} {
 		t.Run(name, func(t *testing.T) {
 			if name == "failpoint" {
@@ -678,10 +694,10 @@ func TestProbeFaultEntersTheWindow(t *testing.T) {
 func TestProbeContextErrorReturns(t *testing.T) {
 	r := &countingRunner{}
 	ctx, cancel := context.WithCancel(context.Background())
-	probe := func(ctx context.Context, _ Query) (*table.Table, engine.SetOrigin, error) {
+	probe := perQuery(func(ctx context.Context, _ Query) (*table.Table, engine.SetOrigin, error) {
 		cancel()
 		return nil, engine.OriginComputed, ctx.Err()
-	}
+	})
 	b := New(r.run, Config{MaxWait: time.Millisecond}, probe)
 	defer b.Close()
 	if _, _, err := b.Submit(ctx, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()}); !errors.Is(err, context.Canceled) {
@@ -694,10 +710,10 @@ func TestProbeContextErrorReturns(t *testing.T) {
 
 // TestProbeSkippedAfterClose: a closed batcher refuses before probing.
 func TestProbeSkippedAfterClose(t *testing.T) {
-	probe := func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
+	probe := perQuery(func(context.Context, Query) (*table.Table, engine.SetOrigin, error) {
 		t.Error("probe ran on a closed batcher")
 		return nil, engine.OriginComputed, nil
-	}
+	})
 	b := New((&countingRunner{}).run, Config{}, probe)
 	b.Close()
 	if _, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()}); !errors.Is(err, ErrClosed) {

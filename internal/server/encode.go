@@ -84,17 +84,9 @@ func (e *resultEncoder) release() {
 	encoders.Put(e)
 }
 
-// answer is one query's outcome inside a /query response: a result with the
-// batch that served it, or an error.
-type answer struct {
-	res  *gbmqo.Table
-	info gbmqo.BatchInfo
-	err  error
-}
-
 // queryPage appends a /query body: {"results":[...]}. An answer whose result
 // holds a non-finite float is answered with errNonFinite instead.
-func (e *resultEncoder) queryPage(answers []answer) {
+func (e *resultEncoder) queryPage(answers []gbmqo.PageAnswer) {
 	e.buf = append(e.buf, `{"results":[`...)
 	for i := range answers {
 		if i > 0 {
@@ -105,20 +97,22 @@ func (e *resultEncoder) queryPage(answers []answer) {
 	e.buf = append(e.buf, "]}\n"...)
 }
 
-func (e *resultEncoder) answer(a *answer) {
-	if a.err == nil {
+// answer appends one query's outcome inside a /query response: a result with
+// the batch that served it, or an error.
+func (e *resultEncoder) answer(a *gbmqo.PageAnswer) {
+	if a.Err == nil {
 		mark := len(e.buf)
 		e.buf = append(e.buf, `{"result":`...)
-		if a.err = e.table(a.res); a.err == nil {
+		if a.Err = e.table(a.Table); a.Err == nil {
 			e.buf = append(e.buf, `,"batch":`...)
-			e.batch(a.info)
+			e.batch(a.Info)
 			e.buf = append(e.buf, '}')
 			return
 		}
 		e.buf = e.buf[:mark]
 	}
 	e.buf = append(e.buf, `{"error":`...)
-	e.buf = appendString(e.buf, a.err.Error())
+	e.buf = appendString(e.buf, a.Err.Error())
 	e.buf = append(e.buf, '}')
 }
 

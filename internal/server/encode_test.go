@@ -99,14 +99,14 @@ func refRender(v any) ([]byte, error) {
 	return b.Bytes(), err
 }
 
-func refQueryPage(answers []answer) ([]byte, error) {
+func refQueryPage(answers []gbmqo.PageAnswer) ([]byte, error) {
 	out := make([]refAnswer, len(answers))
 	for i, a := range answers {
-		if a.err != nil {
-			out[i].Error = a.err.Error()
+		if a.Err != nil {
+			out[i].Error = a.Err.Error()
 			continue
 		}
-		out[i].Result, out[i].Batch = refEncodeTable(a.res), refBatchOf(a.info)
+		out[i].Result, out[i].Batch = refEncodeTable(a.Table), refBatchOf(a.Info)
 	}
 	return refRender(map[string]any{"results": out})
 }
@@ -133,11 +133,11 @@ func checkEncoding(t *testing.T, tbl *gbmqo.Table, info gbmqo.BatchInfo, tags []
 
 	enc := getEncoder()
 	defer enc.release()
-	page := []answer{{res: tbl, info: info}, {err: errors.New("<bad> & \u2028")}, {res: tbl, info: info}}
+	page := []gbmqo.PageAnswer{{Table: tbl, Info: info}, {Err: errors.New("<bad> & \u2028")}, {Table: tbl, Info: info}}
 	enc.queryPage(page)
 	want := page
 	if !finite {
-		want = []answer{{err: errNonFinite}, page[1], {err: errNonFinite}}
+		want = []gbmqo.PageAnswer{{Err: errNonFinite}, page[1], {Err: errNonFinite}}
 	}
 	ref, err := refQueryPage(want)
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package server is the HTTP/JSON front-end that turns the GB-MQO library
-// into a concurrent query server: every request body is one or more Group By
-// queries, each handed to the DB's micro-batching scheduler, so concurrent
+// into a concurrent query server: every request body is a page of Group By
+// queries, handed to the DB's micro-batching scheduler in one call, so concurrent
 // HTTP clients hitting the same table share one multi-query plan without
 // knowing about each other. Observability rides along: /metrics exposes the
 // scheduler, cache and governance counters in Prometheus text format, and
@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -148,23 +147,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	// Submit every query concurrently: that is the whole point — queries in
-	// one body (and across bodies) ride the same micro-batch window.
-	out := make([]answer, len(req.Queries))
-	var wg sync.WaitGroup
+	// The body is one page: its queries are probed together and its misses
+	// enter one micro-batch window (shared with concurrent bodies).
+	qs := make([]gbmqo.GroupQuery, len(req.Queries))
+	var bindErrs []error
 	for i, q := range req.Queries {
 		gq, err := s.bindQuery(req.Table, q)
 		if err != nil {
-			out[i].err = err
+			if bindErrs == nil {
+				bindErrs = make([]error, len(qs))
+			}
+			bindErrs[i] = err // qs[i] stays empty: SubmitPage refuses it
 			continue
 		}
-		wg.Add(1)
-		go func(a *answer, gq gbmqo.GroupQuery) {
-			defer wg.Done()
-			a.res, a.info, a.err = s.db.Submit(ctx, req.Table, gq)
-		}(&out[i], gq)
+		qs[i] = gq
 	}
-	wg.Wait()
+	out := s.db.SubmitPage(ctx, req.Table, qs)
+	for i, err := range bindErrs {
+		if err != nil {
+			out[i] = gbmqo.PageAnswer{Err: err}
+		}
+	}
 	// When every query in the body was turned away by backpressure or
 	// shutdown, answer with the transport-level status (429 + Retry-After, or
 	// 503) so clients and load balancers can react without parsing bodies.
@@ -174,7 +177,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if retryAfter > 0 {
 			retryAfterHeader(w, retryAfter)
 		}
-		httpError(w, code, out[0].err.Error())
+		httpError(w, code, out[0].Err.Error())
 		return
 	}
 	enc := getEncoder()
@@ -185,15 +188,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // uniformReject reports whether every query failed with a scheduler
 // rejection mapping to the same HTTP status; retryAfter is the largest hint.
-func uniformReject(answers []answer) (code int, retryAfter time.Duration, all bool) {
+func uniformReject(answers []gbmqo.PageAnswer) (code int, retryAfter time.Duration, all bool) {
 	if len(answers) == 0 {
 		return 0, 0, false
 	}
 	for _, a := range answers {
-		if a.err == nil {
+		if a.Err == nil {
 			return 0, 0, false
 		}
-		c, ra, ok := rejectStatus(a.err)
+		c, ra, ok := rejectStatus(a.Err)
 		if !ok || (code != 0 && c != code) {
 			return 0, 0, false
 		}

@@ -543,3 +543,187 @@ func TestServerHealthzBreakers(t *testing.T) {
 		t.Fatalf("breaker = %v, want sales closed", b)
 	}
 }
+
+// pageDB is a cached lineitem DB whose cache holds {l_returnflag} and
+// {l_returnflag, l_linestatus} under COUNT(*) and {l_returnflag} under the
+// returned AVG(l_quantity), batching in windows that close when the line
+// goes idle.
+func pageDB(t *testing.T) (*gbmqo.DB, gbmqo.Agg) {
+	t.Helper()
+	li, err := gbmqo.GenerateDataset("lineitem", 4000, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := gbmqo.Open(&gbmqo.Config{CacheBytes: 32 << 20})
+	db.Register(li)
+	avg := gbmqo.Agg{Kind: gbmqo.AggAvg, Col: li.ColIndex("l_quantity"), Name: "avg_qty"}
+	warm := []gbmqo.GroupQuery{
+		{Cols: []string{"l_returnflag"}},
+		{Cols: []string{"l_returnflag", "l_linestatus"}},
+		{Cols: []string{"l_returnflag"}, Aggs: []gbmqo.Agg{avg}},
+	}
+	for _, q := range warm {
+		if _, _, err := db.ExecuteQueries("lineitem", []gbmqo.GroupQuery{q}, gbmqo.QueryOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.StartBatching(gbmqo.BatchOptions{MaxBatch: 16, MaxWait: time.Second, IdleWait: 20 * time.Millisecond})
+	t.Cleanup(db.StopBatching)
+	return db, avg
+}
+
+// TestPageDoorMatchesSubmit: a page answers every position exactly as that
+// query's own Submit does — the same table, byte for byte through the
+// response encoder, or the same error — while its probe answers wait for no
+// window and its misses share one window and one plan.
+func TestPageDoorMatchesSubmit(t *testing.T) {
+	db, avg := pageDB(t)
+	solo, _ := pageDB(t)
+	page := []gbmqo.GroupQuery{
+		{Cols: []string{"l_returnflag"}},                         // exact hit
+		{Cols: []string{"l_linestatus"}},                         // roll-up of the cached pair
+		{Cols: []string{"l_shipmode"}},                           // miss
+		{Cols: []string{"l_shipmode"}},                           // the same miss again
+		{Cols: []string{"l_shipinstruct"}},                       // a second miss
+		{Cols: []string{"no_such_col"}},                          // refused
+		{Cols: []string{"l_returnflag"}, Aggs: []gbmqo.Agg{avg}}, // AVG hit
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got := db.SubmitPage(ctx, "lineitem", page)
+	if len(got) != len(page) {
+		t.Fatalf("%d answers for %d queries", len(got), len(page))
+	}
+	encode := func(tb *gbmqo.Table) string {
+		enc := getEncoder()
+		defer enc.release()
+		if err := enc.table(tb); err != nil {
+			t.Fatal(err)
+		}
+		return string(enc.buf)
+	}
+	for i, q := range page {
+		want, _, wantErr := solo.Submit(ctx, "lineitem", q)
+		a := got[i]
+		if (a.Err == nil) != (wantErr == nil) || (wantErr != nil && a.Err.Error() != wantErr.Error()) {
+			t.Fatalf("query %d: page error %v, Submit error %v", i, a.Err, wantErr)
+		}
+		if wantErr == nil && encode(a.Table) != encode(want) {
+			t.Errorf("query %d: page and Submit tables encode differently", i)
+		}
+	}
+
+	for i, origin := range map[int]gbmqo.SetOrigin{0: gbmqo.OriginCacheHit, 1: gbmqo.OriginCacheAncestor, 6: gbmqo.OriginCacheHit} {
+		if info := got[i].Info; info.Origin != origin || info.QueueWait != 0 || info.BatchQueries != 1 {
+			t.Errorf("query %d: info %+v, want a probe answer of origin %v", i, info, origin)
+		}
+	}
+	for _, i := range []int{2, 3, 4} {
+		info := got[i].Info
+		if info.BatchQueries != 2 || info.BatchRequests != 3 || info.Origin != gbmqo.OriginComputed || info.Deduped != (i == 3) {
+			t.Errorf("query %d: info %+v, want one window of 2 queries and 3 requests", i, info)
+		}
+	}
+}
+
+// TestQueryPageRejections pins uniformReject on multi-query pages: a page
+// the scheduler turns away whole answers 429 with Retry-After (503 while
+// draining), and a page only partly turned away answers 200 with the
+// rejections inline.
+func TestQueryPageRejections(t *testing.T) {
+	db := gbmqo.Open(nil)
+	tbl, err := gbmqo.GenerateDataset("sales", 2000, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Register(tbl)
+	db.StartBatching(gbmqo.BatchOptions{MaxQueue: 2, MaxWait: time.Hour, IdleWait: time.Hour})
+	ts := httptest.NewServer(New(db).Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		db.StopBatching()
+	})
+	page := func(cols ...string) map[string]any {
+		qs := make([]map[string]any, len(cols))
+		for i, c := range cols {
+			qs[i] = map[string]any{"cols": []string{c}}
+		}
+		return map[string]any{"table": "sales", "queries": qs}
+	}
+	c := func(i int) string { return tbl.Col(i).Name() }
+	waitQueued := func(n int) {
+		t.Helper()
+		for i := 0; ; i++ {
+			if st, _ := db.BatchStats(); st.QueueLen == n {
+				return
+			}
+			if i > 2000 {
+				t.Fatalf("queue never reached %d", n)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// post sends a page from another goroutine; its reply is read on the
+	// test's own.
+	post := func(body map[string]any) <-chan *http.Response {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := make(chan *http.Response, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Error(err)
+			}
+			ch <- resp
+		}()
+		return ch
+	}
+
+	// One query parks in the window; of the next page's two, the first
+	// takes the last queue slot and the second is turned away.
+	parked := post(page(c(0)))
+	waitQueued(1)
+	mixed := post(page(c(1), c(2)))
+	waitQueued(2)
+
+	resp, out := postJSON(t, ts.URL+"/query", page(c(2), c(3)))
+	if resp.StatusCode != http.StatusTooManyRequests || out["error"] == nil {
+		t.Fatalf("all-rejected page: status %d body %v, want 429 with an error", resp.StatusCode, out)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("Retry-After = %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
+	}
+
+	db.FlushBatches()
+	for _, ch := range []<-chan *http.Response{parked, mixed} {
+		resp = <-ch
+		if resp == nil {
+			t.FailNow()
+		}
+		defer resp.Body.Close()
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mixed page: status %d, want 200", resp.StatusCode)
+	}
+	var mixedOut map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&mixedOut); err != nil {
+		t.Fatal(err)
+	}
+	results := mixedOut["results"].([]any)
+	if e, ok := results[0].(map[string]any)["error"]; ok && e != nil {
+		t.Fatalf("admitted query of the mixed page failed: %v", e)
+	}
+	if e, _ := results[1].(map[string]any)["error"].(string); !strings.Contains(e, "overloaded") {
+		t.Fatalf("rejected query of the mixed page: error %q, want the overload inline", e)
+	}
+
+	if err := db.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if resp, out := postJSON(t, ts.URL+"/query", page(c(0), c(1))); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("page while draining: status %d body %v, want 503", resp.StatusCode, out)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"gbmqo/internal/colset"
@@ -27,6 +26,9 @@ type (
 	// BatchInfo tells a Submit caller how its request was served (batch size,
 	// dedup, queueing latency, result origin, modeled shared-vs-solo cost).
 	BatchInfo = sched.BatchInfo
+	// PageAnswer is one query's answer from SubmitPage: its result Table and
+	// BatchInfo, or the Err that refused or failed it.
+	PageAnswer = sched.Answer
 	// BatchStats is a point-in-time snapshot of scheduler activity.
 	BatchStats = sched.Stats
 	// SetOrigin attributes a grouping set's result to how it was produced.
@@ -208,12 +210,16 @@ func (db *DB) runBatch(ctx context.Context, tableName string, sets []colset.Set,
 	return db.eng.Run(db.batchRequest(ctx, tableName, sets, perSet))
 }
 
-// probeBatch answers one submission from the result cache before it may
-// enter a window: an exact hit or an ancestor re-aggregation, under the same
-// request a window would run (see engine.Engine.Probe).
-func (db *DB) probeBatch(ctx context.Context, q sched.Query) (*table.Table, SetOrigin, error) {
-	sets := []colset.Set{q.Set}
-	return db.eng.Probe(db.batchRequest(ctx, q.Table, sets, map[colset.Set][]Agg{q.Set: q.Aggs}), q.Set)
+// probeBatch answers a page of submissions from the result cache before they
+// may enter a window: exact hits and ancestor re-aggregations, under the
+// same request a window would run, in one probe pass (see
+// engine.Engine.Probe).
+func (db *DB) probeBatch(ctx context.Context, qs []sched.Query) ([]engine.Probed, error) {
+	asked := make([]engine.SetQuery, len(qs))
+	for i, q := range qs {
+		asked[i] = engine.SetQuery{Set: q.Set, Aggs: q.Aggs}
+	}
+	return db.eng.Probe(db.batchRequest(ctx, qs[0].Table, nil, nil), asked)
 }
 
 // Drain gracefully shuts down the micro-batching scheduler: new submissions
@@ -290,13 +296,14 @@ func (db *DB) BreakerStates() []BreakerSnapshot {
 
 // Submit hands one Group By request to the micro-batching scheduler and
 // blocks until its result is ready, ctx expires, or the scheduler rejects
-// it. Requests arriving close together on the same table share one GB-MQO
-// plan; identical requests (same grouping columns and aggregates) inside a
-// window share one computation. The result table is byte-identical to what
-// ExecuteQueries would return for the same single query. A request the
-// result cache can answer (an exact hit or a cached-ancestor roll-up) is
-// answered before any window, with BatchInfo.QueueWait 0; see
-// engine.Engine.Probe for when that probe steps aside.
+// it: SubmitPage for a page of one. Requests arriving close together on the
+// same table share one GB-MQO plan; identical requests (same grouping
+// columns and aggregates) inside a window share one computation. The result
+// table is byte-identical to what ExecuteQueries would return for the same
+// single query. A request the result cache can answer (an exact hit or a
+// cached-ancestor roll-up) is answered before any window, with
+// BatchInfo.QueueWait 0; see engine.Engine.Probe for when that probe steps
+// aside.
 //
 // ctx bounds only this caller's wait: when it expires the call returns
 // ctx.Err() but the batch keeps running for its other subscribers (and is
@@ -305,25 +312,58 @@ func (db *DB) BreakerStates() []BreakerSnapshot {
 // Submit starts the scheduler with default BatchOptions if StartBatching was
 // not called.
 func (db *DB) Submit(ctx context.Context, tableName string, q GroupQuery) (*Table, BatchInfo, error) {
+	a := db.SubmitPage(ctx, tableName, []GroupQuery{q})[0]
+	return a.Table, a.Info, a.Err
+}
+
+// SubmitPage hands a page of Group By requests over one table — the set a
+// /query body carries — to the micro-batching scheduler in one call and
+// returns one answer per query, in page order. Each answer is what Submit
+// would return for that query alone, but the page is served in one pass on
+// the caller's goroutine: one probe of the result cache answers every hit
+// and ancestor roll-up, and the misses enter the window together, so one
+// GB-MQO plan computes them (unless MaxBatch splits the page across
+// windows). A query whose columns do not resolve answers its own error and
+// does not hold up the others. ctx bounds the whole page's wait.
+func (db *DB) SubmitPage(ctx context.Context, tableName string, qs []GroupQuery) []PageAnswer {
 	t, ok := db.eng.Catalog().Table(tableName)
 	if !ok {
-		return nil, BatchInfo{}, fmt.Errorf("gbmqo: unknown table %q", tableName)
+		out := make([]PageAnswer, len(qs))
+		for i := range out {
+			out[i].Err = fmt.Errorf("gbmqo: unknown table %q", tableName)
+		}
+		return out
 	}
-	ords, err := db.resolveCols(t, q.Cols)
-	if err != nil {
-		return nil, BatchInfo{}, err
+	page := make([]sched.Query, len(qs))
+	var errs []error
+	for i, q := range qs {
+		ords, err := db.resolveCols(t, q.Cols)
+		if err != nil {
+			if errs == nil {
+				errs = make([]error, len(qs))
+			}
+			errs[i] = err // page[i] stays empty: the scheduler skips it
+			continue
+		}
+		aggs := q.Aggs
+		if len(aggs) == 0 {
+			aggs = []Agg{CountStar()}
+		}
+		page[i] = sched.Query{Table: t.Name(), Set: colset.Of(ords...), Aggs: aggs}
 	}
-	aggs := q.Aggs
-	if len(aggs) == 0 {
-		aggs = []Agg{CountStar()}
+	out := db.getBatcher().SubmitPage(ctx, page)
+	for i, err := range errs {
+		if err != nil {
+			out[i] = PageAnswer{Err: err}
+		}
 	}
-	return db.getBatcher().Submit(ctx, sched.Query{Table: t.Name(), Set: colset.Of(ords...), Aggs: aggs})
+	return out
 }
 
 // SubmitSQL runs a SQL statement through the micro-batching scheduler: a
 // batchable grouped single-table statement is decomposed into its grouping
-// sets, each submitted individually (so concurrent statements' sets batch
-// together), and the GROUPING SETS union result is reassembled
+// sets, submitted as one page (so they and concurrent statements' sets
+// batch together), and the GROUPING SETS union result is reassembled
 // byte-identical to Query. Statements the scheduler cannot batch — joins,
 // WHERE filters, plain selects — fall back to a solo QueryWith run under the
 // batcher's execution options.
@@ -351,32 +391,16 @@ func (db *DB) SubmitSQL(ctx context.Context, statement string) (*Table, error) {
 	if !found {
 		return nil, fmt.Errorf("gbmqo: unknown table %q", spec.Table)
 	}
-	b := db.getBatcher()
-	results := make(map[colset.Set]*table.Table, len(spec.Sets))
-	var (
-		mu       sync.Mutex
-		wg       sync.WaitGroup
-		firstErr error
-	)
-	for _, s := range spec.Sets {
-		wg.Add(1)
-		go func(s colset.Set) {
-			defer wg.Done()
-			res, _, err := b.Submit(ctx, sched.Query{Table: spec.Table, Set: s, Aggs: spec.Aggs})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			results[s] = res
-		}(s)
+	page := make([]sched.Query, len(spec.Sets))
+	for i, s := range spec.Sets {
+		page[i] = sched.Query{Table: spec.Table, Set: s, Aggs: spec.Aggs}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	results := make(map[colset.Set]*table.Table, len(spec.Sets))
+	for i, a := range db.getBatcher().SubmitPage(ctx, page) {
+		if a.Err != nil {
+			return nil, a.Err
+		}
+		results[page[i].Set] = a.Table
 	}
 	return sql.Assemble(src, spec, results)
 }
