@@ -356,8 +356,9 @@ func (db *DB) registerDurable(t *Table) error {
 // snapshotNow captures every base table at a consistent WAL horizon and
 // writes one snapshot file (atomic tmp + rename), then prunes WAL segments
 // the new snapshot made redundant and persists the cache manifest. Capture
-// runs under the append mutex — dictionary state is copied there — but
-// encoding and I/O run outside it, so appends stall only for the copy.
+// runs under the append mutex — dictionary state is copied there — but the
+// manifest, encoding and I/O run outside it, so appends stall only for the
+// copy.
 func (d *durability) snapshotNow(db *DB) error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
@@ -381,8 +382,11 @@ func (d *durability) snapshotNow(db *DB) error {
 		}
 		s.Tables = append(s.Tables, snapshot.ImageOf(t, ep.Version, ep.Delta))
 	}
-	manifest := db.eng.ResultCache().Manifest()
 	d.mu.Unlock()
+	// The manifest checksums every resident entry, so it is taken outside the
+	// append mutex. An entry keyed past the snapshot's epoch is harmless:
+	// rewarm admits only entries at the epoch recovery reaches.
+	manifest := db.eng.ResultCache().Manifest()
 
 	if _, err := snapshot.Write(filepath.Join(d.dir, snapSubdir), s); err != nil {
 		d.snapErrors.Add(1)

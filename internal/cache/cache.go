@@ -13,8 +13,10 @@
 // benefit-per-byte: when the byte budget is exceeded, the entries with the
 // lowest benefit·uses/bytes score go first, ties broken toward the least
 // recently used. Base-table mutation bumps the version held in the catalog;
-// entries keyed to older versions can never match again and are swept by
-// InvalidateBelow.
+// entries keyed to older epochs can never match again and are swept by
+// InvalidateBelow. An append moves a table's epoch through Publish, which
+// installs the entries maintenance rolled forward in the same critical
+// section, so no reader sees the new epoch without them.
 //
 // Concurrency: an RWMutex guards the entry map (lookups take the read lock;
 // per-entry usage counters are atomics), and an embedded singleflight group
@@ -28,7 +30,6 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -47,7 +48,7 @@ type Key struct {
 	Version uint64
 	// Delta is the append-epoch minor counter within Version: each streaming
 	// append bumps it. Entries at an older delta are not served directly, but
-	// unlike a version bump they are candidates for roll-forward (Refresh)
+	// unlike a version bump they are candidates for roll-forward (Publish)
 	// rather than unconditional invalidation.
 	Delta uint64
 	// Set is the grouping column set (base-table ordinals).
@@ -72,15 +73,14 @@ func KeyOf(tableName string, version, delta uint64, set colset.Set, aggs []exec.
 // output name per aggregate, order-sensitive. COUNT(*) ignores its source
 // column, so it is normalized out of the signature.
 func AggSignature(aggs []exec.Agg) string {
-	parts := make([]string, len(aggs))
+	sig := make([]byte, 0, len(aggs)*12)
 	for i, a := range aggs {
-		col := a.Col
-		if a.Kind == exec.AggCountStar {
-			col = -1
+		if i > 0 {
+			sig = append(sig, ',')
 		}
-		parts[i] = fmt.Sprintf("%d:%d:%s", a.Kind, col, a.Name)
+		sig = a.AppendSig(sig)
 	}
-	return strings.Join(parts, ",")
+	return string(sig)
 }
 
 // Rollupable reports whether every aggregate in the list can be re-aggregated
@@ -113,7 +113,7 @@ type Stats struct {
 	// Invalidations counts entries swept because their table version went
 	// stale.
 	Invalidations int64
-	// Refreshes counts entries rolled forward in place to a new append epoch
+	// Refreshes counts entries Publish rolled forward to a new append epoch
 	// by delta maintenance instead of being invalidated.
 	Refreshes int64
 	// Corruptions counts hits whose stored checksum no longer matched the
@@ -145,8 +145,7 @@ type entry struct {
 	tbl     *table.Table
 	bytes   int64
 	benefit float64 // estimated plan cost one exact hit saves vs base
-	sum     uint64  // checksumTable(tbl), the manifest's checksum, fixed at admission
-	fp      uint64  // fingerprint(tbl), fixed with sum; what every hit verifies
+	fp      uint64  // fingerprint(tbl), fixed at admission; what every hit verifies
 
 	uses     atomic.Int64  // demanded-or-hit count, the W in LRU-W
 	lastUsed atomic.Uint64 // logical clock of the last touch
@@ -180,8 +179,8 @@ type Cache struct {
 
 	// epochs counts the resident entries of each table per (Version, Delta)
 	// epoch, so InvalidateBelow can see under the read lock that a table
-	// holds nothing stale. Every insert into entries counts in (Offer,
-	// Refresh) and every removal counts out (evictLocked). Guarded by mu.
+	// holds nothing stale. Every insert into entries counts in
+	// (insertLocked) and every removal counts out (evictLocked). Guarded by mu.
 	epochs map[string]map[epoch]int
 
 	// quarantined marks keys whose entries failed checksum verification;
@@ -272,12 +271,14 @@ func (c *Cache) quarantine(key Key, e *entry) {
 	c.corruptions.Add(1)
 }
 
-// checksumTable fingerprints a cached table: FNV-64a over the column names,
-// the row-major scan image, and each measure column's value slice — a measure
-// column's codes only say which rows are NULL (see table.MeasureColumn), so
-// its values must be hashed for the fingerprint to see an aggregate at all.
-// The image is built lazily and cached by the table, and Offer forces it
-// before admission, so hashing here reads stable bytes.
+// checksumTable is the manifest's checksum of a cached table: FNV-64a over
+// the column names, the row-major scan image, and each measure column's value
+// slice — a measure column's codes only say which rows are NULL (see
+// table.MeasureColumn), so its values must be hashed for the checksum to see
+// an aggregate at all. The image is built lazily and cached by the table, and
+// every entry's image is forced before it is installed, so hashing a resident
+// reads stable bytes. Only the manifest reads it (see sumOf); hits verify
+// the cheaper fingerprint.
 func checksumTable(t *table.Table) uint64 {
 	h := fnv.New64a()
 	for i := 0; i < t.NumCols(); i++ {
@@ -452,11 +453,8 @@ func (c *Cache) Offer(key Key, aggs []exec.Agg, t *table.Table, benefit float64)
 	}
 	exec.Testing.Fire("cache.admit")
 	t.RowImage()
-	sum, fp := checksumTable(t), fingerprint(t)
-	bytes := t.MemSize()
-	if bytes < 1 {
-		bytes = 1
-	}
+	fp := fingerprint(t)
+	bytes := max(t.MemSize(), 1)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -476,24 +474,30 @@ func (c *Cache) Offer(key Key, aggs []exec.Agg, t *table.Table, benefit float64)
 		uses = 1
 	}
 	score := benefit * float64(uses) / float64(bytes)
-	if score < c.cfg.MinBenefitPerByte {
+	if score < c.cfg.MinBenefitPerByte || !c.roomLocked(bytes, score) {
 		c.rejections.Add(1)
 		return false
 	}
+	e := &entry{key: key, aggs: append([]exec.Agg(nil), aggs...), tbl: t, bytes: bytes, benefit: benefit, fp: fp}
+	e.uses.Store(uses)
+	e.lastUsed.Store(c.clock.Add(1))
+	c.insertLocked(e)
+	c.admissions.Add(1)
+	return true
+}
+
+// roomLocked makes room for bytes more by evicting strictly lower-scored
+// entries than score, reporting false when the budget cannot be met that
+// way. Callers hold c.mu and have checked bytes against MaxBytes.
+func (c *Cache) roomLocked(bytes int64, score float64) bool {
 	for c.bytes+bytes > c.cfg.MaxBytes {
 		victim := c.victimLocked()
 		if victim == nil || victim.score() >= score {
-			c.rejections.Add(1)
 			return false
 		}
 		c.evictLocked(victim)
 		c.evictions.Add(1)
 	}
-	e := &entry{key: key, aggs: append([]exec.Agg(nil), aggs...), tbl: t, bytes: bytes, benefit: benefit, sum: sum, fp: fp}
-	e.uses.Store(uses)
-	e.lastUsed.Store(c.clock.Add(1))
-	c.insertLocked(e)
-	c.admissions.Add(1)
 	return true
 }
 
@@ -515,6 +519,15 @@ func (c *Cache) victimLocked() *entry {
 // epoch is one (Version, Delta) append epoch of a table.
 type epoch struct{ version, delta uint64 }
 
+// before orders epochs by (Version, Delta). The order is monotone over a
+// table's life: Register and Drop bump Version and reset Delta, an append
+// bumps Delta.
+func (e epoch) before(o epoch) bool {
+	return e.version < o.version || (e.version == o.version && e.delta < o.delta)
+}
+
+func epochOf(k Key) epoch { return epoch{k.Version, k.Delta} }
+
 // insertLocked makes e resident. Callers hold c.mu and count the admission.
 func (c *Cache) insertLocked(e *entry) {
 	c.entries[e.key] = e
@@ -524,7 +537,7 @@ func (c *Cache) insertLocked(e *entry) {
 		eps = make(map[epoch]int)
 		c.epochs[e.key.Table] = eps
 	}
-	eps[epoch{e.key.Version, e.key.Delta}]++
+	eps[epochOf(e.key)]++
 }
 
 // evictLocked removes one entry. Callers hold c.mu and count the eviction.
@@ -532,7 +545,7 @@ func (c *Cache) evictLocked(e *entry) {
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
 	eps := c.epochs[e.key.Table]
-	ep := epoch{e.key.Version, e.key.Delta}
+	ep := epochOf(e.key)
 	if eps[ep]--; eps[ep] == 0 {
 		delete(eps, ep)
 		if len(eps) == 0 {
@@ -566,22 +579,28 @@ func (c *Cache) ShrinkTo(maxBytes int64) int64 {
 	return freed
 }
 
-// InvalidateBelow sweeps every entry of the table whose epoch differs from
-// (version, delta) — a mutated base relation invalidates all dependent
-// results, and append maintenance sweeps the old-epoch leftovers it chose not
-// to (or failed to) roll forward. Returns the number of entries removed.
+// InvalidateBelow sweeps every entry of the table at an epoch strictly older
+// than (version, delta) — a mutated base relation invalidates all dependent
+// results — and returns the number of entries removed. Entries at the
+// caller's epoch or a newer one stay: a reader still holding the epoch an
+// append is leaving must not evict what that append published.
 //
 // Every cache-served request calls it, and almost always nothing is stale:
 // that case reads the epoch counts under the read lock and returns, and only
-// a table holding another epoch's entries pays the write lock and the walk.
+// a table holding an older epoch's entries pays the write lock and the walk.
 func (c *Cache) InvalidateBelow(tableName string, version, delta uint64) int {
 	if c == nil {
 		return 0
 	}
+	now := epoch{version, delta}
 	c.mu.RLock()
-	eps := c.epochs[tableName]
-	_, current := eps[epoch{version, delta}]
-	stale := len(eps) > 1 || (len(eps) == 1 && !current)
+	stale := false
+	for ep := range c.epochs[tableName] {
+		if ep.before(now) {
+			stale = true
+			break
+		}
+	}
 	c.mu.RUnlock()
 	if !stale {
 		return 0
@@ -590,7 +609,7 @@ func (c *Cache) InvalidateBelow(tableName string, version, delta uint64) int {
 	defer c.mu.Unlock()
 	n := 0
 	for k, e := range c.entries {
-		if k.Table == tableName && (k.Version != version || k.Delta != delta) {
+		if k.Table == tableName && epochOf(k).before(now) {
 			c.evictLocked(e)
 			c.invalidations.Add(1)
 			n++
@@ -627,90 +646,107 @@ func (c *Cache) ResidentsAt(tableName string, version, delta uint64) []Resident 
 	return out
 }
 
-// Invalidate removes one entry by exact key, reporting whether it was
-// resident. Append maintenance uses it for targeted invalidation of
-// non-mergeable entries (AVG) and of entries it deliberately leaves to lazy
-// re-derivation.
-func (c *Cache) Invalidate(key Key) bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.evictLocked(e)
-	c.invalidations.Add(1)
-	return true
+// Roll is one resident entry rolled forward across an append, ready for
+// Publish: the entry's key at the epoch being left and its merged table over
+// the appended snapshot, scan image built and fingerprinted outside the lock.
+type Roll struct {
+	From  Key
+	table *table.Table
+	bytes int64
+	fp    uint64
 }
 
-// Refresh replaces the entry at oldKey with a rolled-forward table under
-// newKey, preserving the entry's benefit, observed usage weight and recency —
-// the entry is the *same* result advanced one append epoch, so its eviction
-// standing carries over. The table's scan image is forced and re-checksummed
-// (the merged table is new bytes). If the refreshed entry grew past the byte
-// budget, strictly lower-scored entries are evicted to make room, exactly as
-// in Offer; if room cannot be made, the old entry is dropped and the refresh
-// reported as false (the caller falls back to invalidation semantics — the
-// sweep has nothing left to do either way). A quarantined newKey is never
-// admitted.
-func (c *Cache) Refresh(oldKey, newKey Key, t *table.Table) bool {
-	if c == nil || t == nil {
-		return false
-	}
-	exec.Testing.Fire("cache.refresh")
+// NewRoll prepares t, the roll-forward of the entry at from, for Publish.
+func NewRoll(from Key, t *table.Table) Roll {
 	t.RowImage()
-	sum, fp := checksumTable(t), fingerprint(t)
-	bytes := t.MemSize()
-	if bytes < 1 {
-		bytes = 1
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, ok := c.entries[oldKey]
-	if !ok {
-		return false
-	}
-	c.evictLocked(old)
-	if c.quarantined[newKey] {
-		c.invalidations.Add(1)
-		return false
-	}
-	if _, exists := c.entries[newKey]; exists {
-		// Someone already computed the new epoch directly; keep theirs.
-		c.invalidations.Add(1)
-		return false
-	}
-	if bytes > c.cfg.MaxBytes {
-		c.invalidations.Add(1)
-		return false
-	}
-	score := old.benefit * float64(max64(old.uses.Load(), 1)) / float64(bytes)
-	for c.bytes+bytes > c.cfg.MaxBytes {
-		victim := c.victimLocked()
-		if victim == nil || victim.score() >= score {
-			c.invalidations.Add(1)
-			return false
-		}
-		c.evictLocked(victim)
-		c.evictions.Add(1)
-	}
-	e := &entry{key: newKey, aggs: old.aggs, tbl: t, bytes: bytes, benefit: old.benefit, sum: sum, fp: fp}
-	e.uses.Store(old.uses.Load())
-	e.lastUsed.Store(c.clock.Add(1))
-	c.insertLocked(e)
-	c.refreshes.Add(1)
-	return true
+	return Roll{From: from, table: t, bytes: max(t.MemSize(), 1), fp: fingerprint(t)}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// Published counts what one Publish did to a table's entries.
+type Published struct {
+	// Refreshed counts rolls installed at the new epoch.
+	Refreshed int
+	// Dropped counts removed entries the caller named as drops.
+	Dropped int
+	// Invalidated counts every other removed entry: older-epoch entries no
+	// roll replaced, and rolls that could not be installed.
+	Invalidated int
+}
+
+// Publish moves a table to its next epoch with its maintained entries in
+// place, all in one critical section of the write lock. swap runs first —
+// the catalog's epoch swap — and returns the new epoch; if it fails, Publish
+// returns its error and changes nothing. Then every entry of the table at an
+// older epoch is removed, and each roll whose source entry was among them is
+// installed at the new epoch with the source's benefit, usage weight and
+// recency: the entry is the same result advanced one append. A roll is not
+// installed when its new key is quarantined or already resident, or when
+// the budget cannot make room without evicting an entry scored at least as
+// high.
+//
+// A reader resolves the table's epoch before it reads the cache, so it
+// either holds the old epoch and finds the old entries until the swap, or
+// holds the new one and waits on the lock until every roll is installed.
+// c.mu is held across swap, which must not call back into the cache: the
+// lock order is cache before catalog.
+func (c *Cache) Publish(tableName string, swap func() (version, delta uint64, err error), rolls []Roll, drops []Key) (Published, error) {
+	if c == nil {
+		_, _, err := swap()
+		return Published{}, err
 	}
-	return b
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	version, delta, err := swap()
+	if err != nil {
+		return Published{}, err
+	}
+	now := epoch{version, delta}
+	rolled := make(map[Key]*entry, len(rolls))
+	for _, r := range rolls {
+		rolled[r.From] = nil
+	}
+	dropped := make(map[Key]bool, len(drops))
+	for _, k := range drops {
+		dropped[k] = true
+	}
+	var pub Published
+	for k, e := range c.entries {
+		if k.Table != tableName || !epochOf(k).before(now) {
+			continue
+		}
+		c.evictLocked(e)
+		if _, ok := rolled[k]; ok {
+			rolled[k] = e
+			continue
+		}
+		c.invalidations.Add(1)
+		if dropped[k] {
+			pub.Dropped++
+		} else {
+			pub.Invalidated++
+		}
+	}
+	for _, r := range rolls {
+		src := rolled[r.From]
+		if src == nil {
+			continue // evicted or quarantined while it was being merged
+		}
+		key := r.From
+		key.Version, key.Delta = version, delta
+		score := src.benefit * float64(max(src.uses.Load(), 1)) / float64(r.bytes)
+		if c.quarantined[key] || c.entries[key] != nil || r.bytes > c.cfg.MaxBytes || !c.roomLocked(r.bytes, score) {
+			c.invalidations.Add(1)
+			pub.Invalidated++
+			continue
+		}
+		e := &entry{key: key, aggs: src.aggs, tbl: r.table, bytes: r.bytes, benefit: src.benefit, fp: r.fp}
+		e.uses.Store(src.uses.Load())
+		e.lastUsed.Store(c.clock.Add(1))
+		c.insertLocked(e)
+		c.refreshes.Add(1)
+		pub.Refreshed++
+	}
+	return pub, nil
 }
 
 // DropTable removes every entry of the named table regardless of version.

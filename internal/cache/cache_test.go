@@ -55,6 +55,70 @@ func TestAggSignature(t *testing.T) {
 	}
 }
 
+// TestAggSignatureFormat pins the signature bytes: they are persisted in the
+// manifest, so a restart must rebuild exactly the keys it wrote.
+func TestAggSignatureFormat(t *testing.T) {
+	for _, tc := range []struct {
+		aggs []exec.Agg
+		want string
+	}{
+		{nil, ""},
+		{[]exec.Agg{{Kind: exec.AggCountStar, Col: 7, Name: "cnt"}}, "0:-1:cnt"},
+		{[]exec.Agg{{Kind: exec.AggSum, Col: 4, Name: "sum_qty"}}, "2:4:sum_qty"},
+		{[]exec.Agg{{Kind: exec.AggMin, Col: 10, Name: "min_sd"}}, "3:10:min_sd"},
+		{[]exec.Agg{{Kind: exec.AggMax, Col: 0, Name: "max a"}}, "4:0:max a"},
+		{[]exec.Agg{{Kind: exec.AggAvg, Col: 12, Name: "avg"}}, "5:12:avg"},
+		{[]exec.Agg{exec.CountStar(), {Kind: exec.AggSum, Col: 4, Name: "s"}, {Kind: exec.AggMin, Col: 1, Name: "m"},
+			{Kind: exec.AggMax, Col: 1, Name: "x"}, {Kind: exec.AggAvg, Col: 4, Name: "a"}},
+			"0:-1:cnt,2:4:s,3:1:m,4:1:x,5:4:a"},
+	} {
+		if got := AggSignature(tc.aggs); got != tc.want {
+			t.Errorf("AggSignature(%v) = %q, want %q", tc.aggs, got, tc.want)
+		}
+	}
+}
+
+// TestPublishRollsForward: Publish swaps, sweeps the table's older epochs and
+// installs each roll at the swapped epoch with its source's standing; a drop
+// counts as dropped, another table's entries stay, and a roll whose source
+// was gone by the swap is skipped.
+func TestPublishRollsForward(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	rolled := KeyOf("base", 1, 2, colset.Of(0, 1), countStar())
+	dropped := KeyOf("base", 1, 2, colset.Of(0), countStar())
+	avg := KeyOf("base", 1, 2, colset.Of(1), countStar())
+	other := KeyOf("other", 1, 0, colset.Of(0), countStar())
+	for i, k := range []Key{rolled, dropped, avg, other} {
+		c.Offer(k, countStar(), testTable(fmt.Sprintf("t%d", i), 10), 100)
+	}
+	c.Get(rolled)
+	gone := KeyOf("base", 1, 2, colset.Of(2), countStar())
+	swaps := 0
+	pub, err := c.Publish("base", func() (uint64, uint64, error) { swaps++; return 1, 3, nil },
+		[]Roll{NewRoll(rolled, testTable("merged", 12)), NewRoll(gone, testTable("g", 5))}, []Key{dropped})
+	if err != nil || swaps != 1 {
+		t.Fatalf("Publish: err %v, %d swaps", err, swaps)
+	}
+	if pub != (Published{Refreshed: 1, Dropped: 1, Invalidated: 1}) {
+		t.Fatalf("Publish counted %+v", pub)
+	}
+	next := rolled
+	next.Delta = 3
+	got, ok := c.Get(next)
+	if !ok || got.NumRows() != 12 || c.Len() != 2 {
+		t.Fatalf("rolled entry at the new epoch: ok=%v, %d entries", ok, c.Len())
+	}
+	c.mu.RLock()
+	uses := c.entries[next].uses.Load()
+	c.mu.RUnlock()
+	if uses != 3 { // admission, one hit before the append, one after
+		t.Fatalf("rolled entry's usage weight = %d, want 3", uses)
+	}
+	if st := c.Snapshot(); st.Refreshes != 1 || st.Invalidations != 2 {
+		t.Fatalf("refreshes %d, invalidations %d", st.Refreshes, st.Invalidations)
+	}
+}
+
 func TestRollupable(t *testing.T) {
 	if !Rollupable([]exec.Agg{exec.CountStar(), {Kind: exec.AggSum, Col: 1, Name: "s"}}) {
 		t.Fatal("COUNT(*)+SUM should be rollupable")
@@ -221,10 +285,11 @@ func TestInvalidateBelow(t *testing.T) {
 }
 
 // TestInvalidateBelowMatchesAWalk: over a seeded random sequence of Offer,
-// Refresh, Invalidate, ShrinkTo, quarantine and DropTable, the per-epoch
-// counts equal a recount of the resident entries after every step, and
-// InvalidateBelow removes exactly as many entries as a brute-force walk
-// counts stale — including 0 on the read-locked fast path.
+// Publish (succeeding and refused), ShrinkTo, quarantine and DropTable, the
+// per-epoch counts equal a recount of the resident entries after every step,
+// and InvalidateBelow removes exactly as many entries as a brute-force walk
+// counts strictly older than the caller's epoch — including 0 on the
+// read-locked fast path.
 func TestInvalidateBelowMatchesAWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	c := New(Config{MaxBytes: 12 * entrySize(20)})
@@ -252,7 +317,7 @@ func TestInvalidateBelowMatchesAWalk(t *testing.T) {
 		defer c.mu.RUnlock()
 		n := 0
 		for k := range c.entries {
-			if k.Table == tableName && (k.Version != version || k.Delta != delta) {
+			if k.Table == tableName && (k.Version < version || (k.Version == version && k.Delta < delta)) {
 				n++
 			}
 		}
@@ -265,11 +330,18 @@ func TestInvalidateBelowMatchesAWalk(t *testing.T) {
 			c.Offer(randKey(), countStar(), testTable("t", 10+rng.Intn(11)), float64(rng.Intn(1000)))
 		case 2:
 			old := pick()
-			next := old
-			next.Version, next.Delta = uint64(rng.Intn(3)), uint64(rng.Intn(3))
-			c.Refresh(old, next, testTable("t", 10+rng.Intn(11)))
+			version, delta := old.Version, old.Delta+1+uint64(rng.Intn(2))
+			if rng.Intn(2) == 0 {
+				version, delta = version+1, uint64(rng.Intn(3))
+			}
+			swap := func() (uint64, uint64, error) { return version, delta, nil }
+			c.Publish(old.Table, swap, []Roll{NewRoll(old, testTable("t", 10+rng.Intn(11)))}, []Key{pick()})
 		case 3:
-			c.Invalidate(pick())
+			n := c.Len()
+			refused := func() (uint64, uint64, error) { return 0, 0, errors.New("moved") }
+			if _, err := c.Publish(tables[rng.Intn(2)], refused, []Roll{NewRoll(pick(), testTable("t", 10))}, nil); err == nil || c.Len() != n {
+				t.Fatalf("step %d: a refused swap published (err %v, %d entries, was %d)", step, err, c.Len(), n)
+			}
 		case 4:
 			c.ShrinkTo(rng.Int63n(c.Bytes() + 1))
 		case 5:

@@ -10,16 +10,16 @@ import (
 )
 
 // This file is the cache's durability surface: a manifest describing the hot
-// resident entries (keys, admission-time checksums, and eviction standing) so
+// resident entries (keys, checksums, and eviction standing) so
 // a restarted process can rewarm the lattice cache and then *verify* each
 // recomputed result against the checksum the pre-crash process stored. A
 // mismatch means the recovered base state diverged — the rewarm path routes it
 // into the same quarantine the live corruption detector uses.
 
-// ChecksumTable fingerprints a result table exactly as the cache does at
-// admission: FNV-64a over the column names (NUL-separated), the row-major
-// scan image and the measure columns' values. Exported so snapshot verification and manifest rewarm compare
-// against the same fingerprint the live cache enforces.
+// ChecksumTable computes a result table's manifest checksum exactly as the
+// cache does: FNV-64a over the column names (NUL-separated), the row-major
+// scan image and the measure columns' values. Exported so snapshot
+// verification and manifest rewarm compare against the same checksum.
 func ChecksumTable(t *table.Table) uint64 {
 	return checksumTable(t)
 }
@@ -42,15 +42,26 @@ type ManifestEntry struct {
 }
 
 // Manifest lists the resident entries, most valuable first by eviction score,
-// for persistence alongside a snapshot.
+// for persistence alongside a snapshot. Each entry's checksum is computed
+// here, outside the lock, after its fingerprint is verified: an entry whose
+// bytes changed since admission is quarantined and left out.
 func (c *Cache) Manifest() []ManifestEntry {
 	if c == nil {
 		return nil
 	}
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]ManifestEntry, 0, len(c.entries))
-	for k, e := range c.entries {
+	resident := make([]*entry, 0, len(c.entries))
+	for _, e := range c.entries {
+		resident = append(resident, e)
+	}
+	c.mu.RUnlock()
+	out := make([]ManifestEntry, 0, len(resident))
+	for _, e := range resident {
+		sum, ok := c.sumOf(e)
+		if !ok {
+			continue
+		}
+		k := e.key
 		out = append(out, ManifestEntry{
 			Table:   k.Table,
 			Version: k.Version,
@@ -58,17 +69,28 @@ func (c *Cache) Manifest() []ManifestEntry {
 			Set:     uint64(k.Set),
 			AggSig:  k.AggSig,
 			Aggs:    append([]exec.Agg(nil), e.aggs...),
-			Sum:     fmt.Sprintf("%016x", e.sum),
+			Sum:     fmt.Sprintf("%016x", sum),
 			Benefit: e.benefit,
 			Uses:    e.uses.Load(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
-		si := out[i].Benefit * float64(maxi64(out[i].Uses, 1))
-		sj := out[j].Benefit * float64(maxi64(out[j].Uses, 1))
+		si := out[i].Benefit * float64(max(out[i].Uses, 1))
+		sj := out[j].Benefit * float64(max(out[j].Uses, 1))
 		return si > sj
 	})
 	return out
+}
+
+// sumOf computes e's manifest checksum after verifying its fingerprint. A
+// mismatch takes the one-way door a corrupt hit takes — the entry is evicted
+// and its key quarantined — and reports false.
+func (c *Cache) sumOf(e *entry) (uint64, bool) {
+	if fingerprint(e.tbl) != e.fp {
+		c.quarantine(e.key, e)
+		return 0, false
+	}
+	return checksumTable(e.tbl), true
 }
 
 // Key reconstructs the cache key a manifest entry describes.
@@ -77,18 +99,19 @@ func (m ManifestEntry) CacheKey() Key {
 		Set: colset.Set(m.Set), AggSig: m.AggSig}
 }
 
-// SumOf returns the stored admission-time checksum of a resident entry.
+// SumOf returns the manifest checksum of a resident entry, computed as
+// Manifest computes it; a corrupt entry is quarantined and reports false.
 func (c *Cache) SumOf(key Key) (uint64, bool) {
 	if c == nil {
 		return 0, false
 	}
 	c.mu.RLock()
-	defer c.mu.RUnlock()
 	e, ok := c.entries[key]
+	c.mu.RUnlock()
 	if !ok {
 		return 0, false
 	}
-	return e.sum, true
+	return c.sumOf(e)
 }
 
 // ForceQuarantine evicts key (if resident) and permanently bars it from
@@ -123,11 +146,4 @@ func (c *Cache) Seed(key Key, uses int64) {
 		c.demand[key] += uses
 	}
 	c.dmu.Unlock()
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -106,21 +106,40 @@ func (c *Catalog) Register(t *table.Table) {
 // RegisterDelta swaps in an append-only snapshot of an existing table,
 // bumping the Delta counter but not the Version: rows [0, old.NumRows) and
 // all dictionary codes are unchanged, so derivations from the previous epoch
-// remain mergeable rather than merely stale. Indexes on the table are dropped
-// — they were built over the old row range and an index fast path would
-// silently miss appended rows. Statistics are NOT invalidated here; the
-// stats service self-heals on snapshot-pointer mismatch so the append path
-// can refresh them lazily.
-func (c *Catalog) RegisterDelta(t *table.Table) (Epoch, error) {
+// remain mergeable rather than merely stale. from is the epoch the snapshot
+// was appended to; if the table has moved since (a concurrent Register, or a
+// Drop and re-Register), the swap is refused with an *EpochMovedError rather
+// than installing the old lineage over the newer table. Indexes on the table are
+// dropped — they were built over the old row range and an index fast path
+// would silently miss appended rows. Statistics are NOT invalidated here;
+// the stats service self-heals on snapshot-pointer mismatch so the append
+// path can refresh them lazily.
+func (c *Catalog) RegisterDelta(t *table.Table, from Epoch) (Epoch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.tables[t.Name()]; !ok {
-		return Epoch{}, fmt.Errorf("catalog: RegisterDelta on unknown table %q", t.Name())
+	name := t.Name()
+	if _, ok := c.tables[name]; !ok {
+		return Epoch{}, fmt.Errorf("catalog: RegisterDelta on unknown table %q", name)
 	}
-	delete(c.indexes, t.Name())
-	c.deltas[t.Name()]++
-	c.tables[t.Name()] = t
-	return Epoch{Version: c.versions[t.Name()], Delta: c.deltas[t.Name()]}, nil
+	if cur := (Epoch{Version: c.versions[name], Delta: c.deltas[name]}); cur != from {
+		return Epoch{}, &EpochMovedError{Table: name, From: from, Now: cur}
+	}
+	delete(c.indexes, name)
+	c.deltas[name]++
+	c.tables[name] = t
+	return Epoch{Version: c.versions[name], Delta: c.deltas[name]}, nil
+}
+
+// EpochMovedError is RegisterDelta's refusal: the table left the epoch the
+// appended snapshot was built from before the swap.
+type EpochMovedError struct {
+	Table     string
+	From, Now Epoch
+}
+
+func (e *EpochMovedError) Error() string {
+	return fmt.Sprintf("catalog: table %q moved from v%d.%d to v%d.%d under an append",
+		e.Table, e.From.Version, e.From.Delta, e.Now.Version, e.Now.Delta)
 }
 
 // RestoreAt installs a recovered table at an exact epoch, bypassing the

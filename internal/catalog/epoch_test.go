@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"errors"
 	"testing"
 
 	"gbmqo/internal/index"
@@ -26,7 +27,7 @@ func TestRegisterDeltaAdvancesEpoch(t *testing.T) {
 		t.Fatalf("fresh registration delta = %d", ep0.Delta)
 	}
 	next := base.Append([][]table.Value{{table.Int(9)}})
-	ep1, err := c.RegisterDelta(next)
+	ep1, err := c.RegisterDelta(next, ep0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestRegisterDeltaAdvancesEpoch(t *testing.T) {
 
 func TestRegisterDeltaUnknownTable(t *testing.T) {
 	c := New(stats.NewService(stats.Exact, 0, 1))
-	if _, err := c.RegisterDelta(epochTable(t, 1)); err == nil {
+	if _, err := c.RegisterDelta(epochTable(t, 1), Epoch{}); err == nil {
 		t.Fatal("RegisterDelta on an unregistered table should error")
 	}
 }
@@ -50,7 +51,7 @@ func TestRegisterResetsDelta(t *testing.T) {
 	c := New(stats.NewService(stats.Exact, 0, 1))
 	base := epochTable(t, 4)
 	c.Register(base)
-	if _, err := c.RegisterDelta(base.Append([][]table.Value{{table.Int(9)}})); err != nil {
+	if _, err := c.RegisterDelta(base.Append([][]table.Value{{table.Int(9)}}), c.Epoch("t")); err != nil {
 		t.Fatal(err)
 	}
 	v1 := c.Epoch("t").Version
@@ -65,7 +66,7 @@ func TestDropResetsDelta(t *testing.T) {
 	c := New(stats.NewService(stats.Exact, 0, 1))
 	base := epochTable(t, 4)
 	c.Register(base)
-	if _, err := c.RegisterDelta(base.Append([][]table.Value{{table.Int(9)}})); err != nil {
+	if _, err := c.RegisterDelta(base.Append([][]table.Value{{table.Int(9)}}), c.Epoch("t")); err != nil {
 		t.Fatal(err)
 	}
 	c.Drop("t")
@@ -85,11 +86,31 @@ func TestRegisterDeltaDropsIndexes(t *testing.T) {
 	if len(c.Indexes("t")) != 1 {
 		t.Fatal("index not registered")
 	}
-	if _, err := c.RegisterDelta(base.Append([][]table.Value{{table.Int(9)}})); err != nil {
+	if _, err := c.RegisterDelta(base.Append([][]table.Value{{table.Int(9)}}), c.Epoch("t")); err != nil {
 		t.Fatal(err)
 	}
 	// A stale index fast path would silently miss the delta rows.
 	if len(c.Indexes("t")) != 0 {
 		t.Fatal("indexes survived a delta registration")
+	}
+}
+
+// TestRegisterDeltaRefusesAMovedTable: a snapshot appended to an epoch the
+// table has since left (here, replaced by Register) is refused with a typed
+// error, and the replacement stays installed.
+func TestRegisterDeltaRefusesAMovedTable(t *testing.T) {
+	c := New(stats.NewService(stats.Exact, 0, 1))
+	base := epochTable(t, 4)
+	c.Register(base)
+	from := c.Epoch("t")
+	replacement := epochTable(t, 2)
+	c.Register(replacement)
+	_, err := c.RegisterDelta(base.Append([][]table.Value{{table.Int(9)}}), from)
+	var moved *EpochMovedError
+	if !errors.As(err, &moved) || moved.From != from || moved.Now != c.Epoch("t") {
+		t.Fatalf("RegisterDelta on a moved table = %v, want *EpochMovedError from %+v", err, from)
+	}
+	if got, ep, _ := c.TableEpoch("t"); got.NumRows() != replacement.NumRows() || ep.Delta != 0 {
+		t.Fatalf("refused swap disturbed the table: %d rows at %+v", got.NumRows(), ep)
 	}
 }

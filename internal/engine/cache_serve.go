@@ -33,7 +33,7 @@ type CacheCounters struct {
 	// the report are then zero, because another run did the work.
 	FlightShared bool
 	// Refreshes is the cache's cumulative count of entries rolled forward by
-	// append maintenance (Refresh) after the request.
+	// append maintenance (Publish) after the request.
 	Refreshes int64
 	// Evictions is the cache's cumulative eviction count after the request;
 	// Bytes and Entries are its residency after the request.

@@ -32,10 +32,11 @@ type AppendReport struct {
 	// ancestors are maintained eagerly).
 	Dropped int
 	// Invalidated counts entries removed outright: non-mergeable aggregate
-	// shapes (AVG), refresh failures, and stale-epoch leftovers swept after
-	// maintenance.
+	// shapes (AVG), entries whose roll-forward failed or could not be
+	// installed, and stale-epoch leftovers swept with the publish.
 	Invalidated int
-	// RefreshWall is the wall time spent on delta aggregation and merging.
+	// RefreshWall is the wall time spent on delta aggregation, merging and
+	// publishing the new epoch.
 	RefreshWall time.Duration
 }
 
@@ -97,9 +98,10 @@ func (e *Engine) ValidateAppend(name string, rows [][]table.Value) error {
 }
 
 // appendSafe is the append path behind a panic barrier: a panic anywhere in
-// validation or maintenance becomes a typed error. The catalog swap is the
-// commit point — panics before it leave no trace; panics after it (cache
-// maintenance) are contained per entry and degrade to invalidation.
+// validation or maintenance becomes a typed error. The epoch swap inside
+// Publish is the commit point — panics before it leave no trace; a panic
+// rolling one entry forward is contained to that entry, which degrades to
+// invalidation.
 func (e *Engine) appendSafe(name string, rows [][]table.Value) (res *AppendReport, err error) {
 	defer func() {
 		if pnc := recover(); pnc != nil {
@@ -110,6 +112,15 @@ func (e *Engine) appendSafe(name string, rows [][]table.Value) (res *AppendRepor
 	return e.append(name, rows)
 }
 
+// append rolls forward first, then publishes: under appendMu, and while the
+// catalog still shows the old epoch, every maintained cache entry is merged
+// against the appended snapshot; then one cache critical section swaps the
+// catalog epoch, installs the merged entries at the new epoch and sweeps the
+// old one. Readers meanwhile keep answering from the pre-append snapshot,
+// and none sees the new epoch while its maintained entries are missing. A
+// table that moved under the append (a concurrent Register or Drop) refuses
+// the swap — a *catalog.EpochMovedError, or unknown table — and nothing is
+// published.
 func (e *Engine) append(name string, rows [][]table.Value) (*AppendReport, error) {
 	if strings.HasPrefix(name, "__") {
 		return nil, fmt.Errorf("engine: cannot append to reserved table %q", name)
@@ -137,22 +148,30 @@ func (e *Engine) append(name string, rows [][]table.Value) (*AppendReport, error
 	exec.Testing.Fire("table.append")
 
 	next := cur.Append(rows)
-	newEp, err := e.cat.RegisterDelta(next)
+	start := time.Now()
+	rolls, drops := e.rollForward(name, next, oldEp)
+	var newEp catalog.Epoch
+	pub, err := e.cache.Publish(name, func() (uint64, uint64, error) {
+		ep, err := e.cat.RegisterDelta(next, oldEp)
+		newEp = ep
+		return ep.Version, ep.Delta, err
+	}, rolls, drops)
 	if err != nil {
 		return nil, err
 	}
+	rep.RefreshWall = time.Since(start)
 	rep.TotalRows = next.NumRows()
 	rep.Version, rep.Delta = newEp.Version, newEp.Delta
-
-	start := time.Now()
-	e.maintainCache(name, next, oldEp, newEp, rep)
-	rep.RefreshWall = time.Since(start)
-
-	// Sweep whatever is still keyed to a dead epoch — entries maintenance
-	// chose to drop, entries whose refresh failed, stragglers admitted by
-	// concurrent queries that raced the epoch bump — and reclaim statistics
-	// built over the dead snapshot.
-	rep.Invalidated += e.cache.InvalidateBelow(name, newEp.Version, newEp.Delta)
+	rep.Refreshed, rep.Dropped, rep.Invalidated = pub.Refreshed, pub.Dropped, pub.Invalidated
+	if pub.Dropped > 0 {
+		e.lazyMu.Lock()
+		if e.pendingLazy == nil {
+			e.pendingLazy = make(map[string]int)
+		}
+		e.pendingLazy[name] += pub.Dropped
+		e.lazyMu.Unlock()
+	}
+	// Statistics built over the dead snapshot are reclaimed with its entries.
 	e.cat.Stats().DropStale(name, next)
 	return rep, nil
 }
@@ -176,39 +195,25 @@ func validateAppendRows(t *table.Table, rows [][]table.Value) error {
 	return nil
 }
 
-// maintainCache rolls the table's cached entries forward across one append.
-// Entries with mergeable aggregates whose grouping set is not strictly
-// subsumed by another maintained resident are refreshed eagerly (delta
-// aggregation + group-wise merge); subsumed entries are dropped and counted
-// as pending lazy re-derivation; non-mergeable entries are invalidated. Each
-// entry is maintained under its own panic barrier — a fault refreshing one
-// entry degrades that entry to invalidation (via the caller's sweep) without
-// affecting the others or the append itself.
-func (e *Engine) maintainCache(name string, next *table.Table, oldEp, newEp catalog.Epoch, rep *AppendReport) {
-	if e.cache == nil {
-		return
-	}
-	residents := e.cache.ResidentsAt(name, oldEp.Version, oldEp.Delta)
-	if len(residents) == 0 {
-		return
-	}
-
-	// Partition residents: mergeable shapes are roll-forward candidates,
-	// the rest are invalidated outright.
+// rollForward merges the table's cached entries at oldEp forward over the
+// appended rows of next, for Publish to install. Entries with mergeable
+// aggregates whose grouping set is not strictly subsumed by another mergeable
+// resident are rolled (delta aggregation + group-wise merge); subsumed
+// entries are returned as drops, left to lazy re-derivation; the rest
+// (AVG) are neither, so Publish invalidates them. Each entry rolls under its
+// own panic barrier — a fault rolling one degrades that entry to
+// invalidation without affecting the others or the append itself.
+func (e *Engine) rollForward(name string, next *table.Table, oldEp catalog.Epoch) (rolls []cache.Roll, drops []cache.Key) {
 	var cands []cache.Resident
-	for _, r := range residents {
+	for _, r := range e.cache.ResidentsAt(name, oldEp.Version, oldEp.Delta) {
 		if exec.Mergeable(r.Aggs) {
 			cands = append(cands, r)
-			continue
-		}
-		if e.cache.Invalidate(r.Key) {
-			rep.Invalidated++
 		}
 	}
 
-	// Finest-ancestor rule: refresh r eagerly unless some other candidate
+	// Finest-ancestor rule: roll r eagerly unless some other candidate
 	// strictly subsumes it (superset grouping + aggregate coverage) — then r
-	// is rebuilt more cheaply on demand from the refreshed ancestor, so
+	// is rebuilt more cheaply on demand from the rolled ancestor, so
 	// maintaining it now would duplicate work the lattice already prices.
 	// Lazy-dropping requires r's aggregates to survive the re-aggregation
 	// path (Rollupable), which every mergeable list does.
@@ -225,46 +230,35 @@ func (e *Engine) maintainCache(name string, next *table.Table, oldEp, newEp cata
 	}
 
 	var delta *table.Table
-	lazyDropped := 0
 	for _, r := range cands {
 		if subsumed(r) {
-			if e.cache.Invalidate(r.Key) {
-				rep.Dropped++
-				lazyDropped++
-			}
+			drops = append(drops, r.Key)
 			continue
 		}
 		if delta == nil {
 			delta = next.DeltaView()
 		}
-		if e.refreshEntry(r, delta, newEp) {
-			rep.Refreshed++
+		if roll, ok := rollEntry(r, delta); ok {
+			rolls = append(rolls, roll)
 		}
-		// A failed refresh leaves the old-epoch entry for the sweep to count.
 	}
-	if lazyDropped > 0 {
-		e.lazyMu.Lock()
-		if e.pendingLazy == nil {
-			e.pendingLazy = make(map[string]int)
-		}
-		e.pendingLazy[name] += lazyDropped
-		e.lazyMu.Unlock()
-	}
+	return rolls, drops
 }
 
-// refreshEntry rolls one cached entry forward: aggregate the delta segment
-// with the adaptive kernel chooser, merge group-wise into the cached result,
-// and swap the entry to the new epoch's key. Runs under its own panic
-// barrier; any failure reports false and leaves the entry to the sweep.
-func (e *Engine) refreshEntry(r cache.Resident, delta *table.Table, newEp catalog.Epoch) (refreshed bool) {
+// rollEntry rolls one cached entry forward: aggregate the delta segment with
+// the adaptive kernel chooser and merge group-wise into the cached result.
+// Runs under its own panic barrier; any failure reports false and leaves the
+// entry to Publish's sweep.
+func rollEntry(r cache.Resident, delta *table.Table) (roll cache.Roll, ok bool) {
 	defer func() {
 		if recover() != nil {
-			refreshed = false
+			ok = false
 		}
 	}()
+	exec.Testing.Fire("cache.refresh")
 	nKeys := r.Set.Len()
 	if r.Table.NumCols() != nKeys+len(r.Aggs) {
-		return false
+		return cache.Roll{}, false
 	}
 	// Resolve the cached table's key columns back to base ordinals by name,
 	// so the delta aggregation emits keys in exactly the cached layout.
@@ -272,7 +266,7 @@ func (e *Engine) refreshEntry(r cache.Resident, delta *table.Table, newEp catalo
 	for i := 0; i < nKeys; i++ {
 		ord := delta.ColIndex(r.Table.Col(i).Name())
 		if ord < 0 || !r.Set.Has(ord) {
-			return false
+			return cache.Roll{}, false
 		}
 		groupCols[i] = ord
 	}
@@ -288,21 +282,19 @@ func (e *Engine) refreshEntry(r cache.Resident, delta *table.Table, newEp catalo
 			}
 		}
 		if !found {
-			return false
+			return cache.Roll{}, false
 		}
 	}
 	gov := exec.NewGov(context.Background(), exec.NewMemBudget(0))
 	deltaAgg, _, err := exec.GroupByAdaptiveGov(gov, delta, groupCols, aggs, r.Table.Name()+"__dagg", exec.AdaptiveHints{})
 	if err != nil {
-		return false
+		return cache.Roll{}, false
 	}
 	merged, err := exec.MergeAppendedGroups(r.Table, deltaAgg, nKeys, aggs, r.Table.Name())
 	if err != nil {
-		return false
+		return cache.Roll{}, false
 	}
-	newKey := cache.Key{Table: r.Key.Table, Version: newEp.Version, Delta: newEp.Delta,
-		Set: r.Key.Set, AggSig: r.Key.AggSig}
-	return e.cache.Refresh(r.Key, newKey, merged)
+	return cache.NewRoll(r.Key, merged), true
 }
 
 // noteLazyServed decrements a table's pending-lazy-re-derivation count when a

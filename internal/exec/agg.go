@@ -7,6 +7,7 @@ package exec
 
 import (
 	"fmt"
+	"strconv"
 
 	"gbmqo/internal/table"
 )
@@ -57,6 +58,22 @@ type Agg struct {
 	Kind AggKind
 	Col  int
 	Name string
+}
+
+// AppendSig appends the aggregate's canonical signature "kind:col:name" to
+// dst. COUNT(*) ignores its source column, so it signs col as -1. The result
+// cache keys entries by these bytes and persists them in its manifest, and
+// the batcher dedups by them, so the format must not change.
+func (a Agg) AppendSig(dst []byte) []byte {
+	col := a.Col
+	if a.Kind == AggCountStar {
+		col = -1
+	}
+	dst = strconv.AppendInt(dst, int64(a.Kind), 10)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, int64(col), 10)
+	dst = append(dst, ':')
+	return append(dst, a.Name...)
 }
 
 // CountStar is the default aggregate used by the paper's queries.

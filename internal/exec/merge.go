@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"gbmqo/internal/table"
 )
@@ -48,31 +49,8 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 			cached.NumCols(), deltaAgg.NumCols(), nKeys, len(aggs))
 	}
 
-	// Index delta groups by key code tuple.
-	dRows := deltaAgg.NumRows()
-	dIdx := make(map[string]int, dRows)
-	var keyBuf []byte
-	deltaKey := func(t *table.Table, row int) string {
-		keyBuf = keyBuf[:0]
-		for k := 0; k < nKeys; k++ {
-			keyBuf = binary.LittleEndian.AppendUint32(keyBuf, t.Col(k).Code(row))
-		}
-		return string(keyBuf)
-	}
-	for r := 0; r < dRows; r++ {
-		dIdx[deltaKey(deltaAgg, r)] = r
-	}
-
-	// match[r] is the delta row holding cached row r's group, or -1.
-	cRows := cached.NumRows()
-	match := make([]int, cRows)
-	consumed := make([]bool, dRows)
-	for r := range match {
-		match[r] = -1
-		if dr, hit := dIdx[deltaKey(cached, r)]; hit {
-			match[r], consumed[dr] = dr, true
-		}
-	}
+	match, consumed := matchGroups(cached, deltaAgg, nKeys)
+	cRows, dRows := cached.NumRows(), deltaAgg.NumRows()
 
 	// Key columns share the delta's (extended) dictionaries.
 	cols := make([]*table.Column, 0, nKeys+len(aggs))
@@ -122,6 +100,70 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 		cols = append(cols, m.Column(cached.Col(nKeys+i).Name(), nil))
 	}
 	return table.FromColumns(outName, cols), nil
+}
+
+// matchGroups pairs the groups of cached and delta by their key code tuple
+// (the first nKeys columns): match[r] is the delta row holding cached row r's
+// group, or -1, and consumed marks the delta rows so paired. A tuple is keyed
+// as one packed uint64 when its columns' code widths sum to at most 64 bits,
+// and as the byte string of its codes otherwise.
+func matchGroups(cached, delta *table.Table, nKeys int) (match []int, consumed []bool) {
+	cCodes, dCodes := make([][]uint32, nKeys), make([][]uint32, nKeys)
+	shifts, limits := make([]uint, nKeys), make([]uint32, nKeys)
+	var width uint
+	for k := 0; k < nKeys; k++ {
+		cCodes[k], dCodes[k] = cached.Col(k).Codes(), delta.Col(k).Codes()
+		w := uint(bits.Len32(uint32(max(cached.Col(k).DictSize(), delta.Col(k).DictSize()))))
+		shifts[k], limits[k] = width, uint32(1)<<w-1
+		width += w
+	}
+	match = make([]int, cached.NumRows())
+	consumed = make([]bool, delta.NumRows())
+	pair := func(r, dr int, hit bool) {
+		match[r] = -1
+		if hit {
+			match[r], consumed[dr] = dr, true
+		}
+	}
+	if width <= 64 {
+		fits := true
+		pack := func(codes [][]uint32, row int) (key uint64) {
+			for k, c := range codes {
+				fits = fits && c[row] <= limits[k]
+				key |= uint64(c[row]) << shifts[k]
+			}
+			return key
+		}
+		idx := make(map[uint64]int, len(consumed))
+		for dr := range consumed {
+			idx[pack(dCodes, dr)] = dr
+		}
+		for r := range match {
+			dr, hit := idx[pack(cCodes, r)]
+			pair(r, dr, hit)
+		}
+		if fits {
+			return match, consumed
+		}
+		clear(consumed) // a code outside its column's width: key by bytes
+	}
+	var buf []byte
+	key := func(codes [][]uint32, row int) []byte {
+		buf = buf[:0]
+		for _, c := range codes {
+			buf = binary.LittleEndian.AppendUint32(buf, c[row])
+		}
+		return buf
+	}
+	idx := make(map[string]int, len(consumed))
+	for dr := range consumed {
+		idx[string(key(dCodes, dr))] = dr
+	}
+	for r := range match {
+		dr, hit := idx[string(key(cCodes, r))]
+		pair(r, dr, hit)
+	}
+	return match, consumed
 }
 
 // AggMerger combines the final values of one aggregate column group-wise

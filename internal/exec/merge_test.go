@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -152,6 +153,53 @@ func TestMergeAppendedGroupsDeltaOnlyAndBaseOnlyGroups(t *testing.T) {
 			t.Fatalf("row %d group = %q, want %q", i, got, want)
 		}
 	}
+}
+
+// TestMergeAppendedGroupsWideKeys: nine key columns of about 300 values each
+// need 81 bits, past one packed uint64, so groups pair by their codes' bytes.
+// Half the delta rows repeat a base key, the other half differ from one only
+// in the last key column, so a key that dropped any column would merge them.
+func TestMergeAppendedGroupsWideKeys(t *testing.T) {
+	const nKeys = 9
+	defs := make([]table.ColumnDef, nKeys+1)
+	for i := range defs {
+		defs[i] = table.ColumnDef{Name: fmt.Sprintf("c%d", i), Typ: table.TInt64}
+	}
+	tb := table.New("w", defs)
+	rng := rand.New(rand.NewSource(5))
+	var rows [][]table.Value
+	for i := 0; i < 600; i++ {
+		row := make([]table.Value, nKeys+1)
+		for c := range row {
+			row[c] = table.Int(int64(rng.Intn(300)))
+		}
+		rows = append(rows, row)
+		tb.AppendRow(row...)
+	}
+	var delta [][]table.Value
+	for i := 0; i < 200; i++ {
+		if i%2 == 0 {
+			delta = append(delta, rows[rng.Intn(len(rows))])
+			continue
+		}
+		row := append([]table.Value(nil), rows[rng.Intn(len(rows))]...)
+		row[nKeys-1] = table.Int(int64(300 + rng.Intn(300)))
+		delta = append(delta, row)
+	}
+	full := tb.Append(delta)
+	cols := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	aggs := []Agg{CountStar(), {Kind: AggSum, Col: nKeys, Name: "s"}, {Kind: AggMax, Col: nKeys, Name: "x"}}
+	cold := GroupByHash(full, cols, aggs, "out")
+	cached := GroupByHash(prefixView(full, full.DeltaStart()), cols, aggs, "out")
+	deltaAgg := GroupByHash(full.DeltaView(), cols, aggs, "out__d")
+	merged, err := MergeAppendedGroups(cached, deltaAgg, nKeys, aggs, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.NumRows() >= cached.NumRows()+deltaAgg.NumRows() {
+		t.Fatalf("no delta group merged into a cached one: %d rows from %d + %d", merged.NumRows(), cached.NumRows(), deltaAgg.NumRows())
+	}
+	assertIdentical(t, merged, cold)
 }
 
 func TestMergeAppendedGroupsShapeErrors(t *testing.T) {

@@ -586,11 +586,7 @@ func groupKey(set colset.Set, aggs []exec.Agg) string {
 	sig := make([]byte, 0, 16+len(aggs)*12)
 	sig = append(sig, set.String()...)
 	for _, a := range aggs {
-		col := a.Col
-		if a.Kind == exec.AggCountStar {
-			col = -1
-		}
-		sig = append(sig, fmt.Sprintf("|%d:%d:%s", a.Kind, col, a.Name)...)
+		sig = a.AppendSig(append(sig, '|'))
 	}
 	return string(sig)
 }
