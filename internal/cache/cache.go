@@ -146,6 +146,7 @@ type entry struct {
 	bytes   int64
 	benefit float64 // estimated plan cost one exact hit saves vs base
 	fp      uint64  // fingerprint(tbl), fixed at admission; what every hit verifies
+	sum     uint64  // the sum of terms fp seals (see printOf); a roll extends it
 
 	uses     atomic.Int64  // demanded-or-hit count, the W in LRU-W
 	lastUsed atomic.Uint64 // logical clock of the last touch
@@ -295,28 +296,164 @@ func checksumTable(t *table.Table) uint64 {
 	return h.Sum64()
 }
 
-// fingerprint is the word-at-a-time hash a hit is verified against: the
-// column names, the row-major scan image and the measure columns' values, a
-// 64-bit word per mixWord step, so a hit pays about one multiply per eight
-// image bytes where checksumTable's FNV pays eight. Every step is a
-// bijection of the running state for a fixed input word, so changing any one
-// word — a flipped byte, a renamed column, an altered aggregate — always
-// changes the result. Lengths are folded in, so the zero-padded last word of
-// an image (or name) whose length is not a multiple of 8 cannot alias a
-// longer one.
+// fingerprint is the hash a hit is verified against: the column names, the
+// row-major scan image and the measure columns' values. It is a sum of
+// independent terms — one per 64-bit word of the image and one per measure
+// value, each a bijection of its word for a fixed position (see wordTerm) —
+// sealed with the names and lengths (see sealPrint). Changing any one word —
+// a flipped byte, an altered aggregate — changes its term and so the sum, and
+// a renamed column changes the seal; lengths are sealed in, so the
+// zero-padded last word of an image (or name) whose length is not a multiple
+// of 8 cannot alias a longer one. Because the terms add, a roll that shares
+// its parent's rows updates the parent's sum for the touched and new rows
+// alone (see extendPrint); because they are independent, a hit pays one
+// multiply per eight image bytes with no dependency chain between words.
 func fingerprint(t *table.Table) uint64 {
+	fp, _ := printOf(t)
+	return fp
+}
+
+// printOf returns t's fingerprint and the sum of terms it seals.
+func printOf(t *table.Table) (fp, sum uint64) {
+	img, _ := t.RowImage()
+	sum = imageSum(img, 0)
+	for i := 0; i < t.NumCols(); i++ {
+		if c := t.Col(i); c.Measure() {
+			sum += measureSum(i, c, 0)
+		}
+	}
+	return sealPrint(t, len(img), sum), sum
+}
+
+// sealPrint folds t's shape — column names, image length and measure value
+// counts — over the sum of terms.
+func sealPrint(t *table.Table, imgLen int, sum uint64) uint64 {
 	h := uint64(t.NumCols())
 	for i := 0; i < t.NumCols(); i++ {
 		h = foldBytes(h, t.Col(i).Name())
 	}
-	img, _ := t.RowImage()
-	h = foldBytes(h, img)
+	h = mixWord(h, uint64(imgLen))
 	for i := 0; i < t.NumCols(); i++ {
 		if c := t.Col(i); c.Measure() {
-			h = mixWord(h, foldMeasure(c))
+			ints, floats := c.NumericDict()
+			h = mixWord(h, uint64(len(ints)+len(floats)))
 		}
 	}
-	return h
+	return mixWord(h, sum)
+}
+
+// posKey spreads a word's position over 64 bits before it is xored in.
+const posKey uint64 = 0x9e3779b97f4a7c15
+
+// wordTerm is the fingerprint term of word w at position pos: an xor with
+// the position's key, a multiply by an odd constant and an xorshift, each a
+// bijection of w.
+func wordTerm(pos, w uint64) uint64 { return mixTerm(w ^ pos*posKey) }
+
+func mixTerm(x uint64) uint64 {
+	x *= 0xbf58476d1ce4e5b9
+	return x ^ x>>31
+}
+
+// imageSum sums the terms of img's 8-byte words from word from on, the last
+// one zero-padded; a word's position is its byte offset.
+func imageSum(img []byte, from int) (s uint64) {
+	k := posKey
+	i, key, step := 8*from, uint64(8*from)*k, 8*k // wrapping, as in wordTerm
+	for ; i+8 <= len(img); i, key = i+8, key+step {
+		s += mixTerm(binary.LittleEndian.Uint64(img[i:]) ^ key)
+	}
+	if i < len(img) {
+		s += wordTerm(uint64(i), imageWord(img, i))
+	}
+	return s
+}
+
+// imageWord is img's word at byte offset i, zero-padded past its end.
+func imageWord(img []byte, i int) uint64 {
+	if i+8 <= len(img) {
+		return binary.LittleEndian.Uint64(img[i:])
+	}
+	var tail [8]byte
+	copy(tail[:], img[i:])
+	return binary.LittleEndian.Uint64(tail[:])
+}
+
+// measureTerm is the term of value bits v in slot k of the measure column at
+// ordinal col.
+func measureTerm(col, k int, v uint64) uint64 {
+	return wordTerm(uint64(col+1)<<48|uint64(k), v)
+}
+
+// measureSum sums the terms of the measure column c at ordinal col from
+// value slot from on.
+func measureSum(col int, c *table.Column, from int) (s uint64) {
+	ints, floats := c.NumericDict()
+	for k := from; k < len(ints); k++ {
+		s += measureTerm(col, k, uint64(ints[k]))
+	}
+	for k := from; k < len(floats); k++ {
+		s += measureTerm(col, k, math.Float64bits(floats[k]))
+	}
+	return s
+}
+
+// measureBits is the bits of slot k of the measure column c.
+func measureBits(c *table.Column, k int) uint64 {
+	ints, floats := c.NumericDict()
+	if ints != nil {
+		return uint64(ints[k])
+	}
+	return math.Float64bits(floats[k])
+}
+
+// extendPrint derives t's fingerprint and sum of terms from base, the sum of
+// parent, when t is parent's extension (see table.Table.Extend): the terms of
+// the image words the touched rows cover and of their measure values are
+// swapped for t's, and the terms of everything past parent's rows — from
+// parent's partially filled last image word on — are added. It reports false
+// when t is not such an extension of parent, or when a measure column is not
+// in row order (a value slot is then not a row), and the caller prints t
+// whole.
+func extendPrint(base uint64, parent, t *table.Table) (fp, sum uint64, ok bool) {
+	prefix, touched := t.Extended()
+	if prefix == 0 || prefix != parent.NumRows() || t.NumCols() != parent.NumCols() {
+		return 0, 0, false
+	}
+	for i := 0; i < t.NumCols(); i++ {
+		pc, c := parent.Col(i), t.Col(i)
+		if pc.Measure() != c.Measure() || pc.Measure() && (!pc.InRowOrder() || !c.InRowOrder()) {
+			return 0, 0, false
+		}
+	}
+	pimg, stride := parent.RowImage()
+	img, _ := t.RowImage()
+	whole := len(pimg) / 8 // parent's image words no new row reaches
+	s, done := base, -1    // done: the last word already swapped
+	// An image that still shares parent's backing holds parent's bytes
+	// there: only a copied one can differ in the touched rows.
+	shared := len(pimg) > 0 && len(img) > 0 && &pimg[0] == &img[0]
+	for i, r := range touched {
+		if i > 0 && r <= touched[i-1] {
+			return 0, 0, false
+		}
+		for w := max(int(r)*stride/8, done+1); !shared && w <= (int(r+1)*stride-1)/8 && w < whole; w++ {
+			s += wordTerm(uint64(8*w), imageWord(img, 8*w)) - wordTerm(uint64(8*w), imageWord(pimg, 8*w))
+			done = w
+		}
+	}
+	s += imageSum(img, whole) - imageSum(pimg, whole)
+	for i := 0; i < t.NumCols(); i++ {
+		pc, c := parent.Col(i), t.Col(i)
+		if !c.Measure() {
+			continue
+		}
+		for _, r := range touched {
+			s += measureTerm(i, int(r), measureBits(c, int(r))) - measureTerm(i, int(r), measureBits(pc, int(r)))
+		}
+		s += measureSum(i, c, prefix)
+	}
+	return sealPrint(t, len(img), s), s, true
 }
 
 // foldBytes mixes b into h eight bytes at a time, then its zero-padded tail
@@ -336,7 +473,8 @@ func foldBytes[B string | []byte](h uint64, b B) uint64 {
 }
 
 // foldMeasure hashes a measure column's dictionary values a 64-bit word at a
-// time — an xor-multiply-xorshift step per value.
+// time — an xor-multiply-xorshift step per value. The manifest checksum
+// folds it in.
 func foldMeasure(c *table.Column) uint64 {
 	ints, floats := c.NumericDict()
 	h := uint64(len(ints) + len(floats))
@@ -452,8 +590,7 @@ func (c *Cache) Offer(key Key, aggs []exec.Agg, t *table.Table, benefit float64)
 		return false
 	}
 	exec.Testing.Fire("cache.admit")
-	t.RowImage()
-	fp := fingerprint(t)
+	fp, sum := printOf(t)
 	bytes := max(t.MemSize(), 1)
 
 	c.mu.Lock()
@@ -478,7 +615,7 @@ func (c *Cache) Offer(key Key, aggs []exec.Agg, t *table.Table, benefit float64)
 		c.rejections.Add(1)
 		return false
 	}
-	e := &entry{key: key, aggs: append([]exec.Agg(nil), aggs...), tbl: t, bytes: bytes, benefit: benefit, fp: fp}
+	e := &entry{key: key, aggs: append([]exec.Agg(nil), aggs...), tbl: t, bytes: bytes, benefit: benefit, fp: fp, sum: sum}
 	e.uses.Store(uses)
 	e.lastUsed.Store(c.clock.Add(1))
 	c.insertLocked(e)
@@ -626,6 +763,7 @@ type Resident struct {
 	Set   colset.Set
 	Aggs  []exec.Agg
 	Table *table.Table
+	sum   uint64 // the entry's print sum (see Roll)
 }
 
 // ResidentsAt lists the entries of tableName at exactly (version, delta).
@@ -640,7 +778,7 @@ func (c *Cache) ResidentsAt(tableName string, version, delta uint64) []Resident 
 	var out []Resident
 	for k, e := range c.entries {
 		if k.Table == tableName && k.Version == version && k.Delta == delta {
-			out = append(out, Resident{Key: k, Set: k.Set, Aggs: e.aggs, Table: e.tbl})
+			out = append(out, Resident{Key: k, Set: k.Set, Aggs: e.aggs, Table: e.tbl, sum: e.sum})
 		}
 	}
 	return out
@@ -654,12 +792,25 @@ type Roll struct {
 	table *table.Table
 	bytes int64
 	fp    uint64
+	sum   uint64
 }
 
-// NewRoll prepares t, the roll-forward of the entry at from, for Publish.
+// NewRoll prepares t, the roll-forward of the entry at from, for Publish,
+// fingerprinting it whole.
 func NewRoll(from Key, t *table.Table) Roll {
-	t.RowImage()
-	return Roll{From: from, table: t, bytes: max(t.MemSize(), 1), fp: fingerprint(t)}
+	fp, sum := printOf(t)
+	return Roll{From: from, table: t, bytes: max(t.MemSize(), 1), fp: fp, sum: sum}
+}
+
+// Roll prepares t, the roll-forward of r, for Publish. When t is r's table
+// extended (see table.Table.Extend), its fingerprint is r's updated for the
+// touched and new rows only; otherwise t is fingerprinted whole.
+func (r Resident) Roll(t *table.Table) Roll {
+	fp, sum, ok := extendPrint(r.sum, r.Table, t)
+	if !ok {
+		return NewRoll(r.Key, t)
+	}
+	return Roll{From: r.Key, table: t, bytes: max(t.MemSize(), 1), fp: fp, sum: sum}
 }
 
 // Published counts what one Publish did to a table's entries.
@@ -739,7 +890,7 @@ func (c *Cache) Publish(tableName string, swap func() (version, delta uint64, er
 			pub.Invalidated++
 			continue
 		}
-		e := &entry{key: key, aggs: src.aggs, tbl: r.table, bytes: r.bytes, benefit: src.benefit, fp: r.fp}
+		e := &entry{key: key, aggs: src.aggs, tbl: r.table, bytes: r.bytes, benefit: src.benefit, fp: r.fp, sum: r.sum}
 		e.uses.Store(src.uses.Load())
 		e.lastUsed.Store(c.clock.Add(1))
 		c.insertLocked(e)

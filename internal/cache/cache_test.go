@@ -693,3 +693,65 @@ func TestNilCacheIsInert(t *testing.T) {
 		t.Fatal("nil cache stats")
 	}
 }
+
+// TestRollPrintMatchesWhole: a roll's fingerprint, updated from its parent's
+// for the touched and new rows only, equals the fingerprint of the rolled
+// table computed whole, along a chain of appends that adds groups, revives
+// NULL sums and moves MIN/MAX (so the scan image is copied and patched), and
+// along one whose COUNT-only entry keeps sharing its parent's image. Every
+// parent keeps its own fingerprint, and every roll equals a cold recompute.
+func TestRollPrintMatchesWhole(t *testing.T) {
+	base := table.New("base", []table.ColumnDef{
+		{Name: "a", Typ: table.TInt64}, {Name: "b", Typ: table.TString},
+		{Name: "v", Typ: table.TInt64}, {Name: "d", Typ: table.TDate},
+	})
+	rng := rand.New(rand.NewSource(3))
+	row := func(aMax int) []table.Value {
+		a := rng.Intn(aMax)
+		v := table.Int(int64(rng.Intn(100)))
+		if a%3 == 0 && aMax == 10 {
+			v = table.Null(table.TInt64) // groups whose SUM starts NULL
+		}
+		return []table.Value{table.Int(int64(a)), table.Str(string(rune('p' + rng.Intn(3)))), v, table.Date(int64(rng.Intn(1000)))}
+	}
+	for i := 0; i < 200; i++ {
+		base.AppendRow(row(10)...)
+	}
+	groupCols := []int{0, 1}
+	for _, aggs := range [][]exec.Agg{
+		{exec.CountStar(), {Kind: exec.AggSum, Col: 2, Name: "s"}, {Kind: exec.AggMin, Col: 3, Name: "mn"}, {Kind: exec.AggMax, Col: 3, Name: "mx"}},
+		{exec.CountStar()},
+	} {
+		cached := exec.GroupByHash(base, groupCols, aggs, "g")
+		cached.RowImage()
+		_, sum := printOf(cached)
+		r := Resident{Table: cached, sum: sum}
+		cur := base
+		for step := 0; step < 6; step++ {
+			var rows [][]table.Value
+			for i := 0; i < 40; i++ {
+				rows = append(rows, row(14))
+			}
+			next := cur.Append(rows)
+			parentFP := fingerprint(r.Table)
+			merged, err := exec.MergeAppendedGroups(r.Table, exec.GroupByHash(next.DeltaView(), groupCols, aggs, "d"), 2, aggs, "g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prefix, _ := merged.Extended(); prefix != r.Table.NumRows() {
+				t.Fatalf("step %d: merge is not an extension of its parent (prefix %d)", step, prefix)
+			}
+			roll := r.Roll(merged)
+			if want := fingerprint(merged); roll.fp != want {
+				t.Fatalf("%d aggs, step %d: roll fingerprint %x, whole %x", len(aggs), step, roll.fp, want)
+			}
+			if got := fingerprint(r.Table); got != parentFP {
+				t.Fatalf("%d aggs, step %d: the roll changed its parent's fingerprint", len(aggs), step)
+			}
+			if cold := exec.GroupByHash(next, groupCols, aggs, "g"); ChecksumTable(cold) != ChecksumTable(merged) {
+				t.Fatalf("%d aggs, step %d: roll differs from a cold recompute", len(aggs), step)
+			}
+			r, cur = Resident{Table: merged, sum: roll.sum}, next
+		}
+	}
+}

@@ -57,9 +57,22 @@ func (e *Env) SetIndexes(ixs []*index.Index) { e.indexes = ixs }
 type Edge struct {
 	ParentIsBase bool
 	Parent       colset.Set // grouping set of the parent when not base
-	V            colset.Set // grouping set being computed
-	NAggs        int        // number of aggregate columns carried
-	Materialize  bool       // v is an intermediate that must be written out
+	// ParentRows, when positive, is the parent's exact row count — a cached
+	// result's size, known without a statistic — used in place of
+	// NDV(Parent). Zero estimates it from statistics.
+	ParentRows  float64
+	V           colset.Set // grouping set being computed
+	NAggs       int        // number of aggregate columns carried
+	Materialize bool       // v is an intermediate that must be written out
+}
+
+// parentRows is the edge's parent size when the parent is not the base
+// relation: its known rows, or its estimated group count.
+func (e Edge) parentRows(env *Env) float64 {
+	if e.ParentRows > 0 {
+		return e.ParentRows
+	}
+	return env.NDV(e.Parent)
 }
 
 // Model prices plan edges.
@@ -103,7 +116,7 @@ func (m *Cardinality) EdgeCost(e Edge) float64 {
 	if e.ParentIsBase {
 		return m.env.BaseRows()
 	}
-	return m.env.NDV(e.Parent)
+	return e.parentRows(m.env)
 }
 
 // Coefficients tunes the Optimizer model. The defaults were set by hand
@@ -204,7 +217,7 @@ func (m *Optimizer) EdgeCost(e Edge) float64 {
 		rows := m.env.BaseRows()
 		scanWidth := codeWidth * float64(m.env.Base().NumCols())
 		if !e.ParentIsBase {
-			rows = m.env.NDV(e.Parent)
+			rows = e.parentRows(m.env)
 			scanWidth = codeWidth*float64(e.Parent.Len()) + float64(e.NAggs)*c.AggWidth
 		}
 		compute = rows*(scanWidth*c.ReadByte+c.HashRow) + groupsV*c.GroupBuild

@@ -373,7 +373,9 @@ func (e *Engine) offer(tbl string, ep catalog.Epoch, s colset.Set, aggs []exec.A
 // set re-aggregates once, and the derived result is itself offered to the
 // cache so the next request is an exact hit. Returns (nil, 0, nil) when no
 // profitable ancestor exists. The view's cost model is built here when it
-// has none, so a probe prices only what it re-aggregates.
+// has none, so a probe prices only what it re-aggregates. An ancestor is
+// priced by its exact row count (cost.Edge.ParentRows), which its cached
+// table holds, so no statistic is built for the ancestor's set.
 func (e *Engine) deriveFromAncestor(req Request, v cacheView, s colset.Set, aggs []exec.Agg) (*table.Table, int, error) {
 	base, ep := v.base, v.ep
 	cands := e.cache.Ancestors(req.Table, ep.Version, ep.Delta, s, aggs)
@@ -389,7 +391,7 @@ func (e *Engine) deriveFromAncestor(req Request, v cacheView, s colset.Set, aggs
 	var best *cache.Ancestor
 	var bestCost float64
 	for i := range cands {
-		c := model.EdgeCost(cost.Edge{Parent: cands[i].Set, V: s, NAggs: nAggs})
+		c := model.EdgeCost(cost.Edge{Parent: cands[i].Set, ParentRows: float64(max(cands[i].Table.NumRows(), 1)), V: s, NAggs: nAggs})
 		if c >= baseCost {
 			continue
 		}

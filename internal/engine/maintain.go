@@ -200,9 +200,12 @@ func validateAppendRows(t *table.Table, rows [][]table.Value) error {
 // aggregates whose grouping set is not strictly subsumed by another mergeable
 // resident are rolled (delta aggregation + group-wise merge); subsumed
 // entries are returned as drops, left to lazy re-derivation; the rest
-// (AVG) are neither, so Publish invalidates them. Each entry rolls under its
-// own panic barrier — a fault rolling one degrades that entry to
-// invalidation without affecting the others or the append itself.
+// (AVG) are neither, so Publish invalidates them. The rolled entries' delta
+// Group Bys run as one shared scan of the appended rows (the §5.1 shared
+// scan, applied to maintenance), and each entry then merges under its own
+// panic barrier — a fault merging one degrades that entry to invalidation
+// without affecting the others or the append itself; a fault in the shared
+// scan degrades every rolled entry.
 func (e *Engine) rollForward(name string, next *table.Table, oldEp catalog.Epoch) (rolls []cache.Roll, drops []cache.Key) {
 	var cands []cache.Resident
 	for _, r := range e.cache.ResidentsAt(name, oldEp.Version, oldEp.Delta) {
@@ -229,48 +232,50 @@ func (e *Engine) rollForward(name string, next *table.Table, oldEp catalog.Epoch
 		return false
 	}
 
-	var delta *table.Table
+	var todo []cache.Resident
+	var queries []exec.MultiQuery
 	for _, r := range cands {
 		if subsumed(r) {
 			drops = append(drops, r.Key)
 			continue
 		}
-		if delta == nil {
-			delta = next.DeltaView()
+		if q, ok := deltaQuery(r, next); ok {
+			todo, queries = append(todo, r), append(queries, q)
 		}
-		if roll, ok := rollEntry(r, delta); ok {
+	}
+	if len(todo) == 0 {
+		return rolls, drops
+	}
+	deltaAggs := aggregateDelta(next.DeltaView(), queries)
+	if deltaAggs == nil {
+		return rolls, drops
+	}
+	for i, r := range todo {
+		if roll, ok := rollEntry(r, deltaAggs[i], queries[i].Aggs); ok {
 			rolls = append(rolls, roll)
 		}
 	}
 	return rolls, drops
 }
 
-// rollEntry rolls one cached entry forward: aggregate the delta segment with
-// the adaptive kernel chooser and merge group-wise into the cached result.
-// Runs under its own panic barrier; any failure reports false and leaves the
-// entry to Publish's sweep.
-func rollEntry(r cache.Resident, delta *table.Table) (roll cache.Roll, ok bool) {
-	defer func() {
-		if recover() != nil {
-			ok = false
-		}
-	}()
-	exec.Testing.Fire("cache.refresh")
+// deltaQuery is the delta Group By that rolls r forward: r's key columns,
+// resolved back to base ordinals by name so the delta aggregation emits keys
+// in exactly the cached layout, and r's aggregates aligned to the cached
+// table's aggregate column order. It reports false when the cached table does
+// not have that shape, leaving the entry to Publish's sweep.
+func deltaQuery(r cache.Resident, next *table.Table) (exec.MultiQuery, bool) {
 	nKeys := r.Set.Len()
 	if r.Table.NumCols() != nKeys+len(r.Aggs) {
-		return cache.Roll{}, false
+		return exec.MultiQuery{}, false
 	}
-	// Resolve the cached table's key columns back to base ordinals by name,
-	// so the delta aggregation emits keys in exactly the cached layout.
 	groupCols := make([]int, nKeys)
 	for i := 0; i < nKeys; i++ {
-		ord := delta.ColIndex(r.Table.Col(i).Name())
+		ord := next.ColIndex(r.Table.Col(i).Name())
 		if ord < 0 || !r.Set.Has(ord) {
-			return cache.Roll{}, false
+			return exec.MultiQuery{}, false
 		}
 		groupCols[i] = ord
 	}
-	// Align the aggregate list to the cached table's aggregate column order.
 	aggs := make([]exec.Agg, len(r.Aggs))
 	for i := range aggs {
 		colName := r.Table.Col(nKeys + i).Name()
@@ -282,19 +287,50 @@ func rollEntry(r cache.Resident, delta *table.Table) (roll cache.Roll, ok bool) 
 			}
 		}
 		if !found {
-			return cache.Roll{}, false
+			return exec.MultiQuery{}, false
 		}
 	}
+	return exec.MultiQuery{GroupCols: groupCols, Aggs: aggs, OutName: r.Table.Name() + "__dagg"}, true
+}
+
+// aggregateDelta runs every query over the delta segment in one shared scan,
+// each on the kernel the adaptive chooser picks for it, under a panic
+// barrier; it returns the results in query order, or nil on any failure.
+func aggregateDelta(delta *table.Table, queries []exec.MultiQuery) (outs []*table.Table) {
+	defer func() {
+		if recover() != nil {
+			outs = nil
+		}
+	}()
 	gov := exec.NewGov(context.Background(), exec.NewMemBudget(0))
-	deltaAgg, _, err := exec.GroupByAdaptiveGov(gov, delta, groupCols, aggs, r.Table.Name()+"__dagg", exec.AdaptiveHints{})
+	choices := make([]exec.KernelChoice, len(queries))
+	for i, q := range queries {
+		choices[i] = exec.ChooseKernel(exec.ChooserInput{Rows: delta.NumRows(), GroupCols: len(q.GroupCols),
+			DenseDomain: exec.DenseDomain(delta, q.GroupCols), Budget: gov.Budget()})
+	}
+	outs, _, err := exec.GroupByMultiGov(gov, delta, queries, choices)
+	if err != nil {
+		return nil
+	}
+	return outs
+}
+
+// rollEntry merges deltaAgg, the delta Group By of r (see deltaQuery), into
+// r's cached table and prepares the result for Publish. Runs under its own
+// panic barrier; any failure reports false and leaves the entry to Publish's
+// sweep.
+func rollEntry(r cache.Resident, deltaAgg *table.Table, aggs []exec.Agg) (roll cache.Roll, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	merged, err := exec.MergeAppendedGroups(r.Table, deltaAgg, r.Set.Len(), aggs, r.Table.Name())
 	if err != nil {
 		return cache.Roll{}, false
 	}
-	merged, err := exec.MergeAppendedGroups(r.Table, deltaAgg, nKeys, aggs, r.Table.Name())
-	if err != nil {
-		return cache.Roll{}, false
-	}
-	return cache.NewRoll(r.Key, merged), true
+	exec.Testing.Fire("cache.refresh")
+	return r.Roll(merged), true
 }
 
 // noteLazyServed decrements a table's pending-lazy-re-derivation count when a

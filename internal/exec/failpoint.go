@@ -27,7 +27,7 @@ type TestingHooks struct {
 //	shard.merge          — before shard partials are merged
 //	shard.hedge          — when a hedged duplicate request is launched
 //	table.append         — before an append mutates any shared state
-//	cache.refresh        — before a cached entry is rolled forward across an append
+//	cache.refresh        — as a cached entry rolls forward across an append, after its merged table is built
 //	server.handler       — before every HTTP request is routed
 var Testing TestingHooks
 

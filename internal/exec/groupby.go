@@ -285,7 +285,6 @@ func emitGroups(t *table.Table, groupCols []int, aggs []Agg, accs []accumulator,
 	for _, c := range groupCols {
 		src := t.Col(c)
 		srcCodes := src.Codes()
-		out := src.EmptyLike(src.Name())
 		codes := make([]uint32, nGroups)
 		if order == nil {
 			for i, row := range firstRows {
@@ -296,8 +295,7 @@ func emitGroups(t *table.Table, groupCols []int, aggs []Agg, accs []accumulator,
 				codes[i] = srcCodes[firstRows[g]]
 			}
 		}
-		out.AppendCodes(codes)
-		cols = append(cols, out)
+		cols = append(cols, src.Like(src.Name(), codes))
 	}
 	for i, a := range aggs {
 		cols = append(cols, accs[i].column(a.Name, nGroups, order))

@@ -37,9 +37,15 @@ func Mergeable(aggs []Agg) bool {
 // cold over the full appended table (float SUM/AVG aside, where addition
 // order can round differently, same caveat as the parallel merge).
 //
-// Key columns and MIN/MAX columns of the output share deltaAgg's dictionaries
-// (the extended ones, which cover both inputs' codes); COUNT and SUM columns
-// are measure columns (see AggMerger).
+// The output is cached's extension (see table.Table.Extend), so its cost
+// follows the delta, not the entry: key columns share cached's code arrays
+// and gain only the delta-only groups; MIN/MAX columns do too, copied once
+// only when a delta value beats a cached one; each COUNT/SUM column copies
+// its value slice once and patches the matched groups; the scan image is
+// shared or, when a matched row's codes changed, copied and patched. cached
+// itself reads exactly as before. Key and MIN/MAX columns take deltaAgg's
+// dictionaries (the extended ones, which cover both inputs' codes); COUNT and
+// SUM columns are measure columns.
 func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, outName string) (*table.Table, error) {
 	if !Mergeable(aggs) {
 		return nil, fmt.Errorf("exec: aggregate list is not mergeable")
@@ -48,105 +54,191 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 		return nil, fmt.Errorf("exec: merge shape mismatch: cached %d cols, delta %d cols, want %d keys + %d aggs",
 			cached.NumCols(), deltaAgg.NumCols(), nKeys, len(aggs))
 	}
-
-	match, consumed := matchGroups(cached, deltaAgg, nKeys)
-	cRows, dRows := cached.NumRows(), deltaAgg.NumRows()
-
-	// Key columns share the delta's (extended) dictionaries.
-	cols := make([]*table.Column, 0, nKeys+len(aggs))
-	for k := 0; k < nKeys; k++ {
-		src := deltaAgg.Col(k)
-		out := src.EmptyLike(src.Name())
-		out.AppendCodes(cached.Col(k).Codes())
-		cols = append(cols, out)
-	}
-	mergers := make([]*AggMerger, len(aggs))
-	for i, a := range aggs {
-		cc, dc := cached.Col(nKeys+i), deltaAgg.Col(nKeys+i)
-		if cc.Type() != dc.Type() {
+	for i := range aggs {
+		if cc, dc := cached.Col(nKeys+i), deltaAgg.Col(nKeys+i); cc.Type() != dc.Type() {
 			return nil, fmt.Errorf("exec: merge aggregate %q type mismatch: cached %s, delta %s", cc.Name(), cc.Type(), dc.Type())
 		}
-		mergers[i] = NewAggMerger(a.Kind, dc, cRows+dRows)
 	}
 
-	// Aggregates fold a column at a time, so each merger reads one source
-	// column per loop: cached rows in order (group r is cached row r), then
-	// their delta counterparts, then delta-only groups in delta order (=
-	// first-appearance order).
-	for i, m := range mergers {
+	pairs, fresh := matchGroups(cached, deltaAgg, nKeys)
+	touched := make([]int32, len(pairs))
+	for i, p := range pairs {
+		touched[i] = p.cached
+	}
+	cols := make([]*table.Column, 0, nKeys+len(aggs))
+	for k := 0; k < nKeys; k++ {
+		dc := deltaAgg.Col(k)
+		cols = append(cols, cached.Col(k).Extend(dc, nil, nil, codesAt(dc, fresh)))
+	}
+	for i, a := range aggs {
 		cc, dc := cached.Col(nKeys+i), deltaAgg.Col(nKeys+i)
-		for r := 0; r < cRows; r++ {
-			m.Add(cc, r)
-		}
-		for r, dr := range match {
-			if dr >= 0 {
-				m.Merge(r, dc, dr)
+		var out *table.Column
+		switch {
+		case a.Kind == AggMin || a.Kind == AggMax:
+			var at []int32
+			var codes []uint32
+			for _, p := range pairs {
+				code, cur := dc.Code(int(p.delta)), cc.Code(int(p.cached))
+				if code != 0 && (cur == 0 || beats(a.Kind, dc, code, cur)) {
+					at, codes = append(at, p.cached), append(codes, code)
+				}
 			}
+			out = cc.Extend(dc, at, codes, codesAt(dc, fresh))
+		case cc.Type() == table.TFloat64:
+			out = mergeMeasure[float64](cc, dc, pairs, fresh)
+		default:
+			out = mergeMeasure[int64](cc, dc, pairs, fresh)
 		}
-		for dr := 0; dr < dRows; dr++ {
-			if !consumed[dr] {
-				m.Add(dc, dr)
-			}
-		}
+		cols = append(cols, out)
 	}
-	for dr := 0; dr < dRows; dr++ {
-		if !consumed[dr] {
-			for k := 0; k < nKeys; k++ {
-				cols[k].AppendCode(deltaAgg.Col(k).Code(dr))
-			}
-		}
-	}
-	for i, m := range mergers {
-		cols = append(cols, m.Column(cached.Col(nKeys+i).Name(), nil))
-	}
-	return table.FromColumns(outName, cols), nil
+	return cached.Extend(outName, cols, touched), nil
 }
 
+// codesAt returns c's codes at rows.
+func codesAt(c *table.Column, rows []int32) []uint32 {
+	out := make([]uint32, len(rows))
+	for i, r := range rows {
+		out[i] = c.Code(int(r))
+	}
+	return out
+}
+
+// mergeMeasure merges a COUNT or SUM column: cached's values, each matched
+// group plus its delta value (a NULL part is skipped, so the sum is NULL only
+// when every part was), then the delta-only groups' values.
+func mergeMeasure[T int64 | float64](cc, dc *table.Column, pairs []groupPair, fresh []int32) *table.Column {
+	dvals := table.NumericRows[T](dc, nil)
+	tail, valid := make([]T, len(fresh)), make([]bool, len(fresh))
+	for i, dr := range fresh {
+		tail[i], valid[i] = dvals[dr], !dc.IsNull(int(dr))
+	}
+	vals := table.NumericRows(cc, tail)
+	var revived []int32
+	for _, p := range pairs {
+		if dc.IsNull(int(p.delta)) {
+			continue
+		}
+		if cc.IsNull(int(p.cached)) {
+			revived = append(revived, p.cached)
+		}
+		vals[p.cached] += dvals[p.delta]
+	}
+	return table.ExtendMeasure(cc, vals, revived, valid)
+}
+
+// groupPair is one group present in both merge inputs: its row in the cached
+// result and in the delta's.
+type groupPair struct{ cached, delta int32 }
+
 // matchGroups pairs the groups of cached and delta by their key code tuple
-// (the first nKeys columns): match[r] is the delta row holding cached row r's
-// group, or -1, and consumed marks the delta rows so paired. A tuple is keyed
-// as one packed uint64 when its columns' code widths sum to at most 64 bits,
-// and as the byte string of its codes otherwise.
-func matchGroups(cached, delta *table.Table, nKeys int) (match []int, consumed []bool) {
+// (the first nKeys columns): pairs lists the groups in both, ascending by
+// cached row, and fresh the delta rows whose group cached lacks, in delta
+// order. It reads every cached key once but indexes only the delta's groups:
+// a tuple packs into one uint64 when its columns' code widths sum to at most
+// 64 bits, probed in an open-addressed table small enough to stay in L1, and
+// is keyed as the byte string of its codes otherwise.
+func matchGroups(cached, delta *table.Table, nKeys int) (pairs []groupPair, fresh []int32) {
 	cCodes, dCodes := make([][]uint32, nKeys), make([][]uint32, nKeys)
-	shifts, limits := make([]uint, nKeys), make([]uint32, nKeys)
+	widths := make([]uint, nKeys)
 	var width uint
 	for k := 0; k < nKeys; k++ {
 		cCodes[k], dCodes[k] = cached.Col(k).Codes(), delta.Col(k).Codes()
-		w := uint(bits.Len32(uint32(max(cached.Col(k).DictSize(), delta.Col(k).DictSize()))))
-		shifts[k], limits[k] = width, uint32(1)<<w-1
-		width += w
+		widths[k] = uint(bits.Len32(uint32(max(cached.Col(k).DictSize(), delta.Col(k).DictSize()))))
+		width += widths[k]
 	}
-	match = make([]int, cached.NumRows())
-	consumed = make([]bool, delta.NumRows())
-	pair := func(r, dr int, hit bool) {
-		match[r] = -1
-		if hit {
-			match[r], consumed[dr] = dr, true
-		}
-	}
+	matched := false
 	if width <= 64 {
-		fits := true
-		pack := func(codes [][]uint32, row int) (key uint64) {
-			for k, c := range codes {
-				fits = fits && c[row] <= limits[k]
-				key |= uint64(c[row]) << shifts[k]
-			}
-			return key
-		}
-		idx := make(map[uint64]int, len(consumed))
-		for dr := range consumed {
-			idx[pack(dCodes, dr)] = dr
-		}
-		for r := range match {
-			dr, hit := idx[pack(cCodes, r)]
-			pair(r, dr, hit)
-		}
-		if fits {
-			return match, consumed
-		}
-		clear(consumed) // a code outside its column's width: key by bytes
+		pairs, matched = matchPacked(cCodes, dCodes, widths, cached.NumRows(), delta.NumRows())
 	}
+	if !matched {
+		pairs = matchWide(cCodes, dCodes, cached.NumRows(), delta.NumRows())
+	}
+	seen := make([]bool, delta.NumRows())
+	for _, p := range pairs {
+		seen[p.delta] = true
+	}
+	for dr, ok := range seen {
+		if !ok {
+			fresh = append(fresh, int32(dr))
+		}
+	}
+	return pairs, fresh
+}
+
+// matchBlock is how many cached keys matchPacked packs at a time.
+const matchBlock = 256
+
+// matchPacked matches through packed uint64 keys, cached rows a block at a
+// time, a column at a time. It reports false when some code is wider than
+// its column's slot (the OR of a column's codes then exceeds the slot's
+// mask), and the caller keys by bytes instead.
+func matchPacked(cCodes, dCodes [][]uint32, widths []uint, cRows, dRows int) ([]groupPair, bool) {
+	// pack ORs the codes of rows [lo, lo+len(keys)) into keys, reporting
+	// whether every code fit its slot.
+	pack := func(codes [][]uint32, lo int, keys []uint64) bool {
+		clear(keys)
+		shift := uint(0)
+		for k, col := range codes {
+			var seen uint32
+			col = col[lo : lo+len(keys)]
+			for i := range keys {
+				seen |= col[i]
+				keys[i] |= uint64(col[i]) << shift
+			}
+			if uint64(seen)>>widths[k] != 0 {
+				return false
+			}
+			shift += widths[k]
+		}
+		return true
+	}
+	// The delta's keys sit in an open-addressed table probed linearly, at
+	// most half full: slotRow holds delta row + 1 (0 = empty) and slotKey
+	// its key. Most cached keys are not in the delta at all; a 4096-bit
+	// filter on the hash's top bits turns nearly all of those away before
+	// the table is touched.
+	dKeys := make([]uint64, dRows)
+	if !pack(dCodes, 0, dKeys) {
+		return nil, false
+	}
+	bitsN := uint(bits.Len(uint(max(2*dRows, 8) - 1)))
+	mask := uint64(1)<<bitsN - 1
+	slotRow, slotKey := make([]int32, mask+1), make([]uint64, mask+1)
+	var filter [64]uint64
+	for dr, key := range dKeys {
+		h := key * 0x9e3779b97f4a7c15
+		filter[h>>58] |= 1 << (h >> 52 & 63)
+		s := h >> (64 - bitsN)
+		for slotRow[s] != 0 {
+			s = (s + 1) & mask
+		}
+		slotRow[s], slotKey[s] = int32(dr+1), key
+	}
+	pairs := make([]groupPair, 0, dRows)
+	var block [matchBlock]uint64
+	for lo := 0; lo < cRows; lo += matchBlock {
+		keys := block[:min(matchBlock, cRows-lo)]
+		if !pack(cCodes, lo, keys) {
+			return nil, false
+		}
+		for i, key := range keys {
+			h := key * 0x9e3779b97f4a7c15
+			if filter[h>>58]&(1<<(h>>52&63)) == 0 {
+				continue
+			}
+			for s := h >> (64 - bitsN); slotRow[s] != 0; s = (s + 1) & mask {
+				if slotKey[s] == key {
+					pairs = append(pairs, groupPair{cached: int32(lo + i), delta: slotRow[s] - 1})
+					break
+				}
+			}
+		}
+	}
+	return pairs, true
+}
+
+// matchWide matches keying each tuple by the byte string of its codes.
+func matchWide(cCodes, dCodes [][]uint32, cRows, dRows int) []groupPair {
 	var buf []byte
 	key := func(codes [][]uint32, row int) []byte {
 		buf = buf[:0]
@@ -155,23 +247,25 @@ func matchGroups(cached, delta *table.Table, nKeys int) (match []int, consumed [
 		}
 		return buf
 	}
-	idx := make(map[string]int, len(consumed))
-	for dr := range consumed {
-		idx[string(key(dCodes, dr))] = dr
+	idx := make(map[string]int32, dRows)
+	for dr := 0; dr < dRows; dr++ {
+		idx[string(key(dCodes, dr))] = int32(dr)
 	}
-	for r := range match {
-		dr, hit := idx[string(key(cCodes, r))]
-		pair(r, dr, hit)
+	var pairs []groupPair
+	for r := 0; r < cRows; r++ {
+		if dr, ok := idx[string(key(cCodes, r))]; ok {
+			pairs = append(pairs, groupPair{cached: int32(r), delta: dr})
+		}
 	}
-	return match, consumed
+	return pairs
 }
 
 // AggMerger combines the final values of one aggregate column group-wise
-// across results over disjoint rows — the append roll-forward and the shard
-// gather both fold through it. COUNT and SUM add (a NULL SUM is skipped, so
-// the merge is NULL only when every part was); MIN and MAX keep the better
-// code, compared by value. MIN/MAX codes must belong to the template column's
-// dictionary lineage, and the template's dictionary must cover all of them.
+// across results over disjoint rows — the shard gather folds through it.
+// COUNT and SUM add (a NULL SUM is skipped, so the merge is NULL only when
+// every part was); MIN and MAX keep the better code, compared by value.
+// MIN/MAX codes must belong to the template column's dictionary lineage, and
+// the template's dictionary must cover all of them.
 type AggMerger struct {
 	kind  AggKind
 	proto *table.Column // output type; MIN/MAX codes live in its dictionary
@@ -241,7 +335,7 @@ func (m *AggMerger) Merge(g int, col *table.Column, row int) {
 		return
 	}
 	if m.extreme() {
-		if cur := m.codes[g]; cur == 0 || m.better(code, cur) {
+		if cur := m.codes[g]; cur == 0 || beats(m.kind, m.proto, code, cur) {
 			m.codes[g] = code
 		}
 		return
@@ -258,10 +352,11 @@ func (m *AggMerger) Merge(g int, col *table.Column, row int) {
 	}
 }
 
-// better reports whether code's value beats cur's under MIN or MAX.
-func (m *AggMerger) better(code, cur uint32) bool {
-	c := m.proto.Decode(code).Compare(m.proto.Decode(cur))
-	if m.kind == AggMin {
+// beats reports whether code's value beats cur's under MIN (kind AggMin) or
+// MAX, both decoded by col's dictionary.
+func beats(kind AggKind, col *table.Column, code, cur uint32) bool {
+	c := col.Decode(code).Compare(col.Decode(cur))
+	if kind == AggMin {
 		return c < 0
 	}
 	return c > 0

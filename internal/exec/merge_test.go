@@ -223,3 +223,74 @@ func TestMergeAppendedGroupsShapeErrors(t *testing.T) {
 		t.Fatal("agg output type mismatch accepted")
 	}
 }
+
+// TestMergeAppendedGroupsSiblingsKeepTheirRows: a merge result shares its
+// input's backing, so two merges from one input — a roll thrown away and
+// retried — must not write over each other. A chain of merges over
+// consecutive row ranges, with two siblings at its end, leaves every table
+// identical to a cold aggregation of the rows it covers, the input included.
+func TestMergeAppendedGroupsSiblingsKeepTheirRows(t *testing.T) {
+	// Every range adds groups (k1 grows with the row) and revisits old ones.
+	rng := rand.New(rand.NewSource(11))
+	full := table.New("m", []table.ColumnDef{
+		{Name: "k1", Typ: table.TInt64}, {Name: "k2", Typ: table.TString},
+		{Name: "vi", Typ: table.TInt64}, {Name: "vf", Typ: table.TFloat64},
+		{Name: "vs", Typ: table.TString}, {Name: "vd", Typ: table.TDate},
+	})
+	for r := 0; r < 500; r++ {
+		k1 := int64(rng.Intn(20))
+		if r%4 == 0 {
+			k1 = int64(r)
+		}
+		vi := table.Int(int64(rng.Intn(100) - 50))
+		if k1%3 == 0 && r < 300 {
+			vi = table.Null(table.TInt64)
+		}
+		full.AppendRow(table.Int(k1), table.Str(string(rune('a'+rng.Intn(3)))), vi,
+			table.Float(float64(rng.Intn(100))/4), table.Str(fmt.Sprint(rng.Intn(50))), table.Date(int64(rng.Intn(300))))
+	}
+	aggs := []Agg{CountStar(), {Kind: AggSum, Col: 2, Name: "si"}, {Kind: AggSum, Col: 3, Name: "sf"},
+		{Kind: AggMin, Col: 5, Name: "mn"}, {Kind: AggMax, Col: 4, Name: "mx"}}
+	keys := []int{0, 1}
+	agg := func(ranges ...[2]int) *table.Table {
+		var idx []int32
+		for _, rg := range ranges {
+			for r := rg[0]; r < rg[1]; r++ {
+				idx = append(idx, int32(r))
+			}
+		}
+		return GroupByHash(full.Gather("m", idx), keys, aggs, "out")
+	}
+	merge := func(cached *table.Table, lo, hi int) *table.Table {
+		out, err := MergeAppendedGroups(cached, agg([2]int{lo, hi}), len(keys), aggs, "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.RowImage()
+		return out
+	}
+	cached := agg([2]int{0, 300})
+	cached.RowImage()
+	m1 := merge(cached, 300, 400)
+	m2 := merge(m1, 400, 450)
+	m3 := merge(m2, 450, 470)
+	sibling := merge(m2, 470, 500) // m2's second child
+	for _, tc := range []struct {
+		name string
+		got  *table.Table
+		want *table.Table
+	}{
+		{"input", cached, agg([2]int{0, 300})},
+		{"first merge", m1, agg([2]int{0, 400})},
+		{"second merge", m2, agg([2]int{0, 450})},
+		{"first child of the second merge", m3, agg([2]int{0, 470})},
+		{"sibling", sibling, agg([2]int{0, 450}, [2]int{470, 500})},
+	} {
+		assertIdentical(t, tc.got, tc.want)
+		got, _ := tc.got.RowImage()
+		want, _ := tc.want.RowImage()
+		if string(got) != string(want) {
+			t.Fatalf("%s: scan image differs from a cold aggregation's", tc.name)
+		}
+	}
+}

@@ -13,8 +13,11 @@ import "fmt"
 //
 // Concurrency contract: Append must only be called on the NEWEST snapshot of a
 // table's lineage, one call at a time (the engine serializes appends per
-// catalog). Appending twice from the same parent would make both children
-// write the same backing range. Readers of any snapshot are always safe.
+// catalog): the extended dictionaries share their lookup maps, so a second
+// child of one parent would see the first child's interned values. The code
+// arrays and image are guarded anyway — a second child copies them instead of
+// writing over the first's tail (see frontier). Readers of any snapshot are
+// always safe.
 //
 // Validation is all-or-nothing and happens before any shared state is
 // touched: a type-mismatched or wrong-arity row leaves the dictionaries and
@@ -33,13 +36,19 @@ func (t *Table) Append(rows [][]Value) *Table {
 	}
 	cols := make([]*Column, len(t.cols))
 	for i, c := range t.cols {
-		cols[i] = &Column{def: c.def, codes: c.codes, dict: c.dict.extend()}
-		cols[i].nullScan.Store(c.nullScan.Load()) // the parent's rows are a prefix
-	}
-	for _, row := range rows {
-		for ci, v := range row {
-			cols[ci].Append(v)
+		if c.dict.measure {
+			panic(fmt.Sprintf("table %q: Append to measure column %q, which is immutable", t.name, c.def.Name))
 		}
+		out := &Column{def: c.def, dict: c.dict.extend()}
+		extra := make([]uint32, len(rows))
+		for ri, row := range rows {
+			extra[ri] = out.dict.code(row[i])
+		}
+		var fr *frontier
+		out.codes, fr = extendShared(c.codes, c.frontier(), extra, snapshotSlack)
+		out.back.Store(fr)
+		out.nullScan.Store(c.nullScan.Load()) // the parent's rows are a prefix
+		cols[i] = out
 	}
 	out := &Table{
 		name:       t.name,
@@ -51,15 +60,14 @@ func (t *Table) Append(rows [][]Value) *Table {
 	}
 	// If the parent's scan image is already built, extend it for the child
 	// instead of forcing a full O(rows×cols) repack on the child's first scan.
-	// The extension uses the same shared-backing discipline as the code
-	// arrays: writes land strictly past the parent's length, so parent
-	// readers (bounded by their own slice length) never see them, and spare
-	// capacity left by append's growth makes chained appends amortized
-	// O(delta) instead of O(total) per append. The newest-snapshot-only
-	// contract above is what makes the shared tail safe.
+	// The extension follows the code arrays' rule (see extendShared): writes
+	// land strictly past the parent's length, so parent readers (bounded by
+	// their own slice length) never see them, and the spare capacity a copy
+	// leaves makes chained appends amortized O(delta) instead of O(total) per
+	// append.
 	t.img.mu.Lock()
 	if t.img.data != nil {
-		out.img.data = append(t.img.data, packRows(cols, t.nrows, out.nrows)...)
+		out.img.data, out.img.fr = extendShared(t.img.data, t.img.frontier(), packRows(cols, t.nrows, out.nrows), snapshotSlack)
 	}
 	t.img.mu.Unlock()
 	return out

@@ -30,6 +30,13 @@ func MeasureColumn[T int64 | float64](name string, vals []T, valid []bool) *Colu
 			codes[i], vals[i] = nullCode, 0
 		}
 	}
+	d := newMeasureDict(vals)
+	return &Column{def: ColumnDef{Name: name, Typ: d.typ}, codes: codes, dict: d, rowOrder: true}
+}
+
+// newMeasureDict builds the identity dictionary over vals (see
+// MeasureColumn).
+func newMeasureDict[T int64 | float64](vals []T) *dict {
 	d := &dict{measure: true}
 	d.root = d
 	switch v := any(vals).(type) {
@@ -38,7 +45,7 @@ func MeasureColumn[T int64 | float64](name string, vals []T, valid []bool) *Colu
 	case []float64:
 		d.typ, d.floats = TFloat64, v
 	}
-	return &Column{def: ColumnDef{Name: name, Typ: d.typ}, codes: codes, dict: d}
+	return d
 }
 
 // Measure reports whether c's dictionary is a measure column's identity

@@ -33,6 +33,11 @@ type Column struct {
 
 	// nullScan memoises HasNull as rows scanned << 1 | NULL seen.
 	nullScan atomic.Uint64
+	// back is the write frontier of the code backing, shared with the views
+	// that extend it (see Extend); nil until the column is first extended.
+	back atomic.Pointer[frontier]
+	// rowOrder marks a measure column in row order (see InRowOrder).
+	rowOrder bool
 }
 
 // NewColumn creates an empty column.
@@ -84,8 +89,7 @@ func (c *Column) Append(v Value) {
 func (c *Column) AppendCode(code uint32) { c.codes = append(c.codes, code) }
 
 // AppendCodes bulk-appends raw codes that must already belong to this
-// column's dictionary. Output assembly for high-NDV Group By results uses it
-// instead of per-row AppendCode calls.
+// column's dictionary, instead of per-row AppendCode calls.
 func (c *Column) AppendCodes(codes []uint32) { c.codes = append(c.codes, codes...) }
 
 // Ranks returns the code→rank table for order-by-value sorting (NULL ranks
@@ -163,6 +167,14 @@ func (c *Column) EmptyLike(name string) *Column {
 	return &Column{def: def, dict: c.dict}
 }
 
+// Like is EmptyLike holding codes, which the column takes over: they must
+// belong to this column's dictionary and not be written afterwards.
+func (c *Column) Like(name string, codes []uint32) *Column {
+	out := c.EmptyLike(name)
+	out.codes = codes
+	return out
+}
+
 // EmptyLikeExtended is EmptyLike over an extended view of the dictionary: the
 // backing value arrays and lookup maps stay shared (existing codes remain
 // valid and comparable) but the rank table is recomputed on demand over the
@@ -193,6 +205,7 @@ func (c *Column) gather(idx []int32) *Column {
 type imgState struct {
 	mu   sync.Mutex
 	data []byte
+	fr   *frontier // write frontier of data's backing (see Table.Extend)
 }
 
 // Table is a named collection of equal-length columns.
@@ -206,6 +219,10 @@ type Table struct {
 	// the Append call that produced this snapshot (0 for tables not produced
 	// by Append). See DeltaView.
 	deltaStart int
+
+	// prefix and touched record how Extend built this table (see Extended).
+	prefix  int
+	touched []int32
 
 	// img is the packed row-major scan image (see RowImage), built lazily on
 	// first scan.
@@ -409,18 +426,23 @@ func (t *Table) SizeBytes() float64 {
 }
 
 // MemSize returns the actual resident bytes of the table's columnar state —
-// 4 bytes of dictionary code per cell, plus the row-major scan image when it
-// has been built — the quantity a MemBudget is charged when the engine
-// materializes this table as a temp. Dictionaries are deliberately excluded:
-// gathered and aggregated tables share them with their parent, so
+// the code arrays and, when it has been built, the row-major scan image, each
+// at its capacity: a backing an extension shares (see Extend) holds its
+// spare room whether or not a row lands in it yet. It is the quantity a
+// MemBudget is charged when the engine materializes this table as a temp,
+// and what the result cache charges an entry. Dictionaries are deliberately
+// excluded: gathered and aggregated tables share them with their parent, so
 // materializing an intermediate costs no extra dictionary memory. A measure
 // column's dictionary (its value slice, see MeasureColumn) is owned by the
 // table and is likewise not counted.
 func (t *Table) MemSize() int64 {
 	t.img.mu.Lock()
-	imgBytes := len(t.img.data)
+	n := int64(cap(t.img.data))
 	t.img.mu.Unlock()
-	return int64(t.nrows)*int64(len(t.cols))*4 + int64(imgBytes)
+	for _, c := range t.cols {
+		n += 4 * int64(cap(c.codes))
+	}
+	return n
 }
 
 // String summarizes the table.
