@@ -227,6 +227,44 @@ func TestAppendMetrics(t *testing.T) {
 	}
 }
 
+// TestStatsMetricsSurviveAppend: statistics survive an append, so after 256
+// rows land on a 100 000-row table, a query answered from a cached ancestor
+// draws no sample, which gbmqo_stats_samples_total on /metrics shows.
+func TestStatsMetricsSurviveAppend(t *testing.T) {
+	base, err := GenerateDataset("lineitem", 100_000, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := Open(&Config{CacheBytes: 64 << 20})
+	db.Register(base)
+	anc := GroupQuery{Cols: []string{"l_returnflag", "l_linestatus", "l_shipmode"}}
+	q := GroupQuery{Cols: []string{"l_returnflag", "l_shipmode"}}
+	if _, _, err := db.ExecuteQueries("lineitem", []GroupQuery{anc, q}, QueryOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Metrics()
+	if before["gbmqo_stats_samples_total"] < 1 || before["gbmqo_stats_built_total"] < 1 {
+		t.Fatalf("statistics counters before the append: samples %v, built %v",
+			before["gbmqo_stats_samples_total"], before["gbmqo_stats_built_total"])
+	}
+	if _, err := db.Append("lineitem", tableRows(base, 0, 256)); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := db.ExecuteQueries("lineitem", []GroupQuery{q}, QueryOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cache.AncestorHits != 1 {
+		t.Fatalf("query after the append: %+v, want one ancestor hit", rep.Cache)
+	}
+	after := db.Metrics()
+	for _, name := range []string{"gbmqo_stats_samples_total", "gbmqo_stats_rows_profiled_total"} {
+		if after[name] != before[name] {
+			t.Fatalf("%s moved from %v to %v across an append and an ancestor roll-up", name, before[name], after[name])
+		}
+	}
+}
+
 // TestAppendBatchingFence: appends interleaved with Submit micro-batches stay
 // correct — the append flushes the table's open batch window first, so
 // batched queries never straddle the epoch bump.

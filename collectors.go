@@ -9,6 +9,7 @@ import (
 
 	"gbmqo/internal/engine"
 	"gbmqo/internal/obs"
+	"gbmqo/internal/stats"
 )
 
 // This file assembles the DB's observability from per-subsystem collectors:
@@ -108,8 +109,13 @@ func (s *schedCollector) HealthDetail() (string, any, bool) {
 
 // engineCollector owns the execution-governance counters: a run observer
 // accumulates them from every engine Run (SQL, direct and batched paths
-// alike) onto a private registry, forwarded at scrape time.
-type engineCollector struct{ reg *obs.Registry }
+// alike) onto a private registry, forwarded at scrape time. The statistics
+// service's creation cost (§6.7) is sampled from its accounting at scrape
+// time; only experiments reset it, so on a DB the counters only grow.
+type engineCollector struct {
+	reg   *obs.Registry
+	stats *stats.Service
+}
 
 func newEngineCollector(db *DB) *engineCollector {
 	r := obs.NewRegistry()
@@ -154,11 +160,21 @@ func newEngineCollector(db *DB) *engineCollector {
 		}
 		rehashes.Add(float64(rep.RehashesAvoided))
 	})
-	return &engineCollector{reg: r}
+	return &engineCollector{reg: r, stats: db.eng.Catalog().Stats()}
 }
 
-func (e *engineCollector) Name() string                       { return "engine" }
-func (e *engineCollector) Collect(ch chan<- obs.Metric) error { return e.reg.Collect(ch) }
+func (e *engineCollector) Name() string { return "engine" }
+
+func (e *engineCollector) Collect(ch chan<- obs.Metric) error {
+	acct := e.stats.Accounting()
+	counter := func(name, help string, v int64) {
+		ch <- obs.Metric{Name: name, Help: help, Kind: obs.KindCounter, Value: float64(v)}
+	}
+	counter("gbmqo_stats_built_total", "column-set statistics built or rebuilt", int64(acct.StatsCreated))
+	counter("gbmqo_stats_samples_total", "table samples drawn or brought forward over appended rows", int64(acct.SamplesDrawn))
+	counter("gbmqo_stats_rows_profiled_total", "rows read by statistics profiling", acct.RowsProfiled)
+	return e.reg.Collect(ch)
+}
 
 // retryHelp is shared by every gbmqo_exec_retries_total scope so the family's
 // # HELP line is identical no matter which collector renders first.

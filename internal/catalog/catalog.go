@@ -111,9 +111,10 @@ func (c *Catalog) Register(t *table.Table) {
 // Drop and re-Register), the swap is refused with an *EpochMovedError rather
 // than installing the old lineage over the newer table. Indexes on the table are
 // dropped — they were built over the old row range and an index fast path
-// would silently miss appended rows. Statistics are NOT invalidated here;
-// the stats service self-heals on snapshot-pointer mismatch so the append
-// path can refresh them lazily.
+// would silently miss appended rows. Statistics are kept: the table's
+// statistics ledger is advanced to the published snapshot (stats.Advance),
+// and serves every statistic clamped to what the appended rows can have
+// changed.
 func (c *Catalog) RegisterDelta(t *table.Table, from Epoch) (Epoch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,6 +126,9 @@ func (c *Catalog) RegisterDelta(t *table.Table, from Epoch) (Epoch, error) {
 		return Epoch{}, &EpochMovedError{Table: name, From: from, Now: cur}
 	}
 	delete(c.indexes, name)
+	if c.stats != nil {
+		c.stats.Advance(c.tables[name], t)
+	}
 	c.deltas[name]++
 	c.tables[name] = t
 	return Epoch{Version: c.versions[name], Delta: c.deltas[name]}, nil

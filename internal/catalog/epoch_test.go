@@ -2,8 +2,10 @@ package catalog
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
+	"gbmqo/internal/colset"
 	"gbmqo/internal/index"
 	"gbmqo/internal/stats"
 	"gbmqo/internal/table"
@@ -113,4 +115,58 @@ func TestRegisterDeltaRefusesAMovedTable(t *testing.T) {
 	if got, ep, _ := c.TableEpoch("t"); got.NumRows() != replacement.NumRows() || ep.Delta != 0 {
 		t.Fatalf("refused swap disturbed the table: %d rows at %+v", got.NumRows(), ep)
 	}
+}
+
+// TestRegisterMidLineageRebuildsStats: appends carry a table's statistics
+// forward, but a Register in the middle of the lineage replaces the table,
+// so the replacement gets a cold service's values, not the old lineage's.
+func TestRegisterMidLineageRebuildsStats(t *testing.T) {
+	sets := []colset.Set{colset.Of(0, 1), colset.Of(1, 2), colset.Of(0, 1, 2)}
+	gen := func(rows int, seed int64) *table.Table {
+		r := rand.New(rand.NewSource(seed))
+		tb := table.New("t", []table.ColumnDef{
+			{Name: "a", Typ: table.TInt64}, {Name: "b", Typ: table.TInt64}, {Name: "c", Typ: table.TInt64},
+		})
+		for i := 0; i < rows; i++ {
+			tb.AppendRow(table.Int(int64(r.Intn(300))), table.Int(int64(r.Intn(40))), table.Int(int64(r.Intn(9))))
+		}
+		return tb
+	}
+	svc := stats.NewService(stats.GEE, 500, 1)
+	c := New(svc)
+	base := gen(5_000, 1)
+	c.Register(base)
+	for _, set := range sets {
+		svc.NDV(base, set)
+	}
+	next := base.Append([][]table.Value{{table.Int(1), table.Int(2), table.Int(3)}})
+	if _, err := c.RegisterDelta(next, c.Epoch("t")); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range sets {
+		svc.NDV(next, set)
+	}
+	// A replacement built by appending to the lineage's head but registered
+	// as a replacement, then one unrelated to the lineage.
+	for _, repl := range []*table.Table{next.Append(tableRows(gen(1_000, 3))), gen(6_000, 2)} {
+		c.Register(repl)
+		cold := stats.NewService(stats.GEE, 500, 1)
+		for _, set := range sets {
+			if got, want := svc.NDV(repl, set), cold.NDV(repl, set); got != want {
+				t.Fatalf("%v: NDV of the %d-row replacement = %v, a cold service %v", set, repl.NumRows(), got, want)
+			}
+		}
+	}
+}
+
+// tableRows returns every row of tb as append-ready values.
+func tableRows(tb *table.Table) [][]table.Value {
+	rows := make([][]table.Value, tb.NumRows())
+	for r := range rows {
+		rows[r] = make([]table.Value, tb.NumCols())
+		for c := range rows[r] {
+			rows[r][c] = tb.Col(c).Value(r)
+		}
+	}
+	return rows
 }

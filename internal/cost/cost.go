@@ -20,6 +20,8 @@ type Env struct {
 	base    *table.Table
 	stats   *stats.Service
 	indexes []*index.Index
+	// unprofiled prices from built statistics only (see Unprofiled).
+	unprofiled bool
 }
 
 // NewEnv builds a costing environment. indexes may be nil.
@@ -34,7 +36,25 @@ func (e *Env) Base() *table.Table { return e.base }
 func (e *Env) BaseRows() float64 { return float64(e.base.NumRows()) }
 
 // NDV estimates |GroupBy(set)| through the statistics service.
-func (e *Env) NDV(set colset.Set) float64 { return e.stats.NDV(e.base, set) }
+func (e *Env) NDV(set colset.Set) float64 {
+	if e.unprofiled {
+		if v, ok := e.CachedNDV(set); ok {
+			return v
+		}
+		return stats.UpperNDV(e.base, set)
+	}
+	return e.stats.NDV(e.base, set)
+}
+
+// Unprofiled returns a copy of the environment whose NDV builds no
+// statistic: it answers from statistics already built, else from the
+// sandwich upper bound. A plan that needs no estimate to be chosen (Naive)
+// is sized and priced through it, so running it profiles nothing.
+func (e *Env) Unprofiled() *Env {
+	c := *e
+	c.unprofiled = true
+	return &c
+}
 
 // CachedNDV answers |GroupBy(set)| from already-built statistics without
 // creating any (see stats.Service.CachedNDV). The execution layer's kernel

@@ -261,20 +261,34 @@ func TestAppendEmptyIsNoop(t *testing.T) {
 	}
 }
 
-// TestAppendDropsStaleStats: statistics built over the pre-append snapshot
-// are reclaimed by the append sweep instead of lingering until table drop.
-func TestAppendDropsStaleStats(t *testing.T) {
+// TestAppendKeepsStats: the table's statistics ledger follows its append
+// lineage, so appends keep it (one ledger, however many appends), while a
+// replacing Register and a Drop still drop it.
+func TestAppendKeepsStats(t *testing.T) {
 	e, li := newCachedEngine(t, 1500, 64<<20)
-	// Force NDV statistics to be built over the current snapshot.
-	_ = e.Catalog().Stats().NDV(li, colset.Of(datagen.LReturnFlag))
-	if got := e.Catalog().Stats().Retained(); got != 1 {
-		t.Fatalf("retained before append = %d", got)
+	svc := e.Catalog().Stats()
+	_ = svc.NDV(li, colset.Of(datagen.LReturnFlag))
+	if got := svc.Retained(); got != 1 {
+		t.Fatalf("retained before appends = %d", got)
 	}
-	if _, err := e.Append("lineitem", deltaRows(100, 3)); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 50; i++ {
+		if _, err := e.Append("lineitem", deltaRows(20, int64(i+3))); err != nil {
+			t.Fatal(err)
+		}
+		cur, _ := e.Catalog().Table("lineitem")
+		_ = svc.NDV(cur, colset.Of(datagen.LReturnFlag, datagen.LShipMode))
+		if got := svc.Retained(); got != 1 {
+			t.Fatalf("after append %d: %d ledgers retained, want 1", i+1, got)
+		}
 	}
-	if got := e.Catalog().Stats().Retained(); got != 0 {
-		t.Fatalf("stale snapshot statistics retained after append: %d", got)
+	e.Catalog().Register(li)
+	if got := svc.Retained(); got != 0 {
+		t.Fatalf("a replacing Register kept %d ledgers", got)
+	}
+	_ = svc.NDV(li, colset.Of(datagen.LReturnFlag))
+	e.Catalog().Drop("lineitem")
+	if got := svc.Retained(); got != 0 {
+		t.Fatalf("Drop kept %d ledgers", got)
 	}
 }
 

@@ -63,12 +63,7 @@ func (e *Engine) openCache(req Request) (cacheView, error) {
 	if !ok {
 		return cacheView{}, fmt.Errorf("engine: unknown table %q", req.Table)
 	}
-	if n := e.cache.InvalidateBelow(req.Table, ep.Version, ep.Delta); n > 0 {
-		// Entries died with their epoch; statistics built over the dead
-		// snapshot are reclaimed in the same breath (they self-heal on lookup
-		// anyway, but sweeping here bounds the leak under version churn).
-		e.cat.Stats().DropStale(req.Table, base)
-	}
+	e.cache.InvalidateBelow(req.Table, ep.Version, ep.Delta)
 
 	// MemBudget participation: the cache yields memory before operators
 	// degrade. It is shrunk to at most half the budget up front, and whatever

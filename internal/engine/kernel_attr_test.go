@@ -154,6 +154,11 @@ func TestSharedScanRecordsKernelFallbacks(t *testing.T) {
 	e := New(stats.NewService(stats.Exact, 0, 1))
 	e.Catalog().Register(tb)
 	sets := []colset.Set{colset.Of(0, 1), colset.Of(0, 2), colset.Of(1, 2)}
+	// Hash state is sized from built statistics, and a Naive run builds
+	// none: build them, so each pair's hash state is known to be small.
+	for _, s := range sets {
+		e.Catalog().Stats().NDV(tb, s)
+	}
 	for _, kib := range []int64{100, 200, 300} {
 		runs := map[bool]*ExecReport{}
 		for _, shared := range []bool{false, true} {
@@ -203,9 +208,10 @@ func TestPlanPicksEveryKernel(t *testing.T) {
 	}
 }
 
-// TestNaivePlanBuildsNoStatistic: picking kernels reads only statistics
-// already built, so planning a Naive request profiles nothing, and a Naive
-// run builds exactly the statistics its schedule and plan cost price.
+// TestNaivePlanBuildsNoStatistic: Naive needs no estimate to choose its
+// plan, so neither planning nor running a Naive request builds a statistic:
+// kernels read only statistics already built, and the §4.4 schedule and the
+// plan cost read them or the sandwich upper bound.
 func TestNaivePlanBuildsNoStatistic(t *testing.T) {
 	sets := []colset.Set{
 		colset.Of(datagen.LShipDate, datagen.LCommitDate),
@@ -213,27 +219,24 @@ func TestNaivePlanBuildsNoStatistic(t *testing.T) {
 		colset.Of(datagen.LQuantity),
 	}
 	req := Request{Table: "lineitem", Sets: sets, Strategy: StrategyNaive}
-	planned, _ := newTestEngine(t, 20000)
-	p, _, model, err := planned.Plan(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := planned.Catalog().Stats()
-	if acct := svc.Accounting(); acct.StatsCreated != 0 || acct.RowsProfiled != 0 {
-		t.Fatalf("planning a Naive request built statistics: %+v", acct)
-	}
-	env, _ := planned.CostEnv("lineitem")
-	plan.Schedule(p, planned.sizeFn(env, 1))
-	p.Cost(model, 1)
-	want := svc.Accounting()
-
-	ran, _ := newTestEngine(t, 20000)
-	if _, err := ran.Run(req); err != nil {
-		t.Fatal(err)
-	}
-	got := ran.Catalog().Stats().Accounting()
-	if got.StatsCreated != want.StatsCreated || got.SamplesDrawn != want.SamplesDrawn || got.RowsProfiled != want.RowsProfiled {
-		t.Fatalf("a Naive run built %+v, its schedule and plan cost alone %+v", got, want)
+	for _, est := range []stats.Estimator{stats.Exact, stats.GEE} {
+		e := New(stats.NewService(est, 1000, 1))
+		li := datagen.Lineitem(datagen.LineitemOpts{Rows: 20000, Seed: 42})
+		e.Catalog().Register(li)
+		if _, _, _, err := e.Plan(req); err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsMatch(t, li, sets, res.Report.Results)
+		if acct := e.Catalog().Stats().Accounting(); acct != (stats.Accounting{}) {
+			t.Fatalf("%v: planning and running a Naive request built statistics: %+v", est, acct)
+		}
+		if res.PlanCostSeq <= 0 {
+			t.Fatalf("%v: Naive plan priced at %v", est, res.PlanCostSeq)
+		}
 	}
 }
 

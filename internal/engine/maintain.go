@@ -171,8 +171,6 @@ func (e *Engine) append(name string, rows [][]table.Value) (*AppendReport, error
 		e.pendingLazy[name] += pub.Dropped
 		e.lazyMu.Unlock()
 	}
-	// Statistics built over the dead snapshot are reclaimed with its entries.
-	e.cat.Stats().DropStale(name, next)
 	return rep, nil
 }
 

@@ -225,9 +225,14 @@ func (e *Engine) CostEnv(tableName string) (*cost.Env, error) {
 }
 
 // costing builds the costing environment over t (the snapshot of req.Table the
-// caller resolved) and the cost model the request asks for.
+// caller resolved) and the cost model the request asks for. Naive needs no
+// estimate to choose its plan, so it is sized and priced without building a
+// statistic (cost.Env.Unprofiled).
 func (e *Engine) costing(req Request, t *table.Table) (*cost.Env, cost.Model) {
 	env := cost.NewEnv(t, e.cat.Stats(), e.cat.Indexes(req.Table))
+	if req.Strategy == StrategyNaive {
+		env = env.Unprofiled()
+	}
 	if req.Model == ModelCardinality {
 		return env, cost.NewCardinality(env)
 	}
@@ -238,9 +243,16 @@ func (e *Engine) costing(req Request, t *table.Table) (*cost.Env, cost.Model) {
 // kernel of every node picked (see chooseKernels): a plan says what runs
 // before anything does.
 func (e *Engine) Plan(req Request) (*plan.Plan, core.SearchStats, cost.Model, error) {
+	p, st, _, model, err := e.plan(req)
+	return p, st, model, err
+}
+
+// plan is Plan, also returning the costing environment the plan was priced
+// in, for sizing its nodes.
+func (e *Engine) plan(req Request) (*plan.Plan, core.SearchStats, *cost.Env, cost.Model, error) {
 	t, ok := e.cat.Table(req.Table)
 	if !ok {
-		return nil, core.SearchStats{}, nil, fmt.Errorf("engine: unknown table %q", req.Table)
+		return nil, core.SearchStats{}, nil, nil, fmt.Errorf("engine: unknown table %q", req.Table)
 	}
 	env, model := e.costing(req, t)
 	nAggs := max(len(req.Aggs), 1)
@@ -263,13 +275,13 @@ func (e *Engine) Plan(req Request) (*plan.Plan, core.SearchStats, cost.Model, er
 		}
 		p, st, err = core.Optimize(req.Table, t.ColNames(), req.Sets, opts)
 	default:
-		return nil, core.SearchStats{}, nil, fmt.Errorf("engine: unknown strategy %v", req.Strategy)
+		return nil, core.SearchStats{}, nil, nil, fmt.Errorf("engine: unknown strategy %v", req.Strategy)
 	}
 	if err != nil {
-		return p, st, model, err
+		return p, st, env, model, err
 	}
 	chooseKernels(p, t, env, exec.ResolveWorkers(req.Parallelism))
-	return p, st, model, nil
+	return p, st, env, model, nil
 }
 
 // chooseKernels writes on every node of p the kernel its scan runs, picked
@@ -363,11 +375,7 @@ func markOrigins(rep *ExecReport, sets []colset.Set, origin SetOrigin) {
 // (see Hooks.PromoteTemp); the cached path uses it to collect
 // promotion candidates.
 func (e *Engine) runDirect(req Request, promote func(colset.Set, []exec.Agg, *table.Table)) (*RunResult, error) {
-	p, st, model, err := e.Plan(req)
-	if err != nil {
-		return nil, err
-	}
-	env, err := e.CostEnv(req.Table)
+	p, st, env, model, err := e.plan(req)
 	if err != nil {
 		return nil, err
 	}

@@ -511,14 +511,14 @@ func BenchmarkProfileOf(b *testing.B) {
 		b.ReportAllocs()
 		svc := NewService(GEE, 10_000, 1)
 		set := colset.Of(datagen.LComment, datagen.LShipMode)
-		byTable := map[colset.Set]float64{}
-		svc.estimate(tb, set, byTable)
+		l := &ledger{head: tb, stats: map[colset.Set]stat{}}
+		svc.build(l, tb, set)
 		if svc.Accounting().RowsProfiled != 0 {
 			b.Fatal("the decided set was profiled")
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ndvSink = svc.estimate(tb, set, byTable)
+			ndvSink = svc.build(l, tb, set).v
 		}
 	})
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -11,9 +12,10 @@ import (
 )
 
 // Sample is a uniform random sample of row ordinals from one table. One
-// sample per table is drawn once and reused to build statistics on any column
-// set — the amortization the paper notes ("the optimizer can create multiple
-// statistics from one sample").
+// sample per table lineage is drawn and reused to build statistics on any
+// column set — the amortization the paper notes ("the optimizer can create
+// multiple statistics from one sample") — and an append brings it forward
+// instead of drawing it again (see extend).
 //
 // It is held as a sample image: the first profile touching a column gathers
 // that column's sampled codes into a contiguous sample-local array, and every
@@ -21,11 +23,13 @@ import (
 // allocates nor reads the base table again. The scratch makes ProfileOf a
 // mutation: callers serialize (Service.mu).
 type Sample struct {
-	t    *table.Table
-	n    int
-	rows []int32    // sampled ordinals; nil when the sample is the whole table
-	img  [][]uint32 // per column: codes at the sampled rows, nil until touched
-	top  []uint32   // per column: the largest code in img[c], set with it
+	t     *table.Table // reads the sampled rows' codes: the sampled snapshot or a later one of its lineage
+	total int          // rows the sample was drawn from, a prefix of t's
+	n     int
+	rows  []int32    // sampled ordinals; nil when the sample is the whole table
+	rng   *rand.Rand // the reservoir's generator, where the draw over total rows left it
+	img   [][]uint32 // per column: codes at the sampled rows, nil until touched
+	top   []uint32   // per column: the largest code in img[c], set with it
 
 	keys    [keyBlock]uint64 // keys of the block being counted
 	counts  []int32          // dense path: count per key, all zero between profiles
@@ -64,24 +68,54 @@ const (
 // seed. If the table has at most size rows the sample is the whole table.
 func NewSample(t *table.Table, size int, seed int64) *Sample {
 	n := t.NumRows()
-	s := &Sample{t: t, n: n, img: make([][]uint32, t.NumCols()), top: make([]uint32, t.NumCols())}
+	s := &Sample{t: t, total: n, n: n, img: make([][]uint32, t.NumCols()), top: make([]uint32, t.NumCols())}
 	if size < n {
 		// Reservoir sampling keeps the draw uniform without materializing a
 		// full permutation.
-		r := rand.New(rand.NewSource(seed))
-		rows := make([]int32, size)
-		for i := 0; i < size; i++ {
-			rows[i] = int32(i)
+		s.rows, s.n = make([]int32, size), size
+		for i := range s.rows {
+			s.rows[i] = int32(i)
 		}
-		for i := size; i < n; i++ {
-			if j := r.Intn(i + 1); j < size {
-				rows[j] = int32(i)
-			}
-		}
-		s.rows, s.n = rows, size
+		s.total, s.rng = size, rand.New(rand.NewSource(seed))
+		s.draw(n)
 	}
 	s.freq = make([]int, s.n+1)
 	return s
+}
+
+// draw continues the reservoir over rows [total, n) and returns the slots
+// whose row it replaced (with repeats).
+func (s *Sample) draw(n int) []int {
+	var replaced []int
+	for i := s.total; i < n; i++ {
+		if j := s.rng.Intn(i + 1); j < s.n {
+			s.rows[j] = int32(i)
+			replaced = append(replaced, j)
+		}
+	}
+	s.total = n
+	return replaced
+}
+
+// extend brings a reservoir sample forward to every row of t, a later
+// snapshot of the sampled table's append lineage: the reservoir continues
+// over the appended rows only, from the generator state the earlier draw
+// left, so it costs O(rows appended) draws and yields exactly the sample
+// NewSample would draw over t with the same seed. Gathered columns are
+// patched at the replaced slots and their radices recomputed.
+func (s *Sample) extend(t *table.Table) {
+	replaced := s.draw(t.NumRows())
+	s.t = t
+	for c, col := range s.img {
+		if col == nil {
+			continue
+		}
+		codes := t.Col(c).Codes()
+		for _, j := range replaced {
+			col[j] = codes[s.rows[j]]
+		}
+		s.top[c] = maxCode(col)
+	}
 }
 
 // Size returns the number of sampled rows.
@@ -100,13 +134,18 @@ func (s *Sample) column(c int) []uint32 {
 			}
 			codes = gathered
 		}
-		top := uint32(0)
-		for _, code := range codes {
-			top = max(top, code)
-		}
-		s.img[c], s.top[c] = codes, top
+		s.img[c], s.top[c] = codes, maxCode(codes)
 	}
 	return s.img[c]
+}
+
+// maxCode returns the largest code in codes, 0 when there are none.
+func maxCode(codes []uint32) uint32 {
+	top := uint32(0)
+	for _, code := range codes {
+		top = max(top, code)
+	}
+	return top
 }
 
 // The dense path counts any key space up to table.DenseBound of the sampled
@@ -163,7 +202,7 @@ func (s *Sample) ProfileOf(set colset.Set) Profile {
 		d, top = s.countHashed(set, path == packed, top)
 	}
 	s.dirty = int(top) + 1
-	return Profile{N: s.t.NumRows(), n: s.n, d: d, Freq: s.freq[:s.dirty]}
+	return Profile{N: s.total, n: s.n, d: d, Freq: s.freq[:s.dirty]}
 }
 
 // keysOf writes into keys the keys of sampled rows [lo, lo+len(keys)): their
@@ -294,33 +333,81 @@ type Accounting struct {
 	CreateTime time.Duration
 }
 
-// Service builds and caches column-set statistics over registered tables. A
+// Service builds and keeps column-set statistics over registered tables. A
 // statistic for a column set is created on demand the first time the cost
 // model asks for it ("the algorithm created a statistics on the grouping
 // columns of a Group By query if it encountered that Group By for the first
-// time", §6.7) and reused afterwards.
+// time", §6.7) and reused afterwards, across appends too.
+//
+// Statistics live in one ledger per table name, which follows the table's
+// append lineage rather than one snapshot of it. On an append-only table the
+// distinct count of a column set only grows, and by at most the rows
+// appended, so a count v taken at R rows bounds the count at R+Δ rows to
+// [v, v+Δ]: an append leaves every statistic in place, and each is served
+// clamped to what the append can have changed (see serve). Once the rows
+// appended since the sample was drawn pass staleFraction of it, the sample is
+// brought forward over the new rows (Sample.extend), and a statistic built
+// more than that many rows ago is profiled again from it on its next use.
 type Service struct {
 	estimator  Estimator
 	sampleSize int
 	seed       int64
 
-	// mu guards the memoization maps and the accounting: one service is
-	// shared by every concurrent query (the result-cache path costs lattice
-	// ancestors from multiple goroutines at once), so creation and lookup
-	// must be serialized. Statistics creation is one-time per column set, so
-	// holding the lock across a profile build does not serialize steady-state
+	// mu guards the ledgers and the accounting: one service is shared by
+	// every concurrent query (the result-cache path costs lattice ancestors
+	// from multiple goroutines at once), so creation and lookup must be
+	// serialized. Statistics creation is one-time per column set, so holding
+	// the lock across a profile build does not serialize steady-state
 	// costing.
 	mu      sync.Mutex
-	samples map[string]*Sample
-	ndv     map[string]map[colset.Set]float64
-	// built records which table snapshot each cached entry was computed over.
-	// Statistics are memoized by table *name*, but a name can be rebound to a
-	// new snapshot (replace, or an append producing a new *Table): comparing
-	// pointers on every lookup self-heals the cache, so stale NDVs for dead
-	// snapshots can never accumulate or be served.
-	built map[string]*table.Table
-	acct  Accounting
+	ledgers map[string]*ledger
+	acct    Accounting
+
+	// advMu guards advanced: the appends Advance recorded that no lookup has
+	// brought its ledger forward over yet. It is never held across a profile,
+	// so publishing an append (Advance runs under the catalog's lock) never
+	// waits on statistics creation. Lock order: mu, then advMu.
+	advMu    sync.Mutex
+	advanced map[string]*advance
 }
+
+// ledger holds the statistics of one table lineage.
+type ledger struct {
+	head   *table.Table        // the lineage's newest snapshot the ledger knows
+	past   []uint64            // serials of older snapshots of the lineage, oldest first
+	sample *Sample             // nil until a profile needs one
+	stats  map[colset.Set]stat // built statistics by column set
+}
+
+// stat is one built statistic: its value, and the row count of the snapshot
+// it describes.
+type stat struct {
+	v    float64
+	rows int
+	// exact marks a count over every row (the Exact estimator, or a census
+	// sample): it holds at its own row count only, and is counted again at
+	// any other.
+	exact bool
+}
+
+// advance is what Advance recorded for one table: the serial of the snapshot
+// the first append left, the serials of every snapshot that has left the
+// head since, and the head now.
+type advance struct {
+	from uint64
+	past []uint64
+	head *table.Table
+}
+
+const (
+	// staleFraction is how far a lineage may grow past the rows its sample,
+	// or a statistic, was taken at, as a fraction of those rows, before the
+	// sample is brought forward and the statistic profiled again.
+	staleFraction = 0.1
+	// pastLimit bounds how many older snapshots a ledger remembers; a reader
+	// holding one further behind is served as a foreign table.
+	pastLimit = 1024
+)
 
 // NewService creates a statistics service. sampleSize <= 0 selects a default
 // of 10 000 rows.
@@ -332,28 +419,90 @@ func NewService(e Estimator, sampleSize int, seed int64) *Service {
 		estimator:  e,
 		sampleSize: sampleSize,
 		seed:       seed,
-		samples:    make(map[string]*Sample),
-		ndv:        make(map[string]map[colset.Set]float64),
-		built:      make(map[string]*table.Table),
+		ledgers:    make(map[string]*ledger),
+		advanced:   make(map[string]*advance),
 	}
 }
 
-// syncLocked wipes cached statistics built over a different snapshot of t's
-// name. Callers hold s.mu.
-func (s *Service) syncLocked(t *table.Table) {
-	if prev, ok := s.built[t.Name()]; ok && prev == t {
-		return
+// Advance records that to, an append-only snapshot of from, has replaced it
+// as the table's snapshot. Nothing is dropped: the table's ledger follows the
+// lineage to to on its next lookup. The catalog calls it as it publishes an
+// append; it takes only advMu, so it never waits on a profile.
+func (s *Service) Advance(from, to *table.Table) {
+	s.advMu.Lock()
+	defer s.advMu.Unlock()
+	a := s.advanced[to.Name()]
+	if a == nil || a.head != from {
+		a = &advance{from: from.Serial()}
+		s.advanced[to.Name()] = a
 	}
-	delete(s.samples, t.Name())
-	delete(s.ndv, t.Name())
-	s.built[t.Name()] = t
+	a.past = remember(a.past, from.Serial())
+	a.head = to
+}
+
+// remember appends serials to past, forgetting the oldest beyond pastLimit.
+func remember(past []uint64, serials ...uint64) []uint64 {
+	past = append(past, serials...)
+	if len(past) > pastLimit {
+		past = append([]uint64(nil), past[len(past)-pastLimit/2:]...)
+	}
+	return past
+}
+
+// ledgerLocked returns t's ledger, brought forward over any append recorded
+// since its last lookup, and whether t is the ledger's head. A t that is
+// neither the head nor an older snapshot of the head's lineage is foreign:
+// with create the ledger is rebuilt over it, as for a table never seen;
+// without, nil is returned. Callers hold s.mu.
+func (s *Service) ledgerLocked(t *table.Table, create bool) (*ledger, bool) {
+	name := t.Name()
+	l := s.ledgers[name]
+	s.advMu.Lock()
+	a := s.advanced[name]
+	delete(s.advanced, name)
+	s.advMu.Unlock()
+	if a != nil {
+		l = l.follow(a)
+		s.ledgers[name] = l
+	}
+	switch {
+	case l != nil && l.head == t:
+		return l, true
+	case l != nil && slices.Contains(l.past, t.Serial()):
+		return l, false
+	case !create:
+		return nil, false
+	}
+	l = &ledger{head: t, stats: make(map[colset.Set]stat)}
+	s.ledgers[name] = l
+	return l, true
+}
+
+// follow brings the ledger forward over recorded appends. Statistics stay;
+// a census sample goes, since it holds at its own rows only, and a reservoir
+// reads its sampled rows, a prefix of the new head's, from the head. When
+// there is no ledger, or it was not at the snapshot the appends left, an
+// empty ledger at the new head takes its place.
+func (l *ledger) follow(a *advance) *ledger {
+	if l == nil || l.head.Serial() != a.from {
+		return &ledger{head: a.head, past: a.past, stats: make(map[colset.Set]stat)}
+	}
+	l.head, l.past = a.head, remember(l.past, a.past...)
+	switch {
+	case l.sample == nil:
+	case l.sample.rows == nil:
+		l.sample = nil
+	default:
+		l.sample.t = a.head
+	}
+	return l
 }
 
 // Estimator returns the configured estimation method.
 func (s *Service) Estimator() Estimator { return s.estimator }
 
 // NDV returns the estimated number of distinct combinations of the column set
-// over the table, creating (and caching) the statistic on first use. An empty
+// over the table, creating (and keeping) the statistic on first use. An empty
 // set has NDV 1 (the single global group).
 //
 // Single columns are answered exactly from the column dictionary — the
@@ -371,21 +520,69 @@ func (s *Service) NDV(t *table.Table, set colset.Set) float64 {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.syncLocked(t)
-	byTable, ok := s.ndv[t.Name()]
-	if !ok {
-		byTable = make(map[colset.Set]float64)
-		s.ndv[t.Name()] = byTable
+	l, head := s.ledgerLocked(t, true)
+	st, ok := l.stats[set]
+	if set.Len() == 1 && s.estimator != Exact {
+		if !ok {
+			l.stats[set] = stat{v: columnNDV(t, set.Min()), rows: t.NumRows()}
+			s.acct.StatsCreated++
+		}
+		return columnNDV(t, set.Min())
 	}
-	if v, ok := byTable[set]; ok {
-		return v
+	if ok && servable(st, t, head) {
+		return serve(t, set, st)
 	}
 	start := time.Now()
-	est := s.estimate(t, set, byTable)
+	st = s.build(l, t, set)
+	if head || !st.exact {
+		l.stats[set] = st
+	}
 	s.acct.StatsCreated++
 	s.acct.CreateTime += time.Since(start)
-	byTable[set] = est
-	return est
+	return serve(t, set, st)
+}
+
+// servable reports whether st may be served for t without building it again:
+// always at its own row count; an exact count nowhere else; an estimate for
+// an older snapshot of its lineage, and for the head until the head has grown
+// more than staleFraction past the rows it was built at.
+func servable(st stat, t *table.Table, head bool) bool {
+	switch {
+	case st.rows == t.NumRows():
+		return true
+	case st.exact:
+		return false
+	}
+	return !head || !grown(st.rows, t.NumRows())
+}
+
+// grown reports whether n rows are more than staleFraction past rows.
+func grown(rows, n int) bool { return float64(n-rows) > staleFraction*float64(rows) }
+
+// serve answers st for t: as built at its own row count, else clamped to
+// what the rows between can have changed — at least the largest member
+// column's distinct count, at most st.v plus the rows appended since, the
+// product of the member columns' counts and t's rows.
+func serve(t *table.Table, set colset.Set, st stat) float64 {
+	n := t.NumRows()
+	if st.rows == n {
+		return st.v
+	}
+	lo, hi := sandwich(t, set)
+	return clamp(st.v, lo, min(hi, st.v+float64(max(n-st.rows, 0)), float64(n)))
+}
+
+// sandwich returns the bounds on set's distinct count over t that every
+// optimizer applies: the largest member column's count, and the product of
+// them all.
+func sandwich(t *table.Table, set colset.Set) (lo, hi float64) {
+	lo, hi = 1, 1
+	set.ForEach(func(c int) {
+		single := columnNDV(t, c)
+		lo = max(lo, single)
+		hi *= single
+	})
+	return lo, hi
 }
 
 // CachedNDV is the non-creating lookup NDV: it answers from already-built
@@ -393,16 +590,21 @@ func (s *Service) NDV(t *table.Table, set colset.Set) float64 {
 // kernel chooser) use it so a statistic the optimizer did not need is not
 // built mid-query. An empty set answers 1; a single column answers exactly
 // from the dictionary (free — no sample involved); anything else misses with
-// (0, false) unless the optimizer already built it.
+// (0, false) unless the optimizer already built it. A built estimate is
+// served clamped (see serve) however far the table has grown; an exact count
+// only at the row count it was taken at.
 func (s *Service) CachedNDV(t *table.Table, set colset.Set) (float64, bool) {
 	if set.IsEmpty() {
 		return 1, true
 	}
+	if set.Len() == 1 && s.estimator != Exact {
+		return columnNDV(t, set.Min()), true
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if byTable, ok := s.ndv[t.Name()]; ok && s.built[t.Name()] == t {
-		if v, ok := byTable[set]; ok {
-			return v, true
+	if l, _ := s.ledgerLocked(t, false); l != nil {
+		if st, ok := l.stats[set]; ok && (st.rows == t.NumRows() || !st.exact) {
+			return serve(t, set, st), true
 		}
 	}
 	if set.Len() == 1 {
@@ -421,44 +623,44 @@ func columnNDV(t *table.Table, c int) float64 {
 	return float64(col.DictSize())
 }
 
-func (s *Service) estimate(t *table.Table, set colset.Set, byTable map[colset.Set]float64) float64 {
+// UpperNDV is the sandwich's upper bound on set's distinct count over t,
+// read off the dictionaries without a sample: the product of the member
+// columns' distinct counts, at most t's rows.
+func UpperNDV(t *table.Table, set colset.Set) float64 {
+	_, hi := sandwich(t, set)
+	return min(hi, float64(t.NumRows()))
+}
+
+// build counts or estimates set's statistic over t, a snapshot of l's
+// lineage. A sampled estimate describes the rows its sample was drawn from.
+func (s *Service) build(l *ledger, t *table.Table, set colset.Set) stat {
+	n := t.NumRows()
 	if s.estimator == Exact {
-		s.acct.RowsProfiled += int64(t.NumRows())
-		return float64(ExactNDV(t, set))
-	}
-	if set.Len() == 1 {
-		return columnNDV(t, set.Min())
+		s.acct.RowsProfiled += int64(n)
+		return stat{v: float64(ExactNDV(t, set)), rows: n, exact: true}
 	}
 	// A sample that is the whole table is a census: the observed count is the
 	// truth, and a saturated profile must not be extrapolated past it.
-	census := s.sampleSize >= t.NumRows()
+	census := s.sampleSize >= n
 	lo, hi := 1.0, 1.0
 	if !census {
 		set.ForEach(func(c int) {
-			single, cached := byTable[colset.Of(c)]
-			if !cached {
-				single = columnNDV(t, c)
-				byTable[colset.Of(c)] = single
+			if _, built := l.stats[colset.Of(c)]; !built {
+				l.stats[colset.Of(c)] = stat{v: columnNDV(t, c), rows: n}
 			}
-			lo = max(lo, single)
-			hi *= single
 		})
-		hi = min(hi, float64(t.NumRows()))
+		lo, hi = sandwich(t, set)
+		hi = min(hi, float64(n))
 		if lo == hi {
 			// clamp returns lo whatever the profile says: skip drawing it.
-			return lo
+			return stat{v: lo, rows: n}
 		}
 	}
-	sample, ok := s.samples[t.Name()]
-	if !ok {
-		sample = NewSample(t, s.sampleSize, s.seed)
-		s.samples[t.Name()] = sample
-		s.acct.SamplesDrawn++
-	}
+	sample := s.sampleOf(l, t, census)
 	profile := sample.ProfileOf(set)
 	s.acct.RowsProfiled += int64(profile.SampleSize())
 	if census {
-		return float64(profile.Distinct())
+		return stat{v: float64(profile.Distinct()), rows: n, exact: true}
 	}
 
 	var est float64
@@ -469,11 +671,31 @@ func (s *Service) estimate(t *table.Table, set colset.Set, byTable map[colset.Se
 		// uniform draws the expected number of colliding rows is
 		// n(n-1)/(2D), so D̂ = n(n-1)/(2c) (birthday estimator). Zero
 		// collisions are indistinguishable from all-distinct, giving D̂ = N.
-		est = birthdayEstimate(profile, float64(t.NumRows()))
+		est = birthdayEstimate(profile, float64(sample.total))
 	} else {
 		est = profile.Estimate(s.estimator)
 	}
-	return clamp(est, lo, hi)
+	return stat{v: clamp(est, lo, min(hi, float64(sample.total))), rows: sample.total}
+}
+
+// sampleOf returns the sample a profile of t reads: for a census, t itself
+// whole; else the ledger's reservoir over the lineage's head, drawn on first
+// use and brought forward once the head has grown more than staleFraction
+// past it.
+func (s *Service) sampleOf(l *ledger, t *table.Table, census bool) *Sample {
+	switch {
+	case census && t != l.head:
+		s.acct.SamplesDrawn++
+		return NewSample(t, s.sampleSize, s.seed)
+	case l.sample == nil:
+		l.sample = NewSample(l.head, s.sampleSize, s.seed)
+	case grown(l.sample.total, l.head.NumRows()):
+		l.sample.extend(l.head)
+	default:
+		return l.sample
+	}
+	s.acct.SamplesDrawn++
+	return l.sample
 }
 
 // saturationFraction is the observed-distinct to sample-size ratio above
@@ -505,36 +727,21 @@ func (s *Service) ResetAccounting() {
 	s.acct = Accounting{}
 }
 
-// Invalidate drops cached statistics and the sample for a table (used when a
-// table is regenerated between experiment steps).
+// Invalidate drops a table's ledger and any append recorded for it: the
+// catalog calls it on Register (a replacement), RestoreAt and Drop.
 func (s *Service) Invalidate(tableName string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.samples, tableName)
-	delete(s.ndv, tableName)
-	delete(s.built, tableName)
+	delete(s.ledgers, tableName)
+	s.advMu.Lock()
+	delete(s.advanced, tableName)
+	s.advMu.Unlock()
 }
 
-// DropStale drops cached statistics for a table unless they were built over
-// the given current snapshot. The engine calls it when the result cache sweeps
-// stale versions (cache.InvalidateBelow), so NDVs for dead versions are
-// reclaimed in step with the cached results derived from them rather than
-// accumulating until the next on-demand lookup.
-func (s *Service) DropStale(tableName string, current *table.Table) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prev, ok := s.built[tableName]; ok && prev == current {
-		return
-	}
-	delete(s.samples, tableName)
-	delete(s.ndv, tableName)
-	delete(s.built, tableName)
-}
-
-// Retained reports how many tables currently have cached statistics (tests
-// use it to assert the churn leak stays bounded).
+// Retained reports how many tables currently have a ledger (tests use it to
+// assert that statistics neither leak nor churn across appends).
 func (s *Service) Retained() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.ndv)
+	return len(s.ledgers)
 }

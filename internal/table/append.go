@@ -57,6 +57,7 @@ func (t *Table) Append(rows [][]Value) *Table {
 		nrows:      t.nrows + len(rows),
 		deltaStart: t.nrows,
 		img:        &imgState{},
+		serial:     serials.Add(1),
 	}
 	// If the parent's scan image is already built, extend it for the child
 	// instead of forcing a full O(rows×cols) repack on the child's first scan.

@@ -196,7 +196,7 @@ func (t *Table) Extend(name string, cols []*Column, touched []int32) *Table {
 	if len(cols) != len(t.cols) {
 		panic(fmt.Sprintf("table %q: extension has %d columns, want %d", t.name, len(cols), len(t.cols)))
 	}
-	out := &Table{name: name, cols: cols, byIdx: t.byIdx, prefix: t.nrows, touched: touched, img: &imgState{}}
+	out := &Table{name: name, cols: cols, byIdx: t.byIdx, prefix: t.nrows, touched: touched, img: &imgState{}, serial: serials.Add(1)}
 	if len(cols) > 0 {
 		out.nrows = cols[0].Len()
 	}

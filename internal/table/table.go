@@ -227,12 +227,21 @@ type Table struct {
 	// img is the packed row-major scan image (see RowImage), built lazily on
 	// first scan.
 	img *imgState
+
+	serial uint64 // see Serial
 }
+
+// serials numbers Table values as they are built.
+var serials atomic.Uint64
+
+// Serial identifies this Table value: no two tables built in one process
+// share it, so a snapshot can be recognized later without being kept alive.
+func (t *Table) Serial() uint64 { return t.serial }
 
 // New creates an empty table with the given schema. Column names must be
 // unique and non-empty.
 func New(name string, defs []ColumnDef) *Table {
-	t := &Table{name: name, byIdx: make(map[string]int, len(defs)), img: &imgState{}}
+	t := &Table{name: name, byIdx: make(map[string]int, len(defs)), img: &imgState{}, serial: serials.Add(1)}
 	for i, d := range defs {
 		if d.Name == "" {
 			panic(fmt.Sprintf("table %q: column %d has empty name", name, i))
@@ -248,7 +257,7 @@ func New(name string, defs []ColumnDef) *Table {
 
 // FromColumns assembles a table from pre-built columns of equal length.
 func FromColumns(name string, cols []*Column) *Table {
-	t := &Table{name: name, byIdx: make(map[string]int, len(cols)), cols: cols, img: &imgState{}}
+	t := &Table{name: name, byIdx: make(map[string]int, len(cols)), cols: cols, img: &imgState{}, serial: serials.Add(1)}
 	for i, c := range cols {
 		if _, dup := t.byIdx[c.Name()]; dup {
 			panic(fmt.Sprintf("table %q: duplicate column %q", name, c.Name()))
@@ -271,7 +280,7 @@ func (t *Table) Name() string { return t.name }
 // shared). Used when materializing temp tables.
 func (t *Table) Rename(name string) *Table {
 	out := *t
-	out.name = name
+	out.name, out.serial = name, serials.Add(1)
 	return &out
 }
 
