@@ -83,18 +83,15 @@ func NewSample(t *table.Table, size int, seed int64) *Sample {
 	return s
 }
 
-// draw continues the reservoir over rows [total, n) and returns the slots
-// whose row it replaced (with repeats).
-func (s *Sample) draw(n int) []int {
-	var replaced []int
+// draw continues the reservoir over rows [total, n).
+func (s *Sample) draw(n int) {
+	rows := s.rows
 	for i := s.total; i < n; i++ {
-		if j := s.rng.Intn(i + 1); j < s.n {
-			s.rows[j] = int32(i)
-			replaced = append(replaced, j)
+		if j := s.rng.Intn(i + 1); j < len(rows) {
+			rows[j] = int32(i)
 		}
 	}
 	s.total = n
-	return replaced
 }
 
 // extend brings a reservoir sample forward to every row of t, a later
@@ -102,17 +99,20 @@ func (s *Sample) draw(n int) []int {
 // over the appended rows only, from the generator state the earlier draw
 // left, so it costs O(rows appended) draws and yields exactly the sample
 // NewSample would draw over t with the same seed. Gathered columns are
-// patched at the replaced slots and their radices recomputed.
+// patched at the slots whose row changed and their radices recomputed.
 func (s *Sample) extend(t *table.Table) {
-	replaced := s.draw(t.NumRows())
+	before := slices.Clone(s.rows)
+	s.draw(t.NumRows())
 	s.t = t
 	for c, col := range s.img {
 		if col == nil {
 			continue
 		}
 		codes := t.Col(c).Codes()
-		for _, j := range replaced {
-			col[j] = codes[s.rows[j]]
+		for j, row := range s.rows {
+			if row != before[j] {
+				col[j] = codes[row]
+			}
 		}
 		s.top[c] = maxCode(col)
 	}
