@@ -33,23 +33,13 @@ type AppendTableStats = engine.AppendTableStats
 // types (or nulls). Validation is all-or-nothing: a malformed batch returns
 // an error with no rows appended and no cache effect.
 //
-// Append is safe to call concurrently with queries and Submit batches:
-// appends serialize against each other, queries batched before the append
-// are fenced to the pre-append snapshot, and sharded execution either
+// Append is safe to call concurrently with queries and Submit pages:
+// appends serialize against each other, a page's run reads one snapshot —
+// the table as it stood when the run began — and sharded execution either
 // propagates the delta into the shard partitions or transparently falls back
 // to unsharded execution. Readers holding the old *Table keep a consistent
 // pre-append view.
 func (db *DB) Append(name string, rows [][]Value) (*AppendReport, error) {
-	// Fence open batch windows on this table first, so queued queries
-	// dispatch against the pre-append snapshot instead of straddling the
-	// epoch bump mid-window.
-	db.batchMu.Lock()
-	b := db.batcher
-	db.batchMu.Unlock()
-	if b != nil {
-		b.FlushTable(name)
-	}
-
 	var (
 		rep *AppendReport
 		err error

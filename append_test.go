@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"gbmqo/internal/datagen"
 	"gbmqo/internal/exec"
@@ -265,9 +264,9 @@ func TestStatsMetricsSurviveAppend(t *testing.T) {
 	}
 }
 
-// TestAppendBatchingFence: appends interleaved with Submit micro-batches stay
-// correct — the append flushes the table's open batch window first, so
-// batched queries never straddle the epoch bump.
+// TestAppendBatchingFence: appends interleaved with Submit pages stay
+// correct — a page's run reads one snapshot of the table, so its queries
+// never straddle the epoch bump.
 func TestAppendBatchingFence(t *testing.T) {
 	base, err := GenerateDataset("lineitem", 1200, 13, 0)
 	if err != nil {
@@ -275,7 +274,7 @@ func TestAppendBatchingFence(t *testing.T) {
 	}
 	db := Open(&Config{CacheBytes: 8 << 20})
 	db.Register(base)
-	db.StartBatching(BatchOptions{MaxWait: 50 * time.Millisecond})
+	db.StartBatching(BatchOptions{})
 	defer db.StopBatching()
 
 	q := GroupQuery{Cols: []string{"l_returnflag"}, Aggs: []Agg{
@@ -288,8 +287,8 @@ func TestAppendBatchingFence(t *testing.T) {
 		pre, _, err = db.Submit(context.Background(), "lineitem", q)
 		done <- err
 	}()
-	// The append lands while the window is (very likely) still open; the
-	// fence closes it against the pre-append snapshot.
+	// The append races the page's run, which answers from whichever snapshot
+	// it began on.
 	if _, err := db.Append("lineitem", tableRows(base, 0, 80)); err != nil {
 		t.Fatal(err)
 	}

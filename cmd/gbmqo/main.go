@@ -46,10 +46,7 @@ func main() {
 		repeat    = flag.Int("repeat", 1, "run -sql this many times (with -cache-mb, repeats hit the cache)")
 		serve     = flag.Bool("serve", false, "serve Group By queries over HTTP (POST /query, POST /sql, GET /metrics)")
 		addr      = flag.String("addr", ":8080", "listen address for -serve")
-		batchMax  = flag.Int("batch-max", 0, "micro-batch window: max distinct queries (0 = default 16)")
-		batchWait = flag.Duration("batch-wait", 0, "micro-batch window: max wait after open (0 = default 2ms)")
-		batchIdle = flag.Duration("batch-idle", 0, "micro-batch window: idle flush (0 = default batch-wait/4)")
-		shedAt    = flag.Duration("shed-target", 0, "p95 batch latency target for adaptive load shedding (0 = off)")
+		shedAt    = flag.Duration("shed-target", 0, "p95 page-run latency target for adaptive load shedding (0 = off)")
 		drainFor  = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight work on SIGINT/SIGTERM before -serve exits")
 		metrics   = flag.Bool("metrics", false, "dump the metrics registry in Prometheus text format after running")
 		par       = flag.Int("par", 0, "intra-operator parallelism: workers per large aggregate (-1 = GOMAXPROCS, 0 = off)")
@@ -235,13 +232,7 @@ func main() {
 		sopts.SharedScan = true
 		sopts.Parallel = true
 		sopts.MaxAttempts = 3
-		db.StartBatching(gbmqo.BatchOptions{
-			MaxBatch:          *batchMax,
-			MaxWait:           *batchWait,
-			IdleWait:          *batchIdle,
-			ShedLatencyTarget: *shedAt,
-			Exec:              sopts,
-		})
+		db.StartBatching(gbmqo.BatchOptions{ShedLatencyTarget: *shedAt, Exec: sopts})
 		db.EnableBreakers(gbmqo.BreakerConfig{})
 		ln, err := net.Listen("tcp", *addr)
 		fail(err)
@@ -267,8 +258,8 @@ func main() {
 }
 
 // runServe serves HTTP on ln until a signal arrives on sig, then shuts down
-// gracefully: /healthz flips to draining, the scheduler drains in-flight
-// batches, and the HTTP server finishes open requests — each phase bounded
+// gracefully: /healthz flips to draining, the scheduler waits for its runs
+// in flight, and the HTTP server finishes open requests — each phase bounded
 // by drainFor. Returns nil on a clean drain so -serve exits 0 under
 // SIGINT/SIGTERM.
 func runServe(db *gbmqo.DB, ln net.Listener, sig <-chan os.Signal, drainFor time.Duration) error {
@@ -283,7 +274,7 @@ func runServe(db *gbmqo.DB, ln net.Listener, sig <-chan os.Signal, drainFor time
 		fmt.Fprintf(os.Stderr, "gbmqo: %v: draining (timeout %s)\n", s, drainFor)
 	}
 	// Stop routing first (health checks fail), then drain the scheduler so
-	// queued Group By work delivers, then close HTTP connections.
+	// Group By runs in flight deliver, then close HTTP connections.
 	srv.SetDraining()
 	ctx, cancel := context.WithTimeout(context.Background(), drainFor)
 	defer cancel()

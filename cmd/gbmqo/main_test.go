@@ -58,8 +58,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	db.Register(tbl)
 	db.StartBatching(gbmqo.BatchOptions{
-		MaxWait: 2 * time.Millisecond,
-		Exec:    gbmqo.QueryOptions{SharedScan: true, Parallel: true, MaxAttempts: 3},
+		Exec: gbmqo.QueryOptions{SharedScan: true, Parallel: true, MaxAttempts: 3},
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -72,7 +72,7 @@ func (db *DB) registerMetrics() {
 	db.obs.RegisterCollector(&shardCollector{db: db})
 }
 
-// schedCollector surfaces the micro-batching scheduler: it forwards the
+// schedCollector surfaces the page scheduler: it forwards the
 // current batcher's private registry (the batcher is created lazily and
 // replaced across StopBatching/StartBatching, so the indirection follows
 // whichever instance is live) and contributes the legacy "batching" /healthz
@@ -97,13 +97,12 @@ func (s *schedCollector) HealthDetail() (string, any, bool) {
 		return "batching", nil, false
 	}
 	return "batching", map[string]any{
-		"submitted":    st.Submitted,
-		"deduped":      st.Deduped,
-		"batches":      st.Batches,
-		"queue_len":    st.QueueLen,
-		"open_windows": st.OpenWindows,
-		"shed":         st.Shed,
-		"panics":       st.Panics,
+		"submitted": st.Submitted,
+		"deduped":   st.Deduped,
+		"batches":   st.Batches,
+		"queue_len": st.QueueLen,
+		"shed":      st.Shed,
+		"panics":    st.Panics,
 	}, true
 }
 

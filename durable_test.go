@@ -312,7 +312,7 @@ func TestDurableCloseConcurrentAppend(t *testing.T) {
 // Close after Drain stays safe and repeatable with no data dir attached.
 func TestPlainCloseIdempotent(t *testing.T) {
 	db := Open(nil)
-	db.StartBatching(BatchOptions{MaxWait: time.Millisecond})
+	db.StartBatching(BatchOptions{})
 	if err := db.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}

@@ -213,7 +213,7 @@ type DB struct {
 	eng *engine.Engine
 	obs *obs.Registry
 
-	// batchMu guards the lazily started micro-batching scheduler (see
+	// batchMu guards the lazily started page scheduler (see
 	// DB.Submit and DB.StartBatching in submit.go).
 	batchMu   sync.Mutex
 	batcher   *sched.Batcher

@@ -428,33 +428,19 @@ func TestEntryPointsHonourEveryKnob(t *testing.T) {
 	}
 	check("QueryWith join push-down", rep, err)
 
-	// One window of four distinct queries becomes one four-set batch.
-	db.StartBatching(BatchOptions{MaxBatch: len(cols), MaxWait: 5 * time.Second, IdleWait: 5 * time.Second, Exec: opts})
+	// The page door: the four queries as one page run as one four-set plan.
+	db.StartBatching(BatchOptions{Exec: opts})
 	defer db.StopBatching()
-	var wg sync.WaitGroup
-	errs := make([]error, len(queries))
-	for i, q := range queries {
-		wg.Add(1)
-		go func(i int, q GroupQuery) {
-			defer wg.Done()
-			_, _, errs[i] = db.Submit(context.Background(), "lineitem", q)
-		}(i, q)
-	}
-	wg.Wait()
-	for _, err = range errs {
-		if err != nil {
-			break
-		}
-	}
-	check("Submit", lastRun(), err)
-
-	// The page door: the same four queries as one page fill one window.
 	for _, a := range db.SubmitPage(context.Background(), "lineitem", queries) {
 		if err = a.Err; err != nil {
 			break
 		}
 	}
 	check("SubmitPage", lastRun(), err)
+
+	// A GROUPING SETS statement through SubmitSQL is the same page.
+	_, err = db.SubmitSQL(context.Background(), "SELECT COUNT(*) FROM lineitem GROUP BY "+sets)
+	check("SubmitSQL", lastRun(), err)
 
 	// A WHERE filter is not batchable: SubmitSQL falls back to a solo run under
 	// the batcher's execution options.
@@ -467,7 +453,7 @@ func TestEntryPointsHonourEveryKnob(t *testing.T) {
 	cached := openCachedLineitem(t, 4000)
 	hit := []GroupQuery{{Cols: []string{"l_returnflag"}}}
 	warm(t, cached, hit[0].Cols)
-	quick := BatchOptions{MaxWait: time.Millisecond}
+	quick := BatchOptions{}
 	page := func(door string, o BatchOptions) PageAnswer {
 		t.Helper()
 		cached.StopBatching()

@@ -8,7 +8,7 @@
 //
 // Faults are panics, the harshest failure the engine claims to contain:
 // every armed site sits under a recover boundary (parallel workers, engine
-// runs, singleflight leaders, batch dispatch, HTTP handlers), so a strike
+// runs, singleflight leaders, page runs, HTTP handlers), so a strike
 // exercises containment, classification, retry and fan-out all at once.
 package chaos
 
@@ -24,7 +24,7 @@ import (
 // Sites are the failpoints a schedule can arm, spanning every layer of the
 // stack: operator internals, the engine step loop, temp-table retention,
 // cache admission (inside a singleflight leader), the scheduler's probe and
-// dispatch, and the HTTP handler chain. The HTTP site stays last: trials
+// page run, and the HTTP handler chain. The HTTP site stays last: trials
 // without a server arm Sites[:len(Sites)-1].
 var Sites = []string{
 	"exec.share.worker",
@@ -33,7 +33,7 @@ var Sites = []string{
 	"engine.step",
 	"engine.retain",
 	"cache.admit",
-	"sched.window.close",
+	"sched.run",
 	"shard.scatter",
 	"shard.exec",
 	"shard.merge",

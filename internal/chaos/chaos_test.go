@@ -69,8 +69,7 @@ func setup(t *testing.T) {
 		// use (Submit results are byte-identical to solo execution).
 		db := gbmqo.Open(nil)
 		db.Register(baseTbl)
-		db.StartBatching(gbmqo.BatchOptions{MaxWait: time.Millisecond,
-			Exec: gbmqo.QueryOptions{SharedScan: true, Parallel: true}})
+		db.StartBatching(gbmqo.BatchOptions{Exec: gbmqo.QueryOptions{SharedScan: true, Parallel: true}})
 		defer db.StopBatching()
 		for _, q := range chaosQueries() {
 			res, _, err := db.Submit(context.Background(), "lineitem", q)
@@ -98,7 +97,6 @@ func runSeed(t *testing.T, seed int64) {
 	db := gbmqo.Open(&gbmqo.Config{CacheBytes: 8 << 20})
 	db.Register(baseTbl)
 	db.StartBatching(gbmqo.BatchOptions{
-		MaxWait: time.Millisecond,
 		Exec: gbmqo.QueryOptions{
 			SharedScan:   true,
 			Parallel:     true,
@@ -151,31 +149,22 @@ func runSeed(t *testing.T, seed int64) {
 	submitRound(true)
 	t.Logf("%s: struck %d", sched, in.Struck())
 
-	db.FlushBatches()
 	// Invariant 3: the books balance. Every submission was admitted (the
-	// queue never approaches MaxQueue here), so the submitted counter must
-	// match, and nothing may be left queued or open.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, ok := db.BatchStats()
-		if !ok {
-			t.Fatal("no batch stats")
-		}
-		if st.QueueLen == 0 && st.OpenWindows == 0 {
-			if st.Submitted != int64(submitted) {
-				t.Fatalf("%s: submitted counter = %d, want %d (stats %+v)", sched, st.Submitted, submitted, st)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: scheduler never settled: %+v", sched, st)
-		}
-		time.Sleep(time.Millisecond)
+	// in-flight bound is never approached here), so the submitted counter
+	// must match, and once Drain returns nothing may be left in flight.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	err := db.Drain(ctx)
+	cancel()
+	if err != nil {
+		t.Fatalf("%s: scheduler never drained: %v", sched, err)
+	}
+	if st, _ := db.BatchStats(); st.QueueLen != 0 || st.Submitted != int64(submitted) {
+		t.Fatalf("%s: stats %+v after Drain, want nothing in flight and %d submitted", sched, st, submitted)
 	}
 	db.StopBatching()
 
 	// Invariant 2: no goroutine leaks once the batcher is stopped.
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= baseline+2 {
 			break
@@ -218,7 +207,6 @@ func TestChaosHTTP(t *testing.T) {
 	db := gbmqo.Open(&gbmqo.Config{CacheBytes: 8 << 20})
 	db.Register(baseTbl)
 	db.StartBatching(gbmqo.BatchOptions{
-		MaxWait: time.Millisecond,
 		Exec: gbmqo.QueryOptions{SharedScan: true, Parallel: true,
 			MaxAttempts: 3, RetryBackoff: 100 * time.Microsecond},
 	})

@@ -37,7 +37,6 @@ func runShardSeed(t *testing.T, seed int64, allowPartial bool) {
 		t.Fatal(err)
 	}
 	db.StartBatching(gbmqo.BatchOptions{
-		MaxWait: time.Millisecond,
 		Exec: gbmqo.QueryOptions{
 			SharedScan:   true,
 			Parallel:     true,
@@ -93,27 +92,18 @@ func runShardSeed(t *testing.T, seed int64, allowPartial bool) {
 	t.Logf("%s: struck %d (scatter=%d exec=%d merge=%d hedge=%d)", sched, in.Struck(),
 		in.Fired("shard.scatter"), in.Fired("shard.exec"), in.Fired("shard.merge"), in.Fired("shard.hedge"))
 
-	db.FlushBatches()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st, ok := db.BatchStats()
-		if !ok {
-			t.Fatal("no batch stats")
-		}
-		if st.QueueLen == 0 && st.OpenWindows == 0 {
-			if st.Submitted != int64(submitted) {
-				t.Fatalf("%s: submitted counter = %d, want %d (stats %+v)", sched, st.Submitted, submitted, st)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: scheduler never settled: %+v", sched, st)
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	err := db.Drain(ctx)
+	cancel()
+	if err != nil {
+		t.Fatalf("%s: scheduler never drained: %v", sched, err)
+	}
+	if st, _ := db.BatchStats(); st.QueueLen != 0 || st.Submitted != int64(submitted) {
+		t.Fatalf("%s: stats %+v after Drain, want nothing in flight and %d submitted", sched, st, submitted)
 	}
 	db.StopBatching()
 
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= baseline+2 {
 			break

@@ -21,13 +21,18 @@ type TestingHooks struct {
 //	engine.step          — before each schedule step
 //	engine.retain        — before a temp table is retained
 //	cache.admit          — at the top of every cache admission (Offer)
-//	sched.window.close   — at the start of every batch dispatch
+//	sched.run            — at the start of every page run
 //	shard.scatter        — at the start of every sharded gather
 //	shard.exec           — before each shard execution (hedges included)
 //	shard.merge          — before shard partials are merged
 //	shard.hedge          — when a hedged duplicate request is launched
 //	table.append         — before an append mutates any shared state
 //	cache.refresh        — as a cached entry rolls forward across an append, after its merged table is built
+//	wal.append           — after a WAL record's sequence is assigned, before it is written
+//	wal.fsync            — before the WAL is synced
+//	snapshot.write       — before any byte of a snapshot is written
+//	recover.replay       — before each committed WAL record is delivered on recovery
+//	sched.probe          — before the scheduler probes a page
 //	server.handler       — before every HTTP request is routed
 var Testing TestingHooks
 

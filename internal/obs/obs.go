@@ -143,7 +143,7 @@ func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q
 
 // metric is one registered family member (possibly carrying baked-in labels).
 type metric struct {
-	name    string // full series name, labels included: foo_total{reason="full"}
+	name    string // full series name, labels included: foo_total{scope="request"}
 	help    string
 	kind    Kind
 	counter *Counter
@@ -193,7 +193,7 @@ func (r *Registry) register(m *metric) *metric {
 // Counter registers a counter series and returns its backing object;
 // registering the same series name again returns the original, so updates
 // from every caller land on one series. name may carry baked-in labels:
-// `gbmqo_sched_window_close_total{reason="full"}` — series of one family
+// `gbmqo_exec_retries_total{scope="request"}` — series of one family
 // share # HELP/# TYPE lines in the exposition.
 func (r *Registry) Counter(name, help string) *Counter {
 	m := r.register(&metric{name: name, help: help, kind: KindCounter, counter: &Counter{}})

@@ -47,8 +47,9 @@ func fakeResult(sets []colset.Set, perSet map[colset.Set][]exec.Agg) *engine.Run
 	}
 }
 
-// countingRunner counts calls and optionally blocks until released or the
-// batch context dies.
+// countingRunner counts calls and optionally blocks until released, whatever
+// the run's context says, so a caller's abandonment always precedes the
+// run's answer.
 type countingRunner struct {
 	calls atomic.Int32
 	block chan struct{} // nil = don't block
@@ -61,146 +62,121 @@ func (r *countingRunner) run(ctx context.Context, tbl string, sets []colset.Set,
 		r.ctxCh <- ctx
 	}
 	if r.block != nil {
-		select {
-		case <-r.block:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		<-r.block
 	}
 	return fakeResult(sets, perSet), nil
 }
 
 func cnt() []exec.Agg { return []exec.Agg{exec.CountStar()} }
 
-func TestWindowClosesWhenFull(t *testing.T) {
-	r := &countingRunner{}
-	b := New(r.run, Config{MaxBatch: 2, MaxWait: time.Hour, IdleWait: time.Hour})
+// q is a COUNT(*) query grouping column c of table "t".
+func q(c int) Query { return Query{Table: "t", Set: colset.Of(c), Aggs: cnt()} }
+
+// waitFor polls cond for up to five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; !cond(); i++ {
+		if i > 5000 {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPageOfMissesRunsOnce: a page of k distinct misses makes exactly one
+// engine run carrying all k sets, started without a timer, and every answer
+// reports the run's k queries.
+func TestPageOfMissesRunsOnce(t *testing.T) {
+	var runs [][]colset.Set
+	var mu sync.Mutex
+	run := func(ctx context.Context, tbl string, sets []colset.Set, perSet map[colset.Set][]exec.Agg) (*engine.RunResult, error) {
+		mu.Lock()
+		runs = append(runs, sets)
+		mu.Unlock()
+		return fakeResult(sets, perSet), nil
+	}
+	b := New(run, Config{})
 	defer b.Close()
-	var wg sync.WaitGroup
-	infos := make([]BatchInfo, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, info, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(i), Aggs: cnt()})
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
-			}
-			if out.NumRows() != 1 {
-				t.Errorf("submit %d: %d rows", i, out.NumRows())
-			}
-			infos[i] = info
-		}(i)
+	const k = 5
+	page := make([]Query, k)
+	for i := range page {
+		page[i] = q(i)
 	}
-	wg.Wait()
-	if got := r.calls.Load(); got != 1 {
-		t.Fatalf("runner called %d times, want 1 (batched)", got)
-	}
-	for i, info := range infos {
-		if info.BatchQueries != 2 {
-			t.Fatalf("info %d: BatchQueries = %d, want 2", i, info.BatchQueries)
+	for i, a := range b.SubmitPage(nil, page) {
+		if a.Err != nil || a.Table == nil || a.Table.ColIndex(fmt.Sprintf("c%d", i)) != 0 {
+			t.Fatalf("answer %d = %+v", i, a)
+		}
+		if a.Info.BatchQueries != k || a.Info.BatchRequests != k || a.Info.Deduped || a.Info.Origin != engine.OriginComputed {
+			t.Fatalf("answer %d info = %+v, want one run of %d queries", i, a.Info, k)
+		}
+		if a.Info.PlanCostShared != 40 || a.Info.PlanCostSolo != 100 {
+			t.Fatalf("answer %d plan costs = %v/%v", i, a.Info.PlanCostShared, a.Info.PlanCostSolo)
 		}
 	}
-	st := b.Stats()
-	if st.Batches != 1 || st.Submitted != 2 {
+	if len(runs) != 1 || len(runs[0]) != k {
+		t.Fatalf("runs = %v, want one run of %d sets", runs, k)
+	}
+	for i, s := range runs[0] {
+		if s != colset.Of(i) {
+			t.Fatalf("run sets = %v, want page order", runs[0])
+		}
+	}
+	if st := b.Stats(); st.Batches != 1 || st.Submitted != k || st.QueueLen != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestDedupIdenticalQueries: identical queries within a page share one
+// computation and one result table; every one after the first is Deduped.
 func TestDedupIdenticalQueries(t *testing.T) {
 	r := &countingRunner{}
-	b := New(r.run, Config{MaxBatch: 64, MaxWait: 20 * time.Millisecond, IdleWait: 10 * time.Millisecond})
+	b := New(r.run, Config{})
 	defer b.Close()
-	q := Query{Table: "t", Set: colset.Of(3), Aggs: cnt()}
-	var wg sync.WaitGroup
-	outs := make([]*table.Table, 2)
-	deduped := 0
-	var mu sync.Mutex
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out, info, err := b.Submit(nil, q)
-			if err != nil {
-				t.Errorf("submit: %v", err)
-				return
-			}
-			mu.Lock()
-			outs[i] = out
-			if info.Deduped {
-				deduped++
-			}
-			mu.Unlock()
-		}(i)
+	out := b.SubmitPage(nil, []Query{q(3), q(4), q(3)})
+	for i, a := range out {
+		if a.Err != nil {
+			t.Fatalf("answer %d: %v", i, a.Err)
+		}
+		if a.Info.BatchQueries != 2 || a.Info.BatchRequests != 3 || a.Info.Deduped != (i == 2) {
+			t.Fatalf("answer %d info = %+v", i, a.Info)
+		}
 	}
-	wg.Wait()
 	if got := r.calls.Load(); got != 1 {
 		t.Fatalf("runner called %d times, want 1", got)
 	}
-	if outs[0] != outs[1] {
+	if out[0].Table != out[2].Table {
 		t.Fatal("identical queries did not share one result table")
 	}
-	if deduped != 1 {
-		t.Fatalf("deduped = %d, want exactly 1 (the second arrival)", deduped)
-	}
-	if st := b.Stats(); st.Deduped != 1 {
-		t.Fatalf("stats.Deduped = %d", st.Deduped)
-	}
-}
-
-func TestIdleFlushBeatsDeadline(t *testing.T) {
-	r := &countingRunner{}
-	b := New(r.run, Config{MaxBatch: 64, MaxWait: 5 * time.Second, IdleWait: 10 * time.Millisecond})
-	defer b.Close()
-	start := time.Now()
-	_, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("idle flush took %v; the 5s deadline must not gate a lone request", elapsed)
-	}
-}
-
-func TestDeadlineFlush(t *testing.T) {
-	r := &countingRunner{}
-	// IdleWait == MaxWait: only the deadline can fire.
-	b := New(r.run, Config{MaxBatch: 64, MaxWait: 15 * time.Millisecond, IdleWait: 15 * time.Millisecond})
-	defer b.Close()
-	if _, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()}); err != nil {
-		t.Fatal(err)
-	}
-	if st := b.Stats(); st.Batches != 1 {
+	if st := b.Stats(); st.Deduped != 1 || st.Submitted != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestPerRequestCancellationLeavesBatchRunning: one caller's cancellation
+// answers that caller at once and leaves another caller's run running.
 func TestPerRequestCancellationLeavesBatchRunning(t *testing.T) {
 	r := &countingRunner{block: make(chan struct{})}
-	b := New(r.run, Config{MaxBatch: 2, MaxWait: time.Hour, IdleWait: time.Hour})
+	b := New(r.run, Config{})
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	errA := make(chan error, 1)
 	okB := make(chan error, 1)
 	go func() {
-		_, _, err := b.Submit(ctx, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()})
+		_, _, err := b.Submit(ctx, q(0))
 		errA <- err
 	}()
-	time.Sleep(5 * time.Millisecond)
 	go func() {
-		out, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(1), Aggs: cnt()})
+		out, _, err := b.Submit(nil, q(1))
 		if err == nil && out.NumRows() != 1 {
 			err = errors.New("bad result")
 		}
 		okB <- err
 	}()
-	// Window is full → dispatched; the runner is blocked. Cancel A only.
+	waitFor(t, "both runs to start", func() bool { return r.calls.Load() == 2 })
 	cancel()
 	if err := <-errA; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled submitter got %v, want context.Canceled", err)
 	}
-	// B must still complete once the runner unblocks.
 	close(r.block)
 	if err := <-okB; err != nil {
 		t.Fatalf("surviving submitter: %v", err)
@@ -210,51 +186,113 @@ func TestPerRequestCancellationLeavesBatchRunning(t *testing.T) {
 	}
 }
 
+// TestAllAbandonedCancelsBatch: a caller that abandons its page cancels the
+// page's run — no orphaned work — and its queries stay in flight until the
+// run stops.
 func TestAllAbandonedCancelsBatch(t *testing.T) {
 	r := &countingRunner{block: make(chan struct{}), ctxCh: make(chan context.Context, 1)}
-	b := New(r.run, Config{MaxBatch: 1, MaxWait: time.Hour, IdleWait: time.Hour})
+	b := New(r.run, Config{})
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	errA := make(chan error, 1)
 	go func() {
-		_, _, err := b.Submit(ctx, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()})
-		errA <- err
+		errA <- b.SubmitPage(ctx, []Query{q(0), q(1)})[1].Err
 	}()
-	bctx := <-r.ctxCh // batch dispatched, runner blocked
+	bctx := <-r.ctxCh // run started, runner blocked
 	cancel()
 	if err := <-errA; !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v", err)
 	}
 	select {
 	case <-bctx.Done():
-		// Batch context cancelled once its only subscriber left: no orphans.
 	case <-time.After(2 * time.Second):
-		t.Fatal("batch context not cancelled after all subscribers abandoned")
+		t.Fatal("run context not cancelled after its caller abandoned")
+	}
+	if st := b.Stats(); st.Abandoned != 2 || st.QueueLen != 2 {
+		t.Fatalf("stats = %+v, want both requests abandoned and still in flight", st)
+	}
+	close(r.block)
+	waitFor(t, "the abandoned run to leave flight", func() bool { return b.Stats().QueueLen == 0 })
+}
+
+// expiresAtAdmission is a cancelled context whose first Err call reports
+// nil, so SubmitPage's up-front context check passes and the page reaches
+// its run with Done already closed: the caller abandons the page before the
+// run goroutine has started.
+type expiresAtAdmission struct {
+	context.Context
+	reads atomic.Int32
+}
+
+func (c *expiresAtAdmission) Err() error {
+	if c.reads.Add(1) == 1 {
+		return nil
+	}
+	return c.Context.Err()
+}
+
+// TestAbandonedBeforeRunStarts: a caller whose context expires between the
+// up-front check and the run gets ctx.Err() on every query, the run it
+// leaves behind still files its answers without fault, and nothing stays in
+// flight.
+func TestAbandonedBeforeRunStarts(t *testing.T) {
+	run := func(ctx context.Context, tbl string, sets []colset.Set, perSet map[colset.Set][]exec.Agg) (*engine.RunResult, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return fakeResult(sets, perSet), nil
+	}
+	b := New(run, Config{})
+	defer b.Close()
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for n := 0; n < 50; n++ {
+		out := b.SubmitPage(&expiresAtAdmission{Context: cancelled}, []Query{q(0), q(1), q(0)})
+		for i, a := range out {
+			if !errors.Is(a.Err, context.Canceled) {
+				t.Fatalf("round %d query %d: err = %v, want context.Canceled", n, i, a.Err)
+			}
+		}
+	}
+	waitFor(t, "the abandoned runs to leave flight", func() bool { return b.Stats().QueueLen == 0 })
+	if st := b.Stats(); st.Panics != 0 {
+		t.Fatalf("stats = %+v, want no panic", st)
 	}
 }
 
+// TestQueueBackpressure: MaxQueue bounds the queries in flight; a request
+// past it fails fast with an *OverloadError, and admission resumes once the
+// run in flight finishes.
 func TestQueueBackpressure(t *testing.T) {
-	r := &countingRunner{}
-	b := New(r.run, Config{MaxBatch: 64, MaxWait: time.Hour, IdleWait: time.Hour, MaxQueue: 1})
+	r := &countingRunner{block: make(chan struct{})}
+	b := New(r.run, Config{MaxQueue: 2})
 	defer b.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		b.Submit(nil, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()})
-	}()
-	// Wait until the first submission is queued.
-	for i := 0; i < 200; i++ {
-		if b.Stats().QueueLen == 1 {
-			break
+	done := make(chan []Answer, 1)
+	go func() { done <- b.SubmitPage(nil, []Query{q(0), q(1)}) }()
+	waitFor(t, "two queries in flight", func() bool { return b.Stats().QueueLen == 2 })
+	_, _, err := b.Submit(nil, q(2))
+	var oe *OverloadError
+	if !errors.As(err, &oe) || !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("got %v, want an *OverloadError matching ErrQueueFull", err)
+	}
+	if oe.QueueLen != 2 || oe.Limit != 2 || oe.RetryAfter < time.Millisecond {
+		t.Fatalf("OverloadError = %+v", oe)
+	}
+	// A page that overflows the bound answers the overflow and runs the rest.
+	close(r.block)
+	for i, a := range <-done {
+		if a.Err != nil {
+			t.Fatalf("in-flight answer %d: %v", i, a.Err)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	_, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(1), Aggs: cnt()})
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("got %v, want ErrQueueFull", err)
+	r.block = nil
+	out := b.SubmitPage(nil, []Query{q(3), q(4), q(5)})
+	if out[0].Err != nil || out[1].Err != nil || !errors.Is(out[2].Err, ErrQueueFull) {
+		t.Fatalf("page past the bound = %v, %v, %v; want two answers and one rejection", out[0].Err, out[1].Err, out[2].Err)
 	}
-	b.Flush()
-	<-done
+	if st := b.Stats(); st.Rejected != 2 || st.Shed != 0 || st.QueueLen != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
 }
 
 func TestAggregateMergeAndProjection(t *testing.T) {
@@ -265,26 +303,20 @@ func TestAggregateMergeAndProjection(t *testing.T) {
 		}
 		return fakeResult(sets, perSet), nil
 	}
-	b := New(run, Config{MaxBatch: 2, MaxWait: time.Hour, IdleWait: time.Hour})
+	b := New(run, Config{})
 	defer b.Close()
 	set := colset.Of(2)
 	qa := Query{Table: "t", Set: set, Aggs: []exec.Agg{exec.CountStar()}}
 	qb := Query{Table: "t", Set: set, Aggs: []exec.Agg{{Kind: exec.AggSum, Col: 5, Name: "sum_x"}}}
-	var wg sync.WaitGroup
-	var ta, tb *table.Table
-	wg.Add(2)
-	go func() { defer wg.Done(); ta, _, _ = b.Submit(nil, qa) }()
-	time.Sleep(5 * time.Millisecond) // qa first: deterministic merge order
-	go func() { defer wg.Done(); tb, _, _ = b.Submit(nil, qb) }()
-	wg.Wait()
-	// Same set + compatible names = one group per aggsig but a single merged
-	// run carrying both aggregates; MaxBatch counts distinct (set, aggs)
-	// groups, so the window closed as full with two groups.
+	out := b.SubmitPage(nil, []Query{qa, qb})
+	// Same set + compatible names: two distinct queries, one run carrying
+	// both aggregates, each answer projected back to its own columns.
 	if got := sawAggs.Load(); got != 2 {
 		t.Fatalf("merged run saw %d aggs, want 2 (union)", got)
 	}
+	ta, tb := out[0].Table, out[1].Table
 	if ta == nil || tb == nil {
-		t.Fatal("missing results")
+		t.Fatalf("missing results: %v, %v", out[0].Err, out[1].Err)
 	}
 	if ta.NumCols() != 2 || ta.ColIndex("cnt") < 0 || ta.ColIndex("sum_x") >= 0 {
 		t.Fatalf("qa columns = %v, want [c2 cnt]", ta.ColNames())
@@ -296,30 +328,23 @@ func TestAggregateMergeAndProjection(t *testing.T) {
 
 func TestAggregateNameConflictRunsSolo(t *testing.T) {
 	r := &countingRunner{}
-	b := New(r.run, Config{MaxBatch: 2, MaxWait: time.Hour, IdleWait: time.Hour})
+	b := New(r.run, Config{})
 	defer b.Close()
 	set := colset.Of(1)
 	// Same output name "v", different aggregate: cannot share one result
-	// schema — the second group must run on its own.
+	// schema — the second query runs in a follow-up.
 	qa := Query{Table: "t", Set: set, Aggs: []exec.Agg{{Kind: exec.AggMin, Col: 3, Name: "v"}}}
 	qb := Query{Table: "t", Set: set, Aggs: []exec.Agg{{Kind: exec.AggMax, Col: 3, Name: "v"}}}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var errs [2]error
-	go func() { defer wg.Done(); _, _, errs[0] = b.Submit(nil, qa) }()
-	time.Sleep(5 * time.Millisecond)
-	go func() { defer wg.Done(); _, _, errs[1] = b.Submit(nil, qb) }()
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+	for i, a := range b.SubmitPage(nil, []Query{qa, qb}) {
+		if a.Err != nil {
+			t.Fatalf("submit %d: %v", i, a.Err)
 		}
 	}
 	if got := r.calls.Load(); got != 2 {
-		t.Fatalf("runner called %d times, want 2 (main batch + conflict solo)", got)
+		t.Fatalf("runner called %d times, want 2 (main run + conflict follow-up)", got)
 	}
-	if st := b.Stats(); st.Conflicts != 1 {
-		t.Fatalf("stats.Conflicts = %d", st.Conflicts)
+	if st := b.Stats(); st.Conflicts != 1 || st.Batches != 1 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -328,25 +353,20 @@ func TestRunnerErrorFansOut(t *testing.T) {
 	run := func(context.Context, string, []colset.Set, map[colset.Set][]exec.Agg) (*engine.RunResult, error) {
 		return nil, boom
 	}
-	b := New(run, Config{MaxBatch: 2, MaxWait: time.Hour, IdleWait: time.Hour})
+	b := New(run, Config{})
 	defer b.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(i), Aggs: cnt()})
-			if !errors.Is(err, boom) {
-				t.Errorf("submit %d: %v, want boom", i, err)
-			}
-		}(i)
+	for i, a := range b.SubmitPage(nil, []Query{q(0), q(1)}) {
+		if !errors.Is(a.Err, boom) {
+			t.Errorf("submit %d: %v, want boom", i, a.Err)
+		}
 	}
-	wg.Wait()
 }
 
+// TestSeparateTablesSeparateWindows: requests over different tables run
+// separately, and one page cannot mix tables.
 func TestSeparateTablesSeparateWindows(t *testing.T) {
 	r := &countingRunner{}
-	b := New(r.run, Config{MaxBatch: 1, MaxWait: time.Hour, IdleWait: time.Hour})
+	b := New(r.run, Config{})
 	defer b.Close()
 	for i, tbl := range []string{"a", "b"} {
 		if _, _, err := b.Submit(nil, Query{Table: tbl, Set: colset.Of(i), Aggs: cnt()}); err != nil {
@@ -356,12 +376,16 @@ func TestSeparateTablesSeparateWindows(t *testing.T) {
 	if got := r.calls.Load(); got != 2 {
 		t.Fatalf("runner called %d times, want 2 (one per table)", got)
 	}
+	out := b.SubmitPage(nil, []Query{{Table: "a", Set: colset.Of(0), Aggs: cnt()}, {Table: "b", Set: colset.Of(0), Aggs: cnt()}})
+	if out[0].Err != nil || out[1].Err == nil {
+		t.Fatalf("mixed page = %v, %v; want the second table refused", out[0].Err, out[1].Err)
+	}
 }
 
 func TestCloseRejectsSubmissions(t *testing.T) {
 	b := New((&countingRunner{}).run, Config{})
 	b.Close()
-	_, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()})
+	_, _, err := b.Submit(nil, q(0))
 	if !errors.Is(err, ErrClosed) {
 		t.Fatalf("got %v, want ErrClosed", err)
 	}
@@ -383,126 +407,99 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestSchedDispatchPanicContainment injects a panic at the sched.window.close
-// fault site and checks the dispatch boundary contains it: every subscriber
+// TestSchedDispatchPanicContainment injects a panic at the sched.run fault
+// site and checks the run boundary contains it: every query of the page
 // receives ErrBatchAborted (nobody hangs), the panic is counted, and the
 // batcher keeps serving afterwards.
 func TestSchedDispatchPanicContainment(t *testing.T) {
 	r := &countingRunner{}
-	b := New(r.run, Config{MaxBatch: 2, MaxWait: time.Hour, IdleWait: time.Hour})
+	b := New(r.run, Config{})
 	defer b.Close()
 	exec.Testing.SetFailPoint(func(site string) {
-		if site == "sched.window.close" {
-			panic("dispatch bomb")
+		if site == "sched.run" {
+			panic("run bomb")
 		}
 	})
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = b.Submit(nil, Query{Table: "t", Set: colset.Of(i), Aggs: cnt()})
-		}(i)
-	}
-	wg.Wait()
+	out := b.SubmitPage(nil, []Query{q(0), q(1), q(0)})
 	exec.Testing.ClearFailPoint()
-	for i, err := range errs {
-		if !errors.Is(err, ErrBatchAborted) {
-			t.Fatalf("submitter %d: err = %v, want ErrBatchAborted", i, err)
+	for i, a := range out {
+		if !errors.Is(a.Err, ErrBatchAborted) {
+			t.Fatalf("query %d: err = %v, want ErrBatchAborted", i, a.Err)
 		}
 	}
-	if st := b.Stats(); st.Panics != 1 {
-		t.Fatalf("stats = %+v, want 1 panic", st)
+	if st := b.Stats(); st.Panics != 1 || st.QueueLen != 0 {
+		t.Fatalf("stats = %+v, want 1 panic and nothing in flight", st)
 	}
 	if r.calls.Load() != 0 {
 		t.Fatalf("runner ran despite pre-run panic")
 	}
-	// The batcher survives: the next window runs normally.
-	var out *table.Table
-	var err error
-	var after sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		after.Add(1)
-		go func(i int) {
-			defer after.Done()
-			o, _, e := b.Submit(nil, Query{Table: "t", Set: colset.Of(i), Aggs: cnt()})
-			if i == 0 {
-				out, err = o, e
-			}
-		}(i)
-	}
-	after.Wait()
-	if err != nil || out == nil {
+	// The batcher survives: the next page runs normally.
+	if out, _, err := b.Submit(nil, q(0)); err != nil || out == nil {
 		t.Fatalf("submit after contained panic: %v", err)
 	}
 }
 
-// TestSchedDrainFlushesAndRejects checks graceful drain: pending submissions
-// in open windows are flushed and answered, concurrent and later submissions
-// get ErrDraining, and Drain returns nil once everything delivered.
+// TestSchedDrainFlushesAndRejects checks graceful drain: Drain waits for the
+// run in flight, which still answers its caller, and later submissions get
+// ErrClosed.
 func TestSchedDrainFlushesAndRejects(t *testing.T) {
-	r := &countingRunner{}
-	b := New(r.run, Config{MaxBatch: 64, MaxWait: time.Hour, IdleWait: time.Hour})
+	r := &countingRunner{block: make(chan struct{})}
+	b := New(r.run, Config{})
 	resc := make(chan error, 1)
 	go func() {
-		_, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(1), Aggs: cnt()})
+		_, _, err := b.Submit(nil, q(1))
 		resc <- err
 	}()
-	// Wait for the submission to sit in an open window.
-	for i := 0; ; i++ {
-		if st := b.Stats(); st.QueueLen == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("submission never queued")
-		}
-		time.Sleep(time.Millisecond)
+	waitFor(t, "the run to start", func() bool { return r.calls.Load() == 1 })
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		drained <- b.Drain(ctx)
+	}()
+	waitFor(t, "Drain to begin", b.Draining)
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned %v with a run in flight", err)
+	case <-time.After(10 * time.Millisecond):
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := b.Drain(ctx); err != nil {
+	close(r.block)
+	if err := <-drained; err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	if err := <-resc; err != nil {
 		t.Fatalf("in-flight submission during drain: %v", err)
 	}
-	if _, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(2), Aggs: cnt()}); !errors.Is(err, ErrClosed) {
+	if _, _, err := b.Submit(nil, q(2)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after drain: %v, want ErrClosed", err)
 	}
 }
 
 // TestSchedDrainRejectsWhileDraining checks a submission arriving mid-drain
-// (batches still in flight) gets ErrDraining, and a deadline that expires
+// (a run still in flight) gets ErrDraining, and a deadline that expires
 // before the drain completes surfaces the context error.
 func TestSchedDrainRejectsWhileDraining(t *testing.T) {
 	r := &countingRunner{block: make(chan struct{})}
-	b := New(r.run, Config{MaxBatch: 1, MaxWait: time.Hour, IdleWait: time.Hour})
+	b := New(r.run, Config{})
 	resc := make(chan error, 1)
 	go func() {
-		_, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(1), Aggs: cnt()})
+		_, _, err := b.Submit(nil, q(1))
 		resc <- err
 	}()
-	// MaxBatch=1 dispatches immediately; wait for the runner to be inside run.
-	for i := 0; r.calls.Load() == 0; i++ {
-		if i > 1000 {
-			t.Fatal("batch never dispatched")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the run to start", func() bool { return r.calls.Load() == 1 })
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	err := b.Drain(ctx)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Drain with stuck batch = %v, want DeadlineExceeded", err)
+		t.Fatalf("Drain with stuck run = %v, want DeadlineExceeded", err)
 	}
 	if !b.Draining() {
 		t.Fatal("Draining() = false during drain")
 	}
-	if _, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(2), Aggs: cnt()}); !errors.Is(err, ErrClosed) && !errors.Is(err, ErrDraining) {
+	if _, _, err := b.Submit(nil, q(2)); !errors.Is(err, ErrClosed) && !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit during drain: %v, want ErrDraining/ErrClosed", err)
 	}
-	// Release the stuck batch; the original submitter still gets its answer.
+	// Release the stuck run; the original submitter still gets its answer.
 	close(r.block)
 	if err := <-resc; err != nil {
 		t.Fatalf("submitter after late drain: %v", err)
@@ -514,41 +511,18 @@ func TestSchedDrainRejectsWhileDraining(t *testing.T) {
 // rejections carry an *OverloadError with a Retry-After hint while still
 // matching ErrQueueFull.
 func TestSchedAdaptiveShedBound(t *testing.T) {
-	r := &countingRunner{}
-	b := New(r.run, Config{
-		MaxBatch:          4,
-		MaxWait:           time.Hour,
-		IdleWait:          time.Hour,
-		MaxQueue:          100,
-		ShedLatencyTarget: time.Millisecond,
-	})
+	r := &countingRunner{block: make(chan struct{})}
+	b := New(r.run, Config{MaxQueue: 100, ShedLatencyTarget: time.Millisecond})
 	defer b.Close()
 	// Publish a recent p95 of 20ms: limit = 100·1ms/20ms = 5.
 	b.p95ns.Store(int64(20 * time.Millisecond))
 
-	// MaxBatch=4 would close the window at 4 distinct queries, so spread 5
-	// queued submissions over two tables to keep both windows open.
-	var wg sync.WaitGroup
-	for i := 0; i < 5; i++ {
-		wg.Add(1)
-		tbl := "t"
-		if i >= 3 {
-			tbl = "u"
-		}
-		go func(i int, tbl string) {
-			defer wg.Done()
-			b.Submit(nil, Query{Table: tbl, Set: colset.Of(i % 3), Aggs: cnt()})
-		}(i, tbl)
-	}
-	for i := 0; ; i++ {
-		if st := b.Stats(); st.QueueLen == 5 {
-			break
-		}
-		if i > 1000 {
-			t.Fatalf("queue never reached 5: %+v", b.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b.SubmitPage(nil, []Query{q(0), q(1), q(2), q(3), q(4)})
+	}()
+	waitFor(t, "five queries in flight", func() bool { return b.Stats().QueueLen == 5 })
 	_, _, err := b.Submit(nil, Query{Table: "v", Set: colset.Of(9), Aggs: cnt()})
 	var oe *OverloadError
 	if !errors.As(err, &oe) {
@@ -566,30 +540,36 @@ func TestSchedAdaptiveShedBound(t *testing.T) {
 	if st := b.Stats(); st.Shed != 1 || st.Rejected != 1 {
 		t.Fatalf("stats = %+v, want 1 shed rejection", st)
 	}
-	b.Flush()
-	wg.Wait()
+	close(r.block)
+	<-done
+	// However slow the backend, the bound never falls below one query.
+	b.p95ns.Store(int64(time.Hour))
+	r.block = nil
+	if _, _, err := b.Submit(nil, q(0)); err != nil {
+		t.Fatalf("lone submit under a floored bound: %v", err)
+	}
 }
 
-// TestSchedLatencyFeedsShedding checks dispatch feeds the latency window: a
-// slow batch raises the published p95.
+// TestSchedLatencyFeedsShedding checks a run feeds the shedding ring: a
+// slow run raises the published p95.
 func TestSchedLatencyFeedsShedding(t *testing.T) {
 	r := &countingRunner{block: make(chan struct{})}
-	b := New(r.run, Config{MaxBatch: 1, MaxWait: time.Hour, IdleWait: time.Hour, ShedLatencyTarget: time.Millisecond})
+	b := New(r.run, Config{ShedLatencyTarget: time.Millisecond})
 	defer b.Close()
 	go func() {
 		time.Sleep(30 * time.Millisecond)
 		close(r.block)
 	}()
-	if _, _, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(1), Aggs: cnt()}); err != nil {
+	if _, _, err := b.Submit(nil, q(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Dispatch publishes the latency after delivering, so the submitter can
+	// The run publishes its latency after answering, so the submitter can
 	// return first: wait for the publication, not for a clock.
 	for i := 0; b.p95ns.Load() == 0 && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	if p95 := time.Duration(b.p95ns.Load()); p95 < 20*time.Millisecond {
-		t.Fatalf("published p95 = %v after a ~30ms batch", p95)
+		t.Fatalf("published p95 = %v after a ~30ms run", p95)
 	}
 }
 
@@ -609,11 +589,11 @@ func perQuery(f func(context.Context, Query) (*table.Table, engine.SetOrigin, er
 	}
 }
 
-// TestProbeAnswersBeforeTheWindow: a probe answer returns at once with the
-// probe's origin, counts as a submission, and never occupies the queue — a
-// full queue does not refuse it.
+// TestProbeAnswersBeforeTheWindow: a probe answer returns at once, before
+// any run, with the probe's origin; it counts as a submission and never
+// occupies the in-flight bound — a full bound does not refuse it.
 func TestProbeAnswersBeforeTheWindow(t *testing.T) {
-	r := &countingRunner{}
+	r := &countingRunner{block: make(chan struct{})}
 	hit := fakeResult([]colset.Set{colset.Of(0)}, map[colset.Set][]exec.Agg{colset.Of(0): cnt()}).Report.Results[colset.Of(0)]
 	probe := perQuery(func(_ context.Context, q Query) (*table.Table, engine.SetOrigin, error) {
 		if q.Set == colset.Of(0) {
@@ -621,19 +601,14 @@ func TestProbeAnswersBeforeTheWindow(t *testing.T) {
 		}
 		return nil, engine.OriginComputed, nil
 	})
-	b := New(r.run, Config{MaxBatch: 64, MaxWait: time.Hour, IdleWait: time.Hour, MaxQueue: 1}, probe)
+	b := New(r.run, Config{MaxQueue: 1}, probe)
 	defer b.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		b.Submit(nil, Query{Table: "t", Set: colset.Of(1), Aggs: cnt()})
 	}()
-	for i := 0; b.Stats().QueueLen != 1; i++ {
-		if i > 1000 {
-			t.Fatal("miss never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the miss to run", func() bool { return b.Stats().QueueLen == 1 })
 	got, info, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()})
 	if err != nil || got != hit {
 		t.Fatalf("probe answer = %v, %v; want the probe's table", got, err)
@@ -642,16 +617,16 @@ func TestProbeAnswersBeforeTheWindow(t *testing.T) {
 	if info != want {
 		t.Fatalf("info = %+v, want %+v", info, want)
 	}
-	b.Flush()
+	close(r.block)
 	<-done
 	st := b.Stats()
 	if st.Submitted != 2 || st.ProbeAnswers != 1 || st.Batches != 1 || r.calls.Load() != 1 {
-		t.Fatalf("stats = %+v, runs %d; want 2 submitted, 1 probe answer, 1 batch", st, r.calls.Load())
+		t.Fatalf("stats = %+v, runs %d; want 2 submitted, 1 probe answer, 1 run", st, r.calls.Load())
 	}
 }
 
 // TestProbeFaultEntersTheWindow: a probe that panics, fails, or hits a
-// failpoint costs the request its shortcut, never its answer.
+// failpoint costs the request its shortcut, never its answer: it runs.
 func TestProbeFaultEntersTheWindow(t *testing.T) {
 	for name, probe := range map[string]ProbeFunc{
 		"panic": perQuery(func(context.Context, Query) (*table.Table, engine.SetOrigin, error) { panic("probe bug") }),
@@ -673,14 +648,14 @@ func TestProbeFaultEntersTheWindow(t *testing.T) {
 				defer exec.Testing.ClearFailPoint()
 			}
 			r := &countingRunner{}
-			b := New(r.run, Config{MaxWait: time.Millisecond}, probe)
+			b := New(r.run, Config{}, probe)
 			defer b.Close()
 			res, info, err := b.Submit(nil, Query{Table: "t", Set: colset.Of(2), Aggs: cnt()})
 			if err != nil || res == nil {
 				t.Fatalf("submit after a probe fault = %v, %v", res, err)
 			}
 			if info.Origin != engine.OriginComputed || r.calls.Load() != 1 {
-				t.Fatalf("info %+v after %d runs; want the window's answer", info, r.calls.Load())
+				t.Fatalf("info %+v after %d runs; want the run's answer", info, r.calls.Load())
 			}
 			if st := b.Stats(); st.Submitted != 1 || st.ProbeAnswers != 0 {
 				t.Fatalf("stats = %+v", st)
@@ -690,7 +665,7 @@ func TestProbeFaultEntersTheWindow(t *testing.T) {
 }
 
 // TestProbeContextErrorReturns: when the caller's own context ends during
-// the probe, Submit returns that error rather than queueing dead work.
+// the probe, Submit returns that error rather than running dead work.
 func TestProbeContextErrorReturns(t *testing.T) {
 	r := &countingRunner{}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -698,7 +673,7 @@ func TestProbeContextErrorReturns(t *testing.T) {
 		cancel()
 		return nil, engine.OriginComputed, ctx.Err()
 	})
-	b := New(r.run, Config{MaxWait: time.Millisecond}, probe)
+	b := New(r.run, Config{}, probe)
 	defer b.Close()
 	if _, _, err := b.Submit(ctx, Query{Table: "t", Set: colset.Of(0), Aggs: cnt()}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

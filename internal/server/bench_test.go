@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"gbmqo"
 	"gbmqo/internal/loadgen"
@@ -25,7 +24,7 @@ func BenchmarkServeHotPage(b *testing.B) {
 	}
 	db := gbmqo.Open(&gbmqo.Config{CacheBytes: 64 << 20, Seed: 1})
 	db.Register(t)
-	db.StartBatching(gbmqo.BatchOptions{MaxWait: 2 * time.Millisecond})
+	db.StartBatching(gbmqo.BatchOptions{})
 	defer db.StopBatching()
 	qs := loadgen.LatticeWorkload(t.Name(), loadgen.PickGroupCols(t, 7, 1000), 3, nil)
 	var pages [][]byte

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"testing"
-	"time"
 
 	"gbmqo"
 )
@@ -25,7 +24,7 @@ func fuzzDB() *gbmqo.DB {
 	}
 	db := gbmqo.Open(nil)
 	db.Register(tbl)
-	db.StartBatching(gbmqo.BatchOptions{MaxWait: 50 * time.Microsecond})
+	db.StartBatching(gbmqo.BatchOptions{})
 	return db
 }
 

@@ -1,10 +1,11 @@
 // Package server is the HTTP/JSON front-end that turns the GB-MQO library
 // into a concurrent query server: every request body is a page of Group By
-// queries, handed to the DB's micro-batching scheduler in one call, so concurrent
-// HTTP clients hitting the same table share one multi-query plan without
-// knowing about each other. Observability rides along: /metrics exposes the
-// scheduler, cache and governance counters in Prometheus text format, and
-// /debug/vars mirrors them through expvar.
+// queries, handed to the DB's page scheduler in one call, so the page's
+// misses run as one multi-query plan, and concurrent HTTP clients asking the
+// same grouping share its computation through the result cache.
+// Observability rides along: /metrics exposes the scheduler, cache and
+// governance counters in Prometheus text format, and /debug/vars mirrors
+// them through expvar.
 package server
 
 import (
@@ -148,7 +149,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 	// The body is one page: its queries are probed together and its misses
-	// enter one micro-batch window (shared with concurrent bodies).
+	// run at once as one plan.
 	qs := make([]gbmqo.GroupQuery, len(req.Queries))
 	var bindErrs []error
 	for i, q := range req.Queries {
@@ -469,7 +470,7 @@ func (s *Server) bindQuery(tableName string, q queryJSON) (gbmqo.GroupQuery, err
 
 // requestContext bounds one request's work: the client's timeout_ms if sent,
 // the server default otherwise, joined with the connection's context so a
-// dropped client abandons its batch subscription.
+// dropped client cancels its page run.
 func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context, context.CancelFunc) {
 	d := s.Timeout
 	if timeoutMS > 0 {

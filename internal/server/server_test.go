@@ -25,7 +25,7 @@ func newTestServer(t *testing.T) (*gbmqo.DB, *httptest.Server) {
 		t.Fatal(err)
 	}
 	db.Register(tbl)
-	db.StartBatching(gbmqo.BatchOptions{MaxWait: 2 * time.Millisecond, Exec: gbmqo.QueryOptions{SharedScan: true}})
+	db.StartBatching(gbmqo.BatchOptions{Exec: gbmqo.QueryOptions{SharedScan: true}})
 	ts := httptest.NewServer(New(db).Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -195,7 +195,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE gbmqo_sched_submissions_total counter",
 		"# TYPE gbmqo_sched_batch_queries histogram",
 		"gbmqo_exec_runs_total",
-		"gbmqo_sched_window_close_total{reason=",
+		"# TYPE gbmqo_sched_queue_len gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, body)
@@ -246,9 +246,9 @@ func TestBadRequestBodies(t *testing.T) {
 
 // TestServeLoad hammers the server with concurrent clients — the CI
 // race-detector witness that the whole stack (HTTP handler, scheduler
-// windows, shared engine runs, metrics scrapes) is safe under load. Every
+// admission, engine runs, metrics scrapes) is safe under load. Every
 // response must be well-formed and every query answered or attributed an
-// error; at the end the scheduler must have actually batched.
+// error; at the end each one-query page must have made exactly one run.
 func TestServeLoad(t *testing.T) {
 	db, ts := newTestServer(t)
 	tbl, _ := db.Table("sales")
@@ -313,15 +313,34 @@ func TestServeLoad(t *testing.T) {
 	if st.Submitted != workers*perWorker {
 		t.Fatalf("submitted = %d, want %d", st.Submitted, workers*perWorker)
 	}
-	if st.Batches == 0 || st.Batches >= st.Submitted {
-		t.Fatalf("batches = %d of %d submissions — scheduler never coalesced", st.Batches, st.Submitted)
+	if st.Batches != st.Submitted-st.ProbeAnswers {
+		t.Fatalf("stats = %+v: want one run per one-query page the probe left", st)
 	}
+}
+
+// holdRuns parks every page run at its start until the returned release is
+// called (at the latest when the test ends), so tests can fill the
+// scheduler's in-flight bound deterministically.
+func holdRuns(t *testing.T) (release func()) {
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	exec.Testing.SetFailPoint(func(site string) {
+		if site == "sched.run" {
+			<-gate
+		}
+	})
+	t.Cleanup(func() {
+		release()
+		exec.Testing.ClearFailPoint()
+	})
+	return release
 }
 
 // TestServerBackpressure429 drives the scheduler into overload and asserts
 // the transport mapping: a fully rejected body answers 429 with a
 // Retry-After hint, and a client that honors the hint succeeds once the
-// backlog drains.
+// runs in flight finish.
 func TestServerBackpressure429(t *testing.T) {
 	db := gbmqo.Open(nil)
 	tbl, err := gbmqo.GenerateDataset("sales", 2000, 7, 0)
@@ -329,11 +348,11 @@ func TestServerBackpressure429(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Register(tbl)
-	// Two submissions fill the queue; windows stay open long enough for the
-	// third request to observe the overload deterministically.
+	// Two submissions fill the in-flight bound; their runs are held so the
+	// third request observes the overload deterministically.
+	release := holdRuns(t)
 	db.StartBatching(gbmqo.BatchOptions{
 		MaxQueue: 2,
-		MaxWait:  500 * time.Millisecond,
 		Exec:     gbmqo.QueryOptions{SharedScan: true},
 	})
 	ts := httptest.NewServer(New(db).Handler())
@@ -353,7 +372,7 @@ func TestServerBackpressure429(t *testing.T) {
 			})
 		}(col)
 	}
-	// Wait until both submissions are parked in an open window.
+	// Wait until both submissions are in flight.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if st, ok := db.BatchStats(); ok && st.QueueLen >= 2 {
@@ -381,7 +400,8 @@ func TestServerBackpressure429(t *testing.T) {
 	}
 
 	// A client honoring the hint retries after the advertised delay and
-	// eventually lands: the parked window closes at MaxWait and drains.
+	// eventually lands once the held runs finish.
+	release()
 	var ok bool
 	for attempt := 0; attempt < 5; attempt++ {
 		time.Sleep(time.Duration(secs) * time.Second)
@@ -422,7 +442,7 @@ func TestServerHealthzDraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Register(tbl)
-	db.StartBatching(gbmqo.BatchOptions{MaxWait: 2 * time.Millisecond})
+	db.StartBatching(gbmqo.BatchOptions{})
 	srv := New(db)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -458,7 +478,7 @@ func TestServerHealthzDraining(t *testing.T) {
 	// The DB's drain state is observed too, without SetDraining.
 	db2 := gbmqo.Open(nil)
 	db2.Register(tbl)
-	db2.StartBatching(gbmqo.BatchOptions{MaxWait: 2 * time.Millisecond})
+	db2.StartBatching(gbmqo.BatchOptions{})
 	srv2 := New(db2)
 	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(ts2.Close)
@@ -546,8 +566,7 @@ func TestServerHealthzBreakers(t *testing.T) {
 
 // pageDB is a cached lineitem DB whose cache holds {l_returnflag} and
 // {l_returnflag, l_linestatus} under COUNT(*) and {l_returnflag} under the
-// returned AVG(l_quantity), batching in windows that close when the line
-// goes idle.
+// returned AVG(l_quantity), with the page scheduler started.
 func pageDB(t *testing.T) (*gbmqo.DB, gbmqo.Agg) {
 	t.Helper()
 	li, err := gbmqo.GenerateDataset("lineitem", 4000, 7, 0)
@@ -567,15 +586,15 @@ func pageDB(t *testing.T) (*gbmqo.DB, gbmqo.Agg) {
 			t.Fatal(err)
 		}
 	}
-	db.StartBatching(gbmqo.BatchOptions{MaxBatch: 16, MaxWait: time.Second, IdleWait: 20 * time.Millisecond})
+	db.StartBatching(gbmqo.BatchOptions{})
 	t.Cleanup(db.StopBatching)
 	return db, avg
 }
 
 // TestPageDoorMatchesSubmit: a page answers every position exactly as that
 // query's own Submit does — the same table, byte for byte through the
-// response encoder, or the same error — while its probe answers wait for no
-// window and its misses share one window and one plan.
+// response encoder, or the same error — while its probe answers need no run
+// and its misses share one run and one plan.
 func TestPageDoorMatchesSubmit(t *testing.T) {
 	db, avg := pageDB(t)
 	solo, _ := pageDB(t)
@@ -621,7 +640,7 @@ func TestPageDoorMatchesSubmit(t *testing.T) {
 	for _, i := range []int{2, 3, 4} {
 		info := got[i].Info
 		if info.BatchQueries != 2 || info.BatchRequests != 3 || info.Origin != gbmqo.OriginComputed || info.Deduped != (i == 3) {
-			t.Errorf("query %d: info %+v, want one window of 2 queries and 3 requests", i, info)
+			t.Errorf("query %d: info %+v, want one run of 2 queries and 3 requests", i, info)
 		}
 	}
 }
@@ -637,7 +656,7 @@ func TestQueryPageRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Register(tbl)
-	db.StartBatching(gbmqo.BatchOptions{MaxQueue: 2, MaxWait: time.Hour, IdleWait: time.Hour})
+	db.StartBatching(gbmqo.BatchOptions{MaxQueue: 2})
 	ts := httptest.NewServer(New(db).Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -651,6 +670,7 @@ func TestQueryPageRejections(t *testing.T) {
 		return map[string]any{"table": "sales", "queries": qs}
 	}
 	c := func(i int) string { return tbl.Col(i).Name() }
+	release := holdRuns(t)
 	waitQueued := func(n int) {
 		t.Helper()
 		for i := 0; ; i++ {
@@ -682,8 +702,8 @@ func TestQueryPageRejections(t *testing.T) {
 		return ch
 	}
 
-	// One query parks in the window; of the next page's two, the first
-	// takes the last queue slot and the second is turned away.
+	// One query's run is held; of the next page's two, the first takes the
+	// last slot in flight and the second is turned away.
 	parked := post(page(c(0)))
 	waitQueued(1)
 	mixed := post(page(c(1), c(2)))
@@ -697,7 +717,7 @@ func TestQueryPageRejections(t *testing.T) {
 		t.Fatalf("Retry-After = %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
 	}
 
-	db.FlushBatches()
+	release()
 	for _, ch := range []<-chan *http.Response{parked, mixed} {
 		resp = <-ch
 		if resp == nil {

@@ -165,8 +165,8 @@ func resolveColumn(t *table.Table, name string) int {
 // BatchSpec is a grouped single-table query decomposed into scheduler form:
 // the resolved base table, its grouping sets, the shared aggregate list, and
 // whether the grand-total (empty) grouping set belongs to the result. It is
-// how the SQL surface hands a statement to the micro-batching scheduler one
-// grouping set at a time.
+// how the SQL surface hands a statement to the page scheduler as one page of
+// grouping sets.
 type BatchSpec struct {
 	Table        string
 	Sets         []colset.Set

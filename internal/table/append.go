@@ -13,11 +13,9 @@ import "fmt"
 //
 // Concurrency contract: Append must only be called on the NEWEST snapshot of a
 // table's lineage, one call at a time (the engine serializes appends per
-// catalog): the extended dictionaries share their lookup maps, so a second
-// child of one parent would see the first child's interned values. The code
-// arrays and image are guarded anyway — a second child copies them instead of
-// writing over the first's tail (see frontier). Readers of any snapshot are
-// always safe.
+// catalog). A second child of one parent is guarded anyway: its code arrays,
+// image and dictionaries copy instead of writing over the first child's tail
+// (see frontier and dict.claim). Readers of any snapshot are always safe.
 //
 // Validation is all-or-nothing and happens before any shared state is
 // touched: a type-mismatched or wrong-arity row leaves the dictionaries and

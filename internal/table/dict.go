@@ -3,6 +3,7 @@ package table
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // nullCode is the dictionary code reserved for NULL in every column.
@@ -34,6 +35,12 @@ type dict struct {
 
 	strBytes int64 // total bytes across strs, for average-width accounting
 
+	// fr is the write frontier of the value slices and lookup map this
+	// dictionary shares with its extension lineage (see extend): the size of
+	// the largest dictionary that has interned into them. Nil while nothing
+	// shares them.
+	fr atomic.Pointer[frontier]
+
 	rankOnce sync.Once
 	rank     []uint32 // rank[code] = position of code in value order; NULL first
 }
@@ -64,38 +71,84 @@ func (d *dict) size() int {
 	}
 }
 
-// code interns a value and returns its code. NULLs map to nullCode.
+// code interns a value and returns its code. NULLs map to nullCode. A code
+// past the dictionary's size belongs to a sibling extension that interned
+// into the shared lookup map first; the value is new here.
 func (d *dict) code(v Value) uint32 {
 	if v.Null {
 		return nullCode
 	}
 	switch d.typ {
 	case TInt64, TDate:
-		if c, ok := d.lookupI[v.I]; ok {
+		if c, ok := d.lookupI[v.I]; ok && int(c) <= len(d.ints) {
 			return c
 		}
+		d.claim()
 		d.ints = append(d.ints, v.I)
 		c := uint32(len(d.ints))
 		d.lookupI[v.I] = c
 		return c
 	case TFloat64:
-		if c, ok := d.lookupF[v.F]; ok {
+		if c, ok := d.lookupF[v.F]; ok && int(c) <= len(d.floats) {
 			return c
 		}
+		d.claim()
 		d.floats = append(d.floats, v.F)
 		c := uint32(len(d.floats))
 		d.lookupF[v.F] = c
 		return c
 	default:
-		if c, ok := d.lookupS[v.S]; ok {
+		if c, ok := d.lookupS[v.S]; ok && int(c) <= len(d.strs) {
 			return c
 		}
+		d.claim()
 		d.strs = append(d.strs, v.S)
 		d.strBytes += int64(len(v.S))
 		c := uint32(len(d.strs))
 		d.lookupS[v.S] = c
 		return c
 	}
+}
+
+// claim readies the dictionary to intern one more value. A dictionary whose
+// backing its lineage shares writes in place only while it is the newest —
+// its size is the frontier, which the claim advances by one; otherwise a
+// sibling has already interned past it, and it takes a private lookup map
+// holding only its own codes, and value slices capped at its size, so the
+// next append copies them instead of writing over the sibling's tail.
+func (d *dict) claim() {
+	fr := d.fr.Load()
+	if fr == nil {
+		return
+	}
+	n := d.size()
+	if fr.end.CompareAndSwap(int64(n), int64(n+1)) {
+		return
+	}
+	switch d.typ {
+	case TInt64, TDate:
+		d.ints = d.ints[:n:n]
+		d.lookupI = ownCodes(d.lookupI, n)
+	case TFloat64:
+		d.floats = d.floats[:n:n]
+		d.lookupF = ownCodes(d.lookupF, n)
+	default:
+		d.strs = d.strs[:n:n]
+		d.lookupS = ownCodes(d.lookupS, n)
+	}
+	d.fr.Store(nil)
+}
+
+// ownCodes copies the entries of a shared lookup map whose codes are at most
+// n.
+func ownCodes[K comparable](m map[K]uint32, n int) map[K]uint32 {
+	out := make(map[K]uint32, n)
+	for k, c := range m {
+		if int(c) <= n {
+			out[k] = c
+		}
+	}
+	return out
 }
 
 // extend returns a copy-on-write extension of this dictionary for an append
@@ -106,12 +159,21 @@ func (d *dict) code(v Value) uint32 {
 // over the parent's code range, so the extension recomputes it lazily over
 // the grown range (MIN/MAX correctness over appended values).
 //
-// The sharing contract: only the NEWEST snapshot of a lineage may intern new
-// values (the catalog's append path serializes appends per table and always
-// extends the current snapshot), and readers of older snapshots never touch
-// the lookup maps. Violating either corrupts the shared state.
+// The sharing follows the code arrays' rule (see frontier): the parent and
+// all its extensions share one write frontier, and only the dictionary whose
+// size is at the frontier interns in place. A second extension of one parent
+// copies the lookup map and value tail on its first new value (see claim),
+// so siblings never see each other's values. Readers of any snapshot never
+// touch the lookup maps.
 func (d *dict) extend() *dict {
-	return &dict{
+	fr := d.fr.Load()
+	if fr == nil {
+		fr = newFrontier(d.size())
+		if !d.fr.CompareAndSwap(nil, fr) {
+			fr = d.fr.Load()
+		}
+	}
+	e := &dict{
 		typ:      d.typ,
 		measure:  d.measure,
 		root:     d.root,
@@ -123,6 +185,8 @@ func (d *dict) extend() *dict {
 		lookupS:  d.lookupS,
 		strBytes: d.strBytes,
 	}
+	e.fr.Store(fr)
+	return e
 }
 
 // value decodes a code back to a Value.

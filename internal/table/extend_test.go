@@ -2,6 +2,7 @@ package table
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -178,5 +179,43 @@ func TestAppendTwiceFromOneParentKeepsRows(t *testing.T) {
 	}
 	if !bytes.Equal(imageOf(a), aImg) {
 		t.Fatal("the second append wrote over the first child's image")
+	}
+}
+
+// TestAppendTwiceFromOneParentKeepsValues: two appends from one snapshot that
+// both intern new values — the second child must not pick up the first's
+// codes from the shared lookup map, and each child decodes its own rows.
+func TestAppendTwiceFromOneParentKeepsValues(t *testing.T) {
+	base := sampleTable(t)
+	a := base.Append([][]Value{{Int(7), Str("carol"), Float(7.5), Date(20)}})
+	b := base.Append([][]Value{
+		{Int(8), Str("dave"), Float(8.5), Date(21)},
+		{Int(7), Str("carol"), Float(7.5), Date(20)},
+	})
+	c := a.Append([][]Value{{Int(9), Str("erin"), Float(9.5), Date(22)}})
+	d := base.Append([][]Value{{Int(7), Str("carol"), Float(7.5), Date(20)}})
+	for _, tc := range []struct {
+		name string
+		tb   *Table
+		row  int
+		want []Value
+	}{
+		{"first child", a, 3, []Value{Int(7), Str("carol"), Float(7.5), Date(20)}},
+		{"second child", b, 3, []Value{Int(8), Str("dave"), Float(8.5), Date(21)}},
+		{"second child", b, 4, []Value{Int(7), Str("carol"), Float(7.5), Date(20)}},
+		{"grandchild", c, 3, []Value{Int(7), Str("carol"), Float(7.5), Date(20)}},
+		{"grandchild", c, 4, []Value{Int(9), Str("erin"), Float(9.5), Date(22)}},
+		{"third child", d, 3, []Value{Int(7), Str("carol"), Float(7.5), Date(20)}},
+	} {
+		if got := tc.tb.Row(tc.row); fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s row %d = %v, want %v", tc.name, tc.row, got, tc.want)
+		}
+	}
+	if got := base.Col(1).DictValues(); len(got) != 2 {
+		t.Fatalf("parent dictionary grew to %v", got)
+	}
+	if a.Col(1).Code(3) != b.Col(1).Code(3) || b.Col(1).Code(4) != a.Col(1).Code(3)+1 {
+		t.Fatalf("codes: a carol %d, b dave %d, b carol %d; want each child to number its own values from the parent's size",
+			a.Col(1).Code(3), b.Col(1).Code(3), b.Col(1).Code(4))
 	}
 }

@@ -9,12 +9,8 @@ import (
 	"gbmqo/internal/exec"
 )
 
-// hourWindows never close on their own: a Submit that returns under them was
-// answered by the probe, not by a window.
-var hourWindows = BatchOptions{MaxWait: time.Hour, IdleWait: time.Hour}
-
 // probeCtx bounds a Submit that should not wait, so a regression fails the
-// test instead of hanging it for an hour-long window.
+// test instead of hanging it.
 func probeCtx(t *testing.T) context.Context {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -42,17 +38,17 @@ func countTotal(t *testing.T, res *Table) int64 {
 }
 
 // TestSubmitProbeAnswersCacheHit: a warmed set is answered at Submit, as an
-// exact hit that waited for no window.
+// exact hit that needed no run.
 func TestSubmitProbeAnswersCacheHit(t *testing.T) {
 	db := openCachedLineitem(t, 4000)
 	warm(t, db, []string{"l_returnflag", "l_linestatus"})
-	db.StartBatching(hourWindows)
+	db.StartBatching(BatchOptions{})
 	defer db.StopBatching()
 
 	q := GroupQuery{Cols: []string{"l_returnflag", "l_linestatus"}}
 	res, info, err := db.Submit(probeCtx(t), "lineitem", q)
 	if err != nil {
-		t.Fatalf("cached set waited for a window: %v", err)
+		t.Fatalf("cached set: %v", err)
 	}
 	if info.Origin != OriginCacheHit || info.QueueWait != 0 || info.BatchQueries != 1 || info.BatchRequests != 1 {
 		t.Fatalf("info = %+v, want a probe cache hit", info)
@@ -69,13 +65,13 @@ func TestSubmitProbeAnswersCacheHit(t *testing.T) {
 func TestSubmitProbeAnswersAncestor(t *testing.T) {
 	db := openCachedLineitem(t, 4000)
 	warm(t, db, []string{"l_returnflag", "l_linestatus"})
-	db.StartBatching(hourWindows)
+	db.StartBatching(BatchOptions{})
 	defer db.StopBatching()
 
 	q := GroupQuery{Cols: []string{"l_returnflag"}}
 	res, info, err := db.Submit(probeCtx(t), "lineitem", q)
 	if err != nil {
-		t.Fatalf("ancestor-answerable set waited for a window: %v", err)
+		t.Fatalf("ancestor-answerable set: %v", err)
 	}
 	if info.Origin != OriginCacheAncestor || info.QueueWait != 0 {
 		t.Fatalf("info = %+v, want a probe ancestor answer", info)
@@ -164,7 +160,7 @@ func TestSubmitProbeDefersToOpenBreaker(t *testing.T) {
 }
 
 // TestSubmitSQLProbeAnswersCachedStatement: a GROUPING SETS statement whose
-// every set is cached answers without a window, identical to Query.
+// every set is cached answers without a run, identical to Query.
 func TestSubmitSQLProbeAnswersCachedStatement(t *testing.T) {
 	db := openCachedLineitem(t, 4000)
 	const stmt = `SELECT l_returnflag, l_linestatus, COUNT(*) FROM lineitem
@@ -173,14 +169,14 @@ func TestSubmitSQLProbeAnswersCachedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.StartBatching(hourWindows)
+	db.StartBatching(BatchOptions{})
 	defer db.StopBatching()
 	got, err := db.SubmitSQL(probeCtx(t), stmt)
 	if err != nil {
-		t.Fatalf("cached statement waited for a window: %v", err)
+		t.Fatalf("cached statement: %v", err)
 	}
 	sameTable(t, "cached SubmitSQL", got, want)
 	if st, _ := db.BatchStats(); st.ProbeAnswers != 3 || st.Batches != 0 {
-		t.Fatalf("stats = %+v, want three probe answers and no batch", st)
+		t.Fatalf("stats = %+v, want three probe answers and no run", st)
 	}
 }

@@ -205,8 +205,7 @@ func TestShardDrainWhileScattered(t *testing.T) {
 	if err := db.EnableSharding(ShardOptions{Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
-	db.StartBatching(BatchOptions{MaxWait: time.Millisecond,
-		Exec: QueryOptions{SharedScan: true, Parallel: true}})
+	db.StartBatching(BatchOptions{Exec: QueryOptions{SharedScan: true, Parallel: true}})
 
 	// Slow every shard execution so Drain lands while gathers are scattered.
 	exec.Testing.SetFailPoint(func(site string) {

@@ -15,16 +15,15 @@ import (
 	"gbmqo/internal/table"
 )
 
-// This file is the online entry point: instead of handing the optimizer a
-// complete query set up front (ExecuteQueries), concurrent callers Submit
-// individual Group By requests and an adaptive micro-batching scheduler
-// groups near-simultaneous arrivals on the same table into one GB-MQO plan.
-// See DESIGN.md "Online micro-batching" and internal/sched.
+// This file is the online entry point: callers hand the scheduler a page of
+// Group By requests over one table (SubmitPage; Submit is a page of one).
+// The result cache answers what it can, and the page's misses run at once as
+// one GB-MQO plan. See DESIGN.md "Page admission" and internal/sched.
 
 // Batching and per-request types re-exported from the scheduler.
 type (
-	// BatchInfo tells a Submit caller how its request was served (batch size,
-	// dedup, queueing latency, result origin, modeled shared-vs-solo cost).
+	// BatchInfo tells a Submit caller how its request was served (run size,
+	// dedup, wait before the run, result origin, modeled shared-vs-solo cost).
 	BatchInfo = sched.BatchInfo
 	// PageAnswer is one query's answer from SubmitPage: its result Table and
 	// BatchInfo, or the Err that refused or failed it.
@@ -34,7 +33,7 @@ type (
 	// SetOrigin attributes a grouping set's result to how it was produced.
 	SetOrigin = engine.SetOrigin
 	// OverloadError is the typed rejection adaptive load shedding returns:
-	// queue state, the recent p95 batch latency that shrank the admission
+	// queries in flight, the recent p95 run latency that shrank the admission
 	// limit, and a RetryAfter hint for clients. Matches ErrQueueFull under
 	// errors.Is.
 	OverloadError = sched.OverloadError
@@ -77,46 +76,36 @@ const (
 var (
 	// ErrBatcherClosed: Submit after StopBatching (or during shutdown).
 	ErrBatcherClosed = sched.ErrClosed
-	// ErrQueueFull: the scheduler's admission queue is at MaxQueue (or the
+	// ErrQueueFull: the scheduler has MaxQueue queries in flight (or the
 	// tighter adaptive limit; see OverloadError for the detailed form).
 	ErrQueueFull = sched.ErrQueueFull
-	// ErrDraining: the scheduler is draining for shutdown; in-flight batches
+	// ErrDraining: the scheduler is draining for shutdown; runs in flight
 	// still deliver but new submissions are refused.
 	ErrDraining = sched.ErrDraining
-	// ErrBatchAborted: the submission's batch was aborted by a recovered
-	// panic in the dispatch path.
+	// ErrBatchAborted: the submission's page run was aborted by a recovered
+	// panic in the scheduler.
 	ErrBatchAborted = sched.ErrBatchAborted
 )
 
-// BatchOptions tunes the micro-batching scheduler (see DB.StartBatching).
-// Zero values select the scheduler defaults (MaxBatch 16, MaxWait 2ms,
-// IdleWait MaxWait/4, MaxQueue 4096).
+// BatchOptions tunes the page scheduler (see DB.StartBatching). Zero values
+// select the scheduler defaults (MaxQueue 4096, no shedding).
 type BatchOptions struct {
-	// MaxBatch closes a window once it holds this many distinct queries.
-	MaxBatch int
-	// MaxWait closes a window this long after it opened — the ceiling on the
-	// queueing latency a request can pay to ride a batch.
-	MaxWait time.Duration
-	// IdleWait closes a window early when no new request arrived for this
-	// long.
-	IdleWait time.Duration
-	// MaxQueue bounds submissions waiting in open windows; beyond it Submit
-	// fails fast with ErrQueueFull.
+	// MaxQueue bounds the queries in flight; beyond it Submit fails fast
+	// with ErrQueueFull.
 	MaxQueue int
 	// ShedLatencyTarget enables adaptive load shedding: when the recent p95
-	// batch execution latency exceeds this target, the admission limit shrinks
+	// run latency exceeds this target, the admission limit shrinks
 	// proportionally below MaxQueue and excess submissions fail fast with an
 	// *OverloadError carrying a RetryAfter hint. 0 disables shedding (only
 	// the hard MaxQueue bound applies).
 	ShedLatencyTarget time.Duration
-	// Exec are the query options batch runs execute under (strategy, shared
+	// Exec are the query options page runs execute under (strategy, shared
 	// scan, parallelism, memory budget, cache bypass). Exec.Context is
-	// ignored: a batch runs under its own context, cancelled only when every
-	// subscriber has abandoned it.
+	// ignored: a page runs under its caller's context.
 	Exec QueryOptions
 }
 
-// StartBatching starts the micro-batching scheduler with explicit options.
+// StartBatching starts the page scheduler with explicit options.
 // It is a no-op if batching is already running (the first configuration
 // wins); use StopBatching first to reconfigure. Submit starts batching
 // lazily with defaults, so calling StartBatching is only needed to override
@@ -129,16 +118,12 @@ func (db *DB) StartBatching(o BatchOptions) {
 	}
 	db.batchOpts = o
 	db.batcher = sched.New(db.runBatch, sched.Config{
-		MaxBatch:          o.MaxBatch,
-		MaxWait:           o.MaxWait,
-		IdleWait:          o.IdleWait,
 		MaxQueue:          o.MaxQueue,
 		ShedLatencyTarget: o.ShedLatencyTarget,
 	}, db.probeBatch)
 }
 
-// StopBatching flushes open windows, waits for in-flight batches, and stops
-// the scheduler. Submissions racing with it fail with ErrBatcherClosed. A
+// StopBatching waits for the runs in flight and stops the scheduler. Submissions racing with it fail with ErrBatcherClosed. A
 // later Submit or StartBatching starts a fresh scheduler.
 func (db *DB) StopBatching() {
 	db.batchMu.Lock()
@@ -147,17 +132,6 @@ func (db *DB) StopBatching() {
 	db.batchMu.Unlock()
 	if b != nil {
 		b.Close()
-	}
-}
-
-// FlushBatches closes all open windows immediately without stopping the
-// scheduler (tests and graceful drains).
-func (db *DB) FlushBatches() {
-	db.batchMu.Lock()
-	b := db.batcher
-	db.batchMu.Unlock()
-	if b != nil {
-		b.Flush()
 	}
 }
 
@@ -174,9 +148,9 @@ func (db *DB) BatchStats() (st BatchStats, ok bool) {
 }
 
 // batcherDefaults are the execution options a lazily started scheduler uses:
-// shared scans and parallel sub-plans on, because batches exist to amortize
-// scans across queries, and bounded retry on, because a batch failure fans
-// out to every subscriber.
+// shared scans and parallel sub-plans on, because a page's run exists to
+// amortize scans across its queries, and bounded retry on, because a run's
+// failure fans out to every query of the page.
 func batcherDefaults() BatchOptions {
 	return BatchOptions{Exec: QueryOptions{SharedScan: true, Parallel: true, MaxAttempts: 3}}
 }
@@ -193,8 +167,8 @@ func (db *DB) getBatcher() *sched.Batcher {
 	return db.batcher
 }
 
-// batchRequest is the engine request a window runs — and the probe looks
-// up — under the batcher's execution options.
+// batchRequest is the engine request a page runs — and the probe looks up —
+// under the batcher's execution options.
 func (db *DB) batchRequest(ctx context.Context, tableName string, sets []colset.Set, perSet map[colset.Set][]Agg) engine.Request {
 	db.batchMu.Lock()
 	req := db.batchOpts.Exec.request()
@@ -203,17 +177,16 @@ func (db *DB) batchRequest(ctx context.Context, tableName string, sets []colset.
 	return req
 }
 
-// runBatch executes one dispatched window through the engine: one GB-MQO
-// plan over the union of the window's grouping sets, inheriting the DB's
-// cache, governance and parallelism settings.
+// runBatch executes one page's misses through the engine: one GB-MQO plan
+// over the union of their grouping sets, inheriting the DB's cache,
+// governance and parallelism settings.
 func (db *DB) runBatch(ctx context.Context, tableName string, sets []colset.Set, perSet map[colset.Set][]Agg) (*engine.RunResult, error) {
 	return db.eng.Run(db.batchRequest(ctx, tableName, sets, perSet))
 }
 
 // probeBatch answers a page of submissions from the result cache before they
-// may enter a window: exact hits and ancestor re-aggregations, under the
-// same request a window would run, in one probe pass (see
-// engine.Engine.Probe).
+// run: exact hits and ancestor re-aggregations, under the same request the
+// page would run, in one probe pass (see engine.Engine.Probe).
 func (db *DB) probeBatch(ctx context.Context, qs []sched.Query) ([]engine.Probed, error) {
 	asked := make([]engine.SetQuery, len(qs))
 	for i, q := range qs {
@@ -222,11 +195,10 @@ func (db *DB) probeBatch(ctx context.Context, qs []sched.Query) ([]engine.Probed
 	return db.eng.Probe(db.batchRequest(ctx, qs[0].Table, nil, nil), asked)
 }
 
-// Drain gracefully shuts down the micro-batching scheduler: new submissions
-// fail fast (ErrDraining, then ErrBatcherClosed), open windows flush
-// immediately, and Drain blocks until every in-flight batch has delivered or
-// ctx expires (returning ctx's error; batches keep draining in the
-// background). The drained batcher stays registered so later Submits get
+// Drain gracefully shuts down the page scheduler: new submissions fail fast
+// (ErrDraining, then ErrBatcherClosed), and Drain blocks until every run in
+// flight has delivered or ctx expires (returning ctx's error; the runs keep
+// going in the background). The drained batcher stays registered so later Submits get
 // ErrBatcherClosed instead of silently starting a fresh scheduler — use
 // StopBatching + StartBatching to serve again. Drain is a no-op when
 // batching never started.
@@ -251,7 +223,7 @@ func (db *DB) Draining() bool {
 }
 
 // Close gracefully shuts the DB down for process exit: it drains the
-// micro-batching scheduler under ctx's deadline (see Drain) and, on a durable
+// page scheduler under ctx's deadline (see Drain) and, on a durable
 // DB, takes a final snapshot and sync-closes the WAL so the next OpenDurable
 // replays nothing. Queries through Query/Execute still work after Close —
 // only the batching entry points (and durable appends) are stopped.
@@ -294,37 +266,32 @@ func (db *DB) BreakerStates() []BreakerSnapshot {
 	return out
 }
 
-// Submit hands one Group By request to the micro-batching scheduler and
-// blocks until its result is ready, ctx expires, or the scheduler rejects
-// it: SubmitPage for a page of one. Requests arriving close together on the
-// same table share one GB-MQO plan; identical requests (same grouping
-// columns and aggregates) inside a window share one computation. The result
-// table is byte-identical to what ExecuteQueries would return for the same
-// single query. A request the result cache can answer (an exact hit or a
-// cached-ancestor roll-up) is answered before any window, with
-// BatchInfo.QueueWait 0; see engine.Engine.Probe for when that probe steps
-// aside.
+// Submit hands one Group By request to the page scheduler and blocks until
+// its result is ready, ctx expires, or the scheduler rejects it: SubmitPage
+// for a page of one. The result table is byte-identical to what
+// ExecuteQueries would return for the same single query. A request the
+// result cache can answer (an exact hit or a cached-ancestor roll-up) is
+// answered without a run, with BatchInfo.QueueWait 0; see
+// engine.Engine.Probe for when that probe steps aside. Concurrent identical
+// requests share one computation through the cache's singleflight.
 //
-// ctx bounds only this caller's wait: when it expires the call returns
-// ctx.Err() but the batch keeps running for its other subscribers (and is
-// cancelled once all of them have abandoned it). q.Cols must be non-empty —
-// grand totals have no grouping columns to share and go through Query.
-// Submit starts the scheduler with default BatchOptions if StartBatching was
-// not called.
+// The run executes under ctx: when ctx expires the call returns ctx.Err()
+// at once and the run is cancelled. q.Cols must be non-empty — grand totals
+// have no grouping columns to share and go through Query. Submit starts the
+// scheduler with default BatchOptions if StartBatching was not called.
 func (db *DB) Submit(ctx context.Context, tableName string, q GroupQuery) (*Table, BatchInfo, error) {
 	a := db.SubmitPage(ctx, tableName, []GroupQuery{q})[0]
 	return a.Table, a.Info, a.Err
 }
 
 // SubmitPage hands a page of Group By requests over one table — the set a
-// /query body carries — to the micro-batching scheduler in one call and
-// returns one answer per query, in page order. Each answer is what Submit
-// would return for that query alone, but the page is served in one pass on
-// the caller's goroutine: one probe of the result cache answers every hit
-// and ancestor roll-up, and the misses enter the window together, so one
-// GB-MQO plan computes them (unless MaxBatch splits the page across
-// windows). A query whose columns do not resolve answers its own error and
-// does not hold up the others. ctx bounds the whole page's wait.
+// /query body carries — to the page scheduler in one call and returns one
+// answer per query, in page order. Each answer is what Submit would return
+// for that query alone, but the page is served in one pass: one probe of the
+// result cache answers every hit and ancestor roll-up, and the misses run at
+// once as one GB-MQO plan, identical queries computed once. A query whose
+// columns do not resolve answers its own error and does not hold up the
+// others. ctx bounds the whole page's wait.
 func (db *DB) SubmitPage(ctx context.Context, tableName string, qs []GroupQuery) []PageAnswer {
 	t, ok := db.eng.Catalog().Table(tableName)
 	if !ok {
@@ -360,11 +327,10 @@ func (db *DB) SubmitPage(ctx context.Context, tableName string, qs []GroupQuery)
 	return out
 }
 
-// SubmitSQL runs a SQL statement through the micro-batching scheduler: a
-// batchable grouped single-table statement is decomposed into its grouping
-// sets, submitted as one page (so they and concurrent statements' sets
-// batch together), and the GROUPING SETS union result is reassembled
-// byte-identical to Query. Statements the scheduler cannot batch — joins,
+// SubmitSQL runs a SQL statement through the page scheduler: a batchable
+// grouped single-table statement is decomposed into its grouping sets,
+// submitted as one page (so one plan computes them), and the GROUPING SETS
+// union result is reassembled byte-identical to Query. Statements the scheduler cannot batch — joins,
 // WHERE filters, plain selects — fall back to a solo QueryWith run under the
 // batcher's execution options.
 func (db *DB) SubmitSQL(ctx context.Context, statement string) (*Table, error) {

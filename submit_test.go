@@ -84,14 +84,14 @@ func soloReference(t *testing.T, db *DB, queries []GroupQuery) []*Table {
 	return out
 }
 
-// TestSubmitDifferentialRandomized: concurrent batched submissions must be
-// cell-for-cell identical to the same queries executed one at a time. The
-// last trial is a 12-query dashboard, wider than one window: its windows
-// must close full, averaging at least four queries per batch.
+// TestSubmitDifferentialRandomized: every answer — concurrent Submits, and
+// each trial asked again as one page — must be cell-for-cell identical to
+// the same queries executed one at a time. A page runs its distinct queries
+// as exactly one engine run. The last trial is a 12-query dashboard that
+// asks some sets under several aggregate lists.
 func TestSubmitDifferentialRandomized(t *testing.T) {
 	db := openWithLineitem(t, 6000)
-	db.StartBatching(BatchOptions{MaxBatch: 8, MaxWait: 25 * time.Millisecond,
-		Exec: QueryOptions{SharedScan: true, Parallel: true}})
+	db.StartBatching(BatchOptions{Exec: QueryOptions{SharedScan: true, Parallel: true}})
 	defer db.StopBatching()
 	r := rand.New(rand.NewSource(11))
 	var trials [][]GroupQuery
@@ -115,40 +115,94 @@ func TestSubmitDifferentialRandomized(t *testing.T) {
 		{Cols: []string{"l_shipmode", "l_shipinstruct"}},
 	})
 	for trial, queries := range trials {
-		before, _ := db.BatchStats()
 		want := soloReference(t, db, queries)
 		got := make([]*Table, len(queries))
-		infos := make([]BatchInfo, len(queries))
 		errs := make([]error, len(queries))
 		var wg sync.WaitGroup
 		for i, q := range queries {
 			wg.Add(1)
 			go func(i int, q GroupQuery) {
 				defer wg.Done()
-				got[i], infos[i], errs[i] = db.Submit(context.Background(), "lineitem", q)
+				got[i], _, errs[i] = db.Submit(context.Background(), "lineitem", q)
 			}(i, q)
 		}
 		wg.Wait()
-		batched := false
 		for i := range queries {
 			if errs[i] != nil {
 				t.Fatalf("trial %d query %d: %v", trial, i, errs[i])
 			}
 			sameTable(t, fmt.Sprintf("trial %d query %d (%v)", trial, i, queries[i].Cols), got[i], want[i])
-			if infos[i].BatchQueries > 1 {
-				batched = true
+		}
+
+		before, _ := db.BatchStats()
+		page := db.SubmitPage(context.Background(), "lineitem", queries)
+		after, _ := db.BatchStats()
+		for i, a := range page {
+			if a.Err != nil {
+				t.Fatalf("trial %d page query %d: %v", trial, i, a.Err)
+			}
+			sameTable(t, fmt.Sprintf("trial %d page query %d (%v)", trial, i, queries[i].Cols), a.Table, want[i])
+			if a.Info.BatchRequests != len(queries) {
+				t.Fatalf("trial %d page query %d: info %+v, want one run of the whole page", trial, i, a.Info)
 			}
 		}
-		if len(queries) > 1 && !batched {
-			t.Fatalf("trial %d: %d concurrent submissions never shared a window", trial, len(queries))
-		}
-		if trial == len(trials)-1 {
-			after, _ := db.BatchStats()
-			if mean := float64(after.Submitted-before.Submitted) / float64(after.Batches-before.Batches); mean < 4 {
-				t.Fatalf("dashboard trial averaged %.1f queries per batch, want >= 4", mean)
-			}
+		if runs := after.Batches - before.Batches; runs != 1 {
+			t.Fatalf("trial %d: the page made %d runs, want 1", trial, runs)
 		}
 	}
+}
+
+// TestSubmitPageDuplicatesAndAggListsMatchSolo: a page that repeats queries
+// and asks one set under two aggregate lists answers every position exactly
+// as a solo ExecuteQueries does — repeats share one table, and each list
+// gets exactly its own columns — through SubmitPage and SubmitSQL alike.
+func TestSubmitPageDuplicatesAndAggListsMatchSolo(t *testing.T) {
+	db := openWithLineitem(t, 5000)
+	db.StartBatching(BatchOptions{Exec: QueryOptions{SharedScan: true}})
+	defer db.StopBatching()
+	sumQty := Agg{Kind: AggSum, Col: 4, Name: "sum_qty"}
+	minQty := Agg{Kind: AggMin, Col: 4, Name: "min_qty"}
+	otherMin := Agg{Kind: AggMax, Col: 4, Name: "min_qty"} // same name, another aggregate
+	queries := []GroupQuery{
+		{Cols: []string{"l_shipmode"}},
+		{Cols: []string{"l_shipmode"}, Aggs: []Agg{sumQty, minQty}},
+		{Cols: []string{"l_returnflag", "l_linestatus"}},
+		{Cols: []string{"l_shipmode"}},
+		{Cols: []string{"l_shipmode"}, Aggs: []Agg{minQty}},
+		{Cols: []string{"l_shipmode"}, Aggs: []Agg{otherMin}},
+		{Cols: []string{"l_shipmode"}, Aggs: []Agg{sumQty, minQty}},
+	}
+	want := soloReference(t, db, queries)
+	before, _ := db.BatchStats()
+	page := db.SubmitPage(context.Background(), "lineitem", queries)
+	after, _ := db.BatchStats()
+	for i, a := range page {
+		if a.Err != nil {
+			t.Fatalf("query %d: %v", i, a.Err)
+		}
+		sameTable(t, fmt.Sprintf("query %d (%v %v)", i, queries[i].Cols, queries[i].Aggs), a.Table, want[i])
+		if a.Info.BatchQueries != 5 || a.Info.BatchRequests != 7 || a.Info.Deduped != (i == 3 || i == 6) {
+			t.Fatalf("query %d: info %+v, want 5 distinct of 7, repeats deduped", i, a.Info)
+		}
+	}
+	if page[0].Table != page[3].Table || page[1].Table != page[6].Table {
+		t.Fatal("repeated queries did not share one result table")
+	}
+	if after.Batches-before.Batches != 1 || after.Conflicts-before.Conflicts != 1 {
+		t.Fatalf("stats moved %+v → %+v, want one page run with one name-conflict follow-up", before, after)
+	}
+
+	const stmt = `SELECT l_shipmode, l_linestatus, COUNT(*), MIN(l_quantity) AS mn FROM lineitem
+		GROUP BY GROUPING SETS ((l_shipmode), (l_linestatus), (l_shipmode), (l_shipmode, l_linestatus))`
+	wantSQL, err := db.Query(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSQL, err := db.SubmitSQL(context.Background(), stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTable(t, "SubmitSQL with a repeated set", gotSQL, wantSQL)
 }
 
 // TestSubmitDifferentialUnderPanics: with a failpoint intermittently panicking
@@ -157,8 +211,7 @@ func TestSubmitDifferentialRandomized(t *testing.T) {
 // silently return wrong data, never crash the process.
 func TestSubmitDifferentialUnderPanics(t *testing.T) {
 	db := openWithLineitem(t, 5000)
-	db.StartBatching(BatchOptions{MaxBatch: 8, MaxWait: 20 * time.Millisecond,
-		Exec: QueryOptions{SharedScan: true, Parallel: true}})
+	db.StartBatching(BatchOptions{Exec: QueryOptions{SharedScan: true, Parallel: true}})
 	defer db.StopBatching()
 	r := rand.New(rand.NewSource(23))
 	queries := randomExactQueries(r, 6)
@@ -201,8 +254,7 @@ func TestSubmitDifferentialUnderPanics(t *testing.T) {
 // get ctx.Err(); everyone else still gets byte-identical results.
 func TestSubmitDifferentialUnderCancellation(t *testing.T) {
 	db := openWithLineitem(t, 5000)
-	db.StartBatching(BatchOptions{MaxBatch: 16, MaxWait: 25 * time.Millisecond,
-		Exec: QueryOptions{SharedScan: true}})
+	db.StartBatching(BatchOptions{Exec: QueryOptions{SharedScan: true}})
 	defer db.StopBatching()
 	r := rand.New(rand.NewSource(31))
 	queries := randomExactQueries(r, 8)
@@ -245,7 +297,7 @@ func TestSubmitDifferentialUnderCancellation(t *testing.T) {
 // unbatchable statements must still work via the fallback path.
 func TestSubmitSQLMatchesQuery(t *testing.T) {
 	db := openWithLineitem(t, 4000)
-	db.StartBatching(BatchOptions{MaxWait: 10 * time.Millisecond, Exec: QueryOptions{SharedScan: true}})
+	db.StartBatching(BatchOptions{Exec: QueryOptions{SharedScan: true}})
 	defer db.StopBatching()
 	for _, stmt := range []string{
 		`SELECT l_returnflag, l_linestatus, COUNT(*) FROM lineitem
@@ -277,7 +329,7 @@ func TestStatsSafeUnderConcurrentSubmitters(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Register(li)
-	db.StartBatching(BatchOptions{MaxWait: 2 * time.Millisecond, Exec: QueryOptions{SharedScan: true}})
+	db.StartBatching(BatchOptions{Exec: QueryOptions{SharedScan: true}})
 	defer db.StopBatching()
 
 	stop := make(chan struct{})
