@@ -11,9 +11,8 @@ import (
 // outright (Invalidated). See DESIGN.md "Incremental cache maintenance".
 type AppendReport = engine.AppendReport
 
-// AppendTableStats is the per-table append health DB.AppendStats (and GET
-// /healthz) reports: the table's current epoch, row count, and refresh lag —
-// cached entries still pending lazy re-derivation after recent appends.
+// AppendTableStats is the per-table append state DB.AppendStats (and GET
+// /healthz) reports: the table's current epoch and row count.
 type AppendTableStats = engine.AppendTableStats
 
 // Append appends rows to a registered base table as a streaming delta.
@@ -66,7 +65,7 @@ func (db *DB) Append(name string, rows [][]Value) (*AppendReport, error) {
 	return rep, nil
 }
 
-// AppendStats reports per-table append epochs and refresh lag for every base
-// table that has seen a streaming append or still has cached entries pending
-// lazy re-derivation. Tables with no append activity are omitted.
+// AppendStats reports the append epoch and row count of every base table
+// that has seen a streaming append. Tables with no append activity are
+// omitted.
 func (db *DB) AppendStats() map[string]AppendTableStats { return db.eng.AppendStats() }

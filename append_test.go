@@ -172,7 +172,7 @@ func TestAppendDifferentialRandomized(t *testing.T) {
 	}
 }
 
-// TestAppendStatsPublicAPI: DB.AppendStats surfaces epoch and refresh lag.
+// TestAppendStatsPublicAPI: DB.AppendStats surfaces epoch and row count.
 func TestAppendStatsPublicAPI(t *testing.T) {
 	base, err := GenerateDataset("lineitem", 800, 9, 0)
 	if err != nil {

@@ -211,7 +211,7 @@ func (c *cacheCollector) Collect(ch chan<- obs.Metric) error {
 
 // appendsCollector owns the streaming-append counters (fed by an append
 // observer onto a private registry) and the legacy "appends" /healthz
-// section (per-table refresh lag).
+// section (per-table epoch and rows).
 type appendsCollector struct {
 	db  *DB
 	reg *obs.Registry
@@ -247,15 +247,13 @@ func (a *appendsCollector) HealthDetail() (string, any, bool) {
 	if len(as) == 0 {
 		return "appends", nil, false
 	}
-	// Refresh lag per appended table: epoch position plus the cached entries
-	// still pending lazy re-derivation from a maintained ancestor.
+	// Epoch position and row count per appended table.
 	ap := make(map[string]any, len(as))
 	for name, st := range as {
 		ap[name] = map[string]any{
-			"version":      st.Version,
-			"delta":        st.Delta,
-			"rows":         st.Rows,
-			"pending_lazy": st.PendingLazy,
+			"version": st.Version,
+			"delta":   st.Delta,
+			"rows":    st.Rows,
 		}
 	}
 	return "appends", ap, true

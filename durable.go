@@ -469,21 +469,21 @@ func (db *DB) RecoveryInfo() (RecoveryReport, bool) {
 
 // manifestEnvelope wraps the persisted entries with a CRC32C over their JSON
 // encoding, so a corrupt manifest is detected and discarded as a unit instead
-// of rewarming from garbage, and with the checksum format the entries' sums
-// were computed in.
+// of rewarming from garbage, and with the format the entries' sums were
+// computed in.
 type manifestEnvelope struct {
 	Format  int                   `json:"format"`
 	CRC     string                `json:"crc"`
 	Entries []cache.ManifestEntry `json:"entries"`
 }
 
-// manifestFormat is the checksum format of the manifests this build writes.
-// Format 2 fingerprints hash measure column values (see cache.ChecksumTable);
-// earlier manifests carry no format field and checksums no recomputation can
-// reproduce. Rewarming one would quarantine — permanently bar — every key it
-// names, so a manifest of any other format is discarded whole instead: a cold
-// cache, not a poisoned one.
-const manifestFormat = 2
+// manifestFormat is the format of the manifests this build writes.
+// Format 3 records each entry's fingerprint, the hash every cache hit
+// verifies (see cache.ChecksumTable); earlier formats carry checksums no
+// recomputation in this build reproduces. Rewarming one would quarantine —
+// permanently bar — every key it names, so a manifest of any other format
+// is discarded whole instead: a cold cache, not a poisoned one.
+const manifestFormat = 3
 
 var manifestCRC = crc32.MakeTable(crc32.Castagnoli)
 
@@ -539,11 +539,11 @@ func decodeManifest(data []byte) ([]cache.ManifestEntry, bool) {
 }
 
 // rewarmCache recomputes every manifest entry whose epoch matches the
-// recovered catalog, through the normal engine path (admission, checksum, and
-// lattice machinery run exactly as live), then verifies the admitted entry's
-// checksum against the manifest. A mismatch means the recovered state cannot
-// reproduce what the pre-crash process cached — the key is quarantined, never
-// served.
+// recovered catalog, through the normal engine path (admission, fingerprint
+// and lattice machinery run exactly as live), then compares the admitted
+// entry's fingerprint with the one the manifest recorded. A mismatch means
+// the recovered state cannot reproduce what the pre-crash process cached —
+// the key is quarantined, never served.
 func (db *DB) rewarmCache(rep *RecoveryReport) {
 	c := db.eng.ResultCache()
 	if c == nil {

@@ -45,7 +45,7 @@ func durableRows(start, n int) [][]Value {
 }
 
 // tableBytes fingerprints a table's full logical content: column names, the
-// packed row-major code image and measure values (the cache's checksum).
+// packed row-major code image and measure values (the cache's fingerprint).
 // Byte-identical recovery means equal hashes.
 func tableBytes(t *testing.T, tb *Table) uint64 {
 	t.Helper()
@@ -653,8 +653,9 @@ func TestRegisterDurableSurfacesSnapshotFailure(t *testing.T) {
 // never panic; it may accept only a manifest of this build's format whose
 // CRC matches its entries — an older format or a bad CRC is discarded — and
 // what it accepts must re-encode as writeManifest writes it and decode back
-// equal. Seeds (testdata/fuzz/FuzzManifest): a current manifest, one from
-// before the format field, and one whose CRC does not match.
+// equal. Seeds (testdata/fuzz/FuzzManifest): a current manifest, one of the
+// previous format, one from before the format field, and one whose CRC does
+// not match.
 func FuzzManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, ok := decodeManifest(data)
@@ -682,7 +683,7 @@ func FuzzManifest(f *testing.F) {
 
 // TestManifestSeeds pins the verdict on each checked-in manifest seed.
 func TestManifestSeeds(t *testing.T) {
-	for name, want := range map[string]bool{"format2": true, "format1_no_format_field": false, "crc_mismatch": false} {
+	for name, want := range map[string]bool{"format3": true, "format2": false, "format1_no_format_field": false, "crc_mismatch": false} {
 		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzManifest", name))
 		if err != nil {
 			t.Fatal(err)

@@ -25,10 +25,9 @@
 package cache
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -116,7 +115,7 @@ type Stats struct {
 	// Refreshes counts entries Publish rolled forward to a new append epoch
 	// by delta maintenance instead of being invalidated.
 	Refreshes int64
-	// Corruptions counts hits whose stored checksum no longer matched the
+	// Corruptions counts hits whose stored fingerprint no longer matched the
 	// entry's bytes; each one evicted and quarantined the entry instead of
 	// serving a corrupt result.
 	Corruptions int64
@@ -133,9 +132,6 @@ type Stats struct {
 type Config struct {
 	// MaxBytes is the byte budget for resident entries (required, > 0).
 	MaxBytes int64
-	// MinBenefitPerByte rejects candidates whose amortized benefit density
-	// falls below this floor (0 admits everything that fits).
-	MinBenefitPerByte float64
 }
 
 // entry is one cached result.
@@ -184,7 +180,7 @@ type Cache struct {
 	// (insertLocked) and every removal counts out (evictLocked). Guarded by mu.
 	epochs map[string]map[epoch]int
 
-	// quarantined marks keys whose entries failed checksum verification;
+	// quarantined marks keys whose entries failed fingerprint verification;
 	// they are never re-admitted (whatever produced the corruption — a stray
 	// write through a shared slice, a buggy operator — would poison the same
 	// bytes again). Guarded by mu.
@@ -195,12 +191,11 @@ type Cache struct {
 
 	clock atomic.Uint64
 
-	hits, ancHits, misses          atomic.Int64
-	admissions, rejections         atomic.Int64
-	evictions, invalidations       atomic.Int64
-	refreshes                      atomic.Int64
-	corruptions                    atomic.Int64
-	flightLeads, flightSharedCalls atomic.Int64
+	hits, ancHits, misses    atomic.Int64
+	admissions, rejections   atomic.Int64
+	evictions, invalidations atomic.Int64
+	refreshes                atomic.Int64
+	corruptions              atomic.Int64
 
 	flight flightGroup
 }
@@ -270,30 +265,6 @@ func (c *Cache) quarantine(key Key, e *entry) {
 	c.evictLocked(e)
 	c.quarantined[key] = true
 	c.corruptions.Add(1)
-}
-
-// checksumTable is the manifest's checksum of a cached table: FNV-64a over
-// the column names, the row-major scan image, and each measure column's value
-// slice — a measure column's codes only say which rows are NULL (see
-// table.MeasureColumn), so its values must be hashed for the checksum to see
-// an aggregate at all. The image is built lazily and cached by the table, and
-// every entry's image is forced before it is installed, so hashing a resident
-// reads stable bytes. Only the manifest reads it (see sumOf); hits verify
-// the cheaper fingerprint.
-func checksumTable(t *table.Table) uint64 {
-	h := fnv.New64a()
-	for i := 0; i < t.NumCols(); i++ {
-		io.WriteString(h, t.Col(i).Name())
-		h.Write([]byte{0})
-	}
-	img, _ := t.RowImage()
-	h.Write(img)
-	for i := 0; i < t.NumCols(); i++ {
-		if c := t.Col(i); c.Measure() {
-			h.Write(binary.LittleEndian.AppendUint64(nil, foldMeasure(c)))
-		}
-	}
-	return h.Sum64()
 }
 
 // fingerprint is the hash a hit is verified against: the column names, the
@@ -472,21 +443,6 @@ func foldBytes[B string | []byte](h uint64, b B) uint64 {
 	return mixWord(mixWord(h, tail), uint64(n))
 }
 
-// foldMeasure hashes a measure column's dictionary values a 64-bit word at a
-// time — an xor-multiply-xorshift step per value. The manifest checksum
-// folds it in.
-func foldMeasure(c *table.Column) uint64 {
-	ints, floats := c.NumericDict()
-	h := uint64(len(ints) + len(floats))
-	for _, v := range ints {
-		h = mixWord(h, uint64(v))
-	}
-	for _, v := range floats {
-		h = mixWord(h, math.Float64bits(v))
-	}
-	return h
-}
-
 func mixWord(h, w uint64) uint64 {
 	h = (h ^ w) * 0xbf58476d1ce4e5b9
 	return h ^ h>>31
@@ -611,7 +567,7 @@ func (c *Cache) Offer(key Key, aggs []exec.Agg, t *table.Table, benefit float64)
 		uses = 1
 	}
 	score := benefit * float64(uses) / float64(bytes)
-	if score < c.cfg.MinBenefitPerByte || !c.roomLocked(bytes, score) {
+	if !c.roomLocked(bytes, score) {
 		c.rejections.Add(1)
 		return false
 	}
@@ -953,8 +909,8 @@ func (c *Cache) Snapshot() Stats {
 		Invalidations: c.invalidations.Load(),
 		Refreshes:     c.refreshes.Load(),
 		Corruptions:   c.corruptions.Load(),
-		FlightLeads:   c.flightLeads.Load(),
-		FlightShared:  c.flightSharedCalls.Load(),
+		FlightLeads:   c.flight.leads.Load(),
+		FlightShared:  c.flight.shared.Load(),
 		Bytes:         bytes,
 		Entries:       entries,
 	}
@@ -962,14 +918,10 @@ func (c *Cache) Snapshot() Stats {
 
 // Do collapses concurrent identical computations: the first caller for key
 // runs fn, concurrent callers for the same key wait and share the outcome.
-func (c *Cache) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
-	val, err, shared = c.flight.do(key, fn)
-	if shared {
-		c.flightSharedCalls.Add(1)
-	} else {
-		c.flightLeads.Add(1)
-	}
-	return val, err, shared
+// Each caller waits under its own ctx: a follower whose ctx ends first gets
+// ctx's error, and a follower whose leader was cancelled leads again.
+func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (val any, err error, shared bool) {
+	return c.flight.do(ctx, key, fn)
 }
 
 // bumpDemand records a request for a not-yet-cached key; the count weights

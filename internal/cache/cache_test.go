@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -422,7 +423,7 @@ func TestDoCollapsesStampede(t *testing.T) {
 	shareds := make([]bool, n)
 	run := func(i int) {
 		defer wg.Done()
-		v, err, shared := c.Do("k", func() (any, error) {
+		v, err, shared := c.Do(context.Background(), "k", func() (any, error) {
 			if computes.Add(1) == 1 {
 				close(computing)
 			}
@@ -483,7 +484,7 @@ func TestDoPanicPropagatesToLeaderAndWaiters(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		leaderVal, leaderErr, _ = c.Do("k", func() (any, error) {
+		leaderVal, leaderErr, _ = c.Do(context.Background(), "k", func() (any, error) {
 			close(entered)
 			<-finish
 			panic("boom")
@@ -492,7 +493,7 @@ func TestDoPanicPropagatesToLeaderAndWaiters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-entered
-		followerVal, followerErr, followerShared = c.Do("k", func() (any, error) { return "late", nil })
+		followerVal, followerErr, followerShared = c.Do(context.Background(), "k", func() (any, error) { return "late", nil })
 	}()
 	// Give the follower a moment to join the in-flight call, then let the
 	// leader panic.
@@ -514,9 +515,73 @@ func TestDoPanicPropagatesToLeaderAndWaiters(t *testing.T) {
 	}
 	// The failed flight must not leave a registered call behind: a fresh Do
 	// computes immediately.
-	v, err, _ := c.Do("k", func() (any, error) { return "fresh", nil })
+	v, err, _ := c.Do(context.Background(), "k", func() (any, error) { return "fresh", nil })
 	if v != "fresh" || err != nil {
 		t.Fatalf("Do after failed flight = (%v, %v)", v, err)
+	}
+}
+
+// TestDoFollowerAnswersToItsContext: a follower waits for the leader or its
+// own context, whichever ends first; a follower whose leader failed because
+// the leader's context ended leads the key again with its own fn.
+func TestDoFollowerAnswersToItsContext(t *testing.T) {
+	c := New(Config{MaxBytes: 1 << 20})
+	lctx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	letGo := func() { releaseOnce.Do(func() { close(release) }) }
+	defer letGo()
+	leader := make(chan error, 1)
+	go func() {
+		_, err, _ := c.Do(lctx, "k", func() (any, error) {
+			close(entered)
+			<-release
+			return nil, lctx.Err()
+		})
+		leader <- err
+	}()
+	<-entered
+
+	fctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	expired := make(chan error, 1)
+	go func() {
+		v, err, shared := c.Do(fctx, "k", func() (any, error) { return "own", nil })
+		if v != nil || shared {
+			t.Errorf("expired follower got (%v, shared=%v), want neither a value nor a share", v, shared)
+		}
+		expired <- err
+	}()
+	select {
+	case err := <-expired:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("expired follower got %v, want its own DeadlineExceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		letGo()
+		t.Fatal("a follower past its deadline is still waiting for its leader")
+	}
+
+	follower := make(chan any, 1)
+	go func() {
+		v, err, _ := c.Do(context.Background(), "k", func() (any, error) { return "own", nil })
+		if err != nil {
+			t.Errorf("live follower: %v", err)
+		}
+		follower <- v
+	}()
+	// Nothing observable marks the follower's join, so give it time to
+	// reach the flight; one that arrives after the leader leads on its own
+	// and gets the same answer.
+	time.Sleep(10 * time.Millisecond)
+	cancelLeader()
+	letGo()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader got %v, want context.Canceled", err)
+	}
+	if v := <-follower; v != "own" {
+		t.Fatalf("live follower got %v, want its own computation", v)
 	}
 }
 

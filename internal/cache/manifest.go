@@ -10,23 +10,24 @@ import (
 )
 
 // This file is the cache's durability surface: a manifest describing the hot
-// resident entries (keys, checksums, and eviction standing) so
+// resident entries (keys, fingerprints, and eviction standing) so
 // a restarted process can rewarm the lattice cache and then *verify* each
-// recomputed result against the checksum the pre-crash process stored. A
+// recomputed result against the fingerprint the pre-crash process stored. A
 // mismatch means the recovered base state diverged — the rewarm path routes it
 // into the same quarantine the live corruption detector uses.
 
-// ChecksumTable computes a result table's manifest checksum exactly as the
-// cache does: FNV-64a over the column names (NUL-separated), the row-major
-// scan image and the measure columns' values. Exported so snapshot
-// verification and manifest rewarm compare against the same checksum.
+// ChecksumTable computes a result table's content hash exactly as the cache
+// does: the fingerprint every hit verifies and the manifest persists, over
+// the column names, the row-major scan image and the measure columns' values.
+// Exported so differential checks and manifest rewarm compare against the
+// same hash.
 func ChecksumTable(t *table.Table) uint64 {
-	return checksumTable(t)
+	return fingerprint(t)
 }
 
 // ManifestEntry describes one resident entry for persistence: everything
 // needed to recompute it after restart (key + aggregate list) plus the
-// checksum it must reproduce and the eviction standing it had earned.
+// fingerprint it must reproduce and the eviction standing it had earned.
 type ManifestEntry struct {
 	Table   string     `json:"table"`
 	Version uint64     `json:"version"`
@@ -34,17 +35,17 @@ type ManifestEntry struct {
 	Set     uint64     `json:"set"`
 	AggSig  string     `json:"agg_sig"`
 	Aggs    []exec.Agg `json:"aggs"`
-	// Sum is the entry's checksum rendered as 16 hex digits (uint64 exceeds
-	// JSON number precision).
+	// Sum is the entry's fingerprint rendered as 16 hex digits (uint64
+	// exceeds JSON number precision).
 	Sum     string  `json:"sum"`
 	Benefit float64 `json:"benefit"`
 	Uses    int64   `json:"uses"`
 }
 
 // Manifest lists the resident entries, most valuable first by eviction score,
-// for persistence alongside a snapshot. Each entry's checksum is computed
-// here, outside the lock, after its fingerprint is verified: an entry whose
-// bytes changed since admission is quarantined and left out.
+// for persistence alongside a snapshot. Each entry's fingerprint is verified
+// here, outside the lock: an entry whose bytes changed since admission is
+// quarantined and left out.
 func (c *Cache) Manifest() []ManifestEntry {
 	if c == nil {
 		return nil
@@ -82,7 +83,7 @@ func (c *Cache) Manifest() []ManifestEntry {
 	return out
 }
 
-// sumOf computes e's manifest checksum after verifying its fingerprint. A
+// sumOf returns e's fingerprint after verifying it against e's bytes. A
 // mismatch takes the one-way door a corrupt hit takes — the entry is evicted
 // and its key quarantined — and reports false.
 func (c *Cache) sumOf(e *entry) (uint64, bool) {
@@ -90,7 +91,7 @@ func (c *Cache) sumOf(e *entry) (uint64, bool) {
 		c.quarantine(e.key, e)
 		return 0, false
 	}
-	return checksumTable(e.tbl), true
+	return e.fp, true
 }
 
 // Key reconstructs the cache key a manifest entry describes.
@@ -99,8 +100,8 @@ func (m ManifestEntry) CacheKey() Key {
 		Set: colset.Set(m.Set), AggSig: m.AggSig}
 }
 
-// SumOf returns the manifest checksum of a resident entry, computed as
-// Manifest computes it; a corrupt entry is quarantined and reports false.
+// SumOf returns the verified fingerprint of a resident entry, as Manifest
+// records it; a corrupt entry is quarantined and reports false.
 func (c *Cache) SumOf(key Key) (uint64, bool) {
 	if c == nil {
 		return 0, false
@@ -116,8 +117,9 @@ func (c *Cache) SumOf(key Key) (uint64, bool) {
 
 // ForceQuarantine evicts key (if resident) and permanently bars it from
 // re-admission, counting a corruption. The rewarm path uses it when a
-// recomputed entry's checksum contradicts the manifest: the result cannot be
-// trusted, so it takes the same one-way door a live checksum mismatch does.
+// recomputed entry's fingerprint contradicts the manifest: the result cannot
+// be trusted, so it takes the same one-way door a live fingerprint mismatch
+// does.
 // Returns whether the key was resident when quarantined.
 func (c *Cache) ForceQuarantine(key Key) bool {
 	if c == nil {

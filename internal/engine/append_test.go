@@ -114,7 +114,7 @@ func TestAppendFinestAncestorLazyDrop(t *testing.T) {
 		t.Fatalf("refreshed %d, dropped %d, want 1/1", rep.Refreshed, rep.Dropped)
 	}
 	as := e.AppendStats()["lineitem"]
-	if as.Delta != 1 || as.PendingLazy != 1 || as.Rows != 4300 {
+	if as.Delta != 1 || as.Rows != 4300 {
 		t.Fatalf("append stats = %+v", as)
 	}
 
@@ -130,9 +130,6 @@ func TestAppendFinestAncestorLazyDrop(t *testing.T) {
 		t.Fatalf("dropped subset not re-derived from refreshed ancestor: %+v", derived.Report.Cache)
 	}
 	tablesIdentical(t, "lazy re-derivation", derived.Report.Results[sub], cold.Report.Results[sub])
-	if got := e.AppendStats()["lineitem"].PendingLazy; got != 0 {
-		t.Fatalf("pending lazy after re-derivation = %d", got)
-	}
 }
 
 // TestAppendAvgInvalidates: AVG accumulator state is not mergeable across

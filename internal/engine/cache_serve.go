@@ -97,7 +97,6 @@ func (e *Engine) serveSet(req Request, v cacheView, s colset.Set, aggs []exec.Ag
 	if err != nil || t == nil {
 		return nil, OriginComputed, 0, err
 	}
-	e.noteLazyServed(req.Table)
 	return t, OriginCacheAncestor, admissions, nil
 }
 
@@ -206,7 +205,7 @@ func (e *Engine) runCached(req Request) (*RunResult, error) {
 		sub.Sets = missed
 		sub.UseCache = false
 		sub.MemBudget = v.execBudget
-		val, err, shared := e.cache.Do(rkey, func() (any, error) {
+		val, err, shared := e.cache.Do(req.Context, rkey, func() (any, error) {
 			if hits := e.recheckResident(sub, v.ep); hits != nil {
 				return &residualOutcome{resident: hits}, nil
 			}
@@ -400,7 +399,7 @@ func (e *Engine) deriveFromAncestor(req Request, v cacheView, s colset.Set, aggs
 	}
 	key := cache.KeyOf(req.Table, ep.Version, ep.Delta, s, aggs)
 	admissions := 0
-	val, err, shared := e.cache.Do("derive|"+key.String(), func() (any, error) {
+	val, err, shared := e.cache.Do(req.Context, "derive|"+key.String(), func() (any, error) {
 		out, err := e.reaggregate(base, best.Table, s, aggs, req)
 		if err != nil {
 			return nil, err
@@ -451,8 +450,10 @@ func (req Request) AggsFor(s colset.Set) []exec.Agg {
 
 // residualKey canonicalizes everything that determines a residual run's
 // output and side effects, so singleflight only collapses requests that are
-// truly interchangeable. The caller's context is deliberately excluded — the
-// leader's context governs the shared computation.
+// truly interchangeable. The caller's context is deliberately excluded: the
+// leader's context governs the shared computation, each follower waits
+// under its own, and a follower whose leader is cancelled leads again (see
+// cache.Cache.Do).
 func residualKey(req Request, ep catalog.Epoch, missed []colset.Set) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run|%s@v%d.%d|%s|%d|ss%t|par%t|dop%d|mb%d|nr%t|core%t,%t,%t,%t,%d,%g",

@@ -40,15 +40,12 @@ type AppendReport struct {
 	RefreshWall time.Duration
 }
 
-// AppendTableStats is the per-table append/maintenance health surfaced by
-// DB.AppendStats and /healthz: the table's current epoch and its refresh lag
-// (cached entries dropped at the last appends that are still pending lazy
-// re-derivation from a maintained ancestor).
+// AppendTableStats is the per-table append state surfaced by DB.AppendStats
+// and /healthz: the table's current epoch and row count.
 type AppendTableStats struct {
-	Version     uint64 `json:"version"`
-	Delta       uint64 `json:"delta"`
-	Rows        int    `json:"rows"`
-	PendingLazy int    `json:"pending_lazy"`
+	Version uint64 `json:"version"`
+	Delta   uint64 `json:"delta"`
+	Rows    int    `json:"rows"`
 }
 
 // SetAppendObserver installs fn to observe every Append outcome — the hook
@@ -163,14 +160,6 @@ func (e *Engine) append(name string, rows [][]table.Value) (*AppendReport, error
 	rep.TotalRows = next.NumRows()
 	rep.Version, rep.Delta = newEp.Version, newEp.Delta
 	rep.Refreshed, rep.Dropped, rep.Invalidated = pub.Refreshed, pub.Dropped, pub.Invalidated
-	if pub.Dropped > 0 {
-		e.lazyMu.Lock()
-		if e.pendingLazy == nil {
-			e.pendingLazy = make(map[string]int)
-		}
-		e.pendingLazy[name] += pub.Dropped
-		e.lazyMu.Unlock()
-	}
 	return rep, nil
 }
 
@@ -331,23 +320,8 @@ func rollEntry(r cache.Resident, deltaAgg *table.Table, aggs []exec.Agg) (roll c
 	return r.Roll(merged), true
 }
 
-// noteLazyServed decrements a table's pending-lazy-re-derivation count when a
-// query answers from a cached ancestor — the event that actually repopulates
-// a dropped descendant.
-func (e *Engine) noteLazyServed(name string) {
-	e.lazyMu.Lock()
-	if n, ok := e.pendingLazy[name]; ok {
-		if n <= 1 {
-			delete(e.pendingLazy, name)
-		} else {
-			e.pendingLazy[name] = n - 1
-		}
-	}
-	e.lazyMu.Unlock()
-}
-
-// AppendStats reports per-table append epochs and refresh lag for every
-// registered base table that has seen an append or has pending lazy work.
+// AppendStats reports the append epoch and row count of every registered
+// base table that has seen an append.
 func (e *Engine) AppendStats() map[string]AppendTableStats {
 	out := make(map[string]AppendTableStats)
 	for _, name := range e.cat.TableNames() {
@@ -358,14 +332,10 @@ func (e *Engine) AppendStats() map[string]AppendTableStats {
 		if !ok {
 			continue
 		}
-		e.lazyMu.Lock()
-		pending := e.pendingLazy[name]
-		e.lazyMu.Unlock()
-		if ep.Delta == 0 && pending == 0 {
+		if ep.Delta == 0 {
 			continue
 		}
-		out[name] = AppendTableStats{Version: ep.Version, Delta: ep.Delta,
-			Rows: t.NumRows(), PendingLazy: pending}
+		out[name] = AppendTableStats{Version: ep.Version, Delta: ep.Delta, Rows: t.NumRows()}
 	}
 	return out
 }

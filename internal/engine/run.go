@@ -165,11 +165,6 @@ type Engine struct {
 	// and code backing in place, which is only safe when exactly one append
 	// per lineage runs at a time and always extends the newest snapshot.
 	appendMu sync.Mutex
-	// lazyMu guards pendingLazy, the per-table count of cached entries append
-	// maintenance dropped for lazy re-derivation that have not yet been
-	// re-derived (the /healthz refresh lag).
-	lazyMu      sync.Mutex
-	pendingLazy map[string]int
 	// appendObs, when set, observes every Append outcome (see
 	// SetAppendObserver). Atomic for the same reason as runObs.
 	appendObs atomic.Pointer[func(*AppendReport, error)]

@@ -10,7 +10,7 @@ type metrics struct {
 	probeAnswers  *obs.Counter
 	dedup         *obs.Counter
 	rejected      *obs.Counter
-	conflicts     *obs.Counter
+	followUps     *obs.Counter
 	batches       *obs.Counter
 	batchRequests *obs.Counter
 	abandoned     *obs.Counter
@@ -37,14 +37,14 @@ func newMetrics(r *obs.Registry) *metrics {
 			"submissions answered by an identical query earlier in their page"),
 		rejected: r.Counter("gbmqo_sched_rejected_total",
 			"submissions rejected because the in-flight bound was reached"),
-		conflicts: r.Counter("gbmqo_sched_agg_conflicts_total",
-			"distinct queries run in a follow-up because their aggregate names conflicted with the merged run"),
+		followUps: r.Counter("gbmqo_sched_follow_up_runs_total",
+			"runs beyond a page's first, one per extra aggregate list of a set"),
 		batches: r.Counter("gbmqo_sched_batches_total",
 			"page runs started"),
 		batchRequests: r.Counter("gbmqo_sched_batched_requests_total",
 			"submissions answered by page runs, duplicates included"),
 		abandoned: r.Counter("gbmqo_sched_abandoned_total",
-			"submissions whose context expired before their run delivered"),
+			"submissions that answered their context's error because it ended during their run"),
 		errors: r.Counter("gbmqo_sched_batch_errors_total",
 			"engine runs that returned an error"),
 		costShared: r.Counter("gbmqo_sched_plan_cost_shared_total",

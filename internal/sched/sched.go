@@ -1,24 +1,27 @@
 // Package sched admits pages of Group By requests and runs each page's
 // misses as one GB-MQO plan. A page — the queries one caller asks together,
-// such as one /query body — is served validate → probe → admit → run: the
-// queries are validated, the probe (the root package probes the result
-// cache) answers what it can, the remaining misses are admitted against the
-// in-flight bound, and they go to the engine at once as one RunFunc call,
-// inheriting its shared scans, result cache, governance and parallelism. The
-// page's queries are the batch the optimizer shares work across; there is no
-// waiting window and no merging across callers — the result cache's
-// singleflight is the only dedup between concurrent callers.
+// such as one /query body — is served validate → probe → admit → run on the
+// caller's goroutine: the queries are validated, the probe (the root package
+// probes the result cache) answers what it can, the remaining misses are
+// admitted against the in-flight bound, and they go to the engine at once as
+// one RunFunc call, inheriting its shared scans, result cache, governance
+// and parallelism. The page's queries are the batch the optimizer shares
+// work across; there is no waiting window and no merging across callers —
+// the result cache's singleflight is the only dedup between concurrent
+// callers.
 //
 // Deadlines: a page runs under its caller's context. When that context
-// expires, the caller gets its context error at once and the run, cancelled
-// with it, stops at its next checkpoint.
+// ends mid-run, the run stops at its next checkpoint (one row block) and
+// every query it had not answered gets the context's error; a run that
+// completed still delivers its answers.
 //
 // Identity: a request's result table is cell-for-cell identical to what a
 // solo run of the same query produces — grouping-set results keep
 // first-appearance row order through shared intermediates (see DESIGN.md
-// "Page admission"). Identical queries within a page share one result, and a
-// set asked with several aggregate lists runs once with their union and
-// answers each request exactly its own columns.
+// "Page admission"). Identical queries within a page share one result. A
+// run asks each set under one aggregate list: a set's second and later
+// lists run as follow-up runs, so every result already is its request's
+// answer.
 package sched
 
 import (
@@ -38,9 +41,9 @@ import (
 )
 
 // RunFunc executes one (possibly multi-query) run: all sets over one base
-// table, with per-set aggregates. The scheduler calls it once per page (plus
-// once per aggregate-conflict follow-up); the root package wires it to
-// engine.Run with the DB's execution options.
+// table, each set with its own aggregate list. The scheduler calls it once
+// per page, plus once per follow-up run for a set asked under several lists;
+// the root package wires it to engine.Run with the DB's execution options.
 type RunFunc func(ctx context.Context, tableName string, sets []colset.Set, perSet map[colset.Set][]exec.Agg) (*engine.RunResult, error)
 
 // ProbeFunc answers a page of requests over one table without a run where it
@@ -228,15 +231,17 @@ func (b *Batcher) Submit(ctx context.Context, q Query) (*table.Table, BatchInfo,
 //   - one admission under the scheduler lock for every remaining request
 //     (none, and no lock, when the probe answered them all); a request the
 //     in-flight bound turns away gets an *OverloadError;
-//   - one run of the admitted requests, started at once: identical queries
-//     share one result, and the distinct ones form one GB-MQO plan.
+//   - one run of the admitted requests on the caller's goroutine, started at
+//     once: identical queries share one result, and the distinct ones form
+//     one GB-MQO plan (a set asked under several aggregate lists adds one
+//     follow-up run per extra list).
 //
 // Each returned table is cell-for-cell identical to a solo run of the same
 // query. A probe that panics or fails with anything but the caller's own
 // context error costs latency, not answers: its requests run as if there
-// were no probe. The run executes under ctx; when ctx expires, every request
-// still waiting answers ctx's error at once. A nil ctx means
-// context.Background().
+// were no probe. The run executes under ctx; when ctx ends mid-run, the run
+// stops at its next checkpoint and its requests answer ctx's error. A nil
+// ctx means context.Background().
 func (b *Batcher) SubmitPage(ctx context.Context, qs []Query) []Answer {
 	if ctx == nil {
 		ctx = context.Background()
@@ -277,9 +282,10 @@ func (b *Batcher) SubmitPage(ctx context.Context, qs []Query) []Answer {
 			return out
 		}
 	}
+	admitted := time.Now()
 	groups, requests := b.admit(qs, out)
 	if requests > 0 {
-		b.runPage(ctx, tbl, groups, requests, out)
+		b.runPage(ctx, tbl, groups, requests, admitted, out)
 	}
 	return out
 }
@@ -468,49 +474,12 @@ func (b *Batcher) observeLatency(d time.Duration) {
 }
 
 // runPage runs the page's admitted groups (requests of them, duplicates
-// included) on their own goroutine and files the answers into out. It
-// returns when the run finishes, or at once when ctx expires: the run shares
-// ctx, so it stops too, and the page's waiting requests answer ctx's error
-// — unless the run's answers raced in first. The run goroutine owns ans until
-// done closes; an abandoned page leaves it to the goroutine and reads none
-// of it.
-func (b *Batcher) runPage(ctx context.Context, tbl string, groups []*group, requests int, out []Answer) {
-	admitted := time.Now()
-	ans := make([]Answer, len(out))
-	done := make(chan struct{})
-	go func() {
-		defer b.wg.Done()
-		defer close(done)
-		b.execute(ctx, tbl, groups, requests, admitted, ans)
-	}()
-	abandoned := false
-	select {
-	case <-done:
-	case <-ctx.Done():
-		select {
-		case <-done:
-		default:
-			abandoned = true
-			b.met.abandoned.Add(float64(requests))
-		}
-	}
-	for _, g := range groups {
-		for _, i := range g.at {
-			if abandoned {
-				out[i].Err = ctx.Err()
-				continue
-			}
-			out[i] = ans[i]
-		}
-	}
-}
-
-// execute is one page run: merge per-set aggregate lists, run the union
-// once, and scatter per-request results into ans. Groups whose aggregates
-// conflict by output name with the merged list run as individual follow-ups
-// (correctness over sharing for pathological names). A panic anywhere below
-// is contained: every request of the page answers ErrBatchAborted.
-func (b *Batcher) execute(ctx context.Context, tbl string, groups []*group, requests int, admitted time.Time, ans []Answer) {
+// included) on the caller's goroutine under ctx and files the answers into
+// out. Each run asks a set under one aggregate list: the first run carries
+// every set's first list in page order, and a set's later lists run as
+// follow-ups (see rounds). A panic anywhere below is contained: every
+// request of the page answers ErrBatchAborted.
+func (b *Batcher) runPage(ctx context.Context, tbl string, groups []*group, requests int, admitted time.Time, out []Answer) {
 	start := time.Now()
 	info := BatchInfo{BatchQueries: len(groups), BatchRequests: requests, QueueWait: start.Sub(admitted)}
 	b.met.batches.Inc()
@@ -524,6 +493,7 @@ func (b *Batcher) execute(ctx context.Context, tbl string, groups []*group, requ
 		b.inFlight -= requests
 		b.met.queueLen.Set(float64(b.inFlight))
 		b.mu.Unlock()
+		b.wg.Done()
 		if pnc == nil {
 			return
 		}
@@ -532,21 +502,40 @@ func (b *Batcher) execute(ctx context.Context, tbl string, groups []*group, requ
 		err := fmt.Errorf("%w: %v", ErrBatchAborted, pnc)
 		for _, g := range groups {
 			for _, i := range g.at {
-				ans[i] = Answer{Err: err, Info: info}
+				out[i] = Answer{Err: err, Info: info}
 			}
 		}
 	}()
 	exec.Testing.Fire("sched.run")
 
-	shared, solos := mergeAggs(groups)
-	b.met.conflicts.Add(float64(len(solos)))
-	res, err := b.run(ctx, tbl, shared.sets, shared.perSet)
-	b.scatter(info, shared.groups, res, err, shared.perSet, ans)
-	for _, g := range solos {
-		perSet := map[colset.Set][]exec.Agg{g.set: g.aggs}
-		res, err := b.run(ctx, tbl, []colset.Set{g.set}, perSet)
-		b.scatter(info, []*group{g}, res, err, perSet, ans)
+	runs := rounds(groups)
+	b.met.followUps.Add(float64(len(runs) - 1))
+	for _, run := range runs {
+		sets := make([]colset.Set, len(run))
+		perSet := make(map[colset.Set][]exec.Agg, len(run))
+		for i, g := range run {
+			sets[i], perSet[g.set] = g.set, g.aggs
+		}
+		res, err := b.run(ctx, tbl, sets, perSet)
+		b.scatter(ctx, info, run, res, err, out)
 	}
+}
+
+// rounds splits the page's groups into runs that ask each set once: run k
+// carries the k-th distinct aggregate list of every set that has one, in
+// page order.
+func rounds(groups []*group) [][]*group {
+	var runs [][]*group
+	lists := make(map[colset.Set]int, len(groups))
+	for _, g := range groups {
+		k := lists[g.set]
+		lists[g.set] = k + 1
+		if k == len(runs) {
+			runs = append(runs, nil)
+		}
+		runs[k] = append(runs[k], g)
+	}
+	return runs
 }
 
 // Close stops admissions, waits for the runs in flight, and rejects
@@ -561,8 +550,8 @@ func (b *Batcher) Close() {
 // Drain is graceful shutdown under a deadline: stop admissions (submissions
 // get ErrDraining) and wait for the runs in flight until ctx expires.
 // Returns nil when every run finished, or ctx's error when the deadline cut
-// the wait short — those runs then finish in the background and answer any
-// caller still waiting. After Drain the batcher is closed either way. A nil
+// the wait short — those runs then finish on their callers' goroutines and
+// answer them. After Drain the batcher is closed either way. A nil
 // ctx waits without a deadline.
 func (b *Batcher) Drain(ctx context.Context) error {
 	b.mu.Lock()
@@ -605,7 +594,9 @@ func (b *Batcher) Draining() bool {
 // Stats is a point-in-time snapshot of scheduler activity (tests and the
 // CLI; the full series live in the obs registry). Submitted counts every
 // admitted submission, ProbeAnswers the ones the probe answered without a
-// run, Batches the page runs, and QueueLen the queries in flight.
+// run, Batches the page runs, FollowUps the extra runs for sets asked under
+// several aggregate lists, Abandoned the submissions that answered their
+// context's error after their run began, and QueueLen the queries in flight.
 type Stats struct {
 	Submitted    int64
 	ProbeAnswers int64
@@ -614,7 +605,7 @@ type Stats struct {
 	Rejected     int64
 	Shed         int64
 	Panics       int64
-	Conflicts    int64
+	FollowUps    int64
 	Abandoned    int64
 	QueueLen     int
 	Draining     bool
@@ -633,71 +624,25 @@ func (b *Batcher) Stats() Stats {
 		Rejected:     int64(b.met.rejected.Value()),
 		Shed:         int64(b.met.shed.Value()),
 		Panics:       int64(b.met.panics.Value()),
-		Conflicts:    int64(b.met.conflicts.Value()),
+		FollowUps:    int64(b.met.followUps.Value()),
 		Abandoned:    int64(b.met.abandoned.Value()),
 		QueueLen:     inFlight,
 		Draining:     draining,
 	}
 }
 
-// merged is the page's main run: distinct sets in page order, each with the
-// union of its groups' aggregates.
-type merged struct {
-	sets   []colset.Set
-	perSet map[colset.Set][]exec.Agg
-	groups []*group
-}
-
-// mergeAggs unions aggregate lists per grouping set. Two groups share a set
-// when their aggregate lists are name-compatible (same output name ⇒ same
-// aggregate); a group whose names collide with the union built so far is
-// deferred to a follow-up run.
-func mergeAggs(order []*group) (merged, []*group) {
-	m := merged{perSet: map[colset.Set][]exec.Agg{}}
-	var solos []*group
-	byName := map[colset.Set]map[string]exec.Agg{}
-	for _, g := range order {
-		names := byName[g.set]
-		if names == nil {
-			// First group for this set joins the run as-is.
-			names = make(map[string]exec.Agg, len(g.aggs))
-			for _, a := range g.aggs {
-				names[a.Name] = a
-			}
-			byName[g.set] = names
-			m.sets = append(m.sets, g.set)
-			m.perSet[g.set] = append([]exec.Agg(nil), g.aggs...)
-			m.groups = append(m.groups, g)
-			continue
-		}
-		compatible := true
-		for _, a := range g.aggs {
-			if have, ok := names[a.Name]; ok && have != a {
-				compatible = false
-				break
-			}
-		}
-		if !compatible {
-			solos = append(solos, g)
-			continue
-		}
-		for _, a := range g.aggs {
-			if _, ok := names[a.Name]; !ok {
-				names[a.Name] = a
-				m.perSet[g.set] = append(m.perSet[g.set], a)
-			}
-		}
-		m.groups = append(m.groups, g)
-	}
-	return m, solos
-}
-
-// scatter files one run's outcome into ans at every page position of the
-// given groups, projecting each request back to exactly its own columns
-// when its set carried merged aggregates.
-func (b *Batcher) scatter(info BatchInfo, groups []*group, res *engine.RunResult, err error, perSet map[colset.Set][]exec.Agg, ans []Answer) {
+// scatter files one run's outcome into out at every page position of the
+// given groups. A run that failed after ctx ended answers ctx's error, and
+// its requests count as abandoned.
+func (b *Batcher) scatter(ctx context.Context, info BatchInfo, groups []*group, res *engine.RunResult, err error, out []Answer) {
 	if err != nil {
 		b.met.errors.Inc()
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+			for _, g := range groups {
+				b.met.abandoned.Add(float64(len(g.at)))
+			}
+		}
 	}
 	if res != nil {
 		info.PlanCostShared = res.PlanCostSeq
@@ -715,53 +660,14 @@ func (b *Batcher) scatter(info BatchInfo, groups []*group, res *engine.RunResult
 	for _, g := range groups {
 		a := Answer{Info: info, Err: err}
 		if err == nil {
-			a.Table, a.Info.Origin, a.Err = own(res, g, perSet[g.set])
-		}
-		for k, i := range g.at {
-			ans[i] = a
-			ans[i].Info.Deduped = k > 0
-		}
-	}
-}
-
-// own is a group's answer from its run's result: its set's table narrowed to
-// the group's own aggregates, and the set's origin.
-func own(res *engine.RunResult, g *group, mergedAggs []exec.Agg) (*table.Table, engine.SetOrigin, error) {
-	t := res.Report.Results[g.set]
-	if t == nil {
-		return nil, 0, fmt.Errorf("sched: batch produced no result for %s", g.set)
-	}
-	out, err := projectOwn(t, g.set, g.aggs, mergedAggs)
-	return out, res.Report.Origins[g.set], err
-}
-
-// projectOwn narrows a set's batch result (carrying the merged aggregate
-// union) to one request's own aggregates, preserving row order. When the
-// request's list IS the merged list the table passes through untouched, so
-// the common case adds nothing.
-func projectOwn(t *table.Table, set colset.Set, own, mergedAggs []exec.Agg) (*table.Table, error) {
-	if len(own) == len(mergedAggs) {
-		same := true
-		for i := range own {
-			if own[i] != mergedAggs[i] {
-				same = false
-				break
+			a.Table, a.Info.Origin = res.Report.Results[g.set], res.Report.Origins[g.set]
+			if a.Table == nil {
+				a.Err = fmt.Errorf("sched: run produced no result for %s", g.set)
 			}
 		}
-		if same {
-			return t, nil
+		for k, i := range g.at {
+			out[i] = a
+			out[i].Info.Deduped = k > 0
 		}
 	}
-	ords := make([]int, 0, set.Len()+len(own))
-	for i := 0; i < set.Len(); i++ {
-		ords = append(ords, i) // grouping columns lead the result schema
-	}
-	for _, a := range own {
-		ord := t.ColIndex(a.Name)
-		if ord < 0 {
-			return nil, fmt.Errorf("sched: batch result lacks aggregate %q", a.Name)
-		}
-		ords = append(ords, ord)
-	}
-	return t.Project(t.Name(), ords), nil
 }

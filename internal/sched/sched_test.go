@@ -47,9 +47,8 @@ func fakeResult(sets []colset.Set, perSet map[colset.Set][]exec.Agg) *engine.Run
 	}
 }
 
-// countingRunner counts calls and optionally blocks until released, whatever
-// the run's context says, so a caller's abandonment always precedes the
-// run's answer.
+// countingRunner counts calls and optionally blocks until released or until
+// the run's context ends, as the engine stops at its next checkpoint.
 type countingRunner struct {
 	calls atomic.Int32
 	block chan struct{} // nil = don't block
@@ -62,7 +61,11 @@ func (r *countingRunner) run(ctx context.Context, tbl string, sets []colset.Set,
 		r.ctxCh <- ctx
 	}
 	if r.block != nil {
-		<-r.block
+		select {
+		case <-r.block:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	return fakeResult(sets, perSet), nil
 }
@@ -153,7 +156,7 @@ func TestDedupIdenticalQueries(t *testing.T) {
 }
 
 // TestPerRequestCancellationLeavesBatchRunning: one caller's cancellation
-// answers that caller at once and leaves another caller's run running.
+// stops that caller's run and leaves another caller's run running.
 func TestPerRequestCancellationLeavesBatchRunning(t *testing.T) {
 	r := &countingRunner{block: make(chan struct{})}
 	b := New(r.run, Config{})
@@ -186,39 +189,52 @@ func TestPerRequestCancellationLeavesBatchRunning(t *testing.T) {
 	}
 }
 
-// TestAllAbandonedCancelsBatch: a caller that abandons its page cancels the
-// page's run — no orphaned work — and its queries stay in flight until the
-// run stops.
+// TestAllAbandonedCancelsBatch: a page whose context ends mid-run stops its
+// run at the run's next checkpoint — no orphaned work — and answers ctx.Err()
+// on every query, counted abandoned, with nothing left in flight.
 func TestAllAbandonedCancelsBatch(t *testing.T) {
 	r := &countingRunner{block: make(chan struct{}), ctxCh: make(chan context.Context, 1)}
 	b := New(r.run, Config{})
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	errA := make(chan error, 1)
-	go func() {
-		errA <- b.SubmitPage(ctx, []Query{q(0), q(1)})[1].Err
-	}()
-	bctx := <-r.ctxCh // run started, runner blocked
+	page := make(chan []Answer, 1)
+	go func() { page <- b.SubmitPage(ctx, []Query{q(0), q(1), q(0)}) }()
+	<-r.ctxCh // run started, runner blocked
 	cancel()
-	if err := <-errA; !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v", err)
+	for i, a := range <-page {
+		if !errors.Is(a.Err, context.Canceled) {
+			t.Fatalf("query %d: err = %v, want context.Canceled", i, a.Err)
+		}
 	}
-	select {
-	case <-bctx.Done():
-	case <-time.After(2 * time.Second):
-		t.Fatal("run context not cancelled after its caller abandoned")
+	if st := b.Stats(); st.Abandoned != 3 || st.QueueLen != 0 {
+		t.Fatalf("stats = %+v, want every query abandoned and none in flight", st)
 	}
-	if st := b.Stats(); st.Abandoned != 2 || st.QueueLen != 2 {
-		t.Fatalf("stats = %+v, want both requests abandoned and still in flight", st)
+}
+
+// TestCompletedRunDeliversAfterCancel: a run that completed before its
+// caller looked delivers its answers even though the context has ended.
+func TestCompletedRunDeliversAfterCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	run := func(_ context.Context, tbl string, sets []colset.Set, perSet map[colset.Set][]exec.Agg) (*engine.RunResult, error) {
+		cancel()
+		return fakeResult(sets, perSet), nil
 	}
-	close(r.block)
-	waitFor(t, "the abandoned run to leave flight", func() bool { return b.Stats().QueueLen == 0 })
+	b := New(run, Config{})
+	defer b.Close()
+	for i, a := range b.SubmitPage(ctx, []Query{q(0), q(1)}) {
+		if a.Err != nil || a.Table == nil {
+			t.Fatalf("query %d: %+v, want the completed run's answer", i, a)
+		}
+	}
+	if st := b.Stats(); st.Abandoned != 0 || st.QueueLen != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
 }
 
 // expiresAtAdmission is a cancelled context whose first Err call reports
 // nil, so SubmitPage's up-front context check passes and the page reaches
-// its run with Done already closed: the caller abandons the page before the
-// run goroutine has started.
+// its run with Done already closed: the context ended before the run
+// started.
 type expiresAtAdmission struct {
 	context.Context
 	reads atomic.Int32
@@ -232,9 +248,8 @@ func (c *expiresAtAdmission) Err() error {
 }
 
 // TestAbandonedBeforeRunStarts: a caller whose context expires between the
-// up-front check and the run gets ctx.Err() on every query, the run it
-// leaves behind still files its answers without fault, and nothing stays in
-// flight.
+// up-front check and the run gets ctx.Err() on every query from the run's
+// first checkpoint, without fault, and nothing stays in flight.
 func TestAbandonedBeforeRunStarts(t *testing.T) {
 	run := func(ctx context.Context, tbl string, sets []colset.Set, perSet map[colset.Set][]exec.Agg) (*engine.RunResult, error) {
 		if err := ctx.Err(); err != nil {
@@ -254,9 +269,8 @@ func TestAbandonedBeforeRunStarts(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, "the abandoned runs to leave flight", func() bool { return b.Stats().QueueLen == 0 })
-	if st := b.Stats(); st.Panics != 0 {
-		t.Fatalf("stats = %+v, want no panic", st)
+	if st := b.Stats(); st.Panics != 0 || st.QueueLen != 0 || st.Abandoned != 150 {
+		t.Fatalf("stats = %+v, want no panic, nothing in flight, 150 abandoned", st)
 	}
 }
 
@@ -295,12 +309,17 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-func TestAggregateMergeAndProjection(t *testing.T) {
-	var sawAggs atomic.Int32
+// TestSecondAggListRunsAsFollowUp: a set asked under two aggregate lists
+// runs once per list — every run asks a set under one list, so each answer
+// is its run's result with exactly its own columns — while the other sets
+// ride the first run.
+func TestSecondAggListRunsAsFollowUp(t *testing.T) {
+	var mu sync.Mutex
+	var runs []map[colset.Set][]exec.Agg
 	run := func(ctx context.Context, tbl string, sets []colset.Set, perSet map[colset.Set][]exec.Agg) (*engine.RunResult, error) {
-		if len(sets) == 1 {
-			sawAggs.Store(int32(len(perSet[sets[0]])))
-		}
+		mu.Lock()
+		runs = append(runs, perSet)
+		mu.Unlock()
 		return fakeResult(sets, perSet), nil
 	}
 	b := New(run, Config{})
@@ -308,21 +327,22 @@ func TestAggregateMergeAndProjection(t *testing.T) {
 	set := colset.Of(2)
 	qa := Query{Table: "t", Set: set, Aggs: []exec.Agg{exec.CountStar()}}
 	qb := Query{Table: "t", Set: set, Aggs: []exec.Agg{{Kind: exec.AggSum, Col: 5, Name: "sum_x"}}}
-	out := b.SubmitPage(nil, []Query{qa, qb})
-	// Same set + compatible names: two distinct queries, one run carrying
-	// both aggregates, each answer projected back to its own columns.
-	if got := sawAggs.Load(); got != 2 {
-		t.Fatalf("merged run saw %d aggs, want 2 (union)", got)
+	out := b.SubmitPage(nil, []Query{qa, q(3), qb})
+	if len(runs) != 2 || len(runs[0]) != 2 || len(runs[1]) != 1 || len(runs[1][set]) != 1 {
+		t.Fatalf("runs = %v, want the page run of two sets and one follow-up of the second list", runs)
 	}
-	ta, tb := out[0].Table, out[1].Table
-	if ta == nil || tb == nil {
-		t.Fatalf("missing results: %v, %v", out[0].Err, out[1].Err)
+	ta, tb := out[0].Table, out[2].Table
+	if ta == nil || tb == nil || out[1].Err != nil {
+		t.Fatalf("missing results: %v, %v, %v", out[0].Err, out[1].Err, out[2].Err)
 	}
 	if ta.NumCols() != 2 || ta.ColIndex("cnt") < 0 || ta.ColIndex("sum_x") >= 0 {
 		t.Fatalf("qa columns = %v, want [c2 cnt]", ta.ColNames())
 	}
 	if tb.NumCols() != 2 || tb.ColIndex("sum_x") < 0 || tb.ColIndex("cnt") >= 0 {
 		t.Fatalf("qb columns = %v, want [c2 sum_x]", tb.ColNames())
+	}
+	if st := b.Stats(); st.Batches != 1 || st.FollowUps != 1 {
+		t.Fatalf("stats = %+v, want one page run with one follow-up", st)
 	}
 }
 
@@ -331,8 +351,8 @@ func TestAggregateNameConflictRunsSolo(t *testing.T) {
 	b := New(r.run, Config{})
 	defer b.Close()
 	set := colset.Of(1)
-	// Same output name "v", different aggregate: cannot share one result
-	// schema — the second query runs in a follow-up.
+	// Same output name "v", different aggregate: the second list runs in a
+	// follow-up, as every second list of a set does.
 	qa := Query{Table: "t", Set: set, Aggs: []exec.Agg{{Kind: exec.AggMin, Col: 3, Name: "v"}}}
 	qb := Query{Table: "t", Set: set, Aggs: []exec.Agg{{Kind: exec.AggMax, Col: 3, Name: "v"}}}
 	for i, a := range b.SubmitPage(nil, []Query{qa, qb}) {
@@ -341,9 +361,9 @@ func TestAggregateNameConflictRunsSolo(t *testing.T) {
 		}
 	}
 	if got := r.calls.Load(); got != 2 {
-		t.Fatalf("runner called %d times, want 2 (main run + conflict follow-up)", got)
+		t.Fatalf("runner called %d times, want 2 (page run + follow-up)", got)
 	}
-	if st := b.Stats(); st.Conflicts != 1 || st.Batches != 1 {
+	if st := b.Stats(); st.FollowUps != 1 || st.Batches != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -275,8 +275,9 @@ func (db *DB) BreakerStates() []BreakerSnapshot {
 // engine.Engine.Probe for when that probe steps aside. Concurrent identical
 // requests share one computation through the cache's singleflight.
 //
-// The run executes under ctx: when ctx expires the call returns ctx.Err()
-// at once and the run is cancelled. q.Cols must be non-empty — grand totals
+// The run executes on the caller's goroutine under ctx: when ctx ends
+// mid-run the call returns ctx.Err() at the run's next checkpoint, one row
+// block, as Execute does. q.Cols must be non-empty — grand totals
 // have no grouping columns to share and go through Query. Submit starts the
 // scheduler with default BatchOptions if StartBatching was not called.
 func (db *DB) Submit(ctx context.Context, tableName string, q GroupQuery) (*Table, BatchInfo, error) {
@@ -291,7 +292,7 @@ func (db *DB) Submit(ctx context.Context, tableName string, q GroupQuery) (*Tabl
 // result cache answers every hit and ancestor roll-up, and the misses run at
 // once as one GB-MQO plan, identical queries computed once. A query whose
 // columns do not resolve answers its own error and does not hold up the
-// others. ctx bounds the whole page's wait.
+// others. ctx governs the whole page, run included (see Submit).
 func (db *DB) SubmitPage(ctx context.Context, tableName string, qs []GroupQuery) []PageAnswer {
 	t, ok := db.eng.Catalog().Table(tableName)
 	if !ok {

@@ -153,9 +153,12 @@ func TestSubmitDifferentialRandomized(t *testing.T) {
 }
 
 // TestSubmitPageDuplicatesAndAggListsMatchSolo: a page that repeats queries
-// and asks one set under two aggregate lists answers every position exactly
-// as a solo ExecuteQueries does — repeats share one table, and each list
-// gets exactly its own columns — through SubmitPage and SubmitSQL alike.
+// and asks one set under several aggregate lists answers every position
+// exactly as a solo ExecuteQueries does — repeats share one table, and each
+// list gets exactly its own columns — through SubmitPage and SubmitSQL
+// alike. The page makes one run per aggregate list of its most-asked set:
+// the page run carries every set's first list, and each further list runs
+// as a follow-up.
 func TestSubmitPageDuplicatesAndAggListsMatchSolo(t *testing.T) {
 	db := openWithLineitem(t, 5000)
 	db.StartBatching(BatchOptions{Exec: QueryOptions{SharedScan: true}})
@@ -163,33 +166,50 @@ func TestSubmitPageDuplicatesAndAggListsMatchSolo(t *testing.T) {
 	sumQty := Agg{Kind: AggSum, Col: 4, Name: "sum_qty"}
 	minQty := Agg{Kind: AggMin, Col: 4, Name: "min_qty"}
 	otherMin := Agg{Kind: AggMax, Col: 4, Name: "min_qty"} // same name, another aggregate
-	queries := []GroupQuery{
-		{Cols: []string{"l_shipmode"}},
-		{Cols: []string{"l_shipmode"}, Aggs: []Agg{sumQty, minQty}},
-		{Cols: []string{"l_returnflag", "l_linestatus"}},
-		{Cols: []string{"l_shipmode"}},
-		{Cols: []string{"l_shipmode"}, Aggs: []Agg{minQty}},
-		{Cols: []string{"l_shipmode"}, Aggs: []Agg{otherMin}},
-		{Cols: []string{"l_shipmode"}, Aggs: []Agg{sumQty, minQty}},
-	}
-	want := soloReference(t, db, queries)
-	before, _ := db.BatchStats()
-	page := db.SubmitPage(context.Background(), "lineitem", queries)
-	after, _ := db.BatchStats()
-	for i, a := range page {
-		if a.Err != nil {
-			t.Fatalf("query %d: %v", i, a.Err)
+	for _, tc := range []struct {
+		name              string
+		queries           []GroupQuery
+		distinct, repeats int
+		followUps         int64
+		deduped           map[int]int // repeat position → first position
+	}{
+		{"two lists", []GroupQuery{
+			{Cols: []string{"l_shipmode"}},
+			{Cols: []string{"l_returnflag", "l_linestatus"}},
+			{Cols: []string{"l_shipmode"}, Aggs: []Agg{sumQty}},
+		}, 3, 3, 1, nil},
+		{"four lists with a name collision", []GroupQuery{
+			{Cols: []string{"l_shipmode"}},
+			{Cols: []string{"l_shipmode"}, Aggs: []Agg{sumQty, minQty}},
+			{Cols: []string{"l_returnflag", "l_linestatus"}},
+			{Cols: []string{"l_shipmode"}},
+			{Cols: []string{"l_shipmode"}, Aggs: []Agg{minQty}},
+			{Cols: []string{"l_shipmode"}, Aggs: []Agg{otherMin}},
+			{Cols: []string{"l_shipmode"}, Aggs: []Agg{sumQty, minQty}},
+		}, 5, 7, 3, map[int]int{3: 0, 6: 1}},
+	} {
+		want := soloReference(t, db, tc.queries)
+		before, _ := db.BatchStats()
+		page := db.SubmitPage(context.Background(), "lineitem", tc.queries)
+		after, _ := db.BatchStats()
+		for i, a := range page {
+			if a.Err != nil {
+				t.Fatalf("%s: query %d: %v", tc.name, i, a.Err)
+			}
+			sameTable(t, fmt.Sprintf("%s: query %d (%v %v)", tc.name, i, tc.queries[i].Cols, tc.queries[i].Aggs), a.Table, want[i])
+			_, repeat := tc.deduped[i]
+			if a.Info.BatchQueries != tc.distinct || a.Info.BatchRequests != tc.repeats || a.Info.Deduped != repeat {
+				t.Fatalf("%s: query %d: info %+v, want %d distinct of %d, repeats deduped", tc.name, i, a.Info, tc.distinct, tc.repeats)
+			}
 		}
-		sameTable(t, fmt.Sprintf("query %d (%v %v)", i, queries[i].Cols, queries[i].Aggs), a.Table, want[i])
-		if a.Info.BatchQueries != 5 || a.Info.BatchRequests != 7 || a.Info.Deduped != (i == 3 || i == 6) {
-			t.Fatalf("query %d: info %+v, want 5 distinct of 7, repeats deduped", i, a.Info)
+		for i, first := range tc.deduped {
+			if page[i].Table != page[first].Table {
+				t.Fatalf("%s: repeated query %d did not share query %d's table", tc.name, i, first)
+			}
 		}
-	}
-	if page[0].Table != page[3].Table || page[1].Table != page[6].Table {
-		t.Fatal("repeated queries did not share one result table")
-	}
-	if after.Batches-before.Batches != 1 || after.Conflicts-before.Conflicts != 1 {
-		t.Fatalf("stats moved %+v → %+v, want one page run with one name-conflict follow-up", before, after)
+		if after.Batches-before.Batches != 1 || after.FollowUps-before.FollowUps != tc.followUps {
+			t.Fatalf("%s: stats moved %+v → %+v, want one page run with %d follow-ups", tc.name, before, after, tc.followUps)
+		}
 	}
 
 	const stmt = `SELECT l_shipmode, l_linestatus, COUNT(*), MIN(l_quantity) AS mn FROM lineitem
