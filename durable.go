@@ -223,7 +223,7 @@ func OpenDurable(dataDir string, cfg *Config, dopts *DurabilityOptions) (*DB, *R
 
 	rep.Wall = time.Since(start)
 	d.recovery = *rep
-	_ = db.obs.RegisterCollector(&durabilityCollector{db: db})
+	db.obs.Sample(d.emit)
 	return db, rep, nil
 }
 

@@ -244,7 +244,6 @@ func Open(cfg *Config) *DB {
 		db.eng.SetCache(cache.New(cache.Config{MaxBytes: c.CacheBytes}))
 	}
 	db.registerMetrics()
-	obs.PublishExpvar(db.obs)
 	return db
 }
 

@@ -1,8 +1,9 @@
 // Package catalog is the runtime registry tying together base tables,
 // materialized temporary tables, physical design (indexes) and the statistics
-// service. The engine resolves every table reference through it, and the
-// optimizer's what-if costing registers hypothetical tables here so that
-// queries over not-yet-materialized intermediates can be costed (§3.2.2).
+// service. The engine resolves every table reference through it. The
+// optimizer's what-if costing of not-yet-materialized intermediates (§3.2.2)
+// needs no entry here: cost.Env prices every intermediate from base-table
+// statistics.
 package catalog
 
 import (
@@ -10,30 +11,10 @@ import (
 	"sort"
 	"sync"
 
-	"gbmqo/internal/colset"
 	"gbmqo/internal/index"
 	"gbmqo/internal/stats"
 	"gbmqo/internal/table"
 )
-
-// HypoTable is a what-if hypothetical table: it does not exist, but carries
-// the cardinality and width metadata the cost model needs, exactly like the
-// what-if analysis APIs in commercial optimizers the paper leans on ("these
-// APIs allow us to pretend that a table exists, and has a given cardinality
-// and database statistics").
-type HypoTable struct {
-	Name string
-	// Base is the base relation this hypothetical descends from.
-	Base *table.Table
-	// Set is the grouping column set (ordinals on Base) whose Group By result
-	// this table would hold.
-	Set colset.Set
-	// Rows is the estimated cardinality.
-	Rows float64
-	// RowWidth is the estimated row width in bytes (grouping columns plus
-	// aggregate columns).
-	RowWidth float64
-}
 
 // Epoch identifies one observable state of a table's contents. Version is the
 // major counter: it bumps on Register (create or replace) and Drop, i.e. any
@@ -47,14 +28,13 @@ type Epoch struct {
 	Delta   uint64
 }
 
-// Catalog registers tables, indexes and hypothetical tables. All methods are
+// Catalog registers tables and indexes. All methods are
 // safe for concurrent use: queries resolve tables while the append path swaps
 // in new snapshots.
 type Catalog struct {
 	mu      sync.RWMutex
 	tables  map[string]*table.Table
 	indexes map[string][]*index.Index
-	hypos   map[string]*HypoTable
 	stats   *stats.Service
 	// versions counts mutations per table name: every Register (create or
 	// replace) and Drop bumps the counter, so any cached derivation keyed by
@@ -69,7 +49,6 @@ func New(svc *stats.Service) *Catalog {
 	return &Catalog{
 		tables:   make(map[string]*table.Table),
 		indexes:  make(map[string][]*index.Index),
-		hypos:    make(map[string]*HypoTable),
 		stats:    svc,
 		versions: make(map[string]uint64),
 		deltas:   make(map[string]uint64),
@@ -280,26 +259,4 @@ func (c *Catalog) DropIndexes(tableName string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.indexes, tableName)
-}
-
-// RegisterHypo adds or replaces a hypothetical table.
-func (c *Catalog) RegisterHypo(h *HypoTable) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hypos[h.Name] = h
-}
-
-// Hypo resolves a hypothetical table.
-func (c *Catalog) Hypo(name string) (*HypoTable, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	h, ok := c.hypos[name]
-	return h, ok
-}
-
-// DropHypo removes a hypothetical table.
-func (c *Catalog) DropHypo(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.hypos, name)
 }

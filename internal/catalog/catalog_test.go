@@ -111,18 +111,3 @@ func TestTableNamesSorted(t *testing.T) {
 		t.Fatalf("TableNames = %v", names)
 	}
 }
-
-func TestHypoTables(t *testing.T) {
-	c := New(nil)
-	base := newTable("base")
-	h := &HypoTable{Name: "hypo1", Base: base, Set: colset.Of(0), Rows: 42, RowWidth: 16}
-	c.RegisterHypo(h)
-	got, ok := c.Hypo("hypo1")
-	if !ok || got.Rows != 42 {
-		t.Fatal("hypo not resolvable")
-	}
-	c.DropHypo("hypo1")
-	if _, ok := c.Hypo("hypo1"); ok {
-		t.Fatal("dropped hypo still resolvable")
-	}
-}

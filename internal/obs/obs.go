@@ -1,20 +1,23 @@
-// Package obs is the observability registry shared by the server and the
-// CLI: a small set of atomically-updated counters, gauges and histograms that
-// render as Prometheus text exposition format (the layout exporters like
-// wmi_exporter produce) and publish as a single expvar variable. It has no
-// dependency on the rest of the module, so every layer — scheduler, engine,
-// cache, server — can hang its counters here without import cycles.
+// Package obs is the DB's one metrics registry: atomically-updated
+// counters, gauges and histograms, plus a list of sample functions read at
+// scrape time, rendered as Prometheus text exposition format (the layout
+// exporters like wmi_exporter produce) or as a flat name → value map. It has
+// no dependency on the rest of the module, so every layer — scheduler,
+// engine, cache, server — can hang its counters here without import cycles.
 //
 // Concurrency: every metric type is safe for concurrent use. Counter and
 // Gauge are single atomic words; Histogram uses per-bucket atomics; the
-// registry itself takes a mutex only on registration, never on update.
+// registry itself takes a mutex only on registration and to copy its series
+// list at scrape time, never on update. A scrape runs entirely on the
+// calling goroutine: it starts no goroutine and hands nothing over a channel,
+// so a scrape loop on GOMAXPROCS=1 cannot starve the serving path.
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,10 +139,32 @@ func (h *Histogram) Snapshot() *HistSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile of the observed distribution by linear
-// interpolation within the cumulative buckets (see HistSnapshot.Quantile).
-// The estimate's resolution is the bucket width around the target rank.
-func (h *Histogram) Quantile(q float64) float64 { return h.Snapshot().Quantile(q) }
+// HistSnapshot is a point-in-time copy of a histogram: per-bucket counts
+// (non-cumulative, one per bound), the total observation count, and the sum.
+type HistSnapshot struct {
+	Bounds []float64
+	Counts []int64
+	Sum    float64
+	Count  int64
+}
+
+// Metric is one sample of a series: its full name (labels baked in), its
+// family's help text and kind, and either a scalar value or a histogram
+// snapshot. Sample functions emit these.
+type Metric struct {
+	// Name is the full series name, labels included:
+	// `gbmqo_exec_kernel_total{kind="hash"}`.
+	Name string
+	// Help is the family's # HELP text (first series of a family wins).
+	Help string
+	// Kind is the family's # TYPE.
+	Kind Kind
+	// Value carries counter and gauge samples.
+	Value float64
+	// Hist carries histogram samples (Kind == KindHistogram); Value is
+	// ignored when set.
+	Hist *HistSnapshot
+}
 
 // metric is one registered family member (possibly carrying baked-in labels).
 type metric struct {
@@ -149,7 +174,7 @@ type metric struct {
 	counter *Counter
 	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64 // collect-time callback (Func)
+	fn      func() float64 // scrape-time callback (Func)
 }
 
 // family groups series sharing a metric name for single # HELP/# TYPE lines.
@@ -160,18 +185,13 @@ func familyOf(name string) string {
 	return name
 }
 
-// Registry holds the process's metrics. The zero value is not usable; call
-// NewRegistry.
+// Registry holds directly registered series plus the sample functions read
+// at scrape time. The zero value is not usable; call NewRegistry.
 type Registry struct {
-	mu         sync.Mutex
-	metrics    map[string]*metric
-	order      []string
-	collectors []*collectorEntry
-
-	// gatherMu serializes collector gathers; gatherCh is the reusable
-	// buffered sample channel they share (see runCollector).
-	gatherMu sync.Mutex
-	gatherCh chan Metric
+	mu       sync.Mutex
+	metrics  map[string]*metric
+	order    []*metric
+	samplers []func(emit func(Metric))
 }
 
 // NewRegistry creates an empty registry.
@@ -186,7 +206,7 @@ func (r *Registry) register(m *metric) *metric {
 		return have // idempotent: same series resolves to the same metric
 	}
 	r.metrics[m.name] = m
-	r.order = append(r.order, m.name)
+	r.order = append(r.order, m)
 	return m
 }
 
@@ -222,18 +242,69 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return m.hist
 }
 
-// Func registers a collect-time callback series: the value is read fresh on
-// every scrape (how cache residency and cumulative cache counters surface
-// without double bookkeeping).
+// Func registers a scrape-time callback series: the value is read fresh on
+// every scrape (how counters another subsystem already keeps surface without
+// double bookkeeping).
 func (r *Registry) Func(name, help string, kind Kind, fn func() float64) {
 	r.register(&metric{name: name, help: help, kind: kind, fn: fn})
 }
 
-// WritePrometheus renders every series — directly registered ones and every
-// registered collector's gathered samples — in Prometheus text exposition
-// format (text/plain; version 0.0.4), families sorted by name, # HELP and
-// # TYPE emitted once per family (families may span collectors; the first
-// series' help wins).
+// Sample registers fn to be called on every scrape; it emits the series it
+// reads at that moment (a set whose members come and go, like per-breaker
+// gauges, or several series read from one snapshot). fn runs on the
+// scraping goroutine, possibly from several scrapes at once.
+func (r *Registry) Sample(fn func(emit func(Metric))) {
+	r.mu.Lock()
+	r.samplers = append(r.samplers, fn)
+	r.mu.Unlock()
+}
+
+// Emit sends every series to emit: the directly registered ones in
+// registration order (Func callbacks evaluated, histograms snapshotted),
+// then each sample function's. A subsystem that keeps its counters on a
+// registry of its own forwards them by calling Emit from a sample function
+// of the registry that owns the scrape.
+func (r *Registry) Emit(emit func(Metric)) {
+	r.mu.Lock()
+	direct, samplers := slices.Clone(r.order), slices.Clone(r.samplers)
+	r.mu.Unlock()
+	for _, m := range direct {
+		s := Metric{Name: m.name, Help: m.help, Kind: m.kind}
+		switch {
+		case m.hist != nil:
+			s.Hist = m.hist.Snapshot()
+		case m.fn != nil:
+			s.Value = m.fn()
+		case m.counter != nil:
+			s.Value = m.counter.Value()
+		case m.gauge != nil:
+			s.Value = m.gauge.Value()
+		}
+		emit(s)
+	}
+	for _, fn := range samplers {
+		fn(emit)
+	}
+}
+
+// allSeries is one scrape: every emitted series sorted by name, the first
+// emission of a name winning (so a direct series shadows a sampled one).
+func (r *Registry) allSeries() []Metric {
+	var out []Metric
+	seen := map[string]bool{}
+	r.Emit(func(m Metric) {
+		if !seen[m.Name] {
+			seen[m.Name] = true
+			out = append(out, m)
+		}
+	})
+	slices.SortFunc(out, func(a, b Metric) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+// WritePrometheus renders every series in Prometheus text exposition format
+// (text/plain; version 0.0.4), sorted by name, # HELP and # TYPE emitted
+// once per family (the first series' help wins).
 func (r *Registry) WritePrometheus(w io.Writer) {
 	seenFamily := map[string]bool{}
 	for _, m := range r.allSeries() {
@@ -258,9 +329,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 }
 
-// Snapshot returns every series' current value keyed by series name —
-// collector-gathered samples included (histograms contribute name_sum and
-// name_count). This is the expvar shape.
+// Snapshot returns every series' current value keyed by series name
+// (histograms contribute name_sum and name_count).
 func (r *Registry) Snapshot() map[string]float64 {
 	series := r.allSeries()
 	out := make(map[string]float64, len(series))
@@ -282,29 +352,6 @@ func formatFloat(v float64) string {
 		return strconv.FormatInt(int64(v), 10)
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// expvar publication: one process-wide "gbmqo" expvar.Var backed by whichever
-// registry was most recently published. expvar.Publish panics on duplicate
-// names, so the indirection makes PublishExpvar idempotent and re-pointable
-// (tests open many DBs in one process).
-var (
-	expvarOnce sync.Once
-	expvarCur  atomic.Pointer[Registry]
-)
-
-// PublishExpvar exposes the registry under the expvar name "gbmqo" (visible
-// on /debug/vars). Later calls re-point the variable at the new registry.
-func PublishExpvar(r *Registry) {
-	expvarCur.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("gbmqo", expvar.Func(func() any {
-			if cur := expvarCur.Load(); cur != nil {
-				return cur.Snapshot()
-			}
-			return map[string]float64{}
-		}))
-	})
 }
 
 // DurationBuckets are the default latency histogram bounds, in seconds

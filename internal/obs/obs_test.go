@@ -105,15 +105,76 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("e_total", "h").Inc()
-	PublishExpvar(r1)
-	r2 := NewRegistry()
-	r2.Counter("e_total", "h").Add(5)
-	PublishExpvar(r2) // must not panic, re-points the variable
-	if cur := expvarCur.Load(); cur != r2 {
-		t.Fatal("expvar not re-pointed")
+// A sample function's series render beside the direct ones, read fresh on
+// every scrape, and a function that emits nothing adds nothing.
+func TestSampleInScrape(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("direct_total", "direct").Inc()
+	calls := 0
+	r.Sample(func(emit func(Metric)) {
+		calls++
+		emit(Metric{Name: `sampled_gauge{name="a"}`, Help: "sampled", Kind: KindGauge, Value: float64(calls)})
+		emit(Metric{Name: "sampled_hist", Help: "sampled histogram", Kind: KindHistogram,
+			Hist: &HistSnapshot{Bounds: []float64{1}, Counts: []int64{2}, Sum: 1.5, Count: 3}})
+	})
+	r.Sample(func(func(Metric)) {})
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	out := sb.String()
+	for _, want := range []string{
+		"direct_total 1",
+		"# TYPE sampled_gauge gauge",
+		`sampled_gauge{name="a"} 1`,
+		`sampled_hist_bucket{le="1"} 2`,
+		`sampled_hist_bucket{le="+Inf"} 3`,
+		"sampled_hist_sum 1.5",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("scrape missing %q\n%s", want, out)
+		}
+	}
+	if got := r.Snapshot()[`sampled_gauge{name="a"}`]; got != 2 {
+		t.Errorf("second scrape read %v, want the fresh value 2", got)
+	}
+}
+
+func TestDirectSeriesWinCollisions(t *testing.T) {
+	r := NewRegistry()
+	r.Gauge("shared_series", "direct owner").Set(42)
+	r.Sample(func(emit func(Metric)) {
+		emit(Metric{Name: "shared_series", Help: "impostor", Kind: KindGauge, Value: 7})
+	})
+	if got := r.Snapshot()["shared_series"]; got != 42 {
+		t.Errorf("collision: got %v, want direct value 42", got)
+	}
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if n := strings.Count(sb.String(), "\nshared_series "); n != 1 {
+		t.Errorf("series rendered %d times:\n%s", n, sb.String())
+	}
+}
+
+// A subsystem keeps counters on a registry of its own and forwards them
+// through a sample function of the registry that owns the scrape.
+func TestRegistryForwardsThroughSample(t *testing.T) {
+	private := NewRegistry()
+	private.Counter("sub_ops_total", "subsystem ops").Add(5)
+	private.Histogram("sub_latency_seconds", "subsystem latency", []float64{0.1, 1}).Observe(0.05)
+
+	root := NewRegistry()
+	root.Sample(private.Emit)
+	var sb strings.Builder
+	root.WritePrometheus(&sb)
+	out := sb.String()
+	for _, want := range []string{
+		"sub_ops_total 5",
+		`sub_latency_seconds_bucket{le="0.1"} 1`,
+		`sub_latency_seconds_bucket{le="+Inf"} 1`,
+		"sub_latency_seconds_count 1",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("forwarded scrape missing %q\n%s", want, out)
+		}
 	}
 }
 
@@ -123,6 +184,9 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	c := r.Counter("c_total", "h")
 	g := r.Gauge("c_gauge", "h")
 	h := r.Histogram("c_hist", "h", DurationBuckets)
+	r.Sample(func(emit func(Metric)) {
+		emit(Metric{Name: "c_sampled", Help: "h", Kind: KindGauge, Value: c.Value()})
+	})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

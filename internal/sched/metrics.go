@@ -40,13 +40,13 @@ func newMetrics(r *obs.Registry) *metrics {
 		followUps: r.Counter("gbmqo_sched_follow_up_runs_total",
 			"runs beyond a page's first, one per extra aggregate list of a set"),
 		batches: r.Counter("gbmqo_sched_batches_total",
-			"page runs started"),
+			"pages that ran, one per page however many runs it took"),
 		batchRequests: r.Counter("gbmqo_sched_batched_requests_total",
 			"submissions answered by page runs, duplicates included"),
 		abandoned: r.Counter("gbmqo_sched_abandoned_total",
 			"submissions that answered their context's error because it ended during their run"),
 		errors: r.Counter("gbmqo_sched_batch_errors_total",
-			"engine runs that returned an error"),
+			"page and follow-up runs that returned an error, pages aborted by a panic included"),
 		costShared: r.Counter("gbmqo_sched_plan_cost_shared_total",
 			"modeled cost of the shared page plans executed"),
 		costSolo: r.Counter("gbmqo_sched_plan_cost_solo_total",
@@ -54,25 +54,19 @@ func newMetrics(r *obs.Registry) *metrics {
 		shed: r.Counter("gbmqo_sched_shed_total",
 			"submissions rejected by adaptive load shedding (p95 latency over target)"),
 		panics: r.Counter("gbmqo_sched_batch_panics_total",
-			"page runs aborted by a recovered panic"),
+			"pages aborted by a recovered panic"),
 		batchQueries: r.Histogram("gbmqo_sched_batch_queries",
-			"distinct queries per page run", obs.SizeBuckets),
+			"distinct queries per page that ran", obs.SizeBuckets),
 		queueWait: r.Histogram("gbmqo_sched_queue_wait_seconds",
-			"admission-to-run latency, once per page run", obs.DurationBuckets),
+			"admission-to-run latency, once per page that ran", obs.DurationBuckets),
 		execLatency: r.Histogram("gbmqo_sched_batch_exec_seconds",
-			"page run execution time", obs.DurationBuckets),
+			"execution time per page that ran, follow-up runs included", obs.DurationBuckets),
 		queueLen: r.Gauge("gbmqo_sched_queue_len",
 			"queries in flight: admitted and not yet run to completion"),
 		p95: r.Gauge("gbmqo_sched_p95_batch_seconds",
-			"recent p95 page run latency driving the shedding bound"),
+			"p95 execution time of the last 64 pages that ran, driving the shedding bound"),
 		draining: r.Gauge("gbmqo_sched_draining",
 			"1 while the batcher is draining for shutdown"),
 	}
-	// Histogram-derived p95 over the whole run, next to the ring-derived
-	// gbmqo_sched_p95_batch_seconds that drives shedding (which sees only the
-	// most recent 64 runs).
-	r.Func("gbmqo_sched_batch_exec_p95_seconds",
-		"p95 page run latency estimated from the full latency histogram",
-		obs.KindGauge, func() float64 { return m.execLatency.Quantile(0.95) })
 	return m
 }

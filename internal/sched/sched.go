@@ -157,7 +157,7 @@ type Batcher struct {
 	run   RunFunc
 	probe ProbeFunc
 	met   *metrics
-	reg   *obs.Registry // private registry backing met; exposed via Collect
+	reg   *obs.Registry // private registry backing met; exposed via Emit
 
 	mu       sync.Mutex
 	closed   bool
@@ -189,13 +189,10 @@ func New(run RunFunc, cfg Config, probe ...ProbeFunc) *Batcher {
 	return b
 }
 
-// Name implements obs.Collector.
-func (b *Batcher) Name() string { return "sched" }
-
-// Collect implements obs.Collector by forwarding the batcher's private
-// metric registry, so whoever owns the scrape endpoint registers the batcher
-// once instead of threading a shared registry into the scheduler.
-func (b *Batcher) Collect(ch chan<- obs.Metric) error { return b.reg.Collect(ch) }
+// Emit sends the batcher's series to emit, so whoever owns the scrape
+// endpoint forwards them from a sample function instead of threading a
+// shared registry into the scheduler.
+func (b *Batcher) Emit(emit func(obs.Metric)) { b.reg.Emit(emit) }
 
 // group is one distinct (set, aggregate-signature) query of a page and the
 // page positions that asked it, in page order.

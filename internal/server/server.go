@@ -4,8 +4,8 @@
 // misses run as one multi-query plan, and concurrent HTTP clients asking the
 // same grouping share its computation through the result cache.
 // Observability rides along: /metrics exposes the scheduler, cache and
-// governance counters in Prometheus text format, and /debug/vars mirrors
-// them through expvar.
+// governance counters in Prometheus text format, and /debug/vars serves the
+// Go runtime's expvar variables.
 package server
 
 import (
@@ -366,28 +366,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 	}
 	resp := map[string]any{"ok": !draining, "status": status, "tables": len(s.db.Tables())}
-	// Detailed sections come from whichever collectors implement
-	// HealthDetailer — same top-level keys as before the collector refactor
-	// ("batching", "appends", "breakers"), still absent when empty.
+	// Detailed sections ("batching", "appends", "breakers", "durability"),
+	// each absent when it has nothing to report.
 	for key, detail := range s.db.HealthSections() {
 		resp[key] = detail
-	}
-	// Per-collector status: one entry per registered collector with its last
-	// gather outcome and duration, so a subsystem whose Collect fails is
-	// visible here before anyone notices missing series on /metrics.
-	if hs := s.db.CollectorHealth(); len(hs) > 0 {
-		cols := make(map[string]any, len(hs))
-		for _, h := range hs {
-			e := map[string]any{
-				"ok":              h.OK,
-				"last_collect_ms": float64(h.Duration) / float64(time.Millisecond),
-			}
-			if h.Err != "" {
-				e["error"] = h.Err
-			}
-			cols[h.Name] = e
-		}
-		resp["collectors"] = cols
 	}
 	if draining {
 		// 503 while draining: load balancers stop routing, but the body

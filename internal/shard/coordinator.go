@@ -86,7 +86,7 @@ type Coordinator struct {
 	shards   []Shard
 	breakers *fault.Registry // one breaker per shard, named "shard-<i>"
 	met      metrics
-	reg      *obs.Registry // private registry backing met; exposed via Collect
+	reg      *obs.Registry // private registry backing met; exposed via Emit
 
 	// mu guards info and the shard partition tables it describes: gathers
 	// hold the read half end to end (scatter through merge), NoteAppend the
@@ -117,13 +117,9 @@ func New(cat *catalog.Catalog, opts Options) (*Coordinator, error) {
 // Shards reports the shard count.
 func (c *Coordinator) Shards() int { return len(c.shards) }
 
-// Name implements obs.Collector.
-func (c *Coordinator) Name() string { return "shard" }
-
-// Collect implements obs.Collector by forwarding the coordinator's private
-// metric registry (gbmqo_shard_* plus the shard- and hedge-scoped retry
-// series) to whoever owns the scrape endpoint.
-func (c *Coordinator) Collect(ch chan<- obs.Metric) error { return c.reg.Collect(ch) }
+// Emit sends the coordinator's gbmqo_shard_* series to emit, for whoever
+// owns the scrape endpoint to forward from a sample function.
+func (c *Coordinator) Emit(emit func(obs.Metric)) { c.reg.Emit(emit) }
 
 // BreakerStates snapshots every per-shard circuit breaker (named
 // "shard-<i>"), sorted by name.
@@ -386,7 +382,6 @@ func (c *Coordinator) safeRunShard(ctx context.Context, i int, sub engine.Reques
 	}, func(int, error, time.Duration) {
 		o.retries++
 		c.met.retries.Inc()
-		c.met.retriesScoped.Inc()
 	})
 	return o
 }
@@ -449,7 +444,6 @@ func (c *Coordinator) execAttempt(ctx context.Context, i int, req engine.Request
 			exec.Testing.Fire("shard.hedge")
 			hedged = true
 			c.met.hedgesFired.Inc()
-			c.met.retriesHedge.Inc()
 			launch(true)
 			inflight++
 		}
@@ -560,30 +554,24 @@ func (c *Coordinator) NoteAppend(name string, newT *table.Table, ep catalog.Epoc
 	c.met.appends.Inc()
 }
 
-// metrics are the coordinator's gbmqo_shard_* series plus its scoped slices
-// of gbmqo_exec_retries_total. Counter registration is idempotent per series
-// name, so sharing a registry with the DB merges cleanly.
+// metrics are the coordinator's gbmqo_shard_* series.
 type metrics struct {
-	gathers, partials, retries  *obs.Counter
-	hedgesFired, hedgeWins      *obs.Counter
-	retriesScoped, retriesHedge *obs.Counter
-	appends                     *obs.Counter
-	latency                     *obs.Histogram
-	execs, errors               []*obs.Counter
+	gathers, partials, retries *obs.Counter
+	hedgesFired, hedgeWins     *obs.Counter
+	appends                    *obs.Counter
+	latency                    *obs.Histogram
+	execs, errors              []*obs.Counter
 }
 
 func newMetrics(r *obs.Registry, n int) metrics {
-	scopedHelp := "retried attempts by scope: request = engine retry loop, shard = per-shard gather retries, hedge = hedged duplicate shard requests"
 	m := metrics{
-		gathers:       r.Counter("gbmqo_shard_gathers_total", "sharded scatter-gather executions"),
-		partials:      r.Counter("gbmqo_shard_partials_total", "partial results served from surviving shards (AllowPartial)"),
-		retries:       r.Counter("gbmqo_shard_retries_total", "shard-scope retry attempts across all shards"),
-		hedgesFired:   r.Counter("gbmqo_shard_hedges_fired_total", "hedged duplicate shard requests launched against stragglers"),
-		hedgeWins:     r.Counter("gbmqo_shard_hedges_won_total", "hedged duplicates that beat the primary request"),
-		retriesScoped: r.Counter(`gbmqo_exec_retries_total{scope="shard"}`, scopedHelp),
-		retriesHedge:  r.Counter(`gbmqo_exec_retries_total{scope="hedge"}`, scopedHelp),
-		appends:       r.Counter("gbmqo_shard_appends_total", "streaming appends propagated into shard partitions"),
-		latency:       r.Histogram("gbmqo_shard_latency_seconds", "shard execution attempt latency within a gather", obs.DurationBuckets),
+		gathers:     r.Counter("gbmqo_shard_gathers_total", "sharded scatter-gather executions"),
+		partials:    r.Counter("gbmqo_shard_partials_total", "partial results served from surviving shards (AllowPartial)"),
+		retries:     r.Counter("gbmqo_shard_retries_total", "shard-scope retry attempts across all shards"),
+		hedgesFired: r.Counter("gbmqo_shard_hedges_fired_total", "hedged duplicate shard requests launched against stragglers"),
+		hedgeWins:   r.Counter("gbmqo_shard_hedges_won_total", "hedged duplicates that beat the primary request"),
+		appends:     r.Counter("gbmqo_shard_appends_total", "streaming appends propagated into shard partitions"),
+		latency:     r.Histogram("gbmqo_shard_latency_seconds", "shard execution attempt latency within a gather", obs.DurationBuckets),
 	}
 	for i := 0; i < n; i++ {
 		m.execs = append(m.execs, r.Counter(fmt.Sprintf("gbmqo_shard_exec_total{shard=\"%d\"}", i), "shard execution attempts by shard"))

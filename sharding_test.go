@@ -144,8 +144,8 @@ func TestShardingPartialPublicAPI(t *testing.T) {
 }
 
 // TestShardingMetricsSurface: sharded execution must register and move the
-// gbmqo_shard_* series on the DB's registry, and the scoped retry counter
-// family must carry the request/shard/hedge labels.
+// gbmqo_shard_* series on the DB's registry. Shard retries and hedges count
+// only there: gbmqo_exec_retries_total carries the request scope alone.
 func TestShardingMetricsSurface(t *testing.T) {
 	db := openWithLineitem(t, 2000)
 	if err := db.EnableSharding(ShardOptions{Shards: 2}); err != nil {
@@ -162,12 +162,17 @@ func TestShardingMetricsSurface(t *testing.T) {
 		"gbmqo_shard_partials_total",
 		"gbmqo_shard_latency_seconds",
 		`gbmqo_shard_exec_total{shard="0"}`,
+		"gbmqo_shard_retries_total",
+		"gbmqo_shard_hedges_fired_total",
 		`gbmqo_exec_retries_total{scope="request"}`,
-		`gbmqo_exec_retries_total{scope="shard"}`,
-		`gbmqo_exec_retries_total{scope="hedge"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
+		}
+	}
+	for _, scope := range []string{"shard", "hedge"} {
+		if s := `gbmqo_exec_retries_total{scope="` + scope + `"}`; strings.Contains(out, s) {
+			t.Fatalf("metrics output repeats a shard series as %s:\n%s", s, out)
 		}
 	}
 }

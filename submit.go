@@ -3,7 +3,6 @@ package gbmqo
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -370,18 +369,4 @@ func (db *DB) SubmitSQL(ctx context.Context, statement string) (*Table, error) {
 		results[page[i].Set] = a.Table
 	}
 	return sql.Assemble(src, spec, results)
-}
-
-// WriteMetrics writes every metric the DB tracks — scheduler, cache,
-// execution governance — in Prometheus text exposition format. The same
-// series back GET /metrics on the server and expvar under the "gbmqo" key.
-func (db *DB) WriteMetrics(w io.Writer) {
-	db.obs.WritePrometheus(w)
-}
-
-// Metrics snapshots every tracked series as a flat name → value map
-// (histograms appear as <name>_sum and <name>_count). Like CacheStats, the
-// snapshot is safe to take while queries run.
-func (db *DB) Metrics() map[string]float64 {
-	return db.obs.Snapshot()
 }
