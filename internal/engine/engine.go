@@ -109,12 +109,15 @@ type KernelUse struct {
 	Workers int
 	// RehashesAvoided counts grow() doublings the NDV presize skipped.
 	RehashesAvoided int
+	// Wall is the operator's wall time: its scan, aggregation, merge and
+	// emission. The rows of one shared scan each carry the whole scan's wall.
+	Wall time.Duration
 }
 
 // String renders one attribution row.
 func (k KernelUse) String() string {
-	return fmt.Sprintf("%s: %s (%d rows → %d groups, est %.0f, %d workers): %s",
-		k.Node, k.Kernel, k.Rows, k.Groups, k.EstGroups, k.Workers, k.Reason)
+	return fmt.Sprintf("%s: %s (%d rows → %d groups, est %.0f, %d workers, %v): %s",
+		k.Node, k.Kernel, k.Rows, k.Groups, k.EstGroups, k.Workers, k.Wall.Round(time.Microsecond), k.Reason)
 }
 
 // SetOrigin attributes one requested grouping set's result to how it was
@@ -497,7 +500,8 @@ func (r *planRun) hashEstimate(set colset.Set) int64 {
 // dense pick may fall back to hash, and a hash pick to sort aggregation (the
 // budget rung: O(rows) working state). It folds the operators into the
 // report: one read of rows scanned, one query and one attribution row per
-// set, and any budget-forced rung as a degradation.
+// set, and any budget-forced rung as a degradation. Every set's row carries
+// the wall time of the whole read.
 func (r *planRun) groupBy(src *table.Table, sets []colset.Set, queries []exec.MultiQuery, choices []exec.KernelChoice) ([]*table.Table, error) {
 	limited := r.budget.Limit() > 0
 	if limited {
@@ -507,7 +511,9 @@ func (r *planRun) groupBy(src *table.Table, sets []colset.Set, queries []exec.Mu
 	}
 	r.report.RowsScanned += int64(src.NumRows())
 	r.report.QueriesRun += len(queries)
+	start := time.Now()
 	outs, stats, err := exec.GroupByMultiGov(r.gov, src, queries, choices)
+	wall := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
@@ -522,15 +528,16 @@ func (r *planRun) groupBy(src *table.Table, sets []colset.Set, queries []exec.Mu
 		if len(sets) > 1 {
 			ks.Reason = fmt.Sprintf("shared scan of %d sibling queries; %s", len(sets), ks.Reason)
 		}
-		r.noteKernel(set, ks.Kind.String(), src.NumRows(), choices[i].Groups, ks)
+		r.noteKernel(set, ks.Kind.String(), src.NumRows(), choices[i].Groups, wall, ks)
 	}
 	return outs, nil
 }
 
 // noteKernel folds one operator into the report: its attribution row under
-// the kernel name, budget-rejected preferences as kernel-fallback
-// degradations, presize savings, and the parallelism counters.
-func (r *planRun) noteKernel(set colset.Set, kernel string, rows int, est float64, ks exec.KernelStats) {
+// the kernel name with its wall time, budget-rejected preferences as
+// kernel-fallback degradations, presize savings, and the parallelism
+// counters.
+func (r *planRun) noteKernel(set colset.Set, kernel string, rows int, est float64, wall time.Duration, ks exec.KernelStats) {
 	for _, fb := range ks.Fallbacks {
 		r.degrade(DegradeKernelFallback, set, fmt.Sprintf(
 			"%s kernel preferred but %s; fell back to %s", fb.Kind, fb.Detail, kernel))
@@ -544,6 +551,7 @@ func (r *planRun) noteKernel(set colset.Set, kernel string, rows int, est float6
 		EstGroups:       est,
 		Workers:         ks.Workers,
 		RehashesAvoided: ks.RehashesAvoided,
+		Wall:            wall,
 	})
 	r.report.RehashesAvoided += ks.RehashesAvoided
 	if ks.Workers > 1 {
@@ -756,6 +764,7 @@ func (r *planRun) indexed(n *plan.Node) error {
 	ix := r.indexFor(n)
 	cols, aggs, name := n.Set.Columns(), r.aggsFor(n), plan.TempName(n.Set)
 	r.report.QueriesRun++
+	start := time.Now()
 	if countStarOnly(aggs) {
 		r.report.RowsScanned += int64(ix.NumGroups())
 		var out *table.Table
@@ -764,7 +773,7 @@ func (r *planRun) indexed(n *plan.Node) error {
 		} else {
 			out = exec.GroupByIndexPrefixCounts(r.base, ix, cols, name)
 		}
-		r.noteKernel(n.Set, "index-counts", ix.NumGroups(), n.Kernel.Groups, exec.KernelStats{Workers: 1, Groups: out.NumRows(),
+		r.noteKernel(n.Set, "index-counts", ix.NumGroups(), n.Kernel.Groups, time.Since(start), exec.KernelStats{Workers: 1, Groups: out.NumRows(),
 			Reason: fmt.Sprintf("COUNT(*) off index %s boundaries", ix.Name())})
 		return r.deliver(n, renameAggs(out, aggs))
 	}
@@ -773,7 +782,7 @@ func (r *planRun) indexed(n *plan.Node) error {
 	if err != nil {
 		return err
 	}
-	r.noteKernel(n.Set, "index-stream", r.base.NumRows(), n.Kernel.Groups, exec.KernelStats{Workers: 1, Groups: out.NumRows(),
+	r.noteKernel(n.Set, "index-stream", r.base.NumRows(), n.Kernel.Groups, time.Since(start), exec.KernelStats{Workers: 1, Groups: out.NumRows(),
 		Reason: fmt.Sprintf("rows clustered by index %s", ix.Name())})
 	return r.deliver(n, out)
 }

@@ -15,8 +15,8 @@ import (
 
 // TestReportAttributesKernels pins the per-node kernel attribution: a
 // parallel run over a dense-eligible table must record one KernelUse per
-// computed node, pick the dense kernel for at least one base-level node, and
-// annotate the returned plan with the kernel names.
+// computed node with its wall time, pick the dense kernel for at least one
+// base-level node, and annotate the returned plan with the kernel names.
 func TestReportAttributesKernels(t *testing.T) {
 	e, _ := newTestEngine(t, 70000)
 	res, err := e.Run(Request{
@@ -40,7 +40,7 @@ func TestReportAttributesKernels(t *testing.T) {
 		}
 		seen[ku.Node] = ku.Kernel
 		kinds[ku.Kernel]++
-		if ku.Kernel == "" || ku.Rows < 0 {
+		if ku.Kernel == "" || ku.Rows < 0 || ku.Wall <= 0 {
 			t.Errorf("malformed attribution %+v", ku)
 		}
 	}

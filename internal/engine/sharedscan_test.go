@@ -33,7 +33,8 @@ func TestSharedScanResultsIdentical(t *testing.T) {
 }
 
 // TestSharedScanNaiveCollapsesToOneScan: a Naive plan's queries all read the
-// base table, so one shared scan answers them, each on its chosen kernel.
+// base table, so one shared scan answers them, each on its chosen kernel,
+// and each attribution row records that scan's wall time.
 func TestSharedScanNaiveCollapsesToOneScan(t *testing.T) {
 	e, li := newTestEngine(t, 5000)
 	sets := scSets()
@@ -46,10 +47,14 @@ func TestSharedScanNaiveCollapsesToOneScan(t *testing.T) {
 		t.Fatalf("rows scanned = %d, want one base scan (%d)", res.Report.RowsScanned, li.NumRows())
 	}
 	// Sharing the scan keeps each query's kernel pick: the low-NDV sets
-	// index a dense array instead of hashing.
+	// index a dense array instead of hashing. Every row carries the one
+	// scan's wall time.
 	kinds := map[string]int{}
 	for _, ku := range res.Report.Kernels {
 		kinds[ku.Kernel]++
+		if wall := res.Report.Kernels[0].Wall; ku.Wall != wall || wall <= 0 {
+			t.Fatalf("%s: wall %v, want the shared scan's %v (> 0)", ku.Node, ku.Wall, wall)
+		}
 	}
 	if kinds["dense"] == 0 {
 		t.Fatalf("no shared-scan query ran dense: %v", kinds)

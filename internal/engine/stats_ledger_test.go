@@ -49,7 +49,9 @@ func TestAncestorAfterAppendProfilesNothing(t *testing.T) {
 // TestStatsLedgerInterleaving: readers holding the current snapshot and
 // older ones call NDV and CachedNDV while appends advance the lineage. Every
 // answer stays within its own snapshot's rows, and the table keeps one
-// ledger throughout. Run under -race -count=20 in CI.
+// ledger throughout. A ledger exists only once a lookup has made one, so
+// every reader makes its first NDV lookup before the first append. Run under
+// -race -count=20 in CI.
 func TestStatsLedgerInterleaving(t *testing.T) {
 	e := New(stats.NewService(stats.GEE, 500, 1))
 	e.Catalog().Register(datagen.Lineitem(datagen.LineitemOpts{Rows: 4_000, Seed: 42}))
@@ -67,12 +69,15 @@ func TestStatsLedgerInterleaving(t *testing.T) {
 		}
 	}
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
+		ready.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			old, _ := e.Catalog().Table("lineitem")
+			check("first NDV", old, svc.NDV(old, sets[g%len(sets)]))
+			ready.Done()
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -93,6 +98,7 @@ func TestStatsLedgerInterleaving(t *testing.T) {
 			}
 		}(g)
 	}
+	ready.Wait()
 	for i := 0; i < 40; i++ {
 		if _, err := e.Append("lineitem", deltaRows(60, int64(i+1))); err != nil {
 			t.Error(err)

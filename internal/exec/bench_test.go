@@ -105,3 +105,55 @@ func BenchmarkShareSplitSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkGroupByPackedHash times the sequential packed-key hash kernel,
+// presized for the exact group count as the planner's estimate would size
+// it, over grouping sets of the 100k-row lineitem whose group counts run
+// from 2 520 to near-unique: the three ship/commit/receipt dates (a merged
+// node of every round), the dates with l_linestatus (PAIR-10's merge), four
+// two-column sets in between and the near-unique {l_partkey, l_suppkey}.
+// Each set runs under a sweep of sparseMaxSlots caps: cap=0 is the uniform
+// 3/4 load the table had before the load rule, cap=4194304 keeps every table
+// at 1/4, and the caps between place the crossover the shipped cap is taken
+// from (see holds). ns/row, groups and the final slot count are reported.
+// Regenerate with
+//
+//	go test ./internal/exec -run '^$' -bench GroupByPackedHash -benchtime 200x -count 5
+//
+// and record the table in EXPERIMENTS.md.
+func BenchmarkGroupByPackedHash(b *testing.B) {
+	li := benchLineitem(b)
+	dates := []int{datagen.LShipDate, datagen.LCommitDate, datagen.LReceiptDate}
+	sets := [][]int{
+		dates,
+		append([]int{datagen.LLineStatus}, dates...),
+		{datagen.LSuppKey, datagen.LQuantity},
+		{datagen.LPartKey, datagen.LLineNumber},
+		{datagen.LPartKey, datagen.LShipMode},
+		{datagen.LSuppKey, datagen.LShipDate},
+		{datagen.LPartKey, datagen.LSuppKey},
+	}
+	shipped := sparseMaxSlots
+	defer func() { sparseMaxSlots = shipped }()
+	aggs := []Agg{CountStar()}
+	for _, cols := range sets {
+		groups := GroupByHash(li, cols, aggs, "g").NumRows()
+		q := MultiQuery{GroupCols: cols, Aggs: aggs, OutName: "g", SizeHint: groups}
+		for _, cap := range []int{0, 1 << 15, 1 << 16, 1 << 17, 1 << 18, groupHashMaxPresize} {
+			sparseMaxSlots = cap
+			b.Run(fmt.Sprintf("groups=%d/cap=%d", groups, cap), func(b *testing.B) {
+				var slots int
+				for i := 0; i < b.N; i++ {
+					st := newQueryState(li, q, nil, blockLen(li.NumRows()), newAccs(aggs, li))
+					if err := scanShare(nil, []*queryState{st}, 0, li.NumRows(), nil); err != nil {
+						b.Fatal(err)
+					}
+					slots = len(st.ht.slots)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(li.NumRows()), "ns/row")
+				b.ReportMetric(float64(groups), "groups")
+				b.ReportMetric(float64(slots), "slots")
+			})
+		}
+	}
+}

@@ -202,37 +202,40 @@ func TestBudgetSortFallbackIdenticalOutput(t *testing.T) {
 
 // TestBudgetChargesReleasedAfterRuns verifies the accounting contract: every
 // governed operator returns its transient charges when it finishes, and the
-// peak reflects the hash state that was held.
+// peak reflects the state that was held. Each run has a budget of its own,
+// so one run's charge is never read as a rise over another's peak.
 func TestBudgetChargesReleasedAfterRuns(t *testing.T) {
 	tb := mkParTable(3000, 400, 7)
-	budget := NewMemBudget(0)
-	gov := NewGov(nil, budget)
-	if _, err := GroupByHashGov(gov, tb, []int{2}, allAggKinds(), "g"); err != nil {
-		t.Fatal(err)
+	runs := []struct {
+		name string
+		run  func(gov *Gov) error
+	}{
+		{"hash", func(gov *Gov) error {
+			_, err := GroupByHashGov(gov, tb, []int{2}, allAggKinds(), "g")
+			return err
+		}},
+		{"sort", func(gov *Gov) error {
+			_, err := GroupBySortGov(gov, tb, []int{2}, allAggKinds(), "g")
+			return err
+		}},
+		{"shared scan", func(gov *Gov) error {
+			_, _, err := sharedScan(gov, tb, []MultiQuery{
+				{GroupCols: []int{0}, Aggs: []Agg{CountStar()}, OutName: "a"},
+				{GroupCols: []int{1, 2}, Aggs: allAggKinds(), OutName: "b"},
+			}, 1)
+			return err
+		}},
 	}
-	if budget.Used() != 0 {
-		t.Fatalf("hash run leaked %d bytes", budget.Used())
-	}
-	if budget.Peak() == 0 {
-		t.Fatal("hash run charged nothing")
-	}
-	peak := budget.Peak()
-	if _, err := GroupBySortGov(gov, tb, []int{2}, allAggKinds(), "g"); err != nil {
-		t.Fatal(err)
-	}
-	if budget.Used() != 0 {
-		t.Fatalf("sort run leaked %d bytes", budget.Used())
-	}
-	if budget.Peak() == peak {
-		t.Fatal("sort run charged nothing")
-	}
-	if _, _, err := sharedScan(gov, tb, []MultiQuery{
-		{GroupCols: []int{0}, Aggs: []Agg{CountStar()}, OutName: "a"},
-		{GroupCols: []int{1, 2}, Aggs: allAggKinds(), OutName: "b"},
-	}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if budget.Used() != 0 {
-		t.Fatalf("shared scan leaked %d bytes", budget.Used())
+	for _, r := range runs {
+		budget := NewMemBudget(0)
+		if err := r.run(NewGov(nil, budget)); err != nil {
+			t.Fatal(err)
+		}
+		if budget.Used() != 0 {
+			t.Errorf("%s run leaked %d bytes", r.name, budget.Used())
+		}
+		if budget.Peak() == 0 {
+			t.Errorf("%s run charged nothing", r.name)
+		}
 	}
 }

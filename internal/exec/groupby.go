@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -392,24 +393,57 @@ const slotBytes = 16
 
 // groupHashInitSize is the starting slot count of a groupHash. Tables start
 // small — a low-NDV aggregation over millions of rows never allocates more
-// than a few KB — and grow by doubling when the load factor passes 3/4.
-// (Pre-sizing to 2×rows made a 6M-row scan with 10 groups allocate ~16M slots
-// per query; across a shared scan that was hundreds of MB of dead memory.)
+// than a few KB — and grow by doubling when one more group would break the
+// load rule (see holds). (Pre-sizing to 2×rows made a 6M-row scan with 10
+// groups allocate ~16M slots per query; across a shared scan that was
+// hundreds of MB of dead memory.)
 const groupHashInitSize = 1024
 
 // groupHashMaxPresize caps how many slots an NDV estimate may preallocate: a
 // wildly high estimate must not turn into a giant dead allocation.
 const groupHashMaxPresize = 1 << 22
 
+// sparseMaxSlots is the largest slot array held at the sparse load of 1/4
+// (see holds): 2^17 slots, 2 MiB. BenchmarkGroupByPackedHash placed it: up
+// to this size a quarter load beat 3/4 at every group count measured, and an
+// 8 MiB table at 1/4 lost to a 4 MiB one at 3/8 (EXPERIMENTS.md). It is a
+// variable only so that benchmark can time other caps, 0 being the old
+// uniform 3/4 rule; nothing else assigns it.
+var sparseMaxSlots = 1 << 17
+
+// holds is the load rule of a groupHash: whether a table of slots slots may
+// hold groups groups. A table small enough to stay cache-resident (at most
+// sparseMaxSlots slots) is kept at most a quarter full, so a lookup almost
+// always stops at its first slot; a larger one is kept at most three
+// quarters full, where memory traffic, not probe length, sets the cost.
+// Capacity still rises with slots, so doubling until holds is true finds the
+// smallest table that obeys the rule.
+func holds(slots, groups int) bool {
+	if slots <= sparseMaxSlots {
+		return uint64(groups)*4 <= uint64(slots)
+	}
+	return uint64(groups)*4 <= uint64(slots)*3
+}
+
+// slotsFor is the slot count the load rule gives groups groups: the smallest
+// power of two, at least from, that holds them, or limit when that is
+// smaller.
+func slotsFor(groups, from, limit int) int {
+	size := from
+	for size < limit && !holds(size, groups) {
+		size <<= 1
+	}
+	return size
+}
+
 // newGroupHash creates the group table for grouping t by cols. With dense set
 // and a non-empty DenseDomain it starts in dense mode, allocating the
 // domain-sized group-id array. Otherwise the key mode is packed or wide by
 // the columns' dictionary sizes, and the slot array is presized for sizeHint
-// expected groups (0 means the default groupHashInitSize): the smallest power
-// of two keeping sizeHint groups under the 3/4 load factor, clamped by
-// groupHashMaxPresize and halved until the budget admits it — a tight budget
-// degrades the presize back toward the default rather than failing
-// admission.
+// expected groups (0 means the default groupHashInitSize): the size the load
+// rule gives sizeHint groups (see holds), clamped by groupHashMaxPresize and
+// halved until the budget admits it — a tight budget degrades the presize
+// back toward the default rather than failing admission.
 func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int, dense bool) *groupHash {
 	h := &groupHash{
 		rd:       keyReader(t, cols),
@@ -431,9 +465,7 @@ func newGroupHash(t *table.Table, cols []int, budget *MemBudget, sizeHint int, d
 	}
 	size := groupHashInitSize
 	if sizeHint > 0 {
-		for size < groupHashMaxPresize && uint64(sizeHint+1)*4 > uint64(size)*3 {
-			size <<= 1
-		}
+		size = slotsFor(sizeHint+1, size, groupHashMaxPresize)
 		for size > groupHashInitSize && budget.WouldExceed(int64(size)*slotBytes) {
 			size >>= 1
 		}
@@ -468,14 +500,7 @@ func (h *groupHash) kind() KernelKind {
 // (a) the presized start and (b) the size the final group count actually
 // required. A presize larger than the data needed does not inflate the count.
 func (h *groupHash) rehashesAvoided() int {
-	needed := groupHashInitSize
-	for uint64(len(h.firstRows)+1)*4 > uint64(needed)*3 {
-		needed <<= 1
-	}
-	saved := h.initSize
-	if needed < saved {
-		saved = needed
-	}
+	saved := slotsFor(len(h.firstRows)+1, groupHashInitSize, h.initSize)
 	n := 0
 	for s := groupHashInitSize; s < saved; s <<= 1 {
 		n++
@@ -590,10 +615,9 @@ func (h *groupHash) probeWide(row int) int32 {
 	}
 }
 
-// full reports whether one more group would push the table past its 3/4
-// load factor.
+// full reports whether one more group would break the load rule (see holds).
 func (h *groupHash) full() bool {
-	return uint64(len(h.firstRows)+1)*4 > (h.mask+1)*3
+	return !holds(len(h.slots), len(h.firstRows)+1)
 }
 
 // insert claims empty slot s for a new group keyed by key whose first row is
@@ -637,10 +661,7 @@ func (h *groupHash) place(s groupSlot) {
 // their order are kept. A dense table drops its group-id array here.
 func (h *groupHash) widen() {
 	h.mode, h.gid = keyWide, nil
-	size := max(len(h.slots), groupHashInitSize)
-	for uint64(len(h.firstRows)+1)*4 > uint64(size)*3 {
-		size <<= 1
-	}
+	size := slotsFor(len(h.firstRows)+1, max(len(h.slots), groupHashInitSize), math.MaxInt)
 	h.charge(int64(size-len(h.slots)) * slotBytes)
 	h.mask, h.slots = uint64(size-1), make([]groupSlot, size)
 	for g, row := range h.firstRows {
