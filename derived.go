@@ -65,20 +65,19 @@ func (db *DB) AddDerivedColumn(tableName, newCol, srcCol string, typ Type, fn De
 		}
 	}
 	src := t.Col(srcOrds[0])
-	out := table.NewColumn(table.ColumnDef{Name: newCol, Typ: typ})
+	b := table.NewBuilder(tableName, t.NumRows(), t.NumCols()+1)
+	for i := 0; i < t.NumCols(); i++ {
+		b.Copy(t.Col(i), "")
+	}
+	out := b.Add(table.ColumnDef{Name: newCol, Typ: typ})
 	for i := 0; i < src.Len(); i++ {
 		v := fn(src.Value(i))
 		if !v.Null && v.Typ != typ {
 			return nil, fmt.Errorf("gbmqo: derivation produced %s, declared %s", v.Typ, typ)
 		}
-		out.Append(v)
+		b.SetValue(i, out, v)
 	}
-	cols := make([]*table.Column, 0, t.NumCols()+1)
-	for i := 0; i < t.NumCols(); i++ {
-		cols = append(cols, t.Col(i))
-	}
-	cols = append(cols, out)
-	widened := table.FromColumns(tableName, cols)
+	widened := b.Table()
 	db.eng.Catalog().Register(widened)
 	return widened, nil
 }

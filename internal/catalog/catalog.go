@@ -64,7 +64,7 @@ func (c *Catalog) Stats() *stats.Service { return c.stats }
 //
 // A registered table is grouped, indexed, profiled and snapshotted, all of
 // which rely on equal codes meaning equal values and equal values sharing a
-// code. Measure columns (aggregate results, see table.MeasureColumn) break
+// code. Measure columns (aggregate results, see table.AddMeasure) break
 // the second half, so Register stores a copy with them re-interned
 // (table.InternMeasures): a registered result groups by value.
 func (c *Catalog) Register(t *table.Table) {

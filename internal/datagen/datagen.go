@@ -79,7 +79,7 @@ func Widen(t *table.Table, copies int) *table.Table {
 		panic(fmt.Sprintf("datagen: Widen copies = %d", copies))
 	}
 	n := t.NumCols()
-	cols := make([]*table.Column, 0, n*copies)
+	b := table.NewBuilder(fmt.Sprintf("%s_w%d", t.Name(), copies), t.NumRows(), n*copies)
 	for rep := 0; rep < copies; rep++ {
 		for i := 0; i < n; i++ {
 			src := t.Col(i)
@@ -87,12 +87,11 @@ func Widen(t *table.Table, copies int) *table.Table {
 			if rep > 0 {
 				def.Name = fmt.Sprintf("%s_%d", def.Name, rep+1)
 			}
-			col := table.NewColumn(def)
+			col := b.Add(def)
 			for r := 0; r < src.Len(); r++ {
-				col.Append(src.Value(r))
+				b.SetValue(r, col, src.Value(r))
 			}
-			cols = append(cols, col)
 		}
 	}
-	return table.FromColumns(fmt.Sprintf("%s_w%d", t.Name(), copies), cols)
+	return b.Table()
 }

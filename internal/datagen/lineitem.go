@@ -104,6 +104,7 @@ func Lineitem(opts LineitemOpts) *table.Table {
 	r := rng(opts.Seed ^ 0x11ea17e4)
 	draw := newZipfDrawer(r, opts.Zipf)
 	t := table.New("lineitem", LineitemDefs())
+	t.Grow(opts.Rows)
 	orders := opts.Rows/4 + 1
 	parts := opts.Rows/20 + 1
 	supps := opts.Rows/100 + 1

@@ -57,6 +57,7 @@ func NRef(opts NRefOpts) *table.Table {
 	r := rng(opts.Seed ^ 0x9ef)
 	ids := opts.Rows / 3
 	t := table.New("neighboring_seq", NRefDefs())
+	t.Grow(opts.Rows)
 	for i := 0; i < opts.Rows; i++ {
 		t.AppendRow(
 			table.Int(int64(r.Intn(ids))),

@@ -100,6 +100,7 @@ func Sales(opts SalesOpts) *table.Table {
 		brandCat[i] = r.Intn(cats)
 	}
 	t := table.New("sales", SalesDefs())
+	t.Grow(opts.Rows)
 	for i := 0; i < opts.Rows; i++ {
 		store := r.Intn(stores)
 		prod := r.Intn(products)

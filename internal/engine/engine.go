@@ -305,11 +305,6 @@ func (ex *Executor) ExecutePlanWith(p *plan.Plan, req Request, size plan.SizeFn,
 			err = &exec.ExecError{Step: run.curStep, Err: exec.RecoveredPanic(pnc)}
 		}
 	}()
-	if run.par > 1 || req.Parallel {
-		// The scan image is built lazily and shared by all operators over the
-		// base table; force it before any concurrent reader can race on it.
-		base.RowImage()
-	}
 	if len(req.PerSetAggs) > 0 {
 		run.nodeAggs = map[*plan.Node][]exec.Agg{}
 		for _, r := range p.Roots {
@@ -489,7 +484,11 @@ func (r *planRun) degrade(kind DegradeKind, set colset.Set, detail string) {
 // hashEstimate approximates the working state of a hash aggregation
 // producing set: the materialized result (the SizeFn estimate) plus
 // comparable hash-table and accumulator state — about twice the result
-// bytes. It is the admission gate for the hash → sort degradation.
+// bytes. It is the admission gate for the hash → sort degradation. A Naive
+// run builds no statistic, so its SizeFn is the sandwich upper bound (the
+// product of the columns' distinct counts), and under a tight budget it may
+// fall back to sort where a built estimate would admit hash; that is
+// intended, since the baseline buys no statistics pass to size its state.
 func (r *planRun) hashEstimate(set colset.Set) int64 {
 	return 2 * int64(r.size(set))
 }
@@ -949,18 +948,15 @@ func renameAggs(t *table.Table, aggs []exec.Agg) *table.Table {
 	if len(aggs) == 1 && aggs[0].Name == "cnt" {
 		return t
 	}
-	cols := make([]*table.Column, 0, t.NumCols()-1+len(aggs))
+	b := table.NewBuilder(t.Name(), t.NumRows(), t.NumCols()-1+len(aggs))
 	cnt := t.ColByName("cnt")
 	for i := 0; i < t.NumCols(); i++ {
-		if t.Col(i) == cnt {
-			continue
+		if t.Col(i) != cnt {
+			b.Copy(t.Col(i), "")
 		}
-		cols = append(cols, t.Col(i))
 	}
 	for _, a := range aggs {
-		out := cnt.EmptyLike(a.Name)
-		out.AppendCodes(cnt.Codes())
-		cols = append(cols, out)
+		b.Copy(cnt, a.Name)
 	}
-	return table.FromColumns(t.Name(), cols)
+	return b.Table()
 }

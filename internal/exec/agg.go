@@ -103,14 +103,14 @@ type accumulator interface {
 	// gid is below it). State grows once per block to groups entries, so the
 	// per-row loop carries no growth check and no interface call.
 	observe(gids, rows []int32, groups int)
-	// column builds the result column named name over the first groups
-	// groups: row k holds group k, or group order[k] when order is non-nil.
-	// COUNT, SUM and AVG build measure columns (table.MeasureColumn); MIN and
-	// MAX emit their best codes under the source column's dictionary, so
-	// their codes agree across plans just as key columns' do. With a nil
-	// order the state slices are handed to the column uncopied, so the
-	// accumulator must not be used afterwards.
-	column(name string, groups int, order []int) *table.Column
+	// column declares the result column named name in b, whose rows are the
+	// first groups groups, and writes it: row k holds group k, or group
+	// order[k] when order is non-nil. COUNT, SUM and AVG build measure
+	// columns (table.AddMeasure); MIN and MAX emit their best codes under the
+	// source column's dictionary, so their codes agree across plans just as
+	// key columns' do. With a nil order the state slices are handed to the
+	// column uncopied, so the accumulator must not be used afterwards.
+	column(b *table.Builder, name string, groups int, order []int)
 	// mergePartial folds group src of a worker-local partial accumulator into
 	// group dst of this one, combining states instead of replaying rows: COUNT
 	// partials add, SUM partials add, MIN/MAX partials compare, AVG merges its
@@ -195,35 +195,35 @@ func newAccumulator(a Agg, t *table.Table) accumulator {
 	case AggCountStar:
 		return &countStarAcc{}
 	case AggCount:
-		return &countAcc{codes: t.Col(a.Col).Codes()}
+		return &countAcc{codes: t.Col(a.Col).View()}
 	case AggSum:
 		col := t.Col(a.Col)
 		switch col.Type() {
 		case table.TFloat64:
 			_, vals := col.NumericDict()
-			return &sumFloatAcc{codes: col.Codes(), vals: vals}
+			return &sumFloatAcc{codes: col.View(), vals: vals}
 		case table.TInt64, table.TDate:
 			vals, _ := col.NumericDict()
-			return &sumIntAcc{codes: col.Codes(), vals: vals}
+			return &sumIntAcc{codes: col.View(), vals: vals}
 		default:
 			panic(fmt.Sprintf("exec: SUM over %s column %q", col.Type(), col.Name()))
 		}
 	case AggMin, AggMax:
 		col := t.Col(a.Col)
-		return &extremeAcc{col: col, codes: col.Codes(), ranks: col.Ranks(), min: a.Kind == AggMin}
+		return &extremeAcc{col: col, codes: col.View(), ranks: col.Ranks(), min: a.Kind == AggMin}
 	case AggAvg:
 		col := t.Col(a.Col)
 		switch col.Type() {
 		case table.TFloat64:
 			_, vals := col.NumericDict()
-			return &avgAcc{codes: col.Codes(), vals: vals}
+			return &avgAcc{codes: col.View(), vals: vals}
 		case table.TInt64, table.TDate:
 			ints, _ := col.NumericDict()
 			fvals := make([]float64, len(ints))
 			for i, v := range ints {
 				fvals[i] = float64(v)
 			}
-			return &avgAcc{codes: col.Codes(), vals: fvals}
+			return &avgAcc{codes: col.View(), vals: fvals}
 		default:
 			panic(fmt.Sprintf("exec: AVG over %s column %q", col.Type(), col.Name()))
 		}
@@ -241,8 +241,8 @@ func (a *countStarAcc) observe(gids, _ []int32, groups int) {
 		counts[g]++
 	}
 }
-func (a *countStarAcc) column(name string, groups int, order []int) *table.Column {
-	return table.MeasureColumn(name, permute(a.counts, groups, order), nil)
+func (a *countStarAcc) column(b *table.Builder, name string, groups int, order []int) {
+	table.AddMeasure(b, name, permute(a.counts, groups, order), nil)
 }
 func (a *countStarAcc) mergePartial(dst int, other accumulator, src int) {
 	a.counts = growTo(a.counts, dst+1)
@@ -251,7 +251,7 @@ func (a *countStarAcc) mergePartial(dst int, other accumulator, src int) {
 func (a *countStarAcc) cloneEmpty() accumulator { return &countStarAcc{} }
 
 type countAcc struct {
-	codes  []uint32
+	codes  table.CodeView
 	counts []int64
 }
 
@@ -260,13 +260,13 @@ func (a *countAcc) observe(gids, rows []int32, groups int) {
 	counts, codes := a.counts, a.codes
 	rows = rows[:len(gids)]
 	for i, g := range gids {
-		if codes[rows[i]] != 0 {
+		if codes.At(int(rows[i])) != 0 {
 			counts[g]++
 		}
 	}
 }
-func (a *countAcc) column(name string, groups int, order []int) *table.Column {
-	return table.MeasureColumn(name, permute(a.counts, groups, order), nil)
+func (a *countAcc) column(b *table.Builder, name string, groups int, order []int) {
+	table.AddMeasure(b, name, permute(a.counts, groups, order), nil)
 }
 func (a *countAcc) mergePartial(dst int, other accumulator, src int) {
 	a.counts = growTo(a.counts, dst+1)
@@ -275,7 +275,7 @@ func (a *countAcc) mergePartial(dst int, other accumulator, src int) {
 func (a *countAcc) cloneEmpty() accumulator { return &countAcc{codes: a.codes} }
 
 type sumIntAcc struct {
-	codes []uint32
+	codes table.CodeView
 	vals  []int64 // dictionary values: code k decodes to vals[k-1]
 	sums  []int64
 	seen  []bool
@@ -286,14 +286,14 @@ func (a *sumIntAcc) observe(gids, rows []int32, groups int) {
 	sums, seen, codes, vals := a.sums, a.seen, a.codes, a.vals
 	rows = rows[:len(gids)]
 	for i, g := range gids {
-		if code := codes[rows[i]]; code != 0 {
+		if code := codes.At(int(rows[i])); code != 0 {
 			sums[g] += vals[code-1]
 			seen[g] = true
 		}
 	}
 }
-func (a *sumIntAcc) column(name string, groups int, order []int) *table.Column {
-	return table.MeasureColumn(name, permute(a.sums, groups, order), permute(a.seen, groups, order))
+func (a *sumIntAcc) column(b *table.Builder, name string, groups int, order []int) {
+	table.AddMeasure(b, name, permute(a.sums, groups, order), permute(a.seen, groups, order))
 }
 func (a *sumIntAcc) mergePartial(dst int, other accumulator, src int) {
 	a.sums, a.seen = growTo(a.sums, dst+1), growTo(a.seen, dst+1)
@@ -306,7 +306,7 @@ func (a *sumIntAcc) mergePartial(dst int, other accumulator, src int) {
 func (a *sumIntAcc) cloneEmpty() accumulator { return &sumIntAcc{codes: a.codes, vals: a.vals} }
 
 type sumFloatAcc struct {
-	codes []uint32
+	codes table.CodeView
 	vals  []float64 // dictionary values: code k decodes to vals[k-1]
 	sums  []float64
 	seen  []bool
@@ -317,14 +317,14 @@ func (a *sumFloatAcc) observe(gids, rows []int32, groups int) {
 	sums, seen, codes, vals := a.sums, a.seen, a.codes, a.vals
 	rows = rows[:len(gids)]
 	for i, g := range gids {
-		if code := codes[rows[i]]; code != 0 {
+		if code := codes.At(int(rows[i])); code != 0 {
 			sums[g] += vals[code-1]
 			seen[g] = true
 		}
 	}
 }
-func (a *sumFloatAcc) column(name string, groups int, order []int) *table.Column {
-	return table.MeasureColumn(name, permute(a.sums, groups, order), permute(a.seen, groups, order))
+func (a *sumFloatAcc) column(b *table.Builder, name string, groups int, order []int) {
+	table.AddMeasure(b, name, permute(a.sums, groups, order), permute(a.seen, groups, order))
 }
 func (a *sumFloatAcc) mergePartial(dst int, other accumulator, src int) {
 	a.sums, a.seen = growTo(a.sums, dst+1), growTo(a.seen, dst+1)
@@ -341,7 +341,7 @@ func (a *sumFloatAcc) cloneEmpty() accumulator { return &sumFloatAcc{codes: a.co
 // decoding happens on the hot path. NULLs are ignored per SQL.
 type extremeAcc struct {
 	col   *table.Column
-	codes []uint32
+	codes table.CodeView
 	ranks []uint32
 	min   bool
 	best  []uint32 // code per group; nullCode means "no non-null value yet"
@@ -349,9 +349,16 @@ type extremeAcc struct {
 
 func (a *extremeAcc) observe(gids, rows []int32, groups int) {
 	a.best = growTo(a.best, groups)
+	best, codes, ranks, min := a.best, a.codes, a.ranks, a.min
 	rows = rows[:len(gids)]
 	for i, g := range gids {
-		a.consider(int(g), a.codes[rows[i]])
+		code := codes.At(int(rows[i]))
+		if code == 0 {
+			continue
+		}
+		if cur := best[g]; cur == 0 || min && ranks[code] < ranks[cur] || !min && ranks[code] > ranks[cur] {
+			best[g] = code
+		}
 	}
 }
 
@@ -365,10 +372,11 @@ func (a *extremeAcc) consider(g int, code uint32) {
 		a.best[g] = code
 	}
 }
-func (a *extremeAcc) column(name string, groups int, order []int) *table.Column {
-	out := a.col.EmptyLike(name)
-	out.AppendCodes(permute(a.best, groups, order))
-	return out
+func (a *extremeAcc) column(b *table.Builder, name string, groups int, order []int) {
+	c := b.Like(a.col, name)
+	for k, code := range permute(a.best, groups, order) {
+		b.Set(k, c, code)
+	}
 }
 func (a *extremeAcc) mergePartial(dst int, other accumulator, src int) {
 	a.best = growTo(a.best, dst+1)
@@ -382,7 +390,7 @@ func (a *extremeAcc) cloneEmpty() accumulator {
 // Int and date sources are averaged in float64. NULLs are ignored per SQL; an
 // all-NULL group averages to NULL.
 type avgAcc struct {
-	codes  []uint32
+	codes  table.CodeView
 	vals   []float64 // dictionary values: code k decodes to vals[k-1]
 	sums   []float64
 	counts []int64
@@ -393,13 +401,13 @@ func (a *avgAcc) observe(gids, rows []int32, groups int) {
 	sums, counts, codes, vals := a.sums, a.counts, a.codes, a.vals
 	rows = rows[:len(gids)]
 	for i, g := range gids {
-		if code := codes[rows[i]]; code != 0 {
+		if code := codes.At(int(rows[i])); code != 0 {
 			sums[g] += vals[code-1]
 			counts[g]++
 		}
 	}
 }
-func (a *avgAcc) column(name string, groups int, order []int) *table.Column {
+func (a *avgAcc) column(b *table.Builder, name string, groups int, order []int) {
 	avgs, counts := permute(a.sums, groups, order), permute(a.counts, groups, order)
 	valid := make([]bool, groups)
 	for k, n := range counts {
@@ -408,7 +416,7 @@ func (a *avgAcc) column(name string, groups int, order []int) *table.Column {
 			valid[k] = true
 		}
 	}
-	return table.MeasureColumn(name, avgs, valid)
+	table.AddMeasure(b, name, avgs, valid)
 }
 func (a *avgAcc) mergePartial(dst int, other accumulator, src int) {
 	a.sums, a.counts = growTo(a.sums, dst+1), growTo(a.counts, dst+1)

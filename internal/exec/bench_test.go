@@ -9,13 +9,10 @@ import (
 	"gbmqo/internal/table"
 )
 
-// benchLineitem is the 100k-row lineitem both micro-benchmarks read, with its
-// scan image built up front so no benchmark times the image build.
+// benchLineitem is the 100k-row lineitem both micro-benchmarks read.
 func benchLineitem(b *testing.B) *table.Table {
 	b.Helper()
-	li := datagen.Lineitem(datagen.LineitemOpts{Rows: 100_000, Seed: 1})
-	li.RowImage()
-	return li
+	return datagen.Lineitem(datagen.LineitemOpts{Rows: 100_000, Seed: 1})
 }
 
 // BenchmarkEmitCountComment times emission alone — key column plus COUNT
@@ -30,7 +27,9 @@ func BenchmarkEmitCountComment(b *testing.B) {
 	group := map[uint32]int{}
 	var firstRows []int32
 	var counts []int64
-	for row, code := range li.Col(datagen.LComment).Codes() {
+	comment := li.Col(datagen.LComment)
+	for row := range li.NumRows() {
+		code := comment.Code(row)
 		g, ok := group[code]
 		if !ok {
 			g = len(firstRows)

@@ -134,10 +134,7 @@ func GroupByIndexStreamGov(gov *Gov, t *table.Table, ix *index.Index, groupCols 
 	if err := validateRequest(t, groupCols, aggs); err != nil {
 		return nil, err
 	}
-	codes := make([][]uint32, len(groupCols))
-	for i, c := range groupCols {
-		codes[i] = t.Col(c).Codes()
-	}
+	codes := keyViews(t, groupCols)
 	accs := newAccs(aggs, t)
 	perm := ix.Perm()
 	var firstRows []int32
@@ -151,9 +148,9 @@ func GroupByIndexStreamGov(gov *Gov, t *table.Table, ix *index.Index, groupCols 
 		for i, row := range rows {
 			newGroup := lo+i == 0
 			if !newGroup {
-				prev := perm[lo+i-1]
+				prev := int(perm[lo+i-1])
 				for _, col := range codes {
-					if col[row] != col[prev] {
+					if col.At(int(row)) != col.At(prev) {
 						newGroup = true
 						break
 					}
@@ -194,28 +191,27 @@ func accStateBytes(groups, naccs int) int64 {
 	return int64(groups) * 16 * int64(naccs)
 }
 
+// keyViews returns the code views of t's columns cols.
+func keyViews(t *table.Table, cols []int) []table.CodeView {
+	out := make([]table.CodeView, len(cols))
+	for i, c := range cols {
+		out[i] = t.Col(c).View()
+	}
+	return out
+}
+
 // GroupByIndexCounts is the exact-match fast path: a COUNT(*) Group By on
 // precisely the index key reads group sizes straight off the boundaries in
 // O(#groups) — the §6.9 effect where building an index on a dense column
 // (e.g. l_comment) collapses its Group By cost.
 func GroupByIndexCounts(t *table.Table, ix *index.Index, outName string) *table.Table {
-	groupCols := ix.Cols()
 	perm, bounds := ix.Perm(), ix.Bounds()
-	nGroups := ix.NumGroups()
-	cols := make([]*table.Column, 0, len(groupCols)+1)
-	for _, c := range groupCols {
-		cols = append(cols, t.Col(c).EmptyLike(t.Col(c).Name()))
-	}
-	cnt := make([]int64, nGroups)
+	starts, cnt := make([]int32, ix.NumGroups()), make([]int64, ix.NumGroups())
 	for g := range cnt {
-		first := int(perm[bounds[g]])
-		for i, c := range groupCols {
-			cols[i].AppendCode(t.Col(c).Code(first))
-		}
+		starts[g] = perm[bounds[g]]
 		cnt[g] = int64(bounds[g+1] - bounds[g])
 	}
-	cols = append(cols, table.MeasureColumn("cnt", cnt, nil))
-	return table.FromColumns(outName, cols)
+	return emitCounts(t, ix.Cols(), starts, cnt, outName)
 }
 
 // GroupByIndexPrefixCounts is the prefix-match fast path for COUNT(*): a
@@ -230,48 +226,43 @@ func GroupByIndexPrefixCounts(t *table.Table, ix *index.Index, prefixCols []int,
 	if k == 0 {
 		panic(fmt.Sprintf("exec: index %s does not prefix-cover %v", ix.Name(), prefixCols))
 	}
-	codes := make([][]uint32, len(prefixCols))
-	for i, c := range prefixCols {
-		codes[i] = t.Col(c).Codes()
-	}
+	codes := keyViews(t, prefixCols)
 	perm, bounds := ix.Perm(), ix.Bounds()
-	cols := make([]*table.Column, 0, len(prefixCols)+1)
-	for _, c := range prefixCols {
-		cols = append(cols, t.Col(c).EmptyLike(t.Col(c).Name()))
-	}
+	var starts []int32
 	var cnt []int64
-	run := int64(0)
-	var prevStart int32 = -1
-	flush := func() {
-		if prevStart < 0 {
-			return
-		}
-		for i, col := range codes {
-			cols[i].AppendCode(col[prevStart])
-		}
-		cnt = append(cnt, run)
-	}
 	for g := 0; g < ix.NumGroups(); g++ {
-		start := perm[bounds[g]]
-		newGroup := prevStart < 0
+		start := int(perm[bounds[g]])
+		newGroup := len(starts) == 0
 		if !newGroup {
+			prev := int(starts[len(starts)-1])
 			for _, col := range codes {
-				if col[start] != col[prevStart] {
+				if col.At(start) != col.At(prev) {
 					newGroup = true
 					break
 				}
 			}
 		}
 		if newGroup {
-			flush()
-			prevStart = start
-			run = 0
+			starts, cnt = append(starts, int32(start)), append(cnt, 0)
 		}
-		run += int64(bounds[g+1] - bounds[g])
+		cnt[len(cnt)-1] += int64(bounds[g+1] - bounds[g])
 	}
-	flush()
-	cols = append(cols, table.MeasureColumn("cnt", cnt, nil))
-	return table.FromColumns(outName, cols)
+	return emitCounts(t, prefixCols, starts, cnt, outName)
+}
+
+// emitCounts builds the index paths' output: group k's key codes are those
+// of row starts[k] and its COUNT(*) is cnt[k], in a column named "cnt".
+func emitCounts(t *table.Table, groupCols []int, starts []int32, cnt []int64, outName string) *table.Table {
+	b := table.NewBuilder(outName, len(starts), len(groupCols)+1)
+	for _, c := range groupCols {
+		src := t.Col(c)
+		k, v := b.Like(src, src.Name()), src.View()
+		for g, row := range starts {
+			b.Set(g, k, v.At(int(row)))
+		}
+	}
+	table.AddMeasure(b, "cnt", cnt, nil)
+	return b.Table()
 }
 
 // emitGroups assembles the output table: group key columns share the input's
@@ -279,29 +270,31 @@ func GroupByIndexPrefixCounts(t *table.Table, ix *index.Index, prefixCols []int,
 // accumulator.column) and must not be used afterwards. order, when non-nil,
 // is a permutation of group ids giving the output row order (the sort kernel
 // uses it to restore global first-appearance order); nil emits groups in id
-// order.
+// order. Key codes are copied a group at a time, so each group's first row
+// is read once for all its key columns.
 func emitGroups(t *table.Table, groupCols []int, aggs []Agg, accs []accumulator, firstRows []int32, order []int, outName string) *table.Table {
 	nGroups := len(firstRows)
-	cols := make([]*table.Column, 0, len(groupCols)+len(aggs))
-	for _, c := range groupCols {
+	b := table.NewBuilder(outName, nGroups, len(groupCols)+len(aggs))
+	keys := make([]table.CodeView, len(groupCols))
+	for k, c := range groupCols {
 		src := t.Col(c)
-		srcCodes := src.Codes()
-		codes := make([]uint32, nGroups)
-		if order == nil {
-			for i, row := range firstRows {
-				codes[i] = srcCodes[row]
-			}
-		} else {
-			for i, g := range order {
-				codes[i] = srcCodes[firstRows[g]]
-			}
+		b.Like(src, src.Name())
+		keys[k] = src.View()
+	}
+	for i := range nGroups {
+		g := i
+		if order != nil {
+			g = order[i]
 		}
-		cols = append(cols, src.Like(src.Name(), codes))
+		row := int(firstRows[g])
+		for k, v := range keys {
+			b.Set(i, k, v.At(row))
+		}
 	}
 	for i, a := range aggs {
-		cols = append(cols, accs[i].column(a.Name, nGroups, order))
+		accs[i].column(b, a.Name, nGroups, order)
 	}
-	return table.FromColumns(outName, cols)
+	return b.Table()
 }
 
 // rowReader extracts key-column codes from a table's row-major scan image.

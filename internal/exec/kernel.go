@@ -100,11 +100,11 @@ func DenseDomain(t *table.Table, groupCols []int) int {
 	return domain
 }
 
-// keyReader builds the row-image reader for a set of key columns. All
-// kernels scan key codes through the table's row-major image, never through
-// raw column vectors: touching any column of a row pulls the whole row's
-// bytes, so every kernel pays the same width-proportional scan cost as the
-// row store the paper modeled (see table.RowImage). Kernel wins must come
+// keyReader builds the row-image reader for a set of key columns. The
+// table's row-major image is the only copy of its codes, so every kernel
+// scans key codes through it: touching any column of a row pulls the whole
+// row's bytes, and every kernel pays the same width-proportional scan cost as
+// the row store the paper modeled (see table.RowImage). Kernel wins must come
 // from probe mechanics, not from quietly turning the storage engine columnar.
 func keyReader(t *table.Table, cols []int) rowReader {
 	image, stride := t.RowImage()

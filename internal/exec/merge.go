@@ -38,14 +38,13 @@ func Mergeable(aggs []Agg) bool {
 // order can round differently, same caveat as the parallel merge).
 //
 // The output is cached's extension (see table.Table.Extend), so its cost
-// follows the delta, not the entry: key columns share cached's code arrays
-// and gain only the delta-only groups; MIN/MAX columns do too, copied once
-// only when a delta value beats a cached one; each COUNT/SUM column copies
-// its value slice once and patches the matched groups; the scan image is
-// shared or, when a matched row's codes changed, copied and patched. cached
-// itself reads exactly as before. Key and MIN/MAX columns take deltaAgg's
-// dictionaries (the extended ones, which cover both inputs' codes); COUNT and
-// SUM columns are measure columns.
+// follows the delta, not the entry: its image shares cached's and gains only
+// the delta-only groups, unless a matched group's code changes — a delta
+// MIN/MAX value beats a cached one, or a SUM stops being NULL — when it is
+// copied once and patched; each COUNT/SUM column copies its value slice once
+// and patches the matched groups. cached itself reads exactly as before. Key
+// and MIN/MAX columns take deltaAgg's dictionaries (the extended ones, which
+// cover both inputs' codes); COUNT and SUM columns are measure columns.
 func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, outName string) (*table.Table, error) {
 	if !Mergeable(aggs) {
 		return nil, fmt.Errorf("exec: aggregate list is not mergeable")
@@ -65,14 +64,14 @@ func MergeAppendedGroups(cached, deltaAgg *table.Table, nKeys int, aggs []Agg, o
 	for i, p := range pairs {
 		touched[i] = p.cached
 	}
-	cols := make([]*table.Column, 0, nKeys+len(aggs))
+	cols := make([]table.Patch, 0, nKeys+len(aggs))
 	for k := 0; k < nKeys; k++ {
 		dc := deltaAgg.Col(k)
 		cols = append(cols, cached.Col(k).Extend(dc, nil, nil, codesAt(dc, fresh)))
 	}
 	for i, a := range aggs {
 		cc, dc := cached.Col(nKeys+i), deltaAgg.Col(nKeys+i)
-		var out *table.Column
+		var out table.Patch
 		switch {
 		case a.Kind == AggMin || a.Kind == AggMax:
 			var at []int32
@@ -106,7 +105,7 @@ func codesAt(c *table.Column, rows []int32) []uint32 {
 // mergeMeasure merges a COUNT or SUM column: cached's values, each matched
 // group plus its delta value (a NULL part is skipped, so the sum is NULL only
 // when every part was), then the delta-only groups' values.
-func mergeMeasure[T int64 | float64](cc, dc *table.Column, pairs []groupPair, fresh []int32) *table.Column {
+func mergeMeasure[T int64 | float64](cc, dc *table.Column, pairs []groupPair, fresh []int32) table.Patch {
 	dvals := table.NumericRows[T](dc, nil)
 	tail, valid := make([]T, len(fresh)), make([]bool, len(fresh))
 	for i, dr := range fresh {
@@ -138,14 +137,15 @@ type groupPair struct{ cached, delta int32 }
 // 64 bits, probed in an open-addressed table small enough to stay in L1, and
 // is keyed as the byte string of its codes otherwise.
 func matchGroups(cached, delta *table.Table, nKeys int) (pairs []groupPair, fresh []int32) {
-	cCodes, dCodes := make([][]uint32, nKeys), make([][]uint32, nKeys)
+	keyCols := make([]int, nKeys)
 	widths := make([]uint, nKeys)
 	var width uint
-	for k := 0; k < nKeys; k++ {
-		cCodes[k], dCodes[k] = cached.Col(k).Codes(), delta.Col(k).Codes()
+	for k := range keyCols {
+		keyCols[k] = k
 		widths[k] = uint(bits.Len32(uint32(max(cached.Col(k).DictSize(), delta.Col(k).DictSize()))))
 		width += widths[k]
 	}
+	cCodes, dCodes := keyReader(cached, keyCols), keyReader(delta, keyCols)
 	matched := false
 	if width <= 64 {
 		pairs, matched = matchPacked(cCodes, dCodes, widths, cached.NumRows(), delta.NumRows())
@@ -172,25 +172,18 @@ const matchBlock = 256
 // time, a column at a time. It reports false when some code is wider than
 // its column's slot (the OR of a column's codes then exceeds the slot's
 // mask), and the caller keys by bytes instead.
-func matchPacked(cCodes, dCodes [][]uint32, widths []uint, cRows, dRows int) ([]groupPair, bool) {
-	// pack ORs the codes of rows [lo, lo+len(keys)) into keys, reporting
-	// whether every code fit its slot.
-	pack := func(codes [][]uint32, lo int, keys []uint64) bool {
-		clear(keys)
-		shift := uint(0)
-		for k, col := range codes {
-			var seen uint32
-			col = col[lo : lo+len(keys)]
-			for i := range keys {
-				seen |= col[i]
-				keys[i] |= uint64(col[i]) << shift
-			}
-			if uint64(seen)>>widths[k] != 0 {
-				return false
-			}
-			shift += widths[k]
-		}
-		return true
+func matchPacked(cCodes, dCodes rowReader, widths []uint, cRows, dRows int) ([]groupPair, bool) {
+	// pack folds the codes of rows [lo, lo+len(keys)) into keys with the
+	// scan kernels' key decode, each column in its slot of the packed key,
+	// reporting whether every code fit its slot.
+	mults, limits := make([]uint64, len(widths)), make([]uint32, len(widths))
+	var shift uint
+	for k, w := range widths {
+		mults[k], limits[k] = uint64(1)<<shift, uint32(1<<w-1)
+		shift += w
+	}
+	pack := func(rd rowReader, lo int, keys []uint64) bool {
+		return decodeKeys(keys, rd, lo, mults, limits)
 	}
 	// The delta's keys sit in an open-addressed table probed linearly, at
 	// most half full: slotRow holds delta row + 1 (0 = empty) and slotKey
@@ -238,12 +231,12 @@ func matchPacked(cCodes, dCodes [][]uint32, widths []uint, cRows, dRows int) ([]
 }
 
 // matchWide matches keying each tuple by the byte string of its codes.
-func matchWide(cCodes, dCodes [][]uint32, cRows, dRows int) []groupPair {
+func matchWide(cCodes, dCodes rowReader, cRows, dRows int) []groupPair {
 	var buf []byte
-	key := func(codes [][]uint32, row int) []byte {
+	key := func(rd rowReader, row int) []byte {
 		buf = buf[:0]
-		for _, c := range codes {
-			buf = binary.LittleEndian.AppendUint32(buf, c[row])
+		for k := range rd.offs {
+			buf = binary.LittleEndian.AppendUint32(buf, rd.code(row, k))
 		}
 		return buf
 	}
@@ -362,19 +355,21 @@ func beats(kind AggKind, col *table.Column, code, cur uint32) bool {
 	return c > 0
 }
 
-// Column builds the merged column named name: row k holds group k, or group
-// order[k] when order is non-nil. COUNT and SUM become measure columns,
-// MIN/MAX codes are emitted under the template's dictionary. The merger must
-// not be used afterwards.
-func (m *AggMerger) Column(name string, order []int) *table.Column {
+// Column declares the merged column named name in b, whose rows are the
+// merger's groups, and writes it: row k holds group k, or group order[k]
+// when order is non-nil. COUNT and SUM become measure columns, MIN/MAX codes
+// are emitted under the template's dictionary. The merger must not be used
+// afterwards.
+func (m *AggMerger) Column(b *table.Builder, name string, order []int) {
 	switch {
 	case m.extreme():
-		out := m.proto.EmptyLike(name)
-		out.AppendCodes(permute(m.codes, m.n, order))
-		return out
+		c := b.Like(m.proto, name)
+		for k, code := range permute(m.codes, m.n, order) {
+			b.Set(k, c, code)
+		}
 	case m.float:
-		return table.MeasureColumn(name, permute(m.floats, m.n, order), permute(m.valid, m.n, order))
+		table.AddMeasure(b, name, permute(m.floats, m.n, order), permute(m.valid, m.n, order))
 	default:
-		return table.MeasureColumn(name, permute(m.ints, m.n, order), permute(m.valid, m.n, order))
+		table.AddMeasure(b, name, permute(m.ints, m.n, order), permute(m.valid, m.n, order))
 	}
 }

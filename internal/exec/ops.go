@@ -41,16 +41,21 @@ const GrpTagCol = "grp_tag"
 // output schema is outCols (the union of all grouping columns plus aggregate
 // columns); each part contributes its own columns with NULL for grouping
 // columns absent from its set, plus a Grp-Tag naming the part. The union is
-// built column by column: a column any part holds as a measure concatenates
-// values into a measure column, any other column concatenates codes under the
-// dictionary its parts share, and the tag column interns one string per part.
-// A parts/tags arity mismatch or a part column of the wrong type is a
-// malformed request and returns an error.
+// written column by column into one image: a column any part holds as a
+// measure concatenates values into a measure column, any other column
+// concatenates codes under the dictionary its parts share (or re-interns
+// values when their dictionaries are unrelated), and the tag column interns
+// one string per part. A parts/tags arity mismatch or a part column of the
+// wrong type is a malformed request and returns an error.
 func UnionAllTagged(outName string, outCols []table.ColumnDef, parts []*table.Table, tags []string) (*table.Table, error) {
 	if len(parts) != len(tags) {
 		return nil, fmt.Errorf("exec: union of %d parts with %d tags", len(parts), len(tags))
 	}
-	cols := make([]*table.Column, 0, len(outCols)+1)
+	n := 0
+	for _, part := range parts {
+		n += part.NumRows()
+	}
+	b := table.NewBuilder(outName, n, len(outCols)+1)
 	for _, def := range outCols {
 		// Each part's column of the same name; nil = absent, emit NULL.
 		srcs := make([]*table.Column, len(parts))
@@ -66,32 +71,29 @@ func UnionAllTagged(outName string, outCols []table.ColumnDef, parts []*table.Ta
 			srcs[pi] = src
 			measure = measure || src.Measure()
 		}
-		var col *table.Column
-		var err error
 		switch {
 		case measure && def.Typ == table.TFloat64:
-			col = unionMeasure(def.Name, parts, srcs, func(c *table.Column) []float64 { _, f := c.NumericDict(); return f })
+			unionMeasure(b, def.Name, parts, srcs, func(c *table.Column) []float64 { _, f := c.NumericDict(); return f })
 		case measure:
-			col = unionMeasure(def.Name, parts, srcs, func(c *table.Column) []int64 { i, _ := c.NumericDict(); return i })
+			unionMeasure(b, def.Name, parts, srcs, func(c *table.Column) []int64 { i, _ := c.NumericDict(); return i })
 		default:
-			col, err = unionCodes(def, parts, srcs)
+			unionCodes(b, def, parts, srcs)
 		}
-		if err != nil {
-			return nil, err
+	}
+	tag, r := b.Add(table.ColumnDef{Name: GrpTagCol, Typ: table.TString}), 0
+	for pi, part := range parts {
+		for range part.NumRows() {
+			b.SetValue(r, tag, table.Str(tags[pi]))
+			r++
 		}
-		cols = append(cols, col)
 	}
-	tag, err := unionTags(parts, tags)
-	if err != nil {
-		return nil, err
-	}
-	return table.FromColumns(outName, append(cols, tag)), nil
+	return b.Table(), nil
 }
 
 // unionMeasure concatenates the parts' values of one aggregate column into a
 // measure column, decoding each part's codes through its dictionary values
 // (so gathered and interned parts work too); an absent column is NULL.
-func unionMeasure[T int64 | float64](name string, parts []*table.Table, srcs []*table.Column, dictOf func(*table.Column) []T) *table.Column {
+func unionMeasure[T int64 | float64](b *table.Builder, name string, parts []*table.Table, srcs []*table.Column, dictOf func(*table.Column) []T) {
 	n := 0
 	for _, part := range parts {
 		n += part.NumRows()
@@ -102,98 +104,59 @@ func unionMeasure[T int64 | float64](name string, parts []*table.Table, srcs []*
 			vals = vals[:len(vals)+parts[pi].NumRows()] // zero, and NULL in valid
 			continue
 		}
-		dict := dictOf(src)
-		for _, code := range src.Codes() {
-			var v T
-			if code != 0 {
-				v, valid[len(vals)] = dict[code-1], true
+		dict, v := dictOf(src), src.View()
+		for r := range src.Len() {
+			var val T
+			if code := v.At(r); code != 0 {
+				val, valid[len(vals)] = dict[code-1], true
 			}
-			vals = append(vals, v)
+			vals = append(vals, val)
 		}
 	}
-	return table.MeasureColumn(name, vals, valid)
+	table.AddMeasure(b, name, vals, valid)
 }
 
 // unionCodes concatenates the parts' codes of one column under the largest
 // of their dictionaries, which decodes every part's codes when all share one
 // lineage (see table.Column.SharesDict); an absent column is NULL. Parts
-// built over unrelated dictionaries are re-interned instead (unionInterned).
-func unionCodes(def table.ColumnDef, parts []*table.Table, srcs []*table.Column) (*table.Column, error) {
+// built over unrelated dictionaries are re-interned instead, the distinct
+// values coded in first-appearance order.
+func unionCodes(b *table.Builder, def table.ColumnDef, parts []*table.Table, srcs []*table.Column) {
 	var tmpl *table.Column
+	shared := true
 	for _, src := range srcs {
 		switch {
 		case src == nil:
 		case tmpl == nil:
 			tmpl = src
 		case !src.SharesDict(tmpl):
-			return unionInterned(def, parts, srcs)
+			shared = false
 		case src.DictSize() > tmpl.DictSize():
 			tmpl = src
 		}
 	}
-	var out *table.Column
-	if tmpl != nil {
-		out = tmpl.EmptyLike(def.Name)
+	var c int
+	if tmpl != nil && shared {
+		c = b.Like(tmpl, def.Name)
 	} else {
-		out = table.NewColumn(def)
+		c = b.Add(def)
 	}
+	r := 0
 	for pi, src := range srcs {
 		if src == nil {
-			out.AppendCodes(make([]uint32, parts[pi].NumRows()))
-		} else {
-			out.AppendCodes(src.Codes())
-		}
-	}
-	return out, nil
-}
-
-// unionInterned concatenates one column of parts whose dictionaries are
-// unrelated by decoding every row and interning the distinct values in
-// first-appearance order.
-func unionInterned(def table.ColumnDef, parts []*table.Table, srcs []*table.Column) (*table.Column, error) {
-	codeOf := map[table.Value]uint32{}
-	var dictVals []table.Value
-	var codes []uint32
-	for pi, src := range srcs {
-		for r := 0; r < parts[pi].NumRows(); r++ {
-			if src == nil || src.IsNull(r) {
-				codes = append(codes, 0)
-				continue
-			}
-			v := src.Value(r)
-			code, ok := codeOf[v]
-			if !ok {
-				dictVals = append(dictVals, v)
-				code = uint32(len(dictVals))
-				codeOf[v] = code
-			}
-			codes = append(codes, code)
-		}
-	}
-	return table.ColumnFromParts(def, dictVals, codes)
-}
-
-// unionTags builds the grp_tag column: one dictionary entry per distinct tag
-// of a non-empty part, in part order.
-func unionTags(parts []*table.Table, tags []string) (*table.Column, error) {
-	codeOf := map[string]uint32{}
-	var dictVals []table.Value
-	var codes []uint32
-	for pi, part := range parts {
-		if part.NumRows() == 0 {
+			r += parts[pi].NumRows() // NULL: the builder's cells start zero
 			continue
 		}
-		code, ok := codeOf[tags[pi]]
-		if !ok {
-			dictVals = append(dictVals, table.Str(tags[pi]))
-			code = uint32(len(dictVals))
-			codeOf[tags[pi]] = code
-		}
-		for r := 0; r < part.NumRows(); r++ {
-			codes = append(codes, code)
+		v := src.View()
+		for i := range src.Len() {
+			if shared {
+				b.Set(r, c, v.At(i))
+			} else {
+				b.SetValue(r, c, src.Value(i))
+			}
+			r++
 		}
 	}
-	return table.ColumnFromParts(table.ColumnDef{Name: GrpTagCol, Typ: table.TString}, dictVals, codes)
 }
 
 // SplitTagged is the inverse of UnionAllTagged: it splits a GROUPING
@@ -264,22 +227,24 @@ func HashJoin(l, r *table.Table, lKey, rKey int, outName string) *table.Table {
 			rIdx = append(rIdx, rr)
 		}
 	}
-	lg := l.Gather("l", lIdx)
-	rg := r.Gather("r", rIdx)
-	cols := make([]*table.Column, 0, lg.NumCols()+rg.NumCols())
-	seen := map[string]bool{}
-	for i := 0; i < lg.NumCols(); i++ {
-		cols = append(cols, lg.Col(i))
-		seen[lg.Col(i).Name()] = true
-	}
-	for i := 0; i < rg.NumCols(); i++ {
-		c := rg.Col(i)
-		if seen[c.Name()] {
-			c = renameColumn(c, r.Name()+"_"+c.Name())
+	out := table.NewBuilder(outName, len(lIdx), l.NumCols()+r.NumCols())
+	gather := func(src *table.Column, name string, idx []int32) {
+		c, v := out.Like(src, name), src.View()
+		for i, row := range idx {
+			out.Set(i, c, v.At(int(row)))
 		}
-		cols = append(cols, c)
 	}
-	return table.FromColumns(outName, cols)
+	for i := 0; i < l.NumCols(); i++ {
+		gather(l.Col(i), l.Col(i).Name(), lIdx)
+	}
+	for i := 0; i < r.NumCols(); i++ {
+		name := r.Col(i).Name()
+		if l.ColIndex(name) >= 0 {
+			name = r.Name() + "_" + name
+		}
+		gather(r.Col(i), name, rIdx)
+	}
+	return out.Table()
 }
 
 // normalizeJoinType lets TInt64 and TDate keys join (both carry I); other
@@ -289,13 +254,4 @@ func normalizeJoinType(t table.Type) table.Type {
 		return table.TInt64
 	}
 	return t
-}
-
-// renameColumn rebuilds a column under a new name sharing the dictionary.
-func renameColumn(c *table.Column, name string) *table.Column {
-	out := c.EmptyLike(name)
-	for i := 0; i < c.Len(); i++ {
-		out.AppendCode(c.Code(i))
-	}
-	return out
 }

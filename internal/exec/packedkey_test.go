@@ -36,33 +36,35 @@ func widthTable(rows, tuples int, dictSizes []int, seed int64) *table.Table {
 		pool[i] = tup
 	}
 	keyCodes := make([][]uint32, len(dictSizes))
-	v := table.NewColumn(table.ColumnDef{Name: "v", Typ: table.TInt64})
-	x := table.NewColumn(table.ColumnDef{Name: "x", Typ: table.TFloat64})
+	vs, xs := make([]table.Value, rows), make([]table.Value, rows)
 	for i := 0; i < rows; i++ {
 		tup := pool[r.Intn(len(pool))]
 		for k := range dictSizes {
 			keyCodes[k] = append(keyCodes[k], tup[k])
 		}
-		v.Append(table.Int(int64(r.Intn(1000))))
+		vs[i] = table.Int(int64(r.Intn(1000)))
 		if r.Intn(13) == 0 {
-			x.Append(table.Null(table.TFloat64))
+			xs[i] = table.Null(table.TFloat64)
 		} else {
-			x.Append(table.Float(float64(r.Intn(4000)) / 4))
+			xs[i] = table.Float(float64(r.Intn(4000)) / 4)
 		}
 	}
-	cols := make([]*table.Column, 0, len(dictSizes)+2)
+	b := table.NewBuilder("wt", rows, len(dictSizes)+2)
 	for k, size := range dictSizes {
 		dictVals := make([]table.Value, size)
 		for i := range dictVals {
 			dictVals[i] = table.Int(int64(i))
 		}
-		col, err := table.ColumnFromParts(table.ColumnDef{Name: fmt.Sprintf("k%d", k), Typ: table.TInt64}, dictVals, keyCodes[k])
-		if err != nil {
+		if _, err := b.AddParts(table.ColumnDef{Name: fmt.Sprintf("k%d", k), Typ: table.TInt64}, dictVals, keyCodes[k]); err != nil {
 			panic(err)
 		}
-		cols = append(cols, col)
 	}
-	return table.FromColumns("wt", append(cols, v, x))
+	v, x := b.Add(table.ColumnDef{Name: "v", Typ: table.TInt64}), b.Add(table.ColumnDef{Name: "x", Typ: table.TFloat64})
+	for i := range rows {
+		b.SetValue(i, v, vs[i])
+		b.SetValue(i, x, xs[i])
+	}
+	return b.Table()
 }
 
 // widthAggs exercises every accumulator kind over widthTable's v and x.
@@ -198,21 +200,19 @@ func plantedTable(badFirst bool, reps int) *table.Table {
 var plantedRows = [][2]uint32{{0, 1}, {4, 0}, {1, 2}, {0, 1}, {4, 0}, {4, 0}, {8, 3}, {0, 3}, {0, 1}, {2, 2}}
 
 // codeTable builds plantedTable's two key columns a and b, each over a
-// three-value dictionary, from raw code tuples appended with AppendCode.
+// three-value dictionary, from raw code tuples written with Builder.Set.
 func codeTable(rows [][2]uint32) *table.Table {
 	dictVals := []table.Value{table.Int(10), table.Int(20), table.Int(30)}
-	cols := make([]*table.Column, 2)
+	b := table.NewBuilder("planted", len(rows), 2)
 	for k, name := range []string{"a", "b"} {
-		col, err := table.ColumnFromParts(table.ColumnDef{Name: name, Typ: table.TInt64}, dictVals, nil)
-		if err != nil {
+		if _, err := b.AddParts(table.ColumnDef{Name: name, Typ: table.TInt64}, dictVals, make([]uint32, len(rows))); err != nil {
 			panic(err)
 		}
-		for _, r := range rows {
-			col.AppendCode(r[k])
+		for i, r := range rows {
+			b.Set(i, k, r[k])
 		}
-		cols[k] = col
 	}
-	return table.FromColumns("planted", cols)
+	return b.Table()
 }
 
 // checkKeyCounts asserts out holds one row per distinct raw code tuple of
@@ -247,7 +247,7 @@ func checkKeyCounts(t *testing.T, path string, src, out *table.Table, err error)
 }
 
 // TestKernelPackedKeyGuardNeverMerges plants codes above their column's
-// dictionary size with AppendCode: packing them would silently merge two
+// dictionary size with Builder.Set: packing them would silently merge two
 // groups. The group table must switch to wide keys instead, so every hash
 // entry point returns the true group count with the true count per code
 // tuple.

@@ -103,8 +103,8 @@ func groupBy(gov *Gov, t *table.Table, queries []MultiQuery, w int) ([]*table.Ta
 		budget.Release(freed)
 	}()
 	// All state is built here, before any worker starts: share 0's
-	// constructors force the lazily built state the other shares' clones then
-	// read (the scan image, dictionary rank tables). A share sees ~1/w of the
+	// constructors force the lazily built dictionary rank tables the other
+	// shares' clones then read. A share sees ~1/w of the
 	// rows, so its table holds at most that many groups; only share 0, the
 	// merge target, keeps the full presize hint.
 	for wi := range shares {

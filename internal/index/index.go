@@ -42,16 +42,16 @@ func Build(t *table.Table, name string, cols []int, clustered bool) *Index {
 		perm[i] = int32(i)
 	}
 	ranks := make([][]uint32, len(cols))
-	codes := make([][]uint32, len(cols))
+	codes := make([]table.CodeView, len(cols))
 	for i, c := range cols {
 		col := t.Col(c)
 		ranks[i] = col.Ranks()
-		codes[i] = col.Codes()
+		codes[i] = col.View()
 	}
 	sort.Slice(perm, func(a, b int) bool {
-		ra, rb := perm[a], perm[b]
+		ra, rb := int(perm[a]), int(perm[b])
 		for i := range cols {
-			ka, kb := ranks[i][codes[i][ra]], ranks[i][codes[i][rb]]
+			ka, kb := ranks[i][codes[i].At(ra)], ranks[i][codes[i].At(rb)]
 			if ka != kb {
 				return ka < kb
 			}
@@ -63,7 +63,7 @@ func Build(t *table.Table, name string, cols []int, clustered bool) *Index {
 	if n > 0 {
 		for i := 1; i < n; i++ {
 			for j := range cols {
-				if codes[j][perm[i]] != codes[j][perm[i-1]] {
+				if codes[j].At(int(perm[i])) != codes[j].At(int(perm[i-1])) {
 					bounds = append(bounds, int32(i))
 					break
 				}

@@ -53,7 +53,7 @@ type dictMemo struct {
 // colCursor is one column of the table being encoded.
 type colCursor struct {
 	col    *table.Column
-	codes  []uint32
+	codes  table.CodeView
 	ints   []int64   // measure column over integers
 	floats []float64 // measure column over floats
 	memo   int       // index into memos, or -1 to encode every cell afresh
@@ -216,7 +216,7 @@ func (e *resultEncoder) cursors(t *gbmqo.Table) []colCursor {
 	e.cols = e.cols[:0]
 	for c := 0; c < t.NumCols(); c++ {
 		col := t.Col(c)
-		cur := colCursor{col: col, codes: col.Codes(), memo: -1}
+		cur := colCursor{col: col, codes: col.View(), memo: -1}
 		switch {
 		case col.Measure():
 			cur.ints, cur.floats = col.NumericDict()
@@ -270,7 +270,7 @@ func growSpans(s []span, n int) []span {
 
 // cell appends row r of one column.
 func (e *resultEncoder) cell(c *colCursor, r int) error {
-	code := c.codes[r]
+	code := c.codes.At(r)
 	if code == 0 {
 		e.buf = append(e.buf, "null"...)
 		return nil

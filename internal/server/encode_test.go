@@ -182,30 +182,29 @@ func checkEncoding(t *testing.T, tbl *gbmqo.Table, info gbmqo.BatchInfo, tags []
 func fuzzTable(raw []byte, s string, x float64, n int64, nulls uint8) *gbmqo.Table {
 	const rows = 4
 	null := func(bit, r int) bool { return nulls&(1<<(bit+r)) != 0 }
-	dict := func(name string, typ table.Type, vals [rows]table.Value) *table.Column {
-		c := table.NewColumn(table.ColumnDef{Name: name, Typ: typ})
+	b := table.NewBuilder("fuzz", rows, 6)
+	dict := func(name string, typ table.Type, vals [rows]table.Value) {
+		c := b.Add(table.ColumnDef{Name: name, Typ: typ})
 		for r, v := range vals {
 			if null(0, r) {
 				v = table.Null(typ)
 			}
-			c.Append(v)
+			b.SetValue(r, c, v)
 		}
-		return c
 	}
 	valid := make([]bool, rows)
 	for r := range valid {
 		valid[r] = !null(4, r)
 	}
 	str := string(raw)
-	return table.FromColumns("fuzz", []*table.Column{
-		// The fuzzed string names a column too: names are escaped as values are.
-		dict("s:"+s, table.TString, [rows]table.Value{table.Str(str), table.Str(s), table.Str(str + s), table.Str(s)}),
-		dict("f", table.TFloat64, [rows]table.Value{table.Float(x), table.Float(-x), table.Float(math.Nextafter(x, math.Inf(1))), table.Float(x)}),
-		dict("i", table.TInt64, [rows]table.Value{table.Int(n), table.Int(-n), table.Int(math.MinInt64), table.Int(math.MaxInt64)}),
-		dict("d", table.TDate, [rows]table.Value{table.Date(n), table.Date(n % 100000), table.Date(-1), table.Date(n)}),
-		table.MeasureColumn("count", []int64{n, 1, math.MaxInt64, math.MinInt64}, append([]bool(nil), valid...)),
-		table.MeasureColumn("sum", []float64{x, x / 3, x * 1e-7, -x}, append([]bool(nil), valid...)),
-	})
+	// The fuzzed string names a column too: names are escaped as values are.
+	dict("s:"+s, table.TString, [rows]table.Value{table.Str(str), table.Str(s), table.Str(str + s), table.Str(s)})
+	dict("f", table.TFloat64, [rows]table.Value{table.Float(x), table.Float(-x), table.Float(math.Nextafter(x, math.Inf(1))), table.Float(x)})
+	dict("i", table.TInt64, [rows]table.Value{table.Int(n), table.Int(-n), table.Int(math.MinInt64), table.Int(math.MaxInt64)})
+	dict("d", table.TDate, [rows]table.Value{table.Date(n), table.Date(n % 100000), table.Date(-1), table.Date(n)})
+	table.AddMeasure(b, "count", []int64{n, 1, math.MaxInt64, math.MinInt64}, append([]bool(nil), valid...))
+	table.AddMeasure(b, "sum", []float64{x, x / 3, x * 1e-7, -x}, append([]bool(nil), valid...))
+	return b.Table()
 }
 
 // FuzzResultEncoding requires the direct encoder's bytes to equal

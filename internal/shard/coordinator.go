@@ -506,14 +506,10 @@ func (c *Coordinator) NoteAppend(name string, newT *table.Table, ep catalog.Epoc
 	// Route each delta row with the build's hash: by key-column code when the
 	// table is key-partitioned, by global row index otherwise.
 	routed := make([][]int, n)
-	var keyCodes []uint32
-	if ti.keyOrd >= 0 {
-		keyCodes = newT.Col(ti.keyOrd).Codes()
-	}
 	for r := ti.total; r < newT.NumRows(); r++ {
 		b := mix(uint64(r)) % uint64(n)
-		if keyCodes != nil {
-			b = mix(uint64(keyCodes[r])) % uint64(n)
+		if ti.keyOrd >= 0 {
+			b = mix(uint64(newT.Col(ti.keyOrd).Code(r))) % uint64(n)
 		}
 		routed[b] = append(routed[b], r)
 	}
@@ -521,29 +517,34 @@ func (c *Coordinator) NoteAppend(name string, newT *table.Table, ep catalog.Epoc
 	for i := range locals {
 		idx := routed[i]
 		old := olds[i]
-		cols := make([]*table.Column, 0, newT.NumCols()+1)
-		// Rebuild each data column from newT's columns so the partition picks
-		// up the extended dictionaries (fresh rank tables covering the delta
+		base := old.NumRows()
+		b := table.NewBuilder(name, base+len(idx), newT.NumCols()+1)
+		// copyBase writes old's column src into column c of the base segment.
+		copyBase := func(c int, src *table.Column) {
+			v := src.View()
+			for r := range base {
+				b.Set(r, c, v.At(r))
+			}
+		}
+		// Rebuild each data column under newT's dictionaries so the partition
+		// picks up the extended ones (fresh rank tables covering the delta
 		// codes); the base segment is a plain code copy, never re-interned.
 		for j := 0; j < newT.NumCols(); j++ {
-			nc := newT.Col(j).EmptyLike(newT.Col(j).Name())
-			nc.AppendCodes(old.Col(j).Codes())
-			for _, r := range idx {
-				nc.AppendCode(newT.Col(j).Code(r))
+			c := b.Like(newT.Col(j), newT.Col(j).Name())
+			copyBase(c, old.Col(j))
+			for k, r := range idx {
+				b.Set(base+k, c, newT.Col(j).Code(r))
 			}
-			cols = append(cols, nc)
 		}
 		// The hidden RowColumn keeps its shard-private dictionary; new global
 		// row indexes are interned under the write lock, which excludes every
 		// reader of the old partition.
-		nrc := old.Col(ti.rowOrd).EmptyLikeExtended(RowColumn)
-		nrc.AppendCodes(old.Col(ti.rowOrd).Codes())
-		for _, r := range idx {
-			nrc.Append(table.Int(int64(r)))
+		rc := b.LikeExtended(old.Col(ti.rowOrd), RowColumn)
+		copyBase(rc, old.Col(ti.rowOrd))
+		for k, r := range idx {
+			b.SetValue(base+k, rc, table.Int(int64(r)))
 		}
-		cols = append(cols, nrc)
-		p := table.FromColumns(name, cols)
-		p.RowImage() // immutable + safe for concurrent gathers, as at build
+		p := b.Table()
 		locals[i].eng.Catalog().Register(p)
 		locals[i].rows[name] = p.NumRows()
 		ti.perShard[i] += len(idx)

@@ -62,7 +62,6 @@ type mergeGroup struct {
 // first-appearance order.
 func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, outs []outcome, okIdx []int) (map[colset.Set]*table.Table, error) {
 	merged := make(map[colset.Set]*table.Table, len(req.Sets))
-	var keyBuf []byte
 	for _, set := range req.Sets {
 		if _, done := merged[set]; done {
 			continue
@@ -95,14 +94,13 @@ func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, o
 					mergers[j] = exec.NewAggMerger(a.Kind, rt.Col(nk+j), bound)
 				}
 			}
+			// A row's group key is its key columns' codes, which lead the
+			// row in the result's image.
+			img, stride := rt.RowImage()
 			for r := 0; r < rt.NumRows(); r++ {
-				keyBuf = keyBuf[:0]
-				for k := 0; k < nk; k++ {
-					code := rt.Col(k).Code(r)
-					keyBuf = append(keyBuf, byte(code), byte(code>>8), byte(code>>16), byte(code>>24))
-				}
+				key := img[r*stride : r*stride+4*nk]
 				first := rt.Col(nk + na).Value(r).I
-				g, ok := byKey[string(keyBuf)]
+				g, ok := byKey[string(key)]
 				if !ok {
 					g = &mergeGroup{id: len(groups), codes: make([]uint32, nk), first: first}
 					for k := 0; k < nk; k++ {
@@ -111,7 +109,7 @@ func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, o
 					for j, m := range mergers {
 						m.Add(rt.Col(nk+j), r)
 					}
-					byKey[string(keyBuf)] = g
+					byKey[string(key)] = g
 					groups = append(groups, g)
 					continue
 				}
@@ -128,22 +126,21 @@ func (c *Coordinator) merge(req engine.Request, own map[colset.Set][]exec.Agg, o
 		}
 		sort.SliceStable(groups, func(a, b int) bool { return groups[a].first < groups[b].first })
 
-		outCols := make([]*table.Column, 0, nk+na)
+		b := table.NewBuilder(proto.Name(), len(groups), nk+na)
 		for k := 0; k < nk; k++ {
-			oc := proto.Col(k).EmptyLike(proto.Col(k).Name())
-			for _, g := range groups {
-				oc.AppendCode(g.codes[k])
+			c := b.Like(proto.Col(k), proto.Col(k).Name())
+			for i, g := range groups {
+				b.Set(i, c, g.codes[k])
 			}
-			outCols = append(outCols, oc)
 		}
 		order := make([]int, len(groups))
 		for i, g := range groups {
 			order[i] = g.id
 		}
 		for j, m := range mergers {
-			outCols = append(outCols, m.Column(proto.Col(nk+j).Name(), order))
+			m.Column(b, proto.Col(nk+j).Name(), order)
 		}
-		merged[set] = table.FromColumns(proto.Name(), outCols)
+		merged[set] = b.Table()
 	}
 	return merged, nil
 }

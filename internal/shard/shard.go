@@ -153,9 +153,9 @@ func partitionIdx(t *table.Table, n, keyOrd int) [][]int32 {
 		buckets[i] = make([]int32, 0, nrows/n+1)
 	}
 	if keyOrd >= 0 {
-		codes := t.Col(keyOrd).Codes()
-		for r, code := range codes {
-			b := mix(uint64(code)) % uint64(n)
+		codes := t.Col(keyOrd).View()
+		for r := range nrows {
+			b := mix(uint64(codes.At(r))) % uint64(n)
 			buckets[b] = append(buckets[b], int32(r))
 		}
 		return buckets
@@ -183,20 +183,16 @@ func mix(x uint64) uint64 {
 // shards and with unsharded output), and appends the hidden RowColumn holding
 // each row's global index.
 func buildPartition(t *table.Table, idx []int32) *table.Table {
-	g := t.Gather(t.Name(), idx)
-	cols := make([]*table.Column, 0, g.NumCols()+1)
-	for i := 0; i < g.NumCols(); i++ {
-		cols = append(cols, g.Col(i))
+	b := table.NewBuilder(t.Name(), len(idx), t.NumCols()+1)
+	for j := 0; j < t.NumCols(); j++ {
+		c, v := b.Like(t.Col(j), t.Col(j).Name()), t.Col(j).View()
+		for i, r := range idx {
+			b.Set(i, c, v.At(int(r)))
+		}
 	}
-	rc := table.NewColumn(table.ColumnDef{Name: RowColumn, Typ: table.TInt64})
-	for _, r := range idx {
-		rc.Append(table.Int(int64(r)))
+	rc := b.Add(table.ColumnDef{Name: RowColumn, Typ: table.TInt64})
+	for i, r := range idx {
+		b.SetValue(i, rc, table.Int(int64(r)))
 	}
-	p := table.FromColumns(t.Name(), append(cols, rc))
-	// Materialize the scan image now: a shard serves concurrent executions
-	// (overlapping gathers, a primary racing its hedge) and the image is
-	// built lazily without synchronization — after this the table is
-	// effectively immutable and safe to share.
-	p.RowImage()
-	return p
+	return b.Table()
 }

@@ -108,7 +108,7 @@ func TestRestoreRejectsInconsistentImage(t *testing.T) {
 }
 
 // FuzzSnapshotBody feeds arbitrary bodies to the snapshot decoder and
-// restores every table it yields, which reaches table.ColumnFromParts. Nothing
+// restores every table it yields, which reaches table.Builder.AddParts. Nothing
 // may panic, and a body the decoder accepts must re-encode to bytes that
 // decode and re-encode to the same bytes. Seeds: the golden file's body plus
 // testdata/fuzz/FuzzSnapshotBody.

@@ -57,9 +57,9 @@ type Snapshot struct {
 // ImageOf captures a table's decomposition. The caller must hold whatever
 // lock serializes appends to this table's lineage — dictionary backing is
 // shared across append snapshots, and DictValues reads it. The returned image
-// owns copies of the dictionary values; the code slices alias the table's
-// backing but their lengths are pinned here, and appends only ever write past
-// those lengths.
+// owns copies of the dictionary values and of each column's codes, gathered
+// once from the table's row-major image into the column-major form the file
+// stores.
 func ImageOf(t *table.Table, version, delta uint64) TableImage {
 	img := TableImage{
 		Name:    t.Name(),
@@ -72,31 +72,32 @@ func ImageOf(t *table.Table, version, delta uint64) TableImage {
 	for i := 0; i < t.NumCols(); i++ {
 		c := t.Col(i)
 		img.Dicts[i] = c.DictValues()
-		img.Codes[i] = c.Codes()
+		img.Codes[i] = c.View().Gather()
 	}
-	img.Fingerprint = fingerprintImage(&img)
+	img.Fingerprint = fingerprintParts(img.Defs, img.Dicts, func(c, r int) uint32 { return img.Codes[c][r] }, t.NumRows())
 	return img
 }
 
 // Restore rebuilds the table from its image and verifies the fingerprint.
 func Restore(img *TableImage) (*table.Table, error) {
-	cols := make([]*table.Column, len(img.Defs))
+	rows := 0
+	if len(img.Codes) > 0 {
+		rows = len(img.Codes[0])
+	}
+	b := table.NewBuilder(img.Name, rows, len(img.Defs))
 	seen := make(map[string]bool, len(img.Defs))
 	for i, def := range img.Defs {
-		// table.FromColumns panics on either fault; a decoded image can hold
-		// both, so they are errors here.
-		if seen[def.Name] || len(img.Codes[i]) != len(img.Codes[0]) {
-			return nil, fmt.Errorf("snapshot: table %q: column %q is duplicate or has %d rows, want %d",
-				img.Name, def.Name, len(img.Codes[i]), len(img.Codes[0]))
+		// The builder panics on a duplicate or empty name; a decoded image can
+		// hold them, so they are errors here.
+		if seen[def.Name] || def.Name == "" {
+			return nil, fmt.Errorf("snapshot: table %q: column %d name %q is empty or duplicate", img.Name, i, def.Name)
 		}
 		seen[def.Name] = true
-		c, err := table.ColumnFromParts(def, img.Dicts[i], img.Codes[i])
-		if err != nil {
+		if _, err := b.AddParts(def, img.Dicts[i], img.Codes[i]); err != nil {
 			return nil, fmt.Errorf("snapshot: table %q: %w", img.Name, err)
 		}
-		cols[i] = c
 	}
-	t := table.FromColumns(img.Name, cols)
+	t := b.Table()
 	if got := Fingerprint(t); got != img.Fingerprint {
 		return nil, fmt.Errorf("snapshot: table %q fingerprint mismatch: restored %016x, stored %016x",
 			img.Name, got, img.Fingerprint)
@@ -105,26 +106,32 @@ func Restore(img *TableImage) (*table.Table, error) {
 }
 
 // Fingerprint hashes a table's logical content — column definitions,
-// dictionary values in code order, and code vectors — with FNV-64a. It is
-// computed from the same decomposition the snapshot stores, so verifying a
-// restore needs no row image materialization.
+// dictionary values in code order, and code vectors — with FNV-64a. It hashes
+// the same decomposition the snapshot stores, read from the table in place.
 func Fingerprint(t *table.Table) uint64 {
-	return ImageOf(t, 0, 0).Fingerprint
+	dicts := make([][]table.Value, t.NumCols())
+	views := make([]table.CodeView, t.NumCols())
+	for i := range dicts {
+		dicts[i], views[i] = t.Col(i).DictValues(), t.Col(i).View()
+	}
+	return fingerprintParts(t.Defs(), dicts, func(c, r int) uint32 { return views[c].At(r) }, t.NumRows())
 }
 
-func fingerprintImage(img *TableImage) uint64 {
+// fingerprintParts is Fingerprint over a decomposition whose column c holds
+// code(c, r) at row r.
+func fingerprintParts(defs []table.ColumnDef, dicts [][]table.Value, code func(c, r int) uint32, rows int) uint64 {
 	h := fnv.New64a()
 	var tmp [8]byte
 	w64 := func(v uint64) { binary.LittleEndian.PutUint64(tmp[:], v); h.Write(tmp[:]) }
-	for i, def := range img.Defs {
+	for i, def := range defs {
 		io.WriteString(h, def.Name)
 		h.Write([]byte{0, byte(def.Typ)})
-		for _, v := range img.Dicts[i] {
+		for _, v := range dicts[i] {
 			hashValue(h, w64, v)
 		}
 		h.Write([]byte{0xff})
-		for _, code := range img.Codes[i] {
-			binary.LittleEndian.PutUint32(tmp[:4], code)
+		for r := range rows {
+			binary.LittleEndian.PutUint32(tmp[:4], code(i, r))
 			h.Write(tmp[:4])
 		}
 		h.Write([]byte{0xfe})

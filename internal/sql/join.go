@@ -198,12 +198,16 @@ func multiplyCounts(joined *table.Table, cntName, rcntName string, base *table.T
 	// their dictionaries; counts are never NULL (code 0).
 	cv, _ := cnt.NumericDict()
 	rv, _ := rcnt.NumericDict()
-	cc, rc := cnt.Codes(), rcnt.Codes()
 	prod := make([]int64, joined.NumRows())
 	for i := range prod {
-		prod[i] = cv[cc[i]-1] * rv[rc[i]-1]
+		prod[i] = cv[cnt.Code(i)-1] * rv[rcnt.Code(i)-1]
 	}
-	return table.FromColumns("scaled", append(cols, table.MeasureColumn(cntName, prod, nil))), nil
+	b := table.NewBuilder("scaled", joined.NumRows(), len(cols)+1)
+	for _, c := range cols {
+		b.Copy(c, "")
+	}
+	table.AddMeasure(b, cntName, prod, nil)
+	return b.Table(), nil
 }
 
 // groupOrdinals maps base grouping ordinals to a derived table's ordinals.

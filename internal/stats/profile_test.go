@@ -19,15 +19,15 @@ import (
 // the frequencies of frequencies.
 func refProfile(t *table.Table, rows []int32, set colset.Set) (d int, freq map[int]int) {
 	cols := set.Columns()
-	codes := make([][]uint32, len(cols))
+	codes := make([]table.CodeView, len(cols))
 	for i, c := range cols {
-		codes[i] = t.Col(c).Codes()
+		codes[i] = t.Col(c).View()
 	}
 	counts := make(map[uint64]int32, len(rows))
 	for _, row := range rows {
 		h := uint64(0x9e3779b97f4a7c15)
 		for _, col := range codes {
-			h ^= uint64(col[row]) + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+			h ^= uint64(col.At(int(row))) + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
 			h *= 0xbf58476d1ce4e5b9
 			h ^= h >> 27
 		}
@@ -270,12 +270,14 @@ func TestProfileSteadyStateAllocs(t *testing.T) {
 // codeTable builds a table whose columns hold the given raw codes over empty
 // dictionaries, so every non-NULL code is planted above DictSize.
 func codeTable(cols ...[]uint32) *table.Table {
-	out := make([]*table.Column, len(cols))
+	b := table.NewBuilder("codes", len(cols[0]), len(cols))
 	for i, codes := range cols {
-		out[i] = table.NewColumn(table.ColumnDef{Name: fmt.Sprintf("c%d", i), Typ: table.TInt64})
-		out[i].AppendCodes(codes)
+		c := b.Add(table.ColumnDef{Name: fmt.Sprintf("c%d", i), Typ: table.TInt64})
+		for r, code := range codes {
+			b.Set(r, c, code)
+		}
 	}
-	return table.FromColumns("codes", out)
+	return b.Table()
 }
 
 // radixTable builds rows rows whose column i takes codes below radices[i].
@@ -312,24 +314,16 @@ func radixTable(rows int, seed int64, radices ...uint64) *table.Table {
 // exec.plantedTable plants them: they must count as values of their own.
 func plantedLineitem(rows int) *table.Table {
 	tb := datagen.Lineitem(datagen.LineitemOpts{Rows: rows, Seed: 1})
-	cols := make([]*table.Column, tb.NumCols())
-	for c := range cols {
-		cols[c] = tb.Col(c)
+	b := table.NewBuilder("planted", rows, tb.NumCols())
+	for c := 0; c < tb.NumCols(); c++ {
+		b.Copy(tb.Col(c), "")
 	}
 	for _, c := range []int{datagen.LReturnFlag, datagen.LShipMode} {
-		src := tb.Col(c)
-		codes := slices.Clone(src.Codes())
-		for row := 0; row < len(codes); row += 7 {
-			codes[row] = uint32(src.DictSize() + 1 + row%3)
+		for row := 0; row < rows; row += 7 {
+			b.Set(row, c, uint32(tb.Col(c).DictSize()+1+row%3))
 		}
-		col, err := table.ColumnFromParts(src.Def(), src.DictValues(), nil)
-		if err != nil {
-			panic(err)
-		}
-		col.AppendCodes(codes)
-		cols[c] = col
 	}
-	return table.FromColumns("planted", cols)
+	return b.Table()
 }
 
 // TestProfileKeyPaths: each key path's profile equals the map-based reference

@@ -108,10 +108,10 @@ func (s *Sample) extend(t *table.Table) {
 		if col == nil {
 			continue
 		}
-		codes := t.Col(c).Codes()
+		codes := t.Col(c).View()
 		for j, row := range s.rows {
 			if row != before[j] {
-				col[j] = codes[row]
+				col[j] = codes.At(int(row))
 			}
 		}
 		s.top[c] = maxCode(col)
@@ -123,18 +123,20 @@ func (s *Sample) Size() int { return s.n }
 
 // column returns column c of the sample image, gathering it on first use
 // and recording its largest code as the column's radix. A whole-table sample
-// aliases the column itself.
+// gathers every row.
 func (s *Sample) column(c int) []uint32 {
 	if s.img[c] == nil {
-		codes := s.t.Col(c).Codes()
-		if s.rows != nil {
-			gathered := make([]uint32, len(s.rows))
+		codes := s.t.Col(c).View()
+		var gathered []uint32
+		if s.rows == nil {
+			gathered = codes.Gather()
+		} else {
+			gathered = make([]uint32, len(s.rows))
 			for i, row := range s.rows {
-				gathered[i] = codes[row]
+				gathered[i] = codes.At(int(row))
 			}
-			codes = gathered
 		}
-		s.img[c], s.top[c] = codes, maxCode(codes)
+		s.img[c], s.top[c] = gathered, maxCode(gathered)
 	}
 	return s.img[c]
 }

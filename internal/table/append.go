@@ -1,25 +1,23 @@
 package table
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
-// Append returns a new snapshot of the table with rows appended. The receiver
-// is left observable exactly as it was: the new snapshot shares the code
-// backing arrays and (extended) dictionaries with its parent, and writes land
-// strictly past the parent's row count, so readers of the old snapshot never
-// see them. Dictionary codes are stable across snapshots — a group-key code in
-// a cached aggregate computed over the parent means the same value over the
-// child — which is what makes delta roll-forward of cached Group By results
-// possible without re-keying.
+// Append returns a new snapshot of the table with rows appended, sharing the
+// image backing and (extended) dictionaries with its parent: writes land past
+// the parent's row count, so its readers never see them, and a copy keeps a
+// quarter of headroom, so chained appends cost O(delta). Codes are stable
+// across snapshots — a code in a cached aggregate over the parent means the
+// same value over the child — which lets cached results roll forward.
 //
-// Concurrency contract: Append must only be called on the NEWEST snapshot of a
-// table's lineage, one call at a time (the engine serializes appends per
-// catalog). A second child of one parent is guarded anyway: its code arrays,
-// image and dictionaries copy instead of writing over the first child's tail
-// (see frontier and dict.claim). Readers of any snapshot are always safe.
-//
+// Append must only be called on the NEWEST snapshot of a lineage, one call
+// at a time (the engine serializes appends per catalog); a second child of
+// one parent is guarded anyway, its image and dictionaries copying instead
+// of writing over the first child's tail (see frontier and dict.claim).
 // Validation is all-or-nothing and happens before any shared state is
-// touched: a type-mismatched or wrong-arity row leaves the dictionaries and
-// code arrays unmodified.
+// touched.
 func (t *Table) Append(rows [][]Value) *Table {
 	for ri, row := range rows {
 		if len(row) != len(t.cols) {
@@ -32,43 +30,22 @@ func (t *Table) Append(rows [][]Value) *Table {
 			}
 		}
 	}
+	stride := t.img.stride
+	tail := make([]byte, len(rows)*stride)
 	cols := make([]*Column, len(t.cols))
 	for i, c := range t.cols {
 		if c.dict.measure {
 			panic(fmt.Sprintf("table %q: Append to measure column %q, which is immutable", t.name, c.def.Name))
 		}
-		out := &Column{def: c.def, dict: c.dict.extend()}
-		extra := make([]uint32, len(rows))
+		out := c.like("", true) // the parent's rows are a prefix
+		out.dict = c.dict.extend()
 		for ri, row := range rows {
-			extra[ri] = out.dict.code(row[i])
+			binary.LittleEndian.PutUint32(tail[ri*stride+4*i:], out.dict.code(row[i]))
 		}
-		var fr *frontier
-		out.codes, fr = extendShared(c.codes, c.frontier(), extra, snapshotSlack)
-		out.back.Store(fr)
-		out.nullScan.Store(c.nullScan.Load()) // the parent's rows are a prefix
 		cols[i] = out
 	}
-	out := &Table{
-		name:       t.name,
-		cols:       cols,
-		byIdx:      t.byIdx,
-		nrows:      t.nrows + len(rows),
-		deltaStart: t.nrows,
-		img:        &imgState{},
-		serial:     serials.Add(1),
-	}
-	// If the parent's scan image is already built, extend it for the child
-	// instead of forcing a full O(rows×cols) repack on the child's first scan.
-	// The extension follows the code arrays' rule (see extendShared): writes
-	// land strictly past the parent's length, so parent readers (bounded by
-	// their own slice length) never see them, and the spare capacity a copy
-	// leaves makes chained appends amortized O(delta) instead of O(total) per
-	// append.
-	t.img.mu.Lock()
-	if t.img.data != nil {
-		out.img.data, out.img.fr = extendShared(t.img.data, t.img.frontier(), packRows(cols, t.nrows, out.nrows), snapshotSlack)
-	}
-	t.img.mu.Unlock()
+	out := newTable(t.name, cols, extendImage(t.img, tail, snapshotSlack), t.nrows+len(rows))
+	out.deltaStart = t.nrows
 	return out
 }
 
@@ -82,14 +59,17 @@ func (t *Table) DeltaStart() int { return t.deltaStart }
 func (t *Table) HasDelta() bool { return t.deltaStart > 0 && t.deltaStart < t.nrows }
 
 // DeltaView returns a table over only the delta segment [DeltaStart, NumRows),
-// sharing dictionaries with this snapshot so codes keep their meaning. The
-// engine aggregates this view with the ordinary kernels and merges the result
-// into cached entries. The three-index slice caps capacity at the segment end,
-// so an accidental append to the view cannot clobber shared backing.
+// sharing this snapshot's image and dictionaries so codes keep their meaning.
+// The engine aggregates this view with the ordinary kernels and merges the
+// result into cached entries. The three-index slice caps the view's image at
+// the segment end, so an extension of the view copies instead of writing
+// over shared backing.
 func (t *Table) DeltaView() *Table {
+	stride := t.img.stride
 	cols := make([]*Column, len(t.cols))
 	for i, c := range t.cols {
-		cols[i] = &Column{def: c.def, codes: c.codes[t.deltaStart:t.nrows:t.nrows], dict: c.dict}
+		cols[i] = c.like("", false)
 	}
-	return FromColumns(t.name+"__delta", cols)
+	data := t.img.data[t.deltaStart*stride : t.nrows*stride : t.nrows*stride]
+	return newTable(t.name+"__delta", cols, &image{data: data, stride: stride}, t.nrows-t.deltaStart)
 }

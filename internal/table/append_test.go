@@ -137,22 +137,26 @@ func TestAppendExtendsRanks(t *testing.T) {
 	}
 }
 
+// TestAppendExtendsBuiltImage: an append writes its rows past the parent's
+// image, which reads exactly as before, and the child's image is the one a
+// table built row by row from the same rows holds.
 func TestAppendExtendsBuiltImage(t *testing.T) {
 	base := sampleTable(t)
-	img, _ := base.RowImage() // build the parent's scan image first
+	img := imageOf(base)
 	next := base.Append(appendRows())
 	got, _ := next.RowImage()
-	want := packRows(next.cols, 0, next.NumRows())
-	if !bytes.Equal(got, want) {
-		t.Fatal("extended image differs from a full repack")
+	whole := sampleTable(t)
+	for _, row := range appendRows() {
+		whole.AppendRow(row...)
+	}
+	if want, _ := whole.RowImage(); !bytes.Equal(got, want) {
+		t.Fatal("the appended image differs from one built row by row")
+	}
+	if !bytes.Equal(got[:len(img)], img) {
+		t.Fatal("the child's image does not start with the parent's rows")
 	}
 	if again, _ := base.RowImage(); !bytes.Equal(again, img) {
 		t.Fatal("parent image changed")
-	}
-	// And the lazy path (parent image never built) must agree too.
-	cold := sampleTable(t).Append(appendRows())
-	if coldImg, _ := cold.RowImage(); !bytes.Equal(coldImg, want) {
-		t.Fatal("lazily built image differs")
 	}
 }
 
@@ -202,14 +206,17 @@ func TestAppendEmptyIsNoopSnapshot(t *testing.T) {
 	}
 }
 
-func TestEmptyLikeExtendedFreshRanks(t *testing.T) {
+func TestLikeExtendedFreshRanks(t *testing.T) {
 	base := New("t", []ColumnDef{{Name: "n", Typ: TInt64}})
 	base.AppendRow(Int(5))
 	base.AppendRow(Int(9))
 	_ = base.Col(0).Ranks() // freeze the source's rank table
-	ext := base.Col(0).EmptyLikeExtended("ext")
-	ext.AppendCodes(base.Col(0).Codes())
-	ext.Append(Int(7)) // interns into the shared lookup state
+	b := NewBuilder("x", 3, 1)
+	c := b.LikeExtended(base.Col(0), "ext")
+	b.Set(0, c, base.Col(0).Code(0))
+	b.Set(1, c, base.Col(0).Code(1))
+	b.SetValue(2, c, Int(7)) // interns into the shared lookup state
+	ext := b.Table().Col(0)
 	// The source column's view stays at its snapshot size (slice headers are
 	// per-dict), preserving old-reader isolation...
 	if base.Col(0).DictSize() != 2 || ext.DictSize() != 3 {

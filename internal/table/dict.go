@@ -17,7 +17,7 @@ const nullCode uint32 = 0
 type dict struct {
 	typ Type
 
-	// measure marks an identity dictionary (see MeasureColumn): the value
+	// measure marks an identity dictionary (see AddMeasure): the value
 	// slice is the column's data in row order, equal values do not share a
 	// code, and there is no lookup map, so nothing may be interned.
 	measure bool
@@ -159,7 +159,7 @@ func ownCodes[K comparable](m map[K]uint32, n int) map[K]uint32 {
 // over the parent's code range, so the extension recomputes it lazily over
 // the grown range (MIN/MAX correctness over appended values).
 //
-// The sharing follows the code arrays' rule (see frontier): the parent and
+// The sharing follows the image's rule (see frontier): the parent and
 // all its extensions share one write frontier, and only the dictionary whose
 // size is at the frontier interns in place. A second extension of one parent
 // copies the lookup map and value tail on its first new value (see claim),

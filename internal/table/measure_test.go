@@ -6,7 +6,10 @@ import (
 )
 
 func TestMeasureColumnIsIdentityEncoded(t *testing.T) {
-	c := MeasureColumn("cnt", []int64{5, 3, 5, 9}, []bool{true, true, true, false})
+	b := NewBuilder("m", 4, 1)
+	AddMeasure(b, "cnt", []int64{5, 3, 5, 9}, []bool{true, true, true, false})
+	tb := b.Table()
+	c := tb.Col(0)
 	if c.Type() != TInt64 || !c.Measure() || c.Len() != 4 || c.DictSize() != 4 {
 		t.Fatalf("type %s measure %v len %d dict %d, want INT64 true 4 4", c.Type(), c.Measure(), c.Len(), c.DictSize())
 	}
@@ -21,7 +24,9 @@ func TestMeasureColumnIsIdentityEncoded(t *testing.T) {
 	if ints, _ := c.NumericDict(); ints[3] != 0 {
 		t.Errorf("NULL row's value slot = %d, want zeroed", ints[3])
 	}
-	f := MeasureColumn("avg", []float64{0.5, 0.5}, nil)
+	fb := NewBuilder("f", 2, 1)
+	AddMeasure(fb, "avg", []float64{0.5, 0.5}, nil)
+	f := fb.Table().Col(0)
 	if f.Type() != TFloat64 || f.Value(1) != Float(0.5) || f.HasNull() {
 		t.Errorf("float measure: type %s row 1 %v has null %v", f.Type(), f.Value(1), f.HasNull())
 	}
@@ -30,22 +35,24 @@ func TestMeasureColumnIsIdentityEncoded(t *testing.T) {
 			t.Fatalf("Append on a measure column: panic %v, want a measure-column panic", p)
 		}
 	}()
-	c.Append(Int(1))
+	tb.Append([][]Value{{Int(1)}})
 }
 
 func TestInternMeasuresSharesCodesForEqualValues(t *testing.T) {
-	key := NewColumn(ColumnDef{Name: "k", Typ: TString})
+	plain := New("plain", []ColumnDef{{Name: "k", Typ: TString}})
 	for _, s := range []string{"a", "b", "c"} {
-		key.Append(Str(s))
+		plain.AppendRow(Str(s))
 	}
-	plain := FromColumns("plain", []*Column{key})
 	if plain.InternMeasures() != plain {
 		t.Fatal("a table without measure columns was copied")
 	}
-	tb := FromColumns("r", []*Column{key, MeasureColumn("cnt", []int64{7, 2, 7}, nil)})
+	b := NewBuilder("r", 3, 2)
+	b.Copy(plain.Col(0), "")
+	AddMeasure(b, "cnt", []int64{7, 2, 7}, nil)
+	tb := b.Table()
 	got := tb.InternMeasures()
-	if got.Col(0) != key || got.Name() != "r" {
-		t.Fatal("interning replaced a key column or renamed the table")
+	if key := got.Col(0); !key.SharesDict(plain.Col(0)) || key.Code(1) != plain.Col(0).Code(1) || got.Name() != "r" {
+		t.Fatal("interning re-encoded a key column or renamed the table")
 	}
 	cnt := got.Col(1)
 	if cnt.Measure() || cnt.DictSize() != 2 || cnt.Code(0) != cnt.Code(2) || cnt.Value(2) != Int(7) {
@@ -59,8 +66,10 @@ func TestSharesDictFollowsAppendLineage(t *testing.T) {
 	next := tb.Append([][]Value{{Int(2)}})
 	other := New("o", []ColumnDef{{Name: "k", Typ: TInt64}})
 	other.AppendRow(Int(1))
-	if !next.Col(0).SharesDict(tb.Col(0)) || !tb.Col(0).EmptyLike("x").SharesDict(next.Col(0)) {
-		t.Error("an append extension or EmptyLike copy does not share its parent's dictionary lineage")
+	b := NewBuilder("x", 0, 1)
+	b.Like(tb.Col(0), "x")
+	if !next.Col(0).SharesDict(tb.Col(0)) || !b.Table().Col(0).SharesDict(next.Col(0)) {
+		t.Error("an append extension or Builder.Like copy does not share its parent's dictionary lineage")
 	}
 	if tb.Col(0).SharesDict(other.Col(0)) {
 		t.Error("two independently built dictionaries report a shared lineage")

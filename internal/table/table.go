@@ -1,18 +1,19 @@
-// Package table implements the columnar storage substrate of the engine.
-//
-// Every column is dictionary-encoded: cell i of a column is a uint32 code into
-// a per-column dictionary, with code 0 reserved for NULL. Group-by operators
-// in internal/exec therefore work on uniform code tuples regardless of column
-// types, and derived tables produced by gathering rows share their parents'
-// dictionaries, making materialization of intermediate Group By results cheap
-// — the property the paper's plans depend on. Aggregate results are the one
-// kind of column whose dictionary is not interned (see MeasureColumn).
+// Package table implements the storage substrate of the engine: each table
+// is one row-major image of dictionary codes. Cell (r, c) is a uint32 code
+// into column c's dictionary (0 is NULL), the little-endian word at
+// r*stride+4*c of the image (see RowImage), its only copy: a Column is a view
+// of one word of every row, and every constructor writes the image directly.
+// Group-by operators in internal/exec scan uniform code tuples, paying for
+// row width as the paper's row store did, and derived tables share their
+// parents' dictionaries, so materializing an intermediate Group By result is
+// cheap — the property the paper's plans depend on. Aggregate results are
+// the one kind of column whose dictionary is not interned (see AddMeasure).
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"gbmqo/internal/colset"
@@ -24,25 +25,42 @@ type ColumnDef struct {
 	Typ  Type
 }
 
-// Column is one dictionary-encoded column. Columns are append-only while a
-// table is being built and immutable afterwards.
+// image is a table's row-major code store: row r's codes are the stride
+// bytes at r*stride, one little-endian uint32 per column in ordinal order.
+// An image is written only while its table is being built; a published one
+// is read-only, and an extension writes past its length (see extendImage).
+type image struct {
+	data   []byte
+	stride int
+	// back is the write frontier of data's backing, shared with the images
+	// that extend it (see Table.Extend); nil until the image first extends.
+	back atomic.Pointer[frontier]
+}
+
+// frontier returns the write frontier of the image's backing, installing
+// one at the image's length when it has none: an image that was built
+// rather than extended is the only view of its backing that can extend it (a
+// DeltaView's capped slice has no spare capacity to write into).
+func (m *image) frontier() *frontier {
+	if f := m.back.Load(); f != nil {
+		return f
+	}
+	m.back.CompareAndSwap(nil, newFrontier(len(m.data)))
+	return m.back.Load()
+}
+
+// Column is one dictionary-encoded column: a view of one word of every row
+// of its table's image. It is read-only once its table is built.
 type Column struct {
-	def   ColumnDef
-	codes []uint32
-	dict  *dict
+	def  ColumnDef
+	dict *dict
+	img  *image
+	off  int // byte offset of the column's word within a row
 
 	// nullScan memoises HasNull as rows scanned << 1 | NULL seen.
 	nullScan atomic.Uint64
-	// back is the write frontier of the code backing, shared with the views
-	// that extend it (see Extend); nil until the column is first extended.
-	back atomic.Pointer[frontier]
 	// rowOrder marks a measure column in row order (see InRowOrder).
 	rowOrder bool
-}
-
-// NewColumn creates an empty column.
-func NewColumn(def ColumnDef) *Column {
-	return &Column{def: def, dict: newDict(def.Typ)}
 }
 
 // Def returns the column definition.
@@ -55,42 +73,60 @@ func (c *Column) Name() string { return c.def.Name }
 func (c *Column) Type() Type { return c.def.Typ }
 
 // Len returns the number of rows.
-func (c *Column) Len() int { return len(c.codes) }
+func (c *Column) Len() int { return len(c.img.data) / c.img.stride }
 
 // Code returns the dictionary code of row i (0 for NULL).
-func (c *Column) Code(i int) uint32 { return c.codes[i] }
+func (c *Column) Code(i int) uint32 {
+	return binary.LittleEndian.Uint32(c.img.data[i*c.img.stride+c.off:])
+}
 
-// Codes exposes the raw code vector. Callers must not mutate it.
-func (c *Column) Codes() []uint32 { return c.codes }
+// View returns a strided reader of the column's codes in the image.
+func (c *Column) View() CodeView {
+	return CodeView{img: c.img.data, stride: c.img.stride, off: c.off}
+}
+
+// CodeView reads one column's codes in place from its table's row-major
+// image: row r's code is the little-endian word at r*stride+off. It is a
+// value, so a loop over it keeps the image, stride and offset in registers.
+type CodeView struct {
+	img         []byte
+	stride, off int
+}
+
+// At returns the code of row r.
+func (v CodeView) At(r int) uint32 {
+	return binary.LittleEndian.Uint32(v.img[r*v.stride+v.off:])
+}
+
+// Gather returns every code in row order, contiguous: the one-off copy for
+// a reader that needs them so.
+func (v CodeView) Gather() []uint32 {
+	out := make([]uint32, 0, len(v.img)/v.stride)
+	for p := v.off; p < len(v.img); p += v.stride {
+		out = append(out, binary.LittleEndian.Uint32(v.img[p:]))
+	}
+	return out
+}
 
 // IsNull reports whether row i is NULL.
-func (c *Column) IsNull(i int) bool { return c.codes[i] == nullCode }
+func (c *Column) IsNull(i int) bool { return c.Code(i) == nullCode }
 
 // Value decodes row i.
-func (c *Column) Value(i int) Value { return c.dict.value(c.codes[i]) }
+func (c *Column) Value(i int) Value { return c.dict.value(c.Code(i)) }
 
 // Decode decodes an arbitrary code from this column's dictionary.
 func (c *Column) Decode(code uint32) Value { return c.dict.value(code) }
 
-// Append interns v and appends it. It panics on a type mismatch or on a
-// measure column (see MeasureColumn), both always caller bugs.
-func (c *Column) Append(v Value) {
+// checkValue panics unless v may be interned into c: a type mismatch or a
+// measure column (see AddMeasure) is always a caller bug.
+func (c *Column) checkValue(v Value) {
 	if c.dict.measure {
 		panic(fmt.Sprintf("table: Append to measure column %q, which is immutable", c.def.Name))
 	}
 	if !v.Null && v.Typ != c.def.Typ {
 		panic(fmt.Sprintf("table: appending %s value to %s column %q", v.Typ, c.def.Typ, c.def.Name))
 	}
-	c.codes = append(c.codes, c.dict.code(v))
 }
-
-// AppendCode appends a raw code that must already belong to this column's
-// dictionary (used by operators that copy rows between tables sharing a dict).
-func (c *Column) AppendCode(code uint32) { c.codes = append(c.codes, code) }
-
-// AppendCodes bulk-appends raw codes that must already belong to this
-// column's dictionary, instead of per-row AppendCode calls.
-func (c *Column) AppendCodes(codes []uint32) { c.codes = append(c.codes, codes...) }
 
 // Ranks returns the code→rank table for order-by-value sorting (NULL ranks
 // first).
@@ -106,12 +142,15 @@ func (c *Column) DictSize() int { return c.dict.size() }
 // per column and then only over rows appended since (an appended snapshot
 // starts from its parent's answer).
 func (c *Column) HasNull() bool {
-	m := c.nullScan.Load()
-	if m&1 == 1 || int(m>>1) == len(c.codes) {
+	m, n := c.nullScan.Load(), c.Len()
+	if m&1 == 1 || int(m>>1) == n {
 		return m&1 == 1
 	}
-	found := slices.Contains(c.codes[m>>1:], nullCode)
-	m = uint64(len(c.codes)) << 1
+	v, found := c.View(), false
+	for r := int(m >> 1); r < n && !found; r++ {
+		found = v.At(r) == nullCode
+	}
+	m = uint64(n) << 1
 	if found {
 		m |= 1
 	}
@@ -132,9 +171,9 @@ func DenseBound(rows int) int { return max(4096, 8*rows) }
 // for tests and exact statistics, not the hot path.
 func (c *Column) DistinctCount() int {
 	seen := make([]bool, c.dict.size()+1)
-	n := 0
-	for _, code := range c.codes {
-		if !seen[code] {
+	v, n := c.View(), 0
+	for r := range c.Len() {
+		if code := v.At(r); !seen[code] {
 			seen[code] = true
 			n++
 		}
@@ -148,7 +187,7 @@ func (c *Column) AvgWidth() float64 { return c.dict.avgWidth() }
 // NumericDict returns the dictionary's value slice of a TInt64, TDate or
 // TFloat64 column, uncopied: the value of non-null code k is element k-1 of
 // the slice matching the column type (the other is nil). For a measure column
-// (see MeasureColumn) it is the column's data in row order. Aggregation hot
+// (see AddMeasure) it is the column's data in row order. Aggregation hot
 // loops decode through it to avoid per-row Value construction; callers must
 // not mutate it. It panics on TString columns.
 func (c *Column) NumericDict() (ints []int64, floats []float64) {
@@ -158,62 +197,14 @@ func (c *Column) NumericDict() (ints []int64, floats []float64) {
 	return c.dict.ints, c.dict.floats
 }
 
-// EmptyLike creates an empty column under a new name that shares this
-// column's dictionary, so codes can be copied across with AppendCode. This is
-// how group-by operators emit key columns without re-interning values.
-func (c *Column) EmptyLike(name string) *Column {
-	def := c.def
-	def.Name = name
-	return &Column{def: def, dict: c.dict}
-}
-
-// Like is EmptyLike holding codes, which the column takes over: they must
-// belong to this column's dictionary and not be written afterwards.
-func (c *Column) Like(name string, codes []uint32) *Column {
-	out := c.EmptyLike(name)
-	out.codes = codes
-	return out
-}
-
-// EmptyLikeExtended is EmptyLike over an extended view of the dictionary: the
-// backing value arrays and lookup maps stay shared (existing codes remain
-// valid and comparable) but the rank table is recomputed on demand over the
-// grown code range. Use it instead of EmptyLike when the new column will
-// intern values that a rank table already built for the source column would
-// not cover — the append path's shard-partition extension does this for the
-// hidden row column.
-func (c *Column) EmptyLikeExtended(name string) *Column {
-	def := c.def
-	def.Name = name
-	return &Column{def: def, dict: c.dict.extend()}
-}
-
-// gather builds a new column containing rows idx, sharing this column's
-// dictionary.
-func (c *Column) gather(idx []int32) *Column {
-	out := &Column{def: c.def, dict: c.dict, codes: make([]uint32, len(idx))}
-	for i, r := range idx {
-		out.codes[i] = c.codes[r]
-	}
-	return out
-}
-
-// imgState holds a table's lazily built scan image behind its own lock, as a
-// separate allocation so Table values stay copyable (Rename) and so an
-// appended snapshot can extend its parent's already-built image without
-// racing a concurrent lazy build by a reader of the parent.
-type imgState struct {
-	mu   sync.Mutex
-	data []byte
-	fr   *frontier // write frontier of data's backing (see Table.Extend)
-}
-
-// Table is a named collection of equal-length columns.
+// Table is a named collection of equal-length columns over one row-major
+// code image.
 type Table struct {
 	name  string
 	cols  []*Column
 	byIdx map[string]int
 	nrows int
+	img   *image
 
 	// deltaStart is the append watermark: rows [deltaStart, nrows) arrived in
 	// the Append call that produced this snapshot (0 for tables not produced
@@ -223,10 +214,6 @@ type Table struct {
 	// prefix and touched record how Extend built this table (see Extended).
 	prefix  int
 	touched []int32
-
-	// img is the packed row-major scan image (see RowImage), built lazily on
-	// first scan.
-	img *imgState
 
 	serial uint64 // see Serial
 }
@@ -241,36 +228,44 @@ func (t *Table) Serial() uint64 { return t.serial }
 // New creates an empty table with the given schema. Column names must be
 // unique and non-empty.
 func New(name string, defs []ColumnDef) *Table {
-	t := &Table{name: name, byIdx: make(map[string]int, len(defs)), img: &imgState{}, serial: serials.Add(1)}
+	cols := make([]*Column, len(defs))
 	for i, d := range defs {
-		if d.Name == "" {
+		cols[i] = &Column{def: d, dict: newDict(d.Typ)}
+	}
+	return newTable(name, cols, &image{stride: 4 * len(defs)}, 0)
+}
+
+// newTable assembles the table name over img from cols, which it points at
+// their words of img in ordinal order. Column names must be unique and
+// non-empty.
+func newTable(name string, cols []*Column, img *image, nrows int) *Table {
+	t := &Table{name: name, cols: cols, byIdx: make(map[string]int, len(cols)), nrows: nrows, img: img, serial: serials.Add(1)}
+	for i, c := range cols {
+		if c.def.Name == "" {
 			panic(fmt.Sprintf("table %q: column %d has empty name", name, i))
 		}
-		if _, dup := t.byIdx[d.Name]; dup {
-			panic(fmt.Sprintf("table %q: duplicate column %q", name, d.Name))
+		if _, dup := t.byIdx[c.def.Name]; dup {
+			panic(fmt.Sprintf("table %q: duplicate column %q", name, c.def.Name))
 		}
-		t.byIdx[d.Name] = i
-		t.cols = append(t.cols, NewColumn(d))
+		t.byIdx[c.def.Name] = i
+		c.img, c.off = img, 4*i
 	}
 	return t
 }
 
-// FromColumns assembles a table from pre-built columns of equal length.
-func FromColumns(name string, cols []*Column) *Table {
-	t := &Table{name: name, byIdx: make(map[string]int, len(cols)), cols: cols, img: &imgState{}, serial: serials.Add(1)}
-	for i, c := range cols {
-		if _, dup := t.byIdx[c.Name()]; dup {
-			panic(fmt.Sprintf("table %q: duplicate column %q", name, c.Name()))
-		}
-		t.byIdx[c.Name()] = i
-		if c.Len() != cols[0].Len() {
-			panic(fmt.Sprintf("table %q: column %q has %d rows, want %d", name, c.Name(), c.Len(), cols[0].Len()))
-		}
+// like returns an unplaced column with c's definition (renamed to name when
+// not empty) and dictionary; inOrder says the new image holds c's rows in
+// order, so row order and the NULL memo carry over.
+func (c *Column) like(name string, inOrder bool) *Column {
+	out := &Column{def: c.def, dict: c.dict}
+	if name != "" {
+		out.def.Name = name
 	}
-	if len(cols) > 0 {
-		t.nrows = cols[0].Len()
+	if inOrder {
+		out.rowOrder = c.rowOrder
+		out.nullScan.Store(c.nullScan.Load())
 	}
-	return t
+	return out
 }
 
 // Name returns the table name.
@@ -333,9 +328,21 @@ func (t *Table) AppendRow(vals ...Value) {
 		panic(fmt.Sprintf("table %q: AppendRow got %d values, want %d", t.name, len(vals), len(t.cols)))
 	}
 	for i, v := range vals {
-		t.cols[i].Append(v)
+		t.cols[i].checkValue(v)
+	}
+	img := t.img
+	n := len(img.data)
+	img.data = slices.Grow(img.data, img.stride)[:n+img.stride]
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(img.data[n+4*i:], t.cols[i].dict.code(v))
 	}
 	t.nrows++
+}
+
+// Grow reserves image capacity for rows more rows, so a builder that knows
+// its row count appends them without regrowing the image.
+func (t *Table) Grow(rows int) {
+	t.img.data = slices.Grow(t.img.data, rows*t.img.stride)
 }
 
 // Row decodes row i (convenience for tests and display).
@@ -348,66 +355,41 @@ func (t *Table) Row(i int) []Value {
 }
 
 // Gather builds a new table containing rows idx in order, sharing
-// dictionaries with this table.
+// dictionaries with this table: each row's bytes are copied whole.
 func (t *Table) Gather(name string, idx []int32) *Table {
+	stride := t.img.stride
+	data := make([]byte, len(idx)*stride)
+	for i, r := range idx {
+		copy(data[i*stride:(i+1)*stride], t.img.data[int(r)*stride:])
+	}
 	cols := make([]*Column, len(t.cols))
 	for i, c := range t.cols {
-		cols[i] = c.gather(idx)
+		cols[i] = c.like("", false)
 	}
-	out := FromColumns(name, cols)
-	return out
+	return newTable(name, cols, &image{data: data, stride: stride}, len(idx))
 }
 
-// Project builds a new table with only the given column ordinals (shallow:
-// columns are shared, not copied).
+// Project builds a new table with only the given column ordinals, sharing
+// their dictionaries. Its image holds those columns alone, so a narrow
+// projection scans narrow.
 func (t *Table) Project(name string, ords []int) *Table {
-	cols := make([]*Column, len(ords))
-	for i, o := range ords {
-		cols[i] = t.cols[o]
+	b := NewBuilder(name, t.nrows, len(ords))
+	for _, o := range ords {
+		b.Copy(t.cols[o], "")
 	}
-	return FromColumns(name, cols)
+	return b.Table()
 }
 
-// RowImage returns the packed row-major code image of the table — 4 bytes
-// (one little-endian uint32 code) per column per row — along with the row
-// stride, building it on first use. Table-scanning operators read key codes
-// through this image, which gives the storage engine row-store scan
-// behaviour: touching any column of a row pulls the whole row's bytes through
-// the cache, so scan cost grows with table *width*, exactly like the
-// disk-based row store the paper evaluated on. This is what makes computing a
-// narrow Group By from a narrow materialized intermediate much cheaper than
-// from the wide base relation.
-//
-// The build is synchronized: concurrent readers of a shared table (cached
-// entries, shard partitions, append snapshots) may all trigger the first
-// scan, and exactly one of them builds the image.
+// RowImage returns the table's row-major code image — one little-endian
+// uint32 code per column per row — and its row stride: the only copy of the
+// codes, written when the table was built, so asking for it allocates
+// nothing. Scanning operators read key codes through it, so touching any
+// column of a row pulls the whole row through the cache and scan cost grows
+// with table *width*, as in the paper's row store: a narrow Group By computed
+// from a narrow materialized intermediate is much cheaper than from the wide
+// base relation.
 func (t *Table) RowImage() (image []byte, stride int) {
-	stride = 4 * len(t.cols)
-	t.img.mu.Lock()
-	defer t.img.mu.Unlock()
-	if t.img.data == nil {
-		t.img.data = packRows(t.cols, 0, t.nrows)
-	}
-	return t.img.data, stride
-}
-
-// packRows encodes rows [lo, hi) of cols into the packed row-major image
-// form: one little-endian uint32 code per column per row.
-func packRows(cols []*Column, lo, hi int) []byte {
-	stride := 4 * len(cols)
-	img := make([]byte, (hi-lo)*stride)
-	for ci, c := range cols {
-		off := 4 * ci
-		for r := lo; r < hi; r++ {
-			code := c.codes[r]
-			p := (r-lo)*stride + off
-			img[p] = byte(code)
-			img[p+1] = byte(code >> 8)
-			img[p+2] = byte(code >> 16)
-			img[p+3] = byte(code >> 24)
-		}
-	}
-	return img
+	return t.img.data, t.img.stride
 }
 
 // WidthBytes returns the average row width in bytes over the given column
@@ -434,25 +416,12 @@ func (t *Table) SizeBytes() float64 {
 	return float64(t.nrows) * t.WidthBytes(colset.Set(0))
 }
 
-// MemSize returns the actual resident bytes of the table's columnar state —
-// the code arrays and, when it has been built, the row-major scan image, each
-// at its capacity: a backing an extension shares (see Extend) holds its
-// spare room whether or not a row lands in it yet. It is the quantity a
-// MemBudget is charged when the engine materializes this table as a temp,
-// and what the result cache charges an entry. Dictionaries are deliberately
-// excluded: gathered and aggregated tables share them with their parent, so
-// materializing an intermediate costs no extra dictionary memory. A measure
-// column's dictionary (its value slice, see MeasureColumn) is owned by the
-// table and is likewise not counted.
-func (t *Table) MemSize() int64 {
-	t.img.mu.Lock()
-	n := int64(cap(t.img.data))
-	t.img.mu.Unlock()
-	for _, c := range t.cols {
-		n += 4 * int64(cap(c.codes))
-	}
-	return n
-}
+// MemSize returns the resident bytes of the table's codes: its image at its
+// capacity, spare room included. A MemBudget is charged it for a temp, and
+// the result cache for an entry. Dictionaries are excluded: derived tables
+// share them with their parent, and a measure column's value slice (see
+// AddMeasure) is not counted either.
+func (t *Table) MemSize() int64 { return int64(cap(t.img.data)) }
 
 // String summarizes the table.
 func (t *Table) String() string {

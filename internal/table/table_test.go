@@ -350,28 +350,3 @@ func TestQuickCodeEqualityMatchesValueEquality(t *testing.T) {
 		}
 	}
 }
-
-func TestAppendCodesBulk(t *testing.T) {
-	tb := sampleTable(t)
-	src := tb.Col(1)
-	// Bulk-appending a permutation of existing codes into a dict-sharing
-	// column must decode to the same values as appending them one by one.
-	bulk := src.EmptyLike("bulk")
-	one := src.EmptyLike("one")
-	codes := []uint32{src.Code(2), src.Code(0), src.Code(1), src.Code(0)}
-	bulk.AppendCodes(codes)
-	for _, c := range codes {
-		one.AppendCode(c)
-	}
-	if bulk.Len() != len(codes) {
-		t.Fatalf("len = %d, want %d", bulk.Len(), len(codes))
-	}
-	for i := range codes {
-		if !bulk.Value(i).Equal(one.Value(i)) {
-			t.Fatalf("row %d: bulk %v, one-by-one %v", i, bulk.Value(i), one.Value(i))
-		}
-	}
-	if !bulk.Value(0).Null || bulk.Value(1).S != "alice" {
-		t.Fatalf("decoded values wrong: %v, %v", bulk.Value(0), bulk.Value(1))
-	}
-}
